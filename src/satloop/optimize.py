@@ -5,7 +5,8 @@ task-oriented (rate-limited LQR cost), max-throughput, or min-latency
 objective, via golden-section search with a dense-grid fallback.
 
 Multi loop: jointly allocate downlink transmit power and on-board compute
-frequency across robots by projected gradient on budget-scaled variables,
+frequency across robots by projected gradient on budget-scaled variables
+(closed-form gradient, all restarts advanced together as one batch),
 compared against a max-throughput (water-filling) scheme and a compute-only
 scheme at equal power.
 """
@@ -25,6 +26,10 @@ GOLDEN_REL_WIDTH = 1e-8
 UNIMODAL_CHECK_POINTS = 101
 UNIMODAL_REL_TOL = 1e-3
 DENSE_GRID_POINTS = 10001
+# Projected-gradient backtracking: at most MAX_HALVINGS halvings of a trial
+# step, evaluated BACKTRACK_BLOCK at a time in one objective call.
+MAX_HALVINGS = 80
+BACKTRACK_BLOCK = 8
 
 
 class DimensionTooLargeError(ValueError):
@@ -253,7 +258,8 @@ def solve_single_loop(problem: SingleLoopProblem) -> AllocationResult:
             b_star, f_star = float(coarse[i_best]), coarse_vals[i_best]
     evals += UNIMODAL_CHECK_POINTS
 
-    assert delta * 0.5 <= b_star <= b_tot - delta * 0.5
+    if not delta * 0.5 <= b_star <= b_tot - delta * 0.5:
+        raise RuntimeError(f"bandwidth split {b_star!r} Hz left the search bracket")
     outcome = _cycle_at(problem, model, b_star)
     all_infeasible = (problem.objective == SingleLoopObjective.TASK_ORIENTED
                       and f_star >= INFEASIBILITY_PENALTY)
@@ -276,10 +282,10 @@ def solve_single_loop(problem: SingleLoopProblem) -> AllocationResult:
 class JointEvaluator:
     """Vectorized per-robot cycle evaluation for the joint allocation problem.
 
-    Power/frequency vectors broadcast along the last axis (one entry per
-    robot), so finite-difference batches evaluate in a single call. Effective
-    bits are kept signed (negative when computing alone overruns the cycle)
-    to keep penalty gradients informative.
+    Power/frequency arrays broadcast along the last axis (one entry per
+    robot), so a batch of candidate decisions evaluates in a single call.
+    Effective bits are kept signed (negative when computing alone overruns
+    the cycle) to keep penalty gradients informative.
     """
 
     def __init__(self, problem: MultiLoopProblem):
@@ -313,16 +319,19 @@ class JointEvaluator:
     def rates_bps(self, power_w: np.ndarray) -> np.ndarray:
         return self.bandwidth * np.log2(1.0 + power_w * self.snr_per_w)
 
-    def effective_bits(self, power_w: np.ndarray, compute_cps: np.ndarray) -> np.ndarray:
+    def _window_s(self, compute_cps: np.ndarray) -> np.ndarray:
         # the 1e-9 cps floor keeps zero-compute probes finite (and heavily penalized)
-        t_comp = self.comp_cycles / np.maximum(compute_cps, 1e-9)
-        window = self.t_budget - t_comp
-        return np.minimum(self.cap_bits, self.rates_bps(power_w) * window)
+        return self.t_budget - self.comp_cycles / np.maximum(compute_cps, 1e-9)
+
+    def _gap(self, eff: np.ndarray):
+        """(4^eff, 4^eff - a^2, feasible) with eff clamped to [0, 400] bits."""
+        pow4 = 4.0 ** np.minimum(np.maximum(eff, 0.0), 400.0)
+        gap = pow4 - self.a_sq
+        return pow4, gap, (eff >= 0.0) & (gap > 0.0)
 
     def cost_vector(self, power_w: np.ndarray, compute_cps: np.ndarray) -> np.ndarray:
-        eff = self.effective_bits(power_w, compute_cps)
-        feasible = (eff >= 0.0) & (4.0 ** np.minimum(np.maximum(eff, 0.0), 400.0) > self.a_sq)
-        gap = 4.0 ** np.minimum(np.maximum(eff, 0.0), 400.0) - self.a_sq
+        eff = np.minimum(self.cap_bits, self.rates_bps(power_w) * self._window_s(compute_cps))
+        _, gap, feasible = self._gap(eff)
         with np.errstate(divide="ignore", invalid="ignore"):
             cost = self.j_ideal + self.sens_w / gap
         return np.where(feasible, cost,
@@ -330,6 +339,29 @@ class JointEvaluator:
 
     def total_cost(self, power_w: np.ndarray, compute_cps: np.ndarray) -> np.ndarray:
         return self.cost_vector(power_w, compute_cps).sum(axis=-1)
+
+    def gradient(self, power_w: np.ndarray, compute_cps: np.ndarray):
+        """Closed-form (dJ/dpower, dJ/dcompute) of cost_vector, per robot.
+
+        dJ/deff is -w ln4 4^eff / (4^eff - a^2)^2 on a feasible loop and -1 on
+        the penalty. It is 0 past the 400-bit clamp and where the extraction
+        cap binds, which is the one-sided slope at the cap kink: more of
+        either resource buys nothing there. Below the 1e-9 cps floor the
+        window does not depend on compute, so dJ/dcompute is 0.
+        """
+        rate = self.rates_bps(power_w)
+        window = self._window_s(compute_cps)
+        raw = rate * window
+        eff = np.minimum(self.cap_bits, raw)
+        pow4, gap, feasible = self._gap(eff)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(feasible, -self.sens_w * math.log(4.0) * (pow4 / gap) / gap, -1.0)
+        slope = np.where((raw >= self.cap_bits) | (eff > 400.0), 0.0, slope)
+        d_rate = (self.bandwidth * self.snr_per_w
+                  / ((1.0 + power_w * self.snr_per_w) * math.log(2.0)))
+        d_window = np.where(compute_cps > 1e-9,
+                            self.comp_cycles / np.maximum(compute_cps, 1e-9) ** 2, 0.0)
+        return slope * window * d_rate, slope * rate * d_window
 
     def outcomes(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
         """Physical per-robot LoopOutcome tuple for a concrete decision."""
@@ -356,18 +388,20 @@ class JointEvaluator:
 
 
 def project_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) <= total}."""
+    """Euclidean projection of each row (last axis) onto {x >= 0, sum(x) <= total}.
+
+    Sort-based simplex projection (Duchi et al., ICML 2008), applied only to
+    rows whose clipped sum exceeds the cap.
+    """
     x = np.maximum(x, 0.0)
-    s = x.sum()
-    if s <= total:
-        return x
-    u = np.sort(x)[::-1]
-    cumulative = np.cumsum(u) - total
-    counts = np.arange(1, x.size + 1)
+    u = np.sort(x, axis=-1)[..., ::-1]
+    cumulative = np.cumsum(u, axis=-1) - total
+    counts = np.arange(1, x.shape[-1] + 1)
     valid = u - cumulative / counts > 0.0
-    rho = counts[valid][-1]
-    theta = cumulative[rho - 1] / rho
-    return np.maximum(x - theta, 0.0)
+    # valid[..., 0] always holds (total > 0), so rho >= 1
+    rho = np.max(np.where(valid, counts, 0), axis=-1, keepdims=True)
+    theta = np.take_along_axis(cumulative, rho - 1, axis=-1) / rho
+    return np.where(x.sum(axis=-1, keepdims=True) <= total, x, np.maximum(x - theta, 0.0))
 
 
 def water_fill_power(evaluator: JointEvaluator, total_power_w: float) -> np.ndarray:
@@ -399,97 +433,133 @@ def water_fill_power(evaluator: JointEvaluator, total_power_w: float) -> np.ndar
 
 @dataclass
 class _PgdResult:
+    """End points of a batched projected-gradient run, one row per start."""
     z: np.ndarray
-    value: float
-    iterations: int
-    converged: bool
+    value: np.ndarray
+    converged: np.ndarray
+    iterations: int  # summed over rows
 
 
-def _projected_gradient(objective, z0: np.ndarray, n: int, *,
+def _backtrack(objective, project, z: np.ndarray, fz: np.ndarray, grad: np.ndarray,
+               step: np.ndarray):
+    """Armijo backtracking for a batch of rows, BACKTRACK_BLOCK halvings per call.
+
+    Row i tries step[i], step[i]/2, ... up to MAX_HALVINGS halvings and takes
+    the first trial whose projected move passes the sufficient-decrease test;
+    it stops unaccepted at the first trial whose projected move is zero. The
+    trials of a block are evaluated in one objective call, and the first one
+    that passes is the one halving a step at a time would have taken.
+    Returns (accepted, z, f, step) per row.
+    """
+    rows, dim = z.shape
+    accepted = np.zeros(rows, dtype=bool)
+    z_out, f_out, s_out = z.copy(), fz.copy(), step.copy()
+    scales = 0.5 ** np.arange(MAX_HALVINGS)
+    search = np.arange(rows)
+    for first in range(0, MAX_HALVINGS, BACKTRACK_BLOCK):
+        trial = step[search, None] * scales[first:first + BACKTRACK_BLOCK]
+        base = z[search, None, :]
+        cand = project((base - trial[..., None] * grad[search, None, :]).reshape(-1, dim))
+        cand = cand.reshape(search.size, -1, dim)
+        move = cand - base
+        move_sq = (move * move).sum(axis=-1)
+        fc = objective(cand.reshape(-1, dim)).reshape(move_sq.shape)
+        stop = (fc <= fz[search, None] - 1e-2 * move_sq / trial) | (move_sq == 0.0)
+        done = stop.any(axis=1)
+        j = stop.argmax(axis=1)
+        pick = np.flatnonzero(done & (move_sq[np.arange(search.size), j] != 0.0))
+        jp = j[pick]
+        take = search[pick]
+        accepted[take] = True
+        z_out[take], f_out[take], s_out[take] = cand[pick, jp], fc[pick, jp], trial[pick, jp]
+        search = search[~done]
+        if search.size == 0:
+            break
+    return accepted, z_out, f_out, s_out
+
+
+def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *,
                         optimize_power: bool = True,
                         max_iter: int = 500, rel_tol: float = 1e-10,
                         patience: int = 5) -> _PgdResult:
-    """Minimize objective(z) over the product of two capped simplexes.
+    """Minimize objective(z) over the product of two capped simplexes, per row of z0.
 
-    z holds budget-scaled power and compute shares (each block sums to <= 1).
-    Gradient by central differences with relative step 1e-6; trial steps are
-    seeded Barzilai-Borwein style (spectral step from the last (dz, dg) pair,
-    which copes with the steep penalty wall) and backed off by halving until
-    a sufficient decrease over the projected move is reached. Converged after
-    `patience` consecutive iterations with relative improvement below rel_tol.
+    Each row of z0 (one start, shape (R, 2n) in all) holds budget-scaled power
+    and compute shares (each block sums to <= 1). All rows descend together:
+    an iteration makes one `gradient` call (analytic, see
+    JointEvaluator.gradient) and one `objective` call per backtracking block
+    for the whole batch, while every row keeps its own step, Barzilai-Borwein
+    pair, quiet count and iteration count. With optimize_power False the
+    power block of the gradient is zeroed and the power shares stay as given.
+    Trial steps are seeded Barzilai-Borwein style (spectral step from the
+    row's last (dz, dg) pair, which copes with the steep penalty wall) and
+    backed off by halving (_backtrack) until a sufficient decrease over the
+    projected move is reached. A row converges after `patience` consecutive
+    iterations with relative improvement below rel_tol or a zero gradient; a
+    row whose gradient is not finite stops unconverged.
     """
     def project(z):
-        p = z[:n] if optimize_power else z0[:n]
-        return np.concatenate([
-            project_capped_simplex(p, 1.0) if optimize_power else p,
-            project_capped_simplex(z[n:], 1.0)])
+        if optimize_power:
+            return project_capped_simplex(z.reshape(-1, 2, n), 1.0).reshape(z.shape)
+        return np.concatenate([z[:, :n], project_capped_simplex(z[:, n:], 1.0)], axis=1)
 
-    z = project(z0.copy())
-    fz = float(objective(z[None, :])[0])
-    step = None
-    z_prev = grad_prev = None
-    quiet = 0
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        h = 1e-6 * np.maximum(np.abs(z), 0.1)
+    z = project(np.array(z0, dtype=float))
+    rows = z.shape[0]
+    fz = objective(z)
+    step = np.full(rows, np.nan)  # last accepted step, NaN until the first
+    # dz = 0 until a row has moved, which selects the fallback step below
+    z_prev, grad_prev = z.copy(), np.zeros_like(z)
+    quiet = np.zeros(rows, dtype=int)
+    iters = np.zeros(rows, dtype=int)
+    running = np.ones(rows, dtype=bool)
+    converged = np.zeros(rows, dtype=bool)
+    for _ in range(max_iter):
+        live = np.flatnonzero(running)
+        if live.size == 0:
+            break
+        iters[live] += 1
+        grad = gradient(z[live])
         if not optimize_power:
-            h[:n] = 0.0
-        active = np.nonzero(h)[0]
-        probes = np.repeat(z[None, :], 2 * active.size, axis=0)
-        for idx, k in enumerate(active):
-            probes[2 * idx, k] = z[k] + h[k]
-            probes[2 * idx + 1, k] = max(z[k] - h[k], 0.0)
-        vals = objective(probes)
-        grad = np.zeros_like(z)
-        plus = np.array([probes[2 * i, k] for i, k in enumerate(active)])
-        minus = np.array([probes[2 * i + 1, k] for i, k in enumerate(active)])
-        grad[active] = (vals[0::2] - vals[1::2]) / (plus - minus)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm == 0.0 or not math.isfinite(gnorm):
-            quiet += 1
-            if quiet >= patience:
-                return _PgdResult(z, fz, iters, True)
-            continue
-        if z_prev is not None:
-            dz = z - z_prev
-            dg = grad - grad_prev
-            curvature = float(dz @ dg)
-            if curvature > 1e-300:
-                s = float(dz @ dz) / curvature
-            else:
-                s = step if step is not None else 0.25 / gnorm
-        else:
-            s = step if step is not None else 0.25 / gnorm
-        s = min(max(s, 1e-16), 1e8)
-        z_prev, grad_prev = z.copy(), grad.copy()
-        improved = False
-        for _ in range(80):
-            cand = project(z - s * grad)
-            move = cand - z
-            move_sq = float(move @ move)
-            if move_sq == 0.0:
-                break  # projected gradient vanished: stationary point
-            fc = float(objective(cand[None, :])[0])
-            if fc <= fz - 1e-2 * move_sq / s:
-                rel = (fz - fc) / max(abs(fz), 1e-300)
-                z, fz = cand, fc
-                step = s
-                quiet = quiet + 1 if rel < rel_tol else 0
-                improved = True
-                break
-            s *= 0.5
-        if not improved:
-            quiet += 1
-        if quiet >= patience:
-            return _PgdResult(z, fz, iters, True)
-    return _PgdResult(z, fz, iters, False)
+            grad[:, :n] = 0.0
+        gnorm = np.sqrt((grad * grad).sum(axis=1))
+        finite = np.isfinite(gnorm)
+        running[live[~finite]] = False
+        quiet[live[gnorm == 0.0]] += 1
+        moving = finite & (gnorm > 0.0)
+        idx, g, zm = live[moving], grad[moving], z[live[moving]]
+        if idx.size:
+            dz = zm - z_prev[idx]
+            dg = g - grad_prev[idx]
+            curvature = (dz * dg).sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                spectral = (dz * dz).sum(axis=1) / curvature
+            fallback = np.where(np.isnan(step[idx]), 0.25 / gnorm[moving], step[idx])
+            s = np.where(curvature > 1e-300, spectral, fallback)
+            s = np.minimum(np.maximum(s, 1e-16), 1e8)
+            z_prev[idx], grad_prev[idx] = zm, g
+            accepted, z_new, f_new, s_new = _backtrack(objective, project, zm, fz[idx], g, s)
+            won = idx[accepted]
+            rel = (fz[won] - f_new[accepted]) / np.maximum(np.abs(fz[won]), 1e-300)
+            quiet[won] = np.where(rel < rel_tol, quiet[won] + 1, 0)
+            quiet[idx[~accepted]] += 1
+            z[won], fz[won], step[won] = z_new[accepted], f_new[accepted], s_new[accepted]
+        settled = running & (quiet >= patience)
+        converged |= settled
+        running &= ~settled
+    return _PgdResult(z, fz, converged, int(iters.sum()))
 
 
 def _scaled_objective(evaluator: JointEvaluator, p_tot: float, f_tot: float):
+    """(objective, gradient) over budget-scaled shares z = (power, compute) / totals."""
+    n = evaluator.n
+
     def objective(batch: np.ndarray) -> np.ndarray:
-        n = evaluator.n
         return evaluator.total_cost(batch[..., :n] * p_tot, batch[..., n:] * f_tot)
-    return objective
+
+    def gradient(batch: np.ndarray) -> np.ndarray:
+        d_power, d_compute = evaluator.gradient(batch[..., :n] * p_tot, batch[..., n:] * f_tot)
+        return np.concatenate([d_power * p_tot, d_compute * f_tot], axis=-1)
+    return objective, gradient
 
 
 def _task_starts(evaluator: JointEvaluator, p_tot: float, f_tot: float,
@@ -502,9 +572,23 @@ def _task_starts(evaluator: JointEvaluator, p_tot: float, f_tot: float,
         starts.append(np.concatenate([np.asarray(dec["power_w"]) / p_tot,
                                       np.asarray(dec["compute_cps"]) / f_tot]))
     rng = np.random.default_rng(seed)
-    while len(starts) < max(restarts, len(starts)):
+    while len(starts) < restarts:
         starts.append(np.concatenate([rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))]))
     return starts
+
+
+def _best_start(evaluator: JointEvaluator, starts: list, max_iter: int, *,
+                optimize_power: bool, method: str):
+    """Batched PGD from every start: the winning row, its value, and the trace."""
+    problem = evaluator.problem
+    objective, gradient = _scaled_objective(evaluator, problem.total_power_w,
+                                            problem.total_compute_cps)
+    res = _projected_gradient(objective, gradient, np.array(starts), evaluator.n,
+                              optimize_power=optimize_power, max_iter=max_iter)
+    best = int(np.argmin(res.value))
+    trace = SolverTrace(iterations=res.iterations, converged=bool(res.converged[best]),
+                        restarts=len(starts), best_restart=best, method=method)
+    return res.z[best], res.value[best], trace
 
 
 def solve_multi_loop(problem: MultiLoopProblem, *, seed: int = 0, restarts: int = 10,
@@ -516,12 +600,14 @@ def solve_multi_loop(problem: MultiLoopProblem, *, seed: int = 0, restarts: int 
     extra starts, then seeded random feasible points), best kept.
     Max-throughput: water-filled power, compute proportional to uplink load.
     Compute-only: equal power frozen, projected gradient over compute.
+    The projected-gradient schemes run all their starts as one batch with the
+    analytic gradient and blocked backtracking (_projected_gradient); the
+    trace reports the winning start and whether that start converged.
     Every scheme is re-scored under the penalized LQR total (lqr_total).
     """
     evaluator = JointEvaluator(problem)
     n = evaluator.n
     p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-    objective = _scaled_objective(evaluator, p_tot, f_tot)
 
     if problem.scheme == MultiLoopScheme.MAX_THROUGHPUT_JOINT:
         power = water_fill_power(evaluator, p_tot)
@@ -536,41 +622,27 @@ def solve_multi_loop(problem: MultiLoopProblem, *, seed: int = 0, restarts: int 
         starts = [np.concatenate([power / p_tot, np.full(n, 1.0 / n)])]
         while len(starts) < restarts:
             starts.append(np.concatenate([power / p_tot, rng.dirichlet(np.ones(n))]))
-        best, best_idx, iters, any_conv = None, 0, 0, False
-        for i, z0 in enumerate(starts):
-            res = _projected_gradient(objective, z0, n, optimize_power=False,
-                                      max_iter=max_iter)
-            iters += res.iterations
-            any_conv = any_conv or res.converged
-            if best is None or res.value < best.value:
-                best, best_idx = res, i
-        compute = best.z[n:] * f_tot
-        trace = SolverTrace(iterations=iters, converged=any_conv,
-                            restarts=len(starts), best_restart=best_idx,
-                            method="projected_gradient_compute_only")
-        return _multi_result(evaluator, power, compute, best.value, trace)
+        z, value, trace = _best_start(evaluator, starts, max_iter, optimize_power=False,
+                                      method="projected_gradient_compute_only")
+        return _multi_result(evaluator, power, z[n:] * f_tot, value, trace)
 
     starts = _task_starts(evaluator, p_tot, f_tot, restarts, seed, extra_starts)
-    best, best_idx, iters, any_conv = None, 0, 0, False
-    for i, z0 in enumerate(starts):
-        res = _projected_gradient(objective, z0, n, max_iter=max_iter)
-        iters += res.iterations
-        any_conv = any_conv or res.converged
-        if best is None or res.value < best.value:
-            best, best_idx = res, i
-    power = best.z[:n] * p_tot
-    compute = best.z[n:] * f_tot
-    trace = SolverTrace(iterations=iters, converged=any_conv, restarts=len(starts),
-                        best_restart=best_idx, method="projected_gradient")
-    return _multi_result(evaluator, power, compute, best.value, trace)
+    z, value, trace = _best_start(evaluator, starts, max_iter, optimize_power=True,
+                                  method="projected_gradient")
+    return _multi_result(evaluator, z[:n] * p_tot, z[n:] * f_tot, value, trace)
 
 
 def _multi_result(evaluator: JointEvaluator, power: np.ndarray, compute: np.ndarray,
                   objective_value: float, trace: SolverTrace) -> AllocationResult:
     problem = evaluator.problem
-    assert power.min() >= 0.0 and compute.min() >= 0.0
-    assert power.sum() <= problem.total_power_w * (1.0 + 1e-9)
-    assert compute.sum() <= problem.total_compute_cps * (1.0 + 1e-9)
+    if not (power.min() >= 0.0 and compute.min() >= 0.0):
+        raise RuntimeError("allocation has a negative power or compute share")
+    if not power.sum() <= problem.total_power_w * (1.0 + 1e-9):
+        raise RuntimeError(f"allocated power {power.sum()!r} W exceeds the budget "
+                           f"{problem.total_power_w!r} W")
+    if not compute.sum() <= problem.total_compute_cps * (1.0 + 1e-9):
+        raise RuntimeError(f"allocated compute {compute.sum()!r} cps exceeds the budget "
+                           f"{problem.total_compute_cps!r} cps")
     lqr_total = float(evaluator.total_cost(power, compute))
     outcomes = evaluator.outcomes(power, compute)
     if all(o.lqr_cost is INFEASIBLE for o in outcomes) and not trace.all_infeasible:

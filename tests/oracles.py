@@ -111,3 +111,33 @@ def random_joint_problem(rng: np.random.Generator, n_robots: int = 2) -> MultiLo
         budget=budget,
         scheme=MultiLoopScheme.TASK_ORIENTED_JOINT,
         uplink_fixed_bits=uplink_bits)
+
+
+def central_difference_gradient(evaluator, power_w: np.ndarray, compute_cps: np.ndarray,
+                                rel_step: float = 1e-6) -> tuple:
+    """Central-difference (dJ/dpower, dJ/dcompute) of a JointEvaluator's cost.
+
+    A check on the analytic JointEvaluator.gradient. The joint cost is a sum
+    of per-robot terms, each depending only on that robot's own power and
+    compute, so every partial derivative differences that robot's term alone
+    (cost_vector); the other robots' infeasibility penalties (about 1e9) then
+    stay out of the cancellation. Steps are rel_step * max(|x|, floor), with
+    floor a tenth of the power budget for power and the model's 1e-9 cps
+    compute floor for compute, so a zero-compute probe stays below the floor.
+    """
+    problem = evaluator.problem
+    floors = (0.1 * problem.total_power_w, 1e-9)
+    point = (np.asarray(power_w, dtype=float), np.asarray(compute_cps, dtype=float))
+    grads = []
+    for block, floor in enumerate(floors):
+        h = rel_step * np.maximum(np.abs(point[block]), floor)
+        grad = np.empty(evaluator.n)
+        for i in range(evaluator.n):
+            plus = [point[0].copy(), point[1].copy()]
+            minus = [point[0].copy(), point[1].copy()]
+            plus[block][i] += h[i]
+            minus[block][i] -= h[i]
+            grad[i] = ((evaluator.cost_vector(*plus)[i] - evaluator.cost_vector(*minus)[i])
+                       / (2.0 * h[i]))
+        grads.append(grad)
+    return tuple(grads)

@@ -1,9 +1,20 @@
 """Solver tests: constraint satisfaction, oracle dominance, determinism."""
 import copy
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import satloop
+from satloop import optimize
 
 from satloop.control import INFEASIBLE, Plant
 from satloop.linkgeom import Geometry, LinkParams
@@ -15,7 +26,8 @@ from satloop.optimize import (DimensionTooLargeError, JointEvaluator,
                               water_fill_power)
 from satloop.pipeline import LoopBudget
 from satloop.scenario import default_scenario
-from oracles import random_joint_problem, random_single_loop_problem
+from oracles import (central_difference_gradient, random_joint_problem,
+                     random_single_loop_problem)
 
 
 def _symmetric_problem(objective):
@@ -126,6 +138,17 @@ class TestProjection:
                 cand = rng.dirichlet(np.ones(4)) * rng.uniform(0.0, 1.0)
                 assert (np.sum((x - p) ** 2)
                         <= np.sum((x - cand) ** 2) + 1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(batch=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                        elements=st.floats(-3.0, 3.0)),
+           total=st.floats(0.1, 5.0))
+    def test_rows_match_one_dimensional(self, batch, total):
+        """A batch is projected row by row, exactly as each row alone."""
+        got = project_capped_simplex(batch, total)
+        assert got.shape == batch.shape
+        for row, projected in zip(batch, got):
+            assert np.array_equal(projected, project_capped_simplex(row, total))
 
 
 class TestWaterFilling:
@@ -245,6 +268,195 @@ class TestMultiLoop:
             oracle = grid_oracle(problem, 200)
             scale = max(abs(oracle.objective_value), 1e-300)
             assert (solved.objective_value - oracle.objective_value) / scale <= 1e-3
+
+
+def _default_joint(extraction_scale=1.0):
+    problem = default_scenario().multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT,
+                                                    total_power_w=5.0)
+    budget = dataclasses.replace(
+        problem.budget, extraction_ratio=problem.budget.extraction_ratio * extraction_scale)
+    return dataclasses.replace(problem, budget=budget)
+
+
+class TestAnalyticGradient:
+    """JointEvaluator.gradient against the central-difference oracle."""
+
+    @staticmethod
+    def _compared(problem, mask_fn, rel_step, rtol, draws=200):
+        ev = JointEvaluator(problem)
+        rng = np.random.default_rng(11)
+        compared = 0
+        for _ in range(draws):
+            power = rng.dirichlet(np.ones(ev.n)) * problem.total_power_w
+            compute = rng.dirichlet(np.ones(ev.n)) * problem.total_compute_cps
+            window = ev.t_budget - ev.comp_cycles / compute
+            raw = ev.rates_bps(power) * window
+            mask = mask_fn(ev, power, raw, window)
+            if not mask.any():
+                continue
+            analytic = ev.gradient(power, compute)
+            with np.errstate(invalid="ignore"):  # probes below zero power are unused
+                oracle = central_difference_gradient(ev, power, compute, rel_step=rel_step)
+            for got, want in zip(analytic, oracle):
+                np.testing.assert_allclose(got[mask], want[mask], rtol=rtol, atol=0.0)
+            compared += int(mask.sum())
+        return compared
+
+    def test_interior_points(self):
+        # feasible, uncapped, and with eff small enough that the cost still
+        # moves by more than its rounding over a 1e-6 relative step
+        def interior(ev, power, raw, window):
+            return (raw > ev.threshold_bits + 0.05) & (raw < min(0.999 * ev.cap_bits, 8.0))
+        assert self._compared(_default_joint(), interior, 1e-6, 1e-5) > 50
+
+    def test_capped_robots_have_zero_gradient(self):
+        def capped(ev, power, raw, window):
+            return raw > 1.001 * ev.cap_bits
+        problem = _default_joint(extraction_scale=0.03)  # a cap of a few bits
+        assert self._compared(problem, capped, 1e-6, 0.0) > 50
+
+    def test_penalty_region(self):
+        # The ~1e9 penalty leaves about 1e-7 of absolute resolution in each
+        # cost difference, so the oracle needs a wider step and the window
+        # must stay clear of zero, where the power slope vanishes.
+        def penalty(ev, power, raw, window):
+            return ((raw < ev.threshold_bits - 0.05)
+                    & (np.abs(window) > 0.1 * ev.t_budget) & (power > 0.05))
+        assert self._compared(_default_joint(), penalty, 1e-3, 2e-3) > 50
+
+    def test_zero_compute_boundary(self):
+        """A robot with no compute: steep power slope, flat compute slope."""
+        problem = _default_joint()
+        ev = JointEvaluator(problem)
+        power = np.full(ev.n, problem.total_power_w / ev.n)
+        compute = np.full(ev.n, problem.total_compute_cps / (ev.n - 1))
+        compute[0] = 0.0
+        d_power, d_compute = ev.gradient(power, compute)
+        o_power, o_compute = central_difference_gradient(ev, power, compute)
+        assert d_power[0] > 1e15  # deep in the penalty: more power only loses bits
+        assert d_compute[0] == 0.0 == o_compute[0]
+        np.testing.assert_allclose(d_power, o_power, rtol=1e-5)
+        np.testing.assert_allclose(d_compute, o_compute, rtol=1e-5)
+
+
+class TestBatchedPgd:
+    @pytest.mark.parametrize("optimize_power", [True, False])
+    def test_rows_match_single_row_runs(self, optimize_power):
+        problem = _default_joint()
+        ev = JointEvaluator(problem)
+        p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
+        objective, gradient = optimize._scaled_objective(ev, p_tot, f_tot)
+        starts = np.array(optimize._task_starts(ev, p_tot, f_tot, 6, 3, ()))
+        batch = optimize._projected_gradient(objective, gradient, starts, ev.n,
+                                             optimize_power=optimize_power)
+        for row, z0 in enumerate(starts):
+            alone = optimize._projected_gradient(objective, gradient, z0[None, :], ev.n,
+                                                 optimize_power=optimize_power)
+            assert batch.value[row] == pytest.approx(alone.value[0], rel=1e-12)
+            assert batch.converged[row] == alone.converged[0]
+
+    def test_blocked_backtracking_matches_one_halving_at_a_time(self):
+        """Each row takes the first passing halving, across block boundaries."""
+        problem = _default_joint()
+        ev = JointEvaluator(problem)
+        objective, gradient = optimize._scaled_objective(
+            ev, problem.total_power_w, problem.total_compute_cps)
+
+        def project(z):
+            return project_capped_simplex(z.reshape(-1, 2, ev.n), 1.0).reshape(z.shape)
+
+        rng = np.random.default_rng(4)
+        z = project(np.concatenate([rng.dirichlet(np.ones(ev.n), 40),
+                                    rng.dirichlet(np.ones(ev.n), 40)], axis=1))
+        step = 10.0 ** rng.uniform(-12.0, 8.0, len(z))  # from no halving to many blocks
+        grad = gradient(z)
+        # row 0 sits on a vertex and is pushed straight out of it: the
+        # projected move is exactly zero, so the row stops unaccepted
+        z[0] = np.concatenate([np.eye(ev.n)[0], np.eye(ev.n)[1]])
+        grad[0], step[0] = -z[0], 4.0
+        fz = objective(z)
+        got = optimize._backtrack(objective, project, z, fz, grad, step)
+        for i in range(len(z)):
+            want = (False, z[i], fz[i], step[i])
+            s = step[i]
+            for _ in range(optimize.MAX_HALVINGS):
+                cand = project(z[i:i + 1] - s * grad[i:i + 1])[0]
+                move_sq = float((cand - z[i]) @ (cand - z[i]))
+                if move_sq == 0.0:
+                    break
+                fc = float(objective(cand[None, :])[0])
+                if fc <= fz[i] - 1e-2 * move_sq / s:
+                    want = (True, cand, fc, s)
+                    break
+                s *= 0.5
+            assert got[0][i] == want[0]
+            assert np.array_equal(got[1][i], want[1])
+            assert got[2][i] == want[2] and got[3][i] == want[3]
+        assert not got[0][0] and got[0].sum() > 20
+
+    def test_nonfinite_gradient_never_converges(self, monkeypatch):
+        def nan_gradient(self, power_w, compute_cps):
+            return np.full(power_w.shape, np.nan), np.full(compute_cps.shape, np.nan)
+        monkeypatch.setattr(JointEvaluator, "gradient", nan_gradient)
+        for scheme in (MultiLoopScheme.TASK_ORIENTED_JOINT,
+                       MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM):
+            problem = default_scenario().multi_loop_problem(scheme, total_power_w=5.0)
+            result = solve_multi_loop(problem, seed=1)
+            assert not result.solver_trace.converged
+            assert result.solver_trace.iterations == result.solver_trace.restarts
+
+    def test_zero_gradient_is_stationary(self, monkeypatch):
+        def flat_gradient(self, power_w, compute_cps):
+            return np.zeros(power_w.shape), np.zeros(compute_cps.shape)
+        monkeypatch.setattr(JointEvaluator, "gradient", flat_gradient)
+        problem = default_scenario().multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT,
+                                                        total_power_w=5.0)
+        result = solve_multi_loop(problem, seed=1, restarts=4)
+        assert result.solver_trace.converged
+        assert result.solver_trace.iterations == 5 * 4  # patience per start
+
+    @pytest.mark.parametrize("scheme", [MultiLoopScheme.TASK_ORIENTED_JOINT,
+                                        MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM])
+    def test_converged_reports_the_winning_start(self, monkeypatch, scheme):
+        """Only a losing start converged: the solve is not converged."""
+        def fake_pgd(objective, gradient, z0, n, **kwargs):
+            value = np.full(len(z0), 3.0)
+            value[1] = 1.0  # the winner, unconverged
+            converged = np.ones(len(z0), dtype=bool)
+            converged[1] = False
+            return optimize._PgdResult(z0.copy(), value, converged, 7)
+        monkeypatch.setattr(optimize, "_projected_gradient", fake_pgd)
+        problem = default_scenario().multi_loop_problem(scheme, total_power_w=5.0)
+        trace = solve_multi_loop(problem, seed=1).solver_trace
+        assert trace.best_restart == 1
+        assert not trace.converged
+
+
+class TestChecksUnderOptimize:
+    def test_budget_check_survives_python_o(self):
+        """The decision-budget check raises even with assertions stripped."""
+        script = (
+            "import numpy as np\n"
+            "from satloop.optimize import (JointEvaluator, MultiLoopScheme, SolverTrace,\n"
+            "                              _multi_result)\n"
+            "from satloop.scenario import default_scenario\n"
+            "problem = default_scenario().multi_loop_problem(\n"
+            "    MultiLoopScheme.TASK_ORIENTED_JOINT, total_power_w=5.0)\n"
+            "ev = JointEvaluator(problem)\n"
+            "power = np.full(ev.n, 2.0 * problem.total_power_w / ev.n)\n"
+            "compute = np.full(ev.n, problem.total_compute_cps / ev.n)\n"
+            "try:\n"
+            "    _multi_result(ev, power, compute, 0.0, SolverTrace(1, True))\n"
+            "except RuntimeError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = str(Path(satloop.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "raised: allocated power" in proc.stdout
 
 
 class TestSweepContour:
