@@ -320,7 +320,7 @@ class JointEvaluator:
         return self.bandwidth * np.log2(1.0 + power_w * self.snr_per_w)
 
     def _window_s(self, compute_cps: np.ndarray) -> np.ndarray:
-        # the 1e-9 cps floor keeps zero-compute probes finite (and heavily penalized)
+        # the 1e-9 cps floor keeps zero-compute decisions finite (and heavily penalized)
         return self.t_budget - self.comp_cycles / np.maximum(compute_cps, 1e-9)
 
     def _gap(self, eff: np.ndarray):
