@@ -39,14 +39,9 @@ class _Infeasible:
 
 INFEASIBLE = _Infeasible()
 
-
-def is_infeasible(cost) -> bool:
-    return cost is INFEASIBLE
-
-
-def cost_as_float(cost) -> float:
-    """Numeric view of an lqr_cost result; Infeasible maps to +inf."""
-    return math.inf if cost is INFEASIBLE else float(cost)
+# Rates clamp here: 4^400 is far inside the float range, and sens*w/4^R is
+# already below any rounding of the full-information cost.
+RATE_CLAMP_BITS = 400.0
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -130,7 +125,8 @@ def dare_solve(plant: Plant, tol: float = 1e-12, max_iter: int = 10000) -> np.nd
 
     Fixed-point iteration of
         S <- A' S A - A' S B (R + B' S B)^-1 B' S A + Q
-    from S0 = Q, stopped when the relative update falls below tol.
+    from S0 = Q + I (S = 0 is a fixed point when Q = 0), stopped when the
+    update falls below tol relative to the larger of S and S0.
 
     Raises:
         NonConvergentError: no convergence within max_iter iterations.
@@ -144,7 +140,8 @@ def dare_solve(plant: Plant, tol: float = 1e-12, max_iter: int = 10000) -> np.nd
         s_next = a.T @ s @ a - a.T @ s @ b @ np.linalg.solve(bsb, b.T @ s @ a) + q
         return 0.5 * (s_next + s_next.T)
 
-    s = q.copy()
+    s = q + np.eye(q.shape[0])
+    start = np.linalg.norm(s)
     for _ in range(max_iter):
         s_next = step(s)
         denom = np.linalg.norm(s)
@@ -153,7 +150,7 @@ def dare_solve(plant: Plant, tol: float = 1e-12, max_iter: int = 10000) -> np.nd
             raise NonConvergentError(
                 "Riccati iteration diverged (plant is not stabilizable)")
         s = s_next
-        if delta <= tol * max(denom, 1e-300):
+        if delta <= tol * max(denom, start):
             # polish: linear convergence means a few extra sweeps push the
             # fixed-point defect well below the stopping threshold
             for _ in range(5):
@@ -225,11 +222,13 @@ class RateCostModel:
 
     j_ideal is the full-information optimum; sensitivity converts residual
     state-estimate variance into extra cost. Both are derived from the plant
-    and must always match recomputation.
+    and must always match recomputation. threshold_bits is the data-rate
+    threshold in bits per step: the sum of log2 |a_i| over the unstable modes.
     """
     plant: Plant
     j_ideal: float
     sensitivity: object
+    threshold_bits: float
     mode_params: tuple = field(repr=False)
 
     @classmethod
@@ -246,6 +245,7 @@ class RateCostModel:
         sens = [m[2] for m in per_mode]
         sensitivity = sens[0] if len(sens) == 1 else np.asarray(sens)
         return cls(plant=plant, j_ideal=j_ideal, sensitivity=sensitivity,
+                   threshold_bits=sum(math.log2(abs(a)) for a, *_ in modes if abs(a) > 1.0),
                    mode_params=tuple((m[3], m[4], m[2], m[1]) for m in per_mode))
 
     def lqr_gain(self) -> float:
@@ -254,14 +254,41 @@ class RateCostModel:
         s = float(dare_solve(self.plant)[0, 0])
         return a * b * s / (r + b * b * s)
 
+    def cost(self, rate_bits):
+        """Array-valued J(R) of the whole plant, +inf where no finite cost exists.
 
-def _mode_cost(a: float, w: float, sens: float, j_ideal: float, rate_bits: float):
-    if rate_bits >= 500.0:  # 4^500 < float max; beyond that the residual term is zero anyway
-        return j_ideal
-    gap = 4.0 ** rate_bits - a * a
-    if gap <= 0.0:
-        return INFEASIBLE
-    return j_ideal + sens * w / gap
+        Diagonal plants split each total optimally across their modes.
+        """
+        rate = np.asarray(rate_bits, dtype=float)
+        a, w, sens, j_ideal = np.array(self.mode_params).T
+        if a.size == 1:
+            per_mode = rate[..., None]
+        else:
+            per_mode = np.reshape([_split_bits_across_modes(self, r) for r in rate.ravel()],
+                                  rate.shape + a.shape)
+        return rate_cost(per_mode, a * a, sens * w, j_ideal).sum(axis=-1)
+
+
+def rate_gap(rate_bits, a_sq):
+    """(4^R, 4^R - a^2, finite) of the rate-cost curve, R clamped at RATE_CLAMP_BITS.
+
+    finite marks R >= 0 with a positive gap: the rates at which J(R) is finite.
+    """
+    pow4 = 4.0 ** np.minimum(rate_bits, RATE_CLAMP_BITS)
+    gap = pow4 - a_sq
+    return pow4, gap, (rate_bits >= 0.0) & (gap > 0.0)
+
+
+def rate_cost(rate_bits, a_sq, sens_w, j_ideal):
+    """Per-mode rate-cost curve J(R) = j_ideal + sens*w / (4^R - a^2), elementwise.
+
+    The curve of Kostina & Hassibi (IEEE TAC 2019): +inf where R < 0 or
+    4^R <= a^2 (at or below the data-rate threshold); strictly decreasing
+    and convex above it, with J -> j_ideal as R grows.
+    """
+    _, gap, finite = rate_gap(rate_bits, a_sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(finite, j_ideal + sens_w / gap, np.inf)
 
 
 def _mode_cost_derivative_rate(a: float, w: float, sens: float, deriv_mag: float) -> float:
@@ -279,17 +306,17 @@ def _mode_cost_derivative_rate(a: float, w: float, sens: float, deriv_mag: float
     return max(r, 0.0)
 
 
-def _split_bits_across_modes(model: RateCostModel, total_bits: float):
+def _split_bits_across_modes(model: RateCostModel, total_bits: float) -> list:
     """Optimal per-mode bit allocation by water-filling on the marginal cost.
 
     Each mode's cost is convex decreasing in its rate, so equalizing the
-    marginal |dJ/dr| across modes (subject to r_i >= 0) is optimal. Returns
-    None when the total is at or below the sum of per-mode thresholds.
+    marginal |dJ/dr| across modes (subject to r_i >= 0) is optimal. At or
+    below the data-rate threshold no split is feasible: every rate is NaN,
+    which rate_cost maps to +inf.
     """
     modes = model.mode_params  # (a, w, sens, j_ideal_mode)
-    mandatory = sum(max(math.log2(abs(a)), 0.0) for a, _, _, _ in modes)
-    if total_bits <= mandatory:
-        return None
+    if not total_bits > model.threshold_bits:
+        return [math.nan] * len(modes)
     lo, hi = 1e-300, 1e300
 
     def rate_sum(deriv_mag: float) -> float:
@@ -297,12 +324,12 @@ def _split_bits_across_modes(model: RateCostModel, total_bits: float):
                    for a, w, sens, _ in modes)
 
     for _ in range(200):
-        mid = math.sqrt(lo * hi)
+        mid = math.sqrt(lo) * math.sqrt(hi)  # lo * hi underflows to 0 for huge totals
         if rate_sum(mid) > total_bits:
             lo = mid
         else:
             hi = mid
-    lam = math.sqrt(lo * hi)
+    lam = math.sqrt(lo) * math.sqrt(hi)
     rates = [_mode_cost_derivative_rate(a, w, sens, lam) for a, w, sens, _ in modes]
     scale = total_bits / sum(rates) if sum(rates) > 0 else 1.0
     return [r * scale for r in rates]
@@ -311,24 +338,11 @@ def _split_bits_across_modes(model: RateCostModel, total_bits: float):
 def lqr_cost(model: RateCostModel, rate_bits_per_step: float):
     """Rate-limited LQR cost J(R), or INFEASIBLE below the data-rate threshold.
 
-    Scalar plants: J(R) = j_ideal + sensitivity * w_cov / (2^(2R) - a^2)
-    whenever 2^(2R) > a^2, else INFEASIBLE. Diagonal plants split the bits
-    optimally across modes. Strictly decreasing and convex in R on the
-    feasible domain, with J -> j_ideal as R -> infinity.
+    The scalar view of RateCostModel.cost: J(R) = j_ideal + sensitivity *
+    w_cov / (2^(2R) - a^2) for scalar plants whenever 2^(2R) > a^2, with
+    diagonal plants splitting the bits optimally across modes.
     """
     if rate_bits_per_step < 0.0:
         raise ValueError(f"rate must be non-negative, got {rate_bits_per_step}")
-    modes = model.mode_params
-    if len(modes) == 1:
-        a, w, sens, j_id = modes[0]
-        return _mode_cost(a, w, sens, j_id, rate_bits_per_step)
-    split = _split_bits_across_modes(model, rate_bits_per_step)
-    if split is None:
-        return INFEASIBLE
-    total = 0.0
-    for (a, w, sens, j_id), r in zip(modes, split):
-        c = _mode_cost(a, w, sens, j_id, r)
-        if c is INFEASIBLE:
-            return INFEASIBLE
-        total += c
-    return total
+    cost = float(model.cost(rate_bits_per_step))
+    return INFEASIBLE if cost == math.inf else cost

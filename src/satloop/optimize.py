@@ -1,15 +1,16 @@
 """Resource-allocation solvers with brute-force oracles.
 
 Single loop: split total bandwidth between uplink and downlink under a
-task-oriented (rate-limited LQR cost), max-throughput, or min-latency
-objective, via golden-section search with a dense-grid fallback.
+task-oriented, max-throughput, or min-latency objective (array-valued in the
+uplink bandwidth), via golden-section search with a dense-grid fallback.
 
-Multi loop: jointly allocate downlink transmit power and on-board compute
-frequency across robots by projected gradient on budget-scaled variables
-(closed-form gradient, all restarts advanced together as one batch),
-compared against a max-throughput (water-filling) scheme and a compute-only
-scheme at equal power.
+Multi loop: jointly allocate downlink power and on-board compute frequency
+across robots by projected gradient on budget-scaled variables (closed-form
+gradient, all restarts as one batch), against a max-throughput (water-filling)
+scheme and a compute-only scheme at equal power. Both solvers score a cycle
+with pipeline.store_and_forward and control.rate_cost, and share one penalty.
 """
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 from . import control, linkgeom, pipeline
 from .control import INFEASIBLE, Plant, RateCostModel
 from .linkgeom import BOLTZMANN_J_PER_K, LinkParams
-from .pipeline import LoopBudget, LoopOutcome
+from .pipeline import LoopBudget
 
 INFEASIBILITY_PENALTY = 1e9
 GOLDEN_REL_WIDTH = 1e-8
@@ -140,49 +141,44 @@ class AllocationResult:
 # single loop
 # ---------------------------------------------------------------------------
 
-def _mandatory_bits(model: RateCostModel) -> float:
-    return sum(max(math.log2(abs(a)), 0.0) for a, _, _, _ in model.mode_params)
+def _penalized(cost, threshold_bits, effective_bits):
+    """Cost where finite, else both solvers' penalty 1e9 + (threshold - eff)."""
+    return np.where(np.isfinite(cost), cost,
+                    INFEASIBILITY_PENALTY + (threshold_bits - effective_bits))
 
 
-def _penalized_cost(model: RateCostModel, effective_bits: float) -> float:
-    """LQR cost with the explicit infeasibility penalty used by all solvers."""
-    cost = control.lqr_cost(model, max(effective_bits, 0.0))
-    if cost is INFEASIBLE:
-        return INFEASIBILITY_PENALTY + (_mandatory_bits(model) - effective_bits)
-    return cost
+def _rate_fn(template: LinkParams):
+    """Shannon rate of the template's link as an array function of its bandwidth."""
+    rx_power = linkgeom.received_power_w(template)
+    noise_density = BOLTZMANN_J_PER_K * template.noise_temperature_k
+    return lambda bandwidth: bandwidth * np.log2(1.0 + rx_power / (noise_density * bandwidth))
 
 
-def _links_at(problem: SingleLoopProblem, b_up: float):
-    uplink = problem.uplink_template.with_bandwidth(b_up)
-    downlink = problem.downlink_template.with_bandwidth(problem.total_bandwidth_hz - b_up)
-    return uplink, downlink
-
-
-def _cycle_at(problem: SingleLoopProblem, model: RateCostModel, b_up: float) -> LoopOutcome:
-    uplink, downlink = _links_at(problem, b_up)
-    t_prop = pipeline.propagation_delay_s(
-        linkgeom.slant_range_m(uplink.geometry),
-        linkgeom.slant_range_m(downlink.geometry))
-    t_up, t_down = pipeline.balanced_times(uplink, downlink, problem.budget, t_prop)
-    return pipeline.evaluate_cycle(uplink, downlink, problem.budget, problem.plant,
-                                   t_up, t_down, model=model)
+def _t_prop(problem: SingleLoopProblem) -> float:
+    return pipeline.propagation_delay_s(
+        linkgeom.slant_range_m(problem.uplink_template.geometry),
+        linkgeom.slant_range_m(problem.downlink_template.geometry))
 
 
 def _single_objective_fn(problem: SingleLoopProblem, model: RateCostModel):
-    """Minimization objective over b_up for the problem's scheme."""
+    """Minimization objective for the problem's scheme, array-valued in b_up."""
+    rate_up = _rate_fn(problem.uplink_template)
+    rate_down = _rate_fn(problem.downlink_template)
+    b_tot = problem.total_bandwidth_hz
     if problem.objective == SingleLoopObjective.TASK_ORIENTED:
-        def fn(b_up: float) -> float:
-            outcome = _cycle_at(problem, model, b_up)
-            return _penalized_cost(model, outcome.effective_bits_per_cycle)
+        t_prop = _t_prop(problem)
+
+        def fn(b_up):
+            *_, eff = pipeline.balanced_cycle(rate_up(b_up), rate_down(b_tot - b_up),
+                                              problem.budget, t_prop)
+            return _penalized(model.cost(eff), model.threshold_bits, eff)
     elif problem.objective == SingleLoopObjective.MAX_THROUGHPUT:
-        def fn(b_up: float) -> float:
-            uplink, downlink = _links_at(problem, b_up)
-            return -(linkgeom.shannon_rate_bps(uplink) + linkgeom.shannon_rate_bps(downlink))
+        def fn(b_up):
+            return -(rate_up(b_up) + rate_down(b_tot - b_up))
     else:  # MIN_LATENCY: link-level scheme, same payload both directions
-        def fn(b_up: float) -> float:
-            uplink, downlink = _links_at(problem, b_up)
-            return (problem.fixed_payload_bits / linkgeom.shannon_rate_bps(uplink)
-                    + problem.fixed_payload_bits / linkgeom.shannon_rate_bps(downlink))
+        def fn(b_up):
+            return (problem.fixed_payload_bits / rate_up(b_up)
+                    + problem.fixed_payload_bits / rate_down(b_tot - b_up))
     return fn
 
 
@@ -230,14 +226,14 @@ def solve_single_loop(problem: SingleLoopProblem) -> AllocationResult:
     b_star, f_star, evals = golden_section(fn, lo, hi)
 
     coarse = np.linspace(lo, hi, UNIMODAL_CHECK_POINTS)
-    coarse_vals = [fn(b) for b in coarse]
+    coarse_vals = fn(coarse)
     i_best = int(np.argmin(coarse_vals))
     fallback = False
     scale = max(abs(f_star), abs(coarse_vals[i_best]), 1e-300)
     if (f_star - coarse_vals[i_best]) / scale > UNIMODAL_REL_TOL:
         fallback = True
         dense = np.linspace(lo, hi, DENSE_GRID_POINTS)
-        dense_vals = [fn(b) for b in dense]
+        dense_vals = fn(dense)
         j = int(np.argmin(dense_vals))
         b_star, f_star = float(dense[j]), dense_vals[j]
         evals += DENSE_GRID_POINTS
@@ -260,19 +256,28 @@ def solve_single_loop(problem: SingleLoopProblem) -> AllocationResult:
 
     if not delta * 0.5 <= b_star <= b_tot - delta * 0.5:
         raise RuntimeError(f"bandwidth split {b_star!r} Hz left the search bracket")
-    outcome = _cycle_at(problem, model, b_star)
-    all_infeasible = (problem.objective == SingleLoopObjective.TASK_ORIENTED
-                      and f_star >= INFEASIBILITY_PENALTY)
+    all_infeasible = bool(problem.objective == SingleLoopObjective.TASK_ORIENTED
+                          and f_star >= INFEASIBILITY_PENALTY)
+    return _single_result(problem, model, b_star, f_star, SolverTrace(
+        iterations=evals, converged=True, fallback_dense_grid=fallback,
+        all_infeasible=all_infeasible, method="golden_section"))
+
+
+def _single_result(problem: SingleLoopProblem, model: RateCostModel, b_up: float,
+                   objective_value: float, trace: SolverTrace) -> AllocationResult:
+    """The split b_up re-scored once through the full cycle model."""
+    uplink = problem.uplink_template.with_bandwidth(b_up)
+    downlink = problem.downlink_template.with_bandwidth(problem.total_bandwidth_hz - b_up)
+    t_up, t_down = pipeline.balanced_times(uplink, downlink, problem.budget, _t_prop(problem))
+    outcome = pipeline.evaluate_cycle(uplink, downlink, problem.budget, problem.plant,
+                                      t_up, t_down, model=model)
+    eff = outcome.effective_bits_per_cycle
     return AllocationResult(
-        decision={"bandwidth_up_hz": b_star, "bandwidth_down_hz": b_tot - b_star},
+        decision={"bandwidth_up_hz": b_up, "bandwidth_down_hz": downlink.bandwidth_hz},
         per_loop_outcomes=(outcome,),
-        objective_value=f_star,
-        lqr_total=_penalized_cost(model, outcome.effective_bits_per_cycle),
-        solver_trace=SolverTrace(iterations=evals, converged=True,
-                                 fallback_dense_grid=fallback,
-                                 all_infeasible=all_infeasible,
-                                 method="golden_section"),
-    )
+        objective_value=float(objective_value),
+        lqr_total=float(_penalized(model.cost(eff), model.threshold_bits, eff)),
+        solver_trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -293,49 +298,42 @@ class JointEvaluator:
         self.n = len(robots)
         self.problem = problem
         self.bandwidth = np.array([r.bandwidth_share_hz for r in robots])
-        gain = np.empty(self.n)
-        dist = np.empty(self.n)
-        for i, robot in enumerate(robots):
-            link = robot.downlink.with_bandwidth(self.bandwidth[i])
-            gain[i] = linkgeom.received_power_w(link) / link.tx_power_w
-            dist[i] = linkgeom.slant_range_m(link.geometry)
-        noise = np.array([
-            BOLTZMANN_J_PER_K * r.downlink.noise_temperature_k for r in robots
-        ]) * self.bandwidth
+        links = [r.downlink.with_bandwidth(r.bandwidth_share_hz) for r in robots]
+        gain = np.array([linkgeom.received_power_w(link) / link.tx_power_w for link in links])
+        dist = np.array([linkgeom.slant_range_m(link.geometry) for link in links])
+        noise = (np.array([BOLTZMANN_J_PER_K * link.noise_temperature_k for link in links])
+                 * self.bandwidth)
         self.snr_per_w = gain / noise
-        self.distance_m = dist
         self.t_prop = np.array([pipeline.propagation_delay_s(d, d) for d in dist])
         self.t_budget = problem.budget.cycle_period_s - self.t_prop
         if np.any(self.t_budget <= 0.0):
             raise pipeline.NoBudgetError("propagation exceeds the cycle period")
         self.comp_cycles = problem.budget.cycles_per_bit * problem.uplink_fixed_bits
         self.cap_bits = problem.budget.extraction_ratio * problem.uplink_fixed_bits
-        self.models = tuple(RateCostModel.from_plant(r.plant) for r in robots)
-        self.j_ideal = np.array([m.mode_params[0][3] for m in self.models])
+        models = {}  # one model per distinct plant; the scenario's robots share one
+        for robot in robots:
+            if robot.plant not in models:
+                models[robot.plant] = RateCostModel.from_plant(robot.plant)
+        self.models = tuple(models[r.plant] for r in robots)
+        self.j_ideal = np.array([m.j_ideal for m in self.models])
         self.sens_w = np.array([m.mode_params[0][2] * m.mode_params[0][1] for m in self.models])
         self.a_sq = np.array([m.mode_params[0][0] ** 2 for m in self.models])
-        self.threshold_bits = np.array([_mandatory_bits(m) for m in self.models])
+        self.threshold_bits = np.array([m.threshold_bits for m in self.models])
 
     def rates_bps(self, power_w: np.ndarray) -> np.ndarray:
         return self.bandwidth * np.log2(1.0 + power_w * self.snr_per_w)
 
-    def _window_s(self, compute_cps: np.ndarray) -> np.ndarray:
-        # the 1e-9 cps floor keeps zero-compute decisions finite (and heavily penalized)
-        return self.t_budget - self.comp_cycles / np.maximum(compute_cps, 1e-9)
-
-    def _gap(self, eff: np.ndarray):
-        """(4^eff, 4^eff - a^2, feasible) with eff clamped to [0, 400] bits."""
-        pow4 = 4.0 ** np.minimum(np.maximum(eff, 0.0), 400.0)
-        gap = pow4 - self.a_sq
-        return pow4, gap, (eff >= 0.0) & (gap > 0.0)
+    def _cycle(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
+        """(rate, t_comp, window, eff) per robot: a fixed volume and no uplink stage."""
+        rate = self.rates_bps(power_w)
+        return (rate,) + pipeline.store_and_forward(
+            self.problem.uplink_fixed_bits, 0.0, rate, self.t_prop, compute_cps,
+            self.problem.budget)
 
     def cost_vector(self, power_w: np.ndarray, compute_cps: np.ndarray) -> np.ndarray:
-        eff = np.minimum(self.cap_bits, self.rates_bps(power_w) * self._window_s(compute_cps))
-        _, gap, feasible = self._gap(eff)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cost = self.j_ideal + self.sens_w / gap
-        return np.where(feasible, cost,
-                        INFEASIBILITY_PENALTY + (self.threshold_bits - eff))
+        eff = self._cycle(power_w, compute_cps)[3]
+        cost = control.rate_cost(eff, self.a_sq, self.sens_w, self.j_ideal)
+        return _penalized(cost, self.threshold_bits, eff)
 
     def total_cost(self, power_w: np.ndarray, compute_cps: np.ndarray) -> np.ndarray:
         return self.cost_vector(power_w, compute_cps).sum(axis=-1)
@@ -344,47 +342,32 @@ class JointEvaluator:
         """Closed-form (dJ/dpower, dJ/dcompute) of cost_vector, per robot.
 
         dJ/deff is -w ln4 4^eff / (4^eff - a^2)^2 on a feasible loop and -1 on
-        the penalty. It is 0 past the 400-bit clamp and where the extraction
-        cap binds, which is the one-sided slope at the cap kink: more of
-        either resource buys nothing there. Below the 1e-9 cps floor the
-        window does not depend on compute, so dJ/dcompute is 0.
+        the penalty. It is 0 past the rate clamp and where the extraction cap
+        binds, which is the one-sided slope at the cap kink: more of either
+        resource buys nothing there. Below the compute floor the window does
+        not depend on compute, so dJ/dcompute is 0.
         """
-        rate = self.rates_bps(power_w)
-        window = self._window_s(compute_cps)
-        raw = rate * window
-        eff = np.minimum(self.cap_bits, raw)
-        pow4, gap, feasible = self._gap(eff)
+        rate, _, window, eff = self._cycle(power_w, compute_cps)
+        pow4, gap, finite = control.rate_gap(eff, self.a_sq)
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.where(feasible, -self.sens_w * math.log(4.0) * (pow4 / gap) / gap, -1.0)
-        slope = np.where((raw >= self.cap_bits) | (eff > 400.0), 0.0, slope)
+            slope = np.where(finite, -self.sens_w * math.log(4.0) * (pow4 / gap) / gap, -1.0)
+        slope = np.where((eff >= self.cap_bits) | (eff > control.RATE_CLAMP_BITS), 0.0, slope)
         d_rate = (self.bandwidth * self.snr_per_w
                   / ((1.0 + power_w * self.snr_per_w) * math.log(2.0)))
-        d_window = np.where(compute_cps > 1e-9,
-                            self.comp_cycles / np.maximum(compute_cps, 1e-9) ** 2, 0.0)
+        floor = pipeline.COMPUTE_FLOOR_CPS
+        d_window = np.where(compute_cps > floor,
+                            self.comp_cycles / np.maximum(compute_cps, floor) ** 2, 0.0)
         return slope * window * d_rate, slope * rate * d_window
 
     def outcomes(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
-        """Physical per-robot LoopOutcome tuple for a concrete decision."""
-        outs = []
-        rates = self.rates_bps(power_w)
-        for i in range(self.n):
-            t_comp = self.comp_cycles / compute_cps[i] if compute_cps[i] > 0 else math.inf
-            window = self.t_budget[i] - t_comp
-            feasible_time = window >= 0.0
-            eff = max(0.0, min(self.cap_bits, rates[i] * max(window, 0.0)))
-            t_down = (self.cap_bits / rates[i]
-                      if eff >= self.cap_bits else max(window, 0.0))
-            rate = control.cner_bps(eff, self.problem.budget.cycle_period_s)
-            plant = self.problem.robots[i].plant
-            outs.append(LoopOutcome(
-                uplink_rate_bps=0.0, downlink_rate_bps=rates[i],
-                t_up_s=0.0, t_comp_s=t_comp, t_down_s=t_down,
-                t_prop_s=self.t_prop[i],
-                effective_bits_per_cycle=eff, cner_bps=rate,
-                stable=control.is_stabilizable_at(plant, rate) and feasible_time,
-                lqr_cost=control.lqr_cost(self.models[i], eff) if feasible_time else INFEASIBLE,
-                time_feasible=feasible_time))
-        return tuple(outs)
+        """Physical per-robot LoopOutcome tuple; a capped downlink stops at the cap."""
+        rate, t_comp, window, eff = self._cycle(power_w, compute_cps)
+        with np.errstate(divide="ignore"):
+            t_down = np.where(eff >= self.cap_bits, self.cap_bits / rate,
+                              np.maximum(window, 0.0))
+        return pipeline.loop_outcomes(self.models, self.problem.budget.cycle_period_s,
+                                      0.0, rate, 0.0, t_comp, t_down, self.t_prop,
+                                      eff, window >= 0.0)
 
 
 def project_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
@@ -645,11 +628,8 @@ def _multi_result(evaluator: JointEvaluator, power: np.ndarray, compute: np.ndar
                            f"{problem.total_compute_cps!r} cps")
     lqr_total = float(evaluator.total_cost(power, compute))
     outcomes = evaluator.outcomes(power, compute)
-    if all(o.lqr_cost is INFEASIBLE for o in outcomes) and not trace.all_infeasible:
-        trace = SolverTrace(iterations=trace.iterations, converged=trace.converged,
-                            restarts=trace.restarts, best_restart=trace.best_restart,
-                            fallback_dense_grid=trace.fallback_dense_grid,
-                            all_infeasible=True, method=trace.method)
+    if all(o.lqr_cost is INFEASIBLE for o in outcomes):
+        trace = dataclasses.replace(trace, all_infeasible=True)
     return AllocationResult(
         decision={"power_w": power.copy(), "compute_cps": compute.copy()},
         per_loop_outcomes=outcomes,
@@ -683,11 +663,9 @@ def sweep_contour(problem: MultiLoopProblem, power_grid, compute_grid, *,
     decisions = {}
     for i, p_tot in enumerate(power_grid):
         for j, f_tot in enumerate(compute_grid):
-            cell = MultiLoopProblem(
-                robots=problem.robots, total_power_w=float(p_tot),
-                total_compute_cps=float(f_tot), budget=problem.budget,
-                scheme=MultiLoopScheme.TASK_ORIENTED_JOINT,
-                uplink_fixed_bits=problem.uplink_fixed_bits)
+            cell = dataclasses.replace(problem, total_power_w=float(p_tot),
+                                       total_compute_cps=float(f_tot),
+                                       scheme=MultiLoopScheme.TASK_ORIENTED_JOINT)
             extra = []
             if i > 0:
                 extra.append(decisions[(i - 1, j)])
@@ -719,21 +697,12 @@ def grid_oracle(problem, resolution: int) -> AllocationResult:
     if isinstance(problem, SingleLoopProblem):
         model = RateCostModel.from_plant(problem.plant)
         fn = _single_objective_fn(problem, model)
-        b_tot = problem.total_bandwidth_hz
-        delta = 1e-6 * b_tot
-        grid = np.linspace(delta, b_tot - delta, resolution)
-        vals = [fn(float(b)) for b in grid]
+        delta = 1e-6 * problem.total_bandwidth_hz
+        grid = np.linspace(delta, problem.total_bandwidth_hz - delta, resolution)
+        vals = fn(grid)
         i = int(np.argmin(vals))
-        outcome = _cycle_at(problem, model, float(grid[i]))
-        return AllocationResult(
-            decision={"bandwidth_up_hz": float(grid[i]),
-                      "bandwidth_down_hz": b_tot - float(grid[i])},
-            per_loop_outcomes=(outcome,),
-            objective_value=vals[i],
-            lqr_total=_penalized_cost(model, outcome.effective_bits_per_cycle),
-            solver_trace=SolverTrace(iterations=resolution, converged=True,
-                                     method="grid_oracle"),
-        )
+        return _single_result(problem, model, float(grid[i]), vals[i], SolverTrace(
+            iterations=resolution, converged=True, method="grid_oracle"))
     if not isinstance(problem, MultiLoopProblem):
         raise TypeError(f"unsupported problem type {type(problem)!r}")
     n = len(problem.robots)

@@ -5,12 +5,20 @@ One control cycle: sensing data goes up for t_up, the satellite processes it
 for t_down, and propagation in both directions is charged against the same
 budget. Uplink transfer, computing, and downlink transfer happen strictly in
 sequence; a cycle whose stages do not fit in the period delivers nothing.
+
+Both solvers, evaluate_cycle and balanced_times share one array-valued cycle
+(store_and_forward) and one LoopOutcome builder (loop_outcomes).
 """
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import control, linkgeom
 from .control import INFEASIBLE, Plant, RateCostModel
 from .linkgeom import LinkParams
+
+# keeps a loop given no compute finite (and hopeless) instead of dividing by zero
+COMPUTE_FLOOR_CPS = 1e-9
 
 
 class NoBudgetError(ValueError):
@@ -68,16 +76,49 @@ def propagation_delay_s(distance_up_m: float, distance_down_m: float) -> float:
     return (distance_up_m + distance_down_m) / linkgeom.SPEED_OF_LIGHT_M_S
 
 
+def store_and_forward(volume_bits, t_up_s, r_down_bps, t_prop_s, compute_cps,
+                      budget: LoopBudget) -> tuple:
+    """(t_comp, window, delivered) of store-and-forward cycles, array-valued.
+
+    Computing volume V takes cycles_per_bit * V / compute; the downlink window
+    is what the period leaves after propagation, uplink and computing (negative
+    when they overrun it); delivered bits are min(extraction_ratio * V,
+    r_down * window).
+    """
+    t_comp = budget.cycles_per_bit * volume_bits / np.maximum(compute_cps, COMPUTE_FLOOR_CPS)
+    window = budget.cycle_period_s - t_prop_s - t_up_s - t_comp
+    return t_comp, window, np.minimum(budget.extraction_ratio * volume_bits, r_down_bps * window)
+
+
+def loop_outcomes(models, period_s: float, r_up, r_down, t_up, t_comp, t_down, t_prop,
+                  effective_bits, time_feasible) -> tuple:
+    """One LoopOutcome per loop i (plant model models[i]) from broadcast arrays.
+
+    A time-infeasible cycle delivers nothing, is not stable and has an
+    INFEASIBLE cost.
+    """
+    effective_bits = np.where(time_feasible, np.maximum(effective_bits, 0.0), 0.0)
+    columns = np.broadcast_arrays(r_up, r_down, t_up, t_comp, t_down, t_prop,
+                                  effective_bits, time_feasible)
+    outcomes = []
+    for model, *times, eff, ok in zip(models, *(np.atleast_1d(c).tolist() for c in columns)):
+        rate = control.cner_bps(eff, period_s)
+        outcomes.append(LoopOutcome(
+            *times, eff, rate, ok and control.is_stabilizable_at(model.plant, rate),
+            control.lqr_cost(model, eff) if ok else INFEASIBLE, ok))
+    return tuple(outcomes)
+
+
 def evaluate_cycle(uplink: LinkParams, downlink: LinkParams, budget: LoopBudget,
                    plant: Plant, t_up_s: float, t_down_s: float,
                    model: RateCostModel | None = None) -> LoopOutcome:
     """Evaluate one closed-loop cycle at a given time allocation.
 
-    Uplinked volume is rate * t_up; computing takes cycles_per_bit * volume /
-    compute rate; the downlink can carry rate * t_down, and the delivered
-    command bits are min(extraction_ratio * uplinked, downlink capacity).
-    A cycle whose stage times plus propagation exceed the period is
-    time-infeasible: zero effective bits, not stable.
+    The store-and-forward cycle with uplinked volume rate * t_up, whose
+    downlink is on for t_down of its window: it carries at most rate * t_down.
+    A cycle whose stage times plus propagation exceed the period (t_down
+    longer than the window) is time-infeasible: zero effective bits, not
+    stable.
 
     Args:
         model: Optional pre-built RateCostModel for the plant (avoids
@@ -96,38 +137,19 @@ def evaluate_cycle(uplink: LinkParams, downlink: LinkParams, budget: LoopBudget,
     r_down = linkgeom.shannon_rate_bps(downlink)
     t_prop = propagation_delay_s(linkgeom.slant_range_m(uplink.geometry),
                                  linkgeom.slant_range_m(downlink.geometry))
-
-    data_up = r_up * t_up_s
-    t_comp = budget.cycles_per_bit * data_up / budget.compute_rate_cps
-    down_capacity = r_down * t_down_s
-    effective = min(budget.extraction_ratio * data_up, down_capacity)
-
-    total = t_up_s + t_comp + t_down_s + t_prop
-    if total > budget.cycle_period_s + 1e-12:
-        return LoopOutcome(
-            uplink_rate_bps=r_up, downlink_rate_bps=r_down,
-            t_up_s=t_up_s, t_comp_s=t_comp, t_down_s=t_down_s, t_prop_s=t_prop,
-            effective_bits_per_cycle=0.0, cner_bps=0.0, stable=False,
-            lqr_cost=INFEASIBLE, time_feasible=False)
-
-    rate_bps = control.cner_bps(effective, budget.cycle_period_s)
-    return LoopOutcome(
-        uplink_rate_bps=r_up, downlink_rate_bps=r_down,
-        t_up_s=t_up_s, t_comp_s=t_comp, t_down_s=t_down_s, t_prop_s=t_prop,
-        effective_bits_per_cycle=effective, cner_bps=rate_bps,
-        stable=control.is_stabilizable_at(plant, rate_bps),
-        lqr_cost=control.lqr_cost(model, effective),
-        time_feasible=True)
+    t_comp, window, delivered = store_and_forward(
+        r_up * t_up_s, t_up_s, r_down, t_prop, budget.compute_rate_cps, budget)
+    return loop_outcomes((model,), budget.cycle_period_s, r_up, r_down, t_up_s, t_comp,
+                         t_down_s, t_prop, np.minimum(delivered, r_down * t_down_s),
+                         t_down_s <= window + 1e-12)[0]
 
 
-def balanced_times(uplink: LinkParams, downlink: LinkParams, budget: LoopBudget,
-                   t_prop_s: float) -> tuple[float, float]:
-    """Time split maximizing effective bits for the given bandwidths.
+def balanced_cycle(r_up_bps, r_down_bps, budget: LoopBudget, t_prop_s: float) -> tuple:
+    """(t_up, t_comp, window, delivered) of the balanced split, array-valued in the rates.
 
     The pipeline delivers most when the extraction output exactly fills the
-    downlink and the whole budget is used:
+    downlink window and the whole budget is used:
         t_up * (1 + c_bit*R_up/f + rho*R_up/R_down) = period - t_prop
-        t_down = rho*R_up*t_up / R_down
 
     Raises:
         NoBudgetError: propagation alone uses up the period.
@@ -137,10 +159,19 @@ def balanced_times(uplink: LinkParams, downlink: LinkParams, budget: LoopBudget,
         raise NoBudgetError(
             f"propagation {t_prop_s}s leaves no budget in a "
             f"{budget.cycle_period_s}s cycle")
-    r_up = linkgeom.shannon_rate_bps(uplink)
-    r_down = linkgeom.shannon_rate_bps(downlink)
-    denom = (1.0 + budget.cycles_per_bit * r_up / budget.compute_rate_cps
-             + budget.extraction_ratio * r_up / r_down)
-    t_up = remaining / denom
-    t_down = budget.extraction_ratio * r_up * t_up / r_down
-    return t_up, t_down
+    t_up = remaining / (1.0 + budget.cycles_per_bit * r_up_bps / budget.compute_rate_cps
+                        + budget.extraction_ratio * r_up_bps / r_down_bps)
+    return (t_up, *store_and_forward(r_up_bps * t_up, t_up, r_down_bps, t_prop_s,
+                                     budget.compute_rate_cps, budget))
+
+
+def balanced_times(uplink: LinkParams, downlink: LinkParams, budget: LoopBudget,
+                   t_prop_s: float) -> tuple[float, float]:
+    """Time split maximizing effective bits: balanced_cycle's t_up and window.
+
+    Raises:
+        NoBudgetError: propagation alone uses up the period.
+    """
+    t_up, _, window, _ = balanced_cycle(linkgeom.shannon_rate_bps(uplink),
+                                        linkgeom.shannon_rate_bps(downlink), budget, t_prop_s)
+    return t_up, max(float(window), 0.0)

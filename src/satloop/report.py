@@ -127,27 +127,27 @@ def cmd_single_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRe
                      time.perf_counter() - started, __version__, converged)
 
 
+def _solve_schemes(scn: Scenario, total_power_w: float) -> dict:
+    """Scheme name -> result at one power budget; the baselines are solved
+    first and their decisions are extra starts for the task-oriented scheme."""
+    results = {}
+    for name, scheme in _MULTI_SCHEMES:
+        if scheme != MultiLoopScheme.TASK_ORIENTED_JOINT:
+            results[name] = solve_multi_loop(
+                scn.multi_loop_problem(scheme, total_power_w=total_power_w), seed=scn.seed)
+    results["task_oriented"] = solve_multi_loop(
+        scn.multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT,
+                               total_power_w=total_power_w),
+        seed=scn.seed, extra_starts=[r.decision for r in results.values()])
+    return results
+
+
 def cmd_multi_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRecord:
     """Power sweep per scheme plus per-robot allocation at the detail point."""
     started = time.perf_counter()
     sweep = scn.power_sweep_w()
-    columns = {name: [] for name, _ in _MULTI_SCHEMES}
-    converged = True
-    for p_tot in sweep:
-        baselines = []
-        for name, scheme in _MULTI_SCHEMES:
-            if scheme == MultiLoopScheme.TASK_ORIENTED_JOINT:
-                continue
-            result = solve_multi_loop(scn.multi_loop_problem(scheme, total_power_w=p_tot),
-                                      seed=scn.seed)
-            converged = converged and result.solver_trace.converged
-            columns[name].append(result.lqr_total)
-            baselines.append(result.decision)
-        task = solve_multi_loop(
-            scn.multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT, total_power_w=p_tot),
-            seed=scn.seed, extra_starts=baselines)
-        converged = converged and task.solver_trace.converged
-        columns["task_oriented"].append(task.lqr_total)
+    solves = [_solve_schemes(scn, p_tot) for p_tot in sweep]
+    columns = {name: [s[name].lqr_total for s in solves] for name, _ in _MULTI_SCHEMES}
 
     header = "total_power_w," + ",".join(f"lqr_{name}" for name, _ in _MULTI_SCHEMES)
     lines = [header]
@@ -158,30 +158,17 @@ def cmd_multi_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRec
 
     # per-robot allocation at the designated power point
     detail_power = scn.tree["multi_loop"]["allocation_power_w"]
-    detail = {}
-    baselines = []
-    for name, scheme in _MULTI_SCHEMES:
-        if scheme == MultiLoopScheme.TASK_ORIENTED_JOINT:
-            continue
-        result = solve_multi_loop(scn.multi_loop_problem(scheme, total_power_w=detail_power),
-                                  seed=scn.seed)
-        converged = converged and result.solver_trace.converged
-        detail[name] = result
-        baselines.append(result.decision)
-    detail["task_oriented"] = solve_multi_loop(
-        scn.multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT,
-                               total_power_w=detail_power),
-        seed=scn.seed, extra_starts=baselines)
-    converged = converged and detail["task_oriented"].solver_trace.converged
+    detail = _solve_schemes(scn, detail_power)
+    converged = all(r.solver_trace.converged for s in solves + [detail] for r in s.values())
 
     elevations = scn.robot_elevations()
+    powers = {name: [float(p) for p in detail[name].decision["power_w"]]
+              for name, _ in _MULTI_SCHEMES}
     alloc_header = ("robot,elevation_deg,"
                     + ",".join(f"power_{name}_w" for name, _ in _MULTI_SCHEMES))
     alloc_lines = [alloc_header]
     for i, elev in enumerate(elevations):
-        row = [str(i + 1), _num(elev)]
-        for name, _ in _MULTI_SCHEMES:
-            row.append(_num(float(detail[name].decision["power_w"][i])))
+        row = [str(i + 1), _num(elev)] + [_num(powers[name][i]) for name, _ in _MULTI_SCHEMES]
         alloc_lines.append(",".join(row))
     _write(out_dir / "multi_loop_allocation.csv",
            _metadata(scn) + "\n".join(alloc_lines) + "\n")
@@ -193,9 +180,7 @@ def cmd_multi_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRec
                                  "total power (W)", "total LQR cost")
         _write(out_dir / "multi_loop_sweep.svg", svg)
         groups = [f"robot {i + 1}" for i in range(len(elevations))]
-        bars = [(name, [float(detail[name].decision["power_w"][i])
-                        for i in range(len(elevations))])
-                for name, _ in _MULTI_SCHEMES]
+        bars = [(name, powers[name]) for name, _ in _MULTI_SCHEMES]
         svg2 = svgplot.grouped_bar_chart(groups, bars,
                                          f"Per-robot power at {detail_power:g} W total",
                                          "power (W)")

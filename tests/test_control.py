@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from satloop.control import (INFEASIBLE, NonConvergentError, Plant, RateCostModel,
-                             UnsupportedPlantError, cner_bps, dare_residual,
-                             dare_solve, intrinsic_entropy_rate,
-                             is_stabilizable_at, lqr_cost)
+from satloop.control import (INFEASIBLE, RATE_CLAMP_BITS, NonConvergentError, Plant,
+                             RateCostModel, UnsupportedPlantError, cner_bps,
+                             dare_residual, dare_solve, intrinsic_entropy_rate,
+                             is_stabilizable_at, lqr_cost, rate_cost)
 from oracles import scalar_dare_root, simulate_quantized_loop
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -56,6 +56,22 @@ class TestDare:
             ours = dare_solve(plant)
             ref = scipy.linalg.solve_discrete_are(a, b, q, r)
             assert np.allclose(ours, ref, rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("a, b, r", [(2.0, 1.0, 1.0), (-1.5, 0.8, 2.0), (3.0, -1.2, 0.5)])
+    def test_zero_state_weight_takes_stabilizing_root(self, a, b, r):
+        """q = 0 leaves S = 0 a fixed point; the stabilizing root is r (a^2 - 1) / b^2.
+
+        At q = 0 the oracle's quadratic has no constant term, so its formula
+        does not cancel. For a = 2, b = r = 1 the root is 3.
+        """
+        s = float(dare_solve(_plant(a=a, b=b, q=0.0, r=r))[0, 0])
+        assert s == pytest.approx(scalar_dare_root(a, b, 0.0, r), rel=1e-9)
+        assert s == pytest.approx(r * (a * a - 1.0) / (b * b), rel=1e-9)
+
+    def test_zero_state_weight_stable_plant_reaches_zero(self):
+        """A stable plant with q = 0 has S = 0; the iteration from Q + I gets there."""
+        for a in (0.5, 0.99):
+            assert abs(float(dare_solve(_plant(a=a, q=0.0))[0, 0])) < 1e-9
 
     def test_nonconvergent_unstabilizable(self):
         # unstable mode with no input authority
@@ -222,3 +238,61 @@ class TestQuantizedLoopOracle:
                                           rate, steps=20000, seed=1234)
             ana = lqr_cost(model, float(rate))
             assert emp >= ana
+
+
+class TestRateCostCurve:
+    """The array-valued J(R) against the scalar lqr_cost, element by element."""
+
+    PLANTS = {
+        "unstable": _plant(a=2.0),
+        "stable": _plant(a=0.5),
+        "negative": _plant(a=-3.0, w=2.0, q=0.5),
+        "diagonal": Plant(a=np.diag([2.0, 3.0]), b=np.eye(2), w_cov=np.diag([1.0, 2.0]),
+                          q=np.eye(2), r_u=np.eye(2), sample_period_s=0.02),
+    }
+
+    def test_threshold_counts_unstable_modes_only(self):
+        assert RateCostModel.from_plant(_plant(a=0.0)).threshold_bits == 0.0
+        assert RateCostModel.from_plant(_plant(a=-0.5)).threshold_bits == 0.0
+        assert RateCostModel.from_plant(_plant(a=2.0)).threshold_bits == 1.0
+        plant = Plant(a=np.diag([2.0, 0.5, -4.0]), b=np.eye(3), w_cov=np.eye(3),
+                      q=np.eye(3), r_u=np.eye(3), sample_period_s=0.02)
+        assert RateCostModel.from_plant(plant).threshold_bits == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("name", sorted(PLANTS))
+    def test_matches_lqr_cost(self, name):
+        model = RateCostModel.from_plant(self.PLANTS[name])
+        t = model.threshold_bits
+        rates = np.array([0.0, 0.5 * t, t, t + 1e-9, t + 0.3, t + 2.0, 64.0,
+                          RATE_CLAMP_BITS, 450.0, 1e6])
+        costs = model.cost(rates)
+        assert costs.shape == rates.shape
+        for rate, cost in zip(rates, costs):
+            want = lqr_cost(model, float(rate))
+            if want is INFEASIBLE:
+                assert cost == math.inf, rate
+            else:
+                assert cost == want, rate
+        assert costs[2] == math.inf or t == 0.0  # at the threshold
+        assert costs[-3] == costs[-2] == costs[-1] == pytest.approx(model.j_ideal, rel=1e-15)
+
+    def test_scalar_closed_form(self):
+        """a=2, b=q=r=w=1: J(R) = (2+sqrt5) + (7+3 sqrt5) / (4^R - 4)."""
+        rates = np.array([-0.5, 0.5, 1.0, 1.5, 2.0, 3.0])
+        costs = rate_cost(rates, 4.0, 7.0 + 3.0 * math.sqrt(5.0), 2.0 + math.sqrt(5.0))
+        assert np.all(np.isinf(costs[:3]))
+        np.testing.assert_allclose(
+            costs[3:], 2.0 + math.sqrt(5.0) + (7.0 + 3.0 * math.sqrt(5.0)) / (4.0 ** rates[3:] - 4.0),
+            rtol=1e-15)
+
+    def test_negative_rate_is_infinite(self):
+        model = RateCostModel.from_plant(_plant(a=0.5))
+        assert model.cost(-1e-9) == math.inf
+        assert np.all(model.cost(np.array([-1.0, -1e-12])) == math.inf)
+        with pytest.raises(ValueError):
+            lqr_cost(model, -1e-9)
+
+    def test_clamp_keeps_huge_rates_finite(self):
+        model = RateCostModel.from_plant(self.PLANTS["diagonal"])
+        with np.errstate(over="raise"):
+            assert model.cost(np.array([1e6, 1e300])).tolist() == [model.j_ideal] * 2

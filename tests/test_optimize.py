@@ -16,15 +16,15 @@ from hypothesis.extra.numpy import arrays
 import satloop
 from satloop import optimize
 
-from satloop.control import INFEASIBLE, Plant
-from satloop.linkgeom import Geometry, LinkParams
+from satloop.control import INFEASIBLE, Plant, RateCostModel, lqr_cost
+from satloop.linkgeom import Geometry, LinkParams, shannon_rate_bps, slant_range_m
 from satloop.optimize import (DimensionTooLargeError, JointEvaluator,
                               MultiLoopProblem, MultiLoopScheme, RobotLoop,
                               SingleLoopObjective, SingleLoopProblem,
                               grid_oracle, project_capped_simplex,
                               solve_multi_loop, solve_single_loop, sweep_contour,
                               water_fill_power)
-from satloop.pipeline import LoopBudget
+from satloop.pipeline import LoopBudget, balanced_times, evaluate_cycle, propagation_delay_s
 from satloop.scenario import default_scenario
 from oracles import (central_difference_gradient, random_joint_problem,
                      random_single_loop_problem)
@@ -110,6 +110,52 @@ class TestSingleLoop:
         assert result.solver_trace.all_infeasible
         assert result.per_loop_outcomes[0].lqr_cost is INFEASIBLE
         assert 0.0 < result.decision["bandwidth_up_hz"] < 100.0
+
+
+    @pytest.mark.parametrize("objective", list(SingleLoopObjective))
+    def test_array_objective_matches_cycle_model_at_check_points(self, objective):
+        """One array call at the 101 check points equals the per-point cycle model."""
+        problem = default_scenario().single_loop_problem(objective)
+        model = RateCostModel.from_plant(problem.plant)
+        b_tot = problem.total_bandwidth_hz
+        grid = np.linspace(1e-6 * b_tot, b_tot - 1e-6 * b_tot, optimize.UNIMODAL_CHECK_POINTS)
+        got = optimize._single_objective_fn(problem, model)(grid)
+        t_prop = propagation_delay_s(slant_range_m(problem.uplink_template.geometry),
+                                     slant_range_m(problem.downlink_template.geometry))
+        infeasible = set()
+        for b_up, value in zip(grid.tolist(), got):
+            uplink = problem.uplink_template.with_bandwidth(b_up)
+            downlink = problem.downlink_template.with_bandwidth(b_tot - b_up)
+            r_up, r_down = shannon_rate_bps(uplink), shannon_rate_bps(downlink)
+            if objective == SingleLoopObjective.MAX_THROUGHPUT:
+                want = -(r_up + r_down)
+            elif objective == SingleLoopObjective.MIN_LATENCY:
+                want = problem.fixed_payload_bits / r_up + problem.fixed_payload_bits / r_down
+            else:
+                t_up, t_down = balanced_times(uplink, downlink, problem.budget, t_prop)
+                eff = evaluate_cycle(uplink, downlink, problem.budget, problem.plant,
+                                     t_up, t_down, model=model).effective_bits_per_cycle
+                want = lqr_cost(model, eff)
+                infeasible.add(want is INFEASIBLE)
+                if want is INFEASIBLE:
+                    want = optimize.INFEASIBILITY_PENALTY + (model.threshold_bits - eff)
+            assert value == pytest.approx(want, rel=1e-12), b_up
+        if objective == SingleLoopObjective.TASK_ORIENTED:
+            assert infeasible == {True, False}
+
+    def test_diagonal_plant_matches_grid_oracle(self):
+        """A two-mode plant splits its bits across modes at every evaluation."""
+        base = default_scenario().single_loop_problem(SingleLoopObjective.TASK_ORIENTED)
+        plant = Plant(a=np.diag([2.0, 1.5]), b=np.eye(2), w_cov=np.diag([1.0, 2.0]),
+                      q=np.eye(2), r_u=np.eye(2), sample_period_s=base.budget.cycle_period_s)
+        problem = dataclasses.replace(base, plant=plant)
+        solved = solve_single_loop(problem)
+        oracle = grid_oracle(problem, 2001)
+        outcome = solved.per_loop_outcomes[0]
+        assert outcome.lqr_cost is not INFEASIBLE
+        assert solved.objective_value == pytest.approx(outcome.lqr_cost, rel=1e-9)
+        assert solved.lqr_total == pytest.approx(outcome.lqr_cost, rel=1e-12)
+        assert (solved.objective_value - oracle.objective_value) / oracle.objective_value <= 1e-6
 
 
 class TestProjection:
@@ -276,6 +322,63 @@ def _default_joint(extraction_scale=1.0):
     budget = dataclasses.replace(
         problem.budget, extraction_ratio=problem.budget.extraction_ratio * extraction_scale)
     return dataclasses.replace(problem, budget=budget)
+
+
+class TestJointEvaluator:
+    def test_one_rate_cost_model_per_distinct_plant(self):
+        shared = JointEvaluator(_default_joint())
+        assert all(m is shared.models[0] for m in shared.models)
+        distinct = JointEvaluator(random_joint_problem(np.random.default_rng(5), n_robots=3))
+        assert len({id(m) for m in distinct.models}) == 3
+        for robot, model in zip(distinct.problem.robots, distinct.models):
+            assert model.plant is robot.plant
+
+    def test_outcomes_hand_computed(self):
+        """A capped, an uncapped and a zero-compute robot, from the link budget up.
+
+        Default plant a = 2, b = q = r = w = 1: j_ideal = 2 + sqrt5,
+        sensitivity = 7 + 3 sqrt5, threshold 1 bit per 20 ms step.
+        """
+        problem = _default_joint(extraction_scale=0.03)
+        cap = problem.budget.extraction_ratio * problem.uplink_fixed_bits
+        assert cap == pytest.approx(6.0)
+        power = np.array([2.0, 0.1, 1.0, 1.0, 0.9])
+        compute = np.array([2.5e9, 2.5e9, 0.0, 2.5e9, 2.5e9])
+        outs = JointEvaluator(problem).outcomes(power, compute)
+
+        def cost(eff):
+            return 2.0 + math.sqrt(5.0) + (7.0 + 3.0 * math.sqrt(5.0)) / (4.0 ** eff - 4.0)
+
+        cycles = problem.budget.cycles_per_bit * problem.uplink_fixed_bits
+        for i in (0, 4, 2):
+            robot, out = problem.robots[i], outs[i]
+            link = dataclasses.replace(robot.downlink, tx_power_w=float(power[i]),
+                                       bandwidth_hz=robot.bandwidth_share_hz)
+            rate = shannon_rate_bps(link)
+            t_prop = 2.0 * slant_range_m(link.geometry) / 299792458.0
+            t_comp = cycles / max(compute[i], 1e-9)
+            window = 0.02 - t_prop - t_comp
+            assert (out.uplink_rate_bps, out.t_up_s) == (0.0, 0.0)
+            assert out.downlink_rate_bps == pytest.approx(rate, rel=1e-12)
+            assert out.t_prop_s == pytest.approx(t_prop, rel=1e-12)
+            assert out.t_comp_s == pytest.approx(t_comp, rel=1e-12)
+            if i == 0:  # capped: the downlink stops once the cap is delivered
+                assert rate * window > cap
+                assert out.effective_bits_per_cycle == cap
+                assert out.t_down_s == pytest.approx(cap / rate, rel=1e-12)
+            elif i == 4:  # uncapped: the whole window carries command bits
+                assert 1.0 < rate * window < cap
+                assert out.effective_bits_per_cycle == pytest.approx(rate * window, rel=1e-12)
+                assert out.t_down_s == pytest.approx(window, rel=1e-12)
+            else:  # no compute: the cycle never fits
+                assert not out.time_feasible and not out.stable
+                assert (out.effective_bits_per_cycle, out.cner_bps, out.t_down_s) == (0.0, 0.0, 0.0)
+                assert out.lqr_cost is INFEASIBLE
+                continue
+            eff = out.effective_bits_per_cycle
+            assert out.time_feasible and out.stable
+            assert out.cner_bps == pytest.approx(eff / 0.02, rel=1e-12)
+            assert out.lqr_cost == pytest.approx(cost(eff), rel=1e-12)
 
 
 class TestAnalyticGradient:

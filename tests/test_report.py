@@ -124,3 +124,24 @@ class TestSingleRobotMultiLoop:
             comp = float(row["lqr_compute_only"])
             assert abs(task - maxt) <= 1e-6 * abs(task)
             assert abs(task - comp) <= 1e-6 * abs(task)
+
+
+class TestPlantCorners:
+    SMALL = ("multi_loop:\n  n_robots: 2\n  power_sweep_points: 2\n"
+             "contour:\n  power_points: 2\n  compute_points: 2\n")
+
+    @pytest.mark.parametrize("verb", ["single-loop", "multi-loop", "contour"])
+    def test_memoryless_plant_runs_every_verb(self, tmp_path, verb):
+        """a = 0 has no unstable mode: a zero data-rate threshold, not log2(0)."""
+        doc = tmp_path / "memoryless.yaml"
+        doc.write_text("plant:\n  a: 0.0\n" + self.SMALL)
+        assert main([verb, "--scenario", str(doc), "--out", str(tmp_path / "out")]) == 0
+
+    def test_zero_state_weight_keeps_a_positive_cost(self, tmp_path):
+        """q = 0, a = 2: the stabilizing Riccati root 3 is the cost floor, not 0."""
+        doc = tmp_path / "no_state_weight.yaml"
+        doc.write_text("plant:\n  q: 0.0\n")
+        assert main(["single-loop", "--scenario", str(doc), "--out", str(tmp_path)]) == 0
+        _, rows = _read_rows(tmp_path / "single_loop.csv")
+        costs = {r["scheme"]: float(r["lqr_cost"]) for r in rows}
+        assert 3.0 < costs["task_oriented"] <= costs["min_latency"] < 4.0
