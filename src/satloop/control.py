@@ -120,21 +120,50 @@ class Plant:
                 for i in range(n)]
 
 
+def _scalar_dare_root(a: float, b: float, q: float, r: float) -> float:
+    """Stabilizing root of the scalar Riccati equation s = q + a^2 r s / (r + b^2 s).
+
+    The positive root of b^2 s^2 + c1 s - q r = 0 with c1 = r (1 - a^2) - q b^2,
+    taken as 2 q r / (c1 + sqrt(disc)) when c1 > 0 so that nothing cancels.
+
+    Raises:
+        NonConvergentError: no root gives a stable closed loop |a - b k| < 1.
+    """
+    c1 = r * (1.0 - a * a) - q * b * b
+    root = math.sqrt(c1 * c1 + 4.0 * b * b * q * r)
+    if c1 > 0.0:
+        s = 2.0 * q * r / (c1 + root)
+    elif b != 0.0:
+        s = (root - c1) / (2.0 * b * b)
+    else:  # c1 <= 0 and b = 0: |a| >= 1 with no input to act on it
+        raise NonConvergentError("unstable mode with no input authority "
+                                 "(plant is not stabilizable)")
+    if not abs(a * r / (r + b * b * s)) < 1.0:  # a - b k with k = a b s / (r + b^2 s)
+        raise NonConvergentError(
+            "no stabilizing Riccati solution (closed loop |a - b k| >= 1)")
+    return s
+
+
 def dare_solve(plant: Plant, tol: float = 1e-12, max_iter: int = 10000) -> np.ndarray:
     """Cost-to-go matrix S of the discrete algebraic Riccati equation.
 
-    Fixed-point iteration of
+    A 1x1 plant takes the closed-form stabilizing root. Larger plants use the
+    fixed-point iteration of
         S <- A' S A - A' S B (R + B' S B)^-1 B' S A + Q
     from S0 = Q + I (S = 0 is a fixed point when Q = 0), stopped when the
     update falls below tol relative to the larger of S and S0.
 
     Raises:
-        NonConvergentError: no convergence within max_iter iterations.
+        NonConvergentError: no stabilizing solution (1x1), or no convergence
+            within max_iter iterations.
     """
     a = _as_matrix(plant.a)
     b = _as_matrix(plant.b)
     q = _as_matrix(plant.q)
     r = _as_matrix(plant.r_u)
+    if a.shape == b.shape == (1, 1):
+        return np.array([[_scalar_dare_root(a[0, 0], b[0, 0], q[0, 0], r[0, 0])]])
+
     def step(s):
         bsb = r + b.T @ s @ b
         s_next = a.T @ s @ a - a.T @ s @ b @ np.linalg.solve(bsb, b.T @ s @ a) + q
@@ -206,16 +235,6 @@ def cner_bps(effective_bits_per_cycle: float, cycle_period_s: float) -> float:
     return effective_bits_per_cycle / cycle_period_s
 
 
-def _scalar_mode_model(a: float, b: float, w: float, q: float, r: float,
-                       tol: float, max_iter: int) -> tuple:
-    """(s, j_ideal, sensitivity) for one scalar mode."""
-    mode = Plant(a=a, b=b, w_cov=w, q=q, r_u=r, sample_period_s=1.0)
-    s = float(dare_solve(mode, tol=tol, max_iter=max_iter)[0, 0])
-    k = a * b * s / (r + b * b * s)
-    sens = k * k * (r + b * b * s)
-    return s, s * w, sens
-
-
 @dataclass(frozen=True, eq=False)
 class RateCostModel:
     """Plant plus cached Riccati quantities for the rate-limited cost.
@@ -230,28 +249,27 @@ class RateCostModel:
     sensitivity: object
     threshold_bits: float
     mode_params: tuple = field(repr=False)
+    riccati: tuple = field(repr=False)
 
     @classmethod
     def from_plant(cls, plant: Plant, tol: float = 1e-12, max_iter: int = 10000) -> "RateCostModel":
-        if plant.is_scalar:
-            modes = [plant.scalars()]
-        else:
-            modes = plant.diagonal_modes()
-        per_mode = [
-            _scalar_mode_model(a, b, w, q, r, tol, max_iter) + (a, w)
-            for (a, b, w, q, r) in modes
-        ]
-        j_ideal = sum(m[1] for m in per_mode)
-        sens = [m[2] for m in per_mode]
-        sensitivity = sens[0] if len(sens) == 1 else np.asarray(sens)
-        return cls(plant=plant, j_ideal=j_ideal, sensitivity=sensitivity,
+        modes = [plant.scalars()] if plant.is_scalar else plant.diagonal_modes()
+        # a diagonal plant's Riccati solution is diagonal: one root per mode
+        roots = [float(s) for s in np.diag(dare_solve(plant, tol=tol, max_iter=max_iter))]
+        mode_params = []
+        for (a, b, w, q, r), s in zip(modes, roots):
+            k = a * b * s / (r + b * b * s)
+            mode_params.append((a, w, k * k * (r + b * b * s), s * w))
+        sens = [m[2] for m in mode_params]
+        return cls(plant=plant, j_ideal=sum(m[3] for m in mode_params),
+                   sensitivity=sens[0] if len(sens) == 1 else np.asarray(sens),
                    threshold_bits=sum(math.log2(abs(a)) for a, *_ in modes if abs(a) > 1.0),
-                   mode_params=tuple((m[3], m[4], m[2], m[1]) for m in per_mode))
+                   mode_params=tuple(mode_params), riccati=tuple(roots))
 
     def lqr_gain(self) -> float:
-        """Scalar LQR feedback gain k = a b S / (r + b^2 S)."""
+        """Scalar LQR feedback gain k = a b S / (r + b^2 S), from the cached S."""
         a, b, _, _, r = self.plant.scalars()
-        s = float(dare_solve(self.plant)[0, 0])
+        s = self.riccati[0]
         return a * b * s / (r + b * b * s)
 
     def cost(self, rate_bits):
@@ -325,10 +343,10 @@ def _split_bits_across_modes(model: RateCostModel, total_bits: float) -> list:
 
     for _ in range(200):
         mid = math.sqrt(lo) * math.sqrt(hi)  # lo * hi underflows to 0 for huge totals
-        if rate_sum(mid) > total_bits:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if rate_sum(mid) > total_bits else (lo, mid)
+        if bracket == (lo, hi):
+            break  # the same midpoint again: the bracket can no longer move
+        lo, hi = bracket
     lam = math.sqrt(lo) * math.sqrt(hi)
     rates = [_mode_cost_derivative_rate(a, w, sens, lam) for a, w, sens, _ in modes]
     scale = total_bits / sum(rates) if sum(rates) > 0 else 1.0

@@ -9,6 +9,7 @@ block sufficient to re-run it exactly, and identical runs are byte-identical.
 Exit codes: 0 ok, 2 validation error, 3 solver non-convergence, 4 I/O.
 """
 import argparse
+import dataclasses
 import hashlib
 import sys
 import time
@@ -16,9 +17,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, svgplot
-from .control import INFEASIBLE
+from .control import INFEASIBLE, NonConvergentError
 from .optimize import (MultiLoopScheme, SingleLoopObjective, solve_multi_loop,
                        solve_single_loop, sweep_contour)
+from .pipeline import NoBudgetError
 from .scenario import (Scenario, ScenarioError, default_scenario, dump_scenario,
                        load_scenario, provenance_map)
 
@@ -59,10 +61,10 @@ def _num(x) -> str:
     return str(x)
 
 
-def _metadata(scn: Scenario) -> str:
+def _metadata(scn: Scenario, digest: str) -> str:
     prov = provenance_map()
     lines = [f"# satloop {__version__}",
-             f"# scenario_hash = {scenario_hash(scn)}",
+             f"# scenario_hash = {digest}",
              f"# seed = {scn.seed}"]
     for path, value in scn.flat_items():
         label = prov.get(path, "user")
@@ -85,11 +87,14 @@ class _IoFailure(RuntimeError):
 def cmd_single_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRecord:
     """Solve all three bandwidth-split schemes and emit CSV (+ bar chart)."""
     started = time.perf_counter()
+    digest = scenario_hash(scn)
     rows = []
     summaries = {}
     converged = True
+    # one problem (and one validated Plant) serves all three objectives
+    base = scn.single_loop_problem(_SINGLE_SCHEMES[0][1])
     for name, objective in _SINGLE_SCHEMES:
-        result = solve_single_loop(scn.single_loop_problem(objective))
+        result = solve_single_loop(dataclasses.replace(base, objective=objective))
         outcome = result.per_loop_outcomes[0]
         converged = converged and result.solver_trace.converged
         summaries[name] = {
@@ -114,7 +119,7 @@ def cmd_single_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRe
     header = ("scheme,bandwidth_up_hz,bandwidth_down_hz,uplink_rate_bps,"
               "downlink_rate_bps,t_up_s,t_comp_s,t_down_s,effective_bits,"
               "cner_bps,lqr_cost")
-    csv = _metadata(scn) + header + "\n" + "\n".join(
+    csv = _metadata(scn, digest) + header + "\n" + "\n".join(
         ",".join(_num(v) for v in row) for row in rows) + "\n"
     _write(out_dir / "single_loop.csv", csv)
     if fmt == "csv+svg":
@@ -123,7 +128,7 @@ def cmd_single_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRe
                                 "Closed-loop cost by bandwidth allocation scheme",
                                 "LQR cost")
         _write(out_dir / "single_loop_lqr.svg", svg)
-    return RunRecord(scenario_hash(scn), tuple(scn.flat_items()), summaries,
+    return RunRecord(digest, tuple(scn.flat_items()), summaries,
                      time.perf_counter() - started, __version__, converged)
 
 
@@ -145,6 +150,7 @@ def _solve_schemes(scn: Scenario, total_power_w: float) -> dict:
 def cmd_multi_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRecord:
     """Power sweep per scheme plus per-robot allocation at the detail point."""
     started = time.perf_counter()
+    digest = scenario_hash(scn)
     sweep = scn.power_sweep_w()
     solves = [_solve_schemes(scn, p_tot) for p_tot in sweep]
     columns = {name: [s[name].lqr_total for s in solves] for name, _ in _MULTI_SCHEMES}
@@ -154,7 +160,7 @@ def cmd_multi_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRec
     for i, p_tot in enumerate(sweep):
         lines.append(",".join(
             [_num(float(p_tot))] + [_num(columns[name][i]) for name, _ in _MULTI_SCHEMES]))
-    _write(out_dir / "multi_loop_sweep.csv", _metadata(scn) + "\n".join(lines) + "\n")
+    _write(out_dir / "multi_loop_sweep.csv", _metadata(scn, digest) + "\n".join(lines) + "\n")
 
     # per-robot allocation at the designated power point
     detail_power = scn.tree["multi_loop"]["allocation_power_w"]
@@ -171,7 +177,7 @@ def cmd_multi_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRec
         row = [str(i + 1), _num(elev)] + [_num(powers[name][i]) for name, _ in _MULTI_SCHEMES]
         alloc_lines.append(",".join(row))
     _write(out_dir / "multi_loop_allocation.csv",
-           _metadata(scn) + "\n".join(alloc_lines) + "\n")
+           _metadata(scn, digest) + "\n".join(alloc_lines) + "\n")
 
     if fmt == "csv+svg":
         series = [(name, columns[name]) for name, _ in _MULTI_SCHEMES]
@@ -189,13 +195,14 @@ def cmd_multi_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRec
     summaries = {name: {"lqr_total": detail[name].lqr_total,
                         "converged": detail[name].solver_trace.converged}
                  for name, _ in _MULTI_SCHEMES}
-    return RunRecord(scenario_hash(scn), tuple(scn.flat_items()), summaries,
+    return RunRecord(digest, tuple(scn.flat_items()), summaries,
                      time.perf_counter() - started, __version__, converged)
 
 
 def cmd_contour(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRecord:
     """Task-oriented LQR total over the scenario's power x compute grids."""
     started = time.perf_counter()
+    digest = scenario_hash(scn)
     power_grid, compute_grid = scn.contour_grids()
     problem = scn.multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT)
     traces = []
@@ -207,7 +214,7 @@ def cmd_contour(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRecord
     lines = [header]
     for i, p in enumerate(power_grid):
         lines.append(",".join([_num(float(p))] + [_num(float(v)) for v in matrix[i]]))
-    _write(out_dir / "contour.csv", _metadata(scn) + "\n".join(lines) + "\n")
+    _write(out_dir / "contour.csv", _metadata(scn, digest) + "\n".join(lines) + "\n")
 
     if fmt == "csv+svg":
         svg = svgplot.heatmap(list(power_grid), list(compute_grid),
@@ -218,7 +225,7 @@ def cmd_contour(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRecord
 
     summaries = {"contour": {"min": float(matrix.min()), "max": float(matrix.max()),
                              "converged": converged}}
-    return RunRecord(scenario_hash(scn), tuple(scn.flat_items()), summaries,
+    return RunRecord(digest, tuple(scn.flat_items()), summaries,
                      time.perf_counter() - started, __version__, converged)
 
 
@@ -274,9 +281,12 @@ def main(argv=None) -> int:
               "contour": cmd_contour}[args.command]
     try:
         record = runner(scn, Path(args.out), fmt=args.format)
-    except ScenarioError as exc:
+    except (ScenarioError, NoBudgetError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
+    except NonConvergentError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 3
     except _IoFailure as exc:
         print(str(exc), file=sys.stderr)
         return 4

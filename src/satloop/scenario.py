@@ -6,6 +6,7 @@ the defaults below. Each default is labeled either "reference" (fixed by the
 reproduced case study) or "assumed" (chosen by this tool, override freely);
 the label is echoed into every output file's metadata header.
 """
+import copy
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,10 @@ from .pipeline import LoopBudget
 
 REFERENCE = "reference"
 ASSUMED = "assumed"
+
+# libyaml's C parser and emitter when PyYAML was built with it
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 class ScenarioError(ValueError):
@@ -223,7 +228,7 @@ class Scenario:
         return self.tree["seed"]
 
     def with_seed(self, seed: int) -> "Scenario":
-        tree = yaml.safe_load(dump_scenario(self))
+        tree = copy.deepcopy(self.tree)
         tree["seed"] = int(seed)
         return Scenario(tree=tree)
 
@@ -333,7 +338,7 @@ def load_scenario(text: str) -> Scenario:
     ParseError, and ValidationError respectively.
     """
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ParseError(f"not valid YAML: {exc}") from exc
     if doc is None:
@@ -348,7 +353,12 @@ def load_scenario(text: str) -> Scenario:
 
 def dump_scenario(scenario: Scenario) -> str:
     """Canonical normalized dump; load(dump(s)) == s and byte-stable."""
-    return yaml.safe_dump(scenario.tree, sort_keys=True, default_flow_style=False)
+    # A name outside printable ASCII is written double-quoted with escapes,
+    # and libyaml folds a long one at other columns than PyYAML; such a name
+    # takes the pure-Python emitter so that every dump keeps its bytes.
+    name = scenario.tree["name"]
+    dumper = _Dumper if name.isascii() and name.isprintable() else yaml.SafeDumper
+    return yaml.dump(scenario.tree, Dumper=dumper, sort_keys=True, default_flow_style=False)
 
 
 def default_scenario() -> Scenario:

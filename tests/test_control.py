@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from satloop import control
 from satloop.control import (INFEASIBLE, RATE_CLAMP_BITS, NonConvergentError, Plant,
                              RateCostModel, UnsupportedPlantError, cner_bps,
                              dare_residual, dare_solve, intrinsic_entropy_rate,
@@ -81,6 +84,59 @@ class TestDare:
                       sample_period_s=1.0)
         with pytest.raises(NonConvergentError):
             dare_solve(plant, max_iter=500)
+
+
+class TestScalarClosedForm:
+    """The 1x1 closed-form root against the iteration on a 2x2 diagonal plant."""
+
+    @staticmethod
+    def _iterated(a, b, q, r):
+        """S[0, 0] of the mode beside a fixed stable mode: the iterative path."""
+        plant = Plant(a=np.diag([a, 0.5]), b=np.diag([b, 1.0]), w_cov=np.eye(2),
+                      q=np.diag([q, 1.0]), r_u=np.diag([r, 1.0]), sample_period_s=1.0)
+        return float(dare_solve(plant)[0, 0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=st.floats(-3.0, 3.0),
+           b=st.floats(0.2, 3.0).flatmap(lambda m: st.sampled_from([m, -m])),
+           q=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+           r=st.floats(0.1, 5.0))
+    def test_matches_iteration_on_embedded_mode(self, a, b, q, r):
+        # a marginal plant without state weight converges too slowly to iterate
+        assume(q > 0.0 or abs(abs(a) - 1.0) > 0.05)
+        s = float(dare_solve(_plant(a=a, b=b, q=q, r=r))[0, 0])
+        assert s == pytest.approx(self._iterated(a, b, q, r), rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("a, q", [(0.0, 1.0), (0.5, 1.0), (-0.9, 0.0), (0.3, 0.0)])
+    def test_no_input_authority_on_a_stable_mode(self, a, q):
+        """b = 0 leaves s = q + a^2 s, so s = q / (1 - a^2)."""
+        s = float(dare_solve(_plant(a=a, b=0.0, q=q))[0, 0])
+        assert s == pytest.approx(q / (1.0 - a * a), rel=1e-15)
+        assert s == pytest.approx(self._iterated(a, 0.0, q, 1.0), rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("a, b, q", [(2.0, 0.0, 1.0), (1.0, 0.0, 1.0), (-1.0, 0.0, 0.0),
+                                         (1.0, 1.0, 0.0), (-1.0, 2.0, 0.0)])
+    def test_no_stabilizing_root_raises(self, a, b, q):
+        """b = 0 with |a| >= 1, and q = 0 with |a| = 1 (closed loop |a - b k| = 1)."""
+        with pytest.raises(NonConvergentError):
+            dare_solve(_plant(a=a, b=b, q=q))
+        with pytest.raises(NonConvergentError):
+            RateCostModel.from_plant(_plant(a=a, b=b, q=q))
+
+    def test_no_cancellation_for_small_state_weight(self):
+        """c1 > 0 and q tiny: the root is about q / (1 - a^2) to full precision."""
+        s = float(dare_solve(_plant(a=0.5, q=1e-20))[0, 0])
+        assert s == pytest.approx(1e-20 / 0.75, rel=1e-12, abs=0.0)
+
+    def test_from_plant_builds_no_mode_plant(self, monkeypatch):
+        built = []
+        original = Plant.__post_init__
+        monkeypatch.setattr(Plant, "__post_init__",
+                            lambda self: built.append(self) or original(self))
+        plant = _plant(a=1.7, b=0.8, w=2.0, q=3.0, r=0.5)
+        built.clear()
+        RateCostModel.from_plant(plant)
+        assert built == []
 
 
 class TestEntropyRate:
@@ -223,6 +279,60 @@ class TestLqrCost:
         model = RateCostModel.from_plant(_plant())
         with pytest.raises(ValueError):
             lqr_cost(model, -0.1)
+
+
+def _split_200_iterations(model, total_bits):
+    """_split_bits_across_modes with all 200 bisection steps (the reference)."""
+    modes = model.mode_params
+    if not total_bits > model.threshold_bits:
+        return [math.nan] * len(modes)
+    lo, hi = 1e-300, 1e300
+
+    def rate_sum(lam):
+        return sum(control._mode_cost_derivative_rate(a, w, sens, lam)
+                   for a, w, sens, _ in modes)
+
+    for _ in range(200):
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if rate_sum(mid) > total_bits:
+            lo = mid
+        else:
+            hi = mid
+    lam = math.sqrt(lo) * math.sqrt(hi)
+    rates = [control._mode_cost_derivative_rate(a, w, sens, lam) for a, w, sens, _ in modes]
+    scale = total_bits / sum(rates) if sum(rates) > 0 else 1.0
+    return [r * scale for r in rates]
+
+
+class TestCachedRiccati:
+    def test_lqr_gain_uses_the_cached_root(self, monkeypatch):
+        a, b, r = 1.7, 0.8, 0.5
+        plant = _plant(a=a, b=b, w=2.0, q=3.0, r=r)
+        s = float(dare_solve(plant)[0, 0])
+        model = RateCostModel.from_plant(plant)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("lqr_gain solved the Riccati equation again")
+        monkeypatch.setattr(control, "dare_solve", no_solve)
+        assert model.lqr_gain() == a * b * s / (r + b * b * s)
+
+    @pytest.mark.parametrize("name, plant", [
+        ("scalar", _plant(a=2.0)),
+        ("two-mode", Plant(a=np.diag([2.0, 3.0]), b=np.eye(2), w_cov=np.diag([1.0, 2.0]),
+                           q=np.eye(2), r_u=np.eye(2), sample_period_s=0.02)),
+        ("stable two-mode", Plant(a=np.diag([0.5, -1.5]), b=np.diag([1.0, 0.4]),
+                                  w_cov=np.eye(2), q=np.diag([0.0, 2.0]),
+                                  r_u=np.diag([1.0, 3.0]), sample_period_s=0.02)),
+    ])
+    def test_early_stop_split_equals_200_iterations(self, name, plant):
+        model = RateCostModel.from_plant(plant)
+        t = model.threshold_bits
+        totals = [t - 0.5, t, t + 1e-9, t + 0.3, t + 2.0, t + 17.0, 64.0,
+                  RATE_CLAMP_BITS, 450.0, 700.0, 1e6]
+        for total in totals:
+            got = control._split_bits_across_modes(model, total)
+            want = _split_200_iterations(model, total)
+            assert np.array_equal(got, want, equal_nan=True), (name, total)
 
 
 class TestQuantizedLoopOracle:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from satloop import report, scenario
 from satloop.report import cmd_multi_loop, cmd_single_loop, main
 from satloop.scenario import default_scenario, load_scenario
 
@@ -145,3 +146,39 @@ class TestPlantCorners:
         _, rows = _read_rows(tmp_path / "single_loop.csv")
         costs = {r["scheme"]: float(r["lqr_cost"]) for r in rows}
         assert 3.0 < costs["task_oriented"] <= costs["min_latency"] < 4.0
+
+
+class TestFailureExitCodes:
+    """Documents that cannot run end with the documented code, not a traceback."""
+
+    @pytest.mark.parametrize("verb", ["single-loop", "multi-loop"])
+    @pytest.mark.parametrize("body, code", [
+        ("plant:\n  b: 0.0\n", 3),              # unstable mode, no input authority
+        ("plant:\n  a: 1.0\n  q: 0.0\n", 3),    # marginal plant, no stabilizing root
+        ("budget:\n  cycle_period_ms: 1.0\n", 2),  # propagation exceeds the period
+    ])
+    def test_exit_code_and_one_line_message(self, tmp_path, capsys, verb, body, code):
+        doc = tmp_path / "doc.yaml"
+        doc.write_text(body + TestPlantCorners.SMALL)
+        assert main([verb, "--scenario", str(doc), "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("solver error: " if code == 3 else "scenario error: ")
+
+
+class TestScenarioHashOnce:
+    @pytest.mark.parametrize("verb", ["single-loop", "multi-loop", "contour"])
+    def test_one_dump_per_invocation(self, tmp_path, monkeypatch, verb):
+        calls = []
+        original = scenario.dump_scenario
+
+        def counted(scn):
+            calls.append(scn)
+            return original(scn)
+        monkeypatch.setattr(scenario, "dump_scenario", counted)
+        monkeypatch.setattr(report, "dump_scenario", counted)
+        doc = tmp_path / "small.yaml"
+        doc.write_text(TestPlantCorners.SMALL)
+        assert main([verb, "--scenario", str(doc), "--out", str(tmp_path / "out"),
+                     "--seed", "3"]) == 0
+        assert len(calls) == 1

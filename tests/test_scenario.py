@@ -1,7 +1,11 @@
 """Scenario parsing, defaults, validation totality, and round-trips."""
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from satloop import scenario
 from satloop.scenario import (ParseError, Scenario, ScenarioError, UnknownKeyError,
                               ValidationError, default_scenario, dump_scenario,
                               load_scenario, provenance_map, sample_elevations)
@@ -199,3 +203,89 @@ class TestAccessors:
         power, compute = default_scenario().contour_grids()
         assert len(power) == 20 and len(compute) == 20
         assert compute[0] == 8e9 and compute[-1] == 3e10
+
+
+# the documents above that load
+VALID_DOCUMENTS = (
+    "",
+    "   \n",
+    "single_loop:\n  total_bandwidth_hz: 50000\n",
+    "budget:\n  extraction_ratio: 0.001\n",
+    "name: tweaked\nseed: 9\n"
+    "links:\n  uplink:\n    tx_power_w: 0.35\n"
+    "multi_loop:\n  n_robots: 3\n",
+)
+
+
+def _documents():
+    """The fixtures above plus the benchmark's 100 generated documents."""
+    from bench.workloads import generate_documents
+    return list(VALID_DOCUMENTS) + generate_documents(1)
+
+
+def _pure_python_dump(scn):
+    return yaml.dump(scn.tree, Dumper=yaml.SafeDumper, sort_keys=True,
+                     default_flow_style=False)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+class TestLibyaml:
+    """The C loader and emitter give what the pure-Python classes give."""
+
+    def test_scenario_uses_the_c_classes(self):
+        assert scenario._Loader is yaml.CSafeLoader
+        assert scenario._Dumper is yaml.CSafeDumper
+
+    def test_loaders_give_equal_trees(self):
+        for text in _documents():
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == \
+                yaml.load(text, Loader=yaml.SafeLoader), text
+
+    def test_dumpers_give_identical_bytes(self):
+        for text in _documents():
+            scn = load_scenario(text)
+            c_dump = yaml.dump(scn.tree, Dumper=yaml.CSafeDumper, sort_keys=True,
+                               default_flow_style=False)
+            assert c_dump == _pure_python_dump(scn)
+            assert dump_scenario(scn) == c_dump
+
+    def test_fuzzed_documents_load_alike(self):
+        """Both loaders accept the same fuzzed documents, or both reject them."""
+        rng = np.random.default_rng(123)
+        fragments = ["links", "uplink", "tx_power_w", "seed", "plant", "a", "q",
+                     ":", "-", "  ", "\n", "{", "}", "[", "]", "1e400", "nan",
+                     "0.5", "-3", "true", "'x'", "budget", "#c", "n_robots"]
+        for _ in range(400):
+            n = int(rng.integers(1, 12))
+            doc = "".join(fragments[int(i)] for i in rng.integers(0, len(fragments), n))
+            loaded = []
+            for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+                try:
+                    loaded.append(repr(yaml.load(doc, Loader=loader)))
+                except yaml.YAMLError:
+                    loaded.append("error")
+            assert loaded[0] == loaded[1], doc
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=120))
+    def test_any_name_dumps_as_the_pure_python_emitter(self, name):
+        """libyaml folds long escaped names elsewhere; dump_scenario must not."""
+        scn = default_scenario()
+        scn = Scenario(tree=dict(scn.tree, name=name))
+        assert dump_scenario(scn) == _pure_python_dump(scn)
+
+
+class TestWithSeed:
+    def test_equals_the_yaml_round_trip(self):
+        for text in VALID_DOCUMENTS:
+            scn = load_scenario(text)
+            want = yaml.safe_load(dump_scenario(scn))
+            want["seed"] = 123
+            assert scn.with_seed(123).tree == want
+
+    def test_copy_is_independent(self):
+        scn = default_scenario()
+        other = scn.with_seed(5)
+        other.tree["plant"]["a"] = 9.0
+        assert scn.tree["plant"]["a"] == 2.0
+        assert scn.seed == 1
