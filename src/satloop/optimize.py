@@ -31,6 +31,7 @@ DENSE_GRID_POINTS = 10001
 # step, evaluated BACKTRACK_BLOCK at a time in one objective call.
 MAX_HALVINGS = 80
 BACKTRACK_BLOCK = 8
+_HALVINGS = 0.5 ** np.arange(MAX_HALVINGS)  # the trial-step scales 1, 1/2, 1/4, ...
 
 
 class DimensionTooLargeError(ValueError):
@@ -319,6 +320,9 @@ class JointEvaluator:
         self.sens_w = np.array([m.mode_params[0][2] * m.mode_params[0][1] for m in self.models])
         self.a_sq = np.array([m.mode_params[0][0] ** 2 for m in self.models])
         self.threshold_bits = np.array([m.threshold_bits for m in self.models])
+        # per-robot factors of the gradient: -w ln4 and B*g
+        self._slope_scale = -self.sens_w * math.log(4.0)
+        self._rate_scale = self.bandwidth * self.snr_per_w
 
     def rates_bps(self, power_w: np.ndarray) -> np.ndarray:
         return self.bandwidth * np.log2(1.0 + power_w * self.snr_per_w)
@@ -345,15 +349,15 @@ class JointEvaluator:
         the penalty. It is 0 past the rate clamp and where the extraction cap
         binds, which is the one-sided slope at the cap kink: more of either
         resource buys nothing there. Below the compute floor the window does
-        not depend on compute, so dJ/dcompute is 0.
+        not depend on compute, so dJ/dcompute is 0. At or below the data-rate
+        threshold the unused feasible-branch slope may divide by a zero gap;
+        callers that reach it silence the warning (_projected_gradient does).
         """
         rate, _, window, eff = self._cycle(power_w, compute_cps)
         pow4, gap, finite = control.rate_gap(eff, self.a_sq)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.where(finite, -self.sens_w * math.log(4.0) * (pow4 / gap) / gap, -1.0)
+        slope = np.where(finite, self._slope_scale * (pow4 / gap) / gap, -1.0)
         slope = np.where((eff >= self.cap_bits) | (eff > control.RATE_CLAMP_BITS), 0.0, slope)
-        d_rate = (self.bandwidth * self.snr_per_w
-                  / ((1.0 + power_w * self.snr_per_w) * math.log(2.0)))
+        d_rate = self._rate_scale / ((1.0 + power_w * self.snr_per_w) * math.log(2.0))
         floor = pipeline.COMPUTE_FLOOR_CPS
         d_window = np.where(compute_cps > floor,
                             self.comp_cycles / np.maximum(compute_cps, floor) ** 2, 0.0)
@@ -376,15 +380,20 @@ def project_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
     Sort-based simplex projection (Duchi et al., ICML 2008), applied only to
     rows whose clipped sum exceeds the cap.
     """
-    x = np.maximum(x, 0.0)
-    u = np.sort(x, axis=-1)[..., ::-1]
+    shape = x.shape
+    n = shape[-1]
+    x = np.maximum(x, 0.0).reshape(-1, n)
+    u = np.sort(x, axis=-1)[:, ::-1]
     cumulative = np.cumsum(u, axis=-1) - total
-    counts = np.arange(1, x.shape[-1] + 1)
-    valid = u - cumulative / counts > 0.0
-    # valid[..., 0] always holds (total > 0), so rho >= 1
-    rho = np.max(np.where(valid, counts, 0), axis=-1, keepdims=True)
-    theta = np.take_along_axis(cumulative, rho - 1, axis=-1) / rho
-    return np.where(x.sum(axis=-1, keepdims=True) <= total, x, np.maximum(x - theta, 0.0))
+    valid = u - cumulative / np.arange(1, n + 1) > 0.0
+    # rho: the count of sorted entries up to the last valid one. valid[:, 0]
+    # holds for total > 0 unless an entry dwarfs total; a row with no valid
+    # entry divides its last cumulative sum by 0.
+    rows = np.arange(x.shape[0])
+    rho = n - valid[:, ::-1].argmax(axis=-1)
+    theta = (cumulative[rows, rho - 1] / (rho * valid[rows, rho - 1]))[:, None]
+    out = np.where(x.sum(axis=-1, keepdims=True) <= total, x, np.maximum(x - theta, 0.0))
+    return out.reshape(shape)
 
 
 def water_fill_power(evaluator: JointEvaluator, total_power_w: float) -> np.ndarray:
@@ -404,10 +413,10 @@ def water_fill_power(evaluator: JointEvaluator, total_power_w: float) -> np.ndar
     hi = (total_power_w + floor.sum()) / b.min() + 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if allocated(mid).sum() > total_power_w:
-            hi = mid
-        else:
-            lo = mid
+        bracket = (lo, mid) if allocated(mid).sum() > total_power_w else (mid, hi)
+        if bracket == (lo, hi):
+            break  # the same midpoint again: the bracket can no longer move
+        lo, hi = bracket
     alloc = allocated(0.5 * (lo + hi))
     if alloc.sum() > 0.0:
         alloc *= total_power_w / alloc.sum()
@@ -437,20 +446,22 @@ def _backtrack(objective, project, z: np.ndarray, fz: np.ndarray, grad: np.ndarr
     rows, dim = z.shape
     accepted = np.zeros(rows, dtype=bool)
     z_out, f_out, s_out = z.copy(), fz.copy(), step.copy()
-    scales = 0.5 ** np.arange(MAX_HALVINGS)
     search = np.arange(rows)
+    # the first block takes the rows as given; most searches end in it
+    zs, fs, gs, ss = z, fz, grad, step
     for first in range(0, MAX_HALVINGS, BACKTRACK_BLOCK):
-        trial = step[search, None] * scales[first:first + BACKTRACK_BLOCK]
-        base = z[search, None, :]
-        cand = project((base - trial[..., None] * grad[search, None, :]).reshape(-1, dim))
+        trial = ss[:, None] * _HALVINGS[first:first + BACKTRACK_BLOCK]
+        base = zs[:, None, :]
+        cand = project((base - trial[..., None] * gs[:, None, :]).reshape(-1, dim))
         cand = cand.reshape(search.size, -1, dim)
         move = cand - base
         move_sq = (move * move).sum(axis=-1)
         fc = objective(cand.reshape(-1, dim)).reshape(move_sq.shape)
-        stop = (fc <= fz[search, None] - 1e-2 * move_sq / trial) | (move_sq == 0.0)
-        done = stop.any(axis=1)
+        stop = (fc <= fs[:, None] - 1e-2 * move_sq / trial) | (move_sq == 0.0)
         j = stop.argmax(axis=1)
-        pick = np.flatnonzero(done & (move_sq[np.arange(search.size), j] != 0.0))
+        ar = np.arange(search.size)
+        done = stop[ar, j]
+        pick = np.flatnonzero(done & (move_sq[ar, j] != 0.0))
         jp = j[pick]
         take = search[pick]
         accepted[take] = True
@@ -458,6 +469,7 @@ def _backtrack(objective, project, z: np.ndarray, fz: np.ndarray, grad: np.ndarr
         search = search[~done]
         if search.size == 0:
             break
+        zs, fs, gs, ss = z[search], fz[search], grad[search], step[search]
     return accepted, z_out, f_out, s_out
 
 
@@ -472,7 +484,8 @@ def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *,
     an iteration makes one `gradient` call (analytic, see
     JointEvaluator.gradient) and one `objective` call per backtracking block
     for the whole batch, while every row keeps its own step, Barzilai-Borwein
-    pair, quiet count and iteration count. With optimize_power False the
+    pair and quiet count; a row that stops leaves the batch. The returned
+    iteration count is summed over rows. With optimize_power False the
     power block of the gradient is zeroed and the power shares stay as given.
     Trial steps are seeded Barzilai-Borwein style (spectral step from the
     row's last (dz, dg) pair, which copes with the steep penalty wall) and
@@ -487,49 +500,57 @@ def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *,
         return np.concatenate([z[:, :n], project_capped_simplex(z[:, n:], 1.0)], axis=1)
 
     z = project(np.array(z0, dtype=float))
-    rows = z.shape[0]
     fz = objective(z)
-    step = np.full(rows, np.nan)  # last accepted step, NaN until the first
-    # dz = 0 until a row has moved, which selects the fallback step below
+    converged = np.zeros(z.shape[0], dtype=bool)
+    iterations = 0
+    # The running rows, compacted: their indices into z, iterate, value, last
+    # accepted step (NaN until the first), Barzilai-Borwein pair (dz = 0 until
+    # a row has moved, which selects the fallback step) and quiet count.
+    live = np.arange(z.shape[0])
+    zl, fl = z.copy(), fz.copy()
+    step = np.full(live.size, np.nan)
     z_prev, grad_prev = z.copy(), np.zeros_like(z)
-    quiet = np.zeros(rows, dtype=int)
-    iters = np.zeros(rows, dtype=int)
-    running = np.ones(rows, dtype=bool)
-    converged = np.zeros(rows, dtype=bool)
-    for _ in range(max_iter):
-        live = np.flatnonzero(running)
-        if live.size == 0:
-            break
-        iters[live] += 1
-        grad = gradient(z[live])
-        if not optimize_power:
-            grad[:, :n] = 0.0
-        gnorm = np.sqrt((grad * grad).sum(axis=1))
-        finite = np.isfinite(gnorm)
-        running[live[~finite]] = False
-        quiet[live[gnorm == 0.0]] += 1
-        moving = finite & (gnorm > 0.0)
-        idx, g, zm = live[moving], grad[moving], z[live[moving]]
-        if idx.size:
-            dz = zm - z_prev[idx]
-            dg = g - grad_prev[idx]
-            curvature = (dz * dg).sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
+    quiet = np.zeros(live.size, dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            if live.size == 0:
+                break
+            iterations += live.size
+            grad = gradient(zl)
+            if not optimize_power:
+                grad[:, :n] = 0.0
+            gnorm = np.sqrt((grad * grad).sum(axis=1))
+            finite = np.isfinite(gnorm)
+            moving = finite & (gnorm > 0.0)
+            quiet += 1
+            m = slice(None) if moving.all() else np.flatnonzero(moving)
+            g, zm, fm, sm = grad[m], zl[m], fl[m], step[m]
+            if g.size:
+                dz = zm - z_prev[m]
+                dg = g - grad_prev[m]
+                curvature = (dz * dg).sum(axis=1)
                 spectral = (dz * dz).sum(axis=1) / curvature
-            fallback = np.where(np.isnan(step[idx]), 0.25 / gnorm[moving], step[idx])
-            s = np.where(curvature > 1e-300, spectral, fallback)
-            s = np.minimum(np.maximum(s, 1e-16), 1e8)
-            z_prev[idx], grad_prev[idx] = zm, g
-            accepted, z_new, f_new, s_new = _backtrack(objective, project, zm, fz[idx], g, s)
-            won = idx[accepted]
-            rel = (fz[won] - f_new[accepted]) / np.maximum(np.abs(fz[won]), 1e-300)
-            quiet[won] = np.where(rel < rel_tol, quiet[won] + 1, 0)
-            quiet[idx[~accepted]] += 1
-            z[won], fz[won], step[won] = z_new[accepted], f_new[accepted], s_new[accepted]
-        settled = running & (quiet >= patience)
-        converged |= settled
-        running &= ~settled
-    return _PgdResult(z, fz, converged, int(iters.sum()))
+                fallback = np.where(np.isnan(sm), 0.25 / gnorm[m], sm)
+                s = np.where(curvature > 1e-300, spectral, fallback)
+                s = np.minimum(np.maximum(s, 1e-16), 1e8)
+                z_prev[m], grad_prev[m] = zm, g
+                accepted, z_new, f_new, s_new = _backtrack(objective, project, zm, fm, g, s)
+                rel = (fm - f_new) / np.maximum(np.abs(fm), 1e-300)
+                quiet[m] = np.where(accepted & ~(rel < rel_tol), 0, quiet[m])
+                step[m] = np.where(accepted, s_new, sm)
+                zl[m], fl[m] = z_new, f_new  # an unaccepted row keeps its iterate
+            # a row stops converged after `patience` quiet iterations, or
+            # unconverged when its gradient is not finite
+            leave = ~finite | (quiet >= patience)
+            if leave.any():
+                gone = live[leave]
+                z[gone], fz[gone] = zl[leave], fl[leave]
+                converged[live[leave & finite]] = True
+                keep = ~leave
+                live, zl, fl, step, z_prev, grad_prev, quiet = (
+                    a[keep] for a in (live, zl, fl, step, z_prev, grad_prev, quiet))
+    z[live], fz[live] = zl, fl
+    return _PgdResult(z, fz, converged, iterations)
 
 
 def _scaled_objective(evaluator: JointEvaluator, p_tot: float, f_tot: float):

@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 validation error, 3 solver non-convergence, 4 I/O.
 """
 import argparse
 import dataclasses
+import functools
 import hashlib
 import sys
 import time
@@ -243,7 +244,9 @@ def _load_from_args(args) -> Scenario:
     return scn
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="satloop",
         description="Closed-loop satellite link resource allocation toolkit")
@@ -261,8 +264,11 @@ def main(argv=None) -> int:
                    help="LQR cost over power x compute budget grids")
     validate = sub.add_parser("validate", help="check a scenario and print it resolved")
     validate.add_argument("--scenario", help="scenario YAML file")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         scn = _load_from_args(args)
     except ScenarioError as exc:

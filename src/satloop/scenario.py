@@ -8,6 +8,7 @@ the label is echoed into every output file's metadata header.
 """
 import copy
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,14 @@ class UnknownKeyError(ScenarioError):
     """Document contains a key outside the schema."""
 
 
+# Scientific notation that YAML 1.1 (PyYAML) leaves a string: 1e-3, 2E+6, 1.5e3.
+# It is read here, for numeric fields only, so a name such as 1e3 stays a string.
+_EXPONENT_FLOAT = re.compile(r"[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+")
+
+
 def _float(path, value):
+    if isinstance(value, str) and _EXPONENT_FLOAT.fullmatch(value):
+        value = float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}: expected a number, got {value!r}")
     value = float(value)
@@ -108,7 +116,7 @@ def _link_section(power, tx_dbi, rx_dbi):
 
 _SCHEMA = {
     "name": ("baseline", ASSUMED, _str),
-    "seed": (1, ASSUMED, _int),
+    "seed": (1, ASSUMED, _int, _non_negative),
     "links": {
         "uplink": _link_section(0.2, 14.0, 38.5),
         "downlink": _link_section(20.0, 38.5, 14.0),
@@ -176,6 +184,15 @@ def provenance_map(schema=_SCHEMA, prefix="") -> dict:
     return out
 
 
+def _leaf_value(node, path, value):
+    """value converted and checked by the schema leaf node."""
+    _, _, convert, *checks = node
+    value = convert(path, value)
+    for check in checks:
+        value = check(path, value)
+    return value
+
+
 def _merge(schema, doc, tree, prefix=""):
     if not isinstance(doc, dict):
         raise ValidationError(f"{prefix or 'document'}: expected a mapping, got {doc!r}")
@@ -187,11 +204,7 @@ def _merge(schema, doc, tree, prefix=""):
         if _is_leaf(node):
             if isinstance(value, (dict, list)):
                 raise ValidationError(f"{path}: expected a scalar, got {value!r}")
-            _, _, convert, *checks = node
-            converted = convert(path, value)
-            for check in checks:
-                converted = check(path, converted)
-            tree[key] = converted
+            tree[key] = _leaf_value(node, path, value)
         else:
             _merge(node, value, tree[key], prefix=f"{path}.")
 
@@ -228,8 +241,9 @@ class Scenario:
         return self.tree["seed"]
 
     def with_seed(self, seed: int) -> "Scenario":
+        """A copy with another seed, checked like the document's (ValidationError)."""
         tree = copy.deepcopy(self.tree)
-        tree["seed"] = int(seed)
+        tree["seed"] = _leaf_value(_SCHEMA["seed"], "seed", int(seed))
         return Scenario(tree=tree)
 
     def _link(self, direction: str, bandwidth_hz: float,

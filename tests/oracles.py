@@ -141,3 +141,93 @@ def central_difference_gradient(evaluator, power_w: np.ndarray, compute_cps: np.
                        / (2.0 * h[i]))
         grads.append(grad)
     return tuple(grads)
+
+
+def reference_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
+    """Projection of each row (last axis) onto {x >= 0, sum(x) <= total}.
+
+    The reference for optimize.project_capped_simplex: the same sort-based
+    method (Duchi et al., ICML 2008) written with one masked maximum and
+    take_along_axis over any number of leading axes.
+    """
+    x = np.maximum(x, 0.0)
+    u = np.sort(x, axis=-1)[..., ::-1]
+    cumulative = np.cumsum(u, axis=-1) - total
+    counts = np.arange(1, x.shape[-1] + 1)
+    valid = u - cumulative / counts > 0.0
+    rho = np.max(np.where(valid, counts, 0), axis=-1, keepdims=True)
+    theta = np.take_along_axis(cumulative, rho - 1, axis=-1) / rho
+    return np.where(x.sum(axis=-1, keepdims=True) <= total, x, np.maximum(x - theta, 0.0))
+
+
+def water_fill_power_fixed_steps(evaluator, total_power_w: float, steps: int = 200):
+    """Water-filled power with a fixed number of bisection steps on the level."""
+    b = evaluator.bandwidth
+    floor = 1.0 / evaluator.snr_per_w
+    lo, hi = 0.0, (total_power_w + floor.sum()) / b.min() + 1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(0.0, mid * b - floor).sum() > total_power_w:
+            hi = mid
+        else:
+            lo = mid
+    alloc = np.maximum(0.0, 0.5 * (lo + hi) * b - floor)
+    if alloc.sum() > 0.0:
+        alloc *= total_power_w / alloc.sum()
+    return alloc
+
+
+def reference_projected_gradient(objective, gradient, project, z0: np.ndarray, n: int, *,
+                                 optimize_power: bool, max_halvings: int,
+                                 max_iter: int = 500, rel_tol: float = 1e-10,
+                                 patience: int = 5) -> tuple:
+    """One start of optimize._projected_gradient, one row and one halving at a time.
+
+    The same rules, written as a plain loop: Barzilai-Borwein trial step with
+    the fallback, Armijo backtracking by halving, patience on the relative
+    improvement, and an unconverged stop on a non-finite gradient.
+    Returns (z, value, converged, iterations).
+    """
+    z = project(np.array(z0, dtype=float)[None, :])[0]
+    f = objective(z[None, :])[0]
+    step = math.nan
+    z_prev, g_prev = z.copy(), np.zeros_like(z)
+    quiet = 0
+    for iterations in range(1, max_iter + 1):
+        g = gradient(z[None, :])[0]
+        if not optimize_power:
+            g[:n] = 0.0
+        gnorm = math.sqrt((g * g).sum())
+        if not math.isfinite(gnorm):
+            return z, f, False, iterations
+        if gnorm == 0.0:
+            quiet += 1
+        else:
+            dz, dg = z - z_prev, g - g_prev
+            curvature = (dz * dg).sum()
+            if curvature > 1e-300:
+                s = (dz * dz).sum() / curvature
+            else:
+                s = 0.25 / gnorm if math.isnan(step) else step
+            s = min(max(s, 1e-16), 1e8)
+            z_prev, g_prev = z, g
+            accepted = False
+            for _ in range(max_halvings):
+                cand = project((z - s * g)[None, :])[0]
+                move_sq = ((cand - z) * (cand - z)).sum()
+                if move_sq == 0.0:
+                    break
+                fc = objective(cand[None, :])[0]
+                if fc <= f - 1e-2 * move_sq / s:
+                    accepted = True
+                    break
+                s *= 0.5
+            if accepted:
+                rel = (f - fc) / max(abs(f), 1e-300)
+                quiet = quiet + 1 if rel < rel_tol else 0
+                z, f, step = cand, fc, s
+            else:
+                quiet += 1
+        if quiet >= patience:
+            return z, f, True, iterations
+    return z, f, False, max_iter

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,8 @@ from satloop.optimize import (DimensionTooLargeError, JointEvaluator,
 from satloop.pipeline import LoopBudget, balanced_times, evaluate_cycle, propagation_delay_s
 from satloop.scenario import default_scenario
 from oracles import (central_difference_gradient, random_joint_problem,
-                     random_single_loop_problem)
+                     random_single_loop_problem, reference_capped_simplex,
+                     reference_projected_gradient, water_fill_power_fixed_steps)
 
 
 def _symmetric_problem(objective):
@@ -196,6 +198,23 @@ class TestProjection:
         for row, projected in zip(batch, got):
             assert np.array_equal(projected, project_capped_simplex(row, total))
 
+    # ties and zeros from a small pool, rows inside the cap (scale 1e-3) and
+    # entries that dwarf the total (scale 1e18: no sorted entry is valid)
+    _ENTRIES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.0]), st.floats(-3.0, 3.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 8), blocks=st.sampled_from([None, 2]), n=st.integers(1, 6),
+           data=st.data(), scale=st.sampled_from([1.0, 1e-3, 1e18]),
+           total=st.one_of(st.just(1.0), st.floats(0.1, 5.0)))
+    def test_equals_reference_bit_for_bit(self, rows, blocks, n, data, scale, total):
+        shape = (rows, n) if blocks is None else (rows, blocks, n)
+        x = data.draw(arrays(np.float64, shape, elements=self._ENTRIES)) * scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = project_capped_simplex(x, total)
+            want = reference_capped_simplex(x, total)
+        assert got.shape == x.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
 
 class TestWaterFilling:
     def test_budget_used_exactly(self):
@@ -205,6 +224,18 @@ class TestWaterFilling:
         alloc = water_fill_power(ev, 5.0)
         assert alloc.sum() == pytest.approx(5.0, rel=1e-9)
         assert alloc.min() >= 0.0
+
+    def test_equals_fixed_step_bisection(self):
+        """Stopping when the bracket freezes gives the 200-step allocation exactly."""
+        rng = np.random.default_rng(23)
+        problems = [default_scenario().multi_loop_problem(
+            MultiLoopScheme.MAX_THROUGHPUT_JOINT, total_power_w=5.0)]
+        problems += [random_joint_problem(rng, n_robots=k) for k in (1, 2, 3, 6)]
+        for problem in problems:
+            ev = JointEvaluator(problem)
+            for budget in (1e-3, 0.1, 1.0, 5.0, 40.0, 1e4):
+                got = water_fill_power(ev, budget)
+                assert np.array_equal(got, water_fill_power_fixed_steps(ev, budget))
 
     def test_maximizes_throughput_vs_random(self):
         problem = default_scenario().multi_loop_problem(
@@ -458,6 +489,36 @@ class TestBatchedPgd:
             assert batch.value[row] == pytest.approx(alone.value[0], rel=1e-12)
             assert batch.converged[row] == alone.converged[0]
 
+    @pytest.mark.parametrize("optimize_power", [True, False])
+    def test_batch_equals_plain_loop_bit_for_bit(self, optimize_power):
+        """Every row's iterates, value, flag and iteration count equal a plain loop."""
+        rng = np.random.default_rng(8)
+        problems = [_default_joint(), _default_joint(extraction_scale=0.03)]
+        problems += [random_joint_problem(rng, n_robots=k) for k in (2, 3, 4)]
+        for problem in problems:
+            ev = JointEvaluator(problem)
+            p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
+            objective, gradient = optimize._scaled_objective(ev, p_tot, f_tot)
+            starts = np.array(optimize._task_starts(ev, p_tot, f_tot, 12, 5, ()))
+            starts[-1] = np.concatenate([np.eye(ev.n)[0], np.eye(ev.n)[-1]])  # a vertex
+            kwargs = dict(optimize_power=optimize_power, max_iter=150)
+            batch = optimize._projected_gradient(objective, gradient, starts, ev.n, **kwargs)
+
+            def project(z):
+                if optimize_power:
+                    return project_capped_simplex(z.reshape(-1, 2, ev.n), 1.0).reshape(z.shape)
+                return np.concatenate([z[:, :ev.n], project_capped_simplex(z[:, ev.n:], 1.0)],
+                                      axis=1)
+            iterations = 0
+            for row, z0 in enumerate(starts):
+                z, value, converged, iters = reference_projected_gradient(
+                    objective, gradient, project, z0, ev.n,
+                    max_halvings=optimize.MAX_HALVINGS, **kwargs)
+                assert np.array_equal(batch.z[row], z)
+                assert batch.value[row] == value and batch.converged[row] == converged
+                iterations += iters
+            assert batch.iterations == iterations
+
     def test_blocked_backtracking_matches_one_halving_at_a_time(self):
         """Each row takes the first passing halving, across block boundaries."""
         problem = _default_joint()
@@ -496,6 +557,20 @@ class TestBatchedPgd:
             assert np.array_equal(got[1][i], want[1])
             assert got[2][i] == want[2] and got[3][i] == want[3]
         assert not got[0][0] and got[0].sum() > 20
+
+    @pytest.mark.parametrize("optimize_power", [True, False])
+    def test_direct_call_emits_no_warning(self, optimize_power):
+        """The first Barzilai-Borwein quotient is 0/0; the run stays silent."""
+        problem = _default_joint()
+        ev = JointEvaluator(problem)
+        p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
+        objective, gradient = optimize._scaled_objective(ev, p_tot, f_tot)
+        starts = np.array(optimize._task_starts(ev, p_tot, f_tot, 6, 3, ()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = optimize._projected_gradient(objective, gradient, starts, ev.n,
+                                                  optimize_power=optimize_power)
+        assert result.iterations > len(starts)
 
     def test_nonfinite_gradient_never_converges(self, monkeypatch):
         def nan_gradient(self, power_w, compute_cps):

@@ -5,7 +5,7 @@ import pytest
 
 from satloop import report, scenario
 from satloop.report import cmd_multi_loop, cmd_single_loop, main
-from satloop.scenario import default_scenario, load_scenario
+from satloop.scenario import default_scenario, dump_scenario, load_scenario
 
 
 def _read_rows(path):
@@ -156,6 +156,7 @@ class TestFailureExitCodes:
         ("plant:\n  b: 0.0\n", 3),              # unstable mode, no input authority
         ("plant:\n  a: 1.0\n  q: 0.0\n", 3),    # marginal plant, no stabilizing root
         ("budget:\n  cycle_period_ms: 1.0\n", 2),  # propagation exceeds the period
+        ("seed: -3\n", 2),                       # numpy seeds must be non-negative
     ])
     def test_exit_code_and_one_line_message(self, tmp_path, capsys, verb, body, code):
         doc = tmp_path / "doc.yaml"
@@ -164,6 +165,36 @@ class TestFailureExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("solver error: " if code == 3 else "scenario error: ")
+
+    @pytest.mark.parametrize("verb", ["single-loop", "multi-loop"])
+    def test_negative_seed_option(self, tmp_path, capsys, verb):
+        assert main([verb, "--out", str(tmp_path), "--seed", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("scenario error: seed: ")
+
+
+class TestScientificNotation:
+    @pytest.mark.parametrize("text", ["1e-3", "1E-3", "1.0e-3", "+1e-3", "0.1e-2"])
+    def test_ratio_without_dot_loads_like_the_default(self, tmp_path, capsys, text):
+        """extraction_ratio: 1e-3 is the default 0.001; the dump keeps its bytes."""
+        doc = tmp_path / "doc.yaml"
+        doc.write_text(f"budget:\n  extraction_ratio: {text}\n")
+        assert main(["validate", "--scenario", str(doc)]) == 0
+        assert capsys.readouterr().out == dump_scenario(default_scenario())
+
+
+class TestParserReuse:
+    def test_error_then_runs_in_one_process(self, tmp_path, capsys):
+        """An argparse error leaves the cached parser fit for the next calls."""
+        assert report._parser() is report._parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["single-loop", "--format", "pdf"])
+        assert exc.value.code == 2
+        assert main(["single-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
+        assert (tmp_path / "single_loop.csv").exists()
+        capsys.readouterr()
+        assert main(["validate"]) == 0
+        assert capsys.readouterr().out == dump_scenario(default_scenario())
 
 
 class TestScenarioHashOnce:

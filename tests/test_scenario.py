@@ -94,6 +94,31 @@ class TestLoad:
         with pytest.raises(ValidationError):
             load_scenario("seed: true\n")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            load_scenario("seed: -3\n")
+        with pytest.raises(ValidationError, match="seed"):
+            default_scenario().with_seed(-3)
+        assert load_scenario("seed: 0\n").with_seed(0).seed == 0
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e-3", 1e-3), ("2E+6", 2e6), ("1.5e3", 1.5e3), ("-4e-2", -4e-2),
+        (".5e1", 5.0), ("3.e2", 300.0)])
+    def test_scientific_notation_read_as_number(self, text, value):
+        assert yaml.safe_load(f"v: {text}")["v"] == text  # YAML 1.1 leaves it a string
+        assert load_scenario(f"plant:\n  b: {text}\n").tree["plant"]["b"] == value
+
+    @pytest.mark.parametrize("text", ["1e", "e3", "1e3x", "1e 3", "0x1p3", "1_0e3", "1e3.5",
+                                      "'12'", "nan"])
+    def test_other_strings_still_rejected(self, text):
+        with pytest.raises(ValidationError, match="expected a number"):
+            load_scenario(f"plant:\n  b: {text}\n")
+
+    def test_name_in_scientific_notation_stays_a_string(self):
+        scn = load_scenario("name: 1e3\n")
+        assert scn.name == "1e3"
+        assert load_scenario(dump_scenario(scn)) == scn
+
     def test_section_where_scalar_expected(self):
         with pytest.raises(ValidationError):
             load_scenario("seed:\n  nested: 1\n")
