@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from satloop import INFEASIBLE, Plant, RateCostModel, intrinsic_entropy_rate, lqr_cost
+from satloop import Plant, RateCostModel, intrinsic_entropy_rate, lqr_cost
 from satloop import svgplot
 
 OUT = Path(__file__).resolve().parent / "output"
@@ -29,7 +29,7 @@ curve = []
 print(f"{'R bits/step':>11} {'J(R)':>12}")
 for rate in rates:
     cost = lqr_cost(model, float(rate))
-    if cost is INFEASIBLE:
+    if cost == math.inf:
         print(f"{rate:11.2f} {'unstable':>12}")
         curve.append(float("nan"))
     else:

@@ -3,11 +3,12 @@
 Plots each scheme's objective landscape over the uplink share, solves all
 three, and compares the closed-loop cost each split actually achieves.
 """
+import math
 from pathlib import Path
 
 import numpy as np
 
-from satloop import (INFEASIBLE, RateCostModel, SingleLoopObjective,
+from satloop import (RateCostModel, SingleLoopObjective,
                      balanced_times, default_scenario, evaluate_cycle,
                      propagation_delay_s, slant_range_m, solve_single_loop)
 from satloop import svgplot
@@ -35,7 +36,7 @@ for share in shares:
     t_up, t_down = balanced_times(uplink, downlink, problem.budget, t_prop)
     outcome = evaluate_cycle(uplink, downlink, problem.budget, problem.plant,
                              t_up, t_down, model=model)
-    costs.append(1e9 if outcome.lqr_cost is INFEASIBLE else outcome.lqr_cost)
+    costs.append(1e9 if outcome.lqr_cost == math.inf else outcome.lqr_cost)
 svg = svgplot.line_chart(
     [float(s) for s in shares], [("closed-loop cost", costs)],
     "LQR cost vs uplink bandwidth share", "uplink share", "cost")

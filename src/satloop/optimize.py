@@ -1,4 +1,4 @@
-"""Resource-allocation solvers with brute-force oracles.
+"""Resource-allocation solvers.
 
 Single loop: split total bandwidth between uplink and downlink under a
 task-oriented, max-throughput, or min-latency objective (array-valued in the
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import control, linkgeom, pipeline
-from .control import INFEASIBLE, Plant, RateCostModel
+from .control import Plant, RateCostModel
 from .linkgeom import BOLTZMANN_J_PER_K, LinkParams
 from .pipeline import LoopBudget
 
@@ -32,10 +32,6 @@ DENSE_GRID_POINTS = 10001
 MAX_HALVINGS = 80
 BACKTRACK_BLOCK = 8
 _HALVINGS = 0.5 ** np.arange(MAX_HALVINGS)  # the trial-step scales 1, 1/2, 1/4, ...
-
-
-class DimensionTooLargeError(ValueError):
-    """Brute-force oracle refused: decision space dimension above 4."""
 
 
 class SingleLoopObjective(enum.Enum):
@@ -107,10 +103,6 @@ class MultiLoopProblem:
             raise ValueError("resource totals must be positive")
         if self.uplink_fixed_bits <= 0.0:
             raise ValueError("uplink volume must be positive")
-        for robot in self.robots:
-            if not robot.plant.is_scalar:
-                raise control.UnsupportedPlantError(
-                    "multi-loop allocation supports scalar per-robot plants only")
 
 
 @dataclass(frozen=True)
@@ -317,8 +309,8 @@ class JointEvaluator:
                 models[robot.plant] = RateCostModel.from_plant(robot.plant)
         self.models = tuple(models[r.plant] for r in robots)
         self.j_ideal = np.array([m.j_ideal for m in self.models])
-        self.sens_w = np.array([m.mode_params[0][2] * m.mode_params[0][1] for m in self.models])
-        self.a_sq = np.array([m.mode_params[0][0] ** 2 for m in self.models])
+        self.sens_w = np.array([m.sensitivity * m.w for m in self.models])
+        self.a_sq = np.array([m.a ** 2 for m in self.models])
         self.threshold_bits = np.array([m.threshold_bits for m in self.models])
         # per-robot factors of the gradient: -w ln4 and B*g
         self._slope_scale = -self.sens_w * math.log(4.0)
@@ -649,7 +641,7 @@ def _multi_result(evaluator: JointEvaluator, power: np.ndarray, compute: np.ndar
                            f"{problem.total_compute_cps!r} cps")
     lqr_total = float(evaluator.total_cost(power, compute))
     outcomes = evaluator.outcomes(power, compute)
-    if all(o.lqr_cost is INFEASIBLE for o in outcomes):
+    if all(o.lqr_cost == math.inf for o in outcomes):
         trace = dataclasses.replace(trace, all_infeasible=True)
     return AllocationResult(
         decision={"power_w": power.copy(), "compute_cps": compute.copy()},
@@ -700,52 +692,3 @@ def sweep_contour(problem: MultiLoopProblem, power_grid, compute_grid, *,
                 trace_out.append(result.solver_trace)
     return matrix
 
-
-# ---------------------------------------------------------------------------
-# brute-force oracles
-# ---------------------------------------------------------------------------
-
-def grid_oracle(problem, resolution: int) -> AllocationResult:
-    """Exhaustive grid argmin/argmax for optimizer validation (tests only).
-
-    Single-loop problems scan b_up; two-robot joint problems scan the
-    (power_1, compute_1) plane with the complements pinned to the budget
-    (the objective is non-increasing in resources, so an optimum lies on
-    the budget boundary). Larger decision spaces are refused.
-    """
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
-    if isinstance(problem, SingleLoopProblem):
-        model = RateCostModel.from_plant(problem.plant)
-        fn = _single_objective_fn(problem, model)
-        delta = 1e-6 * problem.total_bandwidth_hz
-        grid = np.linspace(delta, problem.total_bandwidth_hz - delta, resolution)
-        vals = fn(grid)
-        i = int(np.argmin(vals))
-        return _single_result(problem, model, float(grid[i]), vals[i], SolverTrace(
-            iterations=resolution, converged=True, method="grid_oracle"))
-    if not isinstance(problem, MultiLoopProblem):
-        raise TypeError(f"unsupported problem type {type(problem)!r}")
-    n = len(problem.robots)
-    if 2 * n > 4:
-        raise DimensionTooLargeError(
-            f"joint oracle supports at most 2 robots, got {n}")
-    evaluator = JointEvaluator(problem)
-    if n == 1:
-        power = np.array([problem.total_power_w])
-        compute = np.array([problem.total_compute_cps])
-        value = float(evaluator.total_cost(power, compute))
-        return _multi_result(evaluator, power, compute, value,
-                             SolverTrace(iterations=1, converged=True, method="grid_oracle"))
-    p1 = np.linspace(0.0, problem.total_power_w, resolution)
-    f1 = np.linspace(0.0, problem.total_compute_cps, resolution)
-    pp, ff = np.meshgrid(p1, f1, indexing="ij")
-    powers = np.stack([pp, problem.total_power_w - pp], axis=-1)
-    computes = np.stack([ff, problem.total_compute_cps - ff], axis=-1)
-    totals = evaluator.total_cost(powers, computes)
-    i, j = np.unravel_index(int(np.argmin(totals)), totals.shape)
-    power = powers[i, j]
-    compute = computes[i, j]
-    return _multi_result(evaluator, power, compute, float(totals[i, j]),
-                         SolverTrace(iterations=resolution * resolution, converged=True,
-                                     method="grid_oracle"))

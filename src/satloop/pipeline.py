@@ -9,12 +9,13 @@ sequence; a cycle whose stages do not fit in the period delivers nothing.
 Both solvers, evaluate_cycle and balanced_times share one array-valued cycle
 (store_and_forward) and one LoopOutcome builder (loop_outcomes).
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import control, linkgeom
-from .control import INFEASIBLE, Plant, RateCostModel
+from .control import Plant, RateCostModel
 from .linkgeom import LinkParams
 
 # keeps a loop given no compute finite (and hopeless) instead of dividing by zero
@@ -61,7 +62,7 @@ class LoopOutcome:
     effective_bits_per_cycle: float
     cner_bps: float
     stable: bool
-    lqr_cost: object
+    lqr_cost: float
     time_feasible: bool
 
     @property
@@ -94,8 +95,8 @@ def loop_outcomes(models, period_s: float, r_up, r_down, t_up, t_comp, t_down, t
                   effective_bits, time_feasible) -> tuple:
     """One LoopOutcome per loop i (plant model models[i]) from broadcast arrays.
 
-    A time-infeasible cycle delivers nothing, is not stable and has an
-    INFEASIBLE cost.
+    A time-infeasible cycle delivers nothing, is not stable and costs
+    math.inf.
     """
     effective_bits = np.where(time_feasible, np.maximum(effective_bits, 0.0), 0.0)
     columns = np.broadcast_arrays(r_up, r_down, t_up, t_comp, t_down, t_prop,
@@ -105,7 +106,7 @@ def loop_outcomes(models, period_s: float, r_up, r_down, t_up, t_comp, t_down, t
         rate = control.cner_bps(eff, period_s)
         outcomes.append(LoopOutcome(
             *times, eff, rate, ok and control.is_stabilizable_at(model.plant, rate),
-            control.lqr_cost(model, eff) if ok else INFEASIBLE, ok))
+            control.lqr_cost(model, eff) if ok else math.inf, ok))
     return tuple(outcomes)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, svgplot
-from .control import INFEASIBLE, NonConvergentError
+from .control import NonConvergentError
 from .optimize import (MultiLoopScheme, SingleLoopObjective, solve_multi_loop,
                        solve_single_loop, sweep_contour)
 from .pipeline import NoBudgetError
@@ -53,8 +53,6 @@ def scenario_hash(scn: Scenario) -> str:
 
 
 def _num(x) -> str:
-    if x is INFEASIBLE:
-        return "inf"
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
@@ -124,7 +122,7 @@ def cmd_single_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRe
         ",".join(_num(v) for v in row) for row in rows) + "\n"
     _write(out_dir / "single_loop.csv", csv)
     if fmt == "csv+svg":
-        values = [float("inf") if r[-1] is INFEASIBLE else float(r[-1]) for r in rows]
+        values = [r[-1] for r in rows]
         svg = svgplot.bar_chart([r[0] for r in rows], values,
                                 "Closed-loop cost by bandwidth allocation scheme",
                                 "LQR cost")

@@ -15,10 +15,10 @@ import numpy as np
 import yaml
 
 from .control import Plant
-from .linkgeom import Geometry, LinkParams
+from .linkgeom import Geometry, LinkParams, slant_range_m
 from .optimize import (MultiLoopProblem, MultiLoopScheme, RobotLoop,
                        SingleLoopProblem, SingleLoopObjective)
-from .pipeline import LoopBudget
+from .pipeline import LoopBudget, propagation_delay_s
 
 REFERENCE = "reference"
 ASSUMED = "assumed"
@@ -222,6 +222,24 @@ def _cross_validate(tree: dict) -> None:
         lo, hi = ct[f"{axis}_min_{unit}"], ct[f"{axis}_max_{unit}"]
         if lo > hi or (ct[f"{axis}_points"] > 1 and lo == hi):
             raise ValidationError(f"contour: {axis} grid must be ascending")
+    # the solvers' own test: propagation must leave part of the period. The
+    # multi-loop check takes the shortest downlink (elevation_max_deg): when
+    # that fails, no robot elevations can fit.
+    links = tree["links"]
+
+    def slant(direction, elevation_deg):
+        return slant_range_m(Geometry(links[direction]["altitude_km"] * 1e3, elevation_deg))
+
+    nearest = slant("downlink", ml["elevation_max_deg"])
+    period_s = tree["budget"]["cycle_period_ms"] * 1e-3
+    for where, t_prop in (
+            ("links", propagation_delay_s(slant("uplink", links["uplink"]["elevation_deg"]),
+                                          slant("downlink", links["downlink"]["elevation_deg"]))),
+            ("multi_loop", propagation_delay_s(nearest, nearest))):
+        if period_s - t_prop <= 0.0:
+            raise ValidationError(
+                f"{where}: propagation {t_prop}s leaves no budget in the "
+                f"{period_s}s cycle (budget.cycle_period_ms)")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,17 +1,21 @@
 """Independent oracles shared across test modules.
 
-Everything here deliberately avoids the library's own code paths: closed-form
-roots, Monte-Carlo simulation, and random problem generators used to validate
-the solvers against brute force.
+Most of these avoid the library's own code paths: closed-form roots, a
+fixed-point Riccati iteration, Monte-Carlo simulation, a KKT solution of the
+compute-only scheme, and random problem generators. The grid oracles scan
+the solvers' own objective by brute force.
 """
+import dataclasses
 import math
 
 import numpy as np
 
-from satloop.control import Plant
-from satloop.linkgeom import Geometry, LinkParams
-from satloop.optimize import (MultiLoopProblem, MultiLoopScheme, RobotLoop,
-                              SingleLoopObjective, SingleLoopProblem)
+from satloop.control import Plant, RateCostModel
+from satloop.linkgeom import (SPEED_OF_LIGHT_M_S, Geometry, LinkParams, shannon_rate_bps,
+                              slant_range_m)
+from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme, RobotLoop,
+                              SingleLoopObjective, SingleLoopProblem, SolverTrace,
+                              _multi_result, _single_objective_fn, _single_result)
 from satloop.pipeline import LoopBudget
 
 
@@ -25,6 +29,39 @@ def scalar_dare_root(a: float, b: float, q: float, r: float) -> float:
     c0 = -q * r
     disc = c1 * c1 - 4.0 * c2 * c0
     return (-c1 + math.sqrt(disc)) / (2.0 * c2)
+
+
+def dare_residual(plant: Plant, s) -> float:
+    """|a s a - a s b (r + b s b)^-1 b s a + q - s| for a candidate root s (float or 1x1)."""
+    s = np.asarray(s, dtype=float).item()
+    a, b, q, r = plant.a, plant.b, plant.q, plant.r_u
+    return abs(a * s * a - (a * s * b) * (b * s * a) / (r + b * s * b) + q - s)
+
+
+def riccati_fixed_point(a: float, b: float, q: float, r: float) -> float:
+    """Scalar Riccati root by the fixed-point iteration s <- a^2 s - (a s b)^2 / (r + b^2 s) + q.
+
+    Starts from s0 = q + 1 (s = 0 is a fixed point when q = 0), stops when
+    the update falls below 1e-12 relative to the larger of s and s0, then
+    polishes with five more sweeps. Raises ArithmeticError when the
+    iteration diverges or does not settle within 10000 sweeps.
+    """
+    def step(s):
+        return a * s * a - (a * s * b) * (b * s * a) / (r + b * s * b) + q
+
+    s = start = q + 1.0
+    for _ in range(10000):
+        s_next = step(s)
+        delta = abs(s_next - s)
+        if not (math.isfinite(delta) and math.isfinite(s)):
+            raise ArithmeticError("Riccati iteration diverged")
+        stop = delta <= 1e-12 * max(abs(s), start)
+        s = s_next
+        if stop:
+            for _ in range(5):
+                s = step(s)
+            return s
+    raise ArithmeticError("Riccati iteration did not settle within 10000 sweeps")
 
 
 def simulate_quantized_loop(a: float, b: float, q: float, r: float, w_cov: float,
@@ -50,6 +87,92 @@ def simulate_quantized_loop(a: float, b: float, q: float, r: float, w_cov: float
         acc += q * x * x + r * u * u
         x = a * x + b * u + noise[t]
     return acc / steps
+
+
+def compute_only_kkt(problem: MultiLoopProblem) -> float:
+    """LQR total of the compute-only scheme, solved by its KKT conditions.
+
+    Power is split equally. Robot i's cost J_i(f) = j + s w / (4^eff - a^2),
+    eff = min(rho V, r_i (T - t_prop - c V / f)), is convex and decreasing in
+    its compute f above the data-rate threshold and flat once eff reaches
+    the extraction cap rho V. The optimum equalises the marginal -dJ_i/df at
+    a common level lambda, each robot stopping at its cap; lambda is found
+    by bisection on the compute budget, and each robot's f(lambda) by
+    bisection on its own marginal. Raises ValueError when the budget cannot
+    carry every robot above its threshold (the penalty region is not modelled).
+    """
+    budget = problem.budget
+    period, volume = budget.cycle_period_s, problem.uplink_fixed_bits
+    cycles = budget.cycles_per_bit * volume
+    cap = budget.extraction_ratio * volume
+    power = problem.total_power_w / len(problem.robots)
+    loops = []
+    for robot in problem.robots:
+        link = dataclasses.replace(robot.downlink, tx_power_w=power,
+                                   bandwidth_hz=robot.bandwidth_share_hz)
+        plant = robot.plant
+        s = scalar_dare_root(plant.a, plant.b, plant.q, plant.r_u)
+        k = plant.a * plant.b * s / (plant.r_u + plant.b * plant.b * s)
+        sens_w = k * k * (plant.r_u + plant.b * plant.b * s) * plant.w_cov
+        threshold = math.log2(abs(plant.a)) if abs(plant.a) > 1.0 else 0.0
+        window = period - 2.0 * slant_range_m(link.geometry) / SPEED_OF_LIGHT_M_S
+        loops.append((shannon_rate_bps(link), window, plant.a * plant.a, sens_w,
+                      s * plant.w_cov, threshold))
+
+    def eff(loop, f):
+        rate, window = loop[:2]
+        return min(cap, rate * (window - cycles / f))
+
+    def compute_for(loop, bits):
+        """Compute at which the robot delivers `bits` (inf when it never can)."""
+        rate, window = loop[:2]
+        room = window - bits / rate
+        return cycles / room if room > 0.0 else math.inf
+
+    def marginal(loop, f):
+        """-dJ/df below the cap."""
+        rate, _, a_sq, sens_w = loop[:4]
+        y = 4.0 ** eff(loop, f)
+        if y <= a_sq:  # at the threshold, where eff rounds onto it
+            return math.inf
+        return sens_w * math.log(4.0) * y / (y - a_sq) ** 2 * rate * cycles / (f * f)
+
+    def bisect(fn, lo, hi, geometric=False):
+        """Last bracket of a bisection keeping fn(lo) true and fn(hi) false."""
+        for _ in range(2000):
+            mid = math.sqrt(lo) * math.sqrt(hi) if geometric else 0.5 * (lo + hi)
+            bracket = (mid, hi) if fn(mid) else (lo, mid)
+            if bracket == (lo, hi):
+                break
+            lo, hi = bracket
+        return lo, hi
+
+    floors = [compute_for(loop, loop[5]) for loop in loops]
+    caps = [compute_for(loop, cap) for loop in loops]
+    if not sum(floors) < problem.total_compute_cps:
+        raise ValueError("the compute budget cannot lift every robot above its threshold")
+
+    def allocation(lam):
+        out = []
+        for loop, f_min, f_cap in zip(loops, floors, caps):
+            if f_cap < math.inf and marginal(loop, f_cap) >= lam:
+                out.append(f_cap)
+            else:
+                hi = f_cap if f_cap < math.inf else 2.0 * problem.total_compute_cps
+                out.append(bisect(lambda f: marginal(loop, f) > lam, f_min, hi)[1])
+        return out
+
+    if sum(caps) <= problem.total_compute_cps:
+        compute = caps
+    else:
+        _, lam = bisect(lambda lam: sum(allocation(lam)) > problem.total_compute_cps,
+                        1e-300, 1e300, geometric=True)
+        compute = allocation(lam)
+    total = 0.0
+    for loop, f in zip(loops, compute):
+        _, _, a_sq, sens_w, j_ideal, _ = loop
+        total += j_ideal + sens_w / (4.0 ** eff(loop, f) - a_sq)
+    return total
 
 
 def random_single_loop_problem(rng: np.random.Generator) -> SingleLoopProblem:
@@ -231,3 +354,53 @@ def reference_projected_gradient(objective, gradient, project, z0: np.ndarray, n
         if quiet >= patience:
             return z, f, True, iterations
     return z, f, False, max_iter
+
+
+class DimensionTooLargeError(ValueError):
+    """Brute-force oracle refused: decision space dimension above 4."""
+
+
+def grid_oracle(problem, resolution: int):
+    """Exhaustive grid argmin/argmax for optimizer validation.
+
+    Single-loop problems scan b_up; two-robot joint problems scan the
+    (power_1, compute_1) plane with the complements pinned to the budget
+    (the objective is non-increasing in resources, so an optimum lies on
+    the budget boundary). Larger decision spaces are refused.
+    """
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
+    if isinstance(problem, SingleLoopProblem):
+        model = RateCostModel.from_plant(problem.plant)
+        fn = _single_objective_fn(problem, model)
+        delta = 1e-6 * problem.total_bandwidth_hz
+        grid = np.linspace(delta, problem.total_bandwidth_hz - delta, resolution)
+        vals = fn(grid)
+        i = int(np.argmin(vals))
+        return _single_result(problem, model, float(grid[i]), vals[i], SolverTrace(
+            iterations=resolution, converged=True, method="grid_oracle"))
+    if not isinstance(problem, MultiLoopProblem):
+        raise TypeError(f"unsupported problem type {type(problem)!r}")
+    n = len(problem.robots)
+    if 2 * n > 4:
+        raise DimensionTooLargeError(
+            f"joint oracle supports at most 2 robots, got {n}")
+    evaluator = JointEvaluator(problem)
+    if n == 1:
+        power = np.array([problem.total_power_w])
+        compute = np.array([problem.total_compute_cps])
+        value = float(evaluator.total_cost(power, compute))
+        return _multi_result(evaluator, power, compute, value,
+                             SolverTrace(iterations=1, converged=True, method="grid_oracle"))
+    p1 = np.linspace(0.0, problem.total_power_w, resolution)
+    f1 = np.linspace(0.0, problem.total_compute_cps, resolution)
+    pp, ff = np.meshgrid(p1, f1, indexing="ij")
+    powers = np.stack([pp, problem.total_power_w - pp], axis=-1)
+    computes = np.stack([ff, problem.total_compute_cps - ff], axis=-1)
+    totals = evaluator.total_cost(powers, computes)
+    i, j = np.unravel_index(int(np.argmin(totals)), totals.shape)
+    power = powers[i, j]
+    compute = computes[i, j]
+    return _multi_result(evaluator, power, compute, float(totals[i, j]),
+                         SolverTrace(iterations=resolution * resolution, converged=True,
+                                     method="grid_oracle"))

@@ -10,13 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from satloop.control import (INFEASIBLE, Plant, RateCostModel, dare_residual,
-                             dare_solve, is_stabilizable_at, lqr_cost)
+from satloop.control import (Plant, RateCostModel, dare_solve, is_stabilizable_at,
+                             lqr_cost)
 from satloop.linkgeom import fspl_db
-from satloop.optimize import grid_oracle, solve_multi_loop, solve_single_loop
+from satloop.optimize import solve_multi_loop, solve_single_loop
 from satloop.report import main
-from oracles import (random_joint_problem, random_single_loop_problem,
-                     scalar_dare_root, simulate_quantized_loop)
+from oracles import (dare_residual, grid_oracle, random_joint_problem,
+                     random_single_loop_problem, scalar_dare_root, simulate_quantized_loop)
 
 DARE_TOL = 1e-12
 
@@ -76,7 +76,7 @@ class TestCriterion2Riccati:
         for a, expected in ((0.0, 1.0),
                             (1.0, (1.0 + math.sqrt(5.0)) / 2.0),
                             (2.0, 2.0 + math.sqrt(5.0))):
-            s = float(dare_solve(_plant(a), tol=DARE_TOL)[0, 0])
+            s = float(dare_solve(_plant(a))[0, 0])
             assert abs(s - expected) / expected <= 1e-9
         rng = np.random.default_rng(1002)
         for _ in range(100):
@@ -85,7 +85,7 @@ class TestCriterion2Riccati:
             q = rng.uniform(0.2, 2.0)
             r = rng.uniform(0.2, 2.0)
             plant = _plant(a, b=b, q=q, r=r)
-            s = dare_solve(plant, tol=DARE_TOL)
+            s = dare_solve(plant)
             assert abs(float(s[0, 0]) - scalar_dare_root(a, b, q, r)) \
                 / scalar_dare_root(a, b, q, r) <= 1e-9
             assert dare_residual(plant, s) <= 10.0 * DARE_TOL
@@ -99,14 +99,14 @@ class TestCriterion3DataRateTheorem:
     def test_infeasibility_boundary_and_monotonicity(self):
         started = time.perf_counter()
         model = RateCostModel.from_plant(_plant(2.0))
-        assert lqr_cost(model, 1.0) is INFEASIBLE          # R = log2|a| exactly
-        assert lqr_cost(model, 0.999) is INFEASIBLE
-        assert lqr_cost(model, 1.0 + 1e-9) is not INFEASIBLE
+        assert lqr_cost(model, 1.0) == math.inf          # R = log2|a| exactly
+        assert lqr_cost(model, 0.999) == math.inf
+        assert lqr_cost(model, 1.0 + 1e-9) != math.inf
         for a in (1.5, 2.0, 3.0):
             m = RateCostModel.from_plant(_plant(a))
             threshold = math.log2(a)
             for rate in np.linspace(0.0, 4.0, 401):
-                infeasible = lqr_cost(m, float(rate)) is INFEASIBLE
+                infeasible = lqr_cost(m, float(rate)) == math.inf
                 assert infeasible == (rate <= threshold)
         plant = _plant(2.0)
         flags = [is_stabilizable_at(plant, r) for r in np.linspace(0.0, 150.0, 301)]

@@ -3,16 +3,15 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from satloop import control
-from satloop.control import (INFEASIBLE, RATE_CLAMP_BITS, NonConvergentError, Plant,
-                             RateCostModel, UnsupportedPlantError, cner_bps,
-                             dare_residual, dare_solve, intrinsic_entropy_rate,
+from satloop.control import (RATE_CLAMP_BITS, NonConvergentError, Plant, RateCostModel,
+                             cner_bps, dare_solve, intrinsic_entropy_rate,
                              is_stabilizable_at, lqr_cost, rate_cost)
-from oracles import scalar_dare_root, simulate_quantized_loop
+from oracles import (dare_residual, riccati_fixed_point, scalar_dare_root,
+                     simulate_quantized_loop)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -48,18 +47,6 @@ class TestDare:
             assert s == pytest.approx(scalar_dare_root(a, b, q, r), rel=1e-9)
             assert dare_residual(plant, dare_solve(plant)) <= 10e-12
 
-    def test_matrix_plant_matches_scipy(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = rng.normal(0.0, 0.8, (3, 3))
-            b = rng.normal(0.0, 1.0, (3, 2))
-            q = np.eye(3) * rng.uniform(0.5, 2.0)
-            r = np.eye(2) * rng.uniform(0.5, 2.0)
-            plant = Plant(a=a, b=b, w_cov=np.eye(3), q=q, r_u=r, sample_period_s=1.0)
-            ours = dare_solve(plant)
-            ref = scipy.linalg.solve_discrete_are(a, b, q, r)
-            assert np.allclose(ours, ref, rtol=1e-8, atol=1e-10)
-
     @pytest.mark.parametrize("a, b, r", [(2.0, 1.0, 1.0), (-1.5, 0.8, 2.0), (3.0, -1.2, 0.5)])
     def test_zero_state_weight_takes_stabilizing_root(self, a, b, r):
         """q = 0 leaves S = 0 a fixed point; the stabilizing root is r (a^2 - 1) / b^2.
@@ -72,47 +59,31 @@ class TestDare:
         assert s == pytest.approx(r * (a * a - 1.0) / (b * b), rel=1e-9)
 
     def test_zero_state_weight_stable_plant_reaches_zero(self):
-        """A stable plant with q = 0 has S = 0; the iteration from Q + I gets there."""
+        """A stable plant with q = 0 has S = 0."""
         for a in (0.5, 0.99):
             assert abs(float(dare_solve(_plant(a=a, q=0.0))[0, 0])) < 1e-9
 
-    def test_nonconvergent_unstabilizable(self):
-        # unstable mode with no input authority
-        a = np.diag([2.0, 0.5])
-        b = np.array([[0.0], [1.0]])
-        plant = Plant(a=a, b=b, w_cov=np.eye(2), q=np.eye(2), r_u=np.eye(1),
-                      sample_period_s=1.0)
-        with pytest.raises(NonConvergentError):
-            dare_solve(plant, max_iter=500)
-
 
 class TestScalarClosedForm:
-    """The 1x1 closed-form root against the iteration on a 2x2 diagonal plant."""
-
-    @staticmethod
-    def _iterated(a, b, q, r):
-        """S[0, 0] of the mode beside a fixed stable mode: the iterative path."""
-        plant = Plant(a=np.diag([a, 0.5]), b=np.diag([b, 1.0]), w_cov=np.eye(2),
-                      q=np.diag([q, 1.0]), r_u=np.diag([r, 1.0]), sample_period_s=1.0)
-        return float(dare_solve(plant)[0, 0])
+    """The closed-form root against the fixed-point Riccati iteration."""
 
     @settings(max_examples=150, deadline=None)
     @given(a=st.floats(-3.0, 3.0),
            b=st.floats(0.2, 3.0).flatmap(lambda m: st.sampled_from([m, -m])),
            q=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
            r=st.floats(0.1, 5.0))
-    def test_matches_iteration_on_embedded_mode(self, a, b, q, r):
+    def test_matches_fixed_point_iteration(self, a, b, q, r):
         # a marginal plant without state weight converges too slowly to iterate
         assume(q > 0.0 or abs(abs(a) - 1.0) > 0.05)
         s = float(dare_solve(_plant(a=a, b=b, q=q, r=r))[0, 0])
-        assert s == pytest.approx(self._iterated(a, b, q, r), rel=1e-9, abs=1e-9)
+        assert s == pytest.approx(riccati_fixed_point(a, b, q, r), rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("a, q", [(0.0, 1.0), (0.5, 1.0), (-0.9, 0.0), (0.3, 0.0)])
     def test_no_input_authority_on_a_stable_mode(self, a, q):
         """b = 0 leaves s = q + a^2 s, so s = q / (1 - a^2)."""
         s = float(dare_solve(_plant(a=a, b=0.0, q=q))[0, 0])
         assert s == pytest.approx(q / (1.0 - a * a), rel=1e-15)
-        assert s == pytest.approx(self._iterated(a, 0.0, q, 1.0), rel=1e-9, abs=1e-9)
+        assert s == pytest.approx(riccati_fixed_point(a, 0.0, q, 1.0), rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("a, b, q", [(2.0, 0.0, 1.0), (1.0, 0.0, 1.0), (-1.0, 0.0, 0.0),
                                          (1.0, 1.0, 0.0), (-1.0, 2.0, 0.0)])
@@ -146,11 +117,6 @@ class TestEntropyRate:
     def test_a2_at_20ms(self):
         """log2(2) = 1 bit per step over a 20 ms cycle = 50 bit/s."""
         assert intrinsic_entropy_rate(_plant(a=2.0, period=0.02)) == pytest.approx(50.0)
-
-    def test_diagonal_sum(self):
-        plant = Plant(a=np.diag([2.0, 4.0]), b=np.eye(2), w_cov=np.eye(2),
-                      q=np.eye(2), r_u=np.eye(2), sample_period_s=1.0)
-        assert intrinsic_entropy_rate(plant) == pytest.approx(3.0)
 
     def test_marginally_stable_excluded(self):
         assert intrinsic_entropy_rate(_plant(a=1.0, period=1.0)) == 0.0
@@ -199,9 +165,9 @@ class TestLqrCost:
     def test_boundary_infeasible(self):
         """a = 2, R = 1 bit: 2^(2R) = a^2 exactly, strictly infeasible."""
         model = RateCostModel.from_plant(_plant(a=2.0))
-        assert lqr_cost(model, 1.0) is INFEASIBLE
-        assert lqr_cost(model, 0.5) is INFEASIBLE
-        assert lqr_cost(model, 1.0 + 1e-9) is not INFEASIBLE
+        assert lqr_cost(model, 1.0) == math.inf
+        assert lqr_cost(model, 0.5) == math.inf
+        assert lqr_cost(model, 1.0 + 1e-9) != math.inf
 
     def test_hand_evaluated_closed_form(self):
         """a=2, b=q=r=w=1, R=2: j_ideal = 2+sqrt5, sensitivity = 7+3*sqrt5."""
@@ -229,7 +195,7 @@ class TestLqrCost:
     def test_stable_plant_finite_at_zero_rate(self):
         model = RateCostModel.from_plant(_plant(a=0.5))
         cost = lqr_cost(model, 0.0)
-        assert cost is not INFEASIBLE
+        assert cost != math.inf
         # P_est(0) = w / (1 - a^2)
         assert cost == pytest.approx(model.j_ideal + model.sensitivity / 0.75, rel=1e-9)
 
@@ -241,67 +207,28 @@ class TestLqrCost:
         assert model.j_ideal == pytest.approx(s * 2.0, rel=1e-12)
         assert model.sensitivity == pytest.approx(k * k * (0.5 + 0.64 * s), rel=1e-12)
 
-    def test_diagonal_plant_split(self):
-        """Two identical modes: optimal split is even, cost is twice the scalar."""
-        plant = Plant(a=np.diag([2.0, 2.0]), b=np.eye(2), w_cov=np.eye(2),
-                      q=np.eye(2), r_u=np.eye(2), sample_period_s=0.02)
-        model = RateCostModel.from_plant(plant)
-        scalar_model = RateCostModel.from_plant(_plant(a=2.0))
-        assert lqr_cost(model, 8.0) == pytest.approx(
-            2.0 * lqr_cost(scalar_model, 4.0), rel=1e-6)
-        assert lqr_cost(model, 2.0) is INFEASIBLE  # 1 bit/mode is the boundary
+    def test_non_scalar_plant_rejected(self):
+        """A matrix in any field is refused when the plant is built."""
+        fields = dict(a=2.0, b=1.0, w_cov=1.0, q=1.0, r_u=1.0, sample_period_s=1.0)
+        for name in fields:
+            with pytest.raises((ValueError, TypeError)):
+                Plant(**{**fields, name: np.eye(2)})
 
-    def test_diagonal_split_beats_uneven_oracle(self):
-        """Water-filled split must not lose to any brute-force split."""
-        plant = Plant(a=np.diag([2.0, 3.0]), b=np.eye(2), w_cov=np.diag([1.0, 2.0]),
-                      q=np.eye(2), r_u=np.eye(2), sample_period_s=0.02)
-        model = RateCostModel.from_plant(plant)
-        mode_a = RateCostModel.from_plant(_plant(a=2.0))
-        mode_b = RateCostModel.from_plant(_plant(a=3.0, w=2.0))
-        total = 7.0
-        ours = lqr_cost(model, total)
-        best = math.inf
-        for r1 in np.linspace(1.01, total - math.log2(3.0) - 0.01, 2001):
-            c1 = lqr_cost(mode_a, r1)
-            c2 = lqr_cost(mode_b, total - r1)
-            if c1 is not INFEASIBLE and c2 is not INFEASIBLE:
-                best = min(best, c1 + c2)
-        assert ours <= best + 1e-9
+    @pytest.mark.parametrize("name, value", [("w_cov", -1e-12), ("q", -1.0), ("r_u", 0.0),
+                                             ("sample_period_s", 0.0)])
+    def test_plant_range_checks(self, name, value):
+        fields = dict(a=2.0, b=1.0, w_cov=1.0, q=1.0, r_u=1.0, sample_period_s=1.0)
+        with pytest.raises(ValueError):
+            Plant(**{**fields, name: value})
 
-    def test_coupled_plant_rejected(self):
-        plant = Plant(a=np.array([[1.2, 0.3], [0.0, 0.8]]), b=np.eye(2),
-                      w_cov=np.eye(2), q=np.eye(2), r_u=np.eye(2),
-                      sample_period_s=1.0)
-        with pytest.raises(UnsupportedPlantError):
-            RateCostModel.from_plant(plant)
+    def test_plant_holds_floats(self):
+        plant = Plant(a=2, b=np.float64(1.0), w_cov=1, q=1, r_u=1, sample_period_s=1)
+        assert [type(v) for v in vars(plant).values()] == [float] * 6
 
     def test_rejects_negative_rate(self):
         model = RateCostModel.from_plant(_plant())
         with pytest.raises(ValueError):
             lqr_cost(model, -0.1)
-
-
-def _split_200_iterations(model, total_bits):
-    """_split_bits_across_modes with all 200 bisection steps (the reference)."""
-    modes = model.mode_params
-    if not total_bits > model.threshold_bits:
-        return [math.nan] * len(modes)
-    lo, hi = 1e-300, 1e300
-
-    def rate_sum(lam):
-        return sum(control._mode_cost_derivative_rate(a, w, sens, lam)
-                   for a, w, sens, _ in modes)
-
-    for _ in range(200):
-        mid = math.sqrt(lo) * math.sqrt(hi)
-        if rate_sum(mid) > total_bits:
-            lo = mid
-        else:
-            hi = mid
-    lam = math.sqrt(lo) * math.sqrt(hi)
-    rates = [control._mode_cost_derivative_rate(a, w, sens, lam) for a, w, sens, _ in modes]
-    scale = total_bits / sum(rates) if sum(rates) > 0 else 1.0
-    return [r * scale for r in rates]
 
 
 class TestCachedRiccati:
@@ -315,24 +242,6 @@ class TestCachedRiccati:
             raise AssertionError("lqr_gain solved the Riccati equation again")
         monkeypatch.setattr(control, "dare_solve", no_solve)
         assert model.lqr_gain() == a * b * s / (r + b * b * s)
-
-    @pytest.mark.parametrize("name, plant", [
-        ("scalar", _plant(a=2.0)),
-        ("two-mode", Plant(a=np.diag([2.0, 3.0]), b=np.eye(2), w_cov=np.diag([1.0, 2.0]),
-                           q=np.eye(2), r_u=np.eye(2), sample_period_s=0.02)),
-        ("stable two-mode", Plant(a=np.diag([0.5, -1.5]), b=np.diag([1.0, 0.4]),
-                                  w_cov=np.eye(2), q=np.diag([0.0, 2.0]),
-                                  r_u=np.diag([1.0, 3.0]), sample_period_s=0.02)),
-    ])
-    def test_early_stop_split_equals_200_iterations(self, name, plant):
-        model = RateCostModel.from_plant(plant)
-        t = model.threshold_bits
-        totals = [t - 0.5, t, t + 1e-9, t + 0.3, t + 2.0, t + 17.0, 64.0,
-                  RATE_CLAMP_BITS, 450.0, 700.0, 1e6]
-        for total in totals:
-            got = control._split_bits_across_modes(model, total)
-            want = _split_200_iterations(model, total)
-            assert np.array_equal(got, want, equal_nan=True), (name, total)
 
 
 class TestQuantizedLoopOracle:
@@ -357,17 +266,12 @@ class TestRateCostCurve:
         "unstable": _plant(a=2.0),
         "stable": _plant(a=0.5),
         "negative": _plant(a=-3.0, w=2.0, q=0.5),
-        "diagonal": Plant(a=np.diag([2.0, 3.0]), b=np.eye(2), w_cov=np.diag([1.0, 2.0]),
-                          q=np.eye(2), r_u=np.eye(2), sample_period_s=0.02),
     }
 
     def test_threshold_counts_unstable_modes_only(self):
         assert RateCostModel.from_plant(_plant(a=0.0)).threshold_bits == 0.0
         assert RateCostModel.from_plant(_plant(a=-0.5)).threshold_bits == 0.0
         assert RateCostModel.from_plant(_plant(a=2.0)).threshold_bits == 1.0
-        plant = Plant(a=np.diag([2.0, 0.5, -4.0]), b=np.eye(3), w_cov=np.eye(3),
-                      q=np.eye(3), r_u=np.eye(3), sample_period_s=0.02)
-        assert RateCostModel.from_plant(plant).threshold_bits == pytest.approx(3.0)
 
     @pytest.mark.parametrize("name", sorted(PLANTS))
     def test_matches_lqr_cost(self, name):
@@ -379,12 +283,21 @@ class TestRateCostCurve:
         assert costs.shape == rates.shape
         for rate, cost in zip(rates, costs):
             want = lqr_cost(model, float(rate))
-            if want is INFEASIBLE:
+            if want == math.inf:
                 assert cost == math.inf, rate
             else:
                 assert cost == want, rate
         assert costs[2] == math.inf or t == 0.0  # at the threshold
         assert costs[-3] == costs[-2] == costs[-1] == pytest.approx(model.j_ideal, rel=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(PLANTS))
+    def test_one_rate_equals_its_entry_in_an_array(self, name):
+        """A single rate costs exactly what it costs inside an array of rates."""
+        model = RateCostModel.from_plant(self.PLANTS[name])
+        rates = np.linspace(0.0, 20.0, 2001)
+        costs = model.cost(rates)
+        assert [model.cost(r) for r in rates] == costs.tolist()
+        assert [lqr_cost(model, r) for r in rates.tolist()] == costs.tolist()
 
     def test_scalar_closed_form(self):
         """a=2, b=q=r=w=1: J(R) = (2+sqrt5) + (7+3 sqrt5) / (4^R - 4)."""
@@ -403,6 +316,6 @@ class TestRateCostCurve:
             lqr_cost(model, -1e-9)
 
     def test_clamp_keeps_huge_rates_finite(self):
-        model = RateCostModel.from_plant(self.PLANTS["diagonal"])
+        model = RateCostModel.from_plant(self.PLANTS["unstable"])
         with np.errstate(over="raise"):
             assert model.cost(np.array([1e6, 1e300])).tolist() == [model.j_ideal] * 2

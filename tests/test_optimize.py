@@ -17,17 +17,16 @@ from hypothesis.extra.numpy import arrays
 import satloop
 from satloop import optimize
 
-from satloop.control import INFEASIBLE, Plant, RateCostModel, lqr_cost
+from satloop.control import Plant, RateCostModel, lqr_cost
 from satloop.linkgeom import Geometry, LinkParams, shannon_rate_bps, slant_range_m
-from satloop.optimize import (DimensionTooLargeError, JointEvaluator,
-                              MultiLoopProblem, MultiLoopScheme, RobotLoop,
-                              SingleLoopObjective, SingleLoopProblem,
-                              grid_oracle, project_capped_simplex,
-                              solve_multi_loop, solve_single_loop, sweep_contour,
-                              water_fill_power)
+from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme,
+                              RobotLoop, SingleLoopObjective, SingleLoopProblem,
+                              project_capped_simplex, solve_multi_loop,
+                              solve_single_loop, sweep_contour, water_fill_power)
 from satloop.pipeline import LoopBudget, balanced_times, evaluate_cycle, propagation_delay_s
 from satloop.scenario import default_scenario
-from oracles import (central_difference_gradient, random_joint_problem,
+from oracles import (DimensionTooLargeError, central_difference_gradient,
+                     compute_only_kkt, grid_oracle, random_joint_problem,
                      random_single_loop_problem, reference_capped_simplex,
                      reference_projected_gradient, water_fill_power_fixed_steps)
 
@@ -86,7 +85,7 @@ class TestSingleLoop:
             budget=problem.budget, plant=stable, objective=problem.objective)
         result = solve_single_loop(problem)
         outcome = result.per_loop_outcomes[0]
-        assert outcome.lqr_cost is not INFEASIBLE
+        assert outcome.lqr_cost != math.inf
         assert outcome.stable
 
     def test_oracle_equivalence_random_problems(self):
@@ -110,7 +109,7 @@ class TestSingleLoop:
             objective=SingleLoopObjective.TASK_ORIENTED)
         result = solve_single_loop(starved)
         assert result.solver_trace.all_infeasible
-        assert result.per_loop_outcomes[0].lqr_cost is INFEASIBLE
+        assert result.per_loop_outcomes[0].lqr_cost == math.inf
         assert 0.0 < result.decision["bandwidth_up_hz"] < 100.0
 
 
@@ -138,26 +137,12 @@ class TestSingleLoop:
                 eff = evaluate_cycle(uplink, downlink, problem.budget, problem.plant,
                                      t_up, t_down, model=model).effective_bits_per_cycle
                 want = lqr_cost(model, eff)
-                infeasible.add(want is INFEASIBLE)
-                if want is INFEASIBLE:
+                infeasible.add(want == math.inf)
+                if want == math.inf:
                     want = optimize.INFEASIBILITY_PENALTY + (model.threshold_bits - eff)
             assert value == pytest.approx(want, rel=1e-12), b_up
         if objective == SingleLoopObjective.TASK_ORIENTED:
             assert infeasible == {True, False}
-
-    def test_diagonal_plant_matches_grid_oracle(self):
-        """A two-mode plant splits its bits across modes at every evaluation."""
-        base = default_scenario().single_loop_problem(SingleLoopObjective.TASK_ORIENTED)
-        plant = Plant(a=np.diag([2.0, 1.5]), b=np.eye(2), w_cov=np.diag([1.0, 2.0]),
-                      q=np.eye(2), r_u=np.eye(2), sample_period_s=base.budget.cycle_period_s)
-        problem = dataclasses.replace(base, plant=plant)
-        solved = solve_single_loop(problem)
-        oracle = grid_oracle(problem, 2001)
-        outcome = solved.per_loop_outcomes[0]
-        assert outcome.lqr_cost is not INFEASIBLE
-        assert solved.objective_value == pytest.approx(outcome.lqr_cost, rel=1e-9)
-        assert solved.lqr_total == pytest.approx(outcome.lqr_cost, rel=1e-12)
-        assert (solved.objective_value - oracle.objective_value) / oracle.objective_value <= 1e-6
 
 
 class TestProjection:
@@ -346,6 +331,23 @@ class TestMultiLoop:
             scale = max(abs(oracle.objective_value), 1e-300)
             assert (solved.objective_value - oracle.objective_value) / scale <= 1e-3
 
+    def test_compute_only_matches_kkt_oracle(self):
+        """The compute-only scheme equals its KKT solution at every baseline power point.
+
+        All 21 points the multi-loop verb solves: the 20-point sweep and the
+        allocation point.
+        """
+        scn = default_scenario()
+        ml = scn.tree["multi_loop"]
+        points = [*scn.power_sweep_w().tolist(), ml["allocation_power_w"]]
+        assert len(points) == 21
+        for total_power in points:
+            problem = scn.multi_loop_problem(MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM,
+                                             total_power_w=total_power)
+            result = solve_multi_loop(problem, seed=scn.seed)
+            assert result.lqr_total == pytest.approx(compute_only_kkt(problem), rel=1e-9,
+                                                     abs=0.0), total_power
+
 
 def _default_joint(extraction_scale=1.0):
     problem = default_scenario().multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT,
@@ -404,7 +406,7 @@ class TestJointEvaluator:
             else:  # no compute: the cycle never fits
                 assert not out.time_feasible and not out.stable
                 assert (out.effective_bits_per_cycle, out.cner_bps, out.t_down_s) == (0.0, 0.0, 0.0)
-                assert out.lqr_cost is INFEASIBLE
+                assert out.lqr_cost == math.inf
                 continue
             eff = out.effective_bits_per_cycle
             assert out.time_feasible and out.stable

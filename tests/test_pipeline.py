@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from satloop.control import INFEASIBLE, Plant, RateCostModel
+from satloop.control import Plant, RateCostModel
 from satloop.linkgeom import Geometry, LinkParams, shannon_rate_bps
 from satloop.pipeline import (LoopBudget, NoBudgetError, balanced_times,
                               evaluate_cycle, propagation_delay_s)
@@ -71,7 +71,7 @@ class TestEvaluateCycle:
                              _plant(a=2.0), 0.0, 1e-3)
         assert out.effective_bits_per_cycle == 0.0
         assert not out.stable
-        assert out.lqr_cost is INFEASIBLE
+        assert out.lqr_cost == math.inf
 
     def test_time_infeasible(self):
         out = evaluate_cycle(_uplink(20e3), _downlink(20e3), LoopBudget(),

@@ -166,6 +166,26 @@ class TestFailureExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("solver error: " if code == 3 else "scenario error: ")
 
+    @pytest.mark.parametrize("body, where", [
+        ("budget: {cycle_period_ms: 3.0}\n", "links"),  # 4.0 ms of propagation
+        # 300 + 600 km fit in 3.5 ms; the multi-loop downlink pair (2 x 600 km) does not
+        ("links: {uplink: {altitude_km: 300.0}}\nbudget: {cycle_period_ms: 3.5}\n",
+         "multi_loop"),
+    ])
+    def test_validate_rejects_a_period_the_propagation_fills(self, tmp_path, capsys,
+                                                              body, where):
+        doc = tmp_path / "doc.yaml"
+        doc.write_text(body)
+        assert main(["validate", "--scenario", str(doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"scenario error: {where}: propagation")
+
+    def test_validate_accepts_a_period_just_above_the_propagation(self, tmp_path):
+        doc = tmp_path / "doc.yaml"
+        doc.write_text("budget: {cycle_period_ms: 4.01}\n")
+        assert main(["validate", "--scenario", str(doc)]) == 0
+        assert main(["validate"]) == 0
+
     @pytest.mark.parametrize("verb", ["single-loop", "multi-loop"])
     def test_negative_seed_option(self, tmp_path, capsys, verb):
         assert main([verb, "--out", str(tmp_path), "--seed", "-3"]) == 2
