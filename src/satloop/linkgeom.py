@@ -32,19 +32,15 @@ class Geometry:
     Attributes:
         satellite_altitude_m: Orbit altitude above the surface (m).
         elevation_deg: Elevation angle seen from the terminal, in (0, 90].
-        earth_radius_m: Spherical-Earth radius (m).
     """
     satellite_altitude_m: float
     elevation_deg: float
-    earth_radius_m: float = EARTH_RADIUS_M
 
     def __post_init__(self):
         if self.satellite_altitude_m <= 0.0:
             raise ValueError(f"altitude must be positive, got {self.satellite_altitude_m}")
         if not 0.0 < self.elevation_deg <= 90.0:
             raise ValueError(f"elevation must lie in (0, 90] deg, got {self.elevation_deg}")
-        if self.earth_radius_m <= 0.0:
-            raise ValueError(f"earth radius must be positive, got {self.earth_radius_m}")
 
 
 @dataclass(frozen=True)
@@ -89,11 +85,11 @@ class LinkParams:
 def slant_range_m(geometry: Geometry) -> float:
     """Line-of-sight distance from terminal to satellite (m).
 
-    Spherical-Earth closed form
+    Spherical-Earth closed form with Re = EARTH_RADIUS_M
         d = sqrt(Re^2 sin^2(e) + 2 Re h + h^2) - Re sin(e),
     monotone non-increasing in elevation; equals the altitude at zenith.
     """
-    re = geometry.earth_radius_m
+    re = EARTH_RADIUS_M
     h = geometry.satellite_altitude_m
     s = math.sin(math.radians(geometry.elevation_deg))
     return math.sqrt(re * re * s * s + 2.0 * re * h + h * h) - re * s

@@ -2,7 +2,8 @@
 
 Single loop: split total bandwidth between uplink and downlink under a
 task-oriented, max-throughput, or min-latency objective (array-valued in the
-uplink bandwidth), via golden-section search with a dense-grid fallback.
+uplink bandwidth), each unimodal in the uplink bandwidth, by golden-section
+search.
 
 Multi loop: jointly allocate downlink power and on-board compute frequency
 across robots by projected gradient on budget-scaled variables (closed-form
@@ -24,9 +25,10 @@ from .pipeline import LoopBudget
 
 INFEASIBILITY_PENALTY = 1e9
 GOLDEN_REL_WIDTH = 1e-8
-UNIMODAL_CHECK_POINTS = 101
-UNIMODAL_REL_TOL = 1e-3
-DENSE_GRID_POINTS = 10001
+# Projected gradient: a row converges after PGD_PATIENCE consecutive
+# iterations that improve its value by less than PGD_REL_TOL relative.
+PGD_REL_TOL = 1e-10
+PGD_PATIENCE = 5
 # Projected-gradient backtracking: at most MAX_HALVINGS halvings of a trial
 # step, evaluated BACKTRACK_BLOCK at a time in one objective call.
 MAX_HALVINGS = 80
@@ -111,6 +113,8 @@ class SolverTrace:
     converged: bool
     restarts: int = 1
     best_restart: int = 0
+    # Never set: the single-loop search has no grid fallback. Kept because the
+    # benchmark tracer reads it into its optimize.dense_grid_fallbacks counter.
     fallback_dense_grid: bool = False
     all_infeasible: bool = False
     method: str = ""
@@ -175,8 +179,8 @@ def _single_objective_fn(problem: SingleLoopProblem, model: RateCostModel):
     return fn
 
 
-def golden_section(fn, lo: float, hi: float, rel_width: float = GOLDEN_REL_WIDTH):
-    """Golden-section minimization on [lo, hi] to the given relative width.
+def golden_section(fn, lo: float, hi: float):
+    """Golden-section minimization on [lo, hi] to GOLDEN_REL_WIDTH of its width.
 
     Returns (x_best, f_best, evaluations).
     """
@@ -187,7 +191,7 @@ def golden_section(fn, lo: float, hi: float, rel_width: float = GOLDEN_REL_WIDTH
     fc, fd = fn(c), fn(d)
     evals = 2
     span = hi - lo
-    while (b - a) > rel_width * span:
+    while (b - a) > GOLDEN_REL_WIDTH * span:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -205,55 +209,26 @@ def golden_section(fn, lo: float, hi: float, rel_width: float = GOLDEN_REL_WIDTH
 def solve_single_loop(problem: SingleLoopProblem) -> AllocationResult:
     """Best bandwidth split for the problem's objective.
 
-    Golden-section search over b_up on [delta, B_tot - delta]; a 101-point
-    coarse grid guards against non-unimodal objectives and triggers a dense
-    grid argmin when it beats the golden-section result by more than 1e-3
-    relative. The chosen split is re-scored through the full cycle model.
+    Golden-section search over b_up on [delta, B_tot - delta], which finds the
+    minimum of a unimodal function (Kiefer 1953), and each objective is
+    unimodal in b_up. Max-throughput and min-latency are convex, because the
+    Shannon rate is concave in bandwidth. The task-oriented cost never rises
+    as the balanced cycle's effective bits rho (T - t_prop) / (1/R_up + c/f +
+    rho/R_down) grow, and that denominator is convex in b_up. The chosen split
+    is re-scored through the full cycle model.
     """
     model = RateCostModel.from_plant(problem.plant)
-    fn = _single_objective_fn(problem, model)
     b_tot = problem.total_bandwidth_hz
     delta = 1e-6 * b_tot
-    lo, hi = delta, b_tot - delta
-
-    b_star, f_star, evals = golden_section(fn, lo, hi)
-
-    coarse = np.linspace(lo, hi, UNIMODAL_CHECK_POINTS)
-    coarse_vals = fn(coarse)
-    i_best = int(np.argmin(coarse_vals))
-    fallback = False
-    scale = max(abs(f_star), abs(coarse_vals[i_best]), 1e-300)
-    if (f_star - coarse_vals[i_best]) / scale > UNIMODAL_REL_TOL:
-        fallback = True
-        dense = np.linspace(lo, hi, DENSE_GRID_POINTS)
-        dense_vals = fn(dense)
-        j = int(np.argmin(dense_vals))
-        b_star, f_star = float(dense[j]), dense_vals[j]
-        evals += DENSE_GRID_POINTS
-        # polish inside the winning bracket
-        j_lo, j_hi = max(j - 1, 0), min(j + 1, DENSE_GRID_POINTS - 1)
-        b_ref, f_ref, e_ref = golden_section(fn, float(dense[j_lo]), float(dense[j_hi]))
-        evals += e_ref
-        if f_ref < f_star:
-            b_star, f_star = b_ref, f_ref
-    elif coarse_vals[i_best] < f_star:
-        # keep the better of the two probes (flat or noisy objectives)
-        b_ref, f_ref, e_ref = golden_section(
-            fn, coarse[max(i_best - 1, 0)], coarse[min(i_best + 1, UNIMODAL_CHECK_POINTS - 1)])
-        evals += e_ref
-        if f_ref < f_star:
-            b_star, f_star = float(b_ref), f_ref
-        if coarse_vals[i_best] < f_star:
-            b_star, f_star = float(coarse[i_best]), coarse_vals[i_best]
-    evals += UNIMODAL_CHECK_POINTS
-
+    b_star, f_star, evals = golden_section(_single_objective_fn(problem, model),
+                                           delta, b_tot - delta)
     if not delta * 0.5 <= b_star <= b_tot - delta * 0.5:
         raise RuntimeError(f"bandwidth split {b_star!r} Hz left the search bracket")
     all_infeasible = bool(problem.objective == SingleLoopObjective.TASK_ORIENTED
                           and f_star >= INFEASIBILITY_PENALTY)
     return _single_result(problem, model, b_star, f_star, SolverTrace(
-        iterations=evals, converged=True, fallback_dense_grid=fallback,
-        all_infeasible=all_infeasible, method="golden_section"))
+        iterations=evals, converged=True, all_infeasible=all_infeasible,
+        method="golden_section"))
 
 
 def _single_result(problem: SingleLoopProblem, model: RateCostModel, b_up: float,
@@ -300,7 +275,9 @@ class JointEvaluator:
         self.t_prop = np.array([pipeline.propagation_delay_s(d, d) for d in dist])
         self.t_budget = problem.budget.cycle_period_s - self.t_prop
         if np.any(self.t_budget <= 0.0):
-            raise pipeline.NoBudgetError("propagation exceeds the cycle period")
+            raise pipeline.NoBudgetError(
+                f"multi_loop: propagation {float(self.t_prop.max())}s leaves no budget in the "
+                f"{problem.budget.cycle_period_s}s cycle (budget.cycle_period_ms)")
         self.comp_cycles = problem.budget.cycles_per_bit * problem.uplink_fixed_bits
         self.cap_bits = problem.budget.extraction_ratio * problem.uplink_fixed_bits
         models = {}  # one model per distinct plant; the scenario's robots share one
@@ -466,9 +443,7 @@ def _backtrack(objective, project, z: np.ndarray, fz: np.ndarray, grad: np.ndarr
 
 
 def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *,
-                        optimize_power: bool = True,
-                        max_iter: int = 500, rel_tol: float = 1e-10,
-                        patience: int = 5) -> _PgdResult:
+                        optimize_power: bool = True, max_iter: int = 500) -> _PgdResult:
     """Minimize objective(z) over the product of two capped simplexes, per row of z0.
 
     Each row of z0 (one start, shape (R, 2n) in all) holds budget-scaled power
@@ -482,9 +457,9 @@ def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *,
     Trial steps are seeded Barzilai-Borwein style (spectral step from the
     row's last (dz, dg) pair, which copes with the steep penalty wall) and
     backed off by halving (_backtrack) until a sufficient decrease over the
-    projected move is reached. A row converges after `patience` consecutive
-    iterations with relative improvement below rel_tol or a zero gradient; a
-    row whose gradient is not finite stops unconverged.
+    projected move is reached. A row converges after PGD_PATIENCE consecutive
+    iterations with relative improvement below PGD_REL_TOL or a zero gradient;
+    a row whose gradient is not finite stops unconverged.
     """
     def project(z):
         if optimize_power:
@@ -528,12 +503,12 @@ def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *,
                 z_prev[m], grad_prev[m] = zm, g
                 accepted, z_new, f_new, s_new = _backtrack(objective, project, zm, fm, g, s)
                 rel = (fm - f_new) / np.maximum(np.abs(fm), 1e-300)
-                quiet[m] = np.where(accepted & ~(rel < rel_tol), 0, quiet[m])
+                quiet[m] = np.where(accepted & ~(rel < PGD_REL_TOL), 0, quiet[m])
                 step[m] = np.where(accepted, s_new, sm)
                 zl[m], fl[m] = z_new, f_new  # an unaccepted row keeps its iterate
-            # a row stops converged after `patience` quiet iterations, or
+            # a row stops converged after PGD_PATIENCE quiet iterations, or
             # unconverged when its gradient is not finite
-            leave = ~finite | (quiet >= patience)
+            leave = ~finite | (quiet >= PGD_PATIENCE)
             if leave.any():
                 gone = live[leave]
                 z[gone], fz[gone] = zl[leave], fl[leave]

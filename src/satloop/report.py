@@ -41,10 +41,7 @@ _MULTI_SCHEMES = (
 class RunRecord:
     """Reproducibility record for one CLI invocation."""
     scenario_hash: str
-    resolved_parameters: tuple
-    scheme_summaries: dict
     wall_clock_s: float
-    tool_version: str
     converged: bool
 
 
@@ -53,8 +50,6 @@ def scenario_hash(scn: Scenario) -> str:
 
 
 def _num(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
@@ -88,7 +83,6 @@ def cmd_single_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRe
     started = time.perf_counter()
     digest = scenario_hash(scn)
     rows = []
-    summaries = {}
     converged = True
     # one problem (and one validated Plant) serves all three objectives
     base = scn.single_loop_problem(_SINGLE_SCHEMES[0][1])
@@ -96,12 +90,6 @@ def cmd_single_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRe
         result = solve_single_loop(dataclasses.replace(base, objective=objective))
         outcome = result.per_loop_outcomes[0]
         converged = converged and result.solver_trace.converged
-        summaries[name] = {
-            "objective_value": result.objective_value,
-            "lqr_total": result.lqr_total,
-            "lqr_cost": outcome.lqr_cost,
-            "converged": result.solver_trace.converged,
-        }
         rows.append([
             name,
             result.decision["bandwidth_up_hz"],
@@ -127,8 +115,7 @@ def cmd_single_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRe
                                 "Closed-loop cost by bandwidth allocation scheme",
                                 "LQR cost")
         _write(out_dir / "single_loop_lqr.svg", svg)
-    return RunRecord(digest, tuple(scn.flat_items()), summaries,
-                     time.perf_counter() - started, __version__, converged)
+    return RunRecord(digest, time.perf_counter() - started, converged)
 
 
 def _solve_schemes(scn: Scenario, total_power_w: float) -> dict:
@@ -190,12 +177,7 @@ def cmd_multi_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRec
                                          f"Per-robot power at {detail_power:g} W total",
                                          "power (W)")
         _write(out_dir / "multi_loop_allocation.svg", svg2)
-
-    summaries = {name: {"lqr_total": detail[name].lqr_total,
-                        "converged": detail[name].solver_trace.converged}
-                 for name, _ in _MULTI_SCHEMES}
-    return RunRecord(digest, tuple(scn.flat_items()), summaries,
-                     time.perf_counter() - started, __version__, converged)
+    return RunRecord(digest, time.perf_counter() - started, converged)
 
 
 def cmd_contour(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRecord:
@@ -221,11 +203,7 @@ def cmd_contour(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRecord
                               "Total LQR cost over power x compute budgets",
                               "compute budget (cycles/s)", "power budget (W)")
         _write(out_dir / "contour.svg", svg)
-
-    summaries = {"contour": {"min": float(matrix.min()), "max": float(matrix.max()),
-                             "converged": converged}}
-    return RunRecord(digest, tuple(scn.flat_items()), summaries,
-                     time.perf_counter() - started, __version__, converged)
+    return RunRecord(digest, time.perf_counter() - started, converged)
 
 
 def _load_from_args(args) -> Scenario:

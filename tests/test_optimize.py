@@ -42,6 +42,15 @@ def _symmetric_problem(objective):
         objective=objective, fixed_payload_bits=1e4)
 
 
+def _monotone_violations(values: np.ndarray, rel_step: float = 1e-12) -> int:
+    """Grid steps that rise before the argmin or fall after it, by more than
+    rel_step of the larger neighbour."""
+    k = int(np.argmin(values))
+    step = np.diff(values)
+    slack = rel_step * np.maximum(np.abs(values[:-1]), np.abs(values[1:]))
+    return int((step[:k] > slack[:k]).sum() + (-step[k:] > slack[k:]).sum())
+
+
 class TestSingleLoop:
     def test_symmetric_max_throughput_splits_evenly(self):
         result = solve_single_loop(_symmetric_problem(SingleLoopObjective.MAX_THROUGHPUT))
@@ -112,6 +121,23 @@ class TestSingleLoop:
         assert result.per_loop_outcomes[0].lqr_cost == math.inf
         assert 0.0 < result.decision["bandwidth_up_hz"] < 100.0
 
+    def test_objectives_are_unimodal(self):
+        """The premise of the golden-section search: on a 2001-point grid each
+        objective never rises before its argmin and never falls after it."""
+        rng = np.random.default_rng(11)
+        problems = [default_scenario().single_loop_problem(SingleLoopObjective.TASK_ORIENTED)]
+        problems += [random_single_loop_problem(rng) for _ in range(300)]
+        for problem in problems:
+            model = RateCostModel.from_plant(problem.plant)
+            b_tot = problem.total_bandwidth_hz
+            grid = np.linspace(1e-6 * b_tot, b_tot - 1e-6 * b_tot, 2001)
+            for objective in SingleLoopObjective:
+                fn = optimize._single_objective_fn(
+                    dataclasses.replace(problem, objective=objective), model)
+                assert _monotone_violations(fn(grid)) == 0, (problem, objective)
+        # the check sees a ripple of one part in a thousand
+        ripple = 1.0 + 1e-3 * np.sin(grid * (100.0 * math.pi / b_tot))
+        assert _monotone_violations(fn(grid) * ripple) > 0
 
     @pytest.mark.parametrize("objective", list(SingleLoopObjective))
     def test_array_objective_matches_cycle_model_at_check_points(self, objective):
@@ -119,7 +145,7 @@ class TestSingleLoop:
         problem = default_scenario().single_loop_problem(objective)
         model = RateCostModel.from_plant(problem.plant)
         b_tot = problem.total_bandwidth_hz
-        grid = np.linspace(1e-6 * b_tot, b_tot - 1e-6 * b_tot, optimize.UNIMODAL_CHECK_POINTS)
+        grid = np.linspace(1e-6 * b_tot, b_tot - 1e-6 * b_tot, 101)
         got = optimize._single_objective_fn(problem, model)(grid)
         t_prop = propagation_delay_s(slant_range_m(problem.uplink_template.geometry),
                                      slant_range_m(problem.downlink_template.geometry))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from satloop import report, scenario
+from satloop import optimize, report, scenario
 from satloop.report import cmd_multi_loop, cmd_single_loop, main
 from satloop.scenario import default_scenario, dump_scenario, load_scenario
 
@@ -165,6 +165,38 @@ class TestFailureExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("solver error: " if code == 3 else "scenario error: ")
+
+    @pytest.mark.parametrize("verb", ["multi-loop", "contour"])
+    def test_no_budget_for_the_sampled_robots(self, tmp_path, capsys, verb):
+        """5 ms passes validate and single-loop, but seed 1 places one of the five
+        robots so low that its downlink pair takes 6.0 ms: NoBudgetError, exit 2."""
+        doc = tmp_path / "doc.yaml"
+        doc.write_text("budget: {cycle_period_ms: 5.0}\n")
+        assert main(["validate", "--scenario", str(doc)]) == 0
+        assert main(["single-loop", "--scenario", str(doc), "--out", str(tmp_path / "s")]) == 0
+        capsys.readouterr()
+        assert main([verb, "--scenario", str(doc), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("scenario error: multi_loop: propagation 0.006")
+        assert err.endswith("s leaves no budget in the 0.005s cycle (budget.cycle_period_ms)\n")
+
+    def test_unconverged_solve_exits_3_after_writing(self, tmp_path, capsys, monkeypatch):
+        original = optimize._projected_gradient
+
+        def never_converges(*args, **kwargs):
+            result = original(*args, **kwargs)
+            result.converged[:] = False
+            return result
+        monkeypatch.setattr(optimize, "_projected_gradient", never_converges)
+        doc = tmp_path / "doc.yaml"
+        doc.write_text(TestPlantCorners.SMALL)
+        out = tmp_path / "out"
+        assert main(["multi-loop", "--scenario", str(doc), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "warning: at least one solve did not converge\n"
+        for name in ("multi_loop_sweep.csv", "multi_loop_allocation.csv"):
+            _, rows = _read_rows(out / name)
+            assert len(rows) == 2
 
     @pytest.mark.parametrize("body, where", [
         ("budget: {cycle_period_ms: 3.0}\n", "links"),  # 4.0 ms of propagation
