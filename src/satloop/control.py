@@ -62,18 +62,21 @@ def dare_solve(plant: Plant) -> np.ndarray:
     taken as 2 q r / (c1 + sqrt(disc)) when c1 > 0 so that nothing cancels.
 
     Raises:
-        NonConvergentError: no root gives a stable closed loop |a - b k| < 1.
+        NonConvergentError: no root gives a stable closed loop |a - b k| < 1,
+            or the discriminant's root or S overflows the float range.
     """
     a, b, q, r = plant.a, plant.b, plant.q, plant.r_u
     c1 = r * (1.0 - a * a) - q * b * b
     root = math.sqrt(c1 * c1 + 4.0 * b * b * q * r)
     if c1 > 0.0:
         s = 2.0 * q * r / (c1 + root)
-    elif b != 0.0:
+    elif b * b != 0.0:
         s = (root - c1) / (2.0 * b * b)
-    else:  # c1 <= 0 and b = 0: |a| >= 1 with no input to act on it
+    else:  # c1 <= 0 and b^2 = 0 (or underflows): |a| >= 1 with no input to act on it
         raise NonConvergentError("unstable mode with no input authority "
                                  "(plant is not stabilizable)")
+    if not (math.isfinite(root) and math.isfinite(s)):
+        raise NonConvergentError("the Riccati root overflows the float range")
     if not abs(a * r / (r + b * b * s)) < 1.0:  # a - b k with k = a b s / (r + b^2 s)
         raise NonConvergentError(
             "no stabilizing Riccati solution (closed loop |a - b k| >= 1)")

@@ -5,6 +5,7 @@ power, and Shannon rate for one direction of a satellite-terminal link.
 All functions are pure; dB/linear conversions are centralized here so the
 rest of the package never re-derives them.
 """
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -71,15 +72,7 @@ class LinkParams:
 
     def with_bandwidth(self, bandwidth_hz: float) -> "LinkParams":
         """Copy of this link with a different bandwidth."""
-        return LinkParams(
-            tx_power_w=self.tx_power_w,
-            tx_gain_dbi=self.tx_gain_dbi,
-            rx_gain_dbi=self.rx_gain_dbi,
-            carrier_freq_hz=self.carrier_freq_hz,
-            bandwidth_hz=bandwidth_hz,
-            noise_temperature_k=self.noise_temperature_k,
-            geometry=self.geometry,
-        )
+        return dataclasses.replace(self, bandwidth_hz=bandwidth_hz)
 
 
 def slant_range_m(geometry: Geometry) -> float:

@@ -26,9 +26,12 @@ from .pipeline import LoopBudget
 INFEASIBILITY_PENALTY = 1e9
 GOLDEN_REL_WIDTH = 1e-8
 # Projected gradient: a row converges after PGD_PATIENCE consecutive
-# iterations that improve its value by less than PGD_REL_TOL relative.
+# iterations that improve its value by less than PGD_REL_TOL relative, and
+# stops unconverged after PGD_MAX_ITER iterations.
 PGD_REL_TOL = 1e-10
 PGD_PATIENCE = 5
+PGD_MAX_ITER = 500
+CONTOUR_RESTARTS = 6  # starts per sweep_contour cell
 # Projected-gradient backtracking: at most MAX_HALVINGS halvings of a trial
 # step, evaluated BACKTRACK_BLOCK at a time in one objective call.
 MAX_HALVINGS = 80
@@ -73,14 +76,9 @@ class SingleLoopProblem:
 
 @dataclass(frozen=True, eq=False)
 class RobotLoop:
-    """One robot's downlink template, plant, and fixed bandwidth share."""
+    """One robot's downlink template (its bandwidth is the robot's fixed share) and plant."""
     downlink: LinkParams
     plant: Plant
-    bandwidth_share_hz: float
-
-    def __post_init__(self):
-        if self.bandwidth_share_hz <= 0.0:
-            raise ValueError("bandwidth share must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,8 +263,8 @@ class JointEvaluator:
         robots = problem.robots
         self.n = len(robots)
         self.problem = problem
-        self.bandwidth = np.array([r.bandwidth_share_hz for r in robots])
-        links = [r.downlink.with_bandwidth(r.bandwidth_share_hz) for r in robots]
+        links = [r.downlink for r in robots]
+        self.bandwidth = np.array([link.bandwidth_hz for link in links])
         gain = np.array([linkgeom.received_power_w(link) / link.tx_power_w for link in links])
         dist = np.array([linkgeom.slant_range_m(link.geometry) for link in links])
         noise = (np.array([BOLTZMANN_J_PER_K * link.noise_temperature_k for link in links])
@@ -443,7 +441,7 @@ def _backtrack(objective, project, z: np.ndarray, fz: np.ndarray, grad: np.ndarr
 
 
 def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *,
-                        optimize_power: bool = True, max_iter: int = 500) -> _PgdResult:
+                        optimize_power: bool = True) -> _PgdResult:
     """Minimize objective(z) over the product of two capped simplexes, per row of z0.
 
     Each row of z0 (one start, shape (R, 2n) in all) holds budget-scaled power
@@ -459,7 +457,8 @@ def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *,
     backed off by halving (_backtrack) until a sufficient decrease over the
     projected move is reached. A row converges after PGD_PATIENCE consecutive
     iterations with relative improvement below PGD_REL_TOL or a zero gradient;
-    a row whose gradient is not finite stops unconverged.
+    a row whose gradient is not finite, or that is still running after
+    PGD_MAX_ITER iterations, stops unconverged.
     """
     def project(z):
         if optimize_power:
@@ -479,7 +478,7 @@ def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *,
     z_prev, grad_prev = z.copy(), np.zeros_like(z)
     quiet = np.zeros(live.size, dtype=int)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(PGD_MAX_ITER):
             if live.size == 0:
                 break
             iterations += live.size
@@ -548,14 +547,14 @@ def _task_starts(evaluator: JointEvaluator, p_tot: float, f_tot: float,
     return starts
 
 
-def _best_start(evaluator: JointEvaluator, starts: list, max_iter: int, *,
-                optimize_power: bool, method: str):
+def _best_start(evaluator: JointEvaluator, starts: list, *, optimize_power: bool,
+                method: str):
     """Batched PGD from every start: the winning row, its value, and the trace."""
     problem = evaluator.problem
     objective, gradient = _scaled_objective(evaluator, problem.total_power_w,
                                             problem.total_compute_cps)
     res = _projected_gradient(objective, gradient, np.array(starts), evaluator.n,
-                              optimize_power=optimize_power, max_iter=max_iter)
+                              optimize_power=optimize_power)
     best = int(np.argmin(res.value))
     trace = SolverTrace(iterations=res.iterations, converged=bool(res.converged[best]),
                         restarts=len(starts), best_restart=best, method=method)
@@ -563,7 +562,7 @@ def _best_start(evaluator: JointEvaluator, starts: list, max_iter: int, *,
 
 
 def solve_multi_loop(problem: MultiLoopProblem, *, seed: int = 0, restarts: int = 10,
-                     extra_starts=(), max_iter: int = 500) -> AllocationResult:
+                     extra_starts=()) -> AllocationResult:
     """Allocate downlink power and compute frequency under the chosen scheme.
 
     Task-oriented: projected gradient over both budgets from `restarts`
@@ -593,12 +592,12 @@ def solve_multi_loop(problem: MultiLoopProblem, *, seed: int = 0, restarts: int 
         starts = [np.concatenate([power / p_tot, np.full(n, 1.0 / n)])]
         while len(starts) < restarts:
             starts.append(np.concatenate([power / p_tot, rng.dirichlet(np.ones(n))]))
-        z, value, trace = _best_start(evaluator, starts, max_iter, optimize_power=False,
+        z, value, trace = _best_start(evaluator, starts, optimize_power=False,
                                       method="projected_gradient_compute_only")
         return _multi_result(evaluator, power, z[n:] * f_tot, value, trace)
 
     starts = _task_starts(evaluator, p_tot, f_tot, restarts, seed, extra_starts)
-    z, value, trace = _best_start(evaluator, starts, max_iter, optimize_power=True,
+    z, value, trace = _best_start(evaluator, starts, optimize_power=True,
                                   method="projected_gradient")
     return _multi_result(evaluator, z[:n] * p_tot, z[n:] * f_tot, value, trace)
 
@@ -628,7 +627,7 @@ def _multi_result(evaluator: JointEvaluator, power: np.ndarray, compute: np.ndar
 
 
 def sweep_contour(problem: MultiLoopProblem, power_grid, compute_grid, *,
-                  seed: int = 0, restarts: int = 6, trace_out: list | None = None) -> np.ndarray:
+                  seed: int = 0, trace_out: list | None = None) -> np.ndarray:
     """Optimal task-oriented LQR total over a (power, compute) budget grid.
 
     Entry (i, j) solves the joint problem at power_grid[i], compute_grid[j].
@@ -659,7 +658,7 @@ def sweep_contour(problem: MultiLoopProblem, power_grid, compute_grid, *,
                 extra.append(decisions[(i - 1, j)])
             if j > 0:
                 extra.append(decisions[(i, j - 1)])
-            result = solve_multi_loop(cell, seed=seed, restarts=restarts,
+            result = solve_multi_loop(cell, seed=seed, restarts=CONTOUR_RESTARTS,
                                       extra_starts=extra)
             matrix[i, j] = result.lqr_total
             decisions[(i, j)] = result.decision

@@ -19,11 +19,11 @@ from pathlib import Path
 
 from . import __version__, svgplot
 from .control import NonConvergentError
-from .optimize import (MultiLoopScheme, SingleLoopObjective, solve_multi_loop,
-                       solve_single_loop, sweep_contour)
+from .optimize import (MultiLoopProblem, MultiLoopScheme, SingleLoopObjective,
+                       solve_multi_loop, solve_single_loop, sweep_contour)
 from .pipeline import NoBudgetError
-from .scenario import (Scenario, ScenarioError, default_scenario, dump_scenario,
-                       load_scenario, provenance_map)
+from .scenario import (ParseError, Scenario, ScenarioError, default_scenario,
+                       dump_scenario, load_scenario, provenance_map)
 
 _SINGLE_SCHEMES = (
     ("task_oriented", SingleLoopObjective.TASK_ORIENTED),
@@ -55,7 +55,8 @@ def _num(x) -> str:
     return str(x)
 
 
-def _metadata(scn: Scenario, digest: str) -> str:
+def _csv(scn: Scenario, digest: str, header, rows) -> str:
+    """The metadata block, then the header and each row, every cell through _num."""
     prov = provenance_map()
     lines = [f"# satloop {__version__}",
              f"# scenario_hash = {digest}",
@@ -63,6 +64,7 @@ def _metadata(scn: Scenario, digest: str) -> str:
     for path, value in scn.flat_items():
         label = prov.get(path, "user")
         lines.append(f"# param {path} = {_num(value)} [{label}]")
+    lines += [",".join(_num(v) for v in row) for row in [header, *rows]]
     return "\n".join(lines) + "\n"
 
 
@@ -103,12 +105,9 @@ def cmd_single_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRe
             outcome.cner_bps,
             outcome.lqr_cost,
         ])
-    header = ("scheme,bandwidth_up_hz,bandwidth_down_hz,uplink_rate_bps,"
-              "downlink_rate_bps,t_up_s,t_comp_s,t_down_s,effective_bits,"
-              "cner_bps,lqr_cost")
-    csv = _metadata(scn, digest) + header + "\n" + "\n".join(
-        ",".join(_num(v) for v in row) for row in rows) + "\n"
-    _write(out_dir / "single_loop.csv", csv)
+    header = ("scheme,bandwidth_up_hz,bandwidth_down_hz,uplink_rate_bps,downlink_rate_bps,"
+              "t_up_s,t_comp_s,t_down_s,effective_bits,cner_bps,lqr_cost").split(",")
+    _write(out_dir / "single_loop.csv", _csv(scn, digest, header, rows))
     if fmt == "csv+svg":
         values = [r[-1] for r in rows]
         svg = svgplot.bar_chart([r[0] for r in rows], values,
@@ -118,18 +117,16 @@ def cmd_single_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRe
     return RunRecord(digest, time.perf_counter() - started, converged)
 
 
-def _solve_schemes(scn: Scenario, total_power_w: float) -> dict:
-    """Scheme name -> result at one power budget; the baselines are solved
-    first and their decisions are extra starts for the task-oriented scheme."""
+def _solve_schemes(problem: MultiLoopProblem, seed: int) -> dict:
+    """Scheme name -> result on the problem's robots and totals; the baselines
+    are solved first and their decisions are extra starts for the
+    task-oriented scheme."""
     results = {}
-    for name, scheme in _MULTI_SCHEMES:
-        if scheme != MultiLoopScheme.TASK_ORIENTED_JOINT:
-            results[name] = solve_multi_loop(
-                scn.multi_loop_problem(scheme, total_power_w=total_power_w), seed=scn.seed)
+    for name, scheme in _MULTI_SCHEMES[1:]:  # the two baselines
+        results[name] = solve_multi_loop(dataclasses.replace(problem, scheme=scheme), seed=seed)
     results["task_oriented"] = solve_multi_loop(
-        scn.multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT,
-                               total_power_w=total_power_w),
-        seed=scn.seed, extra_starts=[r.decision for r in results.values()])
+        dataclasses.replace(problem, scheme=MultiLoopScheme.TASK_ORIENTED_JOINT),
+        seed=seed, extra_starts=[r.decision for r in results.values()])
     return results
 
 
@@ -137,44 +134,38 @@ def cmd_multi_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRec
     """Power sweep per scheme plus per-robot allocation at the detail point."""
     started = time.perf_counter()
     digest = scenario_hash(scn)
+    names = [name for name, _ in _MULTI_SCHEMES]
+    # one problem at the allocation (detail) point; every solve varies only
+    # its power total and its scheme, and the detail point is solved last
+    base = scn.multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT)
     sweep = scn.power_sweep_w()
-    solves = [_solve_schemes(scn, p_tot) for p_tot in sweep]
-    columns = {name: [s[name].lqr_total for s in solves] for name, _ in _MULTI_SCHEMES}
-
-    header = "total_power_w," + ",".join(f"lqr_{name}" for name, _ in _MULTI_SCHEMES)
-    lines = [header]
-    for i, p_tot in enumerate(sweep):
-        lines.append(",".join(
-            [_num(float(p_tot))] + [_num(columns[name][i]) for name, _ in _MULTI_SCHEMES]))
-    _write(out_dir / "multi_loop_sweep.csv", _metadata(scn, digest) + "\n".join(lines) + "\n")
-
-    # per-robot allocation at the designated power point
-    detail_power = scn.tree["multi_loop"]["allocation_power_w"]
-    detail = _solve_schemes(scn, detail_power)
+    # the sweep's totals stay numpy floats, which scale arrays faster than Python floats
+    problems = [dataclasses.replace(base, total_power_w=p) for p in sweep] + [base]
+    *solves, detail = [_solve_schemes(problem, scn.seed) for problem in problems]
     converged = all(r.solver_trace.converged for s in solves + [detail] for r in s.values())
 
-    elevations = scn.robot_elevations()
-    powers = {name: [float(p) for p in detail[name].decision["power_w"]]
-              for name, _ in _MULTI_SCHEMES}
-    alloc_header = ("robot,elevation_deg,"
-                    + ",".join(f"power_{name}_w" for name, _ in _MULTI_SCHEMES))
-    alloc_lines = [alloc_header]
-    for i, elev in enumerate(elevations):
-        row = [str(i + 1), _num(elev)] + [_num(powers[name][i]) for name, _ in _MULTI_SCHEMES]
-        alloc_lines.append(",".join(row))
-    _write(out_dir / "multi_loop_allocation.csv",
-           _metadata(scn, digest) + "\n".join(alloc_lines) + "\n")
+    columns = {name: [s[name].lqr_total for s in solves] for name in names}
+    _write(out_dir / "multi_loop_sweep.csv", _csv(
+        scn, digest, ["total_power_w"] + [f"lqr_{name}" for name in names],
+        [[float(p)] + [s[name].lqr_total for name in names] for p, s in zip(sweep, solves)]))
+
+    elevations = [robot.downlink.geometry.elevation_deg for robot in base.robots]
+    powers = {name: [float(p) for p in detail[name].decision["power_w"]] for name in names}
+    _write(out_dir / "multi_loop_allocation.csv", _csv(
+        scn, digest, ["robot", "elevation_deg"] + [f"power_{name}_w" for name in names],
+        [[i + 1, elev] + [powers[name][i] for name in names]
+         for i, elev in enumerate(elevations)]))
 
     if fmt == "csv+svg":
-        series = [(name, columns[name]) for name, _ in _MULTI_SCHEMES]
+        series = [(name, columns[name]) for name in names]
         svg = svgplot.line_chart(list(sweep), series,
                                  "Total LQR cost vs downlink power budget",
                                  "total power (W)", "total LQR cost")
         _write(out_dir / "multi_loop_sweep.svg", svg)
         groups = [f"robot {i + 1}" for i in range(len(elevations))]
-        bars = [(name, powers[name]) for name, _ in _MULTI_SCHEMES]
+        bars = [(name, powers[name]) for name in names]
         svg2 = svgplot.grouped_bar_chart(groups, bars,
-                                         f"Per-robot power at {detail_power:g} W total",
+                                         f"Per-robot power at {base.total_power_w:g} W total",
                                          "power (W)")
         _write(out_dir / "multi_loop_allocation.svg", svg2)
     return RunRecord(digest, time.perf_counter() - started, converged)
@@ -191,11 +182,9 @@ def cmd_contour(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRecord
                            trace_out=traces)
     converged = all(t.converged for t in traces)
 
-    header = "power_w," + ",".join(_num(float(c)) for c in compute_grid)
-    lines = [header]
-    for i, p in enumerate(power_grid):
-        lines.append(",".join([_num(float(p))] + [_num(float(v)) for v in matrix[i]]))
-    _write(out_dir / "contour.csv", _metadata(scn, digest) + "\n".join(lines) + "\n")
+    _write(out_dir / "contour.csv", _csv(
+        scn, digest, ["power_w"] + [float(c) for c in compute_grid],
+        [[float(p)] + [float(v) for v in row] for p, row in zip(power_grid, matrix)]))
 
     if fmt == "csv+svg":
         svg = svgplot.heatmap(list(power_grid), list(compute_grid),
@@ -214,6 +203,8 @@ def _load_from_args(args) -> Scenario:
             text = Path(args.scenario).read_text(encoding="utf-8")
         except OSError as exc:
             raise _IoFailure(f"cannot read {args.scenario}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.scenario}: not UTF-8 text ({exc})") from exc
         scn = load_scenario(text)
     if getattr(args, "seed", None) is not None:
         scn = scn.with_seed(args.seed)
@@ -247,21 +238,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         scn = _load_from_args(args)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    except _IoFailure as exc:
-        print(str(exc), file=sys.stderr)
-        return 4
-
-    if args.command == "validate":
-        sys.stdout.write(dump_scenario(scn))
-        return 0
-
-    runner = {"single-loop": cmd_single_loop,
-              "multi-loop": cmd_multi_loop,
-              "contour": cmd_contour}[args.command]
-    try:
+        if args.command == "validate":
+            sys.stdout.write(dump_scenario(scn))
+            return 0
+        runner = {"single-loop": cmd_single_loop,
+                  "multi-loop": cmd_multi_loop,
+                  "contour": cmd_contour}[args.command]
         record = runner(scn, Path(args.out), fmt=args.format)
     except (ScenarioError, NoBudgetError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

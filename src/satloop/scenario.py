@@ -314,21 +314,19 @@ class Scenario:
                                  ml["elevation_max_deg"], self.seed)
 
     def multi_loop_problem(self, scheme: MultiLoopScheme,
-                           total_power_w: float | None = None,
-                           total_compute_cps: float | None = None) -> MultiLoopProblem:
+                           total_power_w: float | None = None) -> MultiLoopProblem:
+        """The robots with their downlink shares, at the allocation power by default."""
         ml = self.tree["multi_loop"]
         share = ml["downlink_bandwidth_total_hz"] / ml["n_robots"]
         plant = self.plant()
         robots = tuple(
-            RobotLoop(downlink=self._link("downlink", share, elevation_deg=elev),
-                      plant=plant, bandwidth_share_hz=share)
+            RobotLoop(downlink=self._link("downlink", share, elevation_deg=elev), plant=plant)
             for elev in self.robot_elevations())
         return MultiLoopProblem(
             robots=robots,
             total_power_w=(ml["allocation_power_w"] if total_power_w is None
                            else total_power_w),
-            total_compute_cps=(ml["total_compute_gcps"] * 1e9 if total_compute_cps is None
-                               else total_compute_cps),
+            total_compute_cps=ml["total_compute_gcps"] * 1e9,
             budget=self.budget(),
             scheme=scheme,
             uplink_fixed_bits=ml["uplink_fixed_bits"],

@@ -60,14 +60,14 @@ def _scale(lo: float, hi: float):
     def to_py(v):
         return (_H - _MB) - (v - lo2) / (hi2 - lo2) * (_H - _MB - _MT)
 
-    return lo2, hi2, to_py
+    return to_py
 
 
 def bar_chart(labels, values, title: str, y_label: str) -> str:
     finite = [v for v in values if math.isfinite(v)]
     lo = min(0.0, min(finite, default=0.0))
     hi = max(finite, default=1.0)
-    lo2, hi2, to_py = _scale(lo, hi)
+    to_py = _scale(lo, hi)
     parts = _header(title)
     _axes(parts, "", y_label)
     _yticks(parts, lo, hi, to_py)
@@ -94,7 +94,7 @@ def bar_chart(labels, values, title: str, y_label: str) -> str:
 def line_chart(x_values, series, title: str, x_label: str, y_label: str) -> str:
     """series: list of (label, y_values)."""
     ys = [y for _, yy in series for y in yy if math.isfinite(y)]
-    lo2, hi2, to_py = _scale(min(ys, default=0.0), max(ys, default=1.0))
+    to_py = _scale(min(ys, default=0.0), max(ys, default=1.0))
     xs_lo, xs_hi = min(x_values), max(x_values)
     span = (xs_hi - xs_lo) or 1.0
 
@@ -127,7 +127,7 @@ def grouped_bar_chart(group_labels, series, title: str, y_label: str) -> str:
     vals = [v for _, vv in series for v in vv if math.isfinite(v)]
     lo = min(0.0, min(vals, default=0.0))
     hi = max(vals, default=1.0)
-    lo2, hi2, to_py = _scale(lo, hi)
+    to_py = _scale(lo, hi)
     parts = _header(title)
     _axes(parts, "", y_label)
     _yticks(parts, lo, hi, to_py)

@@ -108,8 +108,7 @@ def compute_only_kkt(problem: MultiLoopProblem) -> float:
     power = problem.total_power_w / len(problem.robots)
     loops = []
     for robot in problem.robots:
-        link = dataclasses.replace(robot.downlink, tx_power_w=power,
-                                   bandwidth_hz=robot.bandwidth_share_hz)
+        link = dataclasses.replace(robot.downlink, tx_power_w=power)
         plant = robot.plant
         s = scalar_dare_root(plant.a, plant.b, plant.q, plant.r_u)
         k = plant.a * plant.b * s / (plant.r_u + plant.b * plant.b * s)
@@ -221,7 +220,7 @@ def random_joint_problem(rng: np.random.Generator, n_robots: int = 2) -> MultiLo
             noise_temperature_k=290.0, geometry=geometry)
         plant = Plant(a=rng.uniform(1.5, 2.5), b=1.0, w_cov=1.0, q=1.0, r_u=1.0,
                       sample_period_s=budget.cycle_period_s)
-        robots.append(RobotLoop(downlink=link, plant=plant, bandwidth_share_hz=share))
+        robots.append(RobotLoop(downlink=link, plant=plant))
         from satloop import linkgeom, pipeline
         dist = linkgeom.slant_range_m(geometry)
         t_budget = budget.cycle_period_s - pipeline.propagation_delay_s(dist, dist)

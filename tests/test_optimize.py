@@ -310,11 +310,12 @@ class TestMultiLoop:
         assert result.objective_value == pytest.approx(again, rel=1e-12)
         assert result.lqr_total == pytest.approx(again, rel=1e-12)
 
-    def test_nonconvergent_flagged_but_result_returned(self):
+    def test_nonconvergent_flagged_but_result_returned(self, monkeypatch):
         scn = default_scenario()
         problem = scn.multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT,
                                          total_power_w=5.0)
-        result = solve_multi_loop(problem, seed=1, max_iter=1)
+        monkeypatch.setattr(optimize, "PGD_MAX_ITER", 1)
+        result = solve_multi_loop(problem, seed=1)
         assert not result.solver_trace.converged
         assert result.decision["power_w"].sum() <= 5.0 * (1 + 1e-9)
         assert math.isfinite(result.lqr_total)
@@ -340,10 +341,9 @@ class TestMultiLoop:
         assert values_p[0] >= values_p[1] >= values_p[2]
         values_c = []
         for f_tot in (0.9e10, 1.5e10, 3e10):
-            result = solve_multi_loop(
-                scn.multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT,
-                                       total_power_w=5.0,
-                                       total_compute_cps=f_tot), seed=1)
+            result = solve_multi_loop(dataclasses.replace(
+                scn.multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT, total_power_w=5.0),
+                total_compute_cps=f_tot), seed=1)
             values_c.append(result.lqr_total)
         assert values_c[0] >= values_c[1] >= values_c[2]
 
@@ -411,8 +411,7 @@ class TestJointEvaluator:
         cycles = problem.budget.cycles_per_bit * problem.uplink_fixed_bits
         for i in (0, 4, 2):
             robot, out = problem.robots[i], outs[i]
-            link = dataclasses.replace(robot.downlink, tx_power_w=float(power[i]),
-                                       bandwidth_hz=robot.bandwidth_share_hz)
+            link = dataclasses.replace(robot.downlink, tx_power_w=float(power[i]))
             rate = shannon_rate_bps(link)
             t_prop = 2.0 * slant_range_m(link.geometry) / 299792458.0
             t_comp = cycles / max(compute[i], 1e-9)
@@ -518,8 +517,9 @@ class TestBatchedPgd:
             assert batch.converged[row] == alone.converged[0]
 
     @pytest.mark.parametrize("optimize_power", [True, False])
-    def test_batch_equals_plain_loop_bit_for_bit(self, optimize_power):
+    def test_batch_equals_plain_loop_bit_for_bit(self, optimize_power, monkeypatch):
         """Every row's iterates, value, flag and iteration count equal a plain loop."""
+        monkeypatch.setattr(optimize, "PGD_MAX_ITER", 150)
         rng = np.random.default_rng(8)
         problems = [_default_joint(), _default_joint(extraction_scale=0.03)]
         problems += [random_joint_problem(rng, n_robots=k) for k in (2, 3, 4)]
@@ -529,8 +529,8 @@ class TestBatchedPgd:
             objective, gradient = optimize._scaled_objective(ev, p_tot, f_tot)
             starts = np.array(optimize._task_starts(ev, p_tot, f_tot, 12, 5, ()))
             starts[-1] = np.concatenate([np.eye(ev.n)[0], np.eye(ev.n)[-1]])  # a vertex
-            kwargs = dict(optimize_power=optimize_power, max_iter=150)
-            batch = optimize._projected_gradient(objective, gradient, starts, ev.n, **kwargs)
+            batch = optimize._projected_gradient(objective, gradient, starts, ev.n,
+                                                 optimize_power=optimize_power)
 
             def project(z):
                 if optimize_power:
@@ -540,8 +540,8 @@ class TestBatchedPgd:
             iterations = 0
             for row, z0 in enumerate(starts):
                 z, value, converged, iters = reference_projected_gradient(
-                    objective, gradient, project, z0, ev.n,
-                    max_halvings=optimize.MAX_HALVINGS, **kwargs)
+                    objective, gradient, project, z0, ev.n, optimize_power=optimize_power,
+                    max_halvings=optimize.MAX_HALVINGS, max_iter=150)
                 assert np.array_equal(batch.z[row], z)
                 assert batch.value[row] == value and batch.converged[row] == converged
                 iterations += iters
@@ -671,8 +671,7 @@ class TestSweepContour:
         problem = scn.multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT)
         matrix = sweep_contour(problem, [5.0], [1e10], seed=scn.seed)
         direct = solve_multi_loop(
-            scn.multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT,
-                                   total_power_w=5.0, total_compute_cps=1e10),
+            dataclasses.replace(problem, total_power_w=5.0, total_compute_cps=1e10),
             seed=scn.seed, restarts=6)
         assert matrix.shape == (1, 1)
         assert matrix[0, 0] == pytest.approx(direct.lqr_total, rel=1e-6)

@@ -1,7 +1,13 @@
 """CLI and emission tests: schemas, metadata, determinism, exit codes."""
+import contextlib
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from satloop import optimize, report, scenario
 from satloop.report import cmd_multi_loop, cmd_single_loop, main
@@ -157,6 +163,10 @@ class TestFailureExitCodes:
         ("plant:\n  a: 1.0\n  q: 0.0\n", 3),    # marginal plant, no stabilizing root
         ("budget:\n  cycle_period_ms: 1.0\n", 2),  # propagation exceeds the period
         ("seed: -3\n", 2),                       # numpy seeds must be non-negative
+        ("plant:\n  q: 1.0e300\n", 3),           # the Riccati root S overflows
+        ("plant:\n  a: 0.0\n  r_u: 1.0e300\n", 3),  # the discriminant overflows
+        ("plant:\n  b: 1.0e-200\n", 3),          # b^2 underflows: no input authority
+        ("plant:\n  a: 1.0e200\n", 3),           # a^2 overflows
     ])
     def test_exit_code_and_one_line_message(self, tmp_path, capsys, verb, body, code):
         doc = tmp_path / "doc.yaml"
@@ -218,11 +228,54 @@ class TestFailureExitCodes:
         assert main(["validate", "--scenario", str(doc)]) == 0
         assert main(["validate"]) == 0
 
+    @pytest.mark.parametrize("verb", ["validate", "single-loop"])
+    def test_scenario_not_utf8(self, tmp_path, capsys, verb):
+        doc = tmp_path / "doc.yaml"
+        doc.write_bytes(b"name: \xff\xfe\n")
+        out = [] if verb == "validate" else ["--out", str(tmp_path / "out")]
+        assert main([verb, "--scenario", str(doc)] + out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"scenario error: {doc}: not UTF-8 text (")
+
     @pytest.mark.parametrize("verb", ["single-loop", "multi-loop"])
     def test_negative_seed_option(self, tmp_path, capsys, verb):
         assert main([verb, "--out", str(tmp_path), "--seed", "-3"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("scenario error: seed: ")
+
+
+class TestAnyPlant:
+    """Every finite plant section, from 0 through subnormals to +-1e300."""
+    _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+    _NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=_FINITE, b=_FINITE, q=_NON_NEGATIVE, w_cov=_NON_NEGATIVE,
+           r_u=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @example(a=2.0, b=1.0, q=1e300, r_u=1.0, w_cov=1.0)  # S overflows
+    @example(a=-1e300, b=5e-324, q=0.0, r_u=5e-324, w_cov=1e300)  # b^2 underflows
+    @example(a=5e-324, b=-1e300, q=1e300, r_u=1e300, w_cov=0.0)
+    @example(a=0.0, b=0.0, q=0.0, r_u=1.0, w_cov=0.0)
+    def test_single_loop_exits_0_or_3_without_nan(self, a, b, q, w_cov, r_u):
+        """single-loop exits 0 with no nan in its CSV, or 3 with one stderr line.
+
+        An exception escaping main (a traceback at the command line) fails the test.
+        """
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = Path(tmp) / "doc.yaml"
+            doc.write_text(f"plant: {{a: {a!r}, b: {b!r}, q: {q!r}, r_u: {r_u!r}, "
+                           f"w_cov: {w_cov!r}}}\n")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["single-loop", "--scenario", str(doc), "--out", tmp,
+                             "--format", "csv"])
+            assert code in (0, 3), err.getvalue()
+            if code == 3:
+                assert err.getvalue().count("\n") == 1, err.getvalue()
+            if code == 0:
+                _, rows = _read_rows(Path(tmp) / "single_loop.csv")
+                assert not any("nan" in value for row in rows for value in row.values())
 
 
 class TestScientificNotation:
