@@ -15,11 +15,12 @@ from satloop import svgplot
 OUT = Path(__file__).resolve().parent / "output"
 OUT.mkdir(exist_ok=True)
 
-plant = Plant(a=2.0, b=1.0, w_cov=1.0, q=1.0, r_u=1.0, sample_period_s=1.0)
+plant = Plant(a=2.0, b=1.0, w_cov=1.0, q=1.0, r_u=1.0)
+period_s = 1.0  # one control step per second
 model = RateCostModel.from_plant(plant)
 
 print("plant: x' = 2x + u + w  (one unstable mode)")
-print(f"intrinsic entropy rate: {intrinsic_entropy_rate(plant):.1f} bit/s "
+print(f"intrinsic entropy rate: {intrinsic_entropy_rate(plant, period_s):.1f} bit/s "
       f"-> stabilization needs > 1 bit/step")
 print(f"full-information LQR optimum j_ideal = {model.j_ideal:.6f}")
 print()

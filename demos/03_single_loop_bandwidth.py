@@ -34,8 +34,7 @@ for share in shares:
     uplink = problem.uplink_template.with_bandwidth(float(share) * b_tot)
     downlink = problem.downlink_template.with_bandwidth((1.0 - float(share)) * b_tot)
     t_up, t_down = balanced_times(uplink, downlink, problem.budget, t_prop)
-    outcome = evaluate_cycle(uplink, downlink, problem.budget, problem.plant,
-                             t_up, t_down, model=model)
+    outcome = evaluate_cycle(uplink, downlink, problem.budget, model, t_up, t_down)
     costs.append(1e9 if outcome.lqr_cost == math.inf else outcome.lqr_cost)
 svg = svgplot.line_chart(
     [float(s) for s in shares], [("closed-loop cost", costs)],

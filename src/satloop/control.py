@@ -27,21 +27,18 @@ class Plant:
     """Scalar discrete-time linear plant with LQR weights.
 
     w_cov is the process-noise variance, q and r_u the state and input
-    weights. One control step per sample period. Every field is stored as a
-    float; an array argument is refused (TypeError).
+    weights. One control step per cycle (LoopBudget.cycle_period_s). Every
+    field is stored as a float; an array argument is refused (TypeError).
     """
     a: float
     b: float
     w_cov: float
     q: float
     r_u: float
-    sample_period_s: float
 
     def __post_init__(self):
-        for name in ("a", "b", "w_cov", "q", "r_u", "sample_period_s"):
+        for name in ("a", "b", "w_cov", "q", "r_u"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.sample_period_s <= 0.0:
-            raise ValueError(f"sample period must be positive, got {self.sample_period_s}")
         if self.w_cov < 0.0:
             raise ValueError(f"w_cov must be non-negative, got {self.w_cov}")
         if self.q < 0.0:
@@ -55,8 +52,8 @@ class Plant:
         return math.log2(abs(self.a)) if abs(self.a) > 1.0 else 0.0
 
 
-def dare_solve(plant: Plant) -> np.ndarray:
-    """Stabilizing root S of s = q + a^2 r s / (r + b^2 s), as a 1x1 array.
+def dare_solve(plant: Plant) -> float:
+    """Stabilizing root S of s = q + a^2 r s / (r + b^2 s).
 
     The positive root of b^2 s^2 + c1 s - q r = 0 with c1 = r (1 - a^2) - q b^2,
     taken as 2 q r / (c1 + sqrt(disc)) when c1 > 0 so that nothing cancels.
@@ -80,19 +77,19 @@ def dare_solve(plant: Plant) -> np.ndarray:
     if not abs(a * r / (r + b * b * s)) < 1.0:  # a - b k with k = a b s / (r + b^2 s)
         raise NonConvergentError(
             "no stabilizing Riccati solution (closed loop |a - b k| >= 1)")
-    return np.array([[s]])
+    return s
 
 
-def intrinsic_entropy_rate(plant: Plant) -> float:
+def intrinsic_entropy_rate(plant: Plant, period_s: float) -> float:
     """Uncertainty production rate of the plant in bit/s.
 
     The data-rate threshold log2 |a| (zero for |a| <= 1) divided by the
-    sample period.
+    cycle period, one control step per cycle.
     """
-    return plant.threshold_bits / plant.sample_period_s
+    return plant.threshold_bits / period_s
 
 
-def is_stabilizable_at(plant: Plant, cner_bps: float) -> bool:
+def is_stabilizable_at(plant: Plant, cner_bps: float, period_s: float) -> bool:
     """Whether an information rate of cner_bps suffices for stability.
 
     Strict test cner > intrinsic entropy rate; stable plants (zero entropy
@@ -100,7 +97,7 @@ def is_stabilizable_at(plant: Plant, cner_bps: float) -> bool:
     """
     if cner_bps < 0.0:
         raise ValueError(f"cner must be non-negative, got {cner_bps}")
-    h = intrinsic_entropy_rate(plant)
+    h = intrinsic_entropy_rate(plant, period_s)
     if h == 0.0:
         return True
     return cner_bps > h
@@ -133,31 +130,23 @@ class RateCostModel:
     @classmethod
     def from_plant(cls, plant: Plant) -> "RateCostModel":
         a, b, r = plant.a, plant.b, plant.r_u
-        s = float(dare_solve(plant)[0, 0])
+        s = dare_solve(plant)
         k = a * b * s / (r + b * b * s)
         return cls(plant=plant, j_ideal=s * plant.w_cov, sensitivity=k * k * (r + b * b * s),
                    threshold_bits=plant.threshold_bits, riccati=s)
 
-    @property
-    def a(self) -> float:
-        return self.plant.a
-
-    @property
-    def w(self) -> float:
-        return self.plant.w_cov
-
     def lqr_gain(self) -> float:
         """LQR feedback gain k = a b S / (r + b^2 S), from the cached S."""
         b, r, s = self.plant.b, self.plant.r_u, self.riccati
-        return self.a * b * s / (r + b * b * s)
+        return self.plant.a * b * s / (r + b * b * s)
 
     def cost(self, rate_bits):
         """Array-valued J(R), +inf where no finite cost exists."""
         rate = np.asarray(rate_bits, dtype=float)
         # one rate goes through a 1-D array too: numpy's scalar 4.0 ** x rounds
         # differently from its array loop in about one case in twenty
-        return rate_cost(rate.reshape(-1), self.a * self.a, self.sensitivity * self.w,
-                         self.j_ideal).reshape(rate.shape)
+        return rate_cost(rate.reshape(-1), self.plant.a * self.plant.a,
+                         self.sensitivity * self.plant.w_cov, self.j_ideal).reshape(rate.shape)
 
 
 def rate_gap(rate_bits, a_sq):

@@ -126,6 +126,11 @@ def snr(link: LinkParams) -> float:
     return received_power_w(link) / noise_power_w(link)
 
 
+def snr_per_watt(link: LinkParams) -> float:
+    """Linear SNR per watt of transmit power: the SNR at power P is P times this."""
+    return received_power_w(link) / link.tx_power_w / noise_power_w(link)
+
+
 def shannon_rate_bps(link: LinkParams) -> float:
     """Shannon rate R = B * log2(1 + P_r / (k_B * T * B)) in bit/s."""
     return link.bandwidth_hz * math.log2(1.0 + snr(link))

@@ -65,7 +65,7 @@ class SingleLoopProblem:
     budget: LoopBudget
     plant: Plant
     objective: SingleLoopObjective
-    fixed_payload_bits: float = 1e4
+    fixed_payload_bits: float
 
     def __post_init__(self):
         if self.total_bandwidth_hz <= 0.0:
@@ -172,8 +172,9 @@ def _single_objective_fn(problem: SingleLoopProblem, model: RateCostModel):
             return -(rate_up(b_up) + rate_down(b_tot - b_up))
     else:  # MIN_LATENCY: link-level scheme, same payload both directions
         def fn(b_up):
-            return (problem.fixed_payload_bits / rate_up(b_up)
-                    + problem.fixed_payload_bits / rate_down(b_tot - b_up))
+            r_up, r_down = rate_up(b_up), rate_down(b_tot - b_up)
+            with np.errstate(over="ignore"):  # a payload/rate past the float range is +inf
+                return problem.fixed_payload_bits / r_up + problem.fixed_payload_bits / r_down
     return fn
 
 
@@ -222,11 +223,8 @@ def solve_single_loop(problem: SingleLoopProblem) -> AllocationResult:
                                            delta, b_tot - delta)
     if not delta * 0.5 <= b_star <= b_tot - delta * 0.5:
         raise RuntimeError(f"bandwidth split {b_star!r} Hz left the search bracket")
-    all_infeasible = bool(problem.objective == SingleLoopObjective.TASK_ORIENTED
-                          and f_star >= INFEASIBILITY_PENALTY)
     return _single_result(problem, model, b_star, f_star, SolverTrace(
-        iterations=evals, converged=True, all_infeasible=all_infeasible,
-        method="golden_section"))
+        iterations=evals, converged=True, method="golden_section"))
 
 
 def _single_result(problem: SingleLoopProblem, model: RateCostModel, b_up: float,
@@ -235,8 +233,9 @@ def _single_result(problem: SingleLoopProblem, model: RateCostModel, b_up: float
     uplink = problem.uplink_template.with_bandwidth(b_up)
     downlink = problem.downlink_template.with_bandwidth(problem.total_bandwidth_hz - b_up)
     t_up, t_down = pipeline.balanced_times(uplink, downlink, problem.budget, _t_prop(problem))
-    outcome = pipeline.evaluate_cycle(uplink, downlink, problem.budget, problem.plant,
-                                      t_up, t_down, model=model)
+    outcome = pipeline.evaluate_cycle(uplink, downlink, problem.budget, model, t_up, t_down)
+    if outcome.lqr_cost == math.inf:
+        trace = dataclasses.replace(trace, all_infeasible=True)
     eff = outcome.effective_bits_per_cycle
     return AllocationResult(
         decision={"bandwidth_up_hz": b_up, "bandwidth_down_hz": downlink.bandwidth_hz},
@@ -265,11 +264,8 @@ class JointEvaluator:
         self.problem = problem
         links = [r.downlink for r in robots]
         self.bandwidth = np.array([link.bandwidth_hz for link in links])
-        gain = np.array([linkgeom.received_power_w(link) / link.tx_power_w for link in links])
+        self.snr_per_w = np.array([linkgeom.snr_per_watt(link) for link in links])
         dist = np.array([linkgeom.slant_range_m(link.geometry) for link in links])
-        noise = (np.array([BOLTZMANN_J_PER_K * link.noise_temperature_k for link in links])
-                 * self.bandwidth)
-        self.snr_per_w = gain / noise
         self.t_prop = np.array([pipeline.propagation_delay_s(d, d) for d in dist])
         self.t_budget = problem.budget.cycle_period_s - self.t_prop
         if np.any(self.t_budget <= 0.0):
@@ -284,8 +280,8 @@ class JointEvaluator:
                 models[robot.plant] = RateCostModel.from_plant(robot.plant)
         self.models = tuple(models[r.plant] for r in robots)
         self.j_ideal = np.array([m.j_ideal for m in self.models])
-        self.sens_w = np.array([m.sensitivity * m.w for m in self.models])
-        self.a_sq = np.array([m.a ** 2 for m in self.models])
+        self.sens_w = np.array([m.sensitivity * m.plant.w_cov for m in self.models])
+        self.a_sq = np.array([m.plant.a ** 2 for m in self.models])
         self.threshold_bits = np.array([m.threshold_bits for m in self.models])
         # per-robot factors of the gradient: -w ln4 and B*g
         self._slope_scale = -self.sens_w * math.log(4.0)
@@ -477,7 +473,7 @@ def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *,
     step = np.full(live.size, np.nan)
     z_prev, grad_prev = z.copy(), np.zeros_like(z)
     quiet = np.zeros(live.size, dtype=int)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(PGD_MAX_ITER):
             if live.size == 0:
                 break
@@ -487,6 +483,11 @@ def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *,
                 grad[:, :n] = 0.0
             gnorm = np.sqrt((grad * grad).sum(axis=1))
             finite = np.isfinite(gnorm)
+            if not finite.all():  # a finite gradient's square overflows: use grad / max|grad|
+                big = ~finite & np.isfinite(grad).all(axis=1)
+                grad[big] /= np.abs(grad[big]).max(axis=1, keepdims=True)
+                gnorm = np.sqrt((grad * grad).sum(axis=1))
+                finite = np.isfinite(gnorm)
             moving = finite & (gnorm > 0.0)
             quiet += 1
             m = slice(None) if moving.all() else np.flatnonzero(moving)

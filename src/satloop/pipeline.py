@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import control, linkgeom
-from .control import Plant, RateCostModel
+from .control import RateCostModel
 from .linkgeom import LinkParams
 
 # keeps a loop given no compute finite (and hopeless) instead of dividing by zero
@@ -37,10 +37,10 @@ class LoopBudget:
         extraction_ratio: Fraction of uplinked bits surviving processing as
             command-relevant bits, in (0, 1].
     """
-    cycle_period_s: float = 0.02
-    cycles_per_bit: float = 100.0
-    compute_rate_cps: float = 1e10
-    extraction_ratio: float = 0.001
+    cycle_period_s: float
+    cycles_per_bit: float
+    compute_rate_cps: float
+    extraction_ratio: float
 
     def __post_init__(self):
         for name in ("cycle_period_s", "cycles_per_bit", "compute_rate_cps", "extraction_ratio"):
@@ -105,34 +105,23 @@ def loop_outcomes(models, period_s: float, r_up, r_down, t_up, t_comp, t_down, t
     for model, *times, eff, ok in zip(models, *(np.atleast_1d(c).tolist() for c in columns)):
         rate = control.cner_bps(eff, period_s)
         outcomes.append(LoopOutcome(
-            *times, eff, rate, ok and control.is_stabilizable_at(model.plant, rate),
+            *times, eff, rate, ok and control.is_stabilizable_at(model.plant, rate, period_s),
             control.lqr_cost(model, eff) if ok else math.inf, ok))
     return tuple(outcomes)
 
 
 def evaluate_cycle(uplink: LinkParams, downlink: LinkParams, budget: LoopBudget,
-                   plant: Plant, t_up_s: float, t_down_s: float,
-                   model: RateCostModel | None = None) -> LoopOutcome:
-    """Evaluate one closed-loop cycle at a given time allocation.
+                   model: RateCostModel, t_up_s: float, t_down_s: float) -> LoopOutcome:
+    """Evaluate one closed-loop cycle of the model's plant at a given time allocation.
 
     The store-and-forward cycle with uplinked volume rate * t_up, whose
     downlink is on for t_down of its window: it carries at most rate * t_down.
     A cycle whose stage times plus propagation exceed the period (t_down
     longer than the window) is time-infeasible: zero effective bits, not
     stable.
-
-    Args:
-        model: Optional pre-built RateCostModel for the plant (avoids
-            re-solving the Riccati equation in inner optimization loops).
     """
     if t_up_s < 0.0 or t_down_s < 0.0:
         raise ValueError("stage times must be non-negative")
-    if plant.sample_period_s != budget.cycle_period_s:
-        raise ValueError(
-            f"plant sample period {plant.sample_period_s} != cycle period "
-            f"{budget.cycle_period_s}")
-    if model is None:
-        model = RateCostModel.from_plant(plant)
 
     r_up = linkgeom.shannon_rate_bps(uplink)
     r_down = linkgeom.shannon_rate_bps(downlink)

@@ -15,7 +15,8 @@ import numpy as np
 import yaml
 
 from .control import Plant
-from .linkgeom import Geometry, LinkParams, slant_range_m
+from .linkgeom import (Geometry, LinkParams, shannon_rate_bps, slant_range_m,
+                       snr_per_watt)
 from .optimize import (MultiLoopProblem, MultiLoopScheme, RobotLoop,
                        SingleLoopProblem, SingleLoopObjective)
 from .pipeline import LoopBudget, propagation_delay_s
@@ -222,20 +223,36 @@ def _cross_validate(tree: dict) -> None:
         lo, hi = ct[f"{axis}_min_{unit}"], ct[f"{axis}_max_{unit}"]
         if lo > hi or (ct[f"{axis}_points"] > 1 and lo == hi):
             raise ValidationError(f"contour: {axis} grid must be ascending")
+    # The link budget must stay inside the float range where the solvers use
+    # it: both single-loop links at bandwidths 1e-6 B and B, and the multi-loop
+    # downlink rate at the extreme elevations and the largest power total.
+    scn = Scenario(tree=tree)
+    total = tree["single_loop"]["total_bandwidth_hz"]
+    share = ml["downlink_bandwidth_total_hz"] / ml["n_robots"]
+    power_w = max(ml["power_sweep_max_w"], ml["allocation_power_w"], ct["power_max_w"])
+    checks = [("links", direction, bandwidth, None) for direction in ("uplink", "downlink")
+              for bandwidth in (1e-6 * total, total)]
+    checks += [("multi_loop", "downlink", share, ml[key])
+               for key in ("elevation_min_deg", "elevation_max_deg")]
+    for where, direction, bandwidth, elevation_deg in checks:
+        try:
+            link = scn._link(direction, bandwidth, elevation_deg)
+            rate = shannon_rate_bps(link) if where == "links" else bandwidth * math.log2(
+                1.0 + power_w * snr_per_watt(link))
+            if not 0.0 < rate < math.inf:
+                raise ArithmeticError(f"a rate of {rate!r} bit/s")
+        except (ArithmeticError, ValueError) as exc:
+            raise ValidationError(f"{where}: the link budget leaves the float range ({exc})")
     # the solvers' own test: propagation must leave part of the period. The
     # multi-loop check takes the shortest downlink (elevation_max_deg): when
     # that fails, no robot elevations can fit.
-    links = tree["links"]
-
-    def slant(direction, elevation_deg):
-        return slant_range_m(Geometry(links[direction]["altitude_km"] * 1e3, elevation_deg))
+    def slant(direction, elevation_deg=None):
+        return slant_range_m(scn._link(direction, total, elevation_deg).geometry)
 
     nearest = slant("downlink", ml["elevation_max_deg"])
     period_s = tree["budget"]["cycle_period_ms"] * 1e-3
-    for where, t_prop in (
-            ("links", propagation_delay_s(slant("uplink", links["uplink"]["elevation_deg"]),
-                                          slant("downlink", links["downlink"]["elevation_deg"]))),
-            ("multi_loop", propagation_delay_s(nearest, nearest))):
+    for where, t_prop in (("links", propagation_delay_s(slant("uplink"), slant("downlink"))),
+                          ("multi_loop", propagation_delay_s(nearest, nearest))):
         if period_s - t_prop <= 0.0:
             raise ValidationError(
                 f"{where}: propagation {t_prop}s leaves no budget in the "
@@ -290,10 +307,7 @@ class Scenario:
         )
 
     def plant(self) -> Plant:
-        section = self.tree["plant"]
-        return Plant(a=section["a"], b=section["b"], w_cov=section["w_cov"],
-                     q=section["q"], r_u=section["r_u"],
-                     sample_period_s=self.tree["budget"]["cycle_period_ms"] * 1e-3)
+        return Plant(**self.tree["plant"])
 
     def single_loop_problem(self, objective: SingleLoopObjective) -> SingleLoopProblem:
         total = self.tree["single_loop"]["total_bandwidth_hz"]

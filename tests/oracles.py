@@ -18,6 +18,9 @@ from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme,
                               _multi_result, _single_objective_fn, _single_result)
 from satloop.pipeline import LoopBudget
 
+# the baseline scenario's budget: a 20 ms cycle, 100 cycles/bit, 10 GC/s, 0.1% extraction
+BUDGET = LoopBudget(cycle_period_s=0.02, cycles_per_bit=100.0, compute_rate_cps=1e10,
+                    extraction_ratio=0.001)
 
 def scalar_dare_root(a: float, b: float, q: float, r: float) -> float:
     """Positive root of the scalar Riccati quadratic.
@@ -31,9 +34,8 @@ def scalar_dare_root(a: float, b: float, q: float, r: float) -> float:
     return (-c1 + math.sqrt(disc)) / (2.0 * c2)
 
 
-def dare_residual(plant: Plant, s) -> float:
-    """|a s a - a s b (r + b s b)^-1 b s a + q - s| for a candidate root s (float or 1x1)."""
-    s = np.asarray(s, dtype=float).item()
+def dare_residual(plant: Plant, s: float) -> float:
+    """|a s a - a s b (r + b s b)^-1 b s a + q - s| for a candidate root s."""
     a, b, q, r = plant.a, plant.b, plant.q, plant.r_u
     return abs(a * s * a - (a * s * b) * (b * s * a) / (r + b * s * b) + q - s)
 
@@ -193,8 +195,7 @@ def random_single_loop_problem(rng: np.random.Generator) -> SingleLoopProblem:
         cycle_period_s=0.02, cycles_per_bit=rng.uniform(50.0, 200.0),
         compute_rate_cps=10 ** rng.uniform(9.0, 10.5),
         extraction_ratio=10 ** rng.uniform(-3.5, -2.0))
-    plant = Plant(a=rng.uniform(1.3, 3.0), b=1.0, w_cov=1.0, q=1.0, r_u=1.0,
-                  sample_period_s=budget.cycle_period_s)
+    plant = Plant(a=rng.uniform(1.3, 3.0), b=1.0, w_cov=1.0, q=1.0, r_u=1.0)
     objective = [SingleLoopObjective.TASK_ORIENTED, SingleLoopObjective.MAX_THROUGHPUT,
                  SingleLoopObjective.MIN_LATENCY][int(rng.integers(0, 3))]
     return SingleLoopProblem(
@@ -206,8 +207,7 @@ def random_single_loop_problem(rng: np.random.Generator) -> SingleLoopProblem:
 
 def random_joint_problem(rng: np.random.Generator, n_robots: int = 2) -> MultiLoopProblem:
     """A feasible random joint power/compute allocation problem."""
-    budget = LoopBudget(cycle_period_s=0.02, cycles_per_bit=100.0,
-                        compute_rate_cps=1e10, extraction_ratio=0.001)
+    budget = BUDGET
     uplink_bits = 10 ** rng.uniform(4.8, 5.5)
     robots = []
     slack_terms = []
@@ -218,8 +218,7 @@ def random_joint_problem(rng: np.random.Generator, n_robots: int = 2) -> MultiLo
             tx_power_w=1.0, tx_gain_dbi=38.5, rx_gain_dbi=14.0,
             carrier_freq_hz=30e9, bandwidth_hz=share,
             noise_temperature_k=290.0, geometry=geometry)
-        plant = Plant(a=rng.uniform(1.5, 2.5), b=1.0, w_cov=1.0, q=1.0, r_u=1.0,
-                      sample_period_s=budget.cycle_period_s)
+        plant = Plant(a=rng.uniform(1.5, 2.5), b=1.0, w_cov=1.0, q=1.0, r_u=1.0)
         robots.append(RobotLoop(downlink=link, plant=plant))
         from satloop import linkgeom, pipeline
         dist = linkgeom.slant_range_m(geometry)

@@ -25,8 +25,8 @@ def _report(number: int, message: str) -> None:
     print(f"ACCEPTANCE criterion {number:2d} PASS: {message}")
 
 
-def _plant(a, b=1.0, q=1.0, r=1.0, w=1.0, period=0.02):
-    return Plant(a=a, b=b, w_cov=w, q=q, r_u=r, sample_period_s=period)
+def _plant(a, b=1.0, q=1.0, r=1.0, w=1.0):
+    return Plant(a=a, b=b, w_cov=w, q=q, r_u=r)
 
 
 def _read_csv(path):
@@ -76,7 +76,7 @@ class TestCriterion2Riccati:
         for a, expected in ((0.0, 1.0),
                             (1.0, (1.0 + math.sqrt(5.0)) / 2.0),
                             (2.0, 2.0 + math.sqrt(5.0))):
-            s = float(dare_solve(_plant(a))[0, 0])
+            s = dare_solve(_plant(a))
             assert abs(s - expected) / expected <= 1e-9
         rng = np.random.default_rng(1002)
         for _ in range(100):
@@ -86,7 +86,7 @@ class TestCriterion2Riccati:
             r = rng.uniform(0.2, 2.0)
             plant = _plant(a, b=b, q=q, r=r)
             s = dare_solve(plant)
-            assert abs(float(s[0, 0]) - scalar_dare_root(a, b, q, r)) \
+            assert abs(s - scalar_dare_root(a, b, q, r)) \
                 / scalar_dare_root(a, b, q, r) <= 1e-9
             assert dare_residual(plant, s) <= 10.0 * DARE_TOL
         elapsed = time.perf_counter() - started
@@ -109,7 +109,7 @@ class TestCriterion3DataRateTheorem:
                 infeasible = lqr_cost(m, float(rate)) == math.inf
                 assert infeasible == (rate <= threshold)
         plant = _plant(2.0)
-        flags = [is_stabilizable_at(plant, r) for r in np.linspace(0.0, 150.0, 301)]
+        flags = [is_stabilizable_at(plant, r, 0.02) for r in np.linspace(0.0, 150.0, 301)]
         assert flags == sorted(flags)
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0
@@ -120,7 +120,7 @@ class TestCriterion3DataRateTheorem:
 class TestCriterion4RateCostOracle:
     def test_quantized_loop_dominates_closed_form(self):
         started = time.perf_counter()
-        plant = _plant(2.0, period=1.0)
+        plant = _plant(2.0)
         model = RateCostModel.from_plant(plant)
         gain = model.lqr_gain()
         results = {}

@@ -16,24 +16,24 @@ from oracles import (dare_residual, riccati_fixed_point, scalar_dare_root,
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-def _plant(a=2.0, b=1.0, w=1.0, q=1.0, r=1.0, period=0.02):
-    return Plant(a=a, b=b, w_cov=w, q=q, r_u=r, sample_period_s=period)
+def _plant(a=2.0, b=1.0, w=1.0, q=1.0, r=1.0):
+    return Plant(a=a, b=b, w_cov=w, q=q, r_u=r)
 
 
 class TestDare:
     def test_memoryless_plant(self):
         s = dare_solve(_plant(a=0.0))
-        assert float(s[0, 0]) == pytest.approx(1.0, rel=1e-12)
+        assert s == pytest.approx(1.0, rel=1e-12)
 
     def test_a1_hand_solved(self):
         """s = q + s/(1+s) -> s^2 - s - 1 = 0 -> golden ratio."""
         s = dare_solve(_plant(a=1.0))
-        assert float(s[0, 0]) == pytest.approx(GOLDEN, rel=1e-9)
+        assert s == pytest.approx(GOLDEN, rel=1e-9)
 
     def test_a2_hand_solved(self):
         """s^2 - 4s - 1 = 0 -> s = 2 + sqrt(5)."""
         s = dare_solve(_plant(a=2.0))
-        assert float(s[0, 0]) == pytest.approx(2.0 + math.sqrt(5.0), rel=1e-9)
+        assert s == pytest.approx(2.0 + math.sqrt(5.0), rel=1e-9)
 
     def test_random_scalar_plants_match_quadratic(self):
         rng = np.random.default_rng(11)
@@ -43,7 +43,7 @@ class TestDare:
             q = rng.uniform(0.2, 2.0)
             r = rng.uniform(0.2, 2.0)
             plant = _plant(a=a, b=b, q=q, r=r)
-            s = float(dare_solve(plant)[0, 0])
+            s = dare_solve(plant)
             assert s == pytest.approx(scalar_dare_root(a, b, q, r), rel=1e-9)
             assert dare_residual(plant, dare_solve(plant)) <= 10e-12
 
@@ -54,14 +54,14 @@ class TestDare:
         At q = 0 the oracle's quadratic has no constant term, so its formula
         does not cancel. For a = 2, b = r = 1 the root is 3.
         """
-        s = float(dare_solve(_plant(a=a, b=b, q=0.0, r=r))[0, 0])
+        s = dare_solve(_plant(a=a, b=b, q=0.0, r=r))
         assert s == pytest.approx(scalar_dare_root(a, b, 0.0, r), rel=1e-9)
         assert s == pytest.approx(r * (a * a - 1.0) / (b * b), rel=1e-9)
 
     def test_zero_state_weight_stable_plant_reaches_zero(self):
         """A stable plant with q = 0 has S = 0."""
         for a in (0.5, 0.99):
-            assert abs(float(dare_solve(_plant(a=a, q=0.0))[0, 0])) < 1e-9
+            assert abs(dare_solve(_plant(a=a, q=0.0))) < 1e-9
 
 
 class TestScalarClosedForm:
@@ -84,7 +84,7 @@ class TestScalarClosedForm:
             with pytest.raises(NonConvergentError):
                 dare_solve(plant)
             return
-        s = float(dare_solve(plant)[0, 0])
+        s = dare_solve(plant)
         try:
             want = riccati_fixed_point(a, b, q, r)
         except ArithmeticError:
@@ -98,7 +98,7 @@ class TestScalarClosedForm:
     @pytest.mark.parametrize("a, q", [(0.0, 1.0), (0.5, 1.0), (-0.9, 0.0), (0.3, 0.0)])
     def test_no_input_authority_on_a_stable_mode(self, a, q):
         """b = 0 leaves s = q + a^2 s, so s = q / (1 - a^2)."""
-        s = float(dare_solve(_plant(a=a, b=0.0, q=q))[0, 0])
+        s = dare_solve(_plant(a=a, b=0.0, q=q))
         assert s == pytest.approx(q / (1.0 - a * a), rel=1e-15)
         assert s == pytest.approx(riccati_fixed_point(a, 0.0, q, 1.0), rel=1e-9, abs=1e-9)
 
@@ -113,7 +113,7 @@ class TestScalarClosedForm:
 
     def test_no_cancellation_for_small_state_weight(self):
         """c1 > 0 and q tiny: the root is about q / (1 - a^2) to full precision."""
-        s = float(dare_solve(_plant(a=0.5, q=1e-20))[0, 0])
+        s = dare_solve(_plant(a=0.5, q=1e-20))
         assert s == pytest.approx(1e-20 / 0.75, rel=1e-12, abs=0.0)
 
     def test_from_plant_builds_no_mode_plant(self, monkeypatch):
@@ -129,35 +129,35 @@ class TestScalarClosedForm:
 
 class TestEntropyRate:
     def test_stable_plant_zero(self):
-        assert intrinsic_entropy_rate(_plant(a=0.5, period=1.0)) == 0.0
+        assert intrinsic_entropy_rate(_plant(a=0.5), 1.0) == 0.0
 
     def test_a2_at_20ms(self):
         """log2(2) = 1 bit per step over a 20 ms cycle = 50 bit/s."""
-        assert intrinsic_entropy_rate(_plant(a=2.0, period=0.02)) == pytest.approx(50.0)
+        assert intrinsic_entropy_rate(_plant(a=2.0), 0.02) == pytest.approx(50.0)
 
     def test_marginally_stable_excluded(self):
-        assert intrinsic_entropy_rate(_plant(a=1.0, period=1.0)) == 0.0
+        assert intrinsic_entropy_rate(_plant(a=1.0), 1.0) == 0.0
 
 
 class TestStabilizable:
     def test_stable_plant_any_rate(self):
         plant = _plant(a=0.9)
-        assert is_stabilizable_at(plant, 0.0)
-        assert is_stabilizable_at(plant, 123.0)
+        assert is_stabilizable_at(plant, 0.0, 0.02)
+        assert is_stabilizable_at(plant, 123.0, 0.02)
 
     def test_boundary_strict(self):
-        plant = _plant(a=2.0, period=0.02)
-        assert not is_stabilizable_at(plant, 50.0)
-        assert is_stabilizable_at(plant, 51.0)
+        plant = _plant(a=2.0)
+        assert not is_stabilizable_at(plant, 50.0, 0.02)
+        assert is_stabilizable_at(plant, 51.0, 0.02)
 
     def test_monotone_in_rate(self):
-        plant = _plant(a=2.0, period=0.02)
-        flags = [is_stabilizable_at(plant, r) for r in np.linspace(0.0, 120.0, 60)]
+        plant = _plant(a=2.0)
+        flags = [is_stabilizable_at(plant, r, 0.02) for r in np.linspace(0.0, 120.0, 60)]
         assert flags == sorted(flags)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            is_stabilizable_at(_plant(), -1.0)
+            is_stabilizable_at(_plant(), -1.0, 0.02)
 
 
 class TestCner:
@@ -219,28 +219,27 @@ class TestLqrCost:
     def test_cached_values_match_recomputation(self):
         plant = _plant(a=1.7, b=0.8, w=2.0, q=3.0, r=0.5)
         model = RateCostModel.from_plant(plant)
-        s = float(dare_solve(plant)[0, 0])
+        s = dare_solve(plant)
         k = 1.7 * 0.8 * s / (0.5 + 0.64 * s)
         assert model.j_ideal == pytest.approx(s * 2.0, rel=1e-12)
         assert model.sensitivity == pytest.approx(k * k * (0.5 + 0.64 * s), rel=1e-12)
 
     def test_non_scalar_plant_rejected(self):
         """A matrix in any field is refused when the plant is built."""
-        fields = dict(a=2.0, b=1.0, w_cov=1.0, q=1.0, r_u=1.0, sample_period_s=1.0)
+        fields = dict(a=2.0, b=1.0, w_cov=1.0, q=1.0, r_u=1.0)
         for name in fields:
             with pytest.raises((ValueError, TypeError)):
                 Plant(**{**fields, name: np.eye(2)})
 
-    @pytest.mark.parametrize("name, value", [("w_cov", -1e-12), ("q", -1.0), ("r_u", 0.0),
-                                             ("sample_period_s", 0.0)])
+    @pytest.mark.parametrize("name, value", [("w_cov", -1e-12), ("q", -1.0), ("r_u", 0.0)])
     def test_plant_range_checks(self, name, value):
-        fields = dict(a=2.0, b=1.0, w_cov=1.0, q=1.0, r_u=1.0, sample_period_s=1.0)
+        fields = dict(a=2.0, b=1.0, w_cov=1.0, q=1.0, r_u=1.0)
         with pytest.raises(ValueError):
             Plant(**{**fields, name: value})
 
     def test_plant_holds_floats(self):
-        plant = Plant(a=2, b=np.float64(1.0), w_cov=1, q=1, r_u=1, sample_period_s=1)
-        assert [type(v) for v in vars(plant).values()] == [float] * 6
+        plant = Plant(a=2, b=np.float64(1.0), w_cov=1, q=1, r_u=1)
+        assert [type(v) for v in vars(plant).values()] == [float] * 5
 
     def test_rejects_negative_rate(self):
         model = RateCostModel.from_plant(_plant())
@@ -252,7 +251,7 @@ class TestCachedRiccati:
     def test_lqr_gain_uses_the_cached_root(self, monkeypatch):
         a, b, r = 1.7, 0.8, 0.5
         plant = _plant(a=a, b=b, w=2.0, q=3.0, r=r)
-        s = float(dare_solve(plant)[0, 0])
+        s = dare_solve(plant)
         model = RateCostModel.from_plant(plant)
 
         def no_solve(*args, **kwargs):
@@ -265,7 +264,7 @@ class TestQuantizedLoopOracle:
     """Monte-Carlo cross-check: the closed form lower-bounds a crude quantizer."""
 
     def test_empirical_cost_dominates_analytic(self):
-        plant = _plant(a=2.0, period=1.0)
+        plant = _plant(a=2.0)
         model = RateCostModel.from_plant(plant)
         gain = model.lqr_gain()
         assert gain == pytest.approx(GOLDEN, rel=1e-9)

@@ -23,9 +23,9 @@ from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme,
                               RobotLoop, SingleLoopObjective, SingleLoopProblem,
                               project_capped_simplex, solve_multi_loop,
                               solve_single_loop, sweep_contour, water_fill_power)
-from satloop.pipeline import LoopBudget, balanced_times, evaluate_cycle, propagation_delay_s
+from satloop.pipeline import balanced_times, evaluate_cycle, propagation_delay_s
 from satloop.scenario import default_scenario
-from oracles import (DimensionTooLargeError, central_difference_gradient,
+from oracles import (BUDGET, DimensionTooLargeError, central_difference_gradient,
                      compute_only_kkt, grid_oracle, random_joint_problem,
                      random_single_loop_problem, reference_capped_simplex,
                      reference_projected_gradient, water_fill_power_fixed_steps)
@@ -37,8 +37,7 @@ def _symmetric_problem(objective):
                       noise_temperature_k=290.0, geometry=Geometry(600e3, 90.0))
     return SingleLoopProblem(
         total_bandwidth_hz=40e3, uplink_template=link, downlink_template=link,
-        budget=LoopBudget(), plant=Plant(a=2.0, b=1.0, w_cov=1.0, q=1.0, r_u=1.0,
-                                         sample_period_s=0.02),
+        budget=BUDGET, plant=Plant(a=2.0, b=1.0, w_cov=1.0, q=1.0, r_u=1.0),
         objective=objective, fixed_payload_bits=1e4)
 
 
@@ -86,12 +85,8 @@ class TestSingleLoop:
     def test_stable_plant_all_schemes_finite(self):
         scn = default_scenario()
         problem = scn.single_loop_problem(SingleLoopObjective.MAX_THROUGHPUT)
-        stable = Plant(a=0.9, b=1.0, w_cov=1.0, q=1.0, r_u=1.0, sample_period_s=0.02)
-        problem = SingleLoopProblem(
-            total_bandwidth_hz=problem.total_bandwidth_hz,
-            uplink_template=problem.uplink_template,
-            downlink_template=problem.downlink_template,
-            budget=problem.budget, plant=stable, objective=problem.objective)
+        stable = Plant(a=0.9, b=1.0, w_cov=1.0, q=1.0, r_u=1.0)
+        problem = dataclasses.replace(problem, plant=stable)
         result = solve_single_loop(problem)
         outcome = result.per_loop_outcomes[0]
         assert outcome.lqr_cost != math.inf
@@ -107,15 +102,12 @@ class TestSingleLoop:
             scale = max(abs(oracle.objective_value), 1e-300)
             assert (solved.objective_value - oracle.objective_value) / scale <= 1e-6
 
-    def test_all_infeasible_reported_with_best_effort_split(self):
+    @pytest.mark.parametrize("objective", list(SingleLoopObjective))
+    def test_all_infeasible_reported_with_best_effort_split(self, objective):
         """No split stabilizes: flagged, Infeasible cost, split still returned."""
-        base = _symmetric_problem(SingleLoopObjective.TASK_ORIENTED)
-        starved = SingleLoopProblem(
-            total_bandwidth_hz=100.0,  # orders of magnitude below the threshold
-            uplink_template=base.uplink_template,
-            downlink_template=base.downlink_template,
-            budget=base.budget, plant=base.plant,
-            objective=SingleLoopObjective.TASK_ORIENTED)
+        base = _symmetric_problem(objective)
+        # orders of magnitude below the threshold
+        starved = dataclasses.replace(base, total_bandwidth_hz=100.0)
         result = solve_single_loop(starved)
         assert result.solver_trace.all_infeasible
         assert result.per_loop_outcomes[0].lqr_cost == math.inf
@@ -160,8 +152,8 @@ class TestSingleLoop:
                 want = problem.fixed_payload_bits / r_up + problem.fixed_payload_bits / r_down
             else:
                 t_up, t_down = balanced_times(uplink, downlink, problem.budget, t_prop)
-                eff = evaluate_cycle(uplink, downlink, problem.budget, problem.plant,
-                                     t_up, t_down, model=model).effective_bits_per_cycle
+                eff = evaluate_cycle(uplink, downlink, problem.budget, model,
+                                     t_up, t_down).effective_bits_per_cycle
                 want = lqr_cost(model, eff)
                 infeasible.add(want == math.inf)
                 if want == math.inf:

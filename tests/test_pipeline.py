@@ -1,4 +1,5 @@
 """Cycle timing model tests, including the frozen balanced-times solve."""
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from satloop.control import Plant, RateCostModel
 from satloop.linkgeom import Geometry, LinkParams, shannon_rate_bps
 from satloop.pipeline import (LoopBudget, NoBudgetError, balanced_times,
                               evaluate_cycle, propagation_delay_s)
+from oracles import BUDGET
 
 C = 299792458.0
 
@@ -27,8 +29,8 @@ def _downlink(bandwidth):
     return _link(bandwidth, 20.0, 38.5, 14.0)
 
 
-def _plant(a=2.0):
-    return Plant(a=a, b=1.0, w_cov=1.0, q=1.0, r_u=1.0, sample_period_s=0.02)
+def _model(a=2.0):
+    return RateCostModel.from_plant(Plant(a=a, b=1.0, w_cov=1.0, q=1.0, r_u=1.0))
 
 
 class TestPropagation:
@@ -48,59 +50,64 @@ class TestPropagation:
             propagation_delay_s(-1.0, 0.0)
 
 
+class TestLoopBudget:
+    @pytest.mark.parametrize("name, value", [
+        ("cycle_period_s", 0.0), ("cycles_per_bit", -1.0), ("compute_rate_cps", 0.0),
+        ("extraction_ratio", 0.0), ("extraction_ratio", 1.5)])
+    def test_range_checks(self, name, value):
+        """The cycle period lives here only; a non-positive one is refused."""
+        with pytest.raises(ValueError):
+            dataclasses.replace(BUDGET, **{name: value})
+
+
 class TestEvaluateCycle:
     def test_compute_time_reference(self):
         """1 Mbit uplinked at 100 cycles/bit over 10 GC/s takes 10 ms."""
-        budget = LoopBudget()
+        budget = BUDGET
         uplink = _uplink(20e3)
         r_up = shannon_rate_bps(uplink)
         t_up = 1e6 / r_up  # deliver exactly 1 Mbit
-        out = evaluate_cycle(uplink, _downlink(20e3), budget, _plant(), t_up, 1e-3)
+        out = evaluate_cycle(uplink, _downlink(20e3), budget, _model(), t_up, 1e-3)
         assert out.t_comp_s == pytest.approx(0.01, rel=1e-12)
 
     def test_extraction_thousand_to_one(self):
         """1000 uplinked bits with 0.1% extraction deliver 1 command bit."""
-        budget = LoopBudget()
+        budget = BUDGET
         uplink = _uplink(20e3)
         t_up = 1000.0 / shannon_rate_bps(uplink)
-        out = evaluate_cycle(uplink, _downlink(20e3), budget, _plant(a=0.5), t_up, 1e-3)
+        out = evaluate_cycle(uplink, _downlink(20e3), budget, _model(a=0.5), t_up, 1e-3)
         assert out.effective_bits_per_cycle == pytest.approx(1.0, rel=1e-12)
 
     def test_no_uplink_no_stability(self):
-        out = evaluate_cycle(_uplink(20e3), _downlink(20e3), LoopBudget(),
-                             _plant(a=2.0), 0.0, 1e-3)
+        out = evaluate_cycle(_uplink(20e3), _downlink(20e3), BUDGET,
+                             _model(a=2.0), 0.0, 1e-3)
         assert out.effective_bits_per_cycle == 0.0
         assert not out.stable
         assert out.lqr_cost == math.inf
 
     def test_time_infeasible(self):
-        out = evaluate_cycle(_uplink(20e3), _downlink(20e3), LoopBudget(),
-                             _plant(), 0.019, 0.019)
+        out = evaluate_cycle(_uplink(20e3), _downlink(20e3), BUDGET,
+                             _model(), 0.019, 0.019)
         assert not out.time_feasible
         assert out.effective_bits_per_cycle == 0.0
         assert out.cner_bps == 0.0
         assert not out.stable
 
     def test_downlink_capacity_caps_delivery(self):
-        budget = LoopBudget()
+        budget = BUDGET
         uplink = _uplink(20e3)
         downlink = _downlink(20e3)
         t_down = 2.0 / shannon_rate_bps(downlink)  # room for 2 bits only
         t_up = 0.015  # extraction output ~2.9 bits, above the downlink cap
-        out = evaluate_cycle(uplink, downlink, budget, _plant(), t_up, t_down)
+        out = evaluate_cycle(uplink, downlink, budget, _model(), t_up, t_down)
         assert out.time_feasible
         assert out.effective_bits_per_cycle == pytest.approx(2.0, rel=1e-9)
 
     def test_cner_consistency(self):
-        out = evaluate_cycle(_uplink(20e3), _downlink(20e3), LoopBudget(),
-                             _plant(), 0.01, 1e-4)
+        out = evaluate_cycle(_uplink(20e3), _downlink(20e3), BUDGET,
+                             _model(), 0.01, 1e-4)
         assert out.cner_bps == pytest.approx(
             out.effective_bits_per_cycle / 0.02, rel=1e-12)
-
-    def test_period_mismatch_rejected(self):
-        plant = Plant(a=2.0, b=1.0, w_cov=1.0, q=1.0, r_u=1.0, sample_period_s=0.01)
-        with pytest.raises(ValueError):
-            evaluate_cycle(_uplink(20e3), _downlink(20e3), LoopBudget(), plant, 0.0, 0.0)
 
 
 class TestBalancedTimes:
@@ -110,12 +117,12 @@ class TestBalancedTimes:
         R_up = 192175.55305993149, R_down = 325016.0681043339,
         t_up = T' / (1 + 100 R_up / 1e10 + 0.001 R_up / R_down).
         """
-        budget = LoopBudget()
+        budget = BUDGET
         t_prop = propagation_delay_s(600e3, 600e3)
         t_up, t_down = balanced_times(_uplink(20e3), _downlink(20e3), budget, t_prop)
         assert t_up == pytest.approx(0.015957130020346359, rel=1e-9)
         assert t_down == pytest.approx(9.4351344067238331e-06, rel=1e-9)
-        out = evaluate_cycle(_uplink(20e3), _downlink(20e3), budget, _plant(),
+        out = evaluate_cycle(_uplink(20e3), _downlink(20e3), budget, _model(),
                              t_up, t_down)
         assert out.effective_bits_per_cycle == pytest.approx(3.0665702869092973, rel=1e-9)
         assert out.time_feasible
@@ -130,7 +137,7 @@ class TestBalancedTimes:
         assert t_down == pytest.approx(0.01, rel=1e-6)
 
     def test_vanishing_extraction_limit(self):
-        budget = LoopBudget(extraction_ratio=1e-12)
+        budget = dataclasses.replace(BUDGET, extraction_ratio=1e-12)
         uplink, downlink = _uplink(20e3), _downlink(20e3)
         t_prop = propagation_delay_s(600e3, 600e3)
         t_up, t_down = balanced_times(uplink, downlink, budget, t_prop)
@@ -141,13 +148,13 @@ class TestBalancedTimes:
 
     def test_no_budget(self):
         with pytest.raises(NoBudgetError):
-            balanced_times(_uplink(20e3), _downlink(20e3), LoopBudget(), 0.03)
+            balanced_times(_uplink(20e3), _downlink(20e3), BUDGET, 0.03)
 
     def test_budget_exactly_filled(self):
-        budget = LoopBudget()
+        budget = BUDGET
         t_prop = propagation_delay_s(600e3, 600e3)
         t_up, t_down = balanced_times(_uplink(20e3), _downlink(20e3), budget, t_prop)
-        out = evaluate_cycle(_uplink(20e3), _downlink(20e3), budget, _plant(),
+        out = evaluate_cycle(_uplink(20e3), _downlink(20e3), budget, _model(),
                              t_up, t_down)
         assert out.total_latency_s <= budget.cycle_period_s + 1e-12
         assert out.total_latency_s == pytest.approx(budget.cycle_period_s, rel=1e-9)
@@ -156,14 +163,13 @@ class TestBalancedTimes:
 class TestOptimalityProperty:
     def test_balanced_beats_random_feasible_splits(self):
         """Balanced times dominate 1000 random feasible (t_up, t_down) pairs."""
-        budget = LoopBudget()
+        budget = BUDGET
         uplink, downlink = _uplink(15e3), _downlink(25e3)
-        plant = _plant()
-        model = RateCostModel.from_plant(plant)
+        model = _model()
         t_prop = propagation_delay_s(600e3, 600e3)
         t_up_b, t_down_b = balanced_times(uplink, downlink, budget, t_prop)
-        best = evaluate_cycle(uplink, downlink, budget, plant, t_up_b, t_down_b,
-                              model=model).effective_bits_per_cycle
+        best = evaluate_cycle(uplink, downlink, budget, model, t_up_b,
+                              t_down_b).effective_bits_per_cycle
         r_up = shannon_rate_bps(uplink)
         remaining = budget.cycle_period_s - t_prop
         rng = np.random.default_rng(99)
@@ -174,39 +180,35 @@ class TestOptimalityProperty:
             if slack <= 0.0:
                 continue
             t_down = rng.uniform(0.0, slack)
-            out = evaluate_cycle(uplink, downlink, budget, plant, t_up, t_down,
-                                 model=model)
+            out = evaluate_cycle(uplink, downlink, budget, model, t_up, t_down)
             assert out.effective_bits_per_cycle <= best + 1e-9
 
     def test_effective_bits_bounded_by_both_links(self):
         """Delivered bits never exceed extraction output or downlink capacity."""
-        budget = LoopBudget()
-        plant = _plant()
-        model = RateCostModel.from_plant(plant)
+        budget = BUDGET
+        model = _model()
         rng = np.random.default_rng(404)
         uplink, downlink = _uplink(15e3), _downlink(25e3)
         r_up, r_down = shannon_rate_bps(uplink), shannon_rate_bps(downlink)
         for _ in range(300):
             t_up = rng.uniform(0.0, 0.015)
             t_down = rng.uniform(0.0, 0.004)
-            out = evaluate_cycle(uplink, downlink, budget, plant, t_up, t_down,
-                                 model=model)
+            out = evaluate_cycle(uplink, downlink, budget, model, t_up, t_down)
             assert out.effective_bits_per_cycle <= \
                 budget.extraction_ratio * r_up * t_up + 1e-12
             assert out.effective_bits_per_cycle <= r_down * t_down + 1e-12
 
     def test_effective_bits_monotone_in_resources(self):
-        budget = LoopBudget()
-        plant = _plant()
-        model = RateCostModel.from_plant(plant)
+        budget = BUDGET
+        model = _model()
         t_prop = propagation_delay_s(600e3, 600e3)
 
         def eff(b_up=15e3, b_down=25e3, compute=1e10):
-            bud = LoopBudget(compute_rate_cps=compute)
+            bud = dataclasses.replace(BUDGET, compute_rate_cps=compute)
             up, down = _uplink(b_up), _downlink(b_down)
             t_up, t_down = balanced_times(up, down, bud, t_prop)
-            return evaluate_cycle(up, down, bud, plant, t_up, t_down,
-                                  model=model).effective_bits_per_cycle
+            return evaluate_cycle(up, down, bud, model, t_up,
+                                  t_down).effective_bits_per_cycle
 
         ups = [eff(b_up=b) for b in np.linspace(5e3, 35e3, 12)]
         assert all(a <= b + 1e-12 for a, b in zip(ups, ups[1:]))

@@ -1,8 +1,10 @@
 """CLI and emission tests: schemas, metadata, determinism, exit codes."""
 import contextlib
 import io
+import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -153,6 +155,28 @@ class TestPlantCorners:
         costs = {r["scheme"]: float(r["lqr_cost"]) for r in rows}
         assert 3.0 < costs["task_oriented"] <= costs["min_latency"] < 4.0
 
+    @pytest.mark.parametrize("verb", ["multi-loop", "contour"])
+    def test_gradient_whose_square_overflows_is_finite(self, tmp_path, capsys, verb):
+        """The projected gradient's entries stay finite while their squared sum
+        overflows: the rows descend along the rescaled gradient, with no
+        warning, and the task-oriented cost does not rise with power."""
+        doc = tmp_path / "doc.yaml"
+        doc.write_text("plant: {a: 8.78e-51, b: -18.1, q: 1.02e134, r_u: 1.0e-300, "
+                       "w_cov: 2.36e145}\n" + self.SMALL)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([verb, "--scenario", str(doc), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        if verb == "multi-loop":
+            _, rows = _read_rows(out / "multi_loop_sweep.csv")
+            columns = [[float(r["lqr_task_oriented"]) for r in rows]]
+        else:  # one row per power total, one column per compute total
+            header, rows = _read_rows(out / "contour.csv")
+            columns = [[float(r[k]) for r in rows] for k in header[1:]]
+        for costs in columns:
+            assert len(costs) == 2 and costs[1] <= costs[0]
+
 
 class TestFailureExitCodes:
     """Documents that cannot run end with the documented code, not a traceback."""
@@ -190,6 +214,27 @@ class TestFailureExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("scenario error: multi_loop: propagation 0.006")
         assert err.endswith("s leaves no budget in the 0.005s cycle (budget.cycle_period_ms)\n")
+
+    @pytest.mark.parametrize("verb", ["validate", "single-loop", "multi-loop"])
+    @pytest.mark.parametrize("body, where", [
+        ("single_loop: {total_bandwidth_hz: 1.0e-300}\n", "links"),  # k T B underflows to 0
+        ("single_loop: {total_bandwidth_hz: 1.0e300}\n", "links"),   # the rate rounds to 0
+        ("links: {downlink: {carrier_freq_ghz: 1.0e300}}\n", "links"),  # no received power
+        ("links: {uplink: {tx_gain_dbi: 1.0e300}}\n", "links"),      # the gain overflows
+        ("links: {downlink: {rx_gain_dbi: 4000}}\n", "links"),
+        ("links: {uplink: {carrier_freq_ghz: 1.0e-300}}\n", "links"),  # the power overflows
+        ("links: {uplink: {altitude_km: 1.0e-300}}\n", "links"),     # the slant range is 0
+        ("links: {uplink: {tx_power_w: 1.0e308}}\n", "links"),       # the SNR overflows
+        ("multi_loop: {downlink_bandwidth_total_hz: 1.0e-300}\n", "multi_loop"),
+    ])
+    def test_link_budget_outside_the_float_range(self, tmp_path, capsys, verb, body, where):
+        doc = tmp_path / "doc.yaml"
+        doc.write_text(body)
+        out = [] if verb == "validate" else ["--out", str(tmp_path / "out")]
+        assert main([verb, "--scenario", str(doc)] + out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(
+            f"scenario error: {where}: the link budget leaves the float range (")
 
     def test_unconverged_solve_exits_3_after_writing(self, tmp_path, capsys, monkeypatch):
         original = optimize._projected_gradient
@@ -273,6 +318,48 @@ class TestAnyPlant:
             assert code in (0, 3), err.getvalue()
             if code == 3:
                 assert err.getvalue().count("\n") == 1, err.getvalue()
+            if code == 0:
+                _, rows = _read_rows(Path(tmp) / "single_loop.csv")
+                assert not any("nan" in value for row in rows for value in row.values())
+
+
+class TestAnyLinkBudget:
+    """Every finite links and single_loop section, from subnormals to +-1e300."""
+    _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+    _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    _LINK = st.fixed_dictionaries({}, optional={
+        "tx_power_w": _POSITIVE, "tx_gain_dbi": _FINITE, "rx_gain_dbi": _FINITE,
+        "carrier_freq_ghz": _POSITIVE, "noise_temperature_k": _POSITIVE,
+        "altitude_km": _POSITIVE,
+        "elevation_deg": st.floats(min_value=0.0, max_value=90.0, exclude_min=True)})
+    _SINGLE_LOOP = st.fixed_dictionaries({}, optional={
+        "total_bandwidth_hz": _POSITIVE, "min_latency_payload_bits": _POSITIVE})
+
+    @settings(max_examples=150, deadline=None)
+    @given(uplink=_LINK, downlink=_LINK, single_loop=_SINGLE_LOOP)
+    @example(uplink={}, downlink={}, single_loop={"total_bandwidth_hz": 1e300})
+    @example(uplink={"tx_power_w": 1e308}, downlink={}, single_loop={})
+    @example(uplink={"altitude_km": 5e-324}, downlink={"elevation_deg": 5e-324},
+             single_loop={"total_bandwidth_hz": 5e-324})
+    def test_validate_and_single_loop_exit_0_2_or_3_without_nan(self, uplink, downlink,
+                                                                single_loop):
+        """Each verb exits 0, 2 or 3, with one stderr line for 2 and 3 and no
+        nan in the CSV for 0. An exception or a RuntimeWarning escaping main
+        (a traceback at the command line) fails the test.
+        """
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = Path(tmp) / "doc.yaml"
+            doc.write_text(json.dumps({"links": {"uplink": uplink, "downlink": downlink},
+                                       "single_loop": single_loop}))  # JSON is YAML
+            for argv in (["validate"], ["single-loop", "--out", tmp, "--format", "csv"]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                        warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    code = main(argv[:1] + ["--scenario", str(doc)] + argv[1:])
+                assert code in (0, 2, 3), err.getvalue()
+                if code != 0:
+                    assert err.getvalue().count("\n") == 1, err.getvalue()
             if code == 0:
                 _, rows = _read_rows(Path(tmp) / "single_loop.csv")
                 assert not any("nan" in value for row in rows for value in row.values())
