@@ -8,8 +8,16 @@ search.
 Multi loop: jointly allocate downlink power and on-board compute frequency
 across robots by projected gradient on budget-scaled variables (closed-form
 gradient, all restarts as one batch), against a max-throughput (water-filling)
-scheme and a compute-only scheme at equal power. Both solvers score a cycle
-with pipeline.store_and_forward and control.rate_cost, and share one penalty.
+scheme and a compute-only scheme at equal power. Each iteration first tries a
+face-Newton step: the objective is separable by robot, so its Hessian is
+block-diagonal with one closed-form 2x2 (power, compute) block per robot, and
+the Newton step on the face where both budgets are spent needs only those
+blocks and a 2x2 Schur complement. A row keeps the projected Newton point when
+it passes a sufficient-decrease test; a row whose blocks are not positive
+definite (a capped, penalised or starved loop), or whose Newton point fails
+the test, takes the Barzilai-Borwein step with blocked backtracking instead.
+Both solvers score a cycle with pipeline.store_and_forward and
+control.rate_cost, and share one penalty.
 """
 import dataclasses
 import enum
@@ -116,6 +124,7 @@ class SolverTrace:
     fallback_dense_grid: bool = False
     all_infeasible: bool = False
     method: str = ""
+    max_iter_rows: int = 0  # starts still running after PGD_MAX_ITER iterations
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,9 +272,13 @@ class JointEvaluator:
         self.n = len(robots)
         self.problem = problem
         links = [r.downlink for r in robots]
+        dist = np.array([linkgeom.slant_range_m(link.geometry) for link in links])
+        if not np.all(dist > 0.0):  # at a tiny altitude the slant range is rounding noise
+            raise pipeline.NoBudgetError(
+                f"multi_loop: a robot's slant range rounds to {float(dist.min())} m "
+                f"(links.downlink.altitude_km)")
         self.bandwidth = np.array([link.bandwidth_hz for link in links])
         self.snr_per_w = np.array([linkgeom.snr_per_watt(link) for link in links])
-        dist = np.array([linkgeom.slant_range_m(link.geometry) for link in links])
         self.t_prop = np.array([pipeline.propagation_delay_s(d, d) for d in dist])
         self.t_budget = problem.budget.cycle_period_s - self.t_prop
         if np.any(self.t_budget <= 0.0):
@@ -283,8 +296,11 @@ class JointEvaluator:
         self.sens_w = np.array([m.sensitivity * m.plant.w_cov for m in self.models])
         self.a_sq = np.array([m.plant.a ** 2 for m in self.models])
         self.threshold_bits = np.array([m.threshold_bits for m in self.models])
-        # per-robot factors of the gradient: -w ln4 and B*g
-        self._slope_scale = -self.sens_w * math.log(4.0)
+        # per-robot factors of the gradient: -w ln4 and B*g. A weight w within
+        # a factor ln4 of the float range gives -inf: the gradient is then not
+        # finite, and the rows stop unconverged
+        with np.errstate(over="ignore"):
+            self._slope_scale = -self.sens_w * math.log(4.0)
         self._rate_scale = self.bandwidth * self.snr_per_w
 
     def rates_bps(self, power_w: np.ndarray) -> np.ndarray:
@@ -305,6 +321,21 @@ class JointEvaluator:
     def total_cost(self, power_w: np.ndarray, compute_cps: np.ndarray) -> np.ndarray:
         return self.cost_vector(power_w, compute_cps).sum(axis=-1)
 
+    def _chain_factors(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
+        """(rate, window, dJ/deff, dr/dp, dw/df, 4^eff, 4^eff - a^2, finite), per robot.
+
+        The first-order chain-rule factors that `gradient` and `hessian` share.
+        """
+        rate, _, window, eff = self._cycle(power_w, compute_cps)
+        pow4, gap, finite = control.rate_gap(eff, self.a_sq)
+        slope = np.where(finite, self._slope_scale * (pow4 / gap) / gap, -1.0)
+        slope = np.where((eff >= self.cap_bits) | (eff > control.RATE_CLAMP_BITS), 0.0, slope)
+        d_rate = self._rate_scale / ((1.0 + power_w * self.snr_per_w) * math.log(2.0))
+        floor = pipeline.COMPUTE_FLOOR_CPS
+        d_window = np.where(compute_cps > floor,
+                            self.comp_cycles / np.maximum(compute_cps, floor) ** 2, 0.0)
+        return rate, window, slope, d_rate, d_window, pow4, gap, finite
+
     def gradient(self, power_w: np.ndarray, compute_cps: np.ndarray):
         """Closed-form (dJ/dpower, dJ/dcompute) of cost_vector, per robot.
 
@@ -316,15 +347,31 @@ class JointEvaluator:
         threshold the unused feasible-branch slope may divide by a zero gap;
         callers that reach it silence the warning (_projected_gradient does).
         """
-        rate, _, window, eff = self._cycle(power_w, compute_cps)
-        pow4, gap, finite = control.rate_gap(eff, self.a_sq)
-        slope = np.where(finite, self._slope_scale * (pow4 / gap) / gap, -1.0)
-        slope = np.where((eff >= self.cap_bits) | (eff > control.RATE_CLAMP_BITS), 0.0, slope)
-        d_rate = self._rate_scale / ((1.0 + power_w * self.snr_per_w) * math.log(2.0))
-        floor = pipeline.COMPUTE_FLOOR_CPS
-        d_window = np.where(compute_cps > floor,
-                            self.comp_cycles / np.maximum(compute_cps, floor) ** 2, 0.0)
+        rate, window, slope, d_rate, d_window, *_ = self._chain_factors(power_w, compute_cps)
         return slope * window * d_rate, slope * rate * d_window
+
+    def hessian(self, power_w: np.ndarray, compute_cps: np.ndarray):
+        """Closed-form 2x2 Hessian block (d2J/dp2, d2J/dp df, d2J/df2) of cost_vector, per robot.
+
+        The cost is separable by robot, so the full Hessian is block-diagonal.
+        With eff = r(p) w(f) below the cap, the chain rule gives
+        d2J/dp2 = J'' (r' w)^2 + J' r'' w, d2J/df2 = J'' (r w')^2 + J' r w''
+        and d2J/dp df = J'' (r' w)(r w') + J' r' w', where J' is the slope of
+        `gradient`, J'' = w ln4^2 4^eff (4^eff + a^2) / (4^eff - a^2)^3 on a
+        feasible loop (0 on the penalty), that is -J' ln4 (4^eff + a^2) /
+        (4^eff - a^2), r'' = -r' g / (1 + p g) and w'' = -2 w' / f. The block
+        is 0 wherever the slope is (cap, rate clamp). Callers silence the
+        divisions as for `gradient`.
+        """
+        rate, window, slope, d_rate, d_window, pow4, gap, finite = self._chain_factors(
+            power_w, compute_cps)
+        curve = np.where(finite, -slope * math.log(4.0) * ((pow4 + self.a_sq) / gap), 0.0)
+        dd_rate = -d_rate * self.snr_per_w / (1.0 + power_w * self.snr_per_w)
+        dd_window = -2.0 * d_window / np.maximum(compute_cps, pipeline.COMPUTE_FLOOR_CPS)
+        e_p, e_f = d_rate * window, rate * d_window  # d eff / dp, d eff / df
+        return (curve * e_p * e_p + slope * dd_rate * window,
+                curve * e_p * e_f + slope * d_rate * d_window,
+                curve * e_f * e_f + slope * rate * dd_window)
 
     def outcomes(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
         """Physical per-robot LoopOutcome tuple; a capped downlink stops at the cap."""
@@ -341,21 +388,25 @@ def project_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
     """Euclidean projection of each row (last axis) onto {x >= 0, sum(x) <= total}.
 
     Sort-based simplex projection (Duchi et al., ICML 2008), applied only to
-    rows whose clipped sum exceeds the cap.
+    rows whose clipped sum exceeds the cap. The sorted entries u are measured
+    from the row's largest entry u_1, so neither the threshold test
+    d_k - (D_k - total) / k > 0 (d_k = u_k - u_1, D_k = d_1 + ... + d_k) nor
+    the output (x - u_1) - (D_rho - total) / rho subtracts two large sums: an
+    entry that dwarfs the total still projects onto it.
     """
     shape = x.shape
     n = shape[-1]
     x = np.maximum(x, 0.0).reshape(-1, n)
     u = np.sort(x, axis=-1)[:, ::-1]
-    cumulative = np.cumsum(u, axis=-1) - total
-    valid = u - cumulative / np.arange(1, n + 1) > 0.0
-    # rho: the count of sorted entries up to the last valid one. valid[:, 0]
-    # holds for total > 0 unless an entry dwarfs total; a row with no valid
-    # entry divides its last cumulative sum by 0.
+    top = u[:, :1]
+    excess = np.cumsum(u - top, axis=-1) - total  # D_k - total, never above -total
+    valid = (u - top) - excess / np.arange(1, n + 1) > 0.0
+    # rho: the count of leading sorted entries that pass (the first always does)
     rows = np.arange(x.shape[0])
-    rho = n - valid[:, ::-1].argmax(axis=-1)
-    theta = (cumulative[rows, rho - 1] / (rho * valid[rows, rho - 1]))[:, None]
-    out = np.where(x.sum(axis=-1, keepdims=True) <= total, x, np.maximum(x - theta, 0.0))
+    rho = np.logical_and.accumulate(valid, axis=-1).sum(axis=-1)
+    shift = (excess[rows, rho - 1] / rho)[:, None]  # theta - u_1
+    out = np.where(x.sum(axis=-1, keepdims=True) <= total, x,
+                   np.maximum((x - top) - shift, 0.0))
     return out.reshape(shape)
 
 
@@ -393,6 +444,7 @@ class _PgdResult:
     value: np.ndarray
     converged: np.ndarray
     iterations: int  # summed over rows
+    max_iter_rows: int = 0  # rows stopped unconverged at PGD_MAX_ITER
 
 
 def _backtrack(objective, project, z: np.ndarray, fz: np.ndarray, grad: np.ndarray,
@@ -436,25 +488,66 @@ def _backtrack(objective, project, z: np.ndarray, fz: np.ndarray, grad: np.ndarr
     return accepted, z_out, f_out, s_out
 
 
-def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *,
+def _newton_direction(grad: np.ndarray, blocks: tuple, z: np.ndarray, n: int,
+                      optimize_power: bool):
+    """Newton step on the face where both budgets are spent, per row: (d, ok).
+
+    grad (R, 2n) and blocks (the scaled Hessian blocks (h_xx, h_xy, h_yy),
+    each (R, n)) describe the objective at the rows z. The Hessian is
+    block-diagonal, so the step d_i = -H_i^-1 (g_i + nu) of robot i needs only
+    its own 2x2 block; the multipliers nu of the two sum constraints
+    sum(z_x + d_x) = 1 and sum(z_y + d_y) = 1 solve the 2x2 Schur complement
+    S = sum_i H_i^-1 (Boyd & Vandenberghe, Convex Optimization, 10.2 and
+    10.3). With optimize_power False the power block is frozen (identity
+    block, zero coupling, no power move), which leaves one scalar constraint.
+    ok marks the rows whose blocks are all positive definite and whose step
+    is finite; the other rows' d is meaningless.
+    """
+    h_xx, h_xy, h_yy = blocks
+    g_x, g_y = grad[:, :n], grad[:, n:]
+    b_x = 1.0 - z[:, :n].sum(axis=1)
+    if not optimize_power:
+        h_xx, h_xy = np.ones_like(h_yy), np.zeros_like(h_yy)
+        g_x, b_x = np.zeros_like(g_x), np.zeros_like(b_x)
+    b_y = 1.0 - z[:, n:].sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = h_xx * h_yy - h_xy * h_xy
+        i_xx, i_xy, i_yy = h_yy / det, -h_xy / det, h_xx / det  # H_i^-1
+        u_x, u_y = i_xx * g_x + i_xy * g_y, i_xy * g_x + i_yy * g_y  # H_i^-1 g_i
+        s_xx, s_xy, s_yy = i_xx.sum(axis=1), i_xy.sum(axis=1), i_yy.sum(axis=1)
+        c_x, c_y = b_x + u_x.sum(axis=1), b_y + u_y.sum(axis=1)
+        s_det = s_xx * s_yy - s_xy * s_xy
+        nu_x = ((s_xy * c_y - s_yy * c_x) / s_det)[:, None]
+        nu_y = ((s_xy * c_x - s_xx * c_y) / s_det)[:, None]
+        d = np.concatenate([-(u_x + i_xx * nu_x + i_xy * nu_y),
+                            -(u_y + i_xy * nu_x + i_yy * nu_y)], axis=1)
+    ok = ((h_xx > 0.0) & (det > 0.0)).all(axis=1) & (s_det > 0.0) & np.isfinite(d).all(axis=1)
+    return d, ok
+
+
+def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *, hessian,
                         optimize_power: bool = True) -> _PgdResult:
     """Minimize objective(z) over the product of two capped simplexes, per row of z0.
 
     Each row of z0 (one start, shape (R, 2n) in all) holds budget-scaled power
     and compute shares (each block sums to <= 1). All rows descend together:
-    an iteration makes one `gradient` call (analytic, see
-    JointEvaluator.gradient) and one `objective` call per backtracking block
-    for the whole batch, while every row keeps its own step, Barzilai-Borwein
-    pair and quiet count; a row that stops leaves the batch. The returned
-    iteration count is summed over rows. With optimize_power False the
-    power block of the gradient is zeroed and the power shares stay as given.
-    Trial steps are seeded Barzilai-Borwein style (spectral step from the
-    row's last (dz, dg) pair, which copes with the steep penalty wall) and
-    backed off by halving (_backtrack) until a sufficient decrease over the
-    projected move is reached. A row converges after PGD_PATIENCE consecutive
-    iterations with relative improvement below PGD_REL_TOL or a zero gradient;
-    a row whose gradient is not finite, or that is still running after
-    PGD_MAX_ITER iterations, stops unconverged.
+    an iteration makes one `gradient` and one `hessian` call (analytic, see
+    JointEvaluator.gradient and .hessian), one `objective` call for the
+    Newton trials and one per backtracking block for the whole batch, while
+    every row keeps its own step, Barzilai-Borwein pair and quiet count; a
+    row that stops leaves the batch. The returned iteration count is summed
+    over rows. With optimize_power False the power block of the gradient is
+    zeroed and the power shares stay as given.
+    A row first tries its projected face-Newton point (_newton_direction)
+    and keeps it when f(new) <= f + 1e-2 g.(new - z) with g.(new - z) < 0.
+    Otherwise its trial step is seeded Barzilai-Borwein style (spectral step
+    from the row's last (dz, dg) pair, which copes with the steep penalty
+    wall) and backed off by halving (_backtrack) until a sufficient decrease
+    over the projected move is reached. A row converges after PGD_PATIENCE
+    consecutive iterations with relative improvement below PGD_REL_TOL or a
+    zero gradient; a row whose gradient is not finite, or that is still
+    running after PGD_MAX_ITER iterations, stops unconverged (the latter
+    counted in max_iter_rows).
     """
     def project(z):
         if optimize_power:
@@ -482,7 +575,7 @@ def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *,
             if not optimize_power:
                 grad[:, :n] = 0.0
             gnorm = np.sqrt((grad * grad).sum(axis=1))
-            finite = np.isfinite(gnorm)
+            finite = plain = np.isfinite(gnorm)
             if not finite.all():  # a finite gradient's square overflows: use grad / max|grad|
                 big = ~finite & np.isfinite(grad).all(axis=1)
                 grad[big] /= np.abs(grad[big]).max(axis=1, keepdims=True)
@@ -501,10 +594,28 @@ def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *,
                 s = np.where(curvature > 1e-300, spectral, fallback)
                 s = np.minimum(np.maximum(s, 1e-16), 1e8)
                 z_prev[m], grad_prev[m] = zm, g
-                accepted, z_new, f_new, s_new = _backtrack(objective, project, zm, fm, g, s)
+                # the face-Newton trial first (a rescaled row has no matching
+                # Hessian); the rows that reject it backtrack from the BB step
+                d, ok = _newton_direction(g, hessian(zm), zm, n, optimize_power)
+                accepted = np.zeros(len(zm), dtype=bool)
+                z_new, f_new, s_new = zm.copy(), fm.copy(), sm.copy()
+                trial = np.flatnonzero(ok & plain[m])
+                if trial.size:
+                    cand = project(zm[trial] + d[trial])
+                    slope = (g[trial] * (cand - zm[trial])).sum(axis=1)
+                    fc = objective(cand)
+                    passed = (slope < 0.0) & (fc <= fm[trial] + 1e-2 * slope)
+                    take = trial[passed]
+                    accepted[take] = True
+                    z_new[take], f_new[take] = cand[passed], fc[passed]
+                back = np.flatnonzero(~accepted)
+                if back.size:
+                    (accepted[back], z_new[back], f_new[back],
+                     s_new[back]) = _backtrack(objective, project, zm[back], fm[back], g[back],
+                                               s[back])
                 rel = (fm - f_new) / np.maximum(np.abs(fm), 1e-300)
                 quiet[m] = np.where(accepted & ~(rel < PGD_REL_TOL), 0, quiet[m])
-                step[m] = np.where(accepted, s_new, sm)
+                step[m] = np.where(accepted, s_new, sm)  # a Newton row keeps its step
                 zl[m], fl[m] = z_new, f_new  # an unaccepted row keeps its iterate
             # a row stops converged after PGD_PATIENCE quiet iterations, or
             # unconverged when its gradient is not finite
@@ -517,11 +628,14 @@ def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *,
                 live, zl, fl, step, z_prev, grad_prev, quiet = (
                     a[keep] for a in (live, zl, fl, step, z_prev, grad_prev, quiet))
     z[live], fz[live] = zl, fl
-    return _PgdResult(z, fz, converged, iterations)
+    return _PgdResult(z, fz, converged, iterations, live.size)
 
 
 def _scaled_objective(evaluator: JointEvaluator, p_tot: float, f_tot: float):
-    """(objective, gradient) over budget-scaled shares z = (power, compute) / totals."""
+    """(objective, gradient, hessian) over budget-scaled shares z = (power, compute) / totals.
+
+    hessian returns the per-robot blocks (h_xx, h_xy, h_yy) in the scaled shares.
+    """
     n = evaluator.n
 
     def objective(batch: np.ndarray) -> np.ndarray:
@@ -530,7 +644,11 @@ def _scaled_objective(evaluator: JointEvaluator, p_tot: float, f_tot: float):
     def gradient(batch: np.ndarray) -> np.ndarray:
         d_power, d_compute = evaluator.gradient(batch[..., :n] * p_tot, batch[..., n:] * f_tot)
         return np.concatenate([d_power * p_tot, d_compute * f_tot], axis=-1)
-    return objective, gradient
+
+    def hessian(batch: np.ndarray) -> tuple:
+        h_pp, h_pf, h_ff = evaluator.hessian(batch[..., :n] * p_tot, batch[..., n:] * f_tot)
+        return h_pp * (p_tot * p_tot), h_pf * (p_tot * f_tot), h_ff * (f_tot * f_tot)
+    return objective, gradient, hessian
 
 
 def _task_starts(evaluator: JointEvaluator, p_tot: float, f_tot: float,
@@ -552,13 +670,14 @@ def _best_start(evaluator: JointEvaluator, starts: list, *, optimize_power: bool
                 method: str):
     """Batched PGD from every start: the winning row, its value, and the trace."""
     problem = evaluator.problem
-    objective, gradient = _scaled_objective(evaluator, problem.total_power_w,
-                                            problem.total_compute_cps)
+    objective, gradient, hessian = _scaled_objective(evaluator, problem.total_power_w,
+                                                     problem.total_compute_cps)
     res = _projected_gradient(objective, gradient, np.array(starts), evaluator.n,
-                              optimize_power=optimize_power)
+                              hessian=hessian, optimize_power=optimize_power)
     best = int(np.argmin(res.value))
     trace = SolverTrace(iterations=res.iterations, converged=bool(res.converged[best]),
-                        restarts=len(starts), best_restart=best, method=method)
+                        restarts=len(starts), best_restart=best, method=method,
+                        max_iter_rows=res.max_iter_rows)
     return res.z[best], res.value[best], trace
 
 

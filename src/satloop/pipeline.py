@@ -23,7 +23,7 @@ COMPUTE_FLOOR_CPS = 1e-9
 
 
 class NoBudgetError(ValueError):
-    """Propagation alone exceeds the cycle period."""
+    """Propagation alone exceeds the cycle period, or a link has no usable distance."""
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .linkgeom import (Geometry, LinkParams, shannon_rate_bps, slant_range_m,
                        snr_per_watt)
 from .optimize import (MultiLoopProblem, MultiLoopScheme, RobotLoop,
                        SingleLoopProblem, SingleLoopObjective)
-from .pipeline import LoopBudget, propagation_delay_s
+from .pipeline import COMPUTE_FLOOR_CPS, LoopBudget, propagation_delay_s
 
 REFERENCE = "reference"
 ASSUMED = "assumed"
@@ -97,6 +97,13 @@ def _ratio(path, value):
     return value
 
 
+def _giga(path, value):
+    """A value in giga-units that stays finite in base units (times 1e9)."""
+    if value * 1e9 == math.inf:
+        raise ValidationError(f"{path}: {value} times 1e9 leaves the float range")
+    return value
+
+
 def _count(path, value):
     if value < 1:
         raise ValidationError(f"{path}: must be >= 1, got {value}")
@@ -125,7 +132,7 @@ _SCHEMA = {
     "budget": {
         "cycle_period_ms": (20.0, REFERENCE, _float, _positive),
         "cycles_per_bit": (100.0, REFERENCE, _float, _positive),
-        "compute_gcps": (10.0, REFERENCE, _float, _positive),
+        "compute_gcps": (10.0, REFERENCE, _float, _positive, _giga),
         "extraction_ratio": (0.001, REFERENCE, _float, _ratio),
     },
     "plant": {
@@ -145,7 +152,7 @@ _SCHEMA = {
         "elevation_max_deg": (90.0, REFERENCE, _float, _elevation),
         "downlink_bandwidth_total_hz": (250.0, ASSUMED, _float, _positive),
         "uplink_fixed_bits": (200000.0, ASSUMED, _float, _positive),
-        "total_compute_gcps": (10.0, REFERENCE, _float, _positive),
+        "total_compute_gcps": (10.0, REFERENCE, _float, _positive, _giga),
         "power_sweep_min_w": (1.0, ASSUMED, _float, _positive),
         "power_sweep_max_w": (40.0, ASSUMED, _float, _positive),
         "power_sweep_points": (20, ASSUMED, _int, _count),
@@ -155,8 +162,8 @@ _SCHEMA = {
         "power_min_w": (1.0, ASSUMED, _float, _positive),
         "power_max_w": (40.0, ASSUMED, _float, _positive),
         "power_points": (20, ASSUMED, _int, _count),
-        "compute_min_gcps": (8.0, ASSUMED, _float, _positive),
-        "compute_max_gcps": (30.0, ASSUMED, _float, _positive),
+        "compute_min_gcps": (8.0, ASSUMED, _float, _positive, _giga),
+        "compute_max_gcps": (30.0, ASSUMED, _float, _positive, _giga),
         "compute_points": (20, ASSUMED, _int, _count),
     },
 }
@@ -226,10 +233,18 @@ def _cross_validate(tree: dict) -> None:
     # The link budget must stay inside the float range where the solvers use
     # it: both single-loop links at bandwidths 1e-6 B and B, and the multi-loop
     # downlink rate at the extreme elevations and the largest power total.
+    # The multi-loop solvers also form the bits a downlink window can carry
+    # (the window is at most the period plus the longest compute time, c V /
+    # COMPUTE_FLOOR_CPS, in size), the summed rate of all robots and the
+    # water-filling level bracket n (P + n / snr + B); each must stay finite.
     scn = Scenario(tree=tree)
     total = tree["single_loop"]["total_bandwidth_hz"]
-    share = ml["downlink_bandwidth_total_hz"] / ml["n_robots"]
+    n_robots = ml["n_robots"]
+    share = ml["downlink_bandwidth_total_hz"] / n_robots
     power_w = max(ml["power_sweep_max_w"], ml["allocation_power_w"], ct["power_max_w"])
+    period_s = tree["budget"]["cycle_period_ms"] * 1e-3
+    longest_s = period_s + tree["budget"]["cycles_per_bit"] * ml["uplink_fixed_bits"] / \
+        COMPUTE_FLOOR_CPS
     checks = [("links", direction, bandwidth, None) for direction in ("uplink", "downlink")
               for bandwidth in (1e-6 * total, total)]
     checks += [("multi_loop", "downlink", share, ml[key])
@@ -237,12 +252,25 @@ def _cross_validate(tree: dict) -> None:
     for where, direction, bandwidth, elevation_deg in checks:
         try:
             link = scn._link(direction, bandwidth, elevation_deg)
-            rate = shannon_rate_bps(link) if where == "links" else bandwidth * math.log2(
-                1.0 + power_w * snr_per_watt(link))
+            if where == "links":
+                rate = shannon_rate_bps(link)
+            else:
+                snr = snr_per_watt(link)
+                rate = bandwidth * math.log2(1.0 + power_w * snr)
+                for name, value in (("bits per window", rate * longest_s),
+                                    ("summed rate", n_robots * rate),
+                                    ("water-filling bracket",
+                                     n_robots * (power_w + n_robots / snr + bandwidth))):
+                    if not value < math.inf:
+                        raise ArithmeticError(f"{name} {value!r}")
             if not 0.0 < rate < math.inf:
                 raise ArithmeticError(f"a rate of {rate!r} bit/s")
         except (ArithmeticError, ValueError) as exc:
             raise ValidationError(f"{where}: the link budget leaves the float range ({exc})")
+    cap_bits = tree["budget"]["extraction_ratio"] * ml["uplink_fixed_bits"]
+    if cap_bits == 0.0:
+        raise ValidationError("multi_loop: the extraction cap (budget.extraction_ratio times "
+                              "uplink_fixed_bits) underflows to 0 bits")
     # the solvers' own test: propagation must leave part of the period. The
     # multi-loop check takes the shortest downlink (elevation_max_deg): when
     # that fails, no robot elevations can fit.
@@ -250,7 +278,6 @@ def _cross_validate(tree: dict) -> None:
         return slant_range_m(scn._link(direction, total, elevation_deg).geometry)
 
     nearest = slant("downlink", ml["elevation_max_deg"])
-    period_s = tree["budget"]["cycle_period_ms"] * 1e-3
     for where, t_prop in (("links", propagation_delay_s(slant("uplink"), slant("downlink"))),
                           ("multi_loop", propagation_delay_s(nearest, nearest))):
         if period_s - t_prop <= 0.0:

@@ -7,6 +7,7 @@ the solvers' own objective by brute force.
 """
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -15,7 +16,8 @@ from satloop.linkgeom import (SPEED_OF_LIGHT_M_S, Geometry, LinkParams, shannon_
                               slant_range_m)
 from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme, RobotLoop,
                               SingleLoopObjective, SingleLoopProblem, SolverTrace,
-                              _multi_result, _single_objective_fn, _single_result)
+                              _multi_result, _newton_direction, _single_objective_fn,
+                              _single_result)
 from satloop.pipeline import LoopBudget
 
 # the baseline scenario's budget: a 20 ms cycle, 100 cycles/bit, 10 GC/s, 0.1% extraction
@@ -264,21 +266,74 @@ def central_difference_gradient(evaluator, power_w: np.ndarray, compute_cps: np.
     return tuple(grads)
 
 
+def central_difference_hessian(evaluator, power_w: np.ndarray, compute_cps: np.ndarray,
+                               rel_step: float = 1e-6) -> tuple:
+    """Central-difference (d2J/dp2, d2J/dp df, d2J/df2) per robot, from the gradient.
+
+    A check on JointEvaluator.hessian. Robot i's gradient entries depend only
+    on its own power and compute, so each column of its 2x2 block differences
+    robot i's (dJ/dp_i, dJ/df_i) over a step in one of its two variables
+    (steps as in central_difference_gradient). The mixed entry is the mean of
+    two orders of differentiation. Returns three arrays of one entry per robot.
+    """
+    problem = evaluator.problem
+    floors = (0.1 * problem.total_power_w, 1e-9)
+    point = (np.asarray(power_w, dtype=float), np.asarray(compute_cps, dtype=float))
+    columns = []  # columns[block] = (d/dvar of dJ/dp, d/dvar of dJ/df), var = block
+    for block, floor in enumerate(floors):
+        h = rel_step * np.maximum(np.abs(point[block]), floor)
+        column = (np.empty(evaluator.n), np.empty(evaluator.n))
+        for i in range(evaluator.n):
+            plus = [point[0].copy(), point[1].copy()]
+            minus = [point[0].copy(), point[1].copy()]
+            plus[block][i] += h[i]
+            minus[block][i] -= h[i]
+            g_plus, g_minus = evaluator.gradient(*plus), evaluator.gradient(*minus)
+            for out, gp, gm in zip(column, g_plus, g_minus):
+                out[i] = (gp[i] - gm[i]) / (2.0 * h[i])
+        columns.append(column)
+    (pp, fp), (pf, ff) = columns
+    return pp, 0.5 * (fp + pf), ff
+
+
 def reference_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
     """Projection of each row (last axis) onto {x >= 0, sum(x) <= total}.
 
     The reference for optimize.project_capped_simplex: the same sort-based
-    method (Duchi et al., ICML 2008) written with one masked maximum and
+    method (Duchi et al., ICML 2008) and the same arithmetic, measured from
+    each row's largest entry, written with one masked maximum and
     take_along_axis over any number of leading axes.
     """
     x = np.maximum(x, 0.0)
     u = np.sort(x, axis=-1)[..., ::-1]
-    cumulative = np.cumsum(u, axis=-1) - total
+    top = u[..., :1]
+    excess = np.cumsum(u - top, axis=-1) - total
     counts = np.arange(1, x.shape[-1] + 1)
-    valid = u - cumulative / counts > 0.0
-    rho = np.max(np.where(valid, counts, 0), axis=-1, keepdims=True)
-    theta = np.take_along_axis(cumulative, rho - 1, axis=-1) / rho
-    return np.where(x.sum(axis=-1, keepdims=True) <= total, x, np.maximum(x - theta, 0.0))
+    leading = np.cumprod((u - top) - excess / counts > 0.0, axis=-1)
+    rho = np.max(np.where(leading == 1, counts, 0), axis=-1, keepdims=True)
+    shift = np.take_along_axis(excess, rho - 1, axis=-1) / rho
+    return np.where(x.sum(axis=-1, keepdims=True) <= total, x,
+                    np.maximum((x - top) - shift, 0.0))
+
+
+def exact_capped_simplex(row, total: float) -> list:
+    """Projection of one row onto {x >= 0, sum(x) <= total} in exact arithmetic.
+
+    Every float converts to a fractions.Fraction without rounding; the sorted
+    threshold rule then runs exactly: rho is the largest k with
+    u_k - (S_k - total) / k > 0 and theta = (S_rho - total) / rho.
+    """
+    x = [max(Fraction(v), Fraction(0)) for v in row]
+    cap = Fraction(total)
+    if sum(x) <= cap:
+        return x
+    prefix, rho, prefix_rho = Fraction(0), 0, Fraction(0)
+    for k, u in enumerate(sorted(x, reverse=True), start=1):
+        prefix += u
+        if u - (prefix - cap) / k > 0:
+            rho, prefix_rho = k, prefix
+    theta = (prefix_rho - cap) / rho
+    return [max(v - theta, Fraction(0)) for v in x]
 
 
 def water_fill_power_fixed_steps(evaluator, total_power_w: float, steps: int = 200):
@@ -298,14 +353,16 @@ def water_fill_power_fixed_steps(evaluator, total_power_w: float, steps: int = 2
     return alloc
 
 
-def reference_projected_gradient(objective, gradient, project, z0: np.ndarray, n: int, *,
-                                 optimize_power: bool, max_halvings: int,
+def reference_projected_gradient(objective, gradient, hessian, project, z0: np.ndarray,
+                                 n: int, *, optimize_power: bool, max_halvings: int,
                                  max_iter: int = 500, rel_tol: float = 1e-10,
                                  patience: int = 5) -> tuple:
     """One start of optimize._projected_gradient, one row and one halving at a time.
 
-    The same rules, written as a plain loop: Barzilai-Borwein trial step with
-    the fallback, Armijo backtracking by halving, patience on the relative
+    The same rules, written as a plain loop: the face-Newton trial first
+    (optimize._newton_direction on the one row, kept when it passes its
+    sufficient-decrease test), else a Barzilai-Borwein trial step with the
+    fallback and Armijo backtracking by halving, patience on the relative
     improvement, and an unconverged stop on a non-finite gradient.
     Returns (z, value, converged, iterations).
     """
@@ -315,7 +372,9 @@ def reference_projected_gradient(objective, gradient, project, z0: np.ndarray, n
     z_prev, g_prev = z.copy(), np.zeros_like(z)
     quiet = 0
     for iterations in range(1, max_iter + 1):
-        g = gradient(z[None, :])[0]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = gradient(z[None, :])[0]
+            blocks = hessian(z[None, :])
         if not optimize_power:
             g[:n] = 0.0
         gnorm = math.sqrt((g * g).sum())
@@ -332,8 +391,14 @@ def reference_projected_gradient(objective, gradient, project, z0: np.ndarray, n
                 s = 0.25 / gnorm if math.isnan(step) else step
             s = min(max(s, 1e-16), 1e8)
             z_prev, g_prev = z, g
-            accepted = False
-            for _ in range(max_halvings):
+            accepted = newton = False
+            d, ok = _newton_direction(g[None, :], blocks, z[None, :], n, optimize_power)
+            if ok[0]:
+                cand = project((z + d[0])[None, :])[0]
+                slope = (g * (cand - z)).sum()
+                fc = objective(cand[None, :])[0]
+                accepted = newton = slope < 0.0 and fc <= f + 1e-2 * slope
+            for _ in range(0 if newton else max_halvings):
                 cand = project((z - s * g)[None, :])[0]
                 move_sq = ((cand - z) * (cand - z)).sum()
                 if move_sq == 0.0:
@@ -346,7 +411,9 @@ def reference_projected_gradient(objective, gradient, project, z0: np.ndarray, n
             if accepted:
                 rel = (f - fc) / max(abs(f), 1e-300)
                 quiet = quiet + 1 if rel < rel_tol else 0
-                z, f, step = cand, fc, s
+                z, f = cand, fc
+                if not newton:
+                    step = s
             else:
                 quiet += 1
         if quiet >= patience:

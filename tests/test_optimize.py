@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -26,6 +27,7 @@ from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme,
 from satloop.pipeline import balanced_times, evaluate_cycle, propagation_delay_s
 from satloop.scenario import default_scenario
 from oracles import (BUDGET, DimensionTooLargeError, central_difference_gradient,
+                     central_difference_hessian, exact_capped_simplex,
                      compute_only_kkt, grid_oracle, random_joint_problem,
                      random_single_loop_problem, reference_capped_simplex,
                      reference_projected_gradient, water_fill_power_fixed_steps)
@@ -202,7 +204,7 @@ class TestProjection:
             assert np.array_equal(projected, project_capped_simplex(row, total))
 
     # ties and zeros from a small pool, rows inside the cap (scale 1e-3) and
-    # entries that dwarf the total (scale 1e18: no sorted entry is valid)
+    # entries that dwarf the total (scale 1e18)
     _ENTRIES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.0]), st.floats(-3.0, 3.0))
 
     @settings(max_examples=300, deadline=None)
@@ -217,6 +219,30 @@ class TestProjection:
             want = reference_capped_simplex(x, total)
         assert got.shape == x.shape
         assert np.array_equal(got, want, equal_nan=True)
+
+
+    # rows of entries from 1e-300 to 1e300 in size, and rows of huge entries a
+    # few ulps apart, whose sum rounds away everything the total decides
+    _HUGE_TIES = st.builds(lambda base, ulps: [base * (1.0 + k * 2.0 ** -52) for k in ulps],
+                           st.floats(1.0, 1e300), st.lists(st.integers(-4, 4), min_size=2,
+                                                            max_size=6))
+
+    @settings(max_examples=300, deadline=None)
+    @given(row=st.one_of(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6),
+                         _HUGE_TIES),
+           total=st.one_of(st.just(1.0), st.floats(0.1, 5.0)))
+    @example(row=[1e20, 0.3, 0.1], total=1.0)
+    @example(row=[1e300, 1e300 * (1.0 + 2.0 ** -52)], total=1.0)
+    def test_matches_exact_projection(self, row, total):
+        """Within n ulps of the total of the projection in exact arithmetic."""
+        got = project_capped_simplex(np.array(row), total)
+        want = exact_capped_simplex(row, total)
+        error = max(abs(Fraction(g) - w) for g, w in zip(got.tolist(), want))
+        assert error <= Fraction(len(row) * total) * Fraction(2.0 ** -52)
+
+    def test_an_entry_that_dwarfs_the_total_takes_all_of_it(self):
+        got = project_capped_simplex(np.array([[1e20, 0.3, 0.1], [0.1, 1e300, 2.0]]), 1.0)
+        assert np.array_equal(got, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 class TestWaterFilling:
@@ -492,18 +518,159 @@ class TestAnalyticGradient:
         np.testing.assert_allclose(d_compute, o_compute, rtol=1e-5)
 
 
+class TestAnalyticHessian:
+    """JointEvaluator.hessian against central differences of the analytic gradient."""
+
+    @staticmethod
+    def _compared(problem, mask_fn, rtol, draws=200):
+        ev = JointEvaluator(problem)
+        rng = np.random.default_rng(12)
+        compared = 0
+        for _ in range(draws):
+            power = rng.dirichlet(np.ones(ev.n)) * problem.total_power_w
+            compute = rng.dirichlet(np.ones(ev.n)) * problem.total_compute_cps
+            window = ev.t_budget - ev.comp_cycles / compute
+            raw = ev.rates_bps(power) * window
+            mask = mask_fn(ev, power, raw, window)
+            if not mask.any():
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                analytic = ev.hessian(power, compute)
+                oracle = central_difference_hessian(ev, power, compute)
+            for got, want in zip(analytic, oracle):
+                np.testing.assert_allclose(got[mask], want[mask], rtol=rtol, atol=0.0)
+            compared += int(mask.sum())
+        return compared
+
+    def test_interior_points(self):
+        def interior(ev, power, raw, window):
+            return (raw > ev.threshold_bits + 0.05) & (raw < 0.999 * ev.cap_bits)
+        assert self._compared(_default_joint(), interior, 1e-6) > 50
+
+    def test_near_the_extraction_cap(self):
+        # below the cap and within 5% of it, where the block is about to vanish
+        def near_cap(ev, power, raw, window):
+            return (raw > 0.95 * ev.cap_bits) & (raw < 0.999 * ev.cap_bits)
+        assert self._compared(_default_joint(extraction_scale=0.03), near_cap, 1e-6,
+                              draws=1000) > 20
+
+    def test_capped_robots_have_a_zero_block(self):
+        def capped(ev, power, raw, window):
+            return raw > 1.001 * ev.cap_bits
+        assert self._compared(_default_joint(extraction_scale=0.03), capped, 0.0) > 50
+
+    def test_penalty_region(self):
+        def penalty(ev, power, raw, window):
+            return ((raw < ev.threshold_bits - 0.05)
+                    & (np.abs(window) > 0.1 * ev.t_budget) & (power > 0.05))
+        assert self._compared(_default_joint(), penalty, 1e-6) > 50
+
+    def test_zero_compute_boundary(self):
+        """No compute: the compute row and column vanish, the power entry does not."""
+        problem = _default_joint()
+        ev = JointEvaluator(problem)
+        power = np.full(ev.n, problem.total_power_w / ev.n)
+        compute = np.full(ev.n, problem.total_compute_cps / (ev.n - 1))
+        compute[0] = 0.0
+        analytic = ev.hessian(power, compute)
+        oracle = central_difference_hessian(ev, power, compute)
+        assert analytic[0][0] < 0.0  # the penalty, concave in power: not positive definite
+        assert analytic[1][0] == 0.0 == analytic[2][0]
+        for got, want in zip(analytic, oracle):
+            np.testing.assert_allclose(got, want, rtol=1e-6)
+
+
+def _dense_face_newton(grad, blocks, z, n, optimize_power):
+    """The face-Newton step from one dense (2n + 2) KKT solve, for one row.
+
+    [[H, A^T], [A, 0]] (d, nu) = (-g, b) with H the full Hessian, A the two
+    sum constraints and b what each budget has left; with the power frozen, A
+    pins every power move to 0 instead of summing it.
+    """
+    h_xx, h_xy, h_yy = blocks
+    hess = np.zeros((2 * n, 2 * n))
+    idx = np.arange(n)
+    hess[idx, idx], hess[idx + n, idx + n] = h_xx, h_yy
+    hess[idx, idx + n] = hess[idx + n, idx] = h_xy
+    a = np.zeros((2, 2 * n))
+    a[0, :n], a[1, n:] = 1.0, 1.0
+    b = np.array([1.0 - z[:n].sum(), 1.0 - z[n:].sum()])
+    if not optimize_power:
+        hess[:n, :] = hess[:, :n] = 0.0
+        hess[idx, idx] = 1.0
+        a = np.vstack([np.eye(2 * n)[:n], a[1:]])
+        b = np.concatenate([np.zeros(n), b[1:]])
+    m = len(a)
+    kkt = np.block([[hess, a.T], [a, np.zeros((m, m))]])
+    rhs = np.concatenate([-np.where(np.arange(2 * n) < n, grad * optimize_power, grad), b])
+    return np.linalg.solve(kkt, rhs)[:2 * n]
+
+
+class TestNewtonDirection:
+    @pytest.mark.parametrize("optimize_power", [True, False])
+    def test_matches_dense_kkt_solve(self, optimize_power):
+        """The block-wise step equals a dense KKT solve and spends both budgets."""
+        rng = np.random.default_rng(21)
+        compared = 0
+        for k in (1, 2, 3, 5):
+            problem = random_joint_problem(rng, n_robots=k)
+            ev = JointEvaluator(problem)
+            objective, gradient, hessian = optimize._scaled_objective(
+                ev, problem.total_power_w, problem.total_compute_cps)
+            shares = np.concatenate([rng.dirichlet(np.ones(k), 40),
+                                     rng.dirichlet(np.ones(k), 40)], axis=1)
+            z = shares * rng.uniform(0.9, 1.0, (40, 1))  # on the face and inside it
+            z[:10] = shares[:10]
+            with np.errstate(divide="ignore", invalid="ignore"):  # robots below threshold
+                grad, blocks = gradient(z), hessian(z)
+            if not optimize_power:
+                grad[:, :k] = 0.0
+            d, ok = optimize._newton_direction(grad, blocks, z, k, optimize_power)
+            for row in np.flatnonzero(ok):
+                want = _dense_face_newton(grad[row], tuple(h[row] for h in blocks), z[row], k,
+                                          optimize_power)
+                # atol: a lone robot's step is the budget left, 0 up to rounding
+                np.testing.assert_allclose(d[row], want, rtol=1e-8,
+                                           atol=1e-8 * np.abs(want).max() + 1e-15)
+                new = z[row] + d[row]
+                assert abs(new[k:].sum() - 1.0) <= 1e-12
+                if optimize_power:
+                    assert abs(new[:k].sum() - 1.0) <= 1e-12
+                else:  # the power shares stay as given
+                    assert np.array_equal(new[:k], z[row, :k])
+                compared += 1
+        assert compared > 50
+
+    def test_not_positive_definite_rows_are_refused(self):
+        """A capped robot (zero block) or one starved of compute (no compute curvature)."""
+        problem = _default_joint(extraction_scale=0.03)
+        ev = JointEvaluator(problem)
+        objective, gradient, hessian = optimize._scaled_objective(
+            ev, problem.total_power_w, problem.total_compute_cps)
+        n = ev.n
+        z = np.tile(np.full(2 * n, 1.0 / n), (2, 1))
+        z[1, n], z[1, n + 1] = 0.0, 2.0 / n  # row 1: robot 0 gets no compute
+        power, compute = z[:, :n] * problem.total_power_w, z[:, n:] * problem.total_compute_cps
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eff = ev.rates_bps(power) * (ev.t_budget - ev.comp_cycles / compute)
+            assert (eff[0] > ev.cap_bits).any() and eff[1, 0] < 0.0
+            d, ok = optimize._newton_direction(gradient(z), hessian(z), z, n, True)
+        assert not ok.any()
+
+
 class TestBatchedPgd:
     @pytest.mark.parametrize("optimize_power", [True, False])
     def test_rows_match_single_row_runs(self, optimize_power):
         problem = _default_joint()
         ev = JointEvaluator(problem)
         p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-        objective, gradient = optimize._scaled_objective(ev, p_tot, f_tot)
+        objective, gradient, hessian = optimize._scaled_objective(ev, p_tot, f_tot)
         starts = np.array(optimize._task_starts(ev, p_tot, f_tot, 6, 3, ()))
         batch = optimize._projected_gradient(objective, gradient, starts, ev.n,
-                                             optimize_power=optimize_power)
+                                             hessian=hessian, optimize_power=optimize_power)
         for row, z0 in enumerate(starts):
             alone = optimize._projected_gradient(objective, gradient, z0[None, :], ev.n,
+                                                 hessian=hessian,
                                                  optimize_power=optimize_power)
             assert batch.value[row] == pytest.approx(alone.value[0], rel=1e-12)
             assert batch.converged[row] == alone.converged[0]
@@ -518,10 +685,11 @@ class TestBatchedPgd:
         for problem in problems:
             ev = JointEvaluator(problem)
             p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-            objective, gradient = optimize._scaled_objective(ev, p_tot, f_tot)
+            objective, gradient, hessian = optimize._scaled_objective(ev, p_tot, f_tot)
             starts = np.array(optimize._task_starts(ev, p_tot, f_tot, 12, 5, ()))
             starts[-1] = np.concatenate([np.eye(ev.n)[0], np.eye(ev.n)[-1]])  # a vertex
             batch = optimize._projected_gradient(objective, gradient, starts, ev.n,
+                                                 hessian=hessian,
                                                  optimize_power=optimize_power)
 
             def project(z):
@@ -532,18 +700,47 @@ class TestBatchedPgd:
             iterations = 0
             for row, z0 in enumerate(starts):
                 z, value, converged, iters = reference_projected_gradient(
-                    objective, gradient, project, z0, ev.n, optimize_power=optimize_power,
+                    objective, gradient, hessian, project, z0, ev.n,
+                    optimize_power=optimize_power,
                     max_halvings=optimize.MAX_HALVINGS, max_iter=150)
                 assert np.array_equal(batch.z[row], z)
                 assert batch.value[row] == value and batch.converged[row] == converged
                 iterations += iters
             assert batch.iterations == iterations
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_robots=st.integers(2, 4),
+           cap_bits=st.one_of(st.none(), st.floats(2.0, 8.0)), optimize_power=st.booleans())
+    def test_no_row_ends_worse_than_its_start(self, seed, n_robots, cap_bits, optimize_power):
+        """Every accepted step lowers the objective, Newton or backtracking, with
+        the extraction cap binding (a cap of a few bits) or not (the default)."""
+        rng = np.random.default_rng(seed)
+        problem = random_joint_problem(rng, n_robots=n_robots)
+        if cap_bits is not None:
+            budget = dataclasses.replace(
+                problem.budget, extraction_ratio=cap_bits / problem.uplink_fixed_bits)
+            problem = dataclasses.replace(problem, budget=budget)
+        ev = JointEvaluator(problem)
+        p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
+        objective, gradient, hessian = optimize._scaled_objective(ev, p_tot, f_tot)
+        starts = np.array(optimize._task_starts(ev, p_tot, f_tot, 6, seed, ()))
+        result = optimize._projected_gradient(objective, gradient, starts, ev.n,
+                                              hessian=hessian, optimize_power=optimize_power)
+        if optimize_power:
+            projected = project_capped_simplex(starts.reshape(-1, 2, ev.n), 1.0)
+        else:
+            projected = np.concatenate(
+                [starts[:, None, :ev.n], project_capped_simplex(starts[:, None, ev.n:], 1.0)],
+                axis=1)
+        assert np.isfinite(result.z).all() and np.isfinite(result.value).all()
+        assert (result.value <= objective(projected.reshape(starts.shape))).all()
+        assert np.array_equal(result.value, objective(result.z))
+
     def test_blocked_backtracking_matches_one_halving_at_a_time(self):
         """Each row takes the first passing halving, across block boundaries."""
         problem = _default_joint()
         ev = JointEvaluator(problem)
-        objective, gradient = optimize._scaled_objective(
+        objective, gradient, _ = optimize._scaled_objective(
             ev, problem.total_power_w, problem.total_compute_cps)
 
         def project(z):
@@ -584,11 +781,12 @@ class TestBatchedPgd:
         problem = _default_joint()
         ev = JointEvaluator(problem)
         p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-        objective, gradient = optimize._scaled_objective(ev, p_tot, f_tot)
+        objective, gradient, hessian = optimize._scaled_objective(ev, p_tot, f_tot)
         starts = np.array(optimize._task_starts(ev, p_tot, f_tot, 6, 3, ()))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = optimize._projected_gradient(objective, gradient, starts, ev.n,
+                                                  hessian=hessian,
                                                   optimize_power=optimize_power)
         assert result.iterations > len(starts)
 
@@ -602,6 +800,23 @@ class TestBatchedPgd:
             result = solve_multi_loop(problem, seed=1)
             assert not result.solver_trace.converged
             assert result.solver_trace.iterations == result.solver_trace.restarts
+            assert result.solver_trace.max_iter_rows == 0
+
+    def test_rows_stopped_at_the_iteration_cap_are_counted(self, monkeypatch):
+        schemes = (MultiLoopScheme.TASK_ORIENTED_JOINT, MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM)
+        problems = [default_scenario().multi_loop_problem(s, total_power_w=5.0) for s in schemes]
+        for problem in problems:
+            trace = solve_multi_loop(problem, seed=1).solver_trace
+            assert trace.converged and trace.max_iter_rows == 0
+        # fewer iterations than PGD_PATIENCE: no row can converge
+        monkeypatch.setattr(optimize, "PGD_MAX_ITER", optimize.PGD_PATIENCE - 1)
+        for problem in problems:
+            trace = solve_multi_loop(problem, seed=1).solver_trace
+            assert not trace.converged and trace.max_iter_rows == trace.restarts == 10
+            assert trace.iterations == 10 * (optimize.PGD_PATIENCE - 1)
+        traces = []
+        sweep_contour(problems[0], [5.0, 6.0], [1e10], seed=1, trace_out=traces)
+        assert [t.max_iter_rows for t in traces] == [optimize.CONTOUR_RESTARTS] * 2
 
     def test_zero_gradient_is_stationary(self, monkeypatch):
         def flat_gradient(self, power_w, compute_cps):

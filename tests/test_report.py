@@ -236,6 +236,38 @@ class TestFailureExitCodes:
         assert err.count("\n") == 1 and err.startswith(
             f"scenario error: {where}: the link budget leaves the float range (")
 
+    @pytest.mark.parametrize("verb", ["validate", "multi-loop"])
+    @pytest.mark.parametrize("body, message", [
+        ("multi_loop: {total_compute_gcps: 1.8e299}\n",
+         "multi_loop.total_compute_gcps: 1.8e+299 times 1e9 leaves the float range"),
+        ("budget: {compute_gcps: 1.8e299}\n",
+         "budget.compute_gcps: 1.8e+299 times 1e9 leaves the float range"),
+        ("multi_loop: {uplink_fixed_bits: 7.1e307}\n",  # c V / 1e-9 cps overflows
+         "multi_loop: the link budget leaves the float range (bits per window inf)"),
+        ("multi_loop: {n_robots: 2, power_sweep_max_w: 1.0e308}\n",
+         "multi_loop: the link budget leaves the float range (bits per window inf)"),
+        ("multi_loop: {uplink_fixed_bits: 5.0e-324}\n",
+         "multi_loop: the extraction cap (budget.extraction_ratio times uplink_fixed_bits) "
+         "underflows to 0 bits"),
+    ])
+    def test_multi_loop_quantities_outside_the_float_range(self, tmp_path, capsys, verb, body,
+                                                          message):
+        """Documents whose joint-solver arithmetic would overflow or divide 0 by 0."""
+        doc = tmp_path / "doc.yaml"
+        doc.write_text(body)
+        out = [] if verb == "validate" else ["--out", str(tmp_path / "out")]
+        assert main([verb, "--scenario", str(doc)] + out) == 2
+        assert capsys.readouterr().err == f"scenario error: {message}\n"
+
+    def test_slant_range_that_rounds_to_zero(self, tmp_path, capsys):
+        """At a 1 nm altitude the sampled robot's slant range is rounding noise, 0 m."""
+        doc = tmp_path / "doc.yaml"
+        doc.write_text("links: {downlink: {altitude_km: 1.0e-12}}\n"
+                       "multi_loop: {n_robots: 1, power_sweep_points: 1}\n")
+        assert main(["multi-loop", "--scenario", str(doc), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == ("scenario error: multi_loop: a robot's slant range "
+                                           "rounds to 0.0 m (links.downlink.altitude_km)\n")
+
     def test_unconverged_solve_exits_3_after_writing(self, tmp_path, capsys, monkeypatch):
         original = optimize._projected_gradient
 
@@ -363,6 +395,63 @@ class TestAnyLinkBudget:
             if code == 0:
                 _, rows = _read_rows(Path(tmp) / "single_loop.csv")
                 assert not any("nan" in value for row in rows for value in row.values())
+
+
+class TestAnySmallMultiLoop:
+    """Every small document (at most 3 robots and 2 sweep points) through multi-loop.
+
+    The plant, the downlink, the budget and the multi_loop section are drawn
+    from their whole float ranges, so the joint solver meets plants far from
+    the baseline: penalties, capped and starved loops, and Newton blocks that
+    are not positive definite.
+    """
+    _FINITE, _NON_NEGATIVE = TestAnyPlant._FINITE, TestAnyPlant._NON_NEGATIVE
+    _POSITIVE = TestAnyLinkBudget._POSITIVE
+    _ELEVATION = st.floats(min_value=0.0, max_value=90.0, exclude_min=True)
+    _PLANT = st.fixed_dictionaries({}, optional={
+        "a": _FINITE, "b": _FINITE, "q": _NON_NEGATIVE, "w_cov": _NON_NEGATIVE,
+        "r_u": _POSITIVE})
+    _BUDGET = st.fixed_dictionaries({}, optional={
+        "cycle_period_ms": _POSITIVE, "cycles_per_bit": _POSITIVE, "compute_gcps": _POSITIVE,
+        "extraction_ratio": st.floats(min_value=0.0, max_value=1.0, exclude_min=True)})
+    _MULTI_LOOP = st.fixed_dictionaries(
+        {"n_robots": st.integers(1, 3), "power_sweep_points": st.integers(1, 2)},
+        optional={"elevation_min_deg": _ELEVATION, "elevation_max_deg": _ELEVATION,
+                  "downlink_bandwidth_total_hz": _POSITIVE, "uplink_fixed_bits": _POSITIVE,
+                  "total_compute_gcps": _POSITIVE, "power_sweep_min_w": _POSITIVE,
+                  "power_sweep_max_w": _POSITIVE, "allocation_power_w": _POSITIVE})
+
+    @settings(max_examples=60, deadline=None)
+    @given(plant=_PLANT, downlink=TestAnyLinkBudget._LINK, budget=_BUDGET,
+           multi_loop=_MULTI_LOOP)
+    @example(plant={"a": 8.78e-51, "b": -18.1, "q": 1.02e134, "r_u": 1e-300, "w_cov": 2.36e145},
+             downlink={}, budget={}, multi_loop={"n_robots": 2, "power_sweep_points": 2})
+    @example(plant={}, downlink={}, budget={"extraction_ratio": 3e-5},
+             multi_loop={"n_robots": 3, "power_sweep_points": 2})  # caps of 6 bits bind
+    @example(plant={"b": 3.97e-93, "q": 3.24e307}, downlink={}, budget={},  # w ln4 overflows
+             multi_loop={"n_robots": 1, "power_sweep_points": 1})
+    def test_multi_loop_exits_0_2_or_3_without_nan(self, plant, downlink, budget, multi_loop):
+        """multi-loop exits 0, 2 or 3, with one stderr line for 2 and 3 and no nan
+        in either CSV for 0. An exception or a RuntimeWarning escaping main (a
+        traceback at the command line) fails the test.
+        """
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = Path(tmp) / "doc.yaml"
+            doc.write_text(json.dumps({"plant": plant, "links": {"downlink": downlink},
+                                       "budget": budget, "multi_loop": multi_loop}))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(["multi-loop", "--scenario", str(doc), "--out", tmp,
+                             "--format", "csv"])
+            assert code in (0, 2, 3), err.getvalue()
+            if code != 0:
+                assert err.getvalue().count("\n") == 1, err.getvalue()
+            if code in (0, 3) and (Path(tmp) / "multi_loop_sweep.csv").exists():
+                for name in ("multi_loop_sweep.csv", "multi_loop_allocation.csv"):
+                    _, rows = _read_rows(Path(tmp) / name)
+                    assert not any("nan" in value for row in rows for value in row.values())
 
 
 class TestScientificNotation:
