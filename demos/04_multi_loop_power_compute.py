@@ -25,12 +25,12 @@ series = {"task_oriented": [], "max_throughput": [], "compute_only": []}
 for p_tot in powers:
     baselines = []
     mt = solve_multi_loop(scn.multi_loop_problem(
-        MultiLoopScheme.MAX_THROUGHPUT_JOINT, total_power_w=p_tot), seed=scn.seed)
+        MultiLoopScheme.MAX_THROUGHPUT_JOINT, total_power_w=p_tot))
     co = solve_multi_loop(scn.multi_loop_problem(
-        MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM, total_power_w=p_tot), seed=scn.seed)
+        MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM, total_power_w=p_tot))
     task = solve_multi_loop(scn.multi_loop_problem(
         MultiLoopScheme.TASK_ORIENTED_JOINT, total_power_w=p_tot),
-        seed=scn.seed, extra_starts=[mt.decision, co.decision])
+        extra_starts=[mt.decision, co.decision])
     series["task_oriented"].append(task.lqr_total)
     series["max_throughput"].append(mt.lqr_total)
     series["compute_only"].append(co.lqr_total)
@@ -49,10 +49,10 @@ svg = svgplot.line_chart(list(powers),
 
 # allocation detail at 5 W
 mt = solve_multi_loop(scn.multi_loop_problem(
-    MultiLoopScheme.MAX_THROUGHPUT_JOINT, total_power_w=5.0), seed=scn.seed)
+    MultiLoopScheme.MAX_THROUGHPUT_JOINT, total_power_w=5.0))
 task = solve_multi_loop(scn.multi_loop_problem(
     MultiLoopScheme.TASK_ORIENTED_JOINT, total_power_w=5.0),
-    seed=scn.seed, extra_starts=[mt.decision])
+    extra_starts=[mt.decision])
 print()
 print(f"{'robot':>5} {'elev':>6} {'P task':>8} {'P maxT':>8} {'f task GC/s':>12}")
 for i, elev in enumerate(elevations):

@@ -18,7 +18,7 @@ problem = scn.multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT)
 power_grid = np.linspace(1.0, 40.0, 10)
 compute_grid = np.linspace(8e9, 3e10, 10)
 
-matrix = sweep_contour(problem, power_grid, compute_grid, seed=scn.seed)
+matrix = sweep_contour(problem, power_grid, compute_grid)
 
 print("total LQR cost (rows: power 1->40 W; cols: compute 8->30 GC/s)")
 for i, p in enumerate(power_grid):

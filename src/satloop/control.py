@@ -164,10 +164,11 @@ def rate_cost(rate_bits, a_sq, sens_w, j_ideal):
 
     The curve of Kostina & Hassibi (IEEE TAC 2019): +inf where R < 0 or
     4^R <= a^2 (at or below the data-rate threshold); strictly decreasing
-    and convex above it, with J -> j_ideal as R grows.
+    and convex above it, with J -> j_ideal as R grows. A cost past the float
+    range is +inf too.
     """
     _, gap, finite = rate_gap(rate_bits, a_sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(finite, j_ideal + sens_w / gap, np.inf)
 
 

@@ -7,17 +7,25 @@ search.
 
 Multi loop: jointly allocate downlink power and on-board compute frequency
 across robots by projected gradient on budget-scaled variables (closed-form
-gradient, all restarts as one batch), against a max-throughput (water-filling)
-scheme and a compute-only scheme at equal power. Each iteration first tries a
-face-Newton step: the objective is separable by robot, so its Hessian is
-block-diagonal with one closed-form 2x2 (power, compute) block per robot, and
-the Newton step on the face where both budgets are spent needs only those
-blocks and a 2x2 Schur complement. A row keeps the projected Newton point when
-it passes a sufficient-decrease test; a row whose blocks are not positive
-definite (a capped, penalised or starved loop), or whose Newton point fails
-the test, takes the Barzilai-Borwein step with blocked backtracking instead.
-Both solvers score a cycle with pipeline.store_and_forward and
-control.rate_cost, and share one penalty.
+gradient and Hessian blocks, all starts as one batch), against a
+max-throughput (water-filling) scheme and a compute-only scheme at equal
+power. The starts are deterministic and few: for an unstable plant, log r(p)
+and log w(f) are concave and J(e^u) is decreasing and convex, so each loop's
+J(min(r(p) w(f), cap)) is jointly convex where it is feasible and every local
+minimum is global (Boyd & Vandenberghe, Convex Optimization, 3.2.4). For a
+stable plant convexity can fail only at small eff. Each
+iteration first tries a face-Newton step: the objective is separable by robot,
+so its Hessian is block-diagonal with one closed-form 2x2 (power, compute)
+block per robot, and the Newton step on the face where both budgets are spent
+needs only those blocks and a 2x2 Schur complement. A row keeps the projected
+Newton point when it passes a sufficient-decrease test, and stops there once
+the step's predicted decrease is below PGD_REL_TOL of its value (the Newton
+decrement, B&V 9.5.1 and 10.2); a row whose blocks are not positive definite
+(a capped, penalised or starved loop), or whose Newton point fails the test,
+takes the Barzilai-Borwein step with blocked backtracking instead. The trace
+certifies the returned point with its projected-gradient norm
+(SolverTrace.projected_gradient_norm). Both solvers score a cycle with
+pipeline.store_and_forward and control.rate_cost, and share one penalty.
 """
 import dataclasses
 import enum
@@ -33,13 +41,13 @@ from .pipeline import LoopBudget
 
 INFEASIBILITY_PENALTY = 1e9
 GOLDEN_REL_WIDTH = 1e-8
-# Projected gradient: a row converges after PGD_PATIENCE consecutive
+# Projected gradient: a row converges when an accepted Newton step predicts a
+# decrease below PGD_REL_TOL of its value, or after PGD_PATIENCE consecutive
 # iterations that improve its value by less than PGD_REL_TOL relative, and
 # stops unconverged after PGD_MAX_ITER iterations.
 PGD_REL_TOL = 1e-10
 PGD_PATIENCE = 5
 PGD_MAX_ITER = 500
-CONTOUR_RESTARTS = 6  # starts per sweep_contour cell
 # Projected-gradient backtracking: at most MAX_HALVINGS halvings of a trial
 # step, evaluated BACKTRACK_BLOCK at a time in one objective call.
 MAX_HALVINGS = 80
@@ -117,14 +125,18 @@ class MultiLoopProblem:
 class SolverTrace:
     iterations: int
     converged: bool
-    restarts: int = 1
-    best_restart: int = 0
+    restarts: int = 1  # starts in the batch
+    best_restart: int = 0  # index of the winning start
     # Never set: the single-loop search has no grid fallback. Kept because the
     # benchmark tracer reads it into its optimize.dense_grid_fallbacks counter.
     fallback_dense_grid: bool = False
     all_infeasible: bool = False
     method: str = ""
     max_iter_rows: int = 0  # starts still running after PGD_MAX_ITER iterations
+    # The certificate of a projected-gradient solve: ||z - P(z - grad f(z))||
+    # in budget-scaled shares at the returned point, 0 exactly at a KKT point
+    # (NaN for the solves that run no projected gradient)
+    projected_gradient_norm: float = math.nan
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,10 +333,30 @@ class JointEvaluator:
     def total_cost(self, power_w: np.ndarray, compute_cps: np.ndarray) -> np.ndarray:
         return self.cost_vector(power_w, compute_cps).sum(axis=-1)
 
-    def _chain_factors(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
-        """(rate, window, dJ/deff, dr/dp, dw/df, 4^eff, 4^eff - a^2, finite), per robot.
+    def derivatives(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
+        """Closed-form gradient and 2x2 Hessian blocks of cost_vector, per robot.
 
-        The first-order chain-rule factors that `gradient` and `hessian` share.
+        Returns ((dJ/dp, dJ/df), (d2J/dp2, d2J/dp df, d2J/df2)); the
+        chain-rule factors both need are computed once.
+
+        Gradient: dJ/deff is -w ln4 4^eff / (4^eff - a^2)^2 on a feasible loop
+        and -1 on the penalty. It is 0 past the rate clamp and where the
+        extraction cap binds, which is the one-sided slope at the cap kink:
+        more of either resource buys nothing there. Below the compute floor
+        the window does not depend on compute, so dJ/dcompute is 0.
+
+        Hessian: the cost is separable by robot, so the full Hessian is
+        block-diagonal. With eff = r(p) w(f) below the cap, the chain rule
+        gives d2J/dp2 = J'' (r' w)^2 + J' r'' w, d2J/df2 = J'' (r w')^2 +
+        J' r w'' and d2J/dp df = J'' (r' w)(r w') + J' r' w', where J' is
+        dJ/deff, J'' = w ln4^2 4^eff (4^eff + a^2) / (4^eff - a^2)^3 on a
+        feasible loop (0 on the penalty), that is -J' ln4 (4^eff + a^2) /
+        (4^eff - a^2), r'' = -r' g / (1 + p g) and w'' = -2 w' / f. The block
+        is 0 wherever the slope is (cap, rate clamp).
+
+        At or below the data-rate threshold the unused feasible-branch terms
+        may divide by a zero gap; callers that reach it silence the warning
+        (_projected_gradient does).
         """
         rate, _, window, eff = self._cycle(power_w, compute_cps)
         pow4, gap, finite = control.rate_gap(eff, self.a_sq)
@@ -334,44 +366,14 @@ class JointEvaluator:
         floor = pipeline.COMPUTE_FLOOR_CPS
         d_window = np.where(compute_cps > floor,
                             self.comp_cycles / np.maximum(compute_cps, floor) ** 2, 0.0)
-        return rate, window, slope, d_rate, d_window, pow4, gap, finite
-
-    def gradient(self, power_w: np.ndarray, compute_cps: np.ndarray):
-        """Closed-form (dJ/dpower, dJ/dcompute) of cost_vector, per robot.
-
-        dJ/deff is -w ln4 4^eff / (4^eff - a^2)^2 on a feasible loop and -1 on
-        the penalty. It is 0 past the rate clamp and where the extraction cap
-        binds, which is the one-sided slope at the cap kink: more of either
-        resource buys nothing there. Below the compute floor the window does
-        not depend on compute, so dJ/dcompute is 0. At or below the data-rate
-        threshold the unused feasible-branch slope may divide by a zero gap;
-        callers that reach it silence the warning (_projected_gradient does).
-        """
-        rate, window, slope, d_rate, d_window, *_ = self._chain_factors(power_w, compute_cps)
-        return slope * window * d_rate, slope * rate * d_window
-
-    def hessian(self, power_w: np.ndarray, compute_cps: np.ndarray):
-        """Closed-form 2x2 Hessian block (d2J/dp2, d2J/dp df, d2J/df2) of cost_vector, per robot.
-
-        The cost is separable by robot, so the full Hessian is block-diagonal.
-        With eff = r(p) w(f) below the cap, the chain rule gives
-        d2J/dp2 = J'' (r' w)^2 + J' r'' w, d2J/df2 = J'' (r w')^2 + J' r w''
-        and d2J/dp df = J'' (r' w)(r w') + J' r' w', where J' is the slope of
-        `gradient`, J'' = w ln4^2 4^eff (4^eff + a^2) / (4^eff - a^2)^3 on a
-        feasible loop (0 on the penalty), that is -J' ln4 (4^eff + a^2) /
-        (4^eff - a^2), r'' = -r' g / (1 + p g) and w'' = -2 w' / f. The block
-        is 0 wherever the slope is (cap, rate clamp). Callers silence the
-        divisions as for `gradient`.
-        """
-        rate, window, slope, d_rate, d_window, pow4, gap, finite = self._chain_factors(
-            power_w, compute_cps)
         curve = np.where(finite, -slope * math.log(4.0) * ((pow4 + self.a_sq) / gap), 0.0)
         dd_rate = -d_rate * self.snr_per_w / (1.0 + power_w * self.snr_per_w)
-        dd_window = -2.0 * d_window / np.maximum(compute_cps, pipeline.COMPUTE_FLOOR_CPS)
+        dd_window = -2.0 * d_window / np.maximum(compute_cps, floor)
         e_p, e_f = d_rate * window, rate * d_window  # d eff / dp, d eff / df
-        return (curve * e_p * e_p + slope * dd_rate * window,
-                curve * e_p * e_f + slope * d_rate * d_window,
-                curve * e_f * e_f + slope * rate * dd_window)
+        return ((slope * window * d_rate, slope * rate * d_window),
+                (curve * e_p * e_p + slope * dd_rate * window,
+                 curve * e_p * e_f + slope * d_rate * d_window,
+                 curve * e_f * e_f + slope * rate * dd_window))
 
     def outcomes(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
         """Physical per-robot LoopOutcome tuple; a capped downlink stops at the cap."""
@@ -525,34 +527,43 @@ def _newton_direction(grad: np.ndarray, blocks: tuple, z: np.ndarray, n: int,
     return d, ok
 
 
-def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *, hessian,
+def _project_shares(z: np.ndarray, n: int, optimize_power: bool) -> np.ndarray:
+    """Each row of budget-scaled shares (R, 2n) onto its feasible set: both
+    blocks onto the capped simplex, or with optimize_power False the compute
+    block only (the power shares stay as given)."""
+    if optimize_power:
+        return project_capped_simplex(z.reshape(-1, 2, n), 1.0).reshape(z.shape)
+    return np.concatenate([z[:, :n], project_capped_simplex(z[:, n:], 1.0)], axis=1)
+
+
+def _projected_gradient(objective, derivatives, z0: np.ndarray, n: int, *,
                         optimize_power: bool = True) -> _PgdResult:
     """Minimize objective(z) over the product of two capped simplexes, per row of z0.
 
     Each row of z0 (one start, shape (R, 2n) in all) holds budget-scaled power
     and compute shares (each block sums to <= 1). All rows descend together:
-    an iteration makes one `gradient` and one `hessian` call (analytic, see
-    JointEvaluator.gradient and .hessian), one `objective` call for the
-    Newton trials and one per backtracking block for the whole batch, while
-    every row keeps its own step, Barzilai-Borwein pair and quiet count; a
-    row that stops leaves the batch. The returned iteration count is summed
-    over rows. With optimize_power False the power block of the gradient is
-    zeroed and the power shares stay as given.
+    an iteration makes one `derivatives` call (the analytic gradient and
+    Hessian blocks, see JointEvaluator.derivatives), one `objective` call for
+    the Newton trials and one per backtracking block for the whole batch,
+    while every row keeps its own step, Barzilai-Borwein pair and quiet
+    count; a row that stops leaves the batch. The returned iteration count is
+    summed over rows. With optimize_power False the power block of the
+    gradient is zeroed and the power shares stay as given.
     A row first tries its projected face-Newton point (_newton_direction)
     and keeps it when f(new) <= f + 1e-2 g.(new - z) with g.(new - z) < 0.
     Otherwise its trial step is seeded Barzilai-Borwein style (spectral step
     from the row's last (dz, dg) pair, which copes with the steep penalty
     wall) and backed off by halving (_backtrack) until a sufficient decrease
-    over the projected move is reached. A row converges after PGD_PATIENCE
-    consecutive iterations with relative improvement below PGD_REL_TOL or a
-    zero gradient; a row whose gradient is not finite, or that is still
-    running after PGD_MAX_ITER iterations, stops unconverged (the latter
-    counted in max_iter_rows).
+    over the projected move is reached. A row converges at a kept Newton
+    point whose predicted decrease -g.(new - z) is at most PGD_REL_TOL |f|
+    (the Newton decrement), or after PGD_PATIENCE consecutive iterations
+    with relative improvement below PGD_REL_TOL or a zero gradient; a row
+    whose gradient is not finite, or that is still running after
+    PGD_MAX_ITER iterations, stops unconverged (the latter counted in
+    max_iter_rows).
     """
     def project(z):
-        if optimize_power:
-            return project_capped_simplex(z.reshape(-1, 2, n), 1.0).reshape(z.shape)
-        return np.concatenate([z[:, :n], project_capped_simplex(z[:, n:], 1.0)], axis=1)
+        return _project_shares(z, n, optimize_power)
 
     z = project(np.array(z0, dtype=float))
     fz = objective(z)
@@ -571,7 +582,7 @@ def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *, hessian,
             if live.size == 0:
                 break
             iterations += live.size
-            grad = gradient(zl)
+            grad, blocks = derivatives(zl)
             if not optimize_power:
                 grad[:, :n] = 0.0
             gnorm = np.sqrt((grad * grad).sum(axis=1))
@@ -583,6 +594,7 @@ def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *, hessian,
                 finite = np.isfinite(gnorm)
             moving = finite & (gnorm > 0.0)
             quiet += 1
+            settled = np.zeros(live.size, dtype=bool)  # stopped on the Newton decrement
             m = slice(None) if moving.all() else np.flatnonzero(moving)
             g, zm, fm, sm = grad[m], zl[m], fl[m], step[m]
             if g.size:
@@ -596,8 +608,10 @@ def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *, hessian,
                 z_prev[m], grad_prev[m] = zm, g
                 # the face-Newton trial first (a rescaled row has no matching
                 # Hessian); the rows that reject it backtrack from the BB step
-                d, ok = _newton_direction(g, hessian(zm), zm, n, optimize_power)
+                d, ok = _newton_direction(g, tuple(h[m] for h in blocks), zm, n,
+                                          optimize_power)
                 accepted = np.zeros(len(zm), dtype=bool)
+                newton_done = np.zeros(len(zm), dtype=bool)
                 z_new, f_new, s_new = zm.copy(), fm.copy(), sm.copy()
                 trial = np.flatnonzero(ok & plain[m])
                 if trial.size:
@@ -608,6 +622,7 @@ def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *, hessian,
                     take = trial[passed]
                     accepted[take] = True
                     z_new[take], f_new[take] = cand[passed], fc[passed]
+                    newton_done[take] = -slope[passed] <= PGD_REL_TOL * np.abs(fm[take])
                 back = np.flatnonzero(~accepted)
                 if back.size:
                     (accepted[back], z_new[back], f_new[back],
@@ -617,9 +632,11 @@ def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *, hessian,
                 quiet[m] = np.where(accepted & ~(rel < PGD_REL_TOL), 0, quiet[m])
                 step[m] = np.where(accepted, s_new, sm)  # a Newton row keeps its step
                 zl[m], fl[m] = z_new, f_new  # an unaccepted row keeps its iterate
-            # a row stops converged after PGD_PATIENCE quiet iterations, or
-            # unconverged when its gradient is not finite
-            leave = ~finite | (quiet >= PGD_PATIENCE)
+                settled[m] = newton_done
+            # a row stops converged on the Newton decrement or after
+            # PGD_PATIENCE quiet iterations, unconverged when its gradient is
+            # not finite
+            leave = ~finite | settled | (quiet >= PGD_PATIENCE)
             if leave.any():
                 gone = live[leave]
                 z[gone], fz[gone] = zl[leave], fl[leave]
@@ -632,27 +649,28 @@ def _projected_gradient(objective, gradient, z0: np.ndarray, n: int, *, hessian,
 
 
 def _scaled_objective(evaluator: JointEvaluator, p_tot: float, f_tot: float):
-    """(objective, gradient, hessian) over budget-scaled shares z = (power, compute) / totals.
+    """(objective, derivatives) over budget-scaled shares z = (power, compute) / totals.
 
-    hessian returns the per-robot blocks (h_xx, h_xy, h_yy) in the scaled shares.
+    derivatives returns the gradient (R, 2n) and the per-robot Hessian blocks
+    (h_xx, h_xy, h_yy) in the scaled shares.
     """
     n = evaluator.n
 
     def objective(batch: np.ndarray) -> np.ndarray:
         return evaluator.total_cost(batch[..., :n] * p_tot, batch[..., n:] * f_tot)
 
-    def gradient(batch: np.ndarray) -> np.ndarray:
-        d_power, d_compute = evaluator.gradient(batch[..., :n] * p_tot, batch[..., n:] * f_tot)
-        return np.concatenate([d_power * p_tot, d_compute * f_tot], axis=-1)
-
-    def hessian(batch: np.ndarray) -> tuple:
-        h_pp, h_pf, h_ff = evaluator.hessian(batch[..., :n] * p_tot, batch[..., n:] * f_tot)
-        return h_pp * (p_tot * p_tot), h_pf * (p_tot * f_tot), h_ff * (f_tot * f_tot)
-    return objective, gradient, hessian
+    def derivatives(batch: np.ndarray) -> tuple:
+        (d_power, d_compute), (h_pp, h_pf, h_ff) = evaluator.derivatives(
+            batch[..., :n] * p_tot, batch[..., n:] * f_tot)
+        return (np.concatenate([d_power * p_tot, d_compute * f_tot], axis=-1),
+                (h_pp * (p_tot * p_tot), h_pf * (p_tot * f_tot), h_ff * (f_tot * f_tot)))
+    return objective, derivatives
 
 
 def _task_starts(evaluator: JointEvaluator, p_tot: float, f_tot: float,
-                 restarts: int, seed: int, extra_starts) -> list:
+                 extra_starts) -> list:
+    """The task-oriented starts: the equal split, water-filled power with
+    equal compute, and the callers' extra decisions, as budget-scaled shares."""
     n = evaluator.n
     equal = np.full(2 * n, 1.0 / n)
     wf = np.concatenate([water_fill_power(evaluator, p_tot) / p_tot, np.full(n, 1.0 / n)])
@@ -660,39 +678,49 @@ def _task_starts(evaluator: JointEvaluator, p_tot: float, f_tot: float,
     for dec in extra_starts:
         starts.append(np.concatenate([np.asarray(dec["power_w"]) / p_tot,
                                       np.asarray(dec["compute_cps"]) / f_tot]))
-    rng = np.random.default_rng(seed)
-    while len(starts) < restarts:
-        starts.append(np.concatenate([rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))]))
     return starts
 
 
 def _best_start(evaluator: JointEvaluator, starts: list, *, optimize_power: bool,
                 method: str):
-    """Batched PGD from every start: the winning row, its value, and the trace."""
+    """Batched PGD from every start: the winning row, its value, and the trace
+    with the winner's projected-gradient norm as its certificate."""
     problem = evaluator.problem
-    objective, gradient, hessian = _scaled_objective(evaluator, problem.total_power_w,
-                                                     problem.total_compute_cps)
-    res = _projected_gradient(objective, gradient, np.array(starts), evaluator.n,
-                              hessian=hessian, optimize_power=optimize_power)
+    n = evaluator.n
+    objective, derivatives = _scaled_objective(evaluator, problem.total_power_w,
+                                               problem.total_compute_cps)
+    res = _projected_gradient(objective, derivatives, np.array(starts), n,
+                              optimize_power=optimize_power)
     best = int(np.argmin(res.value))
+    z = res.z[best:best + 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        grad = derivatives(z)[0]
+        if not optimize_power:
+            grad[:, :n] = 0.0
+        residual = z - _project_shares(z - grad, n, optimize_power)
+        certificate = float(np.sqrt((residual * residual).sum()))
     trace = SolverTrace(iterations=res.iterations, converged=bool(res.converged[best]),
                         restarts=len(starts), best_restart=best, method=method,
-                        max_iter_rows=res.max_iter_rows)
-    return res.z[best], res.value[best], trace
+                        max_iter_rows=res.max_iter_rows, projected_gradient_norm=certificate)
+    return z[0], res.value[best], trace
 
 
-def solve_multi_loop(problem: MultiLoopProblem, *, seed: int = 0, restarts: int = 10,
-                     extra_starts=()) -> AllocationResult:
+def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> AllocationResult:
     """Allocate downlink power and compute frequency under the chosen scheme.
 
-    Task-oriented: projected gradient over both budgets from `restarts`
-    deterministic starting points (equal split, water-filled power, callers'
-    extra starts, then seeded random feasible points), best kept.
+    Task-oriented: projected gradient over both budgets from the equal split,
+    water-filled power and the callers' extra starts, best kept. One
+    deterministic start would do: each loop's cost is jointly convex in its
+    power and compute wherever it is feasible (see the module docstring), so
+    the extra starts only make sure the result is never above a decision the
+    caller already has (report passes the two baselines' decisions).
     Max-throughput: water-filled power, compute proportional to uplink load.
-    Compute-only: equal power frozen, projected gradient over compute.
+    Compute-only: equal power frozen, projected gradient over compute from
+    the equal split.
     The projected-gradient schemes run all their starts as one batch with the
-    analytic gradient and blocked backtracking (_projected_gradient); the
-    trace reports the winning start and whether that start converged.
+    analytic derivatives and blocked backtracking (_projected_gradient); the
+    trace reports the winning start, whether that start converged, and its
+    projected-gradient norm (projected_gradient_norm) as the certificate.
     Every scheme is re-scored under the penalized LQR total (lqr_total).
     """
     evaluator = JointEvaluator(problem)
@@ -708,15 +736,12 @@ def solve_multi_loop(problem: MultiLoopProblem, *, seed: int = 0, restarts: int 
 
     if problem.scheme == MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM:
         power = np.full(n, p_tot / n)
-        rng = np.random.default_rng(seed)
-        starts = [np.concatenate([power / p_tot, np.full(n, 1.0 / n)])]
-        while len(starts) < restarts:
-            starts.append(np.concatenate([power / p_tot, rng.dirichlet(np.ones(n))]))
-        z, value, trace = _best_start(evaluator, starts, optimize_power=False,
+        start = np.concatenate([power / p_tot, np.full(n, 1.0 / n)])
+        z, value, trace = _best_start(evaluator, [start], optimize_power=False,
                                       method="projected_gradient_compute_only")
         return _multi_result(evaluator, power, z[n:] * f_tot, value, trace)
 
-    starts = _task_starts(evaluator, p_tot, f_tot, restarts, seed, extra_starts)
+    starts = _task_starts(evaluator, p_tot, f_tot, extra_starts)
     z, value, trace = _best_start(evaluator, starts, optimize_power=True,
                                   method="projected_gradient")
     return _multi_result(evaluator, z[:n] * p_tot, z[n:] * f_tot, value, trace)
@@ -747,14 +772,16 @@ def _multi_result(evaluator: JointEvaluator, power: np.ndarray, compute: np.ndar
 
 
 def sweep_contour(problem: MultiLoopProblem, power_grid, compute_grid, *,
-                  seed: int = 0, trace_out: list | None = None) -> np.ndarray:
+                  trace_out: list | None = None) -> np.ndarray:
     """Optimal task-oriented LQR total over a (power, compute) budget grid.
 
-    Entry (i, j) solves the joint problem at power_grid[i], compute_grid[j].
-    Cells are visited in ascending budget order and warm-started from their
-    lower-power and lower-compute neighbours, which also guarantees the
-    matrix is non-increasing along both axes. Per-cell solver traces are
-    appended to trace_out when given.
+    Entry (i, j) solves the joint problem at power_grid[i], compute_grid[j]
+    from the solver's deterministic starts plus warm starts: cells are
+    visited in ascending budget order and start from their lower-power and
+    lower-compute neighbours' decisions, which also guarantees the matrix is
+    non-increasing along both axes (a neighbour's decision stays feasible
+    under the larger budget). Per-cell solver traces are appended to
+    trace_out when given.
     """
     power_grid = np.asarray(power_grid, dtype=float)
     compute_grid = np.asarray(compute_grid, dtype=float)
@@ -778,8 +805,7 @@ def sweep_contour(problem: MultiLoopProblem, power_grid, compute_grid, *,
                 extra.append(decisions[(i - 1, j)])
             if j > 0:
                 extra.append(decisions[(i, j - 1)])
-            result = solve_multi_loop(cell, seed=seed, restarts=CONTOUR_RESTARTS,
-                                      extra_starts=extra)
+            result = solve_multi_loop(cell, extra_starts=extra)
             matrix[i, j] = result.lqr_total
             decisions[(i, j)] = result.decision
             if trace_out is not None:

@@ -117,16 +117,16 @@ def cmd_single_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRe
     return RunRecord(digest, time.perf_counter() - started, converged)
 
 
-def _solve_schemes(problem: MultiLoopProblem, seed: int) -> dict:
+def _solve_schemes(problem: MultiLoopProblem) -> dict:
     """Scheme name -> result on the problem's robots and totals; the baselines
     are solved first and their decisions are extra starts for the
     task-oriented scheme."""
     results = {}
     for name, scheme in _MULTI_SCHEMES[1:]:  # the two baselines
-        results[name] = solve_multi_loop(dataclasses.replace(problem, scheme=scheme), seed=seed)
+        results[name] = solve_multi_loop(dataclasses.replace(problem, scheme=scheme))
     results["task_oriented"] = solve_multi_loop(
         dataclasses.replace(problem, scheme=MultiLoopScheme.TASK_ORIENTED_JOINT),
-        seed=seed, extra_starts=[r.decision for r in results.values()])
+        extra_starts=[r.decision for r in results.values()])
     return results
 
 
@@ -141,7 +141,7 @@ def cmd_multi_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRec
     sweep = scn.power_sweep_w()
     # the sweep's totals stay numpy floats, which scale arrays faster than Python floats
     problems = [dataclasses.replace(base, total_power_w=p) for p in sweep] + [base]
-    *solves, detail = [_solve_schemes(problem, scn.seed) for problem in problems]
+    *solves, detail = [_solve_schemes(problem) for problem in problems]
     converged = all(r.solver_trace.converged for s in solves + [detail] for r in s.values())
 
     columns = {name: [s[name].lqr_total for s in solves] for name in names}
@@ -178,8 +178,7 @@ def cmd_contour(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRecord
     power_grid, compute_grid = scn.contour_grids()
     problem = scn.multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT)
     traces = []
-    matrix = sweep_contour(problem, power_grid, compute_grid, seed=scn.seed,
-                           trace_out=traces)
+    matrix = sweep_contour(problem, power_grid, compute_grid, trace_out=traces)
     converged = all(t.converged for t in traces)
 
     _write(out_dir / "contour.csv", _csv(

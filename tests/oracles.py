@@ -3,7 +3,8 @@
 Most of these avoid the library's own code paths: closed-form roots, a
 fixed-point Riccati iteration, Monte-Carlo simulation, a KKT solution of the
 compute-only scheme, and random problem generators. The grid oracles scan
-the solvers' own objective by brute force.
+the solvers' own objective by brute force, and the multi-start solver runs
+the solver's own descent from seeded random starts.
 """
 import dataclasses
 import math
@@ -16,8 +17,8 @@ from satloop.linkgeom import (SPEED_OF_LIGHT_M_S, Geometry, LinkParams, shannon_
                               slant_range_m)
 from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme, RobotLoop,
                               SingleLoopObjective, SingleLoopProblem, SolverTrace,
-                              _multi_result, _newton_direction, _single_objective_fn,
-                              _single_result)
+                              _best_start, _multi_result, _newton_direction,
+                              _single_objective_fn, _single_result, _task_starts)
 from satloop.pipeline import LoopBudget
 
 # the baseline scenario's budget: a 20 ms cycle, 100 cycles/bit, 10 GC/s, 0.1% extraction
@@ -207,8 +208,13 @@ def random_single_loop_problem(rng: np.random.Generator) -> SingleLoopProblem:
         fixed_payload_bits=10 ** rng.uniform(3.0, 5.0))
 
 
-def random_joint_problem(rng: np.random.Generator, n_robots: int = 2) -> MultiLoopProblem:
-    """A feasible random joint power/compute allocation problem."""
+def random_joint_problem(rng: np.random.Generator, n_robots: int = 2, *,
+                         stable: bool = False) -> MultiLoopProblem:
+    """A feasible random joint power/compute allocation problem.
+
+    The plants are unstable (a in [1.5, 2.5]) or, with stable True, stable
+    (a in [-0.95, 0.95]); both draw the same numbers from rng.
+    """
     budget = BUDGET
     uplink_bits = 10 ** rng.uniform(4.8, 5.5)
     robots = []
@@ -220,7 +226,8 @@ def random_joint_problem(rng: np.random.Generator, n_robots: int = 2) -> MultiLo
             tx_power_w=1.0, tx_gain_dbi=38.5, rx_gain_dbi=14.0,
             carrier_freq_hz=30e9, bandwidth_hz=share,
             noise_temperature_k=290.0, geometry=geometry)
-        plant = Plant(a=rng.uniform(1.5, 2.5), b=1.0, w_cov=1.0, q=1.0, r_u=1.0)
+        a = rng.uniform(-0.95, 0.95) if stable else rng.uniform(1.5, 2.5)
+        plant = Plant(a=a, b=1.0, w_cov=1.0, q=1.0, r_u=1.0)
         robots.append(RobotLoop(downlink=link, plant=plant))
         from satloop import linkgeom, pipeline
         dist = linkgeom.slant_range_m(geometry)
@@ -236,17 +243,52 @@ def random_joint_problem(rng: np.random.Generator, n_robots: int = 2) -> MultiLo
         uplink_fixed_bits=uplink_bits)
 
 
+def multi_start_solve(problem: MultiLoopProblem, *, seed: int = 0, restarts: int = 10,
+                      extra_starts=()):
+    """The joint solver with seeded random restarts: the reference for its
+    deterministic starts.
+
+    optimize.solve_multi_loop for the projected-gradient schemes, with the
+    starts topped up to `restarts` by seeded random feasible points (uniform
+    on each simplex, numpy default_rng(seed)): the task-oriented scheme
+    after the equal split, water-filled power and the extra starts, the
+    compute-only scheme after its equal split (random compute shares only).
+    Every row descends on its own, so the best of these starts is never above
+    the deterministic starts' best; how far below it falls is what the random
+    restarts would buy.
+    """
+    evaluator = JointEvaluator(problem)
+    n = evaluator.n
+    p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
+    rng = np.random.default_rng(seed)
+    if problem.scheme == MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM:
+        power = np.full(n, p_tot / n)
+        starts = [np.concatenate([power / p_tot, np.full(n, 1.0 / n)])]
+        while len(starts) < restarts:
+            starts.append(np.concatenate([power / p_tot, rng.dirichlet(np.ones(n))]))
+        z, value, trace = _best_start(evaluator, starts, optimize_power=False,
+                                      method="multi_start_compute_only")
+        return _multi_result(evaluator, power, z[n:] * f_tot, value, trace)
+    starts = _task_starts(evaluator, p_tot, f_tot, extra_starts)
+    while len(starts) < restarts:
+        starts.append(np.concatenate([rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))]))
+    z, value, trace = _best_start(evaluator, starts, optimize_power=True,
+                                  method="multi_start")
+    return _multi_result(evaluator, z[:n] * p_tot, z[n:] * f_tot, value, trace)
+
+
 def central_difference_gradient(evaluator, power_w: np.ndarray, compute_cps: np.ndarray,
                                 rel_step: float = 1e-6) -> tuple:
     """Central-difference (dJ/dpower, dJ/dcompute) of a JointEvaluator's cost.
 
-    A check on the analytic JointEvaluator.gradient. The joint cost is a sum
-    of per-robot terms, each depending only on that robot's own power and
-    compute, so every partial derivative differences that robot's term alone
-    (cost_vector); the other robots' infeasibility penalties (about 1e9) then
-    stay out of the cancellation. Steps are rel_step * max(|x|, floor), with
-    floor a tenth of the power budget for power and the model's 1e-9 cps
-    compute floor for compute, so a zero-compute probe stays below the floor.
+    A check on the analytic gradient of JointEvaluator.derivatives. The joint
+    cost is a sum of per-robot terms, each depending only on that robot's own
+    power and compute, so every partial derivative differences that robot's
+    term alone (cost_vector); the other robots' infeasibility penalties
+    (about 1e9) then stay out of the cancellation. Steps are rel_step *
+    max(|x|, floor), with floor a tenth of the power budget for power and the
+    model's 1e-9 cps compute floor for compute, so a zero-compute probe stays
+    below the floor.
     """
     problem = evaluator.problem
     floors = (0.1 * problem.total_power_w, 1e-9)
@@ -270,11 +312,12 @@ def central_difference_hessian(evaluator, power_w: np.ndarray, compute_cps: np.n
                                rel_step: float = 1e-6) -> tuple:
     """Central-difference (d2J/dp2, d2J/dp df, d2J/df2) per robot, from the gradient.
 
-    A check on JointEvaluator.hessian. Robot i's gradient entries depend only
-    on its own power and compute, so each column of its 2x2 block differences
-    robot i's (dJ/dp_i, dJ/df_i) over a step in one of its two variables
-    (steps as in central_difference_gradient). The mixed entry is the mean of
-    two orders of differentiation. Returns three arrays of one entry per robot.
+    A check on the Hessian blocks of JointEvaluator.derivatives. Robot i's
+    gradient entries depend only on its own power and compute, so each column
+    of its 2x2 block differences robot i's (dJ/dp_i, dJ/df_i) over a step in
+    one of its two variables (steps as in central_difference_gradient). The
+    mixed entry is the mean of two orders of differentiation. Returns three
+    arrays of one entry per robot.
     """
     problem = evaluator.problem
     floors = (0.1 * problem.total_power_w, 1e-9)
@@ -288,7 +331,7 @@ def central_difference_hessian(evaluator, power_w: np.ndarray, compute_cps: np.n
             minus = [point[0].copy(), point[1].copy()]
             plus[block][i] += h[i]
             minus[block][i] -= h[i]
-            g_plus, g_minus = evaluator.gradient(*plus), evaluator.gradient(*minus)
+            g_plus, g_minus = evaluator.derivatives(*plus)[0], evaluator.derivatives(*minus)[0]
             for out, gp, gm in zip(column, g_plus, g_minus):
                 out[i] = (gp[i] - gm[i]) / (2.0 * h[i])
         columns.append(column)
@@ -353,7 +396,7 @@ def water_fill_power_fixed_steps(evaluator, total_power_w: float, steps: int = 2
     return alloc
 
 
-def reference_projected_gradient(objective, gradient, hessian, project, z0: np.ndarray,
+def reference_projected_gradient(objective, derivatives, project, z0: np.ndarray,
                                  n: int, *, optimize_power: bool, max_halvings: int,
                                  max_iter: int = 500, rel_tol: float = 1e-10,
                                  patience: int = 5) -> tuple:
@@ -361,10 +404,11 @@ def reference_projected_gradient(objective, gradient, hessian, project, z0: np.n
 
     The same rules, written as a plain loop: the face-Newton trial first
     (optimize._newton_direction on the one row, kept when it passes its
-    sufficient-decrease test), else a Barzilai-Borwein trial step with the
-    fallback and Armijo backtracking by halving, patience on the relative
-    improvement, and an unconverged stop on a non-finite gradient.
-    Returns (z, value, converged, iterations).
+    sufficient-decrease test, and the end of the run when its predicted
+    decrease -g.(new - z) is at most rel_tol |f|), else a Barzilai-Borwein
+    trial step with the fallback and Armijo backtracking by halving, patience
+    on the relative improvement, and an unconverged stop on a non-finite
+    gradient. Returns (z, value, converged, iterations).
     """
     z = project(np.array(z0, dtype=float)[None, :])[0]
     f = objective(z[None, :])[0]
@@ -373,8 +417,8 @@ def reference_projected_gradient(objective, gradient, hessian, project, z0: np.n
     quiet = 0
     for iterations in range(1, max_iter + 1):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = gradient(z[None, :])[0]
-            blocks = hessian(z[None, :])
+            g, blocks = derivatives(z[None, :])
+            g = g[0]
         if not optimize_power:
             g[:n] = 0.0
         gnorm = math.sqrt((g * g).sum())
@@ -398,6 +442,8 @@ def reference_projected_gradient(objective, gradient, hessian, project, z0: np.n
                 slope = (g * (cand - z)).sum()
                 fc = objective(cand[None, :])[0]
                 accepted = newton = slope < 0.0 and fc <= f + 1e-2 * slope
+                if newton and -slope <= rel_tol * abs(f):
+                    return cand, fc, True, iterations
             for _ in range(0 if newton else max_halvings):
                 cand = project((z - s * g)[None, :])[0]
                 move_sq = ((cand - z) * (cand - z)).sum()

@@ -225,7 +225,7 @@ class TestCriterion9OracleEquivalence:
         worst_joint = 0.0
         for _ in range(5):
             problem = random_joint_problem(rng2, n_robots=2)
-            solved = solve_multi_loop(problem, seed=5)
+            solved = solve_multi_loop(problem)
             oracle = grid_oracle(problem, 200)
             rel = abs(solved.objective_value - oracle.objective_value) \
                 / max(abs(oracle.objective_value), 1e-300)

@@ -334,6 +334,7 @@ class TestAnyPlant:
     @example(a=-1e300, b=5e-324, q=0.0, r_u=5e-324, w_cov=1e300)  # b^2 underflows
     @example(a=5e-324, b=-1e300, q=1e300, r_u=1e300, w_cov=0.0)
     @example(a=0.0, b=0.0, q=0.0, r_u=1.0, w_cov=0.0)
+    @example(a=1.0, b=1.0, q=1.0, r_u=1.0, w_cov=2.0931746065873602e307)  # J overflows
     def test_single_loop_exits_0_or_3_without_nan(self, a, b, q, w_cov, r_u):
         """single-loop exits 0 with no nan in its CSV, or 3 with one stderr line.
 
@@ -452,6 +453,51 @@ class TestAnySmallMultiLoop:
                 for name in ("multi_loop_sweep.csv", "multi_loop_allocation.csv"):
                     _, rows = _read_rows(Path(tmp) / name)
                     assert not any("nan" in value for row in rows for value in row.values())
+
+    _RANGE = st.one_of(st.none(), st.lists(_POSITIVE, min_size=2, max_size=2,
+                                           unique=True).map(sorted))
+
+    @settings(max_examples=60, deadline=None)
+    @given(plant=_PLANT, downlink=TestAnyLinkBudget._LINK, budget=_BUDGET,
+           n_robots=st.integers(1, 3), power=_RANGE, compute=_RANGE)
+    @example(plant={}, downlink={}, budget={"extraction_ratio": 3e-5}, n_robots=3,
+             power=None, compute=None)  # caps of 6 bits bind
+    def test_contour_exits_0_2_or_3_monotone_without_nan(self, plant, downlink, budget,
+                                                         n_robots, power, compute):
+        """contour on a 2x2 grid exits 0, 2 or 3, with one stderr line for 2 and 3.
+        A written matrix holds no nan and never rises along either budget axis:
+        each cell starts from its lower neighbours' decisions. An exception or a
+        RuntimeWarning escaping main fails the test.
+        """
+        contour = {"power_points": 2, "compute_points": 2}
+        if power is not None:
+            contour["power_min_w"], contour["power_max_w"] = power
+        if compute is not None:
+            contour["compute_min_gcps"], contour["compute_max_gcps"] = compute
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = Path(tmp) / "doc.yaml"
+            doc.write_text(json.dumps({"plant": plant, "links": {"downlink": downlink},
+                                       "budget": budget, "multi_loop": {"n_robots": n_robots},
+                                       "contour": contour}))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(["contour", "--scenario", str(doc), "--out", tmp,
+                             "--format", "csv"])
+            assert code in (0, 2, 3), err.getvalue()
+            if code != 0:
+                assert err.getvalue().count("\n") == 1, err.getvalue()
+            if code in (0, 3) and (Path(tmp) / "contour.csv").exists():
+                header, rows = _read_rows(Path(tmp) / "contour.csv")
+                matrix = [[float(row[name]) for name in header[1:]] for row in rows]
+                assert not any(math.isnan(v) for line in matrix for v in line)
+                for i in range(2):
+                    for j in range(2):
+                        if i:
+                            assert matrix[i][j] <= matrix[i - 1][j], matrix
+                        if j:
+                            assert matrix[i][j] <= matrix[i][j - 1], matrix
 
 
 class TestScientificNotation:
