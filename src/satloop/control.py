@@ -93,7 +93,9 @@ def is_stabilizable_at(plant: Plant, cner_bps: float, period_s: float) -> bool:
     """Whether an information rate of cner_bps suffices for stability.
 
     Strict test cner > intrinsic entropy rate; stable plants (zero entropy
-    rate) need no information and return True for any cner >= 0.
+    rate) need no information and return True for any cner >= 0. Within
+    rounding of the threshold it can disagree with rate_gap, the test that
+    pipeline.LoopOutcome.stable uses.
     """
     if cner_bps < 0.0:
         raise ValueError(f"cner must be non-negative, got {cner_bps}")

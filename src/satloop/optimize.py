@@ -2,8 +2,8 @@
 
 Single loop: split total bandwidth between uplink and downlink under a
 task-oriented, max-throughput, or min-latency objective (array-valued in the
-uplink bandwidth), each unimodal in the uplink bandwidth, by golden-section
-search.
+uplink bandwidth), each convex in the uplink bandwidth, by golden-section
+search. The task-oriented split maximises the balanced cycle's effective bits.
 
 Multi loop: jointly allocate downlink power and on-board compute frequency
 across robots by projected gradient on budget-scaled variables (closed-form
@@ -170,32 +170,28 @@ def _rate_fn(template: LinkParams):
     return lambda bandwidth: bandwidth * np.log2(1.0 + rx_power / (noise_density * bandwidth))
 
 
-def _t_prop(problem: SingleLoopProblem) -> float:
-    return pipeline.propagation_delay_s(
-        linkgeom.slant_range_m(problem.uplink_template.geometry),
-        linkgeom.slant_range_m(problem.downlink_template.geometry))
+def _single_objective_fn(problem: SingleLoopProblem):
+    """Minimization objective for the problem's scheme, array-valued in b_up.
 
-
-def _single_objective_fn(problem: SingleLoopProblem, model: RateCostModel):
-    """Minimization objective for the problem's scheme, array-valued in b_up."""
+    Task-oriented and min-latency minimise w_up / R_up + w_down / R_down:
+    min-latency sends its payload both ways, and the task-oriented weights
+    (1, rho) maximise the balanced cycle's effective bits
+    rho (T - t_prop) / (1/R_up + c/f + rho/R_down).
+    """
     rate_up = _rate_fn(problem.uplink_template)
     rate_down = _rate_fn(problem.downlink_template)
     b_tot = problem.total_bandwidth_hz
+    if problem.objective == SingleLoopObjective.MAX_THROUGHPUT:
+        return lambda b_up: -(rate_up(b_up) + rate_down(b_tot - b_up))
     if problem.objective == SingleLoopObjective.TASK_ORIENTED:
-        t_prop = _t_prop(problem)
+        w_up, w_down = 1.0, problem.budget.extraction_ratio
+    else:
+        w_up = w_down = problem.fixed_payload_bits
 
-        def fn(b_up):
-            *_, eff = pipeline.balanced_cycle(rate_up(b_up), rate_down(b_tot - b_up),
-                                              problem.budget, t_prop)
-            return _penalized(model.cost(eff), model.threshold_bits, eff)
-    elif problem.objective == SingleLoopObjective.MAX_THROUGHPUT:
-        def fn(b_up):
-            return -(rate_up(b_up) + rate_down(b_tot - b_up))
-    else:  # MIN_LATENCY: link-level scheme, same payload both directions
-        def fn(b_up):
-            r_up, r_down = rate_up(b_up), rate_down(b_tot - b_up)
-            with np.errstate(over="ignore"):  # a payload/rate past the float range is +inf
-                return problem.fixed_payload_bits / r_up + problem.fixed_payload_bits / r_down
+    def fn(b_up):
+        r_up, r_down = rate_up(b_up), rate_down(b_tot - b_up)
+        with np.errstate(over="ignore"):  # a weight/rate past the float range is +inf
+            return w_up / r_up + w_down / r_down
     return fn
 
 
@@ -230,39 +226,45 @@ def solve_single_loop(problem: SingleLoopProblem) -> AllocationResult:
     """Best bandwidth split for the problem's objective.
 
     Golden-section search over b_up on [delta, B_tot - delta], which finds the
-    minimum of a unimodal function (Kiefer 1953), and each objective is
-    unimodal in b_up. Max-throughput and min-latency are convex, because the
-    Shannon rate is concave in bandwidth. The task-oriented cost never rises
-    as the balanced cycle's effective bits rho (T - t_prop) / (1/R_up + c/f +
-    rho/R_down) grow, and that denominator is convex in b_up. The chosen split
-    is re-scored through the full cycle model.
+    minimum of a unimodal function (Kiefer 1953). Each objective is convex in
+    b_up, because the Shannon rate is concave and positive in bandwidth. The
+    LQR cost never rises as the effective bits grow, so the task-oriented
+    split serves the loop whenever any split can. The chosen split is
+    re-scored through the full cycle model.
     """
-    model = RateCostModel.from_plant(problem.plant)
     b_tot = problem.total_bandwidth_hz
     delta = 1e-6 * b_tot
-    b_star, f_star, evals = golden_section(_single_objective_fn(problem, model),
-                                           delta, b_tot - delta)
+    b_star, f_star, evals = golden_section(_single_objective_fn(problem), delta, b_tot - delta)
     if not delta * 0.5 <= b_star <= b_tot - delta * 0.5:
         raise RuntimeError(f"bandwidth split {b_star!r} Hz left the search bracket")
-    return _single_result(problem, model, b_star, f_star, SolverTrace(
+    return _single_result(problem, b_star, f_star, SolverTrace(
         iterations=evals, converged=True, method="golden_section"))
 
 
-def _single_result(problem: SingleLoopProblem, model: RateCostModel, b_up: float,
-                   objective_value: float, trace: SolverTrace) -> AllocationResult:
-    """The split b_up re-scored once through the full cycle model."""
+def _single_result(problem: SingleLoopProblem, b_up: float, objective_value: float,
+                   trace: SolverTrace) -> AllocationResult:
+    """The split b_up re-scored once through the full cycle model.
+
+    The task-oriented objective value is the penalized LQR cost there.
+    """
+    model = RateCostModel.from_plant(problem.plant)
     uplink = problem.uplink_template.with_bandwidth(b_up)
     downlink = problem.downlink_template.with_bandwidth(problem.total_bandwidth_hz - b_up)
-    t_up, t_down = pipeline.balanced_times(uplink, downlink, problem.budget, _t_prop(problem))
+    t_prop = pipeline.propagation_delay_s(linkgeom.slant_range_m(uplink.geometry),
+                                          linkgeom.slant_range_m(downlink.geometry))
+    t_up, t_down = pipeline.balanced_times(uplink, downlink, problem.budget, t_prop)
     outcome = pipeline.evaluate_cycle(uplink, downlink, problem.budget, model, t_up, t_down)
     if outcome.lqr_cost == math.inf:
         trace = dataclasses.replace(trace, all_infeasible=True)
     eff = outcome.effective_bits_per_cycle
+    lqr_total = float(_penalized(model.cost(eff), model.threshold_bits, eff))
+    if problem.objective == SingleLoopObjective.TASK_ORIENTED:
+        objective_value = lqr_total
     return AllocationResult(
         decision={"bandwidth_up_hz": b_up, "bandwidth_down_hz": downlink.bandwidth_hz},
         per_loop_outcomes=(outcome,),
         objective_value=float(objective_value),
-        lqr_total=float(_penalized(model.cost(eff), model.threshold_bits, eff)),
+        lqr_total=lqr_total,
         solver_trace=trace)
 
 

@@ -95,18 +95,17 @@ def loop_outcomes(models, period_s: float, r_up, r_down, t_up, t_comp, t_down, t
                   effective_bits, time_feasible) -> tuple:
     """One LoopOutcome per loop i (plant model models[i]) from broadcast arrays.
 
-    A time-infeasible cycle delivers nothing, is not stable and costs
-    math.inf.
+    A loop is stable when its rate-limited cost is finite. A time-infeasible
+    cycle delivers nothing, is not stable and costs math.inf.
     """
     effective_bits = np.where(time_feasible, np.maximum(effective_bits, 0.0), 0.0)
     columns = np.broadcast_arrays(r_up, r_down, t_up, t_comp, t_down, t_prop,
                                   effective_bits, time_feasible)
     outcomes = []
     for model, *times, eff, ok in zip(models, *(np.atleast_1d(c).tolist() for c in columns)):
-        rate = control.cner_bps(eff, period_s)
-        outcomes.append(LoopOutcome(
-            *times, eff, rate, ok and control.is_stabilizable_at(model.plant, rate, period_s),
-            control.lqr_cost(model, eff) if ok else math.inf, ok))
+        cost = control.lqr_cost(model, eff) if ok else math.inf
+        outcomes.append(LoopOutcome(*times, eff, control.cner_bps(eff, period_s),
+                                    cost < math.inf, cost, ok))
     return tuple(outcomes)
 
 
@@ -134,12 +133,14 @@ def evaluate_cycle(uplink: LinkParams, downlink: LinkParams, budget: LoopBudget,
                          t_down_s <= window + 1e-12)[0]
 
 
-def balanced_cycle(r_up_bps, r_down_bps, budget: LoopBudget, t_prop_s: float) -> tuple:
-    """(t_up, t_comp, window, delivered) of the balanced split, array-valued in the rates.
+def balanced_times(uplink: LinkParams, downlink: LinkParams, budget: LoopBudget,
+                   t_prop_s: float) -> tuple[float, float]:
+    """(t_up, t_down) of the split maximizing effective bits.
 
     The pipeline delivers most when the extraction output exactly fills the
     downlink window and the whole budget is used:
         t_up * (1 + c_bit*R_up/f + rho*R_up/R_down) = period - t_prop
+    and t_down is the window that leaves.
 
     Raises:
         NoBudgetError: propagation alone uses up the period.
@@ -149,19 +150,9 @@ def balanced_cycle(r_up_bps, r_down_bps, budget: LoopBudget, t_prop_s: float) ->
         raise NoBudgetError(
             f"propagation {t_prop_s}s leaves no budget in a "
             f"{budget.cycle_period_s}s cycle")
-    t_up = remaining / (1.0 + budget.cycles_per_bit * r_up_bps / budget.compute_rate_cps
-                        + budget.extraction_ratio * r_up_bps / r_down_bps)
-    return (t_up, *store_and_forward(r_up_bps * t_up, t_up, r_down_bps, t_prop_s,
-                                     budget.compute_rate_cps, budget))
-
-
-def balanced_times(uplink: LinkParams, downlink: LinkParams, budget: LoopBudget,
-                   t_prop_s: float) -> tuple[float, float]:
-    """Time split maximizing effective bits: balanced_cycle's t_up and window.
-
-    Raises:
-        NoBudgetError: propagation alone uses up the period.
-    """
-    t_up, _, window, _ = balanced_cycle(linkgeom.shannon_rate_bps(uplink),
-                                        linkgeom.shannon_rate_bps(downlink), budget, t_prop_s)
+    r_up, r_down = linkgeom.shannon_rate_bps(uplink), linkgeom.shannon_rate_bps(downlink)
+    t_up = remaining / (1.0 + budget.cycles_per_bit * r_up / budget.compute_rate_cps
+                        + budget.extraction_ratio * r_up / r_down)
+    _, window, _ = store_and_forward(r_up * t_up, t_up, r_down, t_prop_s,
+                                     budget.compute_rate_cps, budget)
     return t_up, max(float(window), 0.0)

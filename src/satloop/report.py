@@ -62,8 +62,7 @@ def _csv(scn: Scenario, digest: str, header, rows) -> str:
              f"# scenario_hash = {digest}",
              f"# seed = {scn.seed}"]
     for path, value in scn.flat_items():
-        label = prov.get(path, "user")
-        lines.append(f"# param {path} = {_num(value)} [{label}]")
+        lines.append(f"# param {path} = {_num(value)} [{prov[path]}]")
     lines += [",".join(_num(v) for v in row) for row in [header, *rows]]
     return "\n".join(lines) + "\n"
 

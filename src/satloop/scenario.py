@@ -68,8 +68,9 @@ def _int(path, value):
 
 
 def _str(path, value):
-    if not isinstance(value, str):
-        raise ValidationError(f"{path}: expected a string, got {value!r}")
+    """A str.isprintable string: every output echoes it into one metadata line."""
+    if not (isinstance(value, str) and value.isprintable()):
+        raise ValidationError(f"{path}: expected a printable string, got {value!r}")
     return value
 
 
@@ -231,8 +232,9 @@ def _cross_validate(tree: dict) -> None:
         if lo > hi or (ct[f"{axis}_points"] > 1 and lo == hi):
             raise ValidationError(f"contour: {axis} grid must be ascending")
     # The link budget must stay inside the float range where the solvers use
-    # it: both single-loop links at bandwidths 1e-6 B and B, and the multi-loop
-    # downlink rate at the extreme elevations and the largest power total.
+    # it: both single-loop links at bandwidths 1e-6 B and B, with the bits they
+    # carry in one period, and the multi-loop downlink rate at the extreme
+    # elevations and the largest power total.
     # The multi-loop solvers also form the bits a downlink window can carry
     # (the window is at most the period plus the longest compute time, c V /
     # COMPUTE_FLOOR_CPS, in size), the summed rate of all robots and the
@@ -254,15 +256,17 @@ def _cross_validate(tree: dict) -> None:
             link = scn._link(direction, bandwidth, elevation_deg)
             if where == "links":
                 rate = shannon_rate_bps(link)
+                quantities = (("bits per period", rate * period_s),)
             else:
                 snr = snr_per_watt(link)
                 rate = bandwidth * math.log2(1.0 + power_w * snr)
-                for name, value in (("bits per window", rate * longest_s),
-                                    ("summed rate", n_robots * rate),
-                                    ("water-filling bracket",
-                                     n_robots * (power_w + n_robots / snr + bandwidth))):
-                    if not value < math.inf:
-                        raise ArithmeticError(f"{name} {value!r}")
+                quantities = (("bits per window", rate * longest_s),
+                              ("summed rate", n_robots * rate),
+                              ("water-filling bracket",
+                               n_robots * (power_w + n_robots / snr + bandwidth)))
+            for name, value in quantities:
+                if not value < math.inf:
+                    raise ArithmeticError(f"{name} {value!r}")
             if not 0.0 < rate < math.inf:
                 raise ArithmeticError(f"a rate of {rate!r} bit/s")
         except (ArithmeticError, ValueError) as exc:

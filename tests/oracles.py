@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from satloop.control import Plant, RateCostModel
+from satloop.control import Plant
 from satloop.linkgeom import (SPEED_OF_LIGHT_M_S, Geometry, LinkParams, shannon_rate_bps,
                               slant_range_m)
 from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme, RobotLoop,
@@ -482,13 +482,12 @@ def grid_oracle(problem, resolution: int):
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     if isinstance(problem, SingleLoopProblem):
-        model = RateCostModel.from_plant(problem.plant)
-        fn = _single_objective_fn(problem, model)
+        fn = _single_objective_fn(problem)
         delta = 1e-6 * problem.total_bandwidth_hz
         grid = np.linspace(delta, problem.total_bandwidth_hz - delta, resolution)
         vals = fn(grid)
         i = int(np.argmin(vals))
-        return _single_result(problem, model, float(grid[i]), vals[i], SolverTrace(
+        return _single_result(problem, float(grid[i]), vals[i], SolverTrace(
             iterations=resolution, converged=True, method="grid_oracle"))
     if not isinstance(problem, MultiLoopProblem):
         raise TypeError(f"unsupported problem type {type(problem)!r}")

@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 import satloop
 from satloop import optimize
 
-from satloop.control import Plant, RateCostModel, lqr_cost
+from satloop.control import Plant, RateCostModel
 from satloop.linkgeom import Geometry, LinkParams, shannon_rate_bps, slant_range_m
 from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme,
                               RobotLoop, SingleLoopObjective, SingleLoopProblem,
@@ -122,12 +122,11 @@ class TestSingleLoop:
         problems = [default_scenario().single_loop_problem(SingleLoopObjective.TASK_ORIENTED)]
         problems += [random_single_loop_problem(rng) for _ in range(300)]
         for problem in problems:
-            model = RateCostModel.from_plant(problem.plant)
             b_tot = problem.total_bandwidth_hz
             grid = np.linspace(1e-6 * b_tot, b_tot - 1e-6 * b_tot, 2001)
             for objective in SingleLoopObjective:
                 fn = optimize._single_objective_fn(
-                    dataclasses.replace(problem, objective=objective), model)
+                    dataclasses.replace(problem, objective=objective))
                 assert _monotone_violations(fn(grid)) == 0, (problem, objective)
         # the check sees a ripple of one part in a thousand
         ripple = 1.0 + 1e-3 * np.sin(grid * (100.0 * math.pi / b_tot))
@@ -135,15 +134,20 @@ class TestSingleLoop:
 
     @pytest.mark.parametrize("objective", list(SingleLoopObjective))
     def test_array_objective_matches_cycle_model_at_check_points(self, objective):
-        """One array call at the 101 check points equals the per-point cycle model."""
+        """One array call at the 101 check points equals the per-point link model.
+
+        The task-oriented objective is 1/R_up + rho/R_down, and it ranks the
+        points in the reverse order of the cycle model's effective bits, across
+        the splits that serve the loop and those that starve it.
+        """
         problem = default_scenario().single_loop_problem(objective)
         model = RateCostModel.from_plant(problem.plant)
         b_tot = problem.total_bandwidth_hz
         grid = np.linspace(1e-6 * b_tot, b_tot - 1e-6 * b_tot, 101)
-        got = optimize._single_objective_fn(problem, model)(grid)
+        got = optimize._single_objective_fn(problem)(grid)
         t_prop = propagation_delay_s(slant_range_m(problem.uplink_template.geometry),
                                      slant_range_m(problem.downlink_template.geometry))
-        infeasible = set()
+        effs, infeasible = [], set()
         for b_up, value in zip(grid.tolist(), got):
             uplink = problem.uplink_template.with_bandwidth(b_up)
             downlink = problem.downlink_template.with_bandwidth(b_tot - b_up)
@@ -153,16 +157,16 @@ class TestSingleLoop:
             elif objective == SingleLoopObjective.MIN_LATENCY:
                 want = problem.fixed_payload_bits / r_up + problem.fixed_payload_bits / r_down
             else:
+                want = 1.0 / r_up + problem.budget.extraction_ratio / r_down
                 t_up, t_down = balanced_times(uplink, downlink, problem.budget, t_prop)
-                eff = evaluate_cycle(uplink, downlink, problem.budget, model,
-                                     t_up, t_down).effective_bits_per_cycle
-                want = lqr_cost(model, eff)
-                infeasible.add(want == math.inf)
-                if want == math.inf:
-                    want = optimize.INFEASIBILITY_PENALTY + (model.threshold_bits - eff)
+                outcome = evaluate_cycle(uplink, downlink, problem.budget, model, t_up, t_down)
+                effs.append(outcome.effective_bits_per_cycle)
+                infeasible.add(outcome.lqr_cost == math.inf)
             assert value == pytest.approx(want, rel=1e-12), b_up
         if objective == SingleLoopObjective.TASK_ORIENTED:
             assert infeasible == {True, False}
+            ranked = np.array(effs)[np.argsort(got, kind="stable")]
+            assert np.all(np.diff(ranked) < 0.0), ranked
 
 
 class TestProjection:

@@ -8,7 +8,7 @@ import pytest
 from satloop.control import Plant, RateCostModel
 from satloop.linkgeom import Geometry, LinkParams, shannon_rate_bps
 from satloop.pipeline import (LoopBudget, NoBudgetError, balanced_times,
-                              evaluate_cycle, propagation_delay_s)
+                              evaluate_cycle, loop_outcomes, propagation_delay_s)
 from oracles import BUDGET
 
 C = 299792458.0
@@ -108,6 +108,33 @@ class TestEvaluateCycle:
                              _model(), 0.01, 1e-4)
         assert out.cner_bps == pytest.approx(
             out.effective_bits_per_cycle / 0.02, rel=1e-12)
+
+
+class TestStableMeansFiniteCost:
+    """LoopOutcome.stable is the rate-limited cost's own test, J(eff) < inf."""
+
+    @staticmethod
+    def _outcome(a, eff):
+        model = RateCostModel.from_plant(Plant(a=a, b=1.0, w_cov=1.0, q=1.0, r_u=1.0))
+        return loop_outcomes((model,), 0.02, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, eff, True)[0]
+
+    def test_at_the_threshold_and_one_ulp_either_side(self):
+        rng = np.random.default_rng(7)
+        magnitudes = np.concatenate([[1.8099524881343727, 2.0, 30.0],
+                                     rng.uniform(1.0, 64.0, 300)])
+        for a in [s * m for m in magnitudes.tolist() for s in (1.0, -1.0)]:
+            threshold = math.log2(abs(a))
+            for eff in (math.nextafter(threshold, 0.0), threshold,
+                        math.nextafter(threshold, math.inf)):
+                out = self._outcome(a, eff)
+                assert out.stable == (out.lqr_cost < math.inf), (a, eff, out)
+
+    @pytest.mark.parametrize("a, stable", [(1.0, False), (-1.0, False), (0.5, True)])
+    def test_no_bits(self, a, stable):
+        """A marginal plant has no finite cost at 0 bits; a stable plant has one."""
+        out = self._outcome(a, 0.0)
+        assert out.stable is stable
+        assert (out.lqr_cost < math.inf) is stable
 
 
 class TestBalancedTimes:

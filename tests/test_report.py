@@ -22,6 +22,17 @@ def _read_rows(path):
     return header, [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
+def _quiet_main(argv):
+    """(exit code, stderr) of main(argv), with stdout dropped and any
+    RuntimeWarning raised as an error."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    return code, err.getvalue()
+
+
 class TestSingleLoopCommand:
     def test_csv_schema_and_ordering(self, tmp_path):
         record = cmd_single_loop(default_scenario(), tmp_path)
@@ -155,6 +166,24 @@ class TestPlantCorners:
         costs = {r["scheme"]: float(r["lqr_cost"]) for r in rows}
         assert 3.0 < costs["task_oriented"] <= costs["min_latency"] < 4.0
 
+    def test_task_split_serves_a_loop_whatever_its_noise(self, tmp_path):
+        """a = 30: the best split carries 5.29 bits, above log2 30 = 4.907. It
+        serves the loop at w_cov = 1e6 as at w_cov = 1, where a split scored
+        through a finite penalty once starved it at 4.9068905941 bits."""
+        splits = []
+        for w_cov in ("1.0e6", "1"):
+            doc = tmp_path / f"w{w_cov}.yaml"
+            doc.write_text(f"plant: {{a: 30.0, w_cov: {w_cov}}}\n")
+            out = tmp_path / w_cov
+            assert main(["single-loop", "--scenario", str(doc), "--out", str(out)]) == 0
+            _, rows = _read_rows(out / "single_loop.csv")
+            task = rows[0]
+            assert task["scheme"] == "task_oriented"
+            assert float(task["effective_bits"]) > math.log2(30.0)
+            assert float(task["lqr_cost"]) < math.inf
+            splits.append(task["bandwidth_up_hz"])
+        assert splits[0] == splits[1]
+
     @pytest.mark.parametrize("verb", ["multi-loop", "contour"])
     def test_gradient_whose_square_overflows_is_finite(self, tmp_path, capsys, verb):
         """The projected gradient's entries stay finite while their squared sum
@@ -200,6 +229,21 @@ class TestFailureExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("solver error: " if code == 3 else "scenario error: ")
 
+    @pytest.mark.parametrize("verb", ["validate", "single-loop"])
+    @pytest.mark.parametrize("name", ["x\nrobot,1,2", "x\rrobot,1,2", "tab\there", "a\u2028b",
+                                      "\x85"])
+    def test_name_that_is_not_printable(self, tmp_path, capsys, verb, name):
+        """The name is echoed into one metadata line of each CSV; a line break
+        in it would write a row above the header."""
+        doc = tmp_path / "doc.yaml"
+        doc.write_text(json.dumps({"name": name}))
+        out = [] if verb == "validate" else ["--out", str(tmp_path / "out")]
+        assert main([verb, "--scenario", str(doc)] + out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("scenario error: name: expected a printable string")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("verb", ["multi-loop", "contour"])
     def test_no_budget_for_the_sampled_robots(self, tmp_path, capsys, verb):
         """5 ms passes validate and single-loop, but seed 1 places one of the five
@@ -226,6 +270,7 @@ class TestFailureExitCodes:
         ("links: {uplink: {altitude_km: 1.0e-300}}\n", "links"),     # the slant range is 0
         ("links: {uplink: {tx_power_w: 1.0e308}}\n", "links"),       # the SNR overflows
         ("multi_loop: {downlink_bandwidth_total_hz: 1.0e-300}\n", "multi_loop"),
+        ("budget: {cycle_period_ms: 1.0e306}\n", "links"),  # the bits per period overflow
     ])
     def test_link_budget_outside_the_float_range(self, tmp_path, capsys, verb, body, where):
         doc = tmp_path / "doc.yaml"
@@ -456,38 +501,56 @@ class TestAnySmallMultiLoop:
 
     _RANGE = st.one_of(st.none(), st.lists(_POSITIVE, min_size=2, max_size=2,
                                            unique=True).map(sorted))
+    # Ranges that validation accepts, a few decades around the baseline: with
+    # altitudes to 1,200 km, elevations from 20 deg and periods from 20 ms,
+    # propagation always leaves part of the period.
+    _NEAR_LINK = st.fixed_dictionaries({}, optional={
+        "tx_power_w": st.floats(0.01, 100.0), "tx_gain_dbi": st.floats(0.0, 50.0),
+        "rx_gain_dbi": st.floats(0.0, 50.0), "carrier_freq_ghz": st.floats(1.0, 100.0),
+        "noise_temperature_k": st.floats(50.0, 1000.0), "altitude_km": st.floats(300.0, 1200.0),
+        "elevation_deg": st.floats(20.0, 90.0)})
+    _NEAR_BUDGET = st.fixed_dictionaries({}, optional={
+        "cycle_period_ms": st.floats(20.0, 200.0), "cycles_per_bit": st.floats(1.0, 1000.0),
+        "compute_gcps": st.floats(0.1, 100.0), "extraction_ratio": st.floats(1e-5, 1.0)})
+    _NEAR_RANGE = st.one_of(st.none(), st.lists(st.floats(0.1, 100.0), min_size=2, max_size=2,
+                                                unique=True).map(sorted))
+    # three documents in four draw from the accepted ranges, so that most reach
+    # the solver; the rest draw the whole float ranges
+    _NEAR_DOC = st.fixed_dictionaries({
+        "plant": _PLANT, "downlink": _NEAR_LINK, "budget": _NEAR_BUDGET,
+        "n_robots": st.integers(1, 3), "power": _NEAR_RANGE, "compute": _NEAR_RANGE})
+    _WHOLE_DOC = st.fixed_dictionaries({
+        "plant": _PLANT, "downlink": TestAnyLinkBudget._LINK, "budget": _BUDGET,
+        "n_robots": st.integers(1, 3), "power": _RANGE, "compute": _RANGE})
+    _CONTOUR_DOC = st.sampled_from((_NEAR_DOC,) * 3 + (_WHOLE_DOC,)).flatmap(lambda doc: doc)
 
     @settings(max_examples=60, deadline=None)
-    @given(plant=_PLANT, downlink=TestAnyLinkBudget._LINK, budget=_BUDGET,
-           n_robots=st.integers(1, 3), power=_RANGE, compute=_RANGE)
-    @example(plant={}, downlink={}, budget={"extraction_ratio": 3e-5}, n_robots=3,
-             power=None, compute=None)  # caps of 6 bits bind
-    def test_contour_exits_0_2_or_3_monotone_without_nan(self, plant, downlink, budget,
-                                                         n_robots, power, compute):
+    @given(doc=_CONTOUR_DOC)
+    @example(doc={"plant": {}, "downlink": {}, "budget": {"extraction_ratio": 3e-5},
+                  "n_robots": 3, "power": None, "compute": None})  # caps of 6 bits bind
+    def test_contour_exits_0_2_or_3_monotone_without_nan(self, doc):
         """contour on a 2x2 grid exits 0, 2 or 3, with one stderr line for 2 and 3.
         A written matrix holds no nan and never rises along either budget axis:
         each cell starts from its lower neighbours' decisions. An exception or a
         RuntimeWarning escaping main fails the test.
         """
         contour = {"power_points": 2, "compute_points": 2}
-        if power is not None:
-            contour["power_min_w"], contour["power_max_w"] = power
-        if compute is not None:
-            contour["compute_min_gcps"], contour["compute_max_gcps"] = compute
+        if doc["power"] is not None:
+            contour["power_min_w"], contour["power_max_w"] = doc["power"]
+        if doc["compute"] is not None:
+            contour["compute_min_gcps"], contour["compute_max_gcps"] = doc["compute"]
         with tempfile.TemporaryDirectory() as tmp:
-            doc = Path(tmp) / "doc.yaml"
-            doc.write_text(json.dumps({"plant": plant, "links": {"downlink": downlink},
-                                       "budget": budget, "multi_loop": {"n_robots": n_robots},
-                                       "contour": contour}))
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
-                    warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                code = main(["contour", "--scenario", str(doc), "--out", tmp,
-                             "--format", "csv"])
-            assert code in (0, 2, 3), err.getvalue()
+            path = Path(tmp) / "doc.yaml"
+            path.write_text(json.dumps({"plant": doc["plant"],
+                                        "links": {"downlink": doc["downlink"]},
+                                        "budget": doc["budget"],
+                                        "multi_loop": {"n_robots": doc["n_robots"]},
+                                        "contour": contour}))
+            code, err = _quiet_main(["contour", "--scenario", str(path), "--out", tmp,
+                                     "--format", "csv"])
+            assert code in (0, 2, 3), err
             if code != 0:
-                assert err.getvalue().count("\n") == 1, err.getvalue()
+                assert err.count("\n") == 1, err
             if code in (0, 3) and (Path(tmp) / "contour.csv").exists():
                 header, rows = _read_rows(Path(tmp) / "contour.csv")
                 matrix = [[float(row[name]) for name in header[1:]] for row in rows]
@@ -498,6 +561,57 @@ class TestAnySmallMultiLoop:
                             assert matrix[i][j] <= matrix[i - 1][j], matrix
                         if j:
                             assert matrix[i][j] <= matrix[i][j - 1], matrix
+
+
+class TestAnySingleLoopDocument:
+    """The plant, both links, the budget and the single_loop section drawn
+    together from their whole float ranges (ROADMAP item 5)."""
+
+    @staticmethod
+    def _splits(doc, tmp):
+        """(exit code, each scheme's bandwidth_up_hz as written) of validate,
+        then single-loop, on doc."""
+        path = Path(tmp) / "doc.yaml"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate"], ["single-loop", "--out", tmp, "--format", "csv"]):
+            code, err = _quiet_main(argv[:1] + ["--scenario", str(path)] + argv[1:])
+            assert code in (0, 2, 3), err
+            if code != 0:
+                assert err.count("\n") == 1, err
+                return code, None
+        _, rows = _read_rows(Path(tmp) / "single_loop.csv")
+        assert not any("nan" in value for row in rows for value in row.values())
+        return code, [row["bandwidth_up_hz"] for row in rows]
+
+    @settings(max_examples=100, deadline=None)
+    @given(plant=TestAnySmallMultiLoop._PLANT, uplink=TestAnyLinkBudget._LINK,
+           downlink=TestAnyLinkBudget._LINK, budget=TestAnySmallMultiLoop._BUDGET,
+           single_loop=TestAnyLinkBudget._SINGLE_LOOP, k=st.integers(-20, 20))
+    @example(plant={"a": 30.0, "w_cov": 1.0e6}, uplink={}, downlink={}, budget={},
+             single_loop={}, k=-20)
+    def test_exit_0_2_or_3_and_a_split_free_of_the_cost_scale(self, plant, uplink, downlink,
+                                                              budget, single_loop, k):
+        """validate and single-loop exit 0, 2 or 3, with one stderr line for 2
+        and 3 and no nan in the CSV for 0; an exception or a RuntimeWarning
+        escaping main fails the test. Scaling w_cov, or q and r_u together, by
+        2^k scales every cost above the plant's full-information floor alike,
+        so where both runs exit 0 each scheme's split is the same to the bit.
+        """
+        doc = {"plant": plant, "links": {"uplink": uplink, "downlink": downlink},
+               "budget": budget, "single_loop": single_loop}
+        with tempfile.TemporaryDirectory() as tmp:
+            code, splits = self._splits(doc, tmp)
+            if code != 0:
+                return
+            resolved = load_scenario(json.dumps(doc)).tree["plant"]
+            for names in (("w_cov",), ("q", "r_u")):
+                scaled = dict(resolved, **{name: resolved[name] * 2.0 ** k for name in names})
+                if not (all(math.isfinite(scaled[name]) for name in names)
+                        and scaled["r_u"] > 0.0):
+                    continue
+                code, scaled_splits = self._splits(dict(doc, plant=scaled), tmp)
+                if code == 0:
+                    assert scaled_splits == splits, (names, k)
 
 
 class TestScientificNotation:
