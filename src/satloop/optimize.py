@@ -189,9 +189,7 @@ def _single_objective_fn(problem: SingleLoopProblem):
         w_up = w_down = problem.fixed_payload_bits
 
     def fn(b_up):
-        r_up, r_down = rate_up(b_up), rate_down(b_tot - b_up)
-        with np.errstate(over="ignore"):  # a weight/rate past the float range is +inf
-            return w_up / r_up + w_down / r_down
+        return w_up / rate_up(b_up) + w_down / rate_down(b_tot - b_up)
     return fn
 
 
@@ -234,7 +232,9 @@ def solve_single_loop(problem: SingleLoopProblem) -> AllocationResult:
     """
     b_tot = problem.total_bandwidth_hz
     delta = 1e-6 * b_tot
-    b_star, f_star, evals = golden_section(_single_objective_fn(problem), delta, b_tot - delta)
+    with np.errstate(over="ignore"):  # a weight/rate past the float range is +inf
+        b_star, f_star, evals = golden_section(_single_objective_fn(problem), delta,
+                                               b_tot - delta)
     if not delta * 0.5 <= b_star <= b_tot - delta * 0.5:
         raise RuntimeError(f"bandwidth split {b_star!r} Hz left the search bracket")
     return _single_result(problem, b_star, f_star, SolverTrace(

@@ -55,14 +55,16 @@ def _num(x) -> str:
     return str(x)
 
 
+_PROVENANCE = provenance_map()
+
+
 def _csv(scn: Scenario, digest: str, header, rows) -> str:
     """The metadata block, then the header and each row, every cell through _num."""
-    prov = provenance_map()
     lines = [f"# satloop {__version__}",
              f"# scenario_hash = {digest}",
              f"# seed = {scn.seed}"]
     for path, value in scn.flat_items():
-        lines.append(f"# param {path} = {_num(value)} [{prov[path]}]")
+        lines.append(f"# param {path} = {_num(value)} [{_PROVENANCE[path]}]")
     lines += [",".join(_num(v) for v in row) for row in [header, *rows]]
     return "\n".join(lines) + "\n"
 

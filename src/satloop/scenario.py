@@ -55,7 +55,11 @@ def _float(path, value):
         value = float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer past the float range
+        raise ValidationError(f"{path}: must be finite, got an integer past the "
+                              "float range") from None
     if not math.isfinite(value):
         raise ValidationError(f"{path}: must be finite, got {value!r}")
     return value
@@ -414,7 +418,8 @@ def load_scenario(text: str) -> Scenario:
     """
     try:
         doc = yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError as exc:
+    # ValueError: an integer past Python's int/str conversion limit (4300 digits)
+    except (yaml.YAMLError, ValueError) as exc:
         raise ParseError(f"not valid YAML: {exc}") from exc
     if doc is None:
         doc = {}
@@ -426,8 +431,67 @@ def load_scenario(text: str) -> Scenario:
     return Scenario(tree=tree)
 
 
+# A name that SafeDumper writes plain: no quoting, escapes or folding. The
+# resolver must also read it back as a string (not yes, null, ...).
+_PLAIN_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_.-]{0,63}")
+_RESOLVER = yaml.resolver.Resolver()
+_STR_TAG = "tag:yaml.org,2002:str"
+
+
+def _plain(value):
+    """value as SafeDumper writes it, or None where it is not a plain scalar here.
+
+    Floats are spelled as SafeRepresenter.represent_float spells them.
+    """
+    kind = type(value)
+    if kind is float:
+        if value != value:
+            return ".nan"
+        if value == math.inf:
+            return ".inf"
+        if value == -math.inf:
+            return "-.inf"
+        text = repr(value).lower()
+        return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
+    if kind is int:
+        return str(value)
+    if kind is str and _PLAIN_NAME.fullmatch(value) and \
+            _RESOLVER.resolve(yaml.ScalarNode, value, (True, False)) == _STR_TAG:
+        return value
+    return None
+
+
+def _block(schema, tree, indent, seen, out) -> bool:
+    """Append tree's block-style lines in sorted key order, as SafeDumper does.
+
+    False where tree leaves the schema, repeats a section (SafeDumper would
+    write an alias) or holds a leaf that is not written plain.
+    """
+    if type(tree) is not dict or tree.keys() != schema.keys() or id(tree) in seen:
+        return False
+    seen.add(id(tree))
+    for key in sorted(schema):
+        if _is_leaf(schema[key]):
+            text = _plain(tree[key])
+            if text is None:
+                return False
+            out.append(f"{indent}{key}: {text}\n")
+        else:
+            out.append(f"{indent}{key}:\n")
+            if not _block(schema[key], tree[key], indent + "  ", seen, out):
+                return False
+    return True
+
+
 def dump_scenario(scenario: Scenario) -> str:
-    """Canonical normalized dump; load(dump(s)) == s and byte-stable."""
+    """Canonical normalized dump; load(dump(s)) == s and byte-stable.
+
+    Written from the fixed schema, byte for byte as yaml.dump with SafeDumper,
+    sorted keys and block style writes it; any other tree takes yaml.dump.
+    """
+    out = []
+    if _block(_SCHEMA, scenario.tree, "", set(), out):
+        return "".join(out)
     # A name outside printable ASCII is written double-quoted with escapes,
     # and libyaml folds a long one at other columns than PyYAML; such a name
     # takes the pure-Python emitter so that every dump keeps its bytes.

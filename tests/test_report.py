@@ -360,6 +360,22 @@ class TestFailureExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith(f"scenario error: {doc}: not UTF-8 text (")
 
+    @pytest.mark.parametrize("verb", ["validate", "single-loop"])
+    @pytest.mark.parametrize("body, message", [
+        # float() of the integer overflows
+        ("plant: {a: " + "9" * 400 + "}\n", "plant.a: must be finite"),
+        # past Python's 4300-digit int/str conversion limit, in the YAML constructor
+        ("seed: " + "9" * 5000 + "\n", "not valid YAML: "),
+    ])
+    def test_huge_integer(self, tmp_path, capsys, verb, body, message):
+        doc = tmp_path / "doc.yaml"
+        doc.write_text(body)
+        out = [] if verb == "validate" else ["--out", str(tmp_path / "out")]
+        assert main([verb, "--scenario", str(doc)] + out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("scenario error: " + message)
+
     @pytest.mark.parametrize("verb", ["single-loop", "multi-loop"])
     def test_negative_seed_option(self, tmp_path, capsys, verb):
         assert main([verb, "--out", str(tmp_path), "--seed", "-3"]) == 2
@@ -512,12 +528,19 @@ class TestAnySmallMultiLoop:
     _NEAR_BUDGET = st.fixed_dictionaries({}, optional={
         "cycle_period_ms": st.floats(20.0, 200.0), "cycles_per_bit": st.floats(1.0, 1000.0),
         "compute_gcps": st.floats(0.1, 100.0), "extraction_ratio": st.floats(1e-5, 1.0)})
+    # a plant from the whole float ranges mostly stops at a Riccati root that
+    # overflows, before the joint solver
+    _NEAR_PLANT = st.fixed_dictionaries({}, optional={
+        "a": st.floats(-100.0, 100.0),
+        "b": st.one_of(st.floats(0.01, 100.0), st.floats(-100.0, -0.01)),
+        "q": st.floats(0.0, 100.0), "w_cov": st.floats(0.0, 100.0),
+        "r_u": st.floats(0.01, 100.0)})
     _NEAR_RANGE = st.one_of(st.none(), st.lists(st.floats(0.1, 100.0), min_size=2, max_size=2,
                                                 unique=True).map(sorted))
     # three documents in four draw from the accepted ranges, so that most reach
     # the solver; the rest draw the whole float ranges
     _NEAR_DOC = st.fixed_dictionaries({
-        "plant": _PLANT, "downlink": _NEAR_LINK, "budget": _NEAR_BUDGET,
+        "plant": _NEAR_PLANT, "downlink": _NEAR_LINK, "budget": _NEAR_BUDGET,
         "n_robots": st.integers(1, 3), "power": _NEAR_RANGE, "compute": _NEAR_RANGE})
     _WHOLE_DOC = st.fixed_dictionaries({
         "plant": _PLANT, "downlink": TestAnyLinkBudget._LINK, "budget": _BUDGET,

@@ -1,11 +1,13 @@
 """Scenario parsing, defaults, validation totality, and round-trips."""
+import copy
+
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satloop import scenario
+from satloop import report, scenario
 from satloop.scenario import (ParseError, Scenario, ScenarioError, UnknownKeyError,
                               ValidationError, default_scenario, dump_scenario,
                               load_scenario, provenance_map, sample_elevations)
@@ -298,6 +300,52 @@ class TestLibyaml:
         scn = default_scenario()
         scn = Scenario(tree=dict(scn.tree, name=name))
         assert dump_scenario(scn) == _pure_python_dump(scn)
+
+
+def _tree(schema, leaf, name):
+    """A strategy for trees of the schema's shape with any leaf values."""
+    return st.fixed_dictionaries({
+        key: (name if key == "name" else leaf) if scenario._is_leaf(node)
+        else _tree(node, leaf, name)
+        for key, node in schema.items()})
+
+
+class TestSchemaDump:
+    """dump_scenario writes the fixed schema's trees itself, byte for byte as
+    PyYAML's pure-Python SafeDumper; other trees take yaml.dump."""
+    _FLOAT = st.one_of(
+        st.floats(),
+        st.sampled_from([1e17, 1e-05, -0.0, 5e-324, 1.7976931348623157e308,
+                         float("nan"), float("inf"), float("-inf")]),
+        st.integers(10**16, 10**300).map(float))  # integral floats above 1e16
+    _NAME = st.one_of(st.text(), st.from_regex(scenario._PLAIN_NAME, fullmatch=True),
+                      st.sampled_from(["yes", "No", "null", "NULL", "on", "1e3", "123", "a b",
+                                       "a b ", "a: b", "a #b", "\u00e9", "x" * 90, "a" * 64,
+                                       "a" * 65]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tree(scenario._SCHEMA, st.one_of(_FLOAT, st.integers()), _NAME))
+    def test_any_tree_dumps_as_safe_dumper(self, tree):
+        assert dump_scenario(Scenario(tree=tree)) == yaml.dump(
+            tree, Dumper=yaml.SafeDumper, sort_keys=True, default_flow_style=False)
+
+    def test_documents_dump_as_safe_dumper_without_yaml(self, monkeypatch):
+        """The fixtures and the benchmark's documents never reach yaml.dump."""
+        scenarios = [load_scenario(text) for text in _documents()]
+        want = [_pure_python_dump(scn) for scn in scenarios]
+        monkeypatch.setattr(yaml, "dump", None)
+        assert [dump_scenario(scn) for scn in scenarios] == want
+
+    def test_shared_section_keeps_its_alias(self):
+        tree = copy.deepcopy(default_scenario().tree)
+        tree["links"]["downlink"] = tree["links"]["uplink"]
+        scn = Scenario(tree=tree)
+        assert "&id001" in dump_scenario(scn)
+        assert dump_scenario(scn) == _pure_python_dump(scn)
+
+    def test_default_scenario_hash_is_pinned(self):
+        assert report.scenario_hash(default_scenario()) == \
+            "0ad0bd1a0c66546c749e236586f837ea62098b118138b2b84674cd35aad5a1f4"
 
 
 class TestWithSeed:
