@@ -7,13 +7,16 @@ search. The task-oriented split maximises the balanced cycle's effective bits.
 
 Multi loop: jointly allocate downlink power and on-board compute frequency
 across robots by projected gradient on budget-scaled variables (closed-form
-gradient and Hessian blocks, all starts as one batch), against a
-max-throughput (water-filling) scheme and a compute-only scheme at equal
-power. The starts are deterministic and few: for an unstable plant, log r(p)
-and log w(f) are concave and J(e^u) is decreasing and convex, so each loop's
-J(min(r(p) w(f), cap)) is jointly convex where it is feasible and every local
-minimum is global (Boyd & Vandenberghe, Convex Optimization, 3.2.4). For a
-stable plant convexity can fail only at small eff. Each
+gradient and Hessian blocks), against a max-throughput (water-filling) scheme
+and a compute-only scheme at equal power. The starts are deterministic and
+few: for an unstable plant, log r(p) and log w(f) are concave and J(e^u) is
+decreasing and convex, so each loop's J(min(r(p) w(f), cap)) is jointly
+convex where it is feasible and every local minimum is global (Boyd &
+Vandenberghe, Convex Optimization, 3.2.4); with every plant unstable, only
+the lowest-valued start descends. For a stable plant J(e^u) is not convex at
+small eff, and nothing certifies the starts there: every start descends as
+one batch and the lowest end point wins, which can still stop above the
+global minimum. Each
 iteration first tries a face-Newton step: the objective is separable by robot,
 so its Hessian is block-diagonal with one closed-form 2x2 (power, compute)
 block per robot, and the Newton step on the face where both budgets are spent
@@ -125,14 +128,15 @@ class MultiLoopProblem:
 class SolverTrace:
     iterations: int
     converged: bool
-    restarts: int = 1  # starts in the batch
-    best_restart: int = 0  # index of the winning start
+    restarts: int = 1  # candidate starts
+    # index of the winning start; with only unstable plants, the one that descended
+    best_restart: int = 0
     # Never set: the single-loop search has no grid fallback. Kept because the
     # benchmark tracer reads it into its optimize.dense_grid_fallbacks counter.
     fallback_dense_grid: bool = False
     all_infeasible: bool = False
     method: str = ""
-    max_iter_rows: int = 0  # starts still running after PGD_MAX_ITER iterations
+    max_iter_rows: int = 0  # descending starts still running after PGD_MAX_ITER iterations
     # The certificate of a projected-gradient solve: ||z - P(z - grad f(z))||
     # in budget-scaled shares at the returned point, 0 exactly at a KKT point
     # (NaN for the solves that run no projected gradient)
@@ -683,45 +687,73 @@ def _task_starts(evaluator: JointEvaluator, p_tot: float, f_tot: float,
     return starts
 
 
+def _compute_only_starts(evaluator: JointEvaluator, p_tot: float, f_tot: float,
+                         extra_starts) -> list:
+    """The compute-only starts, as budget-scaled shares: equal power, with the
+    equal compute split and then the callers' extra decisions' compute."""
+    n = evaluator.n
+    power = np.full(n, p_tot / n) / p_tot
+    computes = [np.full(n, 1.0 / n)]
+    computes += [np.asarray(dec["compute_cps"]) / f_tot for dec in extra_starts]
+    return [np.concatenate([power, compute]) for compute in computes]
+
+
 def _best_start(evaluator: JointEvaluator, starts: list, *, optimize_power: bool,
                 method: str):
-    """Batched PGD from every start: the winning row, its value, and the trace
-    with the winner's projected-gradient norm as its certificate."""
+    """PGD from the starts: the winning row, its value, and the trace with the
+    winner's projected-gradient norm as its certificate.
+
+    When every robot's plant is unstable (|a| >= 1) the cost is convex where
+    it is feasible (module docstring), so only the start of lowest projected
+    value descends: every accepted step lowers the value, so the result is
+    never above any start's, and a feasible start, if there is one, wins over
+    every penalised one. With any stable plant every start descends as one
+    batch and the lowest end point wins.
+    """
     problem = evaluator.problem
     n = evaluator.n
     objective, derivatives = _scaled_objective(evaluator, problem.total_power_w,
                                                problem.total_compute_cps)
-    res = _projected_gradient(objective, derivatives, np.array(starts), n,
-                              optimize_power=optimize_power)
-    best = int(np.argmin(res.value))
-    z = res.z[best:best + 1]
+    z0 = np.array(starts)
+    first = 0
+    if np.all(evaluator.a_sq >= 1.0):
+        first = int(np.argmin(objective(_project_shares(z0, n, optimize_power))))
+        z0 = z0[first:first + 1]
+    res = _projected_gradient(objective, derivatives, z0, n, optimize_power=optimize_power)
+    row = int(np.argmin(res.value))
+    best = first + row
+    z = res.z[row:row + 1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         grad = derivatives(z)[0]
         if not optimize_power:
             grad[:, :n] = 0.0
         residual = z - _project_shares(z - grad, n, optimize_power)
         certificate = float(np.sqrt((residual * residual).sum()))
-    trace = SolverTrace(iterations=res.iterations, converged=bool(res.converged[best]),
+    trace = SolverTrace(iterations=res.iterations, converged=bool(res.converged[row]),
                         restarts=len(starts), best_restart=best, method=method,
                         max_iter_rows=res.max_iter_rows, projected_gradient_norm=certificate)
-    return z[0], res.value[best], trace
+    return z[0], res.value[row], trace
 
 
 def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> AllocationResult:
     """Allocate downlink power and compute frequency under the chosen scheme.
 
     Task-oriented: projected gradient over both budgets from the equal split,
-    water-filled power and the callers' extra starts, best kept. One
-    deterministic start would do: each loop's cost is jointly convex in its
+    water-filled power and the callers' extra starts. One deterministic start
+    would do for unstable plants: each loop's cost is jointly convex in its
     power and compute wherever it is feasible (see the module docstring), so
     the extra starts only make sure the result is never above a decision the
     caller already has (report passes the two baselines' decisions).
-    Max-throughput: water-filled power, compute proportional to uplink load.
+    Max-throughput: water-filled power, compute proportional to uplink load;
+    it ignores extra_starts.
     Compute-only: equal power frozen, projected gradient over compute from
-    the equal split.
-    The projected-gradient schemes run all their starts as one batch with the
-    analytic derivatives and blocked backtracking (_projected_gradient); the
-    trace reports the winning start, whether that start converged, and its
+    the equal split and the compute shares of the callers' extra starts
+    (report passes the previous power point's compute-only decision).
+    The projected-gradient schemes pick their starts in _best_start: with
+    every plant unstable only the lowest-valued start descends, otherwise
+    every start descends as one batch and the lowest end point wins. Both use
+    the analytic derivatives and blocked backtracking (_projected_gradient);
+    the trace reports the winning start, whether it converged, and its
     projected-gradient norm (projected_gradient_norm) as the certificate.
     Every scheme is re-scored under the penalized LQR total (lqr_total).
     """
@@ -738,8 +770,8 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
 
     if problem.scheme == MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM:
         power = np.full(n, p_tot / n)
-        start = np.concatenate([power / p_tot, np.full(n, 1.0 / n)])
-        z, value, trace = _best_start(evaluator, [start], optimize_power=False,
+        starts = _compute_only_starts(evaluator, p_tot, f_tot, extra_starts)
+        z, value, trace = _best_start(evaluator, starts, optimize_power=False,
                                       method="projected_gradient_compute_only")
         return _multi_result(evaluator, power, z[n:] * f_tot, value, trace)
 

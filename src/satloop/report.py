@@ -118,13 +118,18 @@ def cmd_single_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRe
     return RunRecord(digest, time.perf_counter() - started, converged)
 
 
-def _solve_schemes(problem: MultiLoopProblem) -> dict:
+def _solve_schemes(problem: MultiLoopProblem, compute_only_starts=()) -> dict:
     """Scheme name -> result on the problem's robots and totals; the baselines
     are solved first and their decisions are extra starts for the
-    task-oriented scheme."""
-    results = {}
-    for name, scheme in _MULTI_SCHEMES[1:]:  # the two baselines
-        results[name] = solve_multi_loop(dataclasses.replace(problem, scheme=scheme))
+    task-oriented scheme. compute_only_starts are extra starts for the
+    compute-only scheme."""
+    results = {
+        "max_throughput": solve_multi_loop(
+            dataclasses.replace(problem, scheme=MultiLoopScheme.MAX_THROUGHPUT_JOINT)),
+        "compute_only": solve_multi_loop(
+            dataclasses.replace(problem, scheme=MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM),
+            extra_starts=compute_only_starts),
+    }
     results["task_oriented"] = solve_multi_loop(
         dataclasses.replace(problem, scheme=MultiLoopScheme.TASK_ORIENTED_JOINT),
         extra_starts=[r.decision for r in results.values()])
@@ -142,7 +147,13 @@ def cmd_multi_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRec
     sweep = scn.power_sweep_w()
     # the sweep's totals stay numpy floats, which scale arrays faster than Python floats
     problems = [dataclasses.replace(base, total_power_w=p) for p in sweep] + [base]
-    *solves, detail = [_solve_schemes(problem) for problem in problems]
+    # each compute-only solve starts also from the previous point's decision,
+    # which the unchanged compute budget keeps feasible
+    solves = []
+    for problem in problems:
+        warm = [solves[-1]["compute_only"].decision] if solves else []
+        solves.append(_solve_schemes(problem, compute_only_starts=warm))
+    *solves, detail = solves
     converged = all(r.solver_trace.converged for s in solves + [detail] for r in s.values())
 
     columns = {name: [s[name].lqr_total for s in solves] for name in names}

@@ -23,6 +23,10 @@ from .pipeline import COMPUTE_FLOOR_CPS, LoopBudget, propagation_delay_s
 
 REFERENCE = "reference"
 ASSUMED = "assumed"
+# The largest value of a count field (multi_loop.n_robots and the sweep and
+# grid point counts). A larger count is refused by validation, before it can
+# overflow the float arithmetic of the checks or size an array past memory.
+MAX_COUNT = 10_000
 
 # libyaml's C parser and emitter when PyYAML was built with it
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -112,6 +116,8 @@ def _giga(path, value):
 def _count(path, value):
     if value < 1:
         raise ValidationError(f"{path}: must be >= 1, got {value}")
+    if value > MAX_COUNT:
+        raise ValidationError(f"{path}: must be <= {MAX_COUNT}, got {value}")
     return value
 
 

@@ -17,8 +17,9 @@ from satloop.linkgeom import (SPEED_OF_LIGHT_M_S, Geometry, LinkParams, shannon_
                               slant_range_m)
 from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme, RobotLoop,
                               SingleLoopObjective, SingleLoopProblem, SolverTrace,
-                              _best_start, _multi_result, _newton_direction,
-                              _single_objective_fn, _single_result, _task_starts)
+                              _compute_only_starts, _multi_result, _newton_direction,
+                              _projected_gradient, _scaled_objective, _single_objective_fn,
+                              _single_result, _task_starts)
 from satloop.pipeline import LoopBudget
 
 # the baseline scenario's budget: a 20 ms cycle, 100 cycles/bit, 10 GC/s, 0.1% extraction
@@ -243,19 +244,39 @@ def random_joint_problem(rng: np.random.Generator, n_robots: int = 2, *,
         uplink_fixed_bits=uplink_bits)
 
 
+def all_starts_descend(evaluator: JointEvaluator, starts: list, *, optimize_power: bool,
+                       method: str):
+    """optimize._projected_gradient from every start as one batch, the lowest
+    end point kept: (z, value, trace), the trace without a certificate.
+
+    What optimize._best_start does for a stable plant, here for any plant,
+    so a reference that runs through it never descends a single start.
+    """
+    objective, derivatives = _scaled_objective(
+        evaluator, evaluator.problem.total_power_w, evaluator.problem.total_compute_cps)
+    res = _projected_gradient(objective, derivatives, np.array(starts), evaluator.n,
+                              optimize_power=optimize_power)
+    best = int(np.argmin(res.value))
+    trace = SolverTrace(iterations=res.iterations, converged=bool(res.converged[best]),
+                        restarts=len(starts), best_restart=best, method=method,
+                        max_iter_rows=res.max_iter_rows)
+    return res.z[best], res.value[best], trace
+
+
 def multi_start_solve(problem: MultiLoopProblem, *, seed: int = 0, restarts: int = 10,
                       extra_starts=()):
-    """The joint solver with seeded random restarts: the reference for its
-    deterministic starts.
+    """The joint solver with seeded random restarts, every start descending:
+    the reference for its deterministic starts.
 
     optimize.solve_multi_loop for the projected-gradient schemes, with the
     starts topped up to `restarts` by seeded random feasible points (uniform
     on each simplex, numpy default_rng(seed)): the task-oriented scheme
     after the equal split, water-filled power and the extra starts, the
-    compute-only scheme after its equal split (random compute shares only).
-    Every row descends on its own, so the best of these starts is never above
-    the deterministic starts' best; how far below it falls is what the random
-    restarts would buy.
+    compute-only scheme after its equal split and the extra starts' compute
+    shares (random compute shares only). Every row descends on its own
+    (all_starts_descend), so the best of these starts is never above the
+    deterministic starts' best when those all descend; how far below it
+    falls is what the random restarts would buy.
     """
     evaluator = JointEvaluator(problem)
     n = evaluator.n
@@ -263,17 +284,17 @@ def multi_start_solve(problem: MultiLoopProblem, *, seed: int = 0, restarts: int
     rng = np.random.default_rng(seed)
     if problem.scheme == MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM:
         power = np.full(n, p_tot / n)
-        starts = [np.concatenate([power / p_tot, np.full(n, 1.0 / n)])]
+        starts = _compute_only_starts(evaluator, p_tot, f_tot, extra_starts)
         while len(starts) < restarts:
             starts.append(np.concatenate([power / p_tot, rng.dirichlet(np.ones(n))]))
-        z, value, trace = _best_start(evaluator, starts, optimize_power=False,
-                                      method="multi_start_compute_only")
+        z, value, trace = all_starts_descend(evaluator, starts, optimize_power=False,
+                                             method="multi_start_compute_only")
         return _multi_result(evaluator, power, z[n:] * f_tot, value, trace)
     starts = _task_starts(evaluator, p_tot, f_tot, extra_starts)
     while len(starts) < restarts:
         starts.append(np.concatenate([rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))]))
-    z, value, trace = _best_start(evaluator, starts, optimize_power=True,
-                                  method="multi_start")
+    z, value, trace = all_starts_descend(evaluator, starts, optimize_power=True,
+                                         method="multi_start")
     return _multi_result(evaluator, z[:n] * p_tot, z[n:] * f_tot, value, trace)
 
 

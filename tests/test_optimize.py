@@ -26,10 +26,10 @@ from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme,
                               solve_single_loop, sweep_contour, water_fill_power)
 from satloop.pipeline import balanced_times, evaluate_cycle, propagation_delay_s
 from satloop.scenario import default_scenario
-from oracles import (BUDGET, DimensionTooLargeError, central_difference_gradient,
-                     central_difference_hessian, exact_capped_simplex,
-                     compute_only_kkt, grid_oracle, multi_start_solve, random_joint_problem,
-                     random_single_loop_problem, reference_capped_simplex,
+from oracles import (BUDGET, DimensionTooLargeError, all_starts_descend,
+                     central_difference_gradient, central_difference_hessian,
+                     exact_capped_simplex, compute_only_kkt, grid_oracle, multi_start_solve,
+                     random_joint_problem, random_single_loop_problem, reference_capped_simplex,
                      reference_projected_gradient, water_fill_power_fixed_steps)
 
 
@@ -674,6 +674,32 @@ def _random_starts(ev, p_tot, f_tot, count: int, seed: int) -> np.ndarray:
     return np.array(starts)
 
 
+def _stable(problem: MultiLoopProblem) -> MultiLoopProblem:
+    """The problem with every robot's plant made stable (a = 0.5), so that
+    every start of a solve descends."""
+    return dataclasses.replace(problem, robots=tuple(
+        dataclasses.replace(r, plant=dataclasses.replace(r.plant, a=0.5))
+        for r in problem.robots))
+
+
+def _record_starts(patch) -> list:
+    """Record, for each optimize._best_start call made under patch, its starts
+    and their projected values (the objective each row's descent starts from)."""
+    calls = []
+    best_start = optimize._best_start
+
+    def recording(evaluator, starts, **kwargs):
+        problem = evaluator.problem
+        objective, _ = optimize._scaled_objective(evaluator, problem.total_power_w,
+                                                  problem.total_compute_cps)
+        starts = np.array(starts)
+        projected = optimize._project_shares(starts, evaluator.n, kwargs["optimize_power"])
+        calls.append((starts, objective(projected)))
+        return best_start(evaluator, starts, **kwargs)
+    patch.setattr(optimize, "_best_start", recording)
+    return calls
+
+
 class TestBatchedPgd:
     @pytest.mark.parametrize("optimize_power", [True, False])
     def test_rows_match_single_row_runs(self, optimize_power):
@@ -803,6 +829,10 @@ class TestBatchedPgd:
                                                   optimize_power=optimize_power)
         assert result.iterations > len(starts)
 
+    # The tests below that count rows run on a stable-plant copy of the
+    # baseline, where every start descends; each has a one-descent
+    # counterpart on the (unstable) baseline.
+
     def test_nonfinite_gradient_never_converges(self, monkeypatch):
         derivatives = JointEvaluator.derivatives
 
@@ -812,16 +842,33 @@ class TestBatchedPgd:
         monkeypatch.setattr(JointEvaluator, "derivatives", nan_gradient)
         for scheme in (MultiLoopScheme.TASK_ORIENTED_JOINT,
                        MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM):
-            problem = default_scenario().multi_loop_problem(scheme, total_power_w=5.0)
+            problem = _stable(default_scenario().multi_loop_problem(scheme, total_power_w=5.0))
             result = solve_multi_loop(problem)
             assert not result.solver_trace.converged
             assert result.solver_trace.iterations == result.solver_trace.restarts
             assert result.solver_trace.max_iter_rows == 0
             assert math.isnan(result.solver_trace.projected_gradient_norm)
 
+    def test_nonfinite_gradient_stops_the_one_descent(self, monkeypatch):
+        derivatives = JointEvaluator.derivatives
+
+        def nan_gradient(self, power_w, compute_cps):
+            _, blocks = derivatives(self, power_w, compute_cps)
+            return (np.full(power_w.shape, np.nan), np.full(compute_cps.shape, np.nan)), blocks
+        monkeypatch.setattr(JointEvaluator, "derivatives", nan_gradient)
+        for scheme, starts in ((MultiLoopScheme.TASK_ORIENTED_JOINT, 2),
+                               (MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM, 1)):
+            problem = default_scenario().multi_loop_problem(scheme, total_power_w=5.0)
+            trace = solve_multi_loop(problem).solver_trace
+            assert not trace.converged
+            assert trace.iterations == 1 and trace.restarts == starts
+            assert trace.max_iter_rows == 0
+            assert math.isnan(trace.projected_gradient_norm)
+
     def test_rows_stopped_at_the_iteration_cap_are_counted(self, monkeypatch):
         schemes = (MultiLoopScheme.TASK_ORIENTED_JOINT, MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM)
-        problems = [default_scenario().multi_loop_problem(s, total_power_w=5.0) for s in schemes]
+        problems = [_stable(default_scenario().multi_loop_problem(s, total_power_w=5.0))
+                    for s in schemes]
         for problem in problems:
             trace = solve_multi_loop(problem).solver_trace
             assert trace.converged and trace.max_iter_rows == 0
@@ -838,6 +885,23 @@ class TestBatchedPgd:
         # the second cell adds the first cell's decision to the two starts
         assert [t.max_iter_rows for t in traces] == [t.restarts for t in traces] == [2, 3]
 
+    def test_the_one_descent_stopped_at_the_iteration_cap_is_counted(self, monkeypatch):
+        schemes = (MultiLoopScheme.TASK_ORIENTED_JOINT, MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM)
+        problems = [default_scenario().multi_loop_problem(s, total_power_w=5.0) for s in schemes]
+        for problem in problems:
+            trace = solve_multi_loop(problem).solver_trace
+            assert trace.converged and trace.max_iter_rows == 0
+        monkeypatch.setattr(optimize, "PGD_MAX_ITER", optimize.PGD_PATIENCE - 1)
+        monkeypatch.setattr(optimize, "PGD_REL_TOL", 0.0)
+        for problem, starts in zip(problems, (2, 1)):
+            trace = solve_multi_loop(problem).solver_trace
+            assert not trace.converged and trace.max_iter_rows == 1 and trace.restarts == starts
+            assert trace.iterations == optimize.PGD_PATIENCE - 1
+        traces = []
+        sweep_contour(problems[0], [5.0, 6.0], [1e10], trace_out=traces)
+        assert [t.max_iter_rows for t in traces] == [1, 1]
+        assert [t.restarts for t in traces] == [2, 3]
+
     def test_zero_gradient_is_stationary(self, monkeypatch):
         derivatives = JointEvaluator.derivatives
 
@@ -847,10 +911,14 @@ class TestBatchedPgd:
         monkeypatch.setattr(JointEvaluator, "derivatives", flat_gradient)
         problem = default_scenario().multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT,
                                                         total_power_w=5.0)
-        result = solve_multi_loop(problem)
+        result = solve_multi_loop(_stable(problem))
         assert result.solver_trace.converged
         assert result.solver_trace.iterations == optimize.PGD_PATIENCE * 2  # patience per start
         assert result.solver_trace.projected_gradient_norm == 0.0
+        one = solve_multi_loop(problem).solver_trace  # the baseline: one descent
+        assert one.converged and one.restarts == 2
+        assert one.iterations == optimize.PGD_PATIENCE
+        assert one.projected_gradient_norm == 0.0
 
     @pytest.mark.parametrize("scheme", [MultiLoopScheme.TASK_ORIENTED_JOINT,
                                         MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM])
@@ -864,12 +932,37 @@ class TestBatchedPgd:
             converged[-1] = False
             return optimize._PgdResult(z0.copy(), value, converged, 7)
         monkeypatch.setattr(optimize, "_projected_gradient", fake_pgd)
-        problem = default_scenario().multi_loop_problem(scheme, total_power_w=5.0)
+        problem = _stable(default_scenario().multi_loop_problem(scheme, total_power_w=5.0))
         trace = solve_multi_loop(problem).solver_trace
         # two starts for the task-oriented scheme, the equal split alone for compute-only
         want = 2 if scheme == MultiLoopScheme.TASK_ORIENTED_JOINT else 1
         assert trace.restarts == want and trace.best_restart == want - 1
         assert not trace.converged
+
+    @pytest.mark.parametrize("scheme", [MultiLoopScheme.TASK_ORIENTED_JOINT,
+                                        MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM])
+    def test_one_descent_reports_the_lowest_start(self, monkeypatch, scheme):
+        """With unstable plants only the lowest-valued start descends, and the
+        trace names it and reports its convergence."""
+        problem = default_scenario().multi_loop_problem(scheme, total_power_w=5.0)
+        # a starved vertex start, then the compute-only decision, the lowest start
+        compute_only = solve_multi_loop(dataclasses.replace(
+            problem, scheme=MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM)).decision
+        vertex = {"power_w": np.eye(5)[0] * 5.0, "compute_cps": np.eye(5)[0] * 1e10}
+        descended = []
+
+        def fake_pgd(objective, derivatives, z0, n, **kwargs):
+            descended.append(z0.copy())
+            return optimize._PgdResult(z0.copy(), objective(z0), np.zeros(len(z0), bool), 7)
+        calls = _record_starts(monkeypatch)
+        monkeypatch.setattr(optimize, "_projected_gradient", fake_pgd)
+        trace = solve_multi_loop(problem, extra_starts=[vertex, compute_only]).solver_trace
+        [(starts, values)] = calls
+        lowest = len(starts) - 1
+        assert values.argmin() == lowest
+        assert len(descended) == 1 and np.array_equal(descended[0], starts[lowest:])
+        assert trace.restarts == len(starts) and trace.best_restart == lowest
+        assert not trace.converged and trace.iterations == 7
 
 
 class TestDeterministicStarts:
@@ -893,6 +986,57 @@ class TestDeterministicStarts:
                                              else 1)
         assert ref.solver_trace.restarts == 10
         assert one.lqr_total <= ref.lqr_total + 1e-9 * abs(ref.lqr_total)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_robots=st.integers(1, 5),
+           n_extra=st.integers(0, 2),
+           scheme=st.sampled_from([MultiLoopScheme.TASK_ORIENTED_JOINT,
+                                   MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM]))
+    def test_one_descent_is_never_above_a_start(self, seed, n_robots, n_extra, scheme):
+        """On unstable plants one descent from the lowest start ends at or below
+        every start's projected value, exactly, and within 1e-9 relative of
+        the reference that descends all of them and eight or nine random
+        ones. The extra starts are random feasible decisions."""
+        rng = np.random.default_rng(seed)
+        problem = dataclasses.replace(random_joint_problem(rng, n_robots), scheme=scheme)
+        extra = [{"power_w": rng.dirichlet(np.ones(n_robots)) * problem.total_power_w,
+                  "compute_cps": rng.dirichlet(np.ones(n_robots)) * problem.total_compute_cps}
+                 for _ in range(n_extra)]
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _record_starts(patch)
+            one = solve_multi_loop(problem, extra_starts=extra)
+        [(starts, values)] = calls
+        assert len(starts) == (2 if scheme == MultiLoopScheme.TASK_ORIENTED_JOINT else 1) + n_extra
+        assert one.solver_trace.best_restart == values.argmin()
+        assert one.objective_value <= values.min()
+        ref = multi_start_solve(problem, seed=seed, extra_starts=extra)
+        assert one.lqr_total <= ref.lqr_total + 1e-9 * abs(ref.lqr_total)
+
+    @pytest.mark.parametrize("scheme", [MultiLoopScheme.TASK_ORIENTED_JOINT,
+                                        MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM])
+    def test_a_stable_plant_descends_every_start(self, scheme):
+        """With one stable plant among unstable ones, a solve's iterations are
+        those of _projected_gradient run on all of its starts, and its result
+        is their best end point."""
+        problem = default_scenario().multi_loop_problem(scheme, total_power_w=5.0)
+        robots = list(problem.robots)
+        robots[2] = dataclasses.replace(robots[2],
+                                        plant=dataclasses.replace(robots[2].plant, a=0.5))
+        problem = dataclasses.replace(problem, robots=tuple(robots))
+        extra = [solve_multi_loop(dataclasses.replace(
+            problem, scheme=MultiLoopScheme.MAX_THROUGHPUT_JOINT)).decision]
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _record_starts(patch)
+            solved = solve_multi_loop(problem, extra_starts=extra)
+        [(starts, _)] = calls
+        ev = JointEvaluator(problem)
+        power = scheme == MultiLoopScheme.TASK_ORIENTED_JOINT
+        z, value, every = all_starts_descend(ev, list(starts), optimize_power=power,
+                                             method="every start")
+        assert len(starts) == (3 if power else 2)
+        assert solved.solver_trace.iterations == every.iterations > len(starts)
+        assert solved.solver_trace.best_restart == every.best_restart
+        assert solved.objective_value == value
 
     def test_certificate_at_the_returned_point(self, monkeypatch):
         """A converged baseline solve ends near a KKT point; a run cut after one

@@ -376,6 +376,34 @@ class TestFailureExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("scenario error: " + message)
 
+    @pytest.mark.parametrize("verb", ["validate", "multi-loop", "contour"])
+    @pytest.mark.parametrize("body, path, value", [
+        ("multi_loop: {n_robots: " + "9" * 400 + "}\n", "multi_loop.n_robots", "9" * 400),
+        ("multi_loop: {power_sweep_points: " + "9" * 400 + "}\n",
+         "multi_loop.power_sweep_points", "9" * 400),
+        (f"contour: {{power_points: {scenario.MAX_COUNT + 1}}}\n", "contour.power_points",
+         str(scenario.MAX_COUNT + 1)),
+        (f"contour: {{compute_points: {scenario.MAX_COUNT + 1}}}\n", "contour.compute_points",
+         str(scenario.MAX_COUNT + 1)),
+    ])
+    def test_count_past_its_bound(self, tmp_path, capsys, verb, body, path, value):
+        """A count above scenario.MAX_COUNT fails validation, before any float
+        arithmetic or array is sized by it."""
+        doc = tmp_path / "doc.yaml"
+        doc.write_text(body)
+        out = [] if verb == "validate" else ["--out", str(tmp_path / "out")]
+        assert main([verb, "--scenario", str(doc)] + out) == 2
+        assert capsys.readouterr().err == (
+            f"scenario error: {path}: must be <= {scenario.MAX_COUNT}, got {value}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["multi_loop: {n_robots", "multi_loop: {power_sweep_points",
+                                     "contour: {power_points", "contour: {compute_points"])
+    def test_count_at_its_bound_validates(self, tmp_path, key):
+        doc = tmp_path / "doc.yaml"
+        doc.write_text(f"{key}: {scenario.MAX_COUNT}}}\n")
+        assert main(["validate", "--scenario", str(doc)]) == 0
+
     @pytest.mark.parametrize("verb", ["single-loop", "multi-loop"])
     def test_negative_seed_option(self, tmp_path, capsys, verb):
         assert main([verb, "--out", str(tmp_path), "--seed", "-3"]) == 2
@@ -677,3 +705,39 @@ class TestScenarioHashOnce:
         assert main([verb, "--scenario", str(doc), "--out", str(tmp_path / "out"),
                      "--seed", "3"]) == 0
         assert len(calls) == 1
+
+
+class TestBaselineSweepWork:
+    def test_multi_loop_descends_at_most_150_rows(self, tmp_path, monkeypatch):
+        """One descent per solve from its lowest start, and warm compute-only
+        starts along the sweep, keep the baseline multi-loop run at 150 PGD
+        row-iterations or fewer (595 when every start descended)."""
+        iterations = []
+        original = optimize._projected_gradient
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            iterations.append(result.iterations)
+            return result
+        monkeypatch.setattr(optimize, "_projected_gradient", counted)
+        assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
+        assert len(iterations) == 42 and sum(iterations) <= 150
+
+    def test_each_compute_only_solve_starts_from_the_previous_one(self, tmp_path,
+                                                                   monkeypatch):
+        solves = []
+        original = report.solve_multi_loop
+
+        def recorded(problem, **kwargs):
+            result = original(problem, **kwargs)
+            solves.append((problem, kwargs.get("extra_starts", ()), result))
+            return result
+        monkeypatch.setattr(report, "solve_multi_loop", recorded)
+        assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
+        compute_only = [s for s in solves
+                        if s[0].scheme == optimize.MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM]
+        assert len(solves) == 63 and len(compute_only) == 21
+        assert list(compute_only[0][1]) == []
+        for (_, _, previous), (_, extra, result) in zip(compute_only, compute_only[1:]):
+            assert [d is previous.decision for d in extra] == [True]
+            assert result.solver_trace.restarts == 2
