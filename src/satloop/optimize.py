@@ -396,7 +396,8 @@ def project_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
     """Euclidean projection of each row (last axis) onto {x >= 0, sum(x) <= total}.
 
     Sort-based simplex projection (Duchi et al., ICML 2008), applied only to
-    rows whose clipped sum exceeds the cap. The sorted entries u are measured
+    rows whose clipped sum exceeds the cap; a batch with no such row is
+    returned clipped without sorting. The sorted entries u are measured
     from the row's largest entry u_1, so neither the threshold test
     d_k - (D_k - total) / k > 0 (d_k = u_k - u_1, D_k = d_1 + ... + d_k) nor
     the output (x - u_1) - (D_rho - total) / rho subtracts two large sums: an
@@ -405,6 +406,9 @@ def project_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
     shape = x.shape
     n = shape[-1]
     x = np.maximum(x, 0.0).reshape(-1, n)
+    inside = x.sum(axis=-1, keepdims=True) <= total
+    if inside.all():  # the clipped batch is its own projection
+        return x.reshape(shape)
     u = np.sort(x, axis=-1)[:, ::-1]
     top = u[:, :1]
     excess = np.cumsum(u - top, axis=-1) - total  # D_k - total, never above -total
@@ -413,8 +417,7 @@ def project_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
     rows = np.arange(x.shape[0])
     rho = np.logical_and.accumulate(valid, axis=-1).sum(axis=-1)
     shift = (excess[rows, rho - 1] / rho)[:, None]  # theta - u_1
-    out = np.where(x.sum(axis=-1, keepdims=True) <= total, x,
-                   np.maximum((x - top) - shift, 0.0))
+    out = np.where(inside, x, np.maximum((x - top) - shift, 0.0))
     return out.reshape(shape)
 
 
@@ -422,8 +425,14 @@ def water_fill_power(evaluator: JointEvaluator, total_power_w: float) -> np.ndar
     """Throughput-maximizing power allocation (classic water-filling).
 
     Equalizes the marginal rate dR/dP = B*g / ((1 + P*g) ln2) across robots,
-    giving P_i = B_i * level - 1/g_i clipped at zero; the common level is
-    found by bisection on the power budget.
+    giving P_i = B_i * level - 1/g_i clipped at zero. The level is the
+    midpoint of the adjacent floats (lo, hi) at which the budget test
+    allocated(level).sum() > P flips from false to true; the test is monotone
+    in the level, so bisection from any bracket freezes at that pair. The
+    bracket starts at the closed-form level min_k L_k, L_k = (P + sum_{j<=k}
+    1/g_j) / sum_{j<=k} B_j over the robots sorted by 1/(g_i B_i) (L falls
+    while robot k is active and rises after), and widens by 1, 2, 4, ... ulps
+    within [0, (P + sum 1/g) / min B + 1] until the test flips inside it.
     """
     b = evaluator.bandwidth
     floor = 1.0 / evaluator.snr_per_w
@@ -431,11 +440,22 @@ def water_fill_power(evaluator: JointEvaluator, total_power_w: float) -> np.ndar
     def allocated(level: float) -> np.ndarray:
         return np.maximum(0.0, level * b - floor)
 
-    lo = 0.0
-    hi = (total_power_w + floor.sum()) / b.min() + 1.0
+    def over(level: float) -> bool:
+        return allocated(level).sum() > total_power_w
+
+    order = np.argsort(floor / b)
+    top = (total_power_w + floor.sum()) / b.min() + 1.0
+    level = float(((total_power_w + np.cumsum(floor[order])) / np.cumsum(b[order])).min())
+    lo = hi = min(level, top)
+    step = math.ulp(lo)
+    while lo > 0.0 and over(lo):
+        lo, step = max(lo - step, 0.0), 2.0 * step
+    step = math.ulp(hi)
+    while hi < top and not over(hi):
+        hi, step = min(hi + step, top), 2.0 * step
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        bracket = (lo, mid) if allocated(mid).sum() > total_power_w else (mid, hi)
+        bracket = (lo, mid) if over(mid) else (mid, hi)
         if bracket == (lo, hi):
             break  # the same midpoint again: the bracket can no longer move
         lo, hi = bracket

@@ -93,20 +93,27 @@ def store_and_forward(volume_bits, t_up_s, r_down_bps, t_prop_s, compute_cps,
 
 def loop_outcomes(models, period_s: float, r_up, r_down, t_up, t_comp, t_down, t_prop,
                   effective_bits, time_feasible) -> tuple:
-    """One LoopOutcome per loop i (plant model models[i]) from broadcast arrays.
+    """One LoopOutcome per loop i (plant model models[i]) from columns that
+    broadcast to one entry per loop.
 
     A loop is stable when its rate-limited cost is finite. A time-infeasible
-    cycle delivers nothing, is not stable and costs math.inf.
+    cycle delivers nothing, is not stable and costs math.inf. Every loop's
+    cost comes from one control.rate_cost call with RateCostModel.cost's
+    products, so each equals control.lqr_cost(models[i], eff) bit for bit.
     """
-    effective_bits = np.where(time_feasible, np.maximum(effective_bits, 0.0), 0.0)
-    columns = np.broadcast_arrays(r_up, r_down, t_up, t_comp, t_down, t_prop,
-                                  effective_bits, time_feasible)
-    outcomes = []
-    for model, *times, eff, ok in zip(models, *(np.atleast_1d(c).tolist() for c in columns)):
-        cost = control.lqr_cost(model, eff) if ok else math.inf
-        outcomes.append(LoopOutcome(*times, eff, control.cner_bps(eff, period_s),
-                                    cost < math.inf, cost, ok))
-    return tuple(outcomes)
+    n = len(models)
+    table = np.empty((7, n))  # r_up, r_down, t_up, t_comp, t_down, t_prop, eff
+    ok = np.empty(n, dtype=bool)
+    for row, column in zip((*table, ok), (r_up, r_down, t_up, t_comp, t_down, t_prop,
+                                          effective_bits, time_feasible)):
+        row[...] = column
+    eff = table[6] = np.where(ok, np.maximum(table[6], 0.0), 0.0)
+    cost = np.where(ok, control.rate_cost(
+        eff, np.array([m.plant.a * m.plant.a for m in models]),
+        np.array([m.sensitivity * m.plant.w_cov for m in models]),
+        np.array([m.j_ideal for m in models])), math.inf)
+    return tuple(LoopOutcome(*times, e, control.cner_bps(e, period_s), c < math.inf, c, f)
+                 for (*times, e), c, f in zip(table.T.tolist(), cost.tolist(), ok.tolist()))
 
 
 def evaluate_cycle(uplink: LinkParams, downlink: LinkParams, budget: LoopBudget,

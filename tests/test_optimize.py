@@ -8,6 +8,7 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import satloop
-from satloop import optimize
+from satloop import control, optimize
 
 from satloop.control import Plant, RateCostModel
 from satloop.linkgeom import Geometry, LinkParams, shannon_rate_bps, slant_range_m
@@ -24,7 +25,8 @@ from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme,
                               RobotLoop, SingleLoopObjective, SingleLoopProblem,
                               project_capped_simplex, solve_multi_loop,
                               solve_single_loop, sweep_contour, water_fill_power)
-from satloop.pipeline import balanced_times, evaluate_cycle, propagation_delay_s
+from satloop.pipeline import (balanced_times, evaluate_cycle, loop_outcomes,
+                              propagation_delay_s)
 from satloop.scenario import default_scenario
 from oracles import (BUDGET, DimensionTooLargeError, all_starts_descend,
                      central_difference_gradient, central_difference_hessian,
@@ -211,18 +213,28 @@ class TestProjection:
     # entries that dwarf the total (scale 1e18)
     _ENTRIES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.0]), st.floats(-3.0, 3.0))
 
+    # (rows, n) batches and (rows, 2, n) batches of two blocks
+    _SHAPES = st.one_of(st.tuples(st.integers(1, 8), st.integers(1, 6)),
+                        st.tuples(st.integers(1, 8), st.just(2), st.integers(1, 6)))
+
     @settings(max_examples=300, deadline=None)
-    @given(rows=st.integers(1, 8), blocks=st.sampled_from([None, 2]), n=st.integers(1, 6),
-           data=st.data(), scale=st.sampled_from([1.0, 1e-3, 1e18]),
+    @given(x=arrays(np.float64, _SHAPES, elements=_ENTRIES),
+           scale=st.sampled_from([1.0, 1e-3, 1e18]),
            total=st.one_of(st.just(1.0), st.floats(0.1, 5.0)))
-    def test_equals_reference_bit_for_bit(self, rows, blocks, n, data, scale, total):
-        shape = (rows, n) if blocks is None else (rows, blocks, n)
-        x = data.draw(arrays(np.float64, shape, elements=self._ENTRIES)) * scale
+    # every row inside the cap once clipped: the batch skips the sort
+    @example(x=np.array([[0.25, -1.0, -0.0], [0.5, 0.0, 0.5], [-0.0, -0.0, 1.0]]),
+             scale=1.0, total=1.0)
+    # rows inside and outside the cap in one batch, and in both blocks of a row
+    @example(x=np.array([[[0.25, -1.0, -0.0], [0.5, 0.75, 0.5]],
+                         [[3.0, 0.25, -0.0], [0.0, 0.5, 0.25]]]), scale=1.0, total=1.0)
+    def test_equals_reference_bit_for_bit(self, x, scale, total):
+        x = x * scale
         with np.errstate(divide="ignore", invalid="ignore"):
             got = project_capped_simplex(x, total)
             want = reference_capped_simplex(x, total)
         assert got.shape == x.shape
         assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))  # a clipped -0.0 too
 
 
     # rows of entries from 1e-300 to 1e300 in size, and rows of huge entries a
@@ -269,6 +281,21 @@ class TestWaterFilling:
             for budget in (1e-3, 0.1, 1.0, 5.0, 40.0, 1e4):
                 got = water_fill_power(ev, budget)
                 assert np.array_equal(got, water_fill_power_fixed_steps(ev, budget))
+
+    # 1-12 robots (from 8 on numpy sums pairwise), bandwidths and SNRs per watt
+    # over many decades, so most draws leave some robot at 0 W, and budgets
+    # log-uniform from 1e-6 to 1e6 W
+    @settings(max_examples=300, deadline=None)
+    @given(links=st.lists(st.tuples(st.floats(0.0, 9.0), st.floats(-6.0, 12.0)),
+                          min_size=1, max_size=12),
+           log_budget=st.floats(-6.0, 6.0))
+    def test_any_links_equal_fixed_step_bisection(self, links, log_budget):
+        """The bracket from the closed-form level freezes where 200 steps end."""
+        log_b, log_g = np.array(links).T
+        links = SimpleNamespace(bandwidth=10.0 ** log_b, snr_per_w=10.0 ** log_g)
+        budget = 10.0 ** log_budget
+        assert np.array_equal(water_fill_power(links, budget),
+                              water_fill_power_fixed_steps(links, budget))
 
     def test_maximizes_throughput_vs_random(self):
         problem = default_scenario().multi_loop_problem(
@@ -459,6 +486,39 @@ class TestJointEvaluator:
             assert out.time_feasible and out.stable
             assert out.cner_bps == pytest.approx(eff / 0.02, rel=1e-12)
             assert out.lqr_cost == pytest.approx(cost(eff), rel=1e-12)
+
+    def test_outcomes_equal_the_scalar_cost(self):
+        """One rate_cost call per outcome set scores each loop as lqr_cost does, bit for bit.
+
+        Distinct plants (stable, unstable, a rate-infeasible a = 30, different
+        w_cov), a robot given no compute (time-infeasible), and then every
+        loop at 1 ulp above its data-rate threshold.
+        """
+        base = _default_joint()
+        plants = (Plant(a=2.0, b=1.0, w_cov=1.0, q=1.0, r_u=1.0),
+                  Plant(a=0.5, b=1.0, w_cov=3.0, q=2.0, r_u=0.5),
+                  Plant(a=-1.7, b=0.3, w_cov=0.25, q=1.0, r_u=2.0),
+                  Plant(a=1.3, b=1.0, w_cov=1e-3, q=4.0, r_u=0.1),
+                  Plant(a=30.0, b=2.0, w_cov=7.0, q=0.5, r_u=1.0))
+        problem = dataclasses.replace(base, robots=tuple(
+            RobotLoop(robot.downlink, plant) for robot, plant in zip(base.robots, plants)))
+        ev = JointEvaluator(problem)
+        period = problem.budget.cycle_period_s
+        compute = np.full(5, problem.total_compute_cps / 5)
+        compute[2] = 0.0
+        above = np.array([math.nextafter(m.threshold_bits, math.inf) for m in ev.models])
+        sets = (ev.outcomes(np.full(5, 1.0), compute),
+                loop_outcomes(ev.models, period, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, above,
+                              np.array([True, True, True, True, False])))
+        for outs in sets:
+            for model, out in zip(ev.models, outs):
+                eff = out.effective_bits_per_cycle
+                want = control.lqr_cost(model, eff) if out.time_feasible else math.inf
+                assert out.lqr_cost == want and type(out.lqr_cost) is float
+                assert out.stable == (out.lqr_cost < math.inf)
+                assert out.cner_bps == control.cner_bps(eff, period)
+        assert [o.stable for o in sets[0]] == [True, True, False, True, False]
+        assert [o.time_feasible for o in sets[1]] == [True, True, True, True, False]
 
 
 class TestAnalyticGradient:
