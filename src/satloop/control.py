@@ -174,6 +174,17 @@ def rate_cost(rate_bits, a_sq, sens_w, j_ideal):
         return np.where(finite, j_ideal + sens_w / gap, np.inf)
 
 
+def rate_cost_terms(models) -> tuple:
+    """(a^2, sensitivity * w_cov, j_ideal) per model, the arrays rate_cost takes.
+
+    a^2 is a * a, as RateCostModel.cost squares it: a ** 2 is not correctly
+    rounded and can be 1 ulp away.
+    """
+    return (np.array([m.plant.a * m.plant.a for m in models]),
+            np.array([m.sensitivity * m.plant.w_cov for m in models]),
+            np.array([m.j_ideal for m in models]))
+
+
 def lqr_cost(model: RateCostModel, rate_bits_per_step: float) -> float:
     """Rate-limited LQR cost J(R), math.inf at or below the data-rate threshold.
 

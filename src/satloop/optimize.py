@@ -25,7 +25,7 @@ Newton point when it passes a sufficient-decrease test, and stops there once
 the step's predicted decrease is below PGD_REL_TOL of its value (the Newton
 decrement, B&V 9.5.1 and 10.2); a row whose blocks are not positive definite
 (a capped, penalised or starved loop), or whose Newton point fails the test,
-takes the Barzilai-Borwein step with blocked backtracking instead. The trace
+takes the Barzilai-Borwein step with Armijo backtracking instead. The trace
 certifies the returned point with its projected-gradient norm
 (SolverTrace.projected_gradient_norm). Both solvers score a cycle with
 pipeline.store_and_forward and control.rate_cost, and share one penalty.
@@ -51,10 +51,9 @@ GOLDEN_REL_WIDTH = 1e-8
 PGD_REL_TOL = 1e-10
 PGD_PATIENCE = 5
 PGD_MAX_ITER = 500
-# Projected-gradient backtracking: at most MAX_HALVINGS halvings of a trial
-# step, evaluated BACKTRACK_BLOCK at a time in one objective call.
+# Projected-gradient backtracking: MAX_HALVINGS trial steps, all evaluated in
+# one objective call.
 MAX_HALVINGS = 80
-BACKTRACK_BLOCK = 8
 _HALVINGS = 0.5 ** np.arange(MAX_HALVINGS)  # the trial-step scales 1, 1/2, 1/4, ...
 
 
@@ -310,9 +309,7 @@ class JointEvaluator:
             if robot.plant not in models:
                 models[robot.plant] = RateCostModel.from_plant(robot.plant)
         self.models = tuple(models[r.plant] for r in robots)
-        self.j_ideal = np.array([m.j_ideal for m in self.models])
-        self.sens_w = np.array([m.sensitivity * m.plant.w_cov for m in self.models])
-        self.a_sq = np.array([m.plant.a ** 2 for m in self.models])
+        self.a_sq, self.sens_w, self.j_ideal = control.rate_cost_terms(self.models)
         self.threshold_bits = np.array([m.threshold_bits for m in self.models])
         # per-robot factors of the gradient: -w ln4 and B*g. A weight w within
         # a factor ln4 of the float range gives -inf: the gradient is then not
@@ -477,43 +474,29 @@ class _PgdResult:
 
 def _backtrack(objective, project, z: np.ndarray, fz: np.ndarray, grad: np.ndarray,
                step: np.ndarray):
-    """Armijo backtracking for a batch of rows, BACKTRACK_BLOCK halvings per call.
+    """Armijo backtracking along the projection arc for a batch of rows
+    (Bertsekas, IEEE TAC 1976).
 
-    Row i tries step[i], step[i]/2, ... up to MAX_HALVINGS halvings and takes
-    the first trial whose projected move passes the sufficient-decrease test;
-    it stops unaccepted at the first trial whose projected move is zero. The
-    trials of a block are evaluated in one objective call, and the first one
-    that passes is the one halving a step at a time would have taken.
+    Row i tries step[i] 0.5^k for k = 0 ... MAX_HALVINGS - 1 and takes the
+    first trial whose projected move passes the sufficient-decrease test; it
+    stops unaccepted at the first trial whose projected move is zero. Every
+    trial of every row is projected in one call and scored in one objective
+    call, so each row takes the trial that halving one step at a time would.
     Returns (accepted, z, f, step) per row.
     """
     rows, dim = z.shape
-    accepted = np.zeros(rows, dtype=bool)
-    z_out, f_out, s_out = z.copy(), fz.copy(), step.copy()
-    search = np.arange(rows)
-    # the first block takes the rows as given; most searches end in it
-    zs, fs, gs, ss = z, fz, grad, step
-    for first in range(0, MAX_HALVINGS, BACKTRACK_BLOCK):
-        trial = ss[:, None] * _HALVINGS[first:first + BACKTRACK_BLOCK]
-        base = zs[:, None, :]
-        cand = project((base - trial[..., None] * gs[:, None, :]).reshape(-1, dim))
-        cand = cand.reshape(search.size, -1, dim)
-        move = cand - base
-        move_sq = (move * move).sum(axis=-1)
-        fc = objective(cand.reshape(-1, dim)).reshape(move_sq.shape)
-        stop = (fc <= fs[:, None] - 1e-2 * move_sq / trial) | (move_sq == 0.0)
-        j = stop.argmax(axis=1)
-        ar = np.arange(search.size)
-        done = stop[ar, j]
-        pick = np.flatnonzero(done & (move_sq[ar, j] != 0.0))
-        jp = j[pick]
-        take = search[pick]
-        accepted[take] = True
-        z_out[take], f_out[take], s_out[take] = cand[pick, jp], fc[pick, jp], trial[pick, jp]
-        search = search[~done]
-        if search.size == 0:
-            break
-        zs, fs, gs, ss = z[search], fz[search], grad[search], step[search]
-    return accepted, z_out, f_out, s_out
+    trial = step[:, None] * _HALVINGS
+    base = z[:, None, :]
+    cand = project((base - trial[..., None] * grad[:, None, :]).reshape(-1, dim))
+    cand = cand.reshape(rows, MAX_HALVINGS, dim)
+    move = cand - base
+    move_sq = (move * move).sum(axis=-1)
+    fc = objective(cand.reshape(-1, dim)).reshape(move_sq.shape)
+    stop = (fc <= fz[:, None] - 1e-2 * move_sq / trial) | (move_sq == 0.0)
+    ar, j = np.arange(rows), stop.argmax(axis=1)
+    accepted = stop[ar, j] & (move_sq[ar, j] != 0.0)
+    return (accepted, np.where(accepted[:, None], cand[ar, j], z),
+            np.where(accepted, fc[ar, j], fz), np.where(accepted, trial[ar, j], step))
 
 
 def _newton_direction(grad: np.ndarray, blocks: tuple, z: np.ndarray, n: int,
@@ -570,7 +553,7 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, n: int, *,
     and compute shares (each block sums to <= 1). All rows descend together:
     an iteration makes one `derivatives` call (the analytic gradient and
     Hessian blocks, see JointEvaluator.derivatives), one `objective` call for
-    the Newton trials and one per backtracking block for the whole batch,
+    the Newton trials and one for every backtracking trial of the whole batch,
     while every row keeps its own step, Barzilai-Borwein pair and quiet
     count; a row that stops leaves the batch. The returned iteration count is
     summed over rows. With optimize_power False the power block of the
@@ -772,7 +755,7 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
     The projected-gradient schemes pick their starts in _best_start: with
     every plant unstable only the lowest-valued start descends, otherwise
     every start descends as one batch and the lowest end point wins. Both use
-    the analytic derivatives and blocked backtracking (_projected_gradient);
+    the analytic derivatives and Armijo backtracking (_projected_gradient);
     the trace reports the winning start, whether it converged, and its
     projected-gradient norm (projected_gradient_norm) as the certificate.
     Every scheme is re-scored under the penalized LQR total (lqr_total).

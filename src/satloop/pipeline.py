@@ -98,8 +98,8 @@ def loop_outcomes(models, period_s: float, r_up, r_down, t_up, t_comp, t_down, t
 
     A loop is stable when its rate-limited cost is finite. A time-infeasible
     cycle delivers nothing, is not stable and costs math.inf. Every loop's
-    cost comes from one control.rate_cost call with RateCostModel.cost's
-    products, so each equals control.lqr_cost(models[i], eff) bit for bit.
+    cost comes from one control.rate_cost call with control.rate_cost_terms,
+    so each equals control.lqr_cost(models[i], eff) bit for bit.
     """
     n = len(models)
     table = np.empty((7, n))  # r_up, r_down, t_up, t_comp, t_down, t_prop, eff
@@ -108,10 +108,7 @@ def loop_outcomes(models, period_s: float, r_up, r_down, t_up, t_comp, t_down, t
                                           effective_bits, time_feasible)):
         row[...] = column
     eff = table[6] = np.where(ok, np.maximum(table[6], 0.0), 0.0)
-    cost = np.where(ok, control.rate_cost(
-        eff, np.array([m.plant.a * m.plant.a for m in models]),
-        np.array([m.sensitivity * m.plant.w_cov for m in models]),
-        np.array([m.j_ideal for m in models])), math.inf)
+    cost = np.where(ok, control.rate_cost(eff, *control.rate_cost_terms(models)), math.inf)
     return tuple(LoopOutcome(*times, e, control.cner_bps(e, period_s), c < math.inf, c, f)
                  for (*times, e), c, f in zip(table.T.tolist(), cost.tolist(), ok.tolist()))
 

@@ -28,9 +28,8 @@ ASSUMED = "assumed"
 # overflow the float arithmetic of the checks or size an array past memory.
 MAX_COUNT = 10_000
 
-# libyaml's C parser and emitter when PyYAML was built with it
+# libyaml's C parser when PyYAML was built with it
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 class ScenarioError(ValueError):
@@ -493,17 +492,14 @@ def dump_scenario(scenario: Scenario) -> str:
     """Canonical normalized dump; load(dump(s)) == s and byte-stable.
 
     Written from the fixed schema, byte for byte as yaml.dump with SafeDumper,
-    sorted keys and block style writes it; any other tree takes yaml.dump.
+    sorted keys and block style writes it; any other tree takes yaml.dump
+    with SafeDumper itself (libyaml's emitter folds some names elsewhere).
     """
     out = []
     if _block(_SCHEMA, scenario.tree, "", set(), out):
         return "".join(out)
-    # A name outside printable ASCII is written double-quoted with escapes,
-    # and libyaml folds a long one at other columns than PyYAML; such a name
-    # takes the pure-Python emitter so that every dump keeps its bytes.
-    name = scenario.tree["name"]
-    dumper = _Dumper if name.isascii() and name.isprintable() else yaml.SafeDumper
-    return yaml.dump(scenario.tree, Dumper=dumper, sort_keys=True, default_flow_style=False)
+    return yaml.dump(scenario.tree, Dumper=yaml.SafeDumper, sort_keys=True,
+                     default_flow_style=False)
 
 
 def default_scenario() -> Scenario:

@@ -520,6 +520,22 @@ class TestJointEvaluator:
         assert [o.stable for o in sets[0]] == [True, True, False, True, False]
         assert [o.time_feasible for o in sets[1]] == [True, True, True, True, False]
 
+    def test_objective_squares_a_as_the_outcomes_do(self):
+        """The solver's cost and the reported cost share one a^2 (a * a).
+
+        For this a, a ** 2 is 1 ulp away from a * a, and at these resources
+        the loop sits so close to its data-rate threshold that a ** 2 would
+        make the solver's cost a third higher.
+        """
+        base = _default_joint()
+        robot = base.robots[0]
+        plant = dataclasses.replace(robot.plant, a=1.6533124743845402)
+        assert plant.a ** 2 != plant.a * plant.a
+        ev = JointEvaluator(dataclasses.replace(base, robots=(RobotLoop(robot.downlink, plant),)))
+        power, compute = np.array([6.759952021773342e-07]), np.array([1e10])
+        cost = ev.cost_vector(power, compute)[0]
+        assert cost == ev.outcomes(power, compute)[0].lqr_cost == 3.5492351208945565e15
+
 
 class TestAnalyticGradient:
     """The gradient of JointEvaluator.derivatives against the central-difference oracle."""
@@ -836,12 +852,18 @@ class TestBatchedPgd:
         assert (result.value <= objective(projected.reshape(starts.shape))).all()
         assert np.array_equal(result.value, objective(result.z))
 
-    def test_blocked_backtracking_matches_one_halving_at_a_time(self):
-        """Each row takes the first passing halving, across block boundaries."""
+    def test_backtracking_matches_one_halving_at_a_time(self):
+        """Each row takes the first passing halving, all of them scored in one
+        objective call."""
         problem = _default_joint()
         ev = JointEvaluator(problem)
         objective, derivatives = optimize._scaled_objective(
             ev, problem.total_power_w, problem.total_compute_cps)
+        calls = []
+
+        def counted(batch):
+            calls.append(len(batch))
+            return objective(batch)
 
         def project(z):
             return project_capped_simplex(z.reshape(-1, 2, ev.n), 1.0).reshape(z.shape)
@@ -849,14 +871,15 @@ class TestBatchedPgd:
         rng = np.random.default_rng(4)
         z = project(np.concatenate([rng.dirichlet(np.ones(ev.n), 40),
                                     rng.dirichlet(np.ones(ev.n), 40)], axis=1))
-        step = 10.0 ** rng.uniform(-12.0, 8.0, len(z))  # from no halving to many blocks
+        step = 10.0 ** rng.uniform(-12.0, 8.0, len(z))  # from no halving to dozens
         grad = derivatives(z)[0]
         # row 0 sits on a vertex and is pushed straight out of it: the
         # projected move is exactly zero, so the row stops unaccepted
         z[0] = np.concatenate([np.eye(ev.n)[0], np.eye(ev.n)[1]])
         grad[0], step[0] = -z[0], 4.0
         fz = objective(z)
-        got = optimize._backtrack(objective, project, z, fz, grad, step)
+        got = optimize._backtrack(counted, project, z, fz, grad, step)
+        assert calls == [len(z) * optimize.MAX_HALVINGS]
         for i in range(len(z)):
             want = (False, z[i], fz[i], step[i])
             s = step[i]

@@ -261,7 +261,6 @@ class TestLibyaml:
 
     def test_scenario_uses_the_c_classes(self):
         assert scenario._Loader is yaml.CSafeLoader
-        assert scenario._Dumper is yaml.CSafeDumper
 
     def test_loaders_give_equal_trees(self):
         for text in _documents():
