@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -70,9 +71,19 @@ def _csv(scn: Scenario, digest: str, header, rows) -> str:
 
 
 def _write(path: Path, text: str) -> None:
+    """Write text as UTF-8 over path in place, then cut what is left of a longer
+    old file: no truncate to zero, after which ext4 (auto_da_alloc) flushes at close."""
+    data = text.encode("utf-8")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="\n")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise _IoFailure(f"cannot write {path}: {exc}") from exc
 

@@ -3,6 +3,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import stat
 import tempfile
 import warnings
 from pathlib import Path
@@ -741,3 +743,85 @@ class TestBaselineSweepWork:
         for (_, _, previous), (_, extra, result) in zip(compute_only, compute_only[1:]):
             assert [d is previous.decision for d in extra] == [True]
             assert result.solver_trace.restarts == 2
+
+
+_OUTPUTS = {"single-loop": ("single_loop.csv", "single_loop_lqr.svg"),
+            "multi-loop": ("multi_loop_sweep.csv", "multi_loop_allocation.csv",
+                           "multi_loop_sweep.svg", "multi_loop_allocation.svg"),
+            "contour": ("contour.csv", "contour.svg")}
+
+
+def _run_small(tmp_path, verb, out) -> dict:
+    """Run verb on the small document into out; output name -> bytes."""
+    doc = tmp_path / "small.yaml"
+    doc.write_text(TestPlantCorners.SMALL)
+    assert main([verb, "--scenario", str(doc), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(_OUTPUTS[verb])
+    return {name: (out / name).read_bytes() for name in _OUTPUTS[verb]}
+
+
+class TestRerunInPlace:
+    """A run into a directory that already holds its outputs writes over them
+    in place, with the bytes a run into a fresh directory writes."""
+
+    @pytest.mark.parametrize("verb", ["single-loop", "multi-loop", "contour"])
+    def test_rerun_over_any_old_bytes_matches_a_fresh_run(self, tmp_path, verb):
+        fresh = _run_small(tmp_path, verb, tmp_path / "fresh")
+        out = tmp_path / "again"
+        out.mkdir()
+        for old in (lambda data: data,                               # its own bytes
+                    lambda data: b"\xff" * (len(data) + 4096),       # longer junk
+                    lambda data: b"\xff" * (len(data) // 2)):        # shorter junk
+            for name, data in fresh.items():
+                (out / name).write_bytes(old(data))
+            assert _run_small(tmp_path, verb, out) == fresh
+
+    def test_new_file_has_the_mode_of_open_w(self, tmp_path):
+        previous = os.umask(0o027)
+        try:
+            with open(tmp_path / "probe", "w"):
+                pass
+            _run_small(tmp_path, "single-loop", tmp_path / "out")
+        finally:
+            os.umask(previous)
+        want = stat.S_IMODE((tmp_path / "probe").stat().st_mode)
+        assert want == 0o640
+        for name in _OUTPUTS["single-loop"]:
+            assert stat.S_IMODE((tmp_path / "out" / name).stat().st_mode) == want
+
+
+class TestWriteFailure:
+    @pytest.mark.parametrize("blocker", ["output_is_a_directory", "out_under_a_file"])
+    def test_exit_4_and_one_line_message(self, tmp_path, capsys, blocker):
+        if blocker == "output_is_a_directory":
+            out = tmp_path / "out"
+            (out / "single_loop.csv").mkdir(parents=True)
+        else:
+            (tmp_path / "file").write_text("x")
+            out = tmp_path / "file" / "out"
+        assert main(["single-loop", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("cannot write ")
+
+
+class TestNoTruncatingOpen:
+    @pytest.mark.parametrize("verb", ["single-loop", "multi-loop", "contour"])
+    def test_outputs_are_opened_once_without_o_trunc(self, tmp_path, monkeypatch, verb):
+        """Each output is opened through os.open once per run, fresh or over an
+        old output, and never with O_TRUNC: on ext4 (auto_da_alloc) a truncate
+        to zero flushes the file at close, which made reruns slow."""
+        out = tmp_path / "out"
+        opened = []
+        original = os.open
+
+        def recorded(path, flags, *args, **kwargs):
+            if Path(path).parent == out:
+                opened.append((Path(path).name, flags))
+            return original(path, flags, *args, **kwargs)
+        monkeypatch.setattr(os, "open", recorded)
+        for _ in range(2):
+            _run_small(tmp_path, verb, out)
+        assert sorted(name for name, _ in opened) == sorted(_OUTPUTS[verb] * 2)
+        for _, flags in opened:
+            assert flags & os.O_TRUNC == 0
+            assert flags & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
