@@ -1077,6 +1077,7 @@ class TestDeterministicStarts:
         (985, 3, MultiLoopScheme.TASK_ORIENTED_JOINT),       # 4.8e-7
         (1615, 4, MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM),  # 1.2e-4
         (724, 4, MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM),   # 1.3e-4
+        (24548, 3, MultiLoopScheme.TASK_ORIENTED_JOINT),     # 7.4e-5
     ])
     def test_recorded_stable_draws_above_the_bound(self, seed, n_robots, scheme):
         """The stable-plant draws of test_random_restarts_buy_nothing that end
