@@ -92,17 +92,14 @@ def intrinsic_entropy_rate(plant: Plant, period_s: float) -> float:
 def is_stabilizable_at(plant: Plant, cner_bps: float, period_s: float) -> bool:
     """Whether an information rate of cner_bps suffices for stability.
 
-    Strict test cner > intrinsic entropy rate; stable plants (zero entropy
-    rate) need no information and return True for any cner >= 0. Within
-    rounding of the threshold it can disagree with rate_gap, the test that
-    pipeline.LoopOutcome.stable uses.
+    True exactly where the rate-cost curve is finite at R = cner_bps *
+    period_s bits per step (rate_gap, the test of pipeline.LoopOutcome.stable
+    and both solvers): 4^R > a^2. A plant with |a| < 1 is stabilizable at
+    any rate, one with |a| = 1 needs a positive rate.
     """
     if cner_bps < 0.0:
         raise ValueError(f"cner must be non-negative, got {cner_bps}")
-    h = intrinsic_entropy_rate(plant, period_s)
-    if h == 0.0:
-        return True
-    return cner_bps > h
+    return bool(rate_gap(np.array([cner_bps * period_s]), plant.a * plant.a)[2][0])
 
 
 def cner_bps(effective_bits_per_cycle: float, cycle_period_s: float) -> float:

@@ -130,9 +130,6 @@ class SolverTrace:
     restarts: int = 1  # candidate starts
     # index of the winning start; with only unstable plants, the one that descended
     best_restart: int = 0
-    # Never set: the single-loop search has no grid fallback. Kept because the
-    # benchmark tracer reads it into its optimize.dense_grid_fallbacks counter.
-    fallback_dense_grid: bool = False
     all_infeasible: bool = False
     method: str = ""
     max_iter_rows: int = 0  # descending starts still running after PGD_MAX_ITER iterations
@@ -140,6 +137,8 @@ class SolverTrace:
     # in budget-scaled shares at the returned point, 0 exactly at a KKT point
     # (NaN for the solves that run no projected gradient)
     projected_gradient_norm: float = math.nan
+    # Not a field: there is no grid fallback, but the benchmark tracer reads it.
+    fallback_dense_grid = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +247,9 @@ def _single_result(problem: SingleLoopProblem, b_up: float, objective_value: flo
                    trace: SolverTrace) -> AllocationResult:
     """The split b_up re-scored once through the full cycle model.
 
-    The task-oriented objective value is the penalized LQR cost there.
+    The balanced split always fits the cycle, so lqr_total (also the
+    task-oriented objective value) is the outcome's cost, penalized where
+    it is infinite.
     """
     model = RateCostModel.from_plant(problem.plant)
     uplink = problem.uplink_template.with_bandwidth(b_up)
@@ -259,8 +260,8 @@ def _single_result(problem: SingleLoopProblem, b_up: float, objective_value: flo
     outcome = pipeline.evaluate_cycle(uplink, downlink, problem.budget, model, t_up, t_down)
     if outcome.lqr_cost == math.inf:
         trace = dataclasses.replace(trace, all_infeasible=True)
-    eff = outcome.effective_bits_per_cycle
-    lqr_total = float(_penalized(model.cost(eff), model.threshold_bits, eff))
+    lqr_total = float(_penalized(outcome.lqr_cost, model.threshold_bits,
+                                 outcome.effective_bits_per_cycle))
     if problem.objective == SingleLoopObjective.TASK_ORIENTED:
         objective_value = lqr_total
     return AllocationResult(
@@ -752,12 +753,13 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
     Compute-only: equal power frozen, projected gradient over compute from
     the equal split and the compute shares of the callers' extra starts
     (report passes the previous power point's compute-only decision).
-    The projected-gradient schemes pick their starts in _best_start: with
-    every plant unstable only the lowest-valued start descends, otherwise
-    every start descends as one batch and the lowest end point wins. Both use
-    the analytic derivatives and Armijo backtracking (_projected_gradient);
-    the trace reports the winning start, whether it converged, and its
-    projected-gradient norm (projected_gradient_norm) as the certificate.
+    The two projected-gradient schemes share one branch and pick their starts
+    in _best_start: with every plant unstable only the lowest-valued start
+    descends, otherwise every start descends as one batch and the lowest end
+    point wins. Both use the analytic derivatives and Armijo backtracking
+    (_projected_gradient) and return the shares _best_start scored times the
+    totals; the trace reports the winning start, whether it converged, and
+    its projected-gradient norm (projected_gradient_norm) as the certificate.
     Every scheme is re-scored under the penalized LQR total (lqr_total).
     """
     evaluator = JointEvaluator(problem)
@@ -771,16 +773,13 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
         trace = SolverTrace(iterations=1, converged=True, method="water_filling")
         return _multi_result(evaluator, power, compute, throughput, trace)
 
-    if problem.scheme == MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM:
-        power = np.full(n, p_tot / n)
-        starts = _compute_only_starts(evaluator, p_tot, f_tot, extra_starts)
-        z, value, trace = _best_start(evaluator, starts, optimize_power=False,
-                                      method="projected_gradient_compute_only")
-        return _multi_result(evaluator, power, z[n:] * f_tot, value, trace)
-
-    starts = _task_starts(evaluator, p_tot, f_tot, extra_starts)
-    z, value, trace = _best_start(evaluator, starts, optimize_power=True,
-                                  method="projected_gradient")
+    optimize_power = problem.scheme == MultiLoopScheme.TASK_ORIENTED_JOINT
+    if optimize_power:
+        build, method = _task_starts, "projected_gradient"
+    else:
+        build, method = _compute_only_starts, "projected_gradient_compute_only"
+    z, value, trace = _best_start(evaluator, build(evaluator, p_tot, f_tot, extra_starts),
+                                  optimize_power=optimize_power, method=method)
     return _multi_result(evaluator, z[:n] * p_tot, z[n:] * f_tot, value, trace)
 
 

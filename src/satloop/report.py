@@ -31,11 +31,7 @@ _SINGLE_SCHEMES = (
     ("min_latency", SingleLoopObjective.MIN_LATENCY),
     ("max_throughput", SingleLoopObjective.MAX_THROUGHPUT),
 )
-_MULTI_SCHEMES = (
-    ("task_oriented", MultiLoopScheme.TASK_ORIENTED_JOINT),
-    ("max_throughput", MultiLoopScheme.MAX_THROUGHPUT_JOINT),
-    ("compute_only", MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM),
-)
+_MULTI_SCHEMES = ("task_oriented", "max_throughput", "compute_only")  # CSV column order
 
 
 @dataclass(frozen=True)
@@ -151,7 +147,7 @@ def cmd_multi_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRec
     """Power sweep per scheme plus per-robot allocation at the detail point."""
     started = time.perf_counter()
     digest = scenario_hash(scn)
-    names = [name for name, _ in _MULTI_SCHEMES]
+    names = _MULTI_SCHEMES
     # one problem at the allocation (detail) point; every solve varies only
     # its power total and its scheme, and the detail point is solved last
     base = scn.multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT)

@@ -446,16 +446,14 @@ _STR_TAG = "tag:yaml.org,2002:str"
 def _plain(value):
     """value as SafeDumper writes it, or None where it is not a plain scalar here.
 
-    Floats are spelled as SafeRepresenter.represent_float spells them.
+    Finite floats are spelled as SafeRepresenter.represent_float spells them.
+    A loaded scenario holds no other float (_float refuses them), so a
+    non-finite one is left to yaml.dump.
     """
     kind = type(value)
     if kind is float:
-        if value != value:
-            return ".nan"
-        if value == math.inf:
-            return ".inf"
-        if value == -math.inf:
-            return "-.inf"
+        if not math.isfinite(value):
+            return None
         text = repr(value).lower()
         return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
     if kind is int:

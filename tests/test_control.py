@@ -160,6 +160,48 @@ class TestStabilizable:
             is_stabilizable_at(_plant(), -1.0, 0.02)
 
 
+def _ulps(x: float, k: int) -> float:
+    """x moved k ulps, up for k > 0 and down for k < 0."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def _plant_and_rate(draw):
+    """(a, R): a marginal, stable or unstable (|a| up to e^5) plant, and a rate
+    in bits per step at 0, tiny, anywhere, or within 3 ulps of log2 |a|."""
+    size = draw(st.one_of(
+        st.sampled_from([1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(0.01, 5.0).map(math.exp)))
+    threshold = math.log2(size) if size > 0.0 else 0.0
+    rate = draw(st.one_of(
+        st.just(0.0), st.sampled_from([5e-324, 1e-300]), st.floats(0.0, 1e-300),
+        st.floats(0.0, 20.0),
+        st.integers(-3, 3).map(lambda k: max(_ulps(threshold, k), 0.0))))
+    return draw(st.sampled_from([size, -size])), rate
+
+
+class TestOneStabilityAnswer:
+    """is_stabilizable_at gives the rate-cost curve's answer: stable exactly
+    where J(cner * T) is finite."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_plant_and_rate(), period=st.floats(1e-3, 1.0),
+           b=st.floats(0.2, 3.0), w=st.floats(1e-3, 1e3), q=st.floats(0.1, 5.0),
+           r=st.floats(0.1, 5.0))
+    @example(case=(1.0, 0.0), period=0.02, b=1.0, w=1.0, q=1.0, r=1.0)
+    @example(case=(-1.0, 0.0), period=0.02, b=1.0, w=1.0, q=1.0, r=1.0)
+    def test_agrees_with_finite_cost(self, case, period, b, w, q, r):
+        a, rate = case
+        plant = _plant(a=a, b=b, w=w, q=q, r=r)
+        model = RateCostModel.from_plant(plant)
+        cner = rate / period
+        assert is_stabilizable_at(plant, cner, period) == \
+            (lqr_cost(model, cner * period) < math.inf)
+
+
 class TestCner:
     def test_arithmetic(self):
         assert cner_bps(1.0, 0.02) == pytest.approx(50.0)

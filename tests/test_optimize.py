@@ -27,7 +27,7 @@ from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme,
                               solve_single_loop, sweep_contour, water_fill_power)
 from satloop.pipeline import (balanced_times, evaluate_cycle, loop_outcomes,
                               propagation_delay_s)
-from satloop.scenario import default_scenario
+from satloop.scenario import default_scenario, load_scenario
 from oracles import (BUDGET, DimensionTooLargeError, all_starts_descend,
                      central_difference_gradient, central_difference_hessian,
                      exact_capped_simplex, compute_only_kkt, grid_oracle, multi_start_solve,
@@ -169,6 +169,30 @@ class TestSingleLoop:
             assert infeasible == {True, False}
             ranked = np.array(effs)[np.argsort(got, kind="stable")]
             assert np.all(np.diff(ranked) < 0.0), ranked
+
+
+class TestSingleLoopScoredByOutcome:
+    """A split is scored once, by its outcome: the balanced split always fits
+    the cycle, so lqr_total is the outcome's cost, penalized where infinite."""
+
+    @staticmethod
+    def _problems():
+        from bench.workloads import generate_documents
+        rng = np.random.default_rng(18)
+        problems = [random_single_loop_problem(rng) for _ in range(200)]
+        return problems + [load_scenario(text).single_loop_problem(
+            SingleLoopObjective.TASK_ORIENTED) for text in generate_documents(1)]
+
+    def test_lqr_total_is_the_outcome_cost(self):
+        for base in self._problems():
+            for objective in SingleLoopObjective:
+                result = solve_single_loop(dataclasses.replace(base, objective=objective))
+                outcome, = result.per_loop_outcomes
+                assert outcome.time_feasible, (base, objective)
+                if outcome.lqr_cost < math.inf:
+                    assert result.lqr_total == outcome.lqr_cost, (base, objective)
+                else:
+                    assert result.lqr_total >= optimize.INFEASIBILITY_PENALTY, (base, objective)
 
 
 class TestProjection:
