@@ -282,13 +282,17 @@ class JointEvaluator:
     Power/frequency arrays broadcast along the last axis (one entry per
     robot), so a batch of candidate decisions evaluates in a single call.
     Effective bits are kept signed (negative when computing alone overruns
-    the cycle) to keep penalty gradients informative.
+    the cycle) to keep penalty gradients informative. It holds only what the
+    problems of one sweep share: the per-robot arrays and models, the budget
+    and the uplink volume. The resource totals and the scheme come from the
+    problem being solved, so one evaluator serves every solve of a sweep.
     """
 
     def __init__(self, problem: MultiLoopProblem):
         robots = problem.robots
         self.n = len(robots)
-        self.problem = problem
+        self.budget = problem.budget
+        self.uplink_fixed_bits = problem.uplink_fixed_bits
         links = [r.downlink for r in robots]
         dist = np.array([linkgeom.slant_range_m(link.geometry) for link in links])
         if not np.all(dist > 0.0):  # at a tiny altitude the slant range is rounding noise
@@ -326,13 +330,14 @@ class JointEvaluator:
         """(rate, t_comp, window, eff) per robot: a fixed volume and no uplink stage."""
         rate = self.rates_bps(power_w)
         return (rate,) + pipeline.store_and_forward(
-            self.problem.uplink_fixed_bits, 0.0, rate, self.t_prop, compute_cps,
-            self.problem.budget)
+            self.uplink_fixed_bits, 0.0, rate, self.t_prop, compute_cps, self.budget)
 
-    def cost_vector(self, power_w: np.ndarray, compute_cps: np.ndarray) -> np.ndarray:
-        eff = self._cycle(power_w, compute_cps)[3]
+    def _costs(self, eff: np.ndarray) -> np.ndarray:
         cost = control.rate_cost(eff, self.a_sq, self.sens_w, self.j_ideal)
         return _penalized(cost, self.threshold_bits, eff)
+
+    def cost_vector(self, power_w: np.ndarray, compute_cps: np.ndarray) -> np.ndarray:
+        return self._costs(self._cycle(power_w, compute_cps)[3])
 
     def total_cost(self, power_w: np.ndarray, compute_cps: np.ndarray) -> np.ndarray:
         return self.cost_vector(power_w, compute_cps).sum(axis=-1)
@@ -379,15 +384,38 @@ class JointEvaluator:
                  curve * e_p * e_f + slope * d_rate * d_window,
                  curve * e_f * e_f + slope * rate * dd_window))
 
-    def outcomes(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
-        """Physical per-robot LoopOutcome tuple; a capped downlink stops at the cap."""
+    def score(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
+        """(lqr_total, outcomes) of one decision from one cycle evaluation:
+        the penalized total_cost and the physical per-robot LoopOutcome
+        tuple, in which a capped downlink stops at the cap."""
         rate, t_comp, window, eff = self._cycle(power_w, compute_cps)
         with np.errstate(divide="ignore"):
             t_down = np.where(eff >= self.cap_bits, self.cap_bits / rate,
                               np.maximum(window, 0.0))
-        return pipeline.loop_outcomes(self.models, self.problem.budget.cycle_period_s,
-                                      0.0, rate, 0.0, t_comp, t_down, self.t_prop,
-                                      eff, window >= 0.0)
+        return (float(self._costs(eff).sum(axis=-1)),
+                pipeline.loop_outcomes(self.models, self.budget.cycle_period_s, 0.0, rate,
+                                       0.0, t_comp, t_down, self.t_prop, eff, window >= 0.0))
+
+    def outcomes(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
+        """Physical per-robot LoopOutcome tuple; a capped downlink stops at the cap."""
+        return self.score(power_w, compute_cps)[1]
+
+
+_last_evaluator = (None, None)  # (key, evaluator) of the last joint solve
+
+
+def _sweep_evaluator(problem: MultiLoopProblem) -> JointEvaluator:
+    """The problem's JointEvaluator from a one-entry memo keyed on (robots,
+    budget, uplink volume). The robots tuple compares by identity (RobotLoop
+    is eq=False) and dataclasses.replace keeps it, so the solves of one
+    sweep build one evaluator."""
+    global _last_evaluator
+    key = (problem.robots, problem.budget, problem.uplink_fixed_bits)
+    last_key, evaluator = _last_evaluator
+    if last_key != key:
+        evaluator = JointEvaluator(problem)
+        _last_evaluator = (key, evaluator)
+    return evaluator
 
 
 def project_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
@@ -546,12 +574,13 @@ def _project_shares(z: np.ndarray, n: int, optimize_power: bool) -> np.ndarray:
     return np.concatenate([z[:, :n], project_capped_simplex(z[:, n:], 1.0)], axis=1)
 
 
-def _projected_gradient(objective, derivatives, z0: np.ndarray, n: int, *,
+def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, n: int, *,
                         optimize_power: bool = True) -> _PgdResult:
     """Minimize objective(z) over the product of two capped simplexes, per row of z0.
 
-    Each row of z0 (one start, shape (R, 2n) in all) holds budget-scaled power
-    and compute shares (each block sums to <= 1). All rows descend together:
+    Each row of z0 (one start, shape (R, 2n) in all) holds feasible
+    budget-scaled power and compute shares (_project_shares of a start), and
+    f0 holds their objective values. All rows descend together:
     an iteration makes one `derivatives` call (the analytic gradient and
     Hessian blocks, see JointEvaluator.derivatives), one `objective` call for
     the Newton trials and one for every backtracking trial of the whole batch,
@@ -575,8 +604,7 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, n: int, *,
     def project(z):
         return _project_shares(z, n, optimize_power)
 
-    z = project(np.array(z0, dtype=float))
-    fz = objective(z)
+    z, fz = np.array(z0, dtype=float), np.array(f0, dtype=float)
     converged = np.zeros(z.shape[0], dtype=bool)
     iterations = 0
     # The running rows, compacted: their indices into z, iterate, value, last
@@ -702,28 +730,31 @@ def _compute_only_starts(evaluator: JointEvaluator, p_tot: float, f_tot: float,
     return [np.concatenate([power, compute]) for compute in computes]
 
 
-def _best_start(evaluator: JointEvaluator, starts: list, *, optimize_power: bool,
-                method: str):
-    """PGD from the starts: the winning row, its value, and the trace with the
-    winner's projected-gradient norm as its certificate.
+def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: list, *,
+                optimize_power: bool, method: str):
+    """PGD from the starts under the problem's totals: the winning row, its
+    value, and the trace with the winner's projected-gradient norm as its
+    certificate.
 
-    When every robot's plant is unstable (|a| >= 1) the cost is convex where
-    it is feasible (module docstring), so only the start of lowest projected
-    value descends: every accepted step lowers the value, so the result is
-    never above any start's, and a feasible start, if there is one, wins over
+    Every start is projected and scored once, in one call each. When every
+    robot's plant is unstable (|a| >= 1) the cost is convex where it is
+    feasible (module docstring), so only the start of lowest projected value
+    descends: every accepted step lowers the value, so the result is never
+    above any start's, and a feasible start, if there is one, wins over
     every penalised one. With any stable plant every start descends as one
     batch and the lowest end point wins.
     """
-    problem = evaluator.problem
     n = evaluator.n
     objective, derivatives = _scaled_objective(evaluator, problem.total_power_w,
                                                problem.total_compute_cps)
-    z0 = np.array(starts)
+    z0 = _project_shares(np.array(starts, dtype=float), n, optimize_power)
+    f0 = objective(z0)
     first = 0
     if np.all(evaluator.a_sq >= 1.0):
-        first = int(np.argmin(objective(_project_shares(z0, n, optimize_power))))
-        z0 = z0[first:first + 1]
-    res = _projected_gradient(objective, derivatives, z0, n, optimize_power=optimize_power)
+        first = int(np.argmin(f0))
+        z0, f0 = z0[first:first + 1], f0[first:first + 1]
+    res = _projected_gradient(objective, derivatives, z0, f0, n,
+                              optimize_power=optimize_power)
     row = int(np.argmin(res.value))
     best = first + row
     z = res.z[row:row + 1]
@@ -761,8 +792,9 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
     totals; the trace reports the winning start, whether it converged, and
     its projected-gradient norm (projected_gradient_norm) as the certificate.
     Every scheme is re-scored under the penalized LQR total (lqr_total).
+    The solves of one sweep share one JointEvaluator (_sweep_evaluator).
     """
-    evaluator = JointEvaluator(problem)
+    evaluator = _sweep_evaluator(problem)
     n = evaluator.n
     p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
 
@@ -771,21 +803,23 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
         compute = np.full(n, f_tot / n)  # uplink loads are identical per robot
         throughput = float(evaluator.rates_bps(power).sum())
         trace = SolverTrace(iterations=1, converged=True, method="water_filling")
-        return _multi_result(evaluator, power, compute, throughput, trace)
+        return _multi_result(evaluator, problem, power, compute, throughput, trace)
 
     optimize_power = problem.scheme == MultiLoopScheme.TASK_ORIENTED_JOINT
     if optimize_power:
         build, method = _task_starts, "projected_gradient"
     else:
         build, method = _compute_only_starts, "projected_gradient_compute_only"
-    z, value, trace = _best_start(evaluator, build(evaluator, p_tot, f_tot, extra_starts),
+    z, value, trace = _best_start(evaluator, problem,
+                                  build(evaluator, p_tot, f_tot, extra_starts),
                                   optimize_power=optimize_power, method=method)
-    return _multi_result(evaluator, z[:n] * p_tot, z[n:] * f_tot, value, trace)
+    return _multi_result(evaluator, problem, z[:n] * p_tot, z[n:] * f_tot, value, trace)
 
 
-def _multi_result(evaluator: JointEvaluator, power: np.ndarray, compute: np.ndarray,
-                  objective_value: float, trace: SolverTrace) -> AllocationResult:
-    problem = evaluator.problem
+def _multi_result(evaluator: JointEvaluator, problem: MultiLoopProblem, power: np.ndarray,
+                  compute: np.ndarray, objective_value: float,
+                  trace: SolverTrace) -> AllocationResult:
+    """The decision checked against the problem's budgets and scored once."""
     if not (power.min() >= 0.0 and compute.min() >= 0.0):
         raise RuntimeError("allocation has a negative power or compute share")
     if not power.sum() <= problem.total_power_w * (1.0 + 1e-9):
@@ -794,8 +828,7 @@ def _multi_result(evaluator: JointEvaluator, power: np.ndarray, compute: np.ndar
     if not compute.sum() <= problem.total_compute_cps * (1.0 + 1e-9):
         raise RuntimeError(f"allocated compute {compute.sum()!r} cps exceeds the budget "
                            f"{problem.total_compute_cps!r} cps")
-    lqr_total = float(evaluator.total_cost(power, compute))
-    outcomes = evaluator.outcomes(power, compute)
+    lqr_total, outcomes = evaluator.score(power, compute)
     if all(o.lqr_cost == math.inf for o in outcomes):
         trace = dataclasses.replace(trace, all_infeasible=True)
     return AllocationResult(

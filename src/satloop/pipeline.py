@@ -96,10 +96,13 @@ def loop_outcomes(models, period_s: float, r_up, r_down, t_up, t_comp, t_down, t
     """One LoopOutcome per loop i (plant model models[i]) from columns that
     broadcast to one entry per loop.
 
-    A loop is stable when its rate-limited cost is finite. A time-infeasible
-    cycle delivers nothing, is not stable and costs math.inf. Every loop's
-    cost comes from one control.rate_cost call with control.rate_cost_terms,
-    so each equals control.lqr_cost(models[i], eff) bit for bit.
+    A loop is stable when its effective bits clear the data-rate threshold
+    (control.rate_gap's finite flag, the test of control.is_stabilizable_at),
+    even where its cost overflows the float range to math.inf. A
+    time-infeasible cycle delivers nothing, is not stable and costs math.inf.
+    Every loop's cost comes from one control.rate_cost call with
+    control.rate_cost_terms, so each equals control.lqr_cost(models[i], eff)
+    bit for bit.
     """
     n = len(models)
     table = np.empty((7, n))  # r_up, r_down, t_up, t_comp, t_down, t_prop, eff
@@ -108,9 +111,12 @@ def loop_outcomes(models, period_s: float, r_up, r_down, t_up, t_comp, t_down, t
                                           effective_bits, time_feasible)):
         row[...] = column
     eff = table[6] = np.where(ok, np.maximum(table[6], 0.0), 0.0)
-    cost = np.where(ok, control.rate_cost(eff, *control.rate_cost_terms(models)), math.inf)
-    return tuple(LoopOutcome(*times, e, control.cner_bps(e, period_s), c < math.inf, c, f)
-                 for (*times, e), c, f in zip(table.T.tolist(), cost.tolist(), ok.tolist()))
+    terms = control.rate_cost_terms(models)
+    stable = ok & control.rate_gap(eff, terms[0])[2]
+    cost = np.where(ok, control.rate_cost(eff, *terms), math.inf)
+    return tuple(LoopOutcome(*times, e, control.cner_bps(e, period_s), s, c, f)
+                 for (*times, e), s, c, f in zip(table.T.tolist(), stable.tolist(),
+                                                 cost.tolist(), ok.tolist()))
 
 
 def evaluate_cycle(uplink: LinkParams, downlink: LinkParams, budget: LoopBudget,

@@ -18,8 +18,8 @@ from satloop.linkgeom import (SPEED_OF_LIGHT_M_S, Geometry, LinkParams, shannon_
 from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme, RobotLoop,
                               SingleLoopObjective, SingleLoopProblem, SolverTrace,
                               _compute_only_starts, _multi_result, _newton_direction,
-                              _projected_gradient, _scaled_objective, _single_objective_fn,
-                              _single_result, _task_starts)
+                              _project_shares, _projected_gradient, _scaled_objective,
+                              _single_objective_fn, _single_result, _task_starts)
 from satloop.pipeline import LoopBudget
 
 # the baseline scenario's budget: a 20 ms cycle, 100 cycles/bit, 10 GC/s, 0.1% extraction
@@ -244,8 +244,8 @@ def random_joint_problem(rng: np.random.Generator, n_robots: int = 2, *,
         uplink_fixed_bits=uplink_bits)
 
 
-def all_starts_descend(evaluator: JointEvaluator, starts: list, *, optimize_power: bool,
-                       method: str):
+def all_starts_descend(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: list, *,
+                       optimize_power: bool, method: str):
     """optimize._projected_gradient from every start as one batch, the lowest
     end point kept: (z, value, trace), the trace without a certificate.
 
@@ -253,8 +253,9 @@ def all_starts_descend(evaluator: JointEvaluator, starts: list, *, optimize_powe
     so a reference that runs through it never descends a single start.
     """
     objective, derivatives = _scaled_objective(
-        evaluator, evaluator.problem.total_power_w, evaluator.problem.total_compute_cps)
-    res = _projected_gradient(objective, derivatives, np.array(starts), evaluator.n,
+        evaluator, problem.total_power_w, problem.total_compute_cps)
+    z0 = _project_shares(np.array(starts, dtype=float), evaluator.n, optimize_power)
+    res = _projected_gradient(objective, derivatives, z0, objective(z0), evaluator.n,
                               optimize_power=optimize_power)
     best = int(np.argmin(res.value))
     trace = SolverTrace(iterations=res.iterations, converged=bool(res.converged[best]),
@@ -287,19 +288,19 @@ def multi_start_solve(problem: MultiLoopProblem, *, seed: int = 0, restarts: int
         starts = _compute_only_starts(evaluator, p_tot, f_tot, extra_starts)
         while len(starts) < restarts:
             starts.append(np.concatenate([power / p_tot, rng.dirichlet(np.ones(n))]))
-        z, value, trace = all_starts_descend(evaluator, starts, optimize_power=False,
+        z, value, trace = all_starts_descend(evaluator, problem, starts, optimize_power=False,
                                              method="multi_start_compute_only")
-        return _multi_result(evaluator, power, z[n:] * f_tot, value, trace)
+        return _multi_result(evaluator, problem, power, z[n:] * f_tot, value, trace)
     starts = _task_starts(evaluator, p_tot, f_tot, extra_starts)
     while len(starts) < restarts:
         starts.append(np.concatenate([rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))]))
-    z, value, trace = all_starts_descend(evaluator, starts, optimize_power=True,
+    z, value, trace = all_starts_descend(evaluator, problem, starts, optimize_power=True,
                                          method="multi_start")
-    return _multi_result(evaluator, z[:n] * p_tot, z[n:] * f_tot, value, trace)
+    return _multi_result(evaluator, problem, z[:n] * p_tot, z[n:] * f_tot, value, trace)
 
 
-def central_difference_gradient(evaluator, power_w: np.ndarray, compute_cps: np.ndarray,
-                                rel_step: float = 1e-6) -> tuple:
+def central_difference_gradient(evaluator, power_w: np.ndarray, compute_cps: np.ndarray, *,
+                                total_power_w: float, rel_step: float = 1e-6) -> tuple:
     """Central-difference (dJ/dpower, dJ/dcompute) of a JointEvaluator's cost.
 
     A check on the analytic gradient of JointEvaluator.derivatives. The joint
@@ -311,8 +312,7 @@ def central_difference_gradient(evaluator, power_w: np.ndarray, compute_cps: np.
     model's 1e-9 cps compute floor for compute, so a zero-compute probe stays
     below the floor.
     """
-    problem = evaluator.problem
-    floors = (0.1 * problem.total_power_w, 1e-9)
+    floors = (0.1 * total_power_w, 1e-9)
     point = (np.asarray(power_w, dtype=float), np.asarray(compute_cps, dtype=float))
     grads = []
     for block, floor in enumerate(floors):
@@ -329,8 +329,8 @@ def central_difference_gradient(evaluator, power_w: np.ndarray, compute_cps: np.
     return tuple(grads)
 
 
-def central_difference_hessian(evaluator, power_w: np.ndarray, compute_cps: np.ndarray,
-                               rel_step: float = 1e-6) -> tuple:
+def central_difference_hessian(evaluator, power_w: np.ndarray, compute_cps: np.ndarray, *,
+                               total_power_w: float, rel_step: float = 1e-6) -> tuple:
     """Central-difference (d2J/dp2, d2J/dp df, d2J/df2) per robot, from the gradient.
 
     A check on the Hessian blocks of JointEvaluator.derivatives. Robot i's
@@ -340,8 +340,7 @@ def central_difference_hessian(evaluator, power_w: np.ndarray, compute_cps: np.n
     mixed entry is the mean of two orders of differentiation. Returns three
     arrays of one entry per robot.
     """
-    problem = evaluator.problem
-    floors = (0.1 * problem.total_power_w, 1e-9)
+    floors = (0.1 * total_power_w, 1e-9)
     point = (np.asarray(power_w, dtype=float), np.asarray(compute_cps, dtype=float))
     columns = []  # columns[block] = (d/dvar of dJ/dp, d/dvar of dJ/df), var = block
     for block, floor in enumerate(floors):
@@ -521,7 +520,7 @@ def grid_oracle(problem, resolution: int):
         power = np.array([problem.total_power_w])
         compute = np.array([problem.total_compute_cps])
         value = float(evaluator.total_cost(power, compute))
-        return _multi_result(evaluator, power, compute, value,
+        return _multi_result(evaluator, problem, power, compute, value,
                              SolverTrace(iterations=1, converged=True, method="grid_oracle"))
     p1 = np.linspace(0.0, problem.total_power_w, resolution)
     f1 = np.linspace(0.0, problem.total_compute_cps, resolution)
@@ -532,6 +531,6 @@ def grid_oracle(problem, resolution: int):
     i, j = np.unravel_index(int(np.argmin(totals)), totals.shape)
     power = powers[i, j]
     compute = computes[i, j]
-    return _multi_result(evaluator, power, compute, float(totals[i, j]),
+    return _multi_result(evaluator, problem, power, compute, float(totals[i, j]),
                          SolverTrace(iterations=resolution * resolution, converged=True,
                                      method="grid_oracle"))

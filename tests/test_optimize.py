@@ -457,12 +457,35 @@ def _default_joint(extraction_scale=1.0):
 
 
 class TestJointEvaluator:
+    def test_shared_robots_never_read_stale_totals(self):
+        """Solves that share robots but differ in totals and scheme (A, B, A:
+        one evaluator), then in budget and uplink volume (C: a new one), each
+        equal a solve of a copy with fresh robots bit for bit."""
+        a = _default_joint()
+        b = dataclasses.replace(a, total_power_w=2.0, total_compute_cps=0.5 * a.total_compute_cps,
+                                scheme=MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM)
+        c = dataclasses.replace(_default_joint(extraction_scale=0.03), robots=a.robots,
+                                uplink_fixed_bits=2.0 * a.uplink_fixed_bits)
+        problems = (a, b, a, c)
+        solved = [solve_multi_loop(problem) for problem in problems]
+        for problem, got in zip(problems, solved):
+            fresh = dataclasses.replace(problem, robots=tuple(
+                RobotLoop(r.downlink, r.plant) for r in problem.robots))
+            want = solve_multi_loop(fresh)
+            for key in ("power_w", "compute_cps"):
+                assert np.array_equal(got.decision[key], want.decision[key])
+            assert got.lqr_total == want.lqr_total
+            assert got.objective_value == want.objective_value
+            assert got.per_loop_outcomes == want.per_loop_outcomes
+            assert got.solver_trace == want.solver_trace
+
     def test_one_rate_cost_model_per_distinct_plant(self):
         shared = JointEvaluator(_default_joint())
         assert all(m is shared.models[0] for m in shared.models)
-        distinct = JointEvaluator(random_joint_problem(np.random.default_rng(5), n_robots=3))
+        problem = random_joint_problem(np.random.default_rng(5), n_robots=3)
+        distinct = JointEvaluator(problem)
         assert len({id(m) for m in distinct.models}) == 3
-        for robot, model in zip(distinct.problem.robots, distinct.models):
+        for robot, model in zip(problem.robots, distinct.models):
             assert model.plant is robot.plant
 
     def test_outcomes_hand_computed(self):
@@ -579,7 +602,9 @@ class TestAnalyticGradient:
                 continue
             analytic = ev.derivatives(power, compute)[0]
             with np.errstate(invalid="ignore"):  # probes below zero power are unused
-                oracle = central_difference_gradient(ev, power, compute, rel_step=rel_step)
+                oracle = central_difference_gradient(ev, power, compute,
+                                                     total_power_w=problem.total_power_w,
+                                                     rel_step=rel_step)
             for got, want in zip(analytic, oracle):
                 np.testing.assert_allclose(got[mask], want[mask], rtol=rtol, atol=0.0)
             compared += int(mask.sum())
@@ -615,7 +640,8 @@ class TestAnalyticGradient:
         compute = np.full(ev.n, problem.total_compute_cps / (ev.n - 1))
         compute[0] = 0.0
         d_power, d_compute = ev.derivatives(power, compute)[0]
-        o_power, o_compute = central_difference_gradient(ev, power, compute)
+        o_power, o_compute = central_difference_gradient(
+            ev, power, compute, total_power_w=problem.total_power_w)
         assert d_power[0] > 1e15  # deep in the penalty: more power only loses bits
         assert d_compute[0] == 0.0 == o_compute[0]
         np.testing.assert_allclose(d_power, o_power, rtol=1e-5)
@@ -641,7 +667,8 @@ class TestAnalyticHessian:
                 continue
             with np.errstate(divide="ignore", invalid="ignore"):
                 analytic = ev.derivatives(power, compute)[1]
-                oracle = central_difference_hessian(ev, power, compute)
+                oracle = central_difference_hessian(ev, power, compute,
+                                                    total_power_w=problem.total_power_w)
             for got, want in zip(analytic, oracle):
                 np.testing.assert_allclose(got[mask], want[mask], rtol=rtol, atol=0.0)
             compared += int(mask.sum())
@@ -678,7 +705,8 @@ class TestAnalyticHessian:
         compute = np.full(ev.n, problem.total_compute_cps / (ev.n - 1))
         compute[0] = 0.0
         analytic = ev.derivatives(power, compute)[1]
-        oracle = central_difference_hessian(ev, power, compute)
+        oracle = central_difference_hessian(ev, power, compute,
+                                            total_power_w=problem.total_power_w)
         assert analytic[0][0] < 0.0  # the penalty, concave in power: not positive definite
         assert analytic[1][0] == 0.0 == analytic[2][0]
         for got, want in zip(analytic, oracle):
@@ -788,16 +816,23 @@ def _record_starts(patch) -> list:
     calls = []
     best_start = optimize._best_start
 
-    def recording(evaluator, starts, **kwargs):
-        problem = evaluator.problem
+    def recording(evaluator, problem, starts, **kwargs):
         objective, _ = optimize._scaled_objective(evaluator, problem.total_power_w,
                                                   problem.total_compute_cps)
         starts = np.array(starts)
         projected = optimize._project_shares(starts, evaluator.n, kwargs["optimize_power"])
         calls.append((starts, objective(projected)))
-        return best_start(evaluator, starts, **kwargs)
+        return best_start(evaluator, problem, starts, **kwargs)
     patch.setattr(optimize, "_best_start", recording)
     return calls
+
+
+def _descend(objective, derivatives, starts, n: int, *, optimize_power: bool):
+    """optimize._projected_gradient from the starts, projected and scored first
+    as optimize._best_start does."""
+    z0 = optimize._project_shares(np.array(starts, dtype=float), n, optimize_power)
+    return optimize._projected_gradient(objective, derivatives, z0, objective(z0), n,
+                                        optimize_power=optimize_power)
 
 
 class TestBatchedPgd:
@@ -808,11 +843,11 @@ class TestBatchedPgd:
         p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
         objective, derivatives = optimize._scaled_objective(ev, p_tot, f_tot)
         starts = _random_starts(ev, p_tot, f_tot, 6, 3)
-        batch = optimize._projected_gradient(objective, derivatives, starts, ev.n,
-                                             optimize_power=optimize_power)
+        batch = _descend(objective, derivatives, starts, ev.n,
+                         optimize_power=optimize_power)
         for row, z0 in enumerate(starts):
-            alone = optimize._projected_gradient(objective, derivatives, z0[None, :], ev.n,
-                                                 optimize_power=optimize_power)
+            alone = _descend(objective, derivatives, z0[None, :], ev.n,
+                             optimize_power=optimize_power)
             assert batch.value[row] == pytest.approx(alone.value[0], rel=1e-12)
             assert batch.converged[row] == alone.converged[0]
 
@@ -829,8 +864,8 @@ class TestBatchedPgd:
             objective, derivatives = optimize._scaled_objective(ev, p_tot, f_tot)
             starts = _random_starts(ev, p_tot, f_tot, 12, 5)
             starts[-1] = np.concatenate([np.eye(ev.n)[0], np.eye(ev.n)[-1]])  # a vertex
-            batch = optimize._projected_gradient(objective, derivatives, starts, ev.n,
-                                                 optimize_power=optimize_power)
+            batch = _descend(objective, derivatives, starts, ev.n,
+                             optimize_power=optimize_power)
 
             def project(z):
                 if optimize_power:
@@ -864,8 +899,8 @@ class TestBatchedPgd:
         p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
         objective, derivatives = optimize._scaled_objective(ev, p_tot, f_tot)
         starts = _random_starts(ev, p_tot, f_tot, 6, seed)
-        result = optimize._projected_gradient(objective, derivatives, starts, ev.n,
-                                              optimize_power=optimize_power)
+        result = _descend(objective, derivatives, starts, ev.n,
+                          optimize_power=optimize_power)
         if optimize_power:
             projected = project_capped_simplex(starts.reshape(-1, 2, ev.n), 1.0)
         else:
@@ -932,8 +967,8 @@ class TestBatchedPgd:
         starts = _random_starts(ev, p_tot, f_tot, 6, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = optimize._projected_gradient(objective, derivatives, starts, ev.n,
-                                                  optimize_power=optimize_power)
+            result = _descend(objective, derivatives, starts, ev.n,
+                              optimize_power=optimize_power)
         assert result.iterations > len(starts)
 
     # The tests below that count rows run on a stable-plant copy of the
@@ -1032,7 +1067,7 @@ class TestBatchedPgd:
     def test_converged_reports_the_winning_start(self, monkeypatch, scheme):
         """The winning start is unconverged: the solve is not converged, even
         when a losing start converged."""
-        def fake_pgd(objective, derivatives, z0, n, **kwargs):
+        def fake_pgd(objective, derivatives, z0, f0, n, **kwargs):
             value = np.full(len(z0), 3.0)
             value[-1] = 1.0  # the winner, unconverged
             converged = np.ones(len(z0), dtype=bool)
@@ -1058,7 +1093,7 @@ class TestBatchedPgd:
         vertex = {"power_w": np.eye(5)[0] * 5.0, "compute_cps": np.eye(5)[0] * 1e10}
         descended = []
 
-        def fake_pgd(objective, derivatives, z0, n, **kwargs):
+        def fake_pgd(objective, derivatives, z0, f0, n, **kwargs):
             descended.append(z0.copy())
             return optimize._PgdResult(z0.copy(), objective(z0), np.zeros(len(z0), bool), 7)
         calls = _record_starts(monkeypatch)
@@ -1157,7 +1192,7 @@ class TestDeterministicStarts:
         [(starts, _)] = calls
         ev = JointEvaluator(problem)
         power = scheme == MultiLoopScheme.TASK_ORIENTED_JOINT
-        z, value, every = all_starts_descend(ev, list(starts), optimize_power=power,
+        z, value, every = all_starts_descend(ev, problem, list(starts), optimize_power=power,
                                              method="every start")
         assert len(starts) == (3 if power else 2)
         assert solved.solver_trace.iterations == every.iterations > len(starts)
@@ -1194,7 +1229,7 @@ class TestChecksUnderOptimize:
             "power = np.full(ev.n, 2.0 * problem.total_power_w / ev.n)\n"
             "compute = np.full(ev.n, problem.total_compute_cps / ev.n)\n"
             "try:\n"
-            "    _multi_result(ev, power, compute, 0.0, SolverTrace(1, True))\n"
+            "    _multi_result(ev, problem, power, compute, 0.0, SolverTrace(1, True))\n"
             "except RuntimeError as exc:\n"
             "    print('raised:', exc)\n"
         )
@@ -1223,6 +1258,18 @@ class TestSweepContour:
         matrix = sweep_contour(problem, [1.0, 5.0, 20.0], [0.9e10, 1.4e10, 2.5e10])
         assert np.all(np.diff(matrix, axis=0) <= 1e-9)
         assert np.all(np.diff(matrix, axis=1) <= 1e-9)
+
+    def test_one_joint_evaluator_per_sweep(self, monkeypatch):
+        built = []
+        original = JointEvaluator.__init__
+
+        def counted(self, problem):
+            built.append(problem)
+            original(self, problem)
+        monkeypatch.setattr(JointEvaluator, "__init__", counted)
+        problem = default_scenario().multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT)
+        sweep_contour(problem, [1.0, 5.0, 20.0], [0.9e10, 1.4e10, 2.5e10])
+        assert len(built) == 1
 
     def test_rejects_bad_grids(self):
         scn = default_scenario()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from satloop.control import Plant, RateCostModel
+from satloop.control import Plant, RateCostModel, is_stabilizable_at
 from satloop.linkgeom import Geometry, LinkParams, shannon_rate_bps
 from satloop.pipeline import (LoopBudget, NoBudgetError, balanced_times,
                               evaluate_cycle, loop_outcomes, propagation_delay_s)
@@ -111,7 +111,8 @@ class TestEvaluateCycle:
 
 
 class TestStableMeansFiniteCost:
-    """LoopOutcome.stable is the rate-limited cost's own test, J(eff) < inf."""
+    """LoopOutcome.stable is the rate-limited cost's own test: 4^eff > a^2
+    (control.rate_gap), where J(eff) is finite unless it overflows."""
 
     @staticmethod
     def _outcome(a, eff):
@@ -128,6 +129,29 @@ class TestStableMeansFiniteCost:
                         math.nextafter(threshold, math.inf)):
                 out = self._outcome(a, eff)
                 assert out.stable == (out.lqr_cost < math.inf), (a, eff, out)
+
+    def test_agrees_with_is_stabilizable_at_up_to_huge_noise(self):
+        """stable is is_stabilizable_at's answer for w_cov up to 1e300, also
+        where the cost overflows the float range: the loop clears its
+        threshold, and its lqr_cost stays math.inf."""
+        period = 2.0 ** -6  # eff / period * period == eff: both tests see one rate
+        rng = np.random.default_rng(11)
+        magnitudes = np.concatenate([[0.5, 1.0, 2.0, 30.0], rng.uniform(1.0, 64.0, 60)])
+        for w_cov in (1.0, 1e100, 1e200, 1e300):
+            for a in [s * m for m in magnitudes.tolist() for s in (1.0, -1.0)]:
+                plant = Plant(a=a, b=1.0, w_cov=w_cov, q=1.0, r_u=1.0)
+                model = RateCostModel.from_plant(plant)
+                threshold = max(math.log2(abs(a)), 0.0)
+                for eff in (0.0, math.nextafter(threshold, 0.0), threshold,
+                            math.nextafter(threshold, math.inf)):
+                    out = loop_outcomes((model,), period, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, eff,
+                                        True)[0]
+                    assert out.stable == is_stabilizable_at(plant, out.cner_bps, period), (
+                        a, w_cov, eff, out)
+        plant = Plant(a=2.0, b=1.0, w_cov=1e300, q=1.0, r_u=1.0)
+        out = loop_outcomes((RateCostModel.from_plant(plant),), period, 1.0, 1.0, 0.0, 0.0,
+                            0.0, 0.0, math.nextafter(1.0, math.inf), True)[0]
+        assert out.stable and out.lqr_cost == math.inf
 
     @pytest.mark.parametrize("a, stable", [(1.0, False), (-1.0, False), (0.5, True)])
     def test_no_bits(self, a, stable):

@@ -744,6 +744,19 @@ class TestBaselineSweepWork:
             assert [d is previous.decision for d in extra] == [True]
             assert result.solver_trace.restarts == 2
 
+    def test_one_joint_evaluator_per_run(self, tmp_path, monkeypatch):
+        """The 63 solves of one multi-loop run share its robots, budget and
+        uplink volume, so they build one JointEvaluator between them."""
+        built = []
+        original = optimize.JointEvaluator.__init__
+
+        def counted(self, problem):
+            built.append(problem)
+            original(self, problem)
+        monkeypatch.setattr(optimize.JointEvaluator, "__init__", counted)
+        assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
+        assert len(built) == 1
+
 
 _OUTPUTS = {"single-loop": ("single_loop.csv", "single_loop_lqr.svg"),
             "multi-loop": ("multi_loop_sweep.csv", "multi_loop_allocation.csv",
