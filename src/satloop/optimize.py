@@ -25,7 +25,10 @@ Newton point when it passes a sufficient-decrease test, and stops there once
 the step's predicted decrease is below PGD_REL_TOL of its value (the Newton
 decrement, B&V 9.5.1 and 10.2); a row whose blocks are not positive definite
 (a capped, penalised or starved loop), or whose Newton point fails the test,
-takes the Barzilai-Borwein step with Armijo backtracking instead. The trace
+takes the Barzilai-Borwein step with Armijo backtracking instead. The vector
+math of an iteration (derivatives, Newton step, projection, objective,
+backtracking) is one batched numpy call for all running rows; each row's
+step choice, stopping test and bookkeeping run on Python floats. The trace
 certifies the returned point with its projected-gradient norm
 (SolverTrace.projected_gradient_norm). Both solvers score a cycle with
 pipeline.store_and_forward and control.rate_cost, and share one penalty.
@@ -243,6 +246,19 @@ def solve_single_loop(problem: SingleLoopProblem) -> AllocationResult:
         iterations=evals, converged=True, method="golden_section"))
 
 
+_last_model = (None, None)  # (plant, model) of the last single-loop result
+
+
+def _plant_model(plant: Plant) -> RateCostModel:
+    """The plant's RateCostModel from a one-entry memo keyed on the plant
+    (Plant is eq=False, so by identity): the three objectives of one
+    single-loop document share one plant, and so one model."""
+    global _last_model
+    if _last_model[0] is not plant:
+        _last_model = (plant, RateCostModel.from_plant(plant))
+    return _last_model[1]
+
+
 def _single_result(problem: SingleLoopProblem, b_up: float, objective_value: float,
                    trace: SolverTrace) -> AllocationResult:
     """The split b_up re-scored once through the full cycle model.
@@ -251,7 +267,7 @@ def _single_result(problem: SingleLoopProblem, b_up: float, objective_value: flo
     task-oriented objective value) is the outcome's cost, penalized where
     it is infinite.
     """
-    model = RateCostModel.from_plant(problem.plant)
+    model = _plant_model(problem.plant)
     uplink = problem.uplink_template.with_bandwidth(b_up)
     downlink = problem.downlink_template.with_bandwidth(problem.total_bandwidth_hz - b_up)
     t_prop = pipeline.propagation_delay_s(linkgeom.slant_range_m(uplink.geometry),
@@ -322,6 +338,17 @@ class JointEvaluator:
         with np.errstate(over="ignore"):
             self._slope_scale = -self.sens_w * math.log(4.0)
         self._rate_scale = self.bandwidth * self.snr_per_w
+        self._water_filled = (None, None)  # (total power, allocation) of the last water_fill
+
+    def water_fill(self, total_power_w: float) -> np.ndarray:
+        """water_fill_power at the total, read-only, from a one-entry memo:
+        a sweep's max-throughput solve and the task-oriented starts at the
+        same total share one water-fill."""
+        if self._water_filled[0] != total_power_w:
+            alloc = water_fill_power(self, total_power_w)
+            alloc.flags.writeable = False
+            self._water_filled = (total_power_w, alloc)
+        return self._water_filled[1]
 
     def rates_bps(self, power_w: np.ndarray) -> np.ndarray:
         return self.bandwidth * np.log2(1.0 + power_w * self.snr_per_w)
@@ -580,14 +607,20 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
 
     Each row of z0 (one start, shape (R, 2n) in all) holds feasible
     budget-scaled power and compute shares (_project_shares of a start), and
-    f0 holds their objective values. All rows descend together:
-    an iteration makes one `derivatives` call (the analytic gradient and
-    Hessian blocks, see JointEvaluator.derivatives), one `objective` call for
-    the Newton trials and one for every backtracking trial of the whole batch,
-    while every row keeps its own step, Barzilai-Borwein pair and quiet
-    count; a row that stops leaves the batch. The returned iteration count is
-    summed over rows. With optimize_power False the power block of the
-    gradient is zeroed and the power shares stay as given.
+    f0 holds their objective values. All rows descend together. The vector
+    work of an iteration is one numpy call each for all running rows: the
+    `derivatives` call (the analytic gradient and Hessian blocks, see
+    JointEvaluator.derivatives), the gradient norms and row sums,
+    _newton_direction, the projection and `objective` call of the Newton
+    trials, and one _backtrack call; the iterates stay in one (R, 2n) array.
+    Each row's rules (its Barzilai-Borwein step, Newton acceptance and
+    decrement stop, quiet count, step memory, and leaving the running list)
+    run on Python floats taken with one tolist() per array. They divide only
+    where a numpy quotient was used and call min/max in np.minimum/np.maximum
+    argument order, so every float is the one numpy gives.
+    The returned iteration count is summed over rows. With optimize_power
+    False the power block of the gradient is zeroed and the power shares
+    stay as given.
     A row first tries its projected face-Newton point (_newton_direction)
     and keeps it when f(new) <= f + 1e-2 g.(new - z) with g.(new - z) < 0.
     Otherwise its trial step is seeded Barzilai-Borwein style (spectral step
@@ -604,22 +637,32 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
     def project(z):
         return _project_shares(z, n, optimize_power)
 
-    z, fz = np.array(z0, dtype=float), np.array(f0, dtype=float)
-    converged = np.zeros(z.shape[0], dtype=bool)
-    iterations = 0
-    # The running rows, compacted: their indices into z, iterate, value, last
-    # accepted step (NaN until the first), Barzilai-Borwein pair (dz = 0 until
-    # a row has moved, which selects the fallback step) and quiet count.
-    live = np.arange(z.shape[0])
-    zl, fl = z.copy(), fz.copy()
-    step = np.full(live.size, np.nan)
+    z = np.array(z0, dtype=float)
+    fz = np.asarray(f0, dtype=float).tolist()
+    rows = len(fz)
+    converged = [False] * rows
+    # Per row: the last accepted backtracking step (NaN until the first),
+    # the quiet count and the Barzilai-Borwein pair (dz = 0 until a row has
+    # moved, which selects the fallback step).
+    step, quiet = [math.nan] * rows, [0] * rows
     z_prev, grad_prev = z.copy(), np.zeros_like(z)
-    quiet = np.zeros(live.size, dtype=int)
+    live = list(range(rows))
+
+    def accept(row, value):
+        """The row's new value; it restarts the quiet count unless it
+        improves by less than PGD_REL_TOL relative."""
+        rel = (fz[row] - value) / max(abs(fz[row]), 1e-300)
+        if not rel < PGD_REL_TOL:
+            quiet[row] = 0
+        fz[row] = value
+
+    iterations = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(PGD_MAX_ITER):
-            if live.size == 0:
+            if not live:
                 break
-            iterations += live.size
+            iterations += len(live)
+            zl = z[live]
             grad, blocks = derivatives(zl)
             if not optimize_power:
                 grad[:, :n] = 0.0
@@ -629,61 +672,75 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
                 big = ~finite & np.isfinite(grad).all(axis=1)
                 grad[big] /= np.abs(grad[big]).max(axis=1, keepdims=True)
                 gnorm = np.sqrt((grad * grad).sum(axis=1))
-                finite = np.isfinite(gnorm)
-            moving = finite & (gnorm > 0.0)
-            quiet += 1
-            settled = np.zeros(live.size, dtype=bool)  # stopped on the Newton decrement
-            m = slice(None) if moving.all() else np.flatnonzero(moving)
-            g, zm, fm, sm = grad[m], zl[m], fl[m], step[m]
-            if g.size:
-                dz = zm - z_prev[m]
-                dg = g - grad_prev[m]
-                curvature = (dz * dg).sum(axis=1)
-                spectral = (dz * dz).sum(axis=1) / curvature
-                fallback = np.where(np.isnan(sm), 0.25 / gnorm[m], sm)
-                s = np.where(curvature > 1e-300, spectral, fallback)
-                s = np.minimum(np.maximum(s, 1e-16), 1e8)
-                z_prev[m], grad_prev[m] = zm, g
+            gnorm, plain = gnorm.tolist(), plain.tolist()
+            for row in live:
+                quiet[row] += 1
+            settled = []  # rows stopped on the Newton decrement
+            # the rows that step: a finite, nonzero gradient
+            m = [k for k, norm in enumerate(gnorm) if 0.0 < norm < math.inf]
+            if m:
+                moving = [live[k] for k in m]
+                sel = slice(None) if len(m) == len(live) else m
+                g, zm = grad[sel], zl[sel]
+                dz, dg = zm - z_prev[moving], g - grad_prev[moving]
+                curvature = (dz * dg).sum(axis=1).tolist()
+                dz_sq = (dz * dz).sum(axis=1).tolist()
+                z_prev[moving], grad_prev[moving] = zm, g
+                s = []
+                for k, row, c, sq in zip(m, moving, curvature, dz_sq):
+                    if c > 1e-300:
+                        trial_step = sq / c
+                    elif math.isnan(step[row]):
+                        trial_step = 0.25 / gnorm[k]
+                    else:
+                        trial_step = step[row]
+                    s.append(min(max(trial_step, 1e-16), 1e8))
                 # the face-Newton trial first (a rescaled row has no matching
                 # Hessian); the rows that reject it backtrack from the BB step
-                d, ok = _newton_direction(g, tuple(h[m] for h in blocks), zm, n,
+                d, ok = _newton_direction(g, tuple(h[sel] for h in blocks), zm, n,
                                           optimize_power)
-                accepted = np.zeros(len(zm), dtype=bool)
-                newton_done = np.zeros(len(zm), dtype=bool)
-                z_new, f_new, s_new = zm.copy(), fm.copy(), sm.copy()
-                trial = np.flatnonzero(ok & plain[m])
-                if trial.size:
-                    cand = project(zm[trial] + d[trial])
-                    slope = (g[trial] * (cand - zm[trial])).sum(axis=1)
-                    fc = objective(cand)
-                    passed = (slope < 0.0) & (fc <= fm[trial] + 1e-2 * slope)
-                    take = trial[passed]
-                    accepted[take] = True
-                    z_new[take], f_new[take] = cand[passed], fc[passed]
-                    newton_done[take] = -slope[passed] <= PGD_REL_TOL * np.abs(fm[take])
-                back = np.flatnonzero(~accepted)
-                if back.size:
-                    (accepted[back], z_new[back], f_new[back],
-                     s_new[back]) = _backtrack(objective, project, zm[back], fm[back], g[back],
-                                               s[back])
-                rel = (fm - f_new) / np.maximum(np.abs(fm), 1e-300)
-                quiet[m] = np.where(accepted & ~(rel < PGD_REL_TOL), 0, quiet[m])
-                step[m] = np.where(accepted, s_new, sm)  # a Newton row keeps its step
-                zl[m], fl[m] = z_new, f_new  # an unaccepted row keeps its iterate
-                settled[m] = newton_done
+                ok = ok.tolist()
+                trial = [j for j, k in enumerate(m) if ok[j] and plain[k]]
+                newton = set()  # positions in m that keep their Newton point
+                if trial:
+                    t = slice(None) if len(trial) == len(m) else trial
+                    cand = project(zm[t] + d[t])
+                    slope = (g[t] * (cand - zm[t])).sum(axis=1).tolist()
+                    fc = objective(cand).tolist()
+                    for i, j in enumerate(trial):
+                        row, f = moving[j], fz[moving[j]]
+                        if slope[i] < 0.0 and fc[i] <= f + 1e-2 * slope[i]:
+                            newton.add(j)
+                            z[row] = cand[i]
+                            accept(row, fc[i])  # a Newton row keeps its step
+                            if -slope[i] <= PGD_REL_TOL * abs(f):
+                                settled.append(row)
+                back = [j for j in range(len(m)) if j not in newton]
+                if back:
+                    b = slice(None) if len(back) == len(m) else back
+                    took, z_new, f_new, s_new = _backtrack(
+                        objective, project, zm[b], np.array([fz[moving[j]] for j in back]),
+                        g[b], np.array([s[j] for j in back]))
+                    took, f_new, s_new = took.tolist(), f_new.tolist(), s_new.tolist()
+                    for i, j in enumerate(back):
+                        if took[i]:  # an unaccepted row keeps its iterate and step
+                            row = moving[j]
+                            z[row] = z_new[i]
+                            accept(row, f_new[i])
+                            step[row] = s_new[i]
             # a row stops converged on the Newton decrement or after
             # PGD_PATIENCE quiet iterations, unconverged when its gradient is
             # not finite
-            leave = ~finite | settled | (quiet >= PGD_PATIENCE)
-            if leave.any():
-                gone = live[leave]
-                z[gone], fz[gone] = zl[leave], fl[leave]
-                converged[live[leave & finite]] = True
-                keep = ~leave
-                live, zl, fl, step, z_prev, grad_prev, quiet = (
-                    a[keep] for a in (live, zl, fl, step, z_prev, grad_prev, quiet))
-    z[live], fz[live] = zl, fl
-    return _PgdResult(z, fz, converged, iterations, live.size)
+            running = []
+            for norm, row in zip(gnorm, live):
+                if not math.isfinite(norm):
+                    continue
+                if row in settled or quiet[row] >= PGD_PATIENCE:
+                    converged[row] = True
+                else:
+                    running.append(row)
+            live = running
+    return _PgdResult(z, np.array(fz), np.array(converged), iterations, len(live))
 
 
 def _scaled_objective(evaluator: JointEvaluator, p_tot: float, f_tot: float):
@@ -711,7 +768,7 @@ def _task_starts(evaluator: JointEvaluator, p_tot: float, f_tot: float,
     equal compute, and the callers' extra decisions, as budget-scaled shares."""
     n = evaluator.n
     equal = np.full(2 * n, 1.0 / n)
-    wf = np.concatenate([water_fill_power(evaluator, p_tot) / p_tot, np.full(n, 1.0 / n)])
+    wf = np.concatenate([evaluator.water_fill(p_tot) / p_tot, np.full(n, 1.0 / n)])
     starts = [equal, wf]
     for dec in extra_starts:
         starts.append(np.concatenate([np.asarray(dec["power_w"]) / p_tot,
@@ -792,14 +849,15 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
     totals; the trace reports the winning start, whether it converged, and
     its projected-gradient norm (projected_gradient_norm) as the certificate.
     Every scheme is re-scored under the penalized LQR total (lqr_total).
-    The solves of one sweep share one JointEvaluator (_sweep_evaluator).
+    The solves of one sweep share one JointEvaluator (_sweep_evaluator),
+    and those at one power total share its water-fill (JointEvaluator.water_fill).
     """
     evaluator = _sweep_evaluator(problem)
     n = evaluator.n
     p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
 
     if problem.scheme == MultiLoopScheme.MAX_THROUGHPUT_JOINT:
-        power = water_fill_power(evaluator, p_tot)
+        power = evaluator.water_fill(p_tot)
         compute = np.full(n, f_tot / n)  # uplink loads are identical per robot
         throughput = float(evaluator.rates_bps(power).sum())
         trace = SolverTrace(iterations=1, converged=True, method="water_filling")

@@ -27,6 +27,7 @@ from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme,
                               solve_single_loop, sweep_contour, water_fill_power)
 from satloop.pipeline import (balanced_times, evaluate_cycle, loop_outcomes,
                               propagation_delay_s)
+from satloop.report import main
 from satloop.scenario import default_scenario, load_scenario
 from oracles import (BUDGET, DimensionTooLargeError, all_starts_descend,
                      central_difference_gradient, central_difference_hessian,
@@ -195,6 +196,29 @@ class TestSingleLoopScoredByOutcome:
                     assert result.lqr_total >= optimize.INFEASIBILITY_PENALTY, (base, objective)
 
 
+class TestOneModelPerPlant:
+    def test_objectives_of_one_plant_build_one_model(self, monkeypatch):
+        """The three objectives of one problem share its plant (Plant is
+        eq=False, and dataclasses.replace keeps it), so they build its
+        RateCostModel once; another plant gets its own."""
+        built = []
+        from_plant = RateCostModel.from_plant.__func__
+
+        def counted(cls, plant):
+            built.append(plant)
+            return from_plant(cls, plant)
+        monkeypatch.setattr(RateCostModel, "from_plant", classmethod(counted))
+        base = _symmetric_problem(SingleLoopObjective.TASK_ORIENTED)
+        for objective in SingleLoopObjective:
+            solve_single_loop(dataclasses.replace(base, objective=objective))
+        assert built == [base.plant]
+        other = dataclasses.replace(base, plant=dataclasses.replace(base.plant, a=3.0))
+        outcome, = solve_single_loop(other).per_loop_outcomes
+        assert built == [base.plant, other.plant]
+        assert outcome.lqr_cost == solve_single_loop(dataclasses.replace(
+            other, plant=dataclasses.replace(other.plant))).per_loop_outcomes[0].lqr_cost
+
+
 class TestProjection:
     def test_inside_untouched(self):
         x = np.array([0.2, 0.3])
@@ -320,6 +344,31 @@ class TestWaterFilling:
         budget = 10.0 ** log_budget
         assert np.array_equal(water_fill_power(links, budget),
                               water_fill_power_fixed_steps(links, budget))
+
+    def test_one_water_fill_per_total_and_read_only(self, monkeypatch):
+        """JointEvaluator.water_fill computes water_fill_power once for a
+        total met twice in a row, and hands out an array no caller can change;
+        the max-throughput decision is a writable copy."""
+        problem = default_scenario().multi_loop_problem(
+            MultiLoopScheme.MAX_THROUGHPUT_JOINT, total_power_w=5.0)
+        ev = JointEvaluator(problem)
+        totals = []
+        original = optimize.water_fill_power
+
+        def counted(evaluator, total_power_w):
+            totals.append(total_power_w)
+            return original(evaluator, total_power_w)
+        monkeypatch.setattr(optimize, "water_fill_power", counted)
+        alloc = ev.water_fill(5.0)
+        assert ev.water_fill(5.0) is alloc and totals == [5.0]
+        assert np.array_equal(alloc, water_fill_power(ev, 5.0))
+        with pytest.raises(ValueError):
+            alloc[0] = 0.0
+        assert np.array_equal(ev.water_fill(6.0), water_fill_power(ev, 6.0))
+        assert totals == [5.0, 6.0]
+        decision = solve_multi_loop(problem).decision
+        assert decision["power_w"].flags.writeable
+        assert np.array_equal(decision["power_w"], water_fill_power(JointEvaluator(problem), 5.0))
 
     def test_maximizes_throughput_vs_random(self):
         problem = default_scenario().multi_loop_problem(
@@ -882,6 +931,72 @@ class TestBatchedPgd:
                 assert batch.value[row] == value and batch.converged[row] == converged
                 iterations += iters
             assert batch.iterations == iterations
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_robots=st.integers(1, 4), stable=st.booleans(),
+           cap_bits=st.one_of(st.none(), st.floats(2.0, 8.0)), count=st.integers(1, 8),
+           vertex=st.booleans(), optimize_power=st.booleans(), max_iter=st.integers(1, 40))
+    def test_any_batch_equals_plain_loop_bit_for_bit(self, seed, n_robots, stable, cap_bits,
+                                                      count, vertex, optimize_power, max_iter):
+        """Rows that leave the batch at different iterations, or stop at a
+        lowered iteration cap, still equal a plain loop bit for bit, and the
+        batch counts the same iterations and the same rows stopped at the cap."""
+        rng = np.random.default_rng(seed)
+        problem = random_joint_problem(rng, n_robots=n_robots, stable=stable)
+        if cap_bits is not None:
+            budget = dataclasses.replace(
+                problem.budget, extraction_ratio=cap_bits / problem.uplink_fixed_bits)
+            problem = dataclasses.replace(problem, budget=budget)
+        ev = JointEvaluator(problem)
+        p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
+        objective, derivatives = optimize._scaled_objective(ev, p_tot, f_tot)
+        starts = _random_starts(ev, p_tot, f_tot, count, seed)[:count]
+        if vertex:
+            starts[-1] = np.concatenate([np.eye(ev.n)[0], np.eye(ev.n)[-1]])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimize, "PGD_MAX_ITER", max_iter)
+            batch = _descend(objective, derivatives, starts, ev.n,
+                             optimize_power=optimize_power)
+
+        def reference(z0, cap):
+            return reference_projected_gradient(
+                objective, derivatives,
+                lambda z: optimize._project_shares(z, ev.n, optimize_power), z0, ev.n,
+                optimize_power=optimize_power, max_halvings=optimize.MAX_HALVINGS,
+                max_iter=cap)
+        iterations = capped = 0
+        for row, z0 in enumerate(starts):
+            z, value, converged, iters = reference(z0, max_iter)
+            assert np.array_equal(batch.z[row], z)
+            assert batch.value[row] == value and batch.converged[row] == converged
+            iterations += iters
+            if not converged and iters == max_iter:
+                # at the cap, unless the gradient stopped the row in its last
+                # iteration: only a row at the cap runs on under a higher one
+                capped += reference(z0, max_iter + 1)[3] > max_iter
+        assert batch.iterations == iterations and batch.max_iter_rows == capped
+
+    def test_multi_loop_run_equals_plain_loop_bit_for_bit(self, tmp_path, monkeypatch):
+        """Every descent of one baseline multi-loop run (42 one-row runs, each
+        from its solve's lowest start) equals a plain loop bit for bit."""
+        runs = []
+        original = optimize._projected_gradient
+
+        def recorded(objective, derivatives, z0, f0, n, *, optimize_power):
+            result = original(objective, derivatives, z0, f0, n, optimize_power=optimize_power)
+            runs.append((objective, derivatives, z0.copy(), n, optimize_power, result))
+            return result
+        monkeypatch.setattr(optimize, "_projected_gradient", recorded)
+        assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
+        assert len(runs) == 42
+        for objective, derivatives, z0, n, optimize_power, result in runs:
+            assert len(z0) == 1
+            z, value, converged, iters = reference_projected_gradient(
+                objective, derivatives, lambda z: optimize._project_shares(z, n, optimize_power),
+                z0[0], n, optimize_power=optimize_power, max_halvings=optimize.MAX_HALVINGS)
+            assert np.array_equal(result.z[0], z) and result.value[0] == value
+            assert result.converged[0] == converged and result.iterations == iters
+            assert result.max_iter_rows == 0
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_robots=st.integers(2, 4),

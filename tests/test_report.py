@@ -725,6 +725,32 @@ class TestBaselineSweepWork:
         assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
         assert len(iterations) == 42 and sum(iterations) <= 150
 
+    def test_multi_loop_work_per_run(self, tmp_path, monkeypatch):
+        """The solver work of one baseline multi-loop run, pinned: a leaner
+        iteration must not add descents, row-iterations, objective calls,
+        projections or water-fills. The max-throughput solve and the
+        task-oriented starts at one power total share one water-fill."""
+        counts = {}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                result = original(*args, **kwargs)
+                counts[name] = counts.get(name, 0) + 1
+                if name == "_projected_gradient":
+                    counts["row_iterations"] = (counts.get("row_iterations", 0)
+                                                + result.iterations)
+                return result
+            monkeypatch.setattr(owner, name, counted)
+        count(optimize, "_projected_gradient")
+        count(optimize.JointEvaluator, "total_cost")
+        count(optimize, "project_capped_simplex")
+        count(optimize, "water_fill_power")
+        assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
+        assert counts == {"_projected_gradient": 42, "row_iterations": 121, "total_cost": 167,
+                          "project_capped_simplex": 209, "water_fill_power": 21}
+
     def test_each_compute_only_solve_starts_from_the_previous_one(self, tmp_path,
                                                                    monkeypatch):
         solves = []
