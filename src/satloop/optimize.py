@@ -146,16 +146,18 @@ class SolverTrace:
 
 @dataclass(frozen=True, eq=False)
 class AllocationResult:
-    """Solver output: decision, per-loop outcomes, objective, and trace.
+    """Solver output: decision, objective, trace and a single loop's outcome.
 
     lqr_total re-scores the decision under the penalized sum of LQR costs so
     schemes with different native objectives can be compared on one axis.
+    per_loop_outcomes is empty for a joint result: JointEvaluator.outcomes
+    builds a joint decision's outcomes on request.
     """
     decision: dict
-    per_loop_outcomes: tuple
     objective_value: float
     lqr_total: float
     solver_trace: SolverTrace
+    per_loop_outcomes: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -411,21 +413,14 @@ class JointEvaluator:
                  curve * e_p * e_f + slope * d_rate * d_window,
                  curve * e_f * e_f + slope * rate * dd_window))
 
-    def score(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
-        """(lqr_total, outcomes) of one decision from one cycle evaluation:
-        the penalized total_cost and the physical per-robot LoopOutcome
-        tuple, in which a capped downlink stops at the cap."""
+    def outcomes(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
+        """Per-robot LoopOutcomes of a decision, on request; a capped downlink stops at the cap."""
         rate, t_comp, window, eff = self._cycle(power_w, compute_cps)
         with np.errstate(divide="ignore"):
             t_down = np.where(eff >= self.cap_bits, self.cap_bits / rate,
                               np.maximum(window, 0.0))
-        return (float(self._costs(eff).sum(axis=-1)),
-                pipeline.loop_outcomes(self.models, self.budget.cycle_period_s, 0.0, rate,
-                                       0.0, t_comp, t_down, self.t_prop, eff, window >= 0.0))
-
-    def outcomes(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
-        """Physical per-robot LoopOutcome tuple; a capped downlink stops at the cap."""
-        return self.score(power_w, compute_cps)[1]
+        return pipeline.loop_outcomes(self.models, self.budget.cycle_period_s, 0.0, rate,
+                                      0.0, t_comp, t_down, self.t_prop, eff, window >= 0.0)
 
 
 _last_evaluator = (None, None)  # (key, evaluator) of the last joint solve
@@ -848,7 +843,8 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
     (_projected_gradient) and return the shares _best_start scored times the
     totals; the trace reports the winning start, whether it converged, and
     its projected-gradient norm (projected_gradient_norm) as the certificate.
-    Every scheme is re-scored under the penalized LQR total (lqr_total).
+    Every scheme is re-scored under the penalized LQR total (lqr_total), with
+    no per-loop outcomes (JointEvaluator.outcomes builds them on request).
     The solves of one sweep share one JointEvaluator (_sweep_evaluator),
     and those at one power total share its water-fill (JointEvaluator.water_fill).
     """
@@ -877,7 +873,9 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
 def _multi_result(evaluator: JointEvaluator, problem: MultiLoopProblem, power: np.ndarray,
                   compute: np.ndarray, objective_value: float,
                   trace: SolverTrace) -> AllocationResult:
-    """The decision checked against the problem's budgets and scored once."""
+    """The decision checked against the problem's budgets and scored from one
+    cycle evaluation, with no LoopOutcome built: all_infeasible marks every
+    loop reporting lqr_cost math.inf under pipeline.reported_costs."""
     if not (power.min() >= 0.0 and compute.min() >= 0.0):
         raise RuntimeError("allocation has a negative power or compute share")
     if not power.sum() <= problem.total_power_w * (1.0 + 1e-9):
@@ -886,14 +884,15 @@ def _multi_result(evaluator: JointEvaluator, problem: MultiLoopProblem, power: n
     if not compute.sum() <= problem.total_compute_cps * (1.0 + 1e-9):
         raise RuntimeError(f"allocated compute {compute.sum()!r} cps exceeds the budget "
                            f"{problem.total_compute_cps!r} cps")
-    lqr_total, outcomes = evaluator.score(power, compute)
-    if all(o.lqr_cost == math.inf for o in outcomes):
+    _, _, window, eff = evaluator._cycle(power, compute)
+    reported = pipeline.reported_costs(evaluator.a_sq, evaluator.sens_w, evaluator.j_ideal,
+                                       eff, window >= 0.0)[2]
+    if np.all(reported == math.inf):
         trace = dataclasses.replace(trace, all_infeasible=True)
     return AllocationResult(
         decision={"power_w": power.copy(), "compute_cps": compute.copy()},
-        per_loop_outcomes=outcomes,
         objective_value=float(objective_value),
-        lqr_total=lqr_total,
+        lqr_total=float(evaluator._costs(eff).sum(axis=-1)),
         solver_trace=trace,
     )
 

@@ -7,7 +7,8 @@ budget. Uplink transfer, computing, and downlink transfer happen strictly in
 sequence; a cycle whose stages do not fit in the period delivers nothing.
 
 Both solvers, evaluate_cycle and balanced_times share one array-valued cycle
-(store_and_forward) and one LoopOutcome builder (loop_outcomes).
+(store_and_forward) and one rule for the cost a loop reports (reported_costs):
+the joint solves read it as arrays, loop_outcomes as LoopOutcomes.
 """
 import math
 from dataclasses import dataclass
@@ -65,10 +66,6 @@ class LoopOutcome:
     lqr_cost: float
     time_feasible: bool
 
-    @property
-    def total_latency_s(self) -> float:
-        return self.t_up_s + self.t_comp_s + self.t_down_s + self.t_prop_s
-
 
 def propagation_delay_s(distance_up_m: float, distance_down_m: float) -> float:
     """Two-leg propagation delay (d_up + d_down) / c."""
@@ -91,29 +88,33 @@ def store_and_forward(volume_bits, t_up_s, r_down_bps, t_prop_s, compute_cps,
     return t_comp, window, np.minimum(budget.extraction_ratio * volume_bits, r_down_bps * window)
 
 
-def loop_outcomes(models, period_s: float, r_up, r_down, t_up, t_comp, t_down, t_prop,
-                  effective_bits, time_feasible) -> tuple:
-    """One LoopOutcome per loop i (plant model models[i]) from columns that
-    broadcast to one entry per loop.
+def reported_costs(a_sq, sens_w, j_ideal, effective_bits, time_feasible) -> tuple:
+    """(effective bits, stable, lqr_cost) that each loop reports, from the
+    control.rate_cost_terms arrays and columns broadcasting to one per loop.
 
     A loop is stable when its effective bits clear the data-rate threshold
     (control.rate_gap's finite flag, the test of control.is_stabilizable_at),
     even where its cost overflows the float range to math.inf. A
     time-infeasible cycle delivers nothing, is not stable and costs math.inf.
-    Every loop's cost comes from one control.rate_cost call with
-    control.rate_cost_terms, so each equals control.lqr_cost(models[i], eff)
-    bit for bit.
+    Each cost equals control.lqr_cost(model, eff) bit for bit.
     """
+    eff = np.where(time_feasible, np.maximum(effective_bits, 0.0), 0.0)
+    stable = time_feasible & control.rate_gap(eff, a_sq)[2]
+    cost = np.where(time_feasible, control.rate_cost(eff, a_sq, sens_w, j_ideal), math.inf)
+    return eff, stable, cost
+
+
+def loop_outcomes(models, period_s: float, r_up, r_down, t_up, t_comp, t_down, t_prop,
+                  effective_bits, time_feasible) -> tuple:
+    """One LoopOutcome per loop i (plant model models[i]) from columns that
+    broadcast to one entry per loop, reported under reported_costs' rule."""
     n = len(models)
     table = np.empty((7, n))  # r_up, r_down, t_up, t_comp, t_down, t_prop, eff
     ok = np.empty(n, dtype=bool)
     for row, column in zip((*table, ok), (r_up, r_down, t_up, t_comp, t_down, t_prop,
                                           effective_bits, time_feasible)):
         row[...] = column
-    eff = table[6] = np.where(ok, np.maximum(table[6], 0.0), 0.0)
-    terms = control.rate_cost_terms(models)
-    stable = ok & control.rate_gap(eff, terms[0])[2]
-    cost = np.where(ok, control.rate_cost(eff, *terms), math.inf)
+    table[6], stable, cost = reported_costs(*control.rate_cost_terms(models), table[6], ok)
     return tuple(LoopOutcome(*times, e, control.cner_bps(e, period_s), s, c, f)
                  for (*times, e), s, c, f in zip(table.T.tolist(), stable.tolist(),
                                                  cost.tolist(), ok.tolist()))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import satloop
-from satloop import control, optimize
+from satloop import control, optimize, pipeline
 
 from satloop.control import Plant, RateCostModel
 from satloop.linkgeom import Geometry, LinkParams, shannon_rate_bps, slant_range_m
@@ -25,7 +25,7 @@ from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme,
                               RobotLoop, SingleLoopObjective, SingleLoopProblem,
                               project_capped_simplex, solve_multi_loop,
                               solve_single_loop, sweep_contour, water_fill_power)
-from satloop.pipeline import (balanced_times, evaluate_cycle, loop_outcomes,
+from satloop.pipeline import (LoopOutcome, balanced_times, evaluate_cycle, loop_outcomes,
                               propagation_delay_s)
 from satloop.report import main
 from satloop.scenario import default_scenario, load_scenario
@@ -525,7 +525,6 @@ class TestJointEvaluator:
                 assert np.array_equal(got.decision[key], want.decision[key])
             assert got.lqr_total == want.lqr_total
             assert got.objective_value == want.objective_value
-            assert got.per_loop_outcomes == want.per_loop_outcomes
             assert got.solver_trace == want.solver_trace
 
     def test_one_rate_cost_model_per_distinct_plant(self):
@@ -631,6 +630,70 @@ class TestJointEvaluator:
         power, compute = np.array([6.759952021773342e-07]), np.array([1e10])
         cost = ev.cost_vector(power, compute)[0]
         assert cost == ev.outcomes(power, compute)[0].lqr_cost == 3.5492351208945565e15
+
+
+class TestOutcomesOnRequest:
+    """Joint solves score from the evaluator's arrays; LoopOutcomes are built
+    only by the single-loop result and JointEvaluator.outcomes."""
+
+    def test_joint_solves_build_no_outcomes(self, monkeypatch, tmp_path):
+        def refused(*args, **kwargs):
+            raise AssertionError("a joint solve built LoopOutcomes")
+        monkeypatch.setattr(pipeline, "loop_outcomes", refused)
+        problem = _default_joint()
+        for scheme in MultiLoopScheme:
+            result = solve_multi_loop(dataclasses.replace(problem, scheme=scheme))
+            assert result.per_loop_outcomes == ()
+        sweep_contour(problem, [2.0, 5.0], [5e9, 1e10])
+        assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
+
+    def test_single_loop_document_builds_three_outcomes(self, monkeypatch, tmp_path):
+        built = []
+        init = LoopOutcome.__init__
+
+        def counted(outcome, *args):
+            built.append(outcome)
+            init(outcome, *args)
+        monkeypatch.setattr(LoopOutcome, "__init__", counted)
+        assert main(["single-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
+        assert len(built) == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_robots=st.integers(1, 4), stable=st.booleans(),
+           cap_bits=st.one_of(st.none(), st.floats(0.5, 8.0)),
+           starved=st.sampled_from(("none", "power", "compute", "all")))
+    def test_all_infeasible_and_total_match_the_outcomes(self, seed, n_robots, stable,
+                                                          cap_bits, starved):
+        """_multi_result's all_infeasible is True exactly when every outcome of
+        the decision costs math.inf, and its lqr_total is cost_vector's sum bit
+        for bit. Starved decisions give one robot no power (0 bits, a finite
+        open-loop cost on a stable plant) or no compute (its cycle overruns),
+        or give every robot neither: then every loop is time-infeasible and
+        delivers -0.0 bits, which the objective scores at the open-loop cost
+        on a stable plant. A low extraction cap makes loops capped or
+        rate-infeasible."""
+        rng = np.random.default_rng(seed)
+        problem = random_joint_problem(rng, n_robots=n_robots, stable=stable)
+        if cap_bits is not None:
+            budget = dataclasses.replace(
+                problem.budget, extraction_ratio=cap_bits / problem.uplink_fixed_bits)
+            problem = dataclasses.replace(problem, budget=budget)
+        power = rng.dirichlet(np.ones(n_robots)) * problem.total_power_w * rng.uniform(0.5, 1.0)
+        compute = (rng.dirichlet(np.ones(n_robots)) * problem.total_compute_cps
+                   * rng.uniform(0.5, 1.0))
+        robot = rng.integers(n_robots)
+        if starved in ("power", "all"):
+            power[robot if starved == "power" else slice(None)] = 0.0
+        if starved in ("compute", "all"):
+            compute[robot if starved == "compute" else slice(None)] = 0.0
+        ev = JointEvaluator(problem)
+        result = optimize._multi_result(ev, problem, power, compute, 0.0,
+                                        optimize.SolverTrace(iterations=0, converged=True))
+        outs = ev.outcomes(power, compute)
+        assert result.solver_trace.all_infeasible == all(o.lqr_cost == math.inf for o in outs)
+        assert result.solver_trace.all_infeasible or starved != "all"
+        assert result.lqr_total == ev.cost_vector(power, compute).sum()
+        assert result.per_loop_outcomes == ()
 
 
 class TestAnalyticGradient:
