@@ -35,6 +35,7 @@ pipeline.store_and_forward and control.rate_cost, and share one penalty.
 """
 import dataclasses
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -248,17 +249,12 @@ def solve_single_loop(problem: SingleLoopProblem) -> AllocationResult:
         iterations=evals, converged=True, method="golden_section"))
 
 
-_last_model = (None, None)  # (plant, model) of the last single-loop result
-
-
+@functools.lru_cache(maxsize=1)
 def _plant_model(plant: Plant) -> RateCostModel:
     """The plant's RateCostModel from a one-entry memo keyed on the plant
     (Plant is eq=False, so by identity): the three objectives of one
     single-loop document share one plant, and so one model."""
-    global _last_model
-    if _last_model[0] is not plant:
-        _last_model = (plant, RateCostModel.from_plant(plant))
-    return _last_model[1]
+    return RateCostModel.from_plant(plant)
 
 
 def _single_result(problem: SingleLoopProblem, b_up: float, objective_value: float,

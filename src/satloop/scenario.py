@@ -190,16 +190,19 @@ def _default_tree(schema=_SCHEMA) -> dict:
     return out
 
 
-def provenance_map(schema=_SCHEMA, prefix="") -> dict:
-    """Dotted path -> provenance label for every scenario key."""
-    out = {}
-    for key, node in schema.items():
-        path = f"{prefix}{key}"
-        if _is_leaf(node):
-            out[path] = node[1]
+def _leaves(node, prefix=""):
+    """(dotted path, leaf) for every leaf of a tree or of _SCHEMA, in sorted order."""
+    for key in sorted(node):
+        value = node[key]
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
         else:
-            out.update(provenance_map(node, prefix=f"{path}."))
-    return out
+            yield f"{prefix}{key}", value
+
+
+def provenance_map() -> dict:
+    """Dotted path -> provenance label for every scenario key."""
+    return {path: leaf[1] for path, leaf in _leaves(_SCHEMA)}
 
 
 def _leaf_value(node, path, value):
@@ -318,7 +321,7 @@ class Scenario:
     def with_seed(self, seed: int) -> "Scenario":
         """A copy with another seed, checked like the document's (ValidationError)."""
         tree = copy.deepcopy(self.tree)
-        tree["seed"] = _leaf_value(_SCHEMA["seed"], "seed", int(seed))
+        tree["seed"] = _leaf_value(_SCHEMA["seed"], "seed", seed)
         return Scenario(tree=tree)
 
     def _link(self, direction: str, bandwidth_hz: float,
@@ -400,18 +403,7 @@ class Scenario:
 
     def flat_items(self) -> list:
         """Sorted (dotted path, value) pairs over the resolved tree."""
-        out = []
-
-        def walk(node, prefix=""):
-            for key in sorted(node):
-                value = node[key]
-                if isinstance(value, dict):
-                    walk(value, prefix=f"{prefix}{key}.")
-                else:
-                    out.append((f"{prefix}{key}", value))
-
-        walk(self.tree)
-        return out
+        return list(_leaves(self.tree))
 
 
 def load_scenario(text: str) -> Scenario:
@@ -436,68 +428,39 @@ def load_scenario(text: str) -> Scenario:
     return Scenario(tree=tree)
 
 
-# A name that SafeDumper writes plain: no quoting, escapes or folding. The
-# resolver must also read it back as a string (not yes, null, ...).
-_PLAIN_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_.-]{0,63}")
-_RESOLVER = yaml.resolver.Resolver()
-_STR_TAG = "tag:yaml.org,2002:str"
-
-
-def _plain(value):
-    """value as SafeDumper writes it, or None where it is not a plain scalar here.
-
-    Finite floats are spelled as SafeRepresenter.represent_float spells them.
-    A loaded scenario holds no other float (_float refuses them), so a
-    non-finite one is left to yaml.dump.
-    """
-    kind = type(value)
-    if kind is float:
-        if not math.isfinite(value):
-            return None
+def _scalar(value) -> str:
+    """value as a YAML 1.1 scalar that reads back as the same value. A finite
+    float is spelled as repr spells it, with ".0" put before an exponent that
+    follows no dot (YAML 1.1 reads 1e-05 as a string). A string is quoted with
+    only backslash and double quote escaped: _str admits printable strings
+    only, with no line break or other character that YAML must escape."""
+    if isinstance(value, str):
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(value, float):
         text = repr(value).lower()
         return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
-    if kind is int:
-        return str(value)
-    if kind is str and _PLAIN_NAME.fullmatch(value) and \
-            _RESOLVER.resolve(yaml.ScalarNode, value, (True, False)) == _STR_TAG:
-        return value
-    return None
+    return str(value)
 
 
-def _block(schema, tree, indent, seen, out) -> bool:
-    """Append tree's block-style lines in sorted key order, as SafeDumper does.
-
-    False where tree leaves the schema, repeats a section (SafeDumper would
-    write an alias) or holds a leaf that is not written plain.
-    """
-    if type(tree) is not dict or tree.keys() != schema.keys() or id(tree) in seen:
-        return False
-    seen.add(id(tree))
-    for key in sorted(schema):
-        if _is_leaf(schema[key]):
-            text = _plain(tree[key])
-            if text is None:
-                return False
-            out.append(f"{indent}{key}: {text}\n")
+def _lines(tree, indent=""):
+    for key in sorted(tree):
+        value = tree[key]
+        if isinstance(value, dict):
+            yield f"{indent}{key}:\n"
+            yield from _lines(value, indent + "  ")
         else:
-            out.append(f"{indent}{key}:\n")
-            if not _block(schema[key], tree[key], indent + "  ", seen, out):
-                return False
-    return True
+            yield f"{indent}{key}: {_scalar(value)}\n"
 
 
 def dump_scenario(scenario: Scenario) -> str:
     """Canonical normalized dump; load(dump(s)) == s and byte-stable.
 
-    Written from the fixed schema, byte for byte as yaml.dump with SafeDumper,
-    sorted keys and block style writes it; any other tree takes yaml.dump
-    with SafeDumper itself (libyaml's emitter folds some names elsewhere).
+    satloop's own canonical YAML, written without a YAML emitter: each
+    level's keys sorted, a section as a `key:` line with its children two
+    spaces further in, and a leaf as `key: value` (see _scalar). A section
+    that appears twice in the tree is written out twice, with no anchor.
     """
-    out = []
-    if _block(_SCHEMA, scenario.tree, "", set(), out):
-        return "".join(out)
-    return yaml.dump(scenario.tree, Dumper=yaml.SafeDumper, sort_keys=True,
-                     default_flow_style=False)
+    return "".join(_lines(scenario.tree))
 
 
 def default_scenario() -> Scenario:

@@ -1,5 +1,6 @@
 """CLI and emission tests: schemas, metadata, determinism, exit codes."""
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -707,6 +708,20 @@ class TestScenarioHashOnce:
         assert main([verb, "--scenario", str(doc), "--out", str(tmp_path / "out"),
                      "--seed", "3"]) == 0
         assert len(calls) == 1
+
+    def test_hash_is_sha256_of_the_validate_output(self, tmp_path, capsys):
+        """A name that needs quoting, too: the CSV's hash is that of the text
+        `satloop validate` prints for the same document."""
+        doc = tmp_path / "quoted.yaml"
+        doc.write_text("name: 'say \"yes\": \\ x'\n" + TestPlantCorners.SMALL)
+        assert main(["validate", "--scenario", str(doc)]) == 0
+        text = capsys.readouterr().out
+        assert 'name: "say \\"yes\\": \\\\ x"\n' in text
+        assert main(["single-loop", "--scenario", str(doc), "--format", "csv",
+                     "--out", str(tmp_path / "out")]) == 0
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        csv = (tmp_path / "out" / "single_loop.csv").read_text()
+        assert f"# scenario_hash = {digest}\n" in csv
 
 
 class TestBaselineSweepWork:

@@ -250,14 +250,37 @@ def _documents():
     return list(VALID_DOCUMENTS) + generate_documents(1)
 
 
-def _pure_python_dump(scn):
-    return yaml.dump(scn.tree, Dumper=yaml.SafeDumper, sort_keys=True,
-                     default_flow_style=False)
+def _tree(schema, leaf, name):
+    """A strategy for trees of the schema's shape with any leaf values."""
+    return st.fixed_dictionaries({
+        key: (name if key == "name" else leaf) if scenario._is_leaf(node)
+        else _tree(node, leaf, name)
+        for key, node in schema.items()})
+
+
+def _exact(tree):
+    """tree with each leaf as (type, repr), so -0.0 differs from 0.0 and 1 from 1.0."""
+    return {key: _exact(value) if isinstance(value, dict) else (type(value), repr(value))
+            for key, value in tree.items()}
+
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e17, 1.7976931348623157e308, 1e-05, 1e16]),
+    st.integers(10**16, 10**300).map(float))  # integral floats above 1e16
+# any str.isprintable name: no control, format, private-use, unassigned or
+# separator character but the space
+_PRINTABLE = st.characters(exclude_categories=("C", "Z"), include_characters=" ")
+_NAME = st.one_of(
+    st.text(_PRINTABLE), st.text(st.characters(min_codepoint=0x10000, exclude_categories=("C", "Z"))),
+    st.sampled_from(["yes", "No", "null", "~", "on", "1e3", "123", "0x1f", "a: b", "a #b",
+                     '"', "\\", '\\"', "' '", " a", "a ", " ", "", "&a", "*a", "!a",
+                     "- a", "\U0001f6f0", "x" * 300]))
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 class TestLibyaml:
-    """The C loader and emitter give what the pure-Python classes give."""
+    """The C loader reads what the pure-Python loader reads."""
 
     def test_scenario_uses_the_c_classes(self):
         assert scenario._Loader is yaml.CSafeLoader
@@ -266,14 +289,6 @@ class TestLibyaml:
         for text in _documents():
             assert yaml.load(text, Loader=yaml.CSafeLoader) == \
                 yaml.load(text, Loader=yaml.SafeLoader), text
-
-    def test_dumpers_give_identical_bytes(self):
-        for text in _documents():
-            scn = load_scenario(text)
-            c_dump = yaml.dump(scn.tree, Dumper=yaml.CSafeDumper, sort_keys=True,
-                               default_flow_style=False)
-            assert c_dump == _pure_python_dump(scn)
-            assert dump_scenario(scn) == c_dump
 
     def test_fuzzed_documents_load_alike(self):
         """Both loaders accept the same fuzzed documents, or both reject them."""
@@ -292,59 +307,123 @@ class TestLibyaml:
                     loaded.append("error")
             assert loaded[0] == loaded[1], doc
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.text(max_size=120))
-    def test_any_name_dumps_as_the_pure_python_emitter(self, name):
-        """libyaml folds long escaped names elsewhere; dump_scenario must not."""
-        scn = default_scenario()
-        scn = Scenario(tree=dict(scn.tree, name=name))
-        assert dump_scenario(scn) == _pure_python_dump(scn)
+    @settings(max_examples=100, deadline=None)
+    @given(_tree(scenario._SCHEMA, st.one_of(_FINITE, st.integers()), _NAME))
+    def test_loaders_read_any_dump_as_its_tree(self, tree):
+        """Both loaders read the dump of any tree of the schema's shape back
+        as that tree: the same keys, types and float bits."""
+        text = dump_scenario(Scenario(tree=tree))
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            assert _exact(yaml.load(text, Loader=loader)) == _exact(tree), text
 
 
-def _tree(schema, leaf, name):
-    """A strategy for trees of the schema's shape with any leaf values."""
-    return st.fixed_dictionaries({
-        key: (name if key == "name" else leaf) if scenario._is_leaf(node)
-        else _tree(node, leaf, name)
-        for key, node in schema.items()})
+class TestDump:
+    """dump_scenario writes satloop's own canonical YAML, with no YAML emitter."""
 
+    @settings(max_examples=200, deadline=None)
+    @given(_NAME, st.integers(0, 10**40), st.fixed_dictionaries({
+        key: _FINITE if key in ("a", "b") else _FINITE.map(abs).filter(bool)
+        for key in scenario._SCHEMA["plant"]}))
+    def test_any_scenario_round_trips(self, name, seed, plant):
+        """load_scenario(dump_scenario(s)) == s over trees of the schema's shape
+        with any name and seed and any plant the schema admits (the plant is
+        the section that no cross-check ties to the others)."""
+        tree = copy.deepcopy(default_scenario().tree)
+        tree.update(name=name, seed=seed, plant=plant)
+        scn = Scenario(tree=tree)
+        text = dump_scenario(scn)
+        assert load_scenario(text) == scn
+        assert dump_scenario(load_scenario(text)) == text
 
-class TestSchemaDump:
-    """dump_scenario writes the fixed schema's trees itself, byte for byte as
-    PyYAML's pure-Python SafeDumper; other trees take yaml.dump."""
-    _FLOAT = st.one_of(
-        st.floats(),
-        st.sampled_from([1e17, 1e-05, -0.0, 5e-324, 1.7976931348623157e308,
-                         float("nan"), float("inf"), float("-inf")]),
-        st.integers(10**16, 10**300).map(float))  # integral floats above 1e16
-    _NAME = st.one_of(st.text(), st.from_regex(scenario._PLAIN_NAME, fullmatch=True),
-                      st.sampled_from(["yes", "No", "null", "NULL", "on", "1e3", "123", "a b",
-                                       "a b ", "a: b", "a #b", "\u00e9", "x" * 90, "a" * 64,
-                                       "a" * 65]))
+    @pytest.mark.parametrize("value, text", [
+        (-0.0, "-0.0"), (5e-324, "5.0e-324"), (1e17, "1.0e+17"), (1e-05, "1.0e-05"),
+        (1.7976931348623157e308, "1.7976931348623157e+308")])
+    def test_float_spelling_round_trips(self, value, text):
+        """A float keeps its bits; an exponent without a dot gets ".0" so that
+        YAML 1.1 reads it as a float."""
+        scn = load_scenario(f"plant:\n  a: {value!r}\n")
+        dump = dump_scenario(scn)
+        assert f"\n  a: {text}\n" in dump
+        assert repr(load_scenario(dump).tree["plant"]["a"]) == repr(value)
 
-    @settings(max_examples=300, deadline=None)
-    @given(_tree(scenario._SCHEMA, st.one_of(_FLOAT, st.integers()), _NAME))
-    def test_any_tree_dumps_as_safe_dumper(self, tree):
-        assert dump_scenario(Scenario(tree=tree)) == yaml.dump(
-            tree, Dumper=yaml.SafeDumper, sort_keys=True, default_flow_style=False)
-
-    def test_documents_dump_as_safe_dumper_without_yaml(self, monkeypatch):
-        """The fixtures and the benchmark's documents never reach yaml.dump."""
+    def test_documents_dump_without_yaml_emitters(self, monkeypatch):
+        """The fixtures and the benchmark's documents dump with every PyYAML
+        emitting function gone."""
         scenarios = [load_scenario(text) for text in _documents()]
-        want = [_pure_python_dump(scn) for scn in scenarios]
-        monkeypatch.setattr(yaml, "dump", None)
-        assert [dump_scenario(scn) for scn in scenarios] == want
+        for name in ("dump", "dump_all", "safe_dump", "safe_dump_all", "emit",
+                     "serialize", "serialize_all"):
+            monkeypatch.setattr(yaml, name, None)
+        texts = [dump_scenario(scn) for scn in scenarios]
+        monkeypatch.undo()
+        assert [load_scenario(text) for text in texts] == scenarios
 
-    def test_shared_section_keeps_its_alias(self):
+    def test_shared_section_is_written_in_full(self):
         tree = copy.deepcopy(default_scenario().tree)
         tree["links"]["downlink"] = tree["links"]["uplink"]
-        scn = Scenario(tree=tree)
-        assert "&id001" in dump_scenario(scn)
-        assert dump_scenario(scn) == _pure_python_dump(scn)
+        text = dump_scenario(Scenario(tree=tree))
+        assert "&" not in text and "*" not in text
+        assert text == dump_scenario(Scenario(tree=copy.deepcopy(tree)))
+        assert yaml.safe_load(text) == tree
 
-    def test_default_scenario_hash_is_pinned(self):
+    def test_default_dump_and_hash_are_pinned(self):
+        assert dump_scenario(default_scenario()) == DEFAULT_DUMP
         assert report.scenario_hash(default_scenario()) == \
-            "0ad0bd1a0c66546c749e236586f837ea62098b118138b2b84674cd35aad5a1f4"
+            "223b0b5e2ebf622a6f45dee5998df573be96215195df0086590695d10ac536fc"
+
+
+DEFAULT_DUMP = """\
+budget:
+  compute_gcps: 10.0
+  cycle_period_ms: 20.0
+  cycles_per_bit: 100.0
+  extraction_ratio: 0.001
+contour:
+  compute_max_gcps: 30.0
+  compute_min_gcps: 8.0
+  compute_points: 20
+  power_max_w: 40.0
+  power_min_w: 1.0
+  power_points: 20
+links:
+  downlink:
+    altitude_km: 600.0
+    carrier_freq_ghz: 30.0
+    elevation_deg: 90.0
+    noise_temperature_k: 290.0
+    rx_gain_dbi: 14.0
+    tx_gain_dbi: 38.5
+    tx_power_w: 20.0
+  uplink:
+    altitude_km: 600.0
+    carrier_freq_ghz: 30.0
+    elevation_deg: 90.0
+    noise_temperature_k: 290.0
+    rx_gain_dbi: 38.5
+    tx_gain_dbi: 14.0
+    tx_power_w: 0.2
+multi_loop:
+  allocation_power_w: 5.0
+  downlink_bandwidth_total_hz: 250.0
+  elevation_max_deg: 90.0
+  elevation_min_deg: 30.0
+  n_robots: 5
+  power_sweep_max_w: 40.0
+  power_sweep_min_w: 1.0
+  power_sweep_points: 20
+  total_compute_gcps: 10.0
+  uplink_fixed_bits: 200000.0
+name: "baseline"
+plant:
+  a: 2.0
+  b: 1.0
+  q: 1.0
+  r_u: 1.0
+  w_cov: 1.0
+seed: 1
+single_loop:
+  min_latency_payload_bits: 10000.0
+  total_bandwidth_hz: 40000.0
+"""
 
 
 class TestWithSeed:
@@ -354,6 +433,18 @@ class TestWithSeed:
             want = yaml.safe_load(dump_scenario(scn))
             want["seed"] = 123
             assert scn.with_seed(123).tree == want
+
+    @pytest.mark.parametrize("seed", [2.7, True, "5", -0.5, np.int64(5)])
+    def test_refuses_what_a_document_refuses(self, seed):
+        """No conversion first: 2.7 is not read as 2, True as 1 or "5" as 5."""
+        with pytest.raises(ValidationError, match="seed"):
+            default_scenario().with_seed(seed)
+
+    def test_cli_seed_still_applies(self, tmp_path):
+        assert report.main(["single-loop", "--seed", "3", "--format", "csv",
+                            "--out", str(tmp_path)]) == 0
+        assert "# seed = 3\n" in (tmp_path / "single_loop.csv").read_text()
+        assert default_scenario().with_seed(3).seed == 3
 
     def test_copy_is_independent(self):
         scn = default_scenario()
