@@ -26,8 +26,9 @@ the step's predicted decrease is below PGD_REL_TOL of its value (the Newton
 decrement, B&V 9.5.1 and 10.2); a row whose blocks are not positive definite
 (a capped, penalised or starved loop), or whose Newton point fails the test,
 takes the Barzilai-Borwein step with Armijo backtracking instead. The vector
-math of an iteration (derivatives, Newton step, projection, objective,
-backtracking) is one batched numpy call for all running rows; each row's
+math of an iteration (derivatives, Newton step, projection, objective) is
+one batched numpy call for all running rows, and backtracking two at most
+(the first halving, then the rest for the rows that reject it); each row's
 step choice, stopping test and bookkeeping run on Python floats. The trace
 certifies the returned point with its projected-gradient norm
 (SolverTrace.projected_gradient_norm). Both solvers score a cycle with
@@ -55,8 +56,8 @@ GOLDEN_REL_WIDTH = 1e-8
 PGD_REL_TOL = 1e-10
 PGD_PATIENCE = 5
 PGD_MAX_ITER = 500
-# Projected-gradient backtracking: MAX_HALVINGS trial steps, all evaluated in
-# one objective call.
+# Projected-gradient backtracking: MAX_HALVINGS trial steps, the first scored
+# alone and the rest in one objective call for the rows that reject it.
 MAX_HALVINGS = 80
 _HALVINGS = 0.5 ** np.arange(MAX_HALVINGS)  # the trial-step scales 1, 1/2, 1/4, ...
 
@@ -440,8 +441,8 @@ def project_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
     """Euclidean projection of each row (last axis) onto {x >= 0, sum(x) <= total}.
 
     Sort-based simplex projection (Duchi et al., ICML 2008), applied only to
-    rows whose clipped sum exceeds the cap; a batch with no such row is
-    returned clipped without sorting. The sorted entries u are measured
+    the rows whose clipped sum exceeds the cap (or is NaN); the other rows
+    are returned clipped and never sorted. The sorted entries u are measured
     from the row's largest entry u_1, so neither the threshold test
     d_k - (D_k - total) / k > 0 (d_k = u_k - u_1, D_k = d_1 + ... + d_k) nor
     the output (x - u_1) - (D_rho - total) / rho subtracts two large sums: an
@@ -450,19 +451,19 @@ def project_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
     shape = x.shape
     n = shape[-1]
     x = np.maximum(x, 0.0).reshape(-1, n)
-    inside = x.sum(axis=-1, keepdims=True) <= total
-    if inside.all():  # the clipped batch is its own projection
+    outside = ~(x.sum(axis=-1) <= total)
+    if not outside.any():  # the clipped batch is its own projection
         return x.reshape(shape)
-    u = np.sort(x, axis=-1)[:, ::-1]
+    y = x[outside]
+    u = np.sort(y, axis=-1)[:, ::-1]
     top = u[:, :1]
     excess = np.cumsum(u - top, axis=-1) - total  # D_k - total, never above -total
     valid = (u - top) - excess / np.arange(1, n + 1) > 0.0
     # rho: the count of leading sorted entries that pass (the first always does)
-    rows = np.arange(x.shape[0])
     rho = np.logical_and.accumulate(valid, axis=-1).sum(axis=-1)
-    shift = (excess[rows, rho - 1] / rho)[:, None]  # theta - u_1
-    out = np.where(inside, x, np.maximum((x - top) - shift, 0.0))
-    return out.reshape(shape)
+    shift = (excess[np.arange(len(y)), rho - 1] / rho)[:, None]  # theta - u_1
+    x[outside] = np.maximum((y - top) - shift, 0.0)
+    return x.reshape(shape)
 
 
 def water_fill_power(evaluator: JointEvaluator, total_power_w: float) -> np.ndarray:
@@ -526,24 +527,35 @@ def _backtrack(objective, project, z: np.ndarray, fz: np.ndarray, grad: np.ndarr
 
     Row i tries step[i] 0.5^k for k = 0 ... MAX_HALVINGS - 1 and takes the
     first trial whose projected move passes the sufficient-decrease test; it
-    stops unaccepted at the first trial whose projected move is zero. Every
-    trial of every row is projected in one call and scored in one objective
-    call, so each row takes the trial that halving one step at a time would.
-    Returns (accepted, z, f, step) per row.
+    stops unaccepted at the first trial whose projected move is zero. The
+    first trial of every row is projected and scored in one call each; the
+    rows that reject it project and score their other MAX_HALVINGS - 1
+    trials in one more. Each row takes the trial that halving one step at a
+    time would. Returns (accepted, z, f, step) per row.
     """
-    rows, dim = z.shape
-    trial = step[:, None] * _HALVINGS
-    base = z[:, None, :]
-    cand = project((base - trial[..., None] * grad[:, None, :]).reshape(-1, dim))
-    cand = cand.reshape(rows, MAX_HALVINGS, dim)
-    move = cand - base
-    move_sq = (move * move).sum(axis=-1)
-    fc = objective(cand.reshape(-1, dim)).reshape(move_sq.shape)
-    stop = (fc <= fz[:, None] - 1e-2 * move_sq / trial) | (move_sq == 0.0)
-    ar, j = np.arange(rows), stop.argmax(axis=1)
-    accepted = stop[ar, j] & (move_sq[ar, j] != 0.0)
-    return (accepted, np.where(accepted[:, None], cand[ar, j], z),
-            np.where(accepted, fc[ar, j], fz), np.where(accepted, trial[ar, j], step))
+    dim = z.shape[1]
+    accepted = np.zeros(len(z), dtype=bool)
+    z_out, f_out, s_out = z.copy(), fz.copy(), step.copy()
+    searching = np.arange(len(z))  # the rows that have not stopped
+    for scales in (_HALVINGS[:1], _HALVINGS[1:]):
+        trial = step[searching, None] * scales
+        base = z[searching, None, :]
+        cand = project((base - trial[..., None] * grad[searching, None, :]).reshape(-1, dim))
+        cand = cand.reshape(len(searching), len(scales), dim)
+        move = cand - base
+        move_sq = (move * move).sum(axis=-1)
+        fc = objective(cand.reshape(-1, dim)).reshape(move_sq.shape)
+        stop = (fc <= fz[searching, None] - 1e-2 * move_sq / trial) | (move_sq == 0.0)
+        ar, j = np.arange(len(searching)), stop.argmax(axis=1)
+        took = stop[ar, j] & (move_sq[ar, j] != 0.0)
+        rows = searching[took]
+        accepted[rows] = True
+        z_out[rows], f_out[rows], s_out[rows] = (cand[ar, j][took], fc[ar, j][took],
+                                                 trial[ar, j][took])
+        searching = searching[~stop[ar, j]]
+        if not len(searching):
+            break
+    return accepted, z_out, f_out, s_out
 
 
 def _newton_direction(grad: np.ndarray, blocks: tuple, z: np.ndarray, n: int,
@@ -826,7 +838,9 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
     would do for unstable plants: each loop's cost is jointly convex in its
     power and compute wherever it is feasible (see the module docstring), so
     the extra starts only make sure the result is never above a decision the
-    caller already has (report passes the two baselines' decisions).
+    caller already has, or start it nearer the optimum (report passes the
+    two baselines' decisions and, along its power sweep, the previous
+    point's decision with its power scaled to the new total).
     Max-throughput: water-filled power, compute proportional to uplink load;
     it ignores extra_starts.
     Compute-only: equal power frozen, projected gradient over compute from

@@ -125,11 +125,12 @@ def cmd_single_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRe
     return RunRecord(digest, time.perf_counter() - started, converged)
 
 
-def _solve_schemes(problem: MultiLoopProblem, compute_only_starts=()) -> dict:
-    """Scheme name -> result on the problem's robots and totals; the baselines
-    are solved first and their decisions are extra starts for the
-    task-oriented scheme. compute_only_starts are extra starts for the
-    compute-only scheme."""
+def _solve_schemes(problem: MultiLoopProblem, compute_only_starts=(),
+                   task_oriented_starts=()) -> dict:
+    """Scheme name -> result on the problem's robots and totals. The
+    baselines are solved first; the task-oriented scheme starts also from
+    their decisions and then from task_oriented_starts, and the compute-only
+    scheme also from compute_only_starts."""
     results = {
         "max_throughput": solve_multi_loop(
             dataclasses.replace(problem, scheme=MultiLoopScheme.MAX_THROUGHPUT_JOINT)),
@@ -139,7 +140,7 @@ def _solve_schemes(problem: MultiLoopProblem, compute_only_starts=()) -> dict:
     }
     results["task_oriented"] = solve_multi_loop(
         dataclasses.replace(problem, scheme=MultiLoopScheme.TASK_ORIENTED_JOINT),
-        extra_starts=[r.decision for r in results.values()])
+        extra_starts=[r.decision for r in results.values()] + list(task_oriented_starts))
     return results
 
 
@@ -152,15 +153,25 @@ def cmd_multi_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRec
     # its power total and its scheme, and the detail point is solved last
     base = scn.multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT)
     sweep = scn.power_sweep_w()
-    # the sweep's totals stay numpy floats, which scale arrays faster than Python floats
-    problems = [dataclasses.replace(base, total_power_w=p) for p in sweep] + [base]
-    # each compute-only solve starts also from the previous point's decision,
-    # which the unchanged compute budget keeps feasible
+    # each sweep point after the first starts its compute-only solve also
+    # from the previous point's decision, which the unchanged compute budget
+    # keeps feasible, and its task-oriented solve also from the previous
+    # point's budget shares: its decision with the power scaled to the new
+    # total. The sweep's totals stay numpy floats, which scale arrays faster
+    # than Python floats.
     solves = []
-    for problem in problems:
-        warm = [solves[-1]["compute_only"].decision] if solves else []
-        solves.append(_solve_schemes(problem, compute_only_starts=warm))
-    *solves, detail = solves
+    for k, total in enumerate(sweep):
+        compute_warm = task_warm = ()
+        if k:
+            previous = solves[-1]
+            shares = previous["task_oriented"].decision
+            compute_warm = [previous["compute_only"].decision]
+            task_warm = [{"power_w": shares["power_w"] * (total / sweep[k - 1]),
+                          "compute_cps": shares["compute_cps"]}]
+        solves.append(_solve_schemes(dataclasses.replace(base, total_power_w=total),
+                                     compute_warm, task_warm))
+    # the detail point keeps the compute-only warm start only
+    detail = _solve_schemes(base, [solves[-1]["compute_only"].decision])
     converged = all(r.solver_trace.converged for s in solves + [detail] for r in s.values())
 
     columns = {name: [s[name].lqr_total for s in solves] for name in names}
@@ -224,7 +235,7 @@ def _load_from_args(args) -> Scenario:
         except UnicodeDecodeError as exc:
             raise ParseError(f"{args.scenario}: not UTF-8 text ({exc})") from exc
         scn = load_scenario(text)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         scn = scn.with_seed(args.seed)
     return scn
 
@@ -235,10 +246,11 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="satloop",
         description="Closed-loop satellite link resource allocation toolkit")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", help="scenario YAML file (default: built-in baseline)")
+    source = argparse.ArgumentParser(add_help=False)  # the scenario a verb runs
+    source.add_argument("--scenario", help="scenario YAML file (default: built-in baseline)")
+    source.add_argument("--seed", type=int, help="override the scenario seed")
+    common = argparse.ArgumentParser(add_help=False, parents=[source])
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--seed", type=int, help="override the scenario seed")
     common.add_argument("--format", choices=("csv", "csv+svg"), default="csv+svg")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("single-loop", parents=[common],
@@ -247,8 +259,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="joint power/compute allocation across robots")
     sub.add_parser("contour", parents=[common],
                    help="LQR cost over power x compute budget grids")
-    validate = sub.add_parser("validate", help="check a scenario and print it resolved")
-    validate.add_argument("--scenario", help="scenario YAML file")
+    sub.add_parser("validate", parents=[source], help="check a scenario and print it resolved")
     return parser
 
 

@@ -304,6 +304,23 @@ class TestProjection:
         error = max(abs(Fraction(g) - w) for g, w in zip(got.tolist(), want))
         assert error <= Fraction(len(row) * total) * Fraction(2.0 ** -52)
 
+    def test_only_rows_over_the_cap_are_sorted(self, monkeypatch):
+        """Rows inside the cap once clipped are returned clipped and never
+        sorted, as in a backtracking batch whose small trial steps stay
+        inside one block."""
+        sorted_rows = []
+        original = np.sort
+
+        def counted(a, *args, **kwargs):
+            sorted_rows.append(len(a))
+            return original(a, *args, **kwargs)
+        monkeypatch.setattr(optimize.np, "sort", counted)
+        x = np.array([[0.25, -1.0, 0.5], [3.0, 0.25, 0.0], [0.1, 0.1, 0.1], [0.9, 0.9, -0.5]])
+        got = project_capped_simplex(x, 1.0)
+        assert sorted_rows == [2]
+        assert np.array_equal(got[[0, 2]], np.maximum(x[[0, 2]], 0.0))
+        assert np.array_equal(got[[1, 3]], reference_capped_simplex(x[[1, 3]], 1.0))
+
     def test_an_entry_that_dwarfs_the_total_takes_all_of_it(self):
         got = project_capped_simplex(np.array([[1e20, 0.3, 0.1], [0.1, 1e300, 2.0]]), 1.0)
         assert np.array_equal(got, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -1089,18 +1106,14 @@ class TestBatchedPgd:
         assert (result.value <= objective(projected.reshape(starts.shape))).all()
         assert np.array_equal(result.value, objective(result.z))
 
-    def test_backtracking_matches_one_halving_at_a_time(self):
-        """Each row takes the first passing halving, all of them scored in one
-        objective call."""
+    @staticmethod
+    def _backtracking_batch():
+        """(objective, project, z, grad, step) of 40 random rows on the
+        default problem, with steps from no halving to dozens."""
         problem = _default_joint()
         ev = JointEvaluator(problem)
         objective, derivatives = optimize._scaled_objective(
             ev, problem.total_power_w, problem.total_compute_cps)
-        calls = []
-
-        def counted(batch):
-            calls.append(len(batch))
-            return objective(batch)
 
         def project(z):
             return project_capped_simplex(z.reshape(-1, 2, ev.n), 1.0).reshape(z.shape)
@@ -1108,32 +1121,74 @@ class TestBatchedPgd:
         rng = np.random.default_rng(4)
         z = project(np.concatenate([rng.dirichlet(np.ones(ev.n), 40),
                                     rng.dirichlet(np.ones(ev.n), 40)], axis=1))
-        step = 10.0 ** rng.uniform(-12.0, 8.0, len(z))  # from no halving to dozens
+        step = 10.0 ** rng.uniform(-12.0, 8.0, len(z))
         grad = derivatives(z)[0]
         # row 0 sits on a vertex and is pushed straight out of it: the
         # projected move is exactly zero, so the row stops unaccepted
         z[0] = np.concatenate([np.eye(ev.n)[0], np.eye(ev.n)[1]])
         grad[0], step[0] = -z[0], 4.0
+        return objective, project, z, grad, step
+
+    @staticmethod
+    def _one_halving_at_a_time(objective, project, z, fz, grad, step):
+        """(accepted, z, f, step) of one row, halving one step at a time."""
+        s = step
+        for _ in range(optimize.MAX_HALVINGS):
+            cand = project(z[None, :] - s * grad[None, :])[0]
+            move_sq = float((cand - z) @ (cand - z))
+            if move_sq == 0.0:
+                break
+            fc = float(objective(cand[None, :])[0])
+            if fc <= fz - 1e-2 * move_sq / s:
+                return True, cand, fc, s
+            s *= 0.5
+        return False, z, fz, step
+
+    def test_backtracking_matches_one_halving_at_a_time(self):
+        """Each row takes the first passing halving. The first halving of
+        every row is scored in one objective call, and the other
+        MAX_HALVINGS - 1 in one more for the rows that neither accept it nor
+        stop there."""
+        objective, project, z, grad, step = self._backtracking_batch()
+        calls = []
+
+        def counted(batch):
+            calls.append(len(batch))
+            return objective(batch)
         fz = objective(z)
         got = optimize._backtrack(counted, project, z, fz, grad, step)
-        assert calls == [len(z) * optimize.MAX_HALVINGS]
-        for i in range(len(z)):
-            want = (False, z[i], fz[i], step[i])
-            s = step[i]
-            for _ in range(optimize.MAX_HALVINGS):
-                cand = project(z[i:i + 1] - s * grad[i:i + 1])[0]
-                move_sq = float((cand - z[i]) @ (cand - z[i]))
-                if move_sq == 0.0:
-                    break
-                fc = float(objective(cand[None, :])[0])
-                if fc <= fz[i] - 1e-2 * move_sq / s:
-                    want = (True, cand, fc, s)
-                    break
-                s *= 0.5
+        wants = [self._one_halving_at_a_time(objective, project, z[i], fz[i], grad[i], step[i])
+                 for i in range(len(z))]
+        # the rows whose first halving neither passes nor stops them
+        first = [not want[0] or want[3] != step[i] for i, want in enumerate(wants)]
+        first[0] = False  # its first projected move is zero
+        rejected = sum(first)
+        assert 0 < rejected < len(z)
+        assert calls == [len(z), rejected * (optimize.MAX_HALVINGS - 1)]
+        for i, want in enumerate(wants):
             assert got[0][i] == want[0]
             assert np.array_equal(got[1][i], want[1])
             assert got[2][i] == want[2] and got[3][i] == want[3]
         assert not got[0][0] and got[0].sum() > 20
+
+    def test_backtracking_in_one_call_when_every_row_takes_its_first_halving(self):
+        objective, project, z, grad, step = self._backtracking_batch()
+        fz = objective(z)
+        wants = [self._one_halving_at_a_time(objective, project, z[i], fz[i], grad[i], step[i])
+                 for i in range(len(z))]
+        # the rows that accept their first halving, at that step
+        keep = [i for i, want in enumerate(wants) if want[0] and want[3] == step[i]]
+        assert len(keep) > 5
+        calls = []
+
+        def counted(batch):
+            calls.append(len(batch))
+            return objective(batch)
+        got = optimize._backtrack(counted, project, z[keep], fz[keep], grad[keep], step[keep])
+        assert calls == [len(keep)]
+        assert got[0].all() and np.array_equal(got[3], step[keep])
+        for i, row in enumerate(keep):
+            assert np.array_equal(got[1][i], wants[row][1]) and got[2][i] == wants[row][2]
 
     @pytest.mark.parametrize("optimize_power", [True, False])
     def test_direct_call_emits_no_warning(self, optimize_power):
@@ -1350,6 +1405,34 @@ class TestDeterministicStarts:
         assert one.objective_value <= values.min()
         ref = multi_start_solve(problem, seed=seed, extra_starts=extra)
         assert one.lqr_total <= ref.lqr_total + 1e-9 * abs(ref.lqr_total)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_robots=st.integers(1, 4), stable=st.booleans(),
+           lower=st.floats(0.3, 0.95))
+    def test_a_warm_start_from_a_lower_total(self, seed, n_robots, stable, lower):
+        """One more task-oriented start, as report passes along the power
+        sweep: the decision solved at a lower power total with its power
+        scaled to the problem's total. On unstable plants the result is
+        never above the solve without it by more than 1e-12 relative, nor
+        below it by more than PGD_REL_TOL relative, the tolerance within
+        which the Newton decrement stops each descent (the warm start can
+        stop closer to the optimum). On stable plants every start descends
+        and the rows are independent bit for bit, so the result is never
+        above the solve without it."""
+        problem = random_joint_problem(np.random.default_rng(seed), n_robots, stable=stable)
+        p_tot = problem.total_power_w
+        below = solve_multi_loop(dataclasses.replace(problem, total_power_w=lower * p_tot))
+        warm = {"power_w": below.decision["power_w"] * (p_tot / (lower * p_tot)),
+                "compute_cps": below.decision["compute_cps"]}
+        cold = solve_multi_loop(problem)
+        warmed = solve_multi_loop(problem, extra_starts=[warm])
+        assert warmed.solver_trace.restarts == cold.solver_trace.restarts + 1
+        if stable:
+            assert warmed.lqr_total <= cold.lqr_total
+        else:
+            scale = abs(cold.lqr_total)
+            assert warmed.lqr_total <= cold.lqr_total + 1e-12 * scale
+            assert warmed.lqr_total >= cold.lqr_total - optimize.PGD_REL_TOL * scale
 
     @pytest.mark.parametrize("scheme", [MultiLoopScheme.TASK_ORIENTED_JOINT,
                                         MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM])

@@ -10,6 +10,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -723,12 +724,24 @@ class TestScenarioHashOnce:
         csv = (tmp_path / "out" / "single_loop.csv").read_text()
         assert f"# scenario_hash = {digest}\n" in csv
 
+    def test_validate_takes_the_seed(self, tmp_path, capsys):
+        """`validate --seed 3` prints the reseeded scenario whose sha256 is the
+        hash of a `--seed 3` run."""
+        assert main(["validate", "--seed", "3"]) == 0
+        text = capsys.readouterr().out
+        assert "\nseed: 3\n" in text
+        assert main(["single-loop", "--seed", "3", "--format", "csv",
+                     "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert f"# scenario_hash = {digest}\n" in (tmp_path / "single_loop.csv").read_text()
+
 
 class TestBaselineSweepWork:
-    def test_multi_loop_descends_at_most_150_rows(self, tmp_path, monkeypatch):
+    def test_multi_loop_descends_at_most_100_rows(self, tmp_path, monkeypatch):
         """One descent per solve from its lowest start, and warm compute-only
-        starts along the sweep, keep the baseline multi-loop run at 150 PGD
-        row-iterations or fewer (595 when every start descended)."""
+        and task-oriented starts along the sweep, keep the baseline multi-loop
+        run at 100 PGD row-iterations or fewer (595 when every start
+        descended, 121 with cold task-oriented starts)."""
         iterations = []
         original = optimize._projected_gradient
 
@@ -738,13 +751,14 @@ class TestBaselineSweepWork:
             return result
         monkeypatch.setattr(optimize, "_projected_gradient", counted)
         assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
-        assert len(iterations) == 42 and sum(iterations) <= 150
+        assert len(iterations) == 42 and sum(iterations) <= 100
 
     def test_multi_loop_work_per_run(self, tmp_path, monkeypatch):
         """The solver work of one baseline multi-loop run, pinned: a leaner
-        iteration must not add descents, row-iterations, objective calls,
-        projections or water-fills. The max-throughput solve and the
-        task-oriented starts at one power total share one water-fill."""
+        iteration must not add descents, row-iterations (task-oriented ones
+        counted apart), objective calls, projections or water-fills. The
+        max-throughput solve and the task-oriented starts at one power total
+        share one water-fill."""
         counts = {}
 
         def count(owner, name):
@@ -754,8 +768,9 @@ class TestBaselineSweepWork:
                 result = original(*args, **kwargs)
                 counts[name] = counts.get(name, 0) + 1
                 if name == "_projected_gradient":
-                    counts["row_iterations"] = (counts.get("row_iterations", 0)
-                                                + result.iterations)
+                    key = ("task_oriented_row_iterations" if kwargs["optimize_power"]
+                           else "compute_only_row_iterations")
+                    counts[key] = counts.get(key, 0) + result.iterations
                 return result
             monkeypatch.setattr(owner, name, counted)
         count(optimize, "_projected_gradient")
@@ -763,11 +778,13 @@ class TestBaselineSweepWork:
         count(optimize, "project_capped_simplex")
         count(optimize, "water_fill_power")
         assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
-        assert counts == {"_projected_gradient": 42, "row_iterations": 121, "total_cost": 167,
-                          "project_capped_simplex": 209, "water_fill_power": 21}
+        assert counts == {"_projected_gradient": 42, "task_oriented_row_iterations": 49,
+                          "compute_only_row_iterations": 37, "total_cost": 150,
+                          "project_capped_simplex": 192, "water_fill_power": 21}
 
-    def test_each_compute_only_solve_starts_from_the_previous_one(self, tmp_path,
-                                                                   monkeypatch):
+    @staticmethod
+    def _record_solves(monkeypatch) -> list:
+        """(problem, extra starts, result) of every solve_multi_loop call report makes."""
         solves = []
         original = report.solve_multi_loop
 
@@ -776,6 +793,11 @@ class TestBaselineSweepWork:
             solves.append((problem, kwargs.get("extra_starts", ()), result))
             return result
         monkeypatch.setattr(report, "solve_multi_loop", recorded)
+        return solves
+
+    def test_each_compute_only_solve_starts_from_the_previous_one(self, tmp_path,
+                                                                   monkeypatch):
+        solves = self._record_solves(monkeypatch)
         assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
         compute_only = [s for s in solves
                         if s[0].scheme == optimize.MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM]
@@ -784,6 +806,39 @@ class TestBaselineSweepWork:
         for (_, _, previous), (_, extra, result) in zip(compute_only, compute_only[1:]):
             assert [d is previous.decision for d in extra] == [True]
             assert result.solver_trace.restarts == 2
+
+    def test_each_task_oriented_solve_starts_from_the_previous_one(self, tmp_path,
+                                                                    monkeypatch):
+        """Every sweep point after the first starts its task-oriented solve
+        from the two baselines' decisions and then the previous point's
+        budget shares: its task-oriented power scaled by the ratio of the
+        totals, its compute unchanged. The detail point, solved last, starts
+        from the two baselines' decisions only."""
+        solves = self._record_solves(monkeypatch)
+        assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
+        assert len(solves) == 63
+        points = [solves[i:i + 3] for i in range(0, 63, 3)]  # one point per three solves
+        schemes = optimize.MultiLoopScheme
+        for point in points:
+            assert [s[0].scheme for s in point] == [schemes.MAX_THROUGHPUT_JOINT,
+                                                    schemes.COMPUTE_ONLY_EQUAL_COMM,
+                                                    schemes.TASK_ORIENTED_JOINT]
+        *sweep, detail = points
+        for k, point in enumerate(points):
+            (_, _, max_throughput), (_, _, compute_only), (problem, extra, result) = point
+            assert [d is r.decision for d, r in zip(extra, (max_throughput, compute_only))] \
+                == [True, True]
+            if k == 0 or point is detail:
+                assert len(extra) == 2 and result.solver_trace.restarts == 4
+                continue
+            previous_problem, _, previous = sweep[k - 1][2]
+            [warm] = extra[2:]
+            ratio = problem.total_power_w / previous_problem.total_power_w
+            assert np.array_equal(warm["power_w"], previous.decision["power_w"] * ratio)
+            assert np.array_equal(warm["compute_cps"], previous.decision["compute_cps"])
+            assert result.solver_trace.restarts == 5
+        assert detail[2][0].total_power_w == default_scenario().multi_loop_problem(
+            schemes.TASK_ORIENTED_JOINT).total_power_w
 
     def test_one_joint_evaluator_per_run(self, tmp_path, monkeypatch):
         """The 63 solves of one multi-loop run share its robots, budget and
