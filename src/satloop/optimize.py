@@ -27,8 +27,8 @@ decrement, B&V 9.5.1 and 10.2); a row whose blocks are not positive definite
 (a capped, penalised or starved loop), or whose Newton point fails the test,
 takes the Barzilai-Borwein step with Armijo backtracking instead. The vector
 math of an iteration (derivatives, Newton step, projection, objective) is
-one batched numpy call for all running rows, and backtracking two at most
-(the first halving, then the rest for the rows that reject it); each row's
+one batched numpy call for all running rows, and backtracking one per block
+of halvings that some row still needs (_HALVING_BLOCKS); each row's
 step choice, stopping test and bookkeeping run on Python floats. The trace
 certifies the returned point with its projected-gradient norm
 (SolverTrace.projected_gradient_norm). Both solvers score a cycle with
@@ -56,10 +56,12 @@ GOLDEN_REL_WIDTH = 1e-8
 PGD_REL_TOL = 1e-10
 PGD_PATIENCE = 5
 PGD_MAX_ITER = 500
-# Projected-gradient backtracking: MAX_HALVINGS trial steps, the first scored
-# alone and the rest in one objective call for the rows that reject it.
+# Projected-gradient backtracking: MAX_HALVINGS trial steps, scored in blocks
+# of growing length (the first halving alone, the next 7, then the rest), each
+# block in one objective call for the rows that have not stopped before it.
 MAX_HALVINGS = 80
 _HALVINGS = 0.5 ** np.arange(MAX_HALVINGS)  # the trial-step scales 1, 1/2, 1/4, ...
+_HALVING_BLOCKS = (_HALVINGS[:1], _HALVINGS[1:8], _HALVINGS[8:])
 
 
 class SingleLoopObjective(enum.Enum):
@@ -330,6 +332,9 @@ class JointEvaluator:
                 models[robot.plant] = RateCostModel.from_plant(robot.plant)
         self.models = tuple(models[r.plant] for r in robots)
         self.a_sq, self.sens_w, self.j_ideal = control.rate_cost_terms(self.models)
+        # every plant unstable (|a| >= 1): the cost is convex where it is
+        # feasible, and a projected-gradient solve descends one start (_best_start)
+        self.all_unstable = bool(np.all(self.a_sq >= 1.0))
         self.threshold_bits = np.array([m.threshold_bits for m in self.models])
         # per-robot factors of the gradient: -w ln4 and B*g. A weight w within
         # a factor ln4 of the float range gives -inf: the gradient is then not
@@ -437,12 +442,20 @@ def _sweep_evaluator(problem: MultiLoopProblem) -> JointEvaluator:
     return evaluator
 
 
+def descends_one_start(problem: MultiLoopProblem) -> bool:
+    """Whether the projected-gradient solves on the problem's robots descend
+    only their start of lowest projected value: when every plant is unstable
+    (_best_start). Otherwise every start descends, and each added start adds
+    its own iterations."""
+    return _sweep_evaluator(problem).all_unstable
+
+
 def project_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
     """Euclidean projection of each row (last axis) onto {x >= 0, sum(x) <= total}.
 
     Sort-based simplex projection (Duchi et al., ICML 2008), applied only to
-    the rows whose clipped sum exceeds the cap (or is NaN); the other rows
-    are returned clipped and never sorted. The sorted entries u are measured
+    rows whose clipped sum exceeds the cap; a batch with no such row is
+    returned clipped without sorting. The sorted entries u are measured
     from the row's largest entry u_1, so neither the threshold test
     d_k - (D_k - total) / k > 0 (d_k = u_k - u_1, D_k = d_1 + ... + d_k) nor
     the output (x - u_1) - (D_rho - total) / rho subtracts two large sums: an
@@ -451,19 +464,19 @@ def project_capped_simplex(x: np.ndarray, total: float) -> np.ndarray:
     shape = x.shape
     n = shape[-1]
     x = np.maximum(x, 0.0).reshape(-1, n)
-    outside = ~(x.sum(axis=-1) <= total)
-    if not outside.any():  # the clipped batch is its own projection
+    inside = x.sum(axis=-1, keepdims=True) <= total
+    if inside.all():  # the clipped batch is its own projection
         return x.reshape(shape)
-    y = x[outside]
-    u = np.sort(y, axis=-1)[:, ::-1]
+    u = np.sort(x, axis=-1)[:, ::-1]
     top = u[:, :1]
     excess = np.cumsum(u - top, axis=-1) - total  # D_k - total, never above -total
     valid = (u - top) - excess / np.arange(1, n + 1) > 0.0
     # rho: the count of leading sorted entries that pass (the first always does)
+    rows = np.arange(x.shape[0])
     rho = np.logical_and.accumulate(valid, axis=-1).sum(axis=-1)
-    shift = (excess[np.arange(len(y)), rho - 1] / rho)[:, None]  # theta - u_1
-    x[outside] = np.maximum((y - top) - shift, 0.0)
-    return x.reshape(shape)
+    shift = (excess[rows, rho - 1] / rho)[:, None]  # theta - u_1
+    out = np.where(inside, x, np.maximum((x - top) - shift, 0.0))
+    return out.reshape(shape)
 
 
 def water_fill_power(evaluator: JointEvaluator, total_power_w: float) -> np.ndarray:
@@ -528,16 +541,18 @@ def _backtrack(objective, project, z: np.ndarray, fz: np.ndarray, grad: np.ndarr
     Row i tries step[i] 0.5^k for k = 0 ... MAX_HALVINGS - 1 and takes the
     first trial whose projected move passes the sufficient-decrease test; it
     stops unaccepted at the first trial whose projected move is zero. The
-    first trial of every row is projected and scored in one call each; the
-    rows that reject it project and score their other MAX_HALVINGS - 1
-    trials in one more. Each row takes the trial that halving one step at a
-    time would. Returns (accepted, z, f, step) per row.
+    trials are taken in the blocks of _HALVING_BLOCKS: the rows that have not
+    stopped project and score a block's trials in one call each, so a batch
+    whose rows all take their first halving makes one objective call and a
+    row that takes its fourth scores 8 trials, not MAX_HALVINGS. Each row
+    takes the trial that halving one step at a time would. Returns
+    (accepted, z, f, step) per row.
     """
     dim = z.shape[1]
     accepted = np.zeros(len(z), dtype=bool)
     z_out, f_out, s_out = z.copy(), fz.copy(), step.copy()
     searching = np.arange(len(z))  # the rows that have not stopped
-    for scales in (_HALVINGS[:1], _HALVINGS[1:]):
+    for scales in _HALVING_BLOCKS:
         trial = step[searching, None] * scales
         base = z[searching, None, :]
         cand = project((base - trial[..., None] * grad[searching, None, :]).reshape(-1, dim))
@@ -810,7 +825,7 @@ def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: li
     z0 = _project_shares(np.array(starts, dtype=float), n, optimize_power)
     f0 = objective(z0)
     first = 0
-    if np.all(evaluator.a_sq >= 1.0):
+    if evaluator.all_unstable:
         first = int(np.argmin(f0))
         z0, f0 = z0[first:first + 1], f0[first:first + 1]
     res = _projected_gradient(objective, derivatives, z0, f0, n,
@@ -839,8 +854,9 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
     power and compute wherever it is feasible (see the module docstring), so
     the extra starts only make sure the result is never above a decision the
     caller already has, or start it nearer the optimum (report passes the
-    two baselines' decisions and, along its power sweep, the previous
-    point's decision with its power scaled to the new total).
+    two baselines' decisions and, along its power sweep with every plant
+    unstable, the previous point's decision with its power scaled to the
+    new total).
     Max-throughput: water-filled power, compute proportional to uplink load;
     it ignores extra_starts.
     Compute-only: equal power frozen, projected gradient over compute from

@@ -21,7 +21,8 @@ from pathlib import Path
 from . import __version__, svgplot
 from .control import NonConvergentError
 from .optimize import (MultiLoopProblem, MultiLoopScheme, SingleLoopObjective,
-                       solve_multi_loop, solve_single_loop, sweep_contour)
+                       descends_one_start, solve_multi_loop, solve_single_loop,
+                       sweep_contour)
 from .pipeline import NoBudgetError
 from .scenario import (ParseError, Scenario, ScenarioError, default_scenario,
                        dump_scenario, load_scenario, provenance_map)
@@ -155,19 +156,23 @@ def cmd_multi_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRec
     sweep = scn.power_sweep_w()
     # each sweep point after the first starts its compute-only solve also
     # from the previous point's decision, which the unchanged compute budget
-    # keeps feasible, and its task-oriented solve also from the previous
+    # keeps feasible. Where only the lowest start descends (every plant
+    # unstable) its task-oriented solve starts also from the previous
     # point's budget shares: its decision with the power scaled to the new
-    # total. The sweep's totals stay numpy floats, which scale arrays faster
-    # than Python floats.
+    # total; where every start descends, one more start only adds work. The
+    # sweep's totals stay numpy floats, which scale arrays faster than
+    # Python floats.
+    warm_shares = descends_one_start(base)
     solves = []
     for k, total in enumerate(sweep):
         compute_warm = task_warm = ()
         if k:
             previous = solves[-1]
-            shares = previous["task_oriented"].decision
             compute_warm = [previous["compute_only"].decision]
-            task_warm = [{"power_w": shares["power_w"] * (total / sweep[k - 1]),
-                          "compute_cps": shares["compute_cps"]}]
+            if warm_shares:
+                shares = previous["task_oriented"].decision
+                task_warm = [{"power_w": shares["power_w"] * (total / sweep[k - 1]),
+                              "compute_cps": shares["compute_cps"]}]
         solves.append(_solve_schemes(dataclasses.replace(base, total_power_w=total),
                                      compute_warm, task_warm))
     # the detail point keeps the compute-only warm start only

@@ -304,23 +304,6 @@ class TestProjection:
         error = max(abs(Fraction(g) - w) for g, w in zip(got.tolist(), want))
         assert error <= Fraction(len(row) * total) * Fraction(2.0 ** -52)
 
-    def test_only_rows_over_the_cap_are_sorted(self, monkeypatch):
-        """Rows inside the cap once clipped are returned clipped and never
-        sorted, as in a backtracking batch whose small trial steps stay
-        inside one block."""
-        sorted_rows = []
-        original = np.sort
-
-        def counted(a, *args, **kwargs):
-            sorted_rows.append(len(a))
-            return original(a, *args, **kwargs)
-        monkeypatch.setattr(optimize.np, "sort", counted)
-        x = np.array([[0.25, -1.0, 0.5], [3.0, 0.25, 0.0], [0.1, 0.1, 0.1], [0.9, 0.9, -0.5]])
-        got = project_capped_simplex(x, 1.0)
-        assert sorted_rows == [2]
-        assert np.array_equal(got[[0, 2]], np.maximum(x[[0, 2]], 0.0))
-        assert np.array_equal(got[[1, 3]], reference_capped_simplex(x[[1, 3]], 1.0))
-
     def test_an_entry_that_dwarfs_the_total_takes_all_of_it(self):
         got = project_capped_simplex(np.array([[1e20, 0.3, 0.1], [0.1, 1e300, 2.0]]), 1.0)
         assert np.array_equal(got, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -1131,24 +1114,24 @@ class TestBatchedPgd:
 
     @staticmethod
     def _one_halving_at_a_time(objective, project, z, fz, grad, step):
-        """(accepted, z, f, step) of one row, halving one step at a time."""
+        """((accepted, z, f, step), k) of one row, halving one step at a
+        time; k is the halving it stopped at (MAX_HALVINGS if none)."""
         s = step
-        for _ in range(optimize.MAX_HALVINGS):
+        for k in range(optimize.MAX_HALVINGS):
             cand = project(z[None, :] - s * grad[None, :])[0]
             move_sq = float((cand - z) @ (cand - z))
             if move_sq == 0.0:
-                break
+                return (False, z, fz, step), k
             fc = float(objective(cand[None, :])[0])
             if fc <= fz - 1e-2 * move_sq / s:
-                return True, cand, fc, s
+                return (True, cand, fc, s), k
             s *= 0.5
-        return False, z, fz, step
+        return (False, z, fz, step), optimize.MAX_HALVINGS
 
     def test_backtracking_matches_one_halving_at_a_time(self):
-        """Each row takes the first passing halving. The first halving of
-        every row is scored in one objective call, and the other
-        MAX_HALVINGS - 1 in one more for the rows that neither accept it nor
-        stop there."""
+        """Each row takes the first passing halving. The halvings are scored
+        in blocks of 1, 7 and the rest, one objective call per block, each
+        for the rows that have not stopped before it."""
         objective, project, z, grad, step = self._backtracking_batch()
         calls = []
 
@@ -1157,27 +1140,35 @@ class TestBatchedPgd:
             return objective(batch)
         fz = objective(z)
         got = optimize._backtrack(counted, project, z, fz, grad, step)
-        wants = [self._one_halving_at_a_time(objective, project, z[i], fz[i], grad[i], step[i])
-                 for i in range(len(z))]
-        # the rows whose first halving neither passes nor stops them
-        first = [not want[0] or want[3] != step[i] for i, want in enumerate(wants)]
-        first[0] = False  # its first projected move is zero
-        rejected = sum(first)
-        assert 0 < rejected < len(z)
-        assert calls == [len(z), rejected * (optimize.MAX_HALVINGS - 1)]
+        wants, stops = zip(*[
+            self._one_halving_at_a_time(objective, project, z[i], fz[i], grad[i], step[i])
+            for i in range(len(z))])
+        assert [len(block) for block in optimize._HALVING_BLOCKS] == [1, 7, 72]
+        # per block: the rows that have not stopped before it, times its length
+        want_calls = []
+        for first, length in [(0, 1), (1, 7), (8, 72)]:
+            searching = sum(k >= first for k in stops)
+            if searching:
+                want_calls.append(searching * length)
+        assert calls == want_calls
+        # some rows stop in each block, and row 0 at once
+        assert stops[0] == 0 and not wants[0][0]
+        assert all(any(first <= k < first + length for k in stops)
+                   for first, length in [(0, 1), (1, 7), (8, 72)])
         for i, want in enumerate(wants):
             assert got[0][i] == want[0]
             assert np.array_equal(got[1][i], want[1])
             assert got[2][i] == want[2] and got[3][i] == want[3]
-        assert not got[0][0] and got[0].sum() > 20
+        assert got[0].sum() > 20
 
     def test_backtracking_in_one_call_when_every_row_takes_its_first_halving(self):
         objective, project, z, grad, step = self._backtracking_batch()
         fz = objective(z)
-        wants = [self._one_halving_at_a_time(objective, project, z[i], fz[i], grad[i], step[i])
-                 for i in range(len(z))]
-        # the rows that accept their first halving, at that step
-        keep = [i for i, want in enumerate(wants) if want[0] and want[3] == step[i]]
+        wants, stops = zip(*[
+            self._one_halving_at_a_time(objective, project, z[i], fz[i], grad[i], step[i])
+            for i in range(len(z))])
+        # the rows that accept their first halving
+        keep = [i for i, (want, k) in enumerate(zip(wants, stops)) if want[0] and k == 0]
         assert len(keep) > 5
         calls = []
 
@@ -1410,29 +1401,33 @@ class TestDeterministicStarts:
     @given(seed=st.integers(0, 2 ** 32 - 1), n_robots=st.integers(1, 4), stable=st.booleans(),
            lower=st.floats(0.3, 0.95))
     def test_a_warm_start_from_a_lower_total(self, seed, n_robots, stable, lower):
-        """One more task-oriented start, as report passes along the power
-        sweep: the decision solved at a lower power total with its power
-        scaled to the problem's total. On unstable plants the result is
-        never above the solve without it by more than 1e-12 relative, nor
-        below it by more than PGD_REL_TOL relative, the tolerance within
-        which the Newton decrement stops each descent (the warm start can
-        stop closer to the optimum). On stable plants every start descends
-        and the rows are independent bit for bit, so the result is never
-        above the solve without it."""
+        """One more task-oriented start after the two baselines' decisions, as
+        report passes along the power sweep: the decision solved at a lower
+        power total with its power scaled to the problem's total. Every
+        accepted step lowers a row's value, so the result is at or below the
+        lowest projected start value, and on unstable plants the start of
+        that value is the one that descends. On stable plants every start
+        descends and the rows are independent bit for bit, so the result is
+        never above the solve without the warm start."""
         problem = random_joint_problem(np.random.default_rng(seed), n_robots, stable=stable)
         p_tot = problem.total_power_w
+        baselines = [solve_multi_loop(dataclasses.replace(problem, scheme=scheme)).decision
+                     for scheme in (MultiLoopScheme.MAX_THROUGHPUT_JOINT,
+                                    MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM)]
         below = solve_multi_loop(dataclasses.replace(problem, total_power_w=lower * p_tot))
         warm = {"power_w": below.decision["power_w"] * (p_tot / (lower * p_tot)),
                 "compute_cps": below.decision["compute_cps"]}
-        cold = solve_multi_loop(problem)
-        warmed = solve_multi_loop(problem, extra_starts=[warm])
-        assert warmed.solver_trace.restarts == cold.solver_trace.restarts + 1
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _record_starts(patch)
+            warmed = solve_multi_loop(problem, extra_starts=baselines + [warm])
+        [(starts, values)] = calls
+        assert len(starts) == 5 and warmed.solver_trace.restarts == 5
+        assert warmed.objective_value <= values.min()
         if stable:
-            assert warmed.lqr_total <= cold.lqr_total
+            cold = solve_multi_loop(problem, extra_starts=baselines)
+            assert warmed.objective_value <= cold.objective_value
         else:
-            scale = abs(cold.lqr_total)
-            assert warmed.lqr_total <= cold.lqr_total + 1e-12 * scale
-            assert warmed.lqr_total >= cold.lqr_total - optimize.PGD_REL_TOL * scale
+            assert warmed.solver_trace.best_restart == values.argmin()
 
     @pytest.mark.parametrize("scheme", [MultiLoopScheme.TASK_ORIENTED_JOINT,
                                         MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM])

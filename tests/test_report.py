@@ -840,6 +840,20 @@ class TestBaselineSweepWork:
         assert detail[2][0].total_power_w == default_scenario().multi_loop_problem(
             schemes.TASK_ORIENTED_JOINT).total_power_w
 
+    def test_no_task_oriented_warm_start_with_a_stable_plant(self, tmp_path, monkeypatch):
+        """With a stable plant every start descends, so a warm start would
+        only add a row: each task-oriented solve starts from the two
+        baselines' decisions only."""
+        solves = self._record_solves(monkeypatch)
+        (tmp_path / "stable.yaml").write_text("plant:\n  a: 0.9\n", encoding="utf-8")
+        assert main(["multi-loop", "--scenario", str(tmp_path / "stable.yaml"),
+                     "--out", str(tmp_path), "--format", "csv"]) == 0
+        task = [(extra, result) for problem, extra, result in solves
+                if problem.scheme == optimize.MultiLoopScheme.TASK_ORIENTED_JOINT]
+        assert len(task) == 21
+        for extra, result in task:
+            assert len(extra) == 2 and result.solver_trace.restarts == 4
+
     def test_one_joint_evaluator_per_run(self, tmp_path, monkeypatch):
         """The 63 solves of one multi-loop run share its robots, budget and
         uplink volume, so they build one JointEvaluator between them."""
