@@ -167,6 +167,12 @@ def rate_cost(rate_bits, a_sq, sens_w, j_ideal):
     range is +inf too.
     """
     _, gap, finite = rate_gap(rate_bits, a_sq)
+    return gap_cost(gap, finite, sens_w, j_ideal)
+
+
+def gap_cost(gap, finite, sens_w, j_ideal):
+    """J = j_ideal + sens*w / gap where finite, else +inf: rate_cost from
+    rate_gap's gap and a finite flag (rate_gap's, or a narrower one)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(finite, j_ideal + sens_w / gap, np.inf)
 

@@ -1,9 +1,11 @@
 """Resource-allocation solvers.
 
 Single loop: split total bandwidth between uplink and downlink under a
-task-oriented, max-throughput, or min-latency objective (array-valued in the
-uplink bandwidth), each convex in the uplink bandwidth, by golden-section
-search. The task-oriented split maximises the balanced cycle's effective bits.
+task-oriented, max-throughput, or min-latency objective, each convex in the
+uplink bandwidth, by golden-section search on Python floats. The search
+scores the rates that linkgeom.shannon_rate_bps reports, bit for bit, from one
+link budget per link, and the chosen split is scored at those same rates. The
+task-oriented split maximises the balanced cycle's effective bits.
 
 Multi loop: jointly allocate downlink power and on-board compute frequency
 across robots by projected gradient on budget-scaled variables (closed-form
@@ -175,22 +177,31 @@ def _penalized(cost, threshold_bits, effective_bits):
 
 
 def _rate_fn(template: LinkParams):
-    """Shannon rate of the template's link as an array function of its bandwidth."""
+    """The Shannon rate of the template's link as a function of its bandwidth,
+    on Python floats, from one link budget: shannon_rate_bps of the link at
+    that bandwidth, bit for bit (the same expression in the same order)."""
     rx_power = linkgeom.received_power_w(template)
     noise_density = BOLTZMANN_J_PER_K * template.noise_temperature_k
-    return lambda bandwidth: bandwidth * np.log2(1.0 + rx_power / (noise_density * bandwidth))
+    return lambda bandwidth: bandwidth * math.log2(1.0 + rx_power / (noise_density * bandwidth))
 
 
-def _single_objective_fn(problem: SingleLoopProblem):
-    """Minimization objective for the problem's scheme, array-valued in b_up.
+def _link_rate_fns(problem: SingleLoopProblem) -> tuple:
+    """(rate_up, rate_down): _rate_fn of the problem's two link templates."""
+    return _rate_fn(problem.uplink_template), _rate_fn(problem.downlink_template)
+
+
+def _single_objective_fn(problem: SingleLoopProblem, rates: tuple):
+    """Minimization objective for the problem's scheme, a float function of
+    b_up on the link rate functions rates (_link_rate_fns).
 
     Task-oriented and min-latency minimise w_up / R_up + w_down / R_down:
     min-latency sends its payload both ways, and the task-oriented weights
     (1, rho) maximise the balanced cycle's effective bits
-    rho (T - t_prop) / (1/R_up + c/f + rho/R_down).
+    rho (T - t_prop) / (1/R_up + c/f + rho/R_down). A link that carries no
+    bits (a rate of 0) scores inf, and a weight/rate past the float range
+    is inf too.
     """
-    rate_up = _rate_fn(problem.uplink_template)
-    rate_down = _rate_fn(problem.downlink_template)
+    rate_up, rate_down = rates
     b_tot = problem.total_bandwidth_hz
     if problem.objective == SingleLoopObjective.MAX_THROUGHPUT:
         return lambda b_up: -(rate_up(b_up) + rate_down(b_tot - b_up))
@@ -200,7 +211,11 @@ def _single_objective_fn(problem: SingleLoopProblem):
         w_up = w_down = problem.fixed_payload_bits
 
     def fn(b_up):
-        return w_up / rate_up(b_up) + w_down / rate_down(b_tot - b_up)
+        r_up, r_down = rate_up(b_up), rate_down(b_tot - b_up)
+        try:
+            return w_up / r_up + w_down / r_down
+        except ZeroDivisionError:  # a link that carries no bits
+            return math.inf
     return fn
 
 
@@ -243,12 +258,12 @@ def solve_single_loop(problem: SingleLoopProblem) -> AllocationResult:
     """
     b_tot = problem.total_bandwidth_hz
     delta = 1e-6 * b_tot
-    with np.errstate(over="ignore"):  # a weight/rate past the float range is +inf
-        b_star, f_star, evals = golden_section(_single_objective_fn(problem), delta,
-                                               b_tot - delta)
+    rates = _link_rate_fns(problem)
+    b_star, f_star, evals = golden_section(_single_objective_fn(problem, rates), delta,
+                                           b_tot - delta)
     if not delta * 0.5 <= b_star <= b_tot - delta * 0.5:
         raise RuntimeError(f"bandwidth split {b_star!r} Hz left the search bracket")
-    return _single_result(problem, b_star, f_star, SolverTrace(
+    return _single_result(problem, rates, b_star, f_star, SolverTrace(
         iterations=evals, converged=True, method="golden_section"))
 
 
@@ -260,21 +275,23 @@ def _plant_model(plant: Plant) -> RateCostModel:
     return RateCostModel.from_plant(plant)
 
 
-def _single_result(problem: SingleLoopProblem, b_up: float, objective_value: float,
-                   trace: SolverTrace) -> AllocationResult:
-    """The split b_up re-scored once through the full cycle model.
+def _single_result(problem: SingleLoopProblem, rates: tuple, b_up: float,
+                   objective_value: float, trace: SolverTrace) -> AllocationResult:
+    """The split b_up re-scored once through the full cycle model, at the
+    rates the search scored (rates, _link_rate_fns) and no other link budget.
 
     The balanced split always fits the cycle, so lqr_total (also the
     task-oriented objective value) is the outcome's cost, penalized where
     it is infinite.
     """
     model = _plant_model(problem.plant)
-    uplink = problem.uplink_template.with_bandwidth(b_up)
-    downlink = problem.downlink_template.with_bandwidth(problem.total_bandwidth_hz - b_up)
-    t_prop = pipeline.propagation_delay_s(linkgeom.slant_range_m(uplink.geometry),
-                                          linkgeom.slant_range_m(downlink.geometry))
-    t_up, t_down = pipeline.balanced_times(uplink, downlink, problem.budget, t_prop)
-    outcome = pipeline.evaluate_cycle(uplink, downlink, problem.budget, model, t_up, t_down)
+    rate_up, rate_down = rates
+    b_down = problem.total_bandwidth_hz - b_up
+    t_prop = pipeline.propagation_delay_s(
+        linkgeom.slant_range_m(problem.uplink_template.geometry),
+        linkgeom.slant_range_m(problem.downlink_template.geometry))
+    outcome = pipeline.outcome_at_rates(model, problem.budget, rate_up(b_up), rate_down(b_down),
+                                        t_prop)
     if outcome.lqr_cost == math.inf:
         trace = dataclasses.replace(trace, all_infeasible=True)
     lqr_total = float(_penalized(outcome.lqr_cost, model.threshold_bits,
@@ -282,7 +299,7 @@ def _single_result(problem: SingleLoopProblem, b_up: float, objective_value: flo
     if problem.objective == SingleLoopObjective.TASK_ORIENTED:
         objective_value = lqr_total
     return AllocationResult(
-        decision={"bandwidth_up_hz": b_up, "bandwidth_down_hz": downlink.bandwidth_hz},
+        decision={"bandwidth_up_hz": b_up, "bandwidth_down_hz": b_down},
         per_loop_outcomes=(outcome,),
         objective_value=float(objective_value),
         lqr_total=lqr_total,

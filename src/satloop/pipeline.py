@@ -6,9 +6,12 @@ for t_down, and propagation in both directions is charged against the same
 budget. Uplink transfer, computing, and downlink transfer happen strictly in
 sequence; a cycle whose stages do not fit in the period delivers nothing.
 
-Both solvers, evaluate_cycle and balanced_times share one array-valued cycle
-(store_and_forward) and one rule for the cost a loop reports (reported_costs):
-the joint solves read it as arrays, loop_outcomes as LoopOutcomes.
+Both solvers share one cycle (store_and_forward, array-valued) and one rule
+for the cost a loop reports (reported_costs): the joint solves read them as
+arrays, loop_outcomes as LoopOutcomes. One cycle at given link rates, the
+balanced split or a given time allocation, is outcome_at_rates: the
+single-loop solver calls it on the rates its search scored, and
+evaluate_cycle and balanced_times on the rates of their LinkParams.
 """
 import math
 from dataclasses import dataclass
@@ -99,9 +102,9 @@ def reported_costs(a_sq, sens_w, j_ideal, effective_bits, time_feasible) -> tupl
     Each cost equals control.lqr_cost(model, eff) bit for bit.
     """
     eff = np.where(time_feasible, np.maximum(effective_bits, 0.0), 0.0)
-    stable = time_feasible & control.rate_gap(eff, a_sq)[2]
-    cost = np.where(time_feasible, control.rate_cost(eff, a_sq, sens_w, j_ideal), math.inf)
-    return eff, stable, cost
+    _, gap, finite = control.rate_gap(eff, a_sq)
+    stable = time_feasible & finite
+    return eff, stable, control.gap_cost(gap, stable, sens_w, j_ideal)
 
 
 def loop_outcomes(models, period_s: float, r_up, r_down, t_up, t_comp, t_down, t_prop,
@@ -120,6 +123,42 @@ def loop_outcomes(models, period_s: float, r_up, r_down, t_up, t_comp, t_down, t
                                                  cost.tolist(), ok.tolist()))
 
 
+def _cycle_at_rates(budget: LoopBudget, r_up: float, r_down: float, t_prop_s: float,
+                    times: tuple | None) -> tuple:
+    """(t_up, t_comp, t_down, effective bits, time_feasible) of one cycle at
+    rates r_up and r_down, on Python floats: at the (t_up, t_down) allocation
+    times (evaluate_cycle), or with times None at the balanced split
+    (balanced_times).
+    """
+    if times is None:
+        remaining = budget.cycle_period_s - t_prop_s
+        if remaining <= 0.0:
+            raise NoBudgetError(
+                f"propagation {t_prop_s}s leaves no budget in a "
+                f"{budget.cycle_period_s}s cycle")
+        # a downlink that carries no bits fills at once: no uplink time
+        fill = budget.extraction_ratio * r_up / r_down if r_down > 0.0 else math.inf
+        t_up = remaining / (1.0 + budget.cycles_per_bit * r_up / budget.compute_rate_cps + fill)
+    else:
+        t_up, t_down = times
+    t_comp, window, delivered = store_and_forward(
+        r_up * t_up, t_up, r_down, t_prop_s, budget.compute_rate_cps, budget)
+    if times is None:
+        t_down = max(float(window), 0.0)
+    return (t_up, t_comp, t_down, np.minimum(delivered, r_down * t_down),
+            t_down <= window + 1e-12)
+
+
+def outcome_at_rates(model: RateCostModel, budget: LoopBudget, r_up: float, r_down: float,
+                     t_prop_s: float, times: tuple | None = None) -> LoopOutcome:
+    """The LoopOutcome of one cycle of the model's plant at rates r_up and
+    r_down with propagation t_prop_s, at the (t_up, t_down) allocation times
+    or by default at the balanced split."""
+    t_up, t_comp, t_down, eff, ok = _cycle_at_rates(budget, r_up, r_down, t_prop_s, times)
+    return loop_outcomes((model,), budget.cycle_period_s, r_up, r_down, t_up, t_comp,
+                         t_down, t_prop_s, eff, ok)[0]
+
+
 def evaluate_cycle(uplink: LinkParams, downlink: LinkParams, budget: LoopBudget,
                    model: RateCostModel, t_up_s: float, t_down_s: float) -> LoopOutcome:
     """Evaluate one closed-loop cycle of the model's plant at a given time allocation.
@@ -132,16 +171,10 @@ def evaluate_cycle(uplink: LinkParams, downlink: LinkParams, budget: LoopBudget,
     """
     if t_up_s < 0.0 or t_down_s < 0.0:
         raise ValueError("stage times must be non-negative")
-
-    r_up = linkgeom.shannon_rate_bps(uplink)
-    r_down = linkgeom.shannon_rate_bps(downlink)
     t_prop = propagation_delay_s(linkgeom.slant_range_m(uplink.geometry),
                                  linkgeom.slant_range_m(downlink.geometry))
-    t_comp, window, delivered = store_and_forward(
-        r_up * t_up_s, t_up_s, r_down, t_prop, budget.compute_rate_cps, budget)
-    return loop_outcomes((model,), budget.cycle_period_s, r_up, r_down, t_up_s, t_comp,
-                         t_down_s, t_prop, np.minimum(delivered, r_down * t_down_s),
-                         t_down_s <= window + 1e-12)[0]
+    return outcome_at_rates(model, budget, linkgeom.shannon_rate_bps(uplink),
+                            linkgeom.shannon_rate_bps(downlink), t_prop, (t_up_s, t_down_s))
 
 
 def balanced_times(uplink: LinkParams, downlink: LinkParams, budget: LoopBudget,
@@ -156,14 +189,7 @@ def balanced_times(uplink: LinkParams, downlink: LinkParams, budget: LoopBudget,
     Raises:
         NoBudgetError: propagation alone uses up the period.
     """
-    remaining = budget.cycle_period_s - t_prop_s
-    if remaining <= 0.0:
-        raise NoBudgetError(
-            f"propagation {t_prop_s}s leaves no budget in a "
-            f"{budget.cycle_period_s}s cycle")
-    r_up, r_down = linkgeom.shannon_rate_bps(uplink), linkgeom.shannon_rate_bps(downlink)
-    t_up = remaining / (1.0 + budget.cycles_per_bit * r_up / budget.compute_rate_cps
-                        + budget.extraction_ratio * r_up / r_down)
-    _, window, _ = store_and_forward(r_up * t_up, t_up, r_down, t_prop_s,
-                                     budget.compute_rate_cps, budget)
-    return t_up, max(float(window), 0.0)
+    t_up, _, t_down, _, _ = _cycle_at_rates(
+        budget, linkgeom.shannon_rate_bps(uplink), linkgeom.shannon_rate_bps(downlink),
+        t_prop_s, None)
+    return t_up, t_down

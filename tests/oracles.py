@@ -17,9 +17,10 @@ from satloop.linkgeom import (SPEED_OF_LIGHT_M_S, Geometry, LinkParams, shannon_
                               slant_range_m)
 from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme, RobotLoop,
                               SingleLoopObjective, SingleLoopProblem, SolverTrace,
-                              _compute_only_starts, _multi_result, _newton_direction,
-                              _project_shares, _projected_gradient, _scaled_objective,
-                              _single_objective_fn, _single_result, _task_starts)
+                              _compute_only_starts, _link_rate_fns, _multi_result,
+                              _newton_direction, _project_shares, _projected_gradient,
+                              _scaled_objective, _single_objective_fn, _single_result,
+                              _task_starts)
 from satloop.pipeline import LoopBudget
 
 # the baseline scenario's budget: a 20 ms cycle, 100 cycles/bit, 10 GC/s, 0.1% extraction
@@ -502,12 +503,13 @@ def grid_oracle(problem, resolution: int):
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     if isinstance(problem, SingleLoopProblem):
-        fn = _single_objective_fn(problem)
+        rates = _link_rate_fns(problem)
+        fn = _single_objective_fn(problem, rates)
         delta = 1e-6 * problem.total_bandwidth_hz
-        grid = np.linspace(delta, problem.total_bandwidth_hz - delta, resolution)
-        vals = fn(grid)
+        grid = np.linspace(delta, problem.total_bandwidth_hz - delta, resolution).tolist()
+        vals = [fn(b_up) for b_up in grid]
         i = int(np.argmin(vals))
-        return _single_result(problem, float(grid[i]), vals[i], SolverTrace(
+        return _single_result(problem, rates, grid[i], vals[i], SolverTrace(
             iterations=resolution, converged=True, method="grid_oracle"))
     if not isinstance(problem, MultiLoopProblem):
         raise TypeError(f"unsupported problem type {type(problem)!r}")

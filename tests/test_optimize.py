@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import satloop
-from satloop import control, optimize, pipeline
+from satloop import control, linkgeom, optimize, pipeline
 
 from satloop.control import Plant, RateCostModel
 from satloop.linkgeom import Geometry, LinkParams, shannon_rate_bps, slant_range_m
@@ -129,15 +129,17 @@ class TestSingleLoop:
             grid = np.linspace(1e-6 * b_tot, b_tot - 1e-6 * b_tot, 2001)
             for objective in SingleLoopObjective:
                 fn = optimize._single_objective_fn(
-                    dataclasses.replace(problem, objective=objective))
-                assert _monotone_violations(fn(grid)) == 0, (problem, objective)
+                    dataclasses.replace(problem, objective=objective),
+                    optimize._link_rate_fns(problem))
+                values = np.array([fn(b_up) for b_up in grid.tolist()])
+                assert _monotone_violations(values) == 0, (problem, objective)
         # the check sees a ripple of one part in a thousand
         ripple = 1.0 + 1e-3 * np.sin(grid * (100.0 * math.pi / b_tot))
-        assert _monotone_violations(fn(grid) * ripple) > 0
+        assert _monotone_violations(values * ripple) > 0
 
     @pytest.mark.parametrize("objective", list(SingleLoopObjective))
     def test_array_objective_matches_cycle_model_at_check_points(self, objective):
-        """One array call at the 101 check points equals the per-point link model.
+        """The objective at the 101 check points equals the per-point link model.
 
         The task-oriented objective is 1/R_up + rho/R_down, and it ranks the
         points in the reverse order of the cycle model's effective bits, across
@@ -147,7 +149,8 @@ class TestSingleLoop:
         model = RateCostModel.from_plant(problem.plant)
         b_tot = problem.total_bandwidth_hz
         grid = np.linspace(1e-6 * b_tot, b_tot - 1e-6 * b_tot, 101)
-        got = optimize._single_objective_fn(problem)(grid)
+        fn = optimize._single_objective_fn(problem, optimize._link_rate_fns(problem))
+        got = np.array([fn(b_up) for b_up in grid.tolist()])
         t_prop = propagation_delay_s(slant_range_m(problem.uplink_template.geometry),
                                      slant_range_m(problem.downlink_template.geometry))
         effs, infeasible = [], set()
@@ -194,6 +197,90 @@ class TestSingleLoopScoredByOutcome:
                     assert result.lqr_total == outcome.lqr_cost, (base, objective)
                 else:
                     assert result.lqr_total >= optimize.INFEASIBILITY_PENALTY, (base, objective)
+
+
+def _bits(outcome: LoopOutcome) -> list:
+    """The outcome's fields, each float as its exact hex form (so -0.0 and 0.0 differ)."""
+    return [x if isinstance(x, bool) else float(x).hex() for x in dataclasses.astuple(outcome)]
+
+
+class TestSingleLoopAtLinkRates:
+    """The single-loop search and its result work on Python floats from one
+    link budget per link, and score exactly the rates, times and costs that
+    the link-level functions report."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_search_rate_is_the_shannon_rate(self, seed):
+        """The search's rate at any bandwidth in [delta, B - delta] is
+        shannon_rate_bps of the template at that bandwidth, bit for bit."""
+        rng = np.random.default_rng(seed)
+        problem = random_single_loop_problem(rng)
+        b_tot = problem.total_bandwidth_hz
+        delta = 1e-6 * b_tot
+        inner = (delta + rng.uniform(size=1000) * (b_tot - 2.0 * delta)).tolist()
+        bandwidths = [delta, b_tot - delta] + [min(max(b, delta), b_tot - delta) for b in inner]
+        for template, rate in zip((problem.uplink_template, problem.downlink_template),
+                                  optimize._link_rate_fns(problem)):
+            for b in bandwidths:
+                got = rate(b)
+                assert type(got) is float
+                assert got == shannon_rate_bps(template.with_bandwidth(b)), (template, b)
+
+    def test_outcome_is_the_link_level_cycle(self):
+        """solve_single_loop's outcome equals, field by field and bit for bit,
+        balanced_times plus evaluate_cycle on the links of its split."""
+        for base in TestSingleLoopScoredByOutcome._problems():
+            model = RateCostModel.from_plant(base.plant)
+            for objective in SingleLoopObjective:
+                problem = dataclasses.replace(base, objective=objective)
+                result = solve_single_loop(problem)
+                b_up, b_down = (result.decision["bandwidth_up_hz"],
+                                result.decision["bandwidth_down_hz"])
+                assert b_down == problem.total_bandwidth_hz - b_up
+                uplink = problem.uplink_template.with_bandwidth(b_up)
+                downlink = problem.downlink_template.with_bandwidth(b_down)
+                t_prop = propagation_delay_s(slant_range_m(uplink.geometry),
+                                             slant_range_m(downlink.geometry))
+                t_up, t_down = balanced_times(uplink, downlink, problem.budget, t_prop)
+                want = evaluate_cycle(uplink, downlink, problem.budget, model, t_up, t_down)
+                assert _bits(result.per_loop_outcomes[0]) == _bits(want), (base, objective)
+
+    def test_one_link_budget_per_link(self, monkeypatch):
+        """One solve computes each link's received power once and builds no
+        link copy: no with_bandwidth and no shannon_rate_bps call."""
+        base = default_scenario().single_loop_problem(SingleLoopObjective.TASK_ORIENTED)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+        for owner, name in ((linkgeom, "received_power_w"), (linkgeom, "shannon_rate_bps"),
+                            (LinkParams, "with_bandwidth")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        for objective in SingleLoopObjective:
+            calls.clear()
+            solve_single_loop(dataclasses.replace(base, objective=objective))
+            assert calls == ["received_power_w"] * 2, objective
+
+    @pytest.mark.parametrize("objective", list(SingleLoopObjective))
+    @pytest.mark.parametrize("direction", ["uplink_template", "downlink_template"])
+    def test_a_link_that_carries_no_bits(self, objective, direction):
+        """A rate of 0 (the received power underflows to 0 W) raises no
+        ZeroDivisionError: the weighted objectives score inf at every split,
+        and the solve reports the unstable loop infeasible."""
+        base = _symmetric_problem(objective)
+        dead = dataclasses.replace(getattr(base, direction), tx_gain_dbi=-4000.0)
+        problem = dataclasses.replace(base, **{direction: dead})
+        fn = optimize._single_objective_fn(problem, optimize._link_rate_fns(problem))
+        if objective != SingleLoopObjective.MAX_THROUGHPUT:
+            for b_up in np.linspace(1.0, problem.total_bandwidth_hz - 1.0, 11).tolist():
+                assert fn(b_up) == math.inf
+        result = solve_single_loop(problem)
+        assert result.solver_trace.all_infeasible
+        assert result.per_loop_outcomes[0].effective_bits_per_cycle == 0.0
 
 
 class TestOneModelPerPlant:
@@ -1361,6 +1448,7 @@ class TestDeterministicStarts:
         (1615, 4, MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM),  # 1.2e-4
         (724, 4, MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM),   # 1.3e-4
         (24548, 3, MultiLoopScheme.TASK_ORIENTED_JOINT),     # 7.4e-5
+        (870688, 4, MultiLoopScheme.TASK_ORIENTED_JOINT),    # 1.2e-5
     ])
     def test_recorded_stable_draws_above_the_bound(self, seed, n_robots, scheme):
         """The stable-plant draws of test_random_restarts_buy_nothing that end

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from satloop.control import Plant, RateCostModel, is_stabilizable_at
+from satloop import control
+from satloop.control import RATE_CLAMP_BITS, Plant, RateCostModel, is_stabilizable_at
 from satloop.linkgeom import Geometry, LinkParams, shannon_rate_bps
 from satloop.pipeline import (LoopBudget, NoBudgetError, balanced_times,
-                              evaluate_cycle, loop_outcomes, propagation_delay_s)
+                              evaluate_cycle, loop_outcomes, propagation_delay_s,
+                              reported_costs)
 from oracles import BUDGET
 
 C = 299792458.0
@@ -108,6 +112,50 @@ class TestEvaluateCycle:
                              _model(), 0.01, 1e-4)
         assert out.cner_bps == pytest.approx(
             out.effective_bits_per_cycle / 0.02, rel=1e-12)
+
+
+# Effective bits of a loop: -0.0, 0, negative, past the rate clamp, any float
+# in a wide range, or None for the loop's data-rate threshold 0.5 log2(a^2).
+_EFFECTIVE_BITS = st.one_of(
+    st.sampled_from([-0.0, 0.0, -1e-300, -1.0, None, RATE_CLAMP_BITS,
+                     math.nextafter(RATE_CLAMP_BITS, math.inf), RATE_CLAMP_BITS + 1.0, 1e6]),
+    st.floats(-50.0, 1e3))
+
+
+class TestReportedCosts:
+    @settings(max_examples=200, deadline=None)
+    @given(loops=st.lists(st.tuples(
+        st.one_of(st.sampled_from([0.0, 0.25, 1.0, 4.0, 9.0]), st.floats(0.0, 1e4)),
+        _EFFECTIVE_BITS, st.floats(0.0, 1e300), st.floats(0.0, 1e6), st.booleans()),
+        min_size=1, max_size=8))
+    def test_costs_are_rate_cost_bit_for_bit(self, loops):
+        """Each loop's cost is control.rate_cost at its bits clipped at 0 where
+        its cycle fits, and math.inf where it does not (time-infeasible), bit
+        for bit; it is stable where that fits and rate_gap calls finite."""
+        rows = []
+        for a_sq, eff, sens_w, j_ideal, ok in loops:
+            if eff is None:  # at the threshold, where 4^eff = a^2 up to rounding
+                eff = 0.5 * math.log2(a_sq) if a_sq > 0.0 else 0.0
+            rows.append((a_sq, eff, sens_w, j_ideal, ok))
+        a_sq, eff, sens_w, j_ideal, ok = (np.array(column) for column in zip(*rows))
+        got_eff, got_stable, got_cost = reported_costs(a_sq, sens_w, j_ideal, eff, ok)
+        clipped = np.where(ok, np.maximum(eff, 0.0), 0.0)
+        want = np.where(ok, control.rate_cost(clipped, a_sq, sens_w, j_ideal), math.inf)
+        assert got_eff.tobytes() == clipped.tobytes()
+        assert got_cost.tobytes() == want.tobytes(), (got_cost, want)
+        assert got_stable.tolist() == (ok & control.rate_gap(clipped, a_sq)[2]).tolist()
+
+    def test_one_rate_gap_per_call(self, monkeypatch):
+        calls = []
+        rate_gap = control.rate_gap
+
+        def counted(*args):
+            calls.append(args)
+            return rate_gap(*args)
+        monkeypatch.setattr(control, "rate_gap", counted)
+        reported_costs(np.array([4.0, 0.25]), np.ones(2), np.ones(2), np.array([1.5, -0.0]),
+                       np.array([True, False]))
+        assert len(calls) == 1
 
 
 class TestStableMeansFiniteCost:
