@@ -33,8 +33,11 @@ one batched numpy call for all running rows, and backtracking one per block
 of halvings that some row still needs (_HALVING_BLOCKS); each row's
 step choice, stopping test and bookkeeping run on Python floats. The trace
 certifies the returned point with its projected-gradient norm
-(SolverTrace.projected_gradient_norm). Both solvers score a cycle with
-pipeline.store_and_forward and control.rate_cost, and share one penalty.
+(SolverTrace.projected_gradient_norm). The joint solves score cycles with
+pipeline.store_and_forward and control.rate_cost on arrays; a single loop's
+split is scored once, by pipeline.outcome_at_rates on Python floats (the
+float form of the same cycle and cost, pinned to the arrays bit for bit).
+Both take one penalty, _penalized, which _single_result applies on floats.
 """
 import dataclasses
 import enum
@@ -294,8 +297,10 @@ def _single_result(problem: SingleLoopProblem, rates: tuple, b_up: float,
                                         t_prop)
     if outcome.lqr_cost == math.inf:
         trace = dataclasses.replace(trace, all_infeasible=True)
-    lqr_total = float(_penalized(outcome.lqr_cost, model.threshold_bits,
-                                 outcome.effective_bits_per_cycle))
+    lqr_total = outcome.lqr_cost
+    if not math.isfinite(lqr_total):  # _penalized on Python floats
+        lqr_total = INFEASIBILITY_PENALTY + (model.threshold_bits
+                                             - outcome.effective_bits_per_cycle)
     if problem.objective == SingleLoopObjective.TASK_ORIENTED:
         objective_value = lqr_total
     return AllocationResult(

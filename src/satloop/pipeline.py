@@ -6,12 +6,19 @@ for t_down, and propagation in both directions is charged against the same
 budget. Uplink transfer, computing, and downlink transfer happen strictly in
 sequence; a cycle whose stages do not fit in the period delivers nothing.
 
-Both solvers share one cycle (store_and_forward, array-valued) and one rule
-for the cost a loop reports (reported_costs): the joint solves read them as
-arrays, loop_outcomes as LoopOutcomes. One cycle at given link rates, the
-balanced split or a given time allocation, is outcome_at_rates: the
-single-loop solver calls it on the rates its search scored, and
-evaluate_cycle and balanced_times on the rates of their LinkParams.
+The cycle and the rule for the cost a loop reports each have two forms. Many
+loops take the array form: the joint solves read store_and_forward and
+reported_costs as arrays, and JointEvaluator.outcomes reads loop_outcomes.
+One loop takes the float form, on Python floats: _cycle_at_rates is the
+cycle at given link rates, at the balanced split or at a given time
+allocation, and loop_outcome the LoopOutcome that loop_outcomes would report
+for it. outcome_at_rates joins the two; the single-loop solver calls it on
+the rates its search scored, and evaluate_cycle and balanced_times on the
+rates of their LinkParams. The float form keeps numpy's rules (_np_max and
+_np_min: the second argument on a tie, NaN from either side) and evaluates
+4.0 ** R on a length-1 array, as rate_gap does, so each float result equals
+its array form bit for bit; a property in tests/test_pipeline.py pins each
+form to the other.
 """
 import math
 from dataclasses import dataclass
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import control, linkgeom
-from .control import RateCostModel
+from .control import RATE_CLAMP_BITS, RateCostModel
 from .linkgeom import LinkParams
 
 # keeps a loop given no compute finite (and hopeless) instead of dividing by zero
@@ -123,12 +130,38 @@ def loop_outcomes(models, period_s: float, r_up, r_down, t_up, t_comp, t_down, t
                                                  cost.tolist(), ok.tolist()))
 
 
+def _np_max(a: float, b: float) -> float:
+    """np.maximum(a, b) on Python floats: b on a tie, NaN if either is NaN."""
+    return a if a > b or a != a else b
+
+
+def _np_min(a: float, b: float) -> float:
+    """np.minimum(a, b) on Python floats: b on a tie, NaN if either is NaN."""
+    return a if a < b or a != a else b
+
+
+def loop_outcome(model: RateCostModel, period_s: float, r_up: float, r_down: float,
+                 t_up: float, t_comp: float, t_down: float, t_prop: float,
+                 effective_bits: float, time_feasible: bool) -> LoopOutcome:
+    """loop_outcomes((model,), ...)[0] on Python floats: one loop's outcome,
+    reported under reported_costs' rule."""
+    eff = _np_max(effective_bits, 0.0) if time_feasible else 0.0
+    # numpy's scalar 4.0 ** x rounds differently from its array loop in
+    # about one case in twenty, so the power goes through a length-1 array
+    pow4 = np.power(4.0, np.array((_np_min(eff, RATE_CLAMP_BITS),))).item()
+    gap = pow4 - model.plant.a * model.plant.a
+    stable = time_feasible and eff >= 0.0 and gap > 0.0
+    cost = model.j_ideal + model.sensitivity * model.plant.w_cov / gap if stable else math.inf
+    return LoopOutcome(r_up, r_down, t_up, t_comp, t_down, t_prop, eff,
+                       control.cner_bps(eff, period_s), stable, cost, time_feasible)
+
+
 def _cycle_at_rates(budget: LoopBudget, r_up: float, r_down: float, t_prop_s: float,
                     times: tuple | None) -> tuple:
     """(t_up, t_comp, t_down, effective bits, time_feasible) of one cycle at
-    rates r_up and r_down, on Python floats: at the (t_up, t_down) allocation
-    times (evaluate_cycle), or with times None at the balanced split
-    (balanced_times).
+    rates r_up and r_down: at the (t_up, t_down) allocation times
+    (evaluate_cycle), or with times None at the balanced split
+    (balanced_times). store_and_forward on Python floats.
     """
     if times is None:
         remaining = budget.cycle_period_s - t_prop_s
@@ -141,11 +174,14 @@ def _cycle_at_rates(budget: LoopBudget, r_up: float, r_down: float, t_prop_s: fl
         t_up = remaining / (1.0 + budget.cycles_per_bit * r_up / budget.compute_rate_cps + fill)
     else:
         t_up, t_down = times
-    t_comp, window, delivered = store_and_forward(
-        r_up * t_up, t_up, r_down, t_prop_s, budget.compute_rate_cps, budget)
+    volume = r_up * t_up
+    t_comp = (budget.cycles_per_bit * volume
+              / _np_max(budget.compute_rate_cps, COMPUTE_FLOOR_CPS))
+    window = budget.cycle_period_s - t_prop_s - t_up - t_comp
+    delivered = _np_min(budget.extraction_ratio * volume, r_down * window)
     if times is None:
-        t_down = max(float(window), 0.0)
-    return (t_up, t_comp, t_down, np.minimum(delivered, r_down * t_down),
+        t_down = max(window, 0.0)
+    return (t_up, t_comp, t_down, _np_min(delivered, r_down * t_down),
             t_down <= window + 1e-12)
 
 
@@ -155,8 +191,8 @@ def outcome_at_rates(model: RateCostModel, budget: LoopBudget, r_up: float, r_do
     r_down with propagation t_prop_s, at the (t_up, t_down) allocation times
     or by default at the balanced split."""
     t_up, t_comp, t_down, eff, ok = _cycle_at_rates(budget, r_up, r_down, t_prop_s, times)
-    return loop_outcomes((model,), budget.cycle_period_s, r_up, r_down, t_up, t_comp,
-                         t_down, t_prop_s, eff, ok)[0]
+    return loop_outcome(model, budget.cycle_period_s, r_up, r_down, t_up, t_comp, t_down,
+                        t_prop_s, eff, ok)
 
 
 def evaluate_cycle(uplink: LinkParams, downlink: LinkParams, budget: LoopBudget,
@@ -174,7 +210,8 @@ def evaluate_cycle(uplink: LinkParams, downlink: LinkParams, budget: LoopBudget,
     t_prop = propagation_delay_s(linkgeom.slant_range_m(uplink.geometry),
                                  linkgeom.slant_range_m(downlink.geometry))
     return outcome_at_rates(model, budget, linkgeom.shannon_rate_bps(uplink),
-                            linkgeom.shannon_rate_bps(downlink), t_prop, (t_up_s, t_down_s))
+                            linkgeom.shannon_rate_bps(downlink), t_prop,
+                            (float(t_up_s), float(t_down_s)))
 
 
 def balanced_times(uplink: LinkParams, downlink: LinkParams, budget: LoopBudget,

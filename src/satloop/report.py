@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import math
 import os
 import sys
 import time
@@ -159,9 +160,7 @@ def cmd_multi_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRec
     # keeps feasible. Where only the lowest start descends (every plant
     # unstable) its task-oriented solve starts also from the previous
     # point's budget shares: its decision with the power scaled to the new
-    # total; where every start descends, one more start only adds work. The
-    # sweep's totals stay numpy floats, which scale arrays faster than
-    # Python floats.
+    # total; where every start descends, one more start only adds work.
     warm_shares = descends_one_start(base)
     solves = []
     for k, total in enumerate(sweep):
@@ -169,9 +168,11 @@ def cmd_multi_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRec
         if k:
             previous = solves[-1]
             compute_warm = [previous["compute_only"].decision]
-            if warm_shares:
+            # a ratio past the float range (after a subnormal total) starts cold
+            scale = float(total) / float(sweep[k - 1])
+            if warm_shares and scale < math.inf:
                 shares = previous["task_oriented"].decision
-                task_warm = [{"power_w": shares["power_w"] * (total / sweep[k - 1]),
+                task_warm = [{"power_w": shares["power_w"] * scale,
                               "compute_cps": shares["compute_cps"]}]
         solves.append(_solve_schemes(dataclasses.replace(base, total_power_w=total),
                                      compute_warm, task_warm))

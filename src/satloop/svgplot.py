@@ -4,10 +4,13 @@ CSV files are the contract; these renderings are a convenience and carry no
 dependency on a plotting runtime. All output is deterministic.
 """
 import math
+import sys
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 40, 60
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd")
+_HUGE = 2.0 ** 1020  # a range within +-_HUGE keeps its width and padding finite
+_TINY = 5e-324  # the least positive float
 
 
 def _fmt(x: float) -> str:
@@ -36,29 +39,50 @@ def _axes(parts: list, x_label: str, y_label: str) -> None:
                  f'transform="rotate(-90 18 {(y0 + y1) / 2})">{y_label}</text>')
 
 
-def _yticks(parts: list, lo: float, hi: float, to_py) -> None:
+def _unit_map(lo: float, hi: float, pad: float = 0.0):
+    """v -> (v - lo') / (hi' - lo') on [lo', hi'], the range lo <= hi widened
+    at both ends by pad times its width, for any finite lo and hi. A range
+    of width 0 maps v - lo'. Past 2^1020, where the width could overflow,
+    the map works on quarters: v / 4 on the range's quarter."""
+    s = 1.0 if max(abs(lo), abs(hi)) < _HUGE else 0.25
+    lo, hi = lo * s, hi * s
+    margin = pad * (hi - lo)
+    lo, hi = lo - margin, hi + margin
     span = hi - lo or 1.0
-    step = 10.0 ** math.floor(math.log10(span / 4.0))
+    return lambda v: (v * s - lo) / span
+
+
+def _yticks(parts: list, lo: float, hi: float, to_py) -> None:
+    """Ticks at the multiples of one step (1 or 2 x 10^k, a quarter to a
+    twentieth of the span) in [lo, hi], for any finite lo <= hi: a step that
+    underflows is the least power of ten, a span past the float range is
+    taken on quarters, and a tick that a step cannot advance is the last."""
+    # a single value spans 1, or 2^-40 of itself past 2^40, where 1 is lost
+    span = hi - lo or max(1.0, abs(lo) * 2.0 ** -40)
+    quarter = span / 4.0 if span < math.inf else hi / 4.0 - lo / 4.0
+    step = 10.0 ** max(math.floor(math.log10(max(quarter, _TINY))), -323)
     if span / step > 8:
         step *= 2
     tick = math.ceil(lo / step) * step
-    while tick <= hi + 1e-12 * span:
+    end = min(hi + 1e-12 * span, sys.float_info.max)
+    while tick <= end:
         y = to_py(tick)
         parts.append(f'<line x1="{_ML - 4}" y1="{_fmt(y)}" x2="{_ML}" y2="{_fmt(y)}" '
                      'stroke="black"/>')
         parts.append(f'<text x="{_ML - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">{tick:g}</text>')
+        if tick + step == tick:
+            break
         tick += step
 
 
 def _scale(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
-    pad = 0.05 * (hi - lo)
-    lo2, hi2 = lo - pad, hi + pad
+    unit = _unit_map(lo, hi, 0.05)
 
     def to_py(v):
-        return (_H - _MB) - (v - lo2) / (hi2 - lo2) * (_H - _MB - _MT)
+        return (_H - _MB) - unit(v) * (_H - _MB - _MT)
 
     return to_py
 
@@ -96,10 +120,10 @@ def line_chart(x_values, series, title: str, x_label: str, y_label: str) -> str:
     ys = [y for _, yy in series for y in yy if math.isfinite(y)]
     to_py = _scale(min(ys, default=0.0), max(ys, default=1.0))
     xs_lo, xs_hi = min(x_values), max(x_values)
-    span = (xs_hi - xs_lo) or 1.0
+    unit = _unit_map(xs_lo, xs_hi)
 
     def to_px(v):
-        return _ML + (v - xs_lo) / span * (_W - _ML - _MR)
+        return _ML + unit(v) * (_W - _ML - _MR)
 
     parts = _header(title)
     _axes(parts, x_label, y_label)
@@ -160,7 +184,7 @@ def heatmap(row_values, col_values, matrix, title: str, x_label: str, y_label: s
     """Filled-cell rendering of a matrix (rows bottom-to-top)."""
     flat = [v for row in matrix for v in row if math.isfinite(v)]
     lo, hi = min(flat, default=0.0), max(flat, default=1.0)
-    span = (hi - lo) or 1.0
+    unit = _unit_map(lo, hi)
     n_rows, n_cols = len(row_values), len(col_values)
     cw = (_W - _ML - _MR) / n_cols
     ch = (_H - _MT - _MB) / n_rows
@@ -169,7 +193,7 @@ def heatmap(row_values, col_values, matrix, title: str, x_label: str, y_label: s
     for i in range(n_rows):
         for j in range(n_cols):
             v = matrix[i][j]
-            t = 0.0 if not math.isfinite(v) else (v - lo) / span
+            t = 0.0 if not math.isfinite(v) else unit(v)
             r = int(255 * t)
             b = int(255 * (1.0 - t))
             g = int(64 + 128 * (1.0 - abs(2 * t - 1)))

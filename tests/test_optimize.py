@@ -745,6 +745,16 @@ class TestOutcomesOnRequest:
         assert main(["single-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
         assert len(built) == 3
 
+    def test_single_loop_document_scores_on_python_floats(self, monkeypatch, tmp_path):
+        """A single-loop document takes the float form of the cycle, the
+        reported cost and the penalty: no array form runs."""
+        def refused(*args, **kwargs):
+            raise AssertionError("a single-loop document used an array form")
+        for name in ("loop_outcomes", "reported_costs", "store_and_forward"):
+            monkeypatch.setattr(pipeline, name, refused)
+        monkeypatch.setattr(optimize, "_penalized", refused)
+        assert main(["single-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
+
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_robots=st.integers(1, 4), stable=st.booleans(),
            cap_bits=st.one_of(st.none(), st.floats(0.5, 8.0)),

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satloop import control
+from satloop import control, pipeline
 from satloop.control import RATE_CLAMP_BITS, Plant, RateCostModel, is_stabilizable_at
 from satloop.linkgeom import Geometry, LinkParams, shannon_rate_bps
-from satloop.pipeline import (LoopBudget, NoBudgetError, balanced_times,
-                              evaluate_cycle, loop_outcomes, propagation_delay_s,
-                              reported_costs)
+from satloop.pipeline import (COMPUTE_FLOOR_CPS, LoopBudget, NoBudgetError, balanced_times,
+                              evaluate_cycle, loop_outcome, loop_outcomes,
+                              propagation_delay_s, reported_costs, store_and_forward)
 from oracles import BUDGET
 
 C = 299792458.0
@@ -156,6 +156,120 @@ class TestReportedCosts:
         reported_costs(np.array([4.0, 0.25]), np.ones(2), np.ones(2), np.array([1.5, -0.0]),
                        np.array([True, False]))
         assert len(calls) == 1
+
+
+def _bits(values) -> list:
+    """Each value as (type, float.hex) for floats, itself otherwise: equal
+    lists mean equal to the bit, the sign of zero included."""
+    return [(type(v), v.hex()) if isinstance(v, float) else v for v in values]
+
+
+def _cycle_on_arrays(budget, r_up, r_down, t_prop, times):
+    """pipeline._cycle_at_rates through store_and_forward on length-1 arrays:
+    the cycle's array form, with the balanced t_up formula written out."""
+    if times is None:
+        remaining = budget.cycle_period_s - t_prop
+        if remaining <= 0.0:
+            raise NoBudgetError("no budget")
+        fill = budget.extraction_ratio * r_up / r_down if r_down > 0.0 else math.inf
+        t_up = remaining / (1.0 + budget.cycles_per_bit * r_up / budget.compute_rate_cps + fill)
+    else:
+        t_up, t_down = times
+    with np.errstate(all="ignore"):
+        t_comp, window, delivered = (column[0].item() for column in store_and_forward(
+            np.array([r_up * t_up]), np.array([t_up]), np.array([r_down]), np.array([t_prop]),
+            np.array([budget.compute_rate_cps]), budget))
+        if times is None:
+            t_down = max(window, 0.0)
+        eff = np.minimum(np.array([delivered]), np.array([r_down * t_down]))[0].item()
+    return t_up, t_comp, t_down, eff, t_down <= window + 1e-12
+
+
+_POSITIVE = st.floats(0.0, 1e300, exclude_min=True)
+# compute at, one ulp either side of and far below COMPUTE_FLOOR_CPS, or any
+_COMPUTE = st.one_of(st.sampled_from([COMPUTE_FLOOR_CPS, math.nextafter(COMPUTE_FLOOR_CPS, 0.0),
+                                      math.nextafter(COMPUTE_FLOOR_CPS, 1.0), 1e-21, 1e10]),
+                     _POSITIVE)
+_RATE = st.one_of(st.just(0.0), st.floats(0.0, 1e300))
+
+
+class TestFloatCycle:
+    """The one-loop cycle on Python floats (pipeline._cycle_at_rates) is the
+    array form's (store_and_forward) bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(period=st.one_of(st.just(0.02), _POSITIVE), cycles_per_bit=_POSITIVE,
+           compute=_COMPUTE, extraction=st.floats(0.0, 1.0, exclude_min=True),
+           r_up=_RATE, r_down=_RATE, prop_share=st.sampled_from([0.0, 0.2, 1.0, 1.5]),
+           times=st.one_of(st.none(), st.tuples(
+               st.one_of(st.sampled_from([0.0, -0.0, "rest"]), st.floats(0.0, 1e3)),
+               st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1e3)))))
+    def test_balanced_and_given_times(self, period, cycles_per_bit, compute, extraction,
+                                      r_up, r_down, prop_share, times):
+        """Balanced and given times, with windows of 0.0 (an uplink that
+        takes the rest of the period), overruns, links that carry no bits,
+        and compute at, below and above the floor."""
+        budget = LoopBudget(period, cycles_per_bit, compute, extraction)
+        t_prop = prop_share * period
+        if times is not None and times[0] == "rest":
+            times = (period - t_prop, times[1])
+        try:
+            want = _cycle_on_arrays(budget, r_up, r_down, t_prop, times)
+        except NoBudgetError:
+            with pytest.raises(NoBudgetError):
+                pipeline._cycle_at_rates(budget, r_up, r_down, t_prop, times)
+            return
+        got = pipeline._cycle_at_rates(budget, r_up, r_down, t_prop, times)
+        assert _bits(got) == _bits(want), (got, want)
+
+    def test_no_bits_over_an_overrun(self):
+        """A cycle that uplinks nothing, over a downlink that carries no bits,
+        in a period its uplink time overruns: the array form delivers -0.0
+        bits, and each cycle takes np.minimum's tie rule to +0.0."""
+        budget = LoopBudget(0.02, 100.0, 1e10, 1e-3)
+        for r_up, t_up in ((0.0, 0.03), (1e5, 0.0), (0.0, -0.0)):
+            got = pipeline._cycle_at_rates(budget, r_up, 0.0, 0.0, (t_up, 0.01))
+            assert _bits(got) == _bits(_cycle_on_arrays(budget, r_up, 0.0, 0.0, (t_up, 0.01)))
+
+    def test_compute_below_the_floor(self):
+        """Compute below COMPUTE_FLOOR_CPS computes at the floor."""
+        budget = LoopBudget(0.02, 100.0, 1e-21, 1e-3)
+        _, t_comp, _, _, _ = pipeline._cycle_at_rates(budget, 1e5, 1e5, 0.0, (1e-3, 1e-3))
+        assert t_comp == 100.0 * 1e5 * 1e-3 / COMPUTE_FLOOR_CPS
+
+
+class TestFloatOutcome:
+    """loop_outcome, one loop's outcome on Python floats, is
+    loop_outcomes((model,), ...)[0] bit for bit, field by field."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=st.one_of(st.sampled_from([0.0, 0.5, 1.0, -1.0, 2.0, 30.0]), st.floats(-64.0, 64.0)),
+           w_cov=st.one_of(st.sampled_from([0.0, 1.0, 1e300]), st.floats(0.0, 1e300)),
+           eff=_EFFECTIVE_BITS, ok=st.booleans(),
+           period=st.one_of(st.just(0.02), _POSITIVE),
+           times=st.tuples(*[st.floats(0.0, 1e6)] * 6))
+    def test_is_loop_outcomes_bit_for_bit(self, a, w_cov, eff, ok, period, times):
+        """Effective bits of -0.0, 0, negative, at the threshold, at and past
+        RATE_CLAMP_BITS, time-infeasible cycles, and costs that overflow to
+        inf (w_cov up to 1e300)."""
+        model = RateCostModel.from_plant(Plant(a=a, b=1.0, w_cov=w_cov, q=1.0, r_u=1.0))
+        if eff is None:  # at the threshold, where 4^eff = a^2 up to rounding
+            eff = 0.5 * math.log2(a * a) if a * a > 0.0 else 0.0
+        got = loop_outcome(model, period, *times, eff, ok)
+        with np.errstate(all="ignore"):
+            want = loop_outcomes((model,), period, *times, eff, ok)[0]
+        assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(want)), (got, want)
+
+    def test_cost_is_lqr_cost_where_python_pow_differs(self):
+        """4.0 ** R on a Python float rounds differently from numpy's array
+        loop for about one rate in twenty; every cost is still
+        control.lqr_cost's (the array loop's) bit for bit."""
+        model = _model(a=1.5)
+        rates = np.random.default_rng(3).uniform(0.6, 40.0, 400).tolist()
+        assert any(4.0 ** r != np.power(4.0, np.array([r]))[0] for r in rates)
+        for r in rates:
+            cost = loop_outcome(model, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, r, True).lqr_cost
+            assert cost.hex() == control.lqr_cost(model, r).hex(), r
 
 
 class TestStableMeansFiniteCost:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from satloop import optimize, report, scenario
+from satloop import optimize, report, scenario, svgplot
 from satloop.report import cmd_multi_loop, cmd_single_loop, main
 from satloop.scenario import default_scenario, dump_scenario, load_scenario
 
@@ -491,6 +491,48 @@ class TestAnyLinkBudget:
                 assert not any("nan" in value for row in rows for value in row.values())
 
 
+class TestAnyChart:
+    """Every chart draws any finite or infinite values, from subnormals to
+    +-1.7e308, whose spans can underflow a tick step or overflow the float
+    range, without raising and without a nan in the SVG."""
+    _VALUE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308,
+                                        math.inf, -math.inf]),
+                       st.floats(allow_nan=False))
+    _X = st.one_of(st.sampled_from([0.0, 5e-324, 1.7e308, -1.7e308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_VALUE, max_size=6), xs=st.lists(_X, min_size=1, max_size=4),
+           series=st.lists(st.lists(_VALUE, max_size=4), min_size=1, max_size=3),
+           matrix=st.lists(st.lists(_VALUE, min_size=1, max_size=4), min_size=1, max_size=3))
+    @example(values=[5e-324], xs=[0.0], series=[[0.0, 5e-324]], matrix=[[0.0, 5e-324]])
+    @example(values=[-1.7e308, 1.7e308], xs=[-1.7e308, 1.7e308], series=[[-1.7e308, 1.7e308]],
+             matrix=[[-1.7e308, 1.7e308]])
+    @example(values=[1.7e308], xs=[1e300], series=[[1e300, 1e300]], matrix=[[1e300]])
+    def test_no_chart_raises(self, values, xs, series, matrix):
+        labelled = [(f"s{i}", ys) for i, ys in enumerate(series)]
+        n_cols = min(len(xs), *map(len, matrix))
+        svgs = [svgplot.bar_chart([f"b{i}" for i in range(len(values))], values, "t", "y"),
+                svgplot.line_chart(xs, labelled, "t", "x", "y"),
+                svgplot.grouped_bar_chart([f"g{i}" for i in range(len(xs))], labelled, "t", "y"),
+                svgplot.heatmap(list(range(len(matrix))), xs[:n_cols],
+                                [row[:n_cols] for row in matrix], "t", "x", "y")]
+        for svg in svgs:
+            assert svg.startswith("<svg ") and svg.endswith("</svg>\n")
+            assert "nan" not in svg
+
+    def test_single_loop_at_a_subnormal_noise_writes_csv_and_svg(self, tmp_path):
+        """w_cov = 5e-324 puts every cost within a subnormal of 0: the tick
+        step of the bar chart underflows, and single-loop still writes both
+        outputs in its default format."""
+        doc = tmp_path / "doc.yaml"
+        doc.write_text("plant: {w_cov: 5.0e-324}\n")
+        code, err = _quiet_main(["single-loop", "--scenario", str(doc), "--out", str(tmp_path)])
+        assert code == 0, err
+        assert (tmp_path / "single_loop.csv").stat().st_size > 0
+        assert (tmp_path / "single_loop_lqr.svg").read_text().endswith("</svg>\n")
+
+
 class TestAnySmallMultiLoop:
     """Every small document (at most 3 robots and 2 sweep points) through multi-loop.
 
@@ -616,6 +658,19 @@ class TestAnySmallMultiLoop:
                             assert matrix[i][j] <= matrix[i - 1][j], matrix
                         if j:
                             assert matrix[i][j] <= matrix[i][j - 1], matrix
+
+
+class TestSubnormalSweepTotal:
+    def test_multi_loop_sweeps_up_from_a_subnormal_total(self, tmp_path):
+        """The second sweep point's warm start scales the first point's
+        power by total / 5e-324, past the float range: it starts cold
+        instead, with no RuntimeWarning."""
+        doc = tmp_path / "doc.yaml"
+        doc.write_text('{"multi_loop": {"n_robots": 1, "power_sweep_points": 2, '
+                       '"power_sweep_min_w": 5e-324}}')
+        code, err = _quiet_main(["multi-loop", "--scenario", str(doc), "--out", str(tmp_path),
+                                 "--format", "csv"])
+        assert code == 0, err
 
 
 class TestAnySingleLoopDocument:
@@ -948,3 +1003,57 @@ class TestNoTruncatingOpen:
         for _, flags in opened:
             assert flags & os.O_TRUNC == 0
             assert flags & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
+
+
+class TestSingleLoopBytesPinned:
+    """single-loop's CSV and SVG, sha256 per document, for documents at the
+    edges of the single-loop cycle: the outcome is scored on Python floats,
+    and these bytes were recorded when it was scored on numpy arrays."""
+
+    _DOCS = {
+        "baseline": ("{}\n",
+                     "5fca3dca67b650c1864a9dc558f31a9946638b8e8791b73229f9e0a0891f5bd9",
+                     "4ccd56b6b336b6f5e5689135782804dcdd0da5e3487ec416fda26b323194dcec"),
+        # every split starves the loop: the task-oriented cost is inf
+        "starved_uplink": ("links:\n  uplink:\n    tx_power_w: 1.0e-12\n",
+                           "dfa2b1db136dab6203d947bf29d72d01f561237d2b4cfb5a288878172816823a",
+                           "a168903927b98a68f13cc31c6c62a9b50936e7b3e42444712e7a6f77c9970343"),
+        "stable_plant": ("plant:\n  a: 0.5\n",
+                         "7c289eaab7ac70d1efefb25865fb489ff2c63abb10dd1a437b8635f0cd96e04e",
+                         "6d373418387ddc95b02d477e2a8469d2a4ba8c905d25e7a2ef21ff77509b5c53"),
+        # 1e-21 cycles/s, below pipeline.COMPUTE_FLOOR_CPS
+        "compute_below_floor": ("budget:\n  compute_gcps: 1.0e-30\n",
+                                "4173d5fa3e99be8f7d8b22a057342f519b10d07c7e507ae5d69c380d332f2fe0",
+                                "a168903927b98a68f13cc31c6c62a9b50936e7b3e42444712e7a6f77c9970343"),
+        # bench.workloads.generate_documents(7)[71]: the task-oriented split
+        # sits where the rounding of the rate's log2 decides it
+        "log2_rounding": ("name: bench-single-7-071\n"
+                          "seed: 7\n"
+                          "budget:\n"
+                          "  compute_gcps: 8.573171873\n"
+                          "  extraction_ratio: 0.002070192\n"
+                          "links:\n"
+                          "  downlink:\n"
+                          "    elevation_deg: 61.288662796\n"
+                          "    tx_power_w: 10.478934483\n"
+                          "  uplink:\n"
+                          "    elevation_deg: 69.879603236\n"
+                          "    tx_power_w: 0.107093244\n"
+                          "plant:\n"
+                          "  a: 1.522411689\n"
+                          "single_loop:\n"
+                          "  total_bandwidth_hz: 463.042206754\n",
+                          "7eb109f1285802d9a9b1bb86c08f786a64ff7bab5ebcf1dd4027ec7dacda29f2",
+                          "a168903927b98a68f13cc31c6c62a9b50936e7b3e42444712e7a6f77c9970343"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_DOCS))
+    def test_csv_and_svg_bytes(self, tmp_path, name):
+        text, csv_sha, svg_sha = self._DOCS[name]
+        doc = tmp_path / "doc.yaml"
+        doc.write_text(text)
+        code, err = _quiet_main(["single-loop", "--scenario", str(doc), "--out", str(tmp_path)])
+        assert code == 0, err
+        got = [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+               for f in ("single_loop.csv", "single_loop_lqr.svg")]
+        assert got == [csv_sha, svg_sha]
