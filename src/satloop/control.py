@@ -10,7 +10,9 @@ exists the cost is math.inf.
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy import lazy_import
+
+np = lazy_import("numpy")
 
 
 class NonConvergentError(RuntimeError):
@@ -142,8 +144,9 @@ class RateCostModel:
     def cost(self, rate_bits):
         """Array-valued J(R), +inf where no finite cost exists."""
         rate = np.asarray(rate_bits, dtype=float)
-        # one rate goes through a 1-D array too: numpy's scalar 4.0 ** x rounds
-        # differently from its array loop in about one case in twenty
+        # one rate goes through a 1-D array too: numpy takes libm's pow for a
+        # 0-d rate and its array power loop for an array, and the two round
+        # differently where the loop is AVX-512 (the pipeline module docstring)
         return rate_cost(rate.reshape(-1), self.plant.a * self.plant.a,
                          self.sensitivity * self.plant.w_cov, self.j_ideal).reshape(rate.shape)
 

@@ -36,21 +36,26 @@ certifies the returned point with its projected-gradient norm
 (SolverTrace.projected_gradient_norm). The joint solves score cycles with
 pipeline.store_and_forward and control.rate_cost on arrays; a single loop's
 split is scored once, by pipeline.outcome_at_rates on Python floats (the
-float form of the same cycle and cost, pinned to the arrays bit for bit).
-Both take one penalty, _penalized, which _single_result applies on floats.
+float form of the same cycle and cost, with 4^R by libm's pow: the pipeline
+module docstring says where it equals the arrays). Both take one penalty,
+_penalized, which _single_result applies on floats, so a single-loop solve
+makes no numpy call.
 """
+from __future__ import annotations
+
 import dataclasses
 import enum
 import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import control, linkgeom, pipeline
+from ._lazy import lazy_import
 from .control import Plant, RateCostModel
 from .linkgeom import BOLTZMANN_J_PER_K, LinkParams
 from .pipeline import LoopBudget
+
+np = lazy_import("numpy")
 
 INFEASIBILITY_PENALTY = 1e9
 GOLDEN_REL_WIDTH = 1e-8
@@ -65,7 +70,7 @@ PGD_MAX_ITER = 500
 # of growing length (the first halving alone, the next 7, then the rest), each
 # block in one objective call for the rows that have not stopped before it.
 MAX_HALVINGS = 80
-_HALVINGS = 0.5 ** np.arange(MAX_HALVINGS)  # the trial-step scales 1, 1/2, 1/4, ...
+_HALVINGS = tuple(0.5 ** k for k in range(MAX_HALVINGS))  # the trial-step scales 1, 1/2, ...
 _HALVING_BLOCKS = (_HALVINGS[:1], _HALVINGS[1:8], _HALVINGS[8:])
 
 

@@ -11,23 +11,32 @@ loops take the array form: the joint solves read store_and_forward and
 reported_costs as arrays, and JointEvaluator.outcomes reads loop_outcomes.
 One loop takes the float form, on Python floats: _cycle_at_rates is the
 cycle at given link rates, at the balanced split or at a given time
-allocation, and loop_outcome the LoopOutcome that loop_outcomes would report
-for it. outcome_at_rates joins the two; the single-loop solver calls it on
+allocation, and loop_outcome its LoopOutcome under loop_outcomes' rule.
+outcome_at_rates joins the two; the single-loop solver calls it on
 the rates its search scored, and evaluate_cycle and balanced_times on the
-rates of their LinkParams. The float form keeps numpy's rules (_np_max and
-_np_min: the second argument on a tie, NaN from either side) and evaluates
-4.0 ** R on a length-1 array, as rate_gap does, so each float result equals
-its array form bit for bit; a property in tests/test_pipeline.py pins each
-form to the other.
+rates of their LinkParams. One loop makes no numpy call: numpy is executed
+at the first use of an array form (satloop._lazy).
+
+The float cycle keeps numpy's rules (_np_max and _np_min: the second
+argument on a tie, NaN from either side), so it equals the array cycle bit
+for bit. loop_outcome takes 4^R as Python's 4.0 ** R, libm's pow, and
+rate_gap as numpy's float64 power loop. The two agree except where numpy
+runs its AVX-512 loop, which rounds about one R in twenty differently. So
+loop_outcome equals loop_outcomes in every field wherever the two powers
+agree, and elsewhere in every field but lqr_cost and stable, which each
+form computes from its own power by one formula. single_loop.csv is thus
+the same at every numpy dispatch. Properties in tests/test_pipeline.py pin
+all of it.
 """
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import control, linkgeom
+from ._lazy import lazy_import
 from .control import RATE_CLAMP_BITS, RateCostModel
 from .linkgeom import LinkParams
+
+np = lazy_import("numpy")
 
 # keeps a loop given no compute finite (and hopeless) instead of dividing by zero
 COMPUTE_FLOOR_CPS = 1e-9
@@ -144,12 +153,11 @@ def loop_outcome(model: RateCostModel, period_s: float, r_up: float, r_down: flo
                  t_up: float, t_comp: float, t_down: float, t_prop: float,
                  effective_bits: float, time_feasible: bool) -> LoopOutcome:
     """loop_outcomes((model,), ...)[0] on Python floats: one loop's outcome,
-    reported under reported_costs' rule."""
+    reported under reported_costs' rule, with 4^R taken by libm's pow."""
     eff = _np_max(effective_bits, 0.0) if time_feasible else 0.0
-    # numpy's scalar 4.0 ** x rounds differently from its array loop in
-    # about one case in twenty, so the power goes through a length-1 array
-    pow4 = np.power(4.0, np.array((_np_min(eff, RATE_CLAMP_BITS),))).item()
-    gap = pow4 - model.plant.a * model.plant.a
+    # Python's 4.0 ** R is libm's pow, whatever numpy's SIMD dispatch; numpy's
+    # AVX-512 power loop rounds about one R in twenty differently (module docstring)
+    gap = 4.0 ** _np_min(eff, RATE_CLAMP_BITS) - model.plant.a * model.plant.a
     stable = time_feasible and eff >= 0.0 and gap > 0.0
     cost = model.j_ideal + model.sensitivity * model.plant.w_cov / gap if stable else math.inf
     return LoopOutcome(r_up, r_down, t_up, t_comp, t_down, t_prop, eff,

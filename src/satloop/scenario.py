@@ -6,20 +6,24 @@ the defaults below. Each default is labeled either "reference" (fixed by the
 reproduced case study) or "assumed" (chosen by this tool, override freely);
 the label is echoed into every output file's metadata header.
 """
+from __future__ import annotations
+
 import copy
 import math
 import re
 from dataclasses import dataclass
 
-import numpy as np
 import yaml
 
+from ._lazy import lazy_import
 from .control import Plant
 from .linkgeom import (Geometry, LinkParams, shannon_rate_bps, slant_range_m,
                        snr_per_watt)
 from .optimize import (MultiLoopProblem, MultiLoopScheme, RobotLoop,
                        SingleLoopProblem, SingleLoopObjective)
 from .pipeline import COMPUTE_FLOOR_CPS, LoopBudget, propagation_delay_s
+
+np = lazy_import("numpy")
 
 REFERENCE = "reference"
 ASSUMED = "assumed"

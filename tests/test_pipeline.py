@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satloop import control, pipeline
@@ -238,9 +238,29 @@ class TestFloatCycle:
         assert t_comp == 100.0 * 1e5 * 1e-3 / COMPUTE_FLOOR_CPS
 
 
+def _numpy_pow4(rate: float) -> float:
+    """4^rate by numpy's float64 power loop, as control.rate_gap takes it."""
+    return np.power(4.0, np.array([rate]))[0].item()
+
+
+def _formula(model, eff, ok, pow4) -> tuple:
+    """(stable, lqr_cost) on Python floats from effective bits eff (clipped
+    at 0), the time_feasible flag ok and the power pow4 = 4^min(eff,
+    RATE_CLAMP_BITS): stable where ok and 4^R > a^2, and there
+    j_ideal + sens*w / (4^R - a^2)."""
+    gap = pow4 - model.plant.a * model.plant.a
+    stable = ok and eff >= 0.0 and gap > 0.0
+    return stable, (model.j_ideal + model.sensitivity * model.plant.w_cov / gap
+                    if stable else math.inf)
+
+
 class TestFloatOutcome:
-    """loop_outcome, one loop's outcome on Python floats, is
-    loop_outcomes((model,), ...)[0] bit for bit, field by field."""
+    """loop_outcome, one loop's outcome on Python floats, takes 4^R by libm's
+    pow (4.0 ** R), and loop_outcomes((model,), ...)[0] by numpy's power loop.
+    Each form's stable and lqr_cost are _formula on its own power, bit for
+    bit; every other field is the same in both, and where the two powers
+    agree (everywhere unless numpy runs its AVX-512 loop) so are all fields.
+    control.lqr_cost and RateCostModel.cost are the array form."""
 
     @settings(max_examples=400, deadline=None)
     @given(a=st.one_of(st.sampled_from([0.0, 0.5, 1.0, -1.0, 2.0, 30.0]), st.floats(-64.0, 64.0)),
@@ -248,7 +268,9 @@ class TestFloatOutcome:
            eff=_EFFECTIVE_BITS, ok=st.booleans(),
            period=st.one_of(st.just(0.02), _POSITIVE),
            times=st.tuples(*[st.floats(0.0, 1e6)] * 6))
-    def test_is_loop_outcomes_bit_for_bit(self, a, w_cov, eff, ok, period, times):
+    # where numpy's AVX-512 power loop and libm's pow round 4^eff apart
+    @example(a=1.5, w_cov=1.0, eff=1.6641407969579731, ok=True, period=0.02, times=(0.0,) * 6)
+    def test_each_form_is_the_formula_on_its_own_pow(self, a, w_cov, eff, ok, period, times):
         """Effective bits of -0.0, 0, negative, at the threshold, at and past
         RATE_CLAMP_BITS, time-infeasible cycles, and costs that overflow to
         inf (w_cov up to 1e300)."""
@@ -258,18 +280,29 @@ class TestFloatOutcome:
         got = loop_outcome(model, period, *times, eff, ok)
         with np.errstate(all="ignore"):
             want = loop_outcomes((model,), period, *times, eff, ok)[0]
-        assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(want)), (got, want)
+        fields = dataclasses.astuple(got)
+        rate = min(got.effective_bits_per_cycle, RATE_CLAMP_BITS)
+        libm, numpy_pow = 4.0 ** rate, _numpy_pow4(rate)
+        assert _bits((got.stable, got.lqr_cost)) == _bits(_formula(
+            model, got.effective_bits_per_cycle, ok, libm))
+        assert _bits((want.stable, want.lqr_cost)) == _bits(_formula(
+            model, got.effective_bits_per_cycle, ok, numpy_pow))
+        assert _bits(fields) == _bits(dataclasses.astuple(dataclasses.replace(
+            want, stable=got.stable, lqr_cost=got.lqr_cost))), (got, want)
+        if libm == numpy_pow:
+            assert _bits(fields) == _bits(dataclasses.astuple(want)), (got, want)
 
-    def test_cost_is_lqr_cost_where_python_pow_differs(self):
-        """4.0 ** R on a Python float rounds differently from numpy's array
-        loop for about one rate in twenty; every cost is still
-        control.lqr_cost's (the array loop's) bit for bit."""
+    def test_lqr_cost_is_the_formula_on_numpys_pow(self):
+        """At 400 rates, loop_outcome's cost is _formula on 4.0 ** R and
+        control.lqr_cost's on numpy's power, bit for bit: the two costs are
+        equal at each rate where the powers agree, and numpy's AVX-512 loop
+        makes about one rate in twenty differ."""
         model = _model(a=1.5)
-        rates = np.random.default_rng(3).uniform(0.6, 40.0, 400).tolist()
-        assert any(4.0 ** r != np.power(4.0, np.array([r]))[0] for r in rates)
-        for r in rates:
+        for r in np.random.default_rng(3).uniform(0.6, 40.0, 400).tolist():
             cost = loop_outcome(model, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, r, True).lqr_cost
-            assert cost.hex() == control.lqr_cost(model, r).hex(), r
+            assert cost.hex() == _formula(model, r, True, 4.0 ** r)[1].hex(), r
+            assert control.lqr_cost(model, r).hex() == _formula(
+                model, r, True, _numpy_pow4(r))[1].hex(), r
 
 
 class TestStableMeansFiniteCost:
