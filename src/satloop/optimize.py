@@ -23,12 +23,15 @@ iteration first tries a face-Newton step: the objective is separable by robot,
 so its Hessian is block-diagonal with one closed-form 2x2 (power, compute)
 block per robot, and the Newton step on the face where both budgets are spent
 needs only those blocks and a 2x2 Schur complement. A row keeps the projected
-Newton point when it passes a sufficient-decrease test, and stops there once
-the step's predicted decrease is below PGD_REL_TOL of its value (the Newton
-decrement, B&V 9.5.1 and 10.2); a row whose blocks are not positive definite
-(a capped, penalised or starved loop), or whose Newton point fails the test,
-takes the Barzilai-Borwein step with Armijo backtracking instead. The vector
-math of an iteration (derivatives, Newton step, projection, objective) is
+Newton point when it passes a sufficient-decrease test; a row whose blocks
+are not positive definite (a capped, penalised or starved loop), or whose
+Newton point fails the test, takes the Barzilai-Borwein step with Armijo
+backtracking instead. The Newton decrement decides the stop, before the
+line search (B&V 9.5.1 and 10.2): a row whose Newton step predicts a
+decrease of at most PGD_REL_TOL of its value stops in that iteration, at
+the Newton point if it kept it, else where its backtracking left it (a
+decrease that small can score an ulp above the value). The vector math of
+an iteration (derivatives, Newton step, projection, objective) is
 one batched numpy call for all running rows, and backtracking one per block
 of halvings that some row still needs (_HALVING_BLOCKS); each row's
 step choice, stopping test and bookkeeping run on Python floats. The trace
@@ -59,8 +62,8 @@ np = lazy_import("numpy")
 
 INFEASIBILITY_PENALTY = 1e9
 GOLDEN_REL_WIDTH = 1e-8
-# Projected gradient: a row converges when an accepted Newton step predicts a
-# decrease below PGD_REL_TOL of its value, or after PGD_PATIENCE consecutive
+# Projected gradient: a row converges when its Newton step, kept or not, predicts
+# a decrease of at most PGD_REL_TOL of its value, or after PGD_PATIENCE consecutive
 # iterations that improve its value by less than PGD_REL_TOL relative, and
 # stops unconverged after PGD_MAX_ITER iterations.
 PGD_REL_TOL = 1e-10
@@ -150,6 +153,9 @@ class SolverTrace:
     all_infeasible: bool = False
     method: str = ""
     max_iter_rows: int = 0  # descending starts still running after PGD_MAX_ITER iterations
+    # why the winning start of a projected-gradient solve stopped: "decrement",
+    # "patience", "nonfinite_gradient" or "max_iter" ("" for the other solves)
+    stopped_on: str = ""
     # The certificate of a projected-gradient solve: ||z - P(z - grad f(z))||
     # in budget-scaled shares at the returned point, 0 exactly at a KKT point
     # (NaN for the solves that run no projected gradient)
@@ -557,6 +563,7 @@ class _PgdResult:
     value: np.ndarray
     converged: np.ndarray
     iterations: int  # summed over rows
+    stopped_on: tuple  # per row: SolverTrace.stopped_on
     max_iter_rows: int = 0  # rows stopped unconverged at PGD_MAX_ITER
 
 
@@ -671,13 +678,16 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
     Otherwise its trial step is seeded Barzilai-Borwein style (spectral step
     from the row's last (dz, dg) pair, which copes with the steep penalty
     wall) and backed off by halving (_backtrack) until a sufficient decrease
-    over the projected move is reached. A row converges at a kept Newton
-    point whose predicted decrease -g.(new - z) is at most PGD_REL_TOL |f|
-    (the Newton decrement), or after PGD_PATIENCE consecutive iterations
-    with relative improvement below PGD_REL_TOL or a zero gradient; a row
-    whose gradient is not finite, or that is still running after
-    PGD_MAX_ITER iterations, stops unconverged (the latter counted in
-    max_iter_rows).
+    over the projected move is reached. A row converges in the iteration
+    whose Newton trial predicts a decrease 0 < -g.(new - z) <= PGD_REL_TOL |f|
+    (the Newton decrement): at the Newton point if it passes its test, else
+    after that iteration's backtracking, which keeps its move only if it
+    passes the Armijo test. A row also converges after PGD_PATIENCE
+    consecutive iterations with relative improvement below PGD_REL_TOL or a
+    zero gradient; a row whose gradient is not finite, or that is still
+    running after PGD_MAX_ITER iterations, stops unconverged (the latter
+    counted in max_iter_rows). stopped_on names each row's reason
+    (SolverTrace.stopped_on).
     """
     def project(z):
         return _project_shares(z, n, optimize_power)
@@ -685,7 +695,7 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
     z = np.array(z0, dtype=float)
     fz = np.asarray(f0, dtype=float).tolist()
     rows = len(fz)
-    converged = [False] * rows
+    stopped_on = ["max_iter"] * rows
     # Per row: the last accepted backtracking step (NaN until the first),
     # the quiet count and the Barzilai-Borwein pair (dz = 0 until a row has
     # moved, which selects the fallback step).
@@ -754,12 +764,12 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
                     fc = objective(cand).tolist()
                     for i, j in enumerate(trial):
                         row, f = moving[j], fz[moving[j]]
+                        if 0.0 < -slope[i] <= PGD_REL_TOL * abs(f):
+                            settled.append(row)  # whether or not it keeps the point
                         if slope[i] < 0.0 and fc[i] <= f + 1e-2 * slope[i]:
                             newton.add(j)
                             z[row] = cand[i]
                             accept(row, fc[i])  # a Newton row keeps its step
-                            if -slope[i] <= PGD_REL_TOL * abs(f):
-                                settled.append(row)
                 back = [j for j in range(len(m)) if j not in newton]
                 if back:
                     b = slice(None) if len(back) == len(m) else back
@@ -779,13 +789,17 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
             running = []
             for norm, row in zip(gnorm, live):
                 if not math.isfinite(norm):
-                    continue
-                if row in settled or quiet[row] >= PGD_PATIENCE:
-                    converged[row] = True
+                    stopped_on[row] = "nonfinite_gradient"
+                elif row in settled:
+                    stopped_on[row] = "decrement"
+                elif quiet[row] >= PGD_PATIENCE:
+                    stopped_on[row] = "patience"
                 else:
                     running.append(row)
             live = running
-    return _PgdResult(z, np.array(fz), np.array(converged), iterations, len(live))
+    converged = [reason in ("decrement", "patience") for reason in stopped_on]
+    return _PgdResult(z, np.array(fz), np.array(converged), iterations, tuple(stopped_on),
+                      len(live))
 
 
 def _scaled_objective(evaluator: JointEvaluator, p_tot: float, f_tot: float):
@@ -868,7 +882,8 @@ def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: li
         certificate = float(np.sqrt((residual * residual).sum()))
     trace = SolverTrace(iterations=res.iterations, converged=bool(res.converged[row]),
                         restarts=len(starts), best_restart=best, method=method,
-                        max_iter_rows=res.max_iter_rows, projected_gradient_norm=certificate)
+                        max_iter_rows=res.max_iter_rows, projected_gradient_norm=certificate,
+                        stopped_on=res.stopped_on[row])
     return z[0], res.value[row], trace
 
 

@@ -261,7 +261,7 @@ def all_starts_descend(evaluator: JointEvaluator, problem: MultiLoopProblem, sta
     best = int(np.argmin(res.value))
     trace = SolverTrace(iterations=res.iterations, converged=bool(res.converged[best]),
                         restarts=len(starts), best_restart=best, method=method,
-                        max_iter_rows=res.max_iter_rows)
+                        max_iter_rows=res.max_iter_rows, stopped_on=res.stopped_on[best])
     return res.z[best], res.value[best], trace
 
 
@@ -425,11 +425,12 @@ def reference_projected_gradient(objective, derivatives, project, z0: np.ndarray
 
     The same rules, written as a plain loop: the face-Newton trial first
     (optimize._newton_direction on the one row, kept when it passes its
-    sufficient-decrease test, and the end of the run when its predicted
-    decrease -g.(new - z) is at most rel_tol |f|), else a Barzilai-Borwein
-    trial step with the fallback and Armijo backtracking by halving, patience
-    on the relative improvement, and an unconverged stop on a non-finite
-    gradient. Returns (z, value, converged, iterations).
+    sufficient-decrease test), else a Barzilai-Borwein trial step with the
+    fallback and Armijo backtracking by halving; a trial whose predicted
+    decrease -g.(new - z) is positive and at most rel_tol |f| ends the run
+    in its iteration, at the Newton point if it was kept and else after the
+    backtracking; patience on the relative improvement, and an unconverged
+    stop on a non-finite gradient. Returns (z, value, converged, iterations).
     """
     z = project(np.array(z0, dtype=float)[None, :])[0]
     f = objective(z[None, :])[0]
@@ -456,14 +457,15 @@ def reference_projected_gradient(objective, derivatives, project, z0: np.ndarray
                 s = 0.25 / gnorm if math.isnan(step) else step
             s = min(max(s, 1e-16), 1e8)
             z_prev, g_prev = z, g
-            accepted = newton = False
+            accepted = newton = settled = False
             d, ok = _newton_direction(g[None, :], blocks, z[None, :], n, optimize_power)
             if ok[0]:
                 cand = project((z + d[0])[None, :])[0]
                 slope = (g * (cand - z)).sum()
                 fc = objective(cand[None, :])[0]
                 accepted = newton = slope < 0.0 and fc <= f + 1e-2 * slope
-                if newton and -slope <= rel_tol * abs(f):
+                settled = 0.0 < -slope <= rel_tol * abs(f)
+                if newton and settled:
                     return cand, fc, True, iterations
             for _ in range(0 if newton else max_halvings):
                 cand = project((z - s * g)[None, :])[0]
@@ -483,6 +485,8 @@ def reference_projected_gradient(objective, derivatives, project, z0: np.ndarray
                     step = s
             else:
                 quiet += 1
+            if settled:  # the Newton point rejected: settled after backtracking
+                return z, f, True, iterations
         if quiet >= patience:
             return z, f, True, iterations
     return z, f, False, max_iter

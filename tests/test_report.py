@@ -832,10 +832,37 @@ class TestBaselineSweepWork:
         count(optimize.JointEvaluator, "total_cost")
         count(optimize, "project_capped_simplex")
         count(optimize, "water_fill_power")
+        count(optimize, "_backtrack")
         assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
-        assert counts == {"_projected_gradient": 42, "task_oriented_row_iterations": 49,
-                          "compute_only_row_iterations": 37, "total_cost": 150,
-                          "project_capped_simplex": 192, "water_fill_power": 21}
+        assert counts == {"_projected_gradient": 42, "task_oriented_row_iterations": 42,
+                          "compute_only_row_iterations": 34, "total_cost": 125,
+                          "project_capped_simplex": 167, "water_fill_power": 21,
+                          "_backtrack": 4}
+
+    def test_newton_trials_below_the_tolerance_end_their_solves(self, tmp_path, monkeypatch):
+        """Three baseline solves reach their optimum in one Newton step, and
+        their next face-Newton trial predicts a decrease below PGD_REL_TOL of
+        the value but scores 1-2 ulp above it: each settles in that iteration,
+        after 2 iterations (6, 5 and 5 when such a row ran on to
+        PGD_PATIENCE), with its lqr_total unchanged bit for bit. Every
+        descent of the run stops on the Newton decrement."""
+        solves = self._record_solves(monkeypatch)
+        assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
+        schemes = optimize.MultiLoopScheme
+        # solve index: the sweep point's power total, scheme and lqr_total
+        settled = {22: (15.36842105263158, schemes.COMPUTE_ONLY_EQUAL_COMM,
+                        "0x1.5354d48740e4fp+4"),
+                   23: (15.36842105263158, schemes.TASK_ORIENTED_JOINT, "0x1.535405f62a1dcp+4"),
+                   41: (27.68421052631579, schemes.TASK_ORIENTED_JOINT, "0x1.533624bc3d401p+4")}
+        for index, (total, scheme, lqr_total) in settled.items():
+            problem, _, result = solves[index]
+            assert (problem.total_power_w, problem.scheme) == (total, scheme)
+            assert result.solver_trace.iterations == 2
+            assert result.lqr_total == float.fromhex(lqr_total)
+        descents = [result.solver_trace for problem, _, result in solves
+                    if problem.scheme != schemes.MAX_THROUGHPUT_JOINT]
+        assert len(descents) == 42
+        assert {trace.stopped_on for trace in descents} == {"decrement"}
 
     @staticmethod
     def _record_solves(monkeypatch) -> list:
