@@ -6,6 +6,13 @@ on top of its Riccati solution: at or below the data-rate threshold (log2 |a|
 bits per step for |a| > 1) no finite cost exists, above it the cost decays
 toward the full-information optimum as the rate grows. Where no finite cost
 exists the cost is math.inf.
+
+The curve has one form per use. One loop is scored on Python floats, with
+4^R by libm's pow (_gap, behind lqr_cost, is_stabilizable_at and
+pipeline.loop_outcome); the joint solves score many loops at once on numpy
+arrays (rate_gap, behind rate_cost and gap_cost). The two powers agree
+except where numpy runs its AVX-512 power loop, which rounds about one R in
+twenty differently, so a per-loop answer is the same at every numpy dispatch.
 """
 import math
 from dataclasses import dataclass
@@ -88,6 +95,8 @@ def intrinsic_entropy_rate(plant: Plant, period_s: float) -> float:
     The data-rate threshold log2 |a| (zero for |a| <= 1) divided by the
     cycle period, one control step per cycle.
     """
+    if period_s <= 0.0:
+        raise ValueError(f"cycle period must be positive, got {period_s}")
     return plant.threshold_bits / period_s
 
 
@@ -95,13 +104,15 @@ def is_stabilizable_at(plant: Plant, cner_bps: float, period_s: float) -> bool:
     """Whether an information rate of cner_bps suffices for stability.
 
     True exactly where the rate-cost curve is finite at R = cner_bps *
-    period_s bits per step (rate_gap, the test of pipeline.LoopOutcome.stable
-    and both solvers): 4^R > a^2. A plant with |a| < 1 is stabilizable at
-    any rate, one with |a| = 1 needs a positive rate.
+    period_s bits per step (_gap, the test of pipeline.LoopOutcome.stable):
+    4^R > a^2. A plant with |a| < 1 is stabilizable at any rate, one with
+    |a| = 1 needs a positive rate.
     """
     if cner_bps < 0.0:
         raise ValueError(f"cner must be non-negative, got {cner_bps}")
-    return bool(rate_gap(np.array([cner_bps * period_s]), plant.a * plant.a)[2][0])
+    if period_s <= 0.0:
+        raise ValueError(f"cycle period must be positive, got {period_s}")
+    return _gap(cner_bps * period_s, plant.a * plant.a) > 0.0
 
 
 def cner_bps(effective_bits_per_cycle: float, cycle_period_s: float) -> float:
@@ -120,12 +131,11 @@ class RateCostModel:
     riccati is the stabilizing Riccati root S, j_ideal = S w_cov the
     full-information optimum; sensitivity converts residual state-estimate
     variance into extra cost. All are derived from the plant and must always
-    match recomputation. threshold_bits is the plant's data-rate threshold.
+    match recomputation.
     """
     plant: Plant
     j_ideal: float
     sensitivity: float
-    threshold_bits: float
     riccati: float
 
     @classmethod
@@ -134,25 +144,26 @@ class RateCostModel:
         s = dare_solve(plant)
         k = a * b * s / (r + b * b * s)
         return cls(plant=plant, j_ideal=s * plant.w_cov, sensitivity=k * k * (r + b * b * s),
-                   threshold_bits=plant.threshold_bits, riccati=s)
+                   riccati=s)
 
     def lqr_gain(self) -> float:
         """LQR feedback gain k = a b S / (r + b^2 S), from the cached S."""
         b, r, s = self.plant.b, self.plant.r_u, self.riccati
         return self.plant.a * b * s / (r + b * b * s)
 
-    def cost(self, rate_bits):
-        """Array-valued J(R), +inf where no finite cost exists."""
-        rate = np.asarray(rate_bits, dtype=float)
-        # one rate goes through a 1-D array too: numpy takes libm's pow for a
-        # 0-d rate and its array power loop for an array, and the two round
-        # differently where the loop is AVX-512 (the pipeline module docstring)
-        return rate_cost(rate.reshape(-1), self.plant.a * self.plant.a,
-                         self.sensitivity * self.plant.w_cov, self.j_ideal).reshape(rate.shape)
+
+def _gap(rate_bits: float, a_sq: float) -> float:
+    """4^R - a^2 of the rate-cost curve on Python floats, R clamped at
+    RATE_CLAMP_BITS and 4^R by libm's pow: positive exactly at the rates
+    where J(R) is finite. A negative or NaN R gets no positive gap (0.0)."""
+    if not rate_bits >= 0.0:
+        return 0.0
+    return 4.0 ** min(rate_bits, RATE_CLAMP_BITS) - a_sq
 
 
 def rate_gap(rate_bits, a_sq):
-    """(4^R, 4^R - a^2, finite) of the rate-cost curve, R clamped at RATE_CLAMP_BITS.
+    """(4^R, 4^R - a^2, finite) of the rate-cost curve on arrays, R clamped
+    at RATE_CLAMP_BITS and 4^R by numpy's power loop.
 
     finite marks R >= 0 with a positive gap: the rates at which J(R) is finite.
     """
@@ -183,8 +194,8 @@ def gap_cost(gap, finite, sens_w, j_ideal):
 def rate_cost_terms(models) -> tuple:
     """(a^2, sensitivity * w_cov, j_ideal) per model, the arrays rate_cost takes.
 
-    a^2 is a * a, as RateCostModel.cost squares it: a ** 2 is not correctly
-    rounded and can be 1 ulp away.
+    a^2 is a * a, as lqr_cost squares it: a ** 2 is not correctly rounded
+    and can be 1 ulp away.
     """
     return (np.array([m.plant.a * m.plant.a for m in models]),
             np.array([m.sensitivity * m.plant.w_cov for m in models]),
@@ -194,9 +205,11 @@ def rate_cost_terms(models) -> tuple:
 def lqr_cost(model: RateCostModel, rate_bits_per_step: float) -> float:
     """Rate-limited LQR cost J(R), math.inf at or below the data-rate threshold.
 
-    The scalar view of RateCostModel.cost: J(R) = j_ideal + sensitivity *
-    w_cov / (2^(2R) - a^2) whenever 2^(2R) > a^2.
+    rate_cost's formula for one rate on Python floats: J(R) = j_ideal +
+    sensitivity * w_cov / (4^R - a^2) whenever the gap 4^R - a^2 (_gap) is
+    positive. A cost past the float range is math.inf too.
     """
     if rate_bits_per_step < 0.0:
         raise ValueError(f"rate must be non-negative, got {rate_bits_per_step}")
-    return float(model.cost(rate_bits_per_step))
+    gap = _gap(rate_bits_per_step, model.plant.a * model.plant.a)
+    return model.j_ideal + model.sensitivity * model.plant.w_cov / gap if gap > 0.0 else math.inf

@@ -121,16 +121,20 @@ def noise_power_w(link: LinkParams) -> float:
     return BOLTZMANN_J_PER_K * link.noise_temperature_k * link.bandwidth_hz
 
 
-def snr(link: LinkParams) -> float:
-    """Linear signal-to-noise ratio at the receiver."""
-    return received_power_w(link) / noise_power_w(link)
-
-
 def snr_per_watt(link: LinkParams) -> float:
     """Linear SNR per watt of transmit power: the SNR at power P is P times this."""
     return received_power_w(link) / link.tx_power_w / noise_power_w(link)
 
 
+def rate_fn(link: LinkParams):
+    """The Shannon rate of the link as a function of its bandwidth B, in
+    bit/s, from one link budget: B * log2(1 + P_r / (k_B * T * B))."""
+    rx_power = received_power_w(link)
+    noise_density = BOLTZMANN_J_PER_K * link.noise_temperature_k
+    return lambda bandwidth: bandwidth * math.log2(1.0 + rx_power / (noise_density * bandwidth))
+
+
 def shannon_rate_bps(link: LinkParams) -> float:
-    """Shannon rate R = B * log2(1 + P_r / (k_B * T * B)) in bit/s."""
-    return link.bandwidth_hz * math.log2(1.0 + snr(link))
+    """Shannon rate R = B * log2(1 + P_r / (k_B * T * B)) in bit/s: rate_fn
+    of the link at its own bandwidth."""
+    return rate_fn(link)(link.bandwidth_hz)

@@ -36,12 +36,14 @@ one batched numpy call for all running rows, and backtracking one per block
 of halvings that some row still needs (_HALVING_BLOCKS); each row's
 step choice, stopping test and bookkeeping run on Python floats. The trace
 certifies the returned point with its projected-gradient norm
-(SolverTrace.projected_gradient_norm). The joint solves score cycles with
-pipeline.store_and_forward and control.rate_cost on arrays; a single loop's
-split is scored once, by pipeline.outcome_at_rates on Python floats (the
-float form of the same cycle and cost, with 4^R by libm's pow: the pipeline
-module docstring says where it equals the arrays). Both take one penalty,
-_penalized, which _single_result applies on floats, so a single-loop solve
+(SolverTrace.projected_gradient_norm).
+
+Any one loop is scored on Python floats, with 4^R by libm's pow: the
+single-loop split once, by pipeline.outcome_at_rates, and each robot of
+JointEvaluator.outcomes by pipeline.loop_outcome. numpy arrays appear only
+inside the joint solves: the objective, its derivatives and lqr_total
+(pipeline.store_and_forward and control.rate_cost). Both solvers score a
+loop with no finite cost by one penalty, _penalty, so a single-loop solve
 makes no numpy call.
 """
 from __future__ import annotations
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 from . import control, linkgeom, pipeline
 from ._lazy import lazy_import
 from .control import Plant, RateCostModel
-from .linkgeom import BOLTZMANN_J_PER_K, LinkParams
+from .linkgeom import LinkParams
 from .pipeline import LoopBudget
 
 np = lazy_import("numpy")
@@ -184,24 +186,19 @@ class AllocationResult:
 # single loop
 # ---------------------------------------------------------------------------
 
+def _penalty(threshold_bits, effective_bits):
+    """Both solvers' score of a loop with no finite cost: 1e9 + (threshold - eff)."""
+    return INFEASIBILITY_PENALTY + (threshold_bits - effective_bits)
+
+
 def _penalized(cost, threshold_bits, effective_bits):
-    """Cost where finite, else both solvers' penalty 1e9 + (threshold - eff)."""
-    return np.where(np.isfinite(cost), cost,
-                    INFEASIBILITY_PENALTY + (threshold_bits - effective_bits))
-
-
-def _rate_fn(template: LinkParams):
-    """The Shannon rate of the template's link as a function of its bandwidth,
-    on Python floats, from one link budget: shannon_rate_bps of the link at
-    that bandwidth, bit for bit (the same expression in the same order)."""
-    rx_power = linkgeom.received_power_w(template)
-    noise_density = BOLTZMANN_J_PER_K * template.noise_temperature_k
-    return lambda bandwidth: bandwidth * math.log2(1.0 + rx_power / (noise_density * bandwidth))
+    """Cost where finite, else _penalty, on arrays."""
+    return np.where(np.isfinite(cost), cost, _penalty(threshold_bits, effective_bits))
 
 
 def _link_rate_fns(problem: SingleLoopProblem) -> tuple:
-    """(rate_up, rate_down): _rate_fn of the problem's two link templates."""
-    return _rate_fn(problem.uplink_template), _rate_fn(problem.downlink_template)
+    """(rate_up, rate_down): linkgeom.rate_fn of the problem's two link templates."""
+    return linkgeom.rate_fn(problem.uplink_template), linkgeom.rate_fn(problem.downlink_template)
 
 
 def _single_objective_fn(problem: SingleLoopProblem, rates: tuple):
@@ -309,9 +306,8 @@ def _single_result(problem: SingleLoopProblem, rates: tuple, b_up: float,
     if outcome.lqr_cost == math.inf:
         trace = dataclasses.replace(trace, all_infeasible=True)
     lqr_total = outcome.lqr_cost
-    if not math.isfinite(lqr_total):  # _penalized on Python floats
-        lqr_total = INFEASIBILITY_PENALTY + (model.threshold_bits
-                                             - outcome.effective_bits_per_cycle)
+    if not math.isfinite(lqr_total):
+        lqr_total = _penalty(model.plant.threshold_bits, outcome.effective_bits_per_cycle)
     if problem.objective == SingleLoopObjective.TASK_ORIENTED:
         objective_value = lqr_total
     return AllocationResult(
@@ -368,7 +364,7 @@ class JointEvaluator:
         # every plant unstable (|a| >= 1): the cost is convex where it is
         # feasible, and a projected-gradient solve descends one start (_best_start)
         self.all_unstable = bool(np.all(self.a_sq >= 1.0))
-        self.threshold_bits = np.array([m.threshold_bits for m in self.models])
+        self.threshold_bits = np.array([m.plant.threshold_bits for m in self.models])
         # per-robot factors of the gradient: -w ln4 and B*g. A weight w within
         # a factor ln4 of the float range gives -inf: the gradient is then not
         # finite, and the rows stop unconverged
@@ -449,13 +445,17 @@ class JointEvaluator:
                  curve * e_f * e_f + slope * rate * dd_window))
 
     def outcomes(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
-        """Per-robot LoopOutcomes of a decision, on request; a capped downlink stops at the cap."""
+        """Per-robot LoopOutcomes of a decision, on request, each scored on
+        Python floats by pipeline.loop_outcome; a capped downlink stops at the cap."""
         rate, t_comp, window, eff = self._cycle(power_w, compute_cps)
         with np.errstate(divide="ignore"):
             t_down = np.where(eff >= self.cap_bits, self.cap_bits / rate,
                               np.maximum(window, 0.0))
-        return pipeline.loop_outcomes(self.models, self.budget.cycle_period_s, 0.0, rate,
-                                      0.0, t_comp, t_down, self.t_prop, eff, window >= 0.0)
+        period = self.budget.cycle_period_s
+        columns = (c.tolist() for c in np.broadcast_arrays(rate, t_comp, t_down, self.t_prop,
+                                                            eff, window >= 0.0))
+        return tuple(pipeline.loop_outcome(model, period, 0.0, r, 0.0, tc, td, tp, e, ok)
+                     for model, r, tc, td, tp, e, ok in zip(self.models, *columns))
 
 
 _last_evaluator = (None, None)  # (key, evaluator) of the last joint solve

@@ -6,34 +6,26 @@ for t_down, and propagation in both directions is charged against the same
 budget. Uplink transfer, computing, and downlink transfer happen strictly in
 sequence; a cycle whose stages do not fit in the period delivers nothing.
 
-The cycle and the rule for the cost a loop reports each have two forms. Many
-loops take the array form: the joint solves read store_and_forward and
-reported_costs as arrays, and JointEvaluator.outcomes reads loop_outcomes.
-One loop takes the float form, on Python floats: _cycle_at_rates is the
-cycle at given link rates, at the balanced split or at a given time
-allocation, and loop_outcome its LoopOutcome under loop_outcomes' rule.
-outcome_at_rates joins the two; the single-loop solver calls it on
-the rates its search scored, and evaluate_cycle and balanced_times on the
-rates of their LinkParams. One loop makes no numpy call: numpy is executed
-at the first use of an array form (satloop._lazy).
-
-The float cycle keeps numpy's rules (_np_max and _np_min: the second
-argument on a tie, NaN from either side), so it equals the array cycle bit
-for bit. loop_outcome takes 4^R as Python's 4.0 ** R, libm's pow, and
-rate_gap as numpy's float64 power loop. The two agree except where numpy
-runs its AVX-512 loop, which rounds about one R in twenty differently. So
-loop_outcome equals loop_outcomes in every field wherever the two powers
-agree, and elsewhere in every field but lqr_cost and stable, which each
-form computes from its own power by one formula. single_loop.csv is thus
-the same at every numpy dispatch. Properties in tests/test_pipeline.py pin
-all of it.
+The cycle has two forms, one per use. The joint solves score many loops at
+once on numpy arrays (store_and_forward and reported_costs). One loop is
+scored on Python floats: _cycle_at_rates is the cycle at given link rates,
+at the balanced split or at a given time allocation, and loop_outcome its
+LoopOutcome, with 4^R by libm's pow (control.lqr_cost). outcome_at_rates
+joins the two; the single-loop solver calls it on the rates its search
+scored, and evaluate_cycle and balanced_times on the rates of their
+LinkParams. One loop makes no numpy call: numpy is executed at the first use
+of an array form (satloop._lazy). The float cycle keeps numpy's rules
+(_np_max and _np_min: the second argument on a tie, NaN from either side),
+so it equals the array cycle bit for bit. The float and array costs and
+stability flags differ only where the two powers of 4^R round apart (the
+control module docstring). tests/test_pipeline.py pins both.
 """
 import math
 from dataclasses import dataclass
 
 from . import control, linkgeom
 from ._lazy import lazy_import
-from .control import RATE_CLAMP_BITS, RateCostModel
+from .control import RateCostModel
 from .linkgeom import LinkParams
 
 np = lazy_import("numpy")
@@ -112,31 +104,14 @@ def reported_costs(a_sq, sens_w, j_ideal, effective_bits, time_feasible) -> tupl
     control.rate_cost_terms arrays and columns broadcasting to one per loop.
 
     A loop is stable when its effective bits clear the data-rate threshold
-    (control.rate_gap's finite flag, the test of control.is_stabilizable_at),
-    even where its cost overflows the float range to math.inf. A
-    time-infeasible cycle delivers nothing, is not stable and costs math.inf.
-    Each cost equals control.lqr_cost(model, eff) bit for bit.
+    (control.rate_gap's finite flag), even where its cost overflows the float
+    range to math.inf. A time-infeasible cycle delivers nothing, is not
+    stable and costs math.inf. loop_outcome is this rule for one loop.
     """
     eff = np.where(time_feasible, np.maximum(effective_bits, 0.0), 0.0)
     _, gap, finite = control.rate_gap(eff, a_sq)
     stable = time_feasible & finite
     return eff, stable, control.gap_cost(gap, stable, sens_w, j_ideal)
-
-
-def loop_outcomes(models, period_s: float, r_up, r_down, t_up, t_comp, t_down, t_prop,
-                  effective_bits, time_feasible) -> tuple:
-    """One LoopOutcome per loop i (plant model models[i]) from columns that
-    broadcast to one entry per loop, reported under reported_costs' rule."""
-    n = len(models)
-    table = np.empty((7, n))  # r_up, r_down, t_up, t_comp, t_down, t_prop, eff
-    ok = np.empty(n, dtype=bool)
-    for row, column in zip((*table, ok), (r_up, r_down, t_up, t_comp, t_down, t_prop,
-                                          effective_bits, time_feasible)):
-        row[...] = column
-    table[6], stable, cost = reported_costs(*control.rate_cost_terms(models), table[6], ok)
-    return tuple(LoopOutcome(*times, e, control.cner_bps(e, period_s), s, c, f)
-                 for (*times, e), s, c, f in zip(table.T.tolist(), stable.tolist(),
-                                                 cost.tolist(), ok.tolist()))
 
 
 def _np_max(a: float, b: float) -> float:
@@ -152,14 +127,12 @@ def _np_min(a: float, b: float) -> float:
 def loop_outcome(model: RateCostModel, period_s: float, r_up: float, r_down: float,
                  t_up: float, t_comp: float, t_down: float, t_prop: float,
                  effective_bits: float, time_feasible: bool) -> LoopOutcome:
-    """loop_outcomes((model,), ...)[0] on Python floats: one loop's outcome,
-    reported under reported_costs' rule, with 4^R taken by libm's pow."""
+    """One loop's LoopOutcome on Python floats, reported under
+    reported_costs' rule: stable where its cycle fits and control.lqr_cost
+    is finite at its effective bits (also where the cost overflows)."""
     eff = _np_max(effective_bits, 0.0) if time_feasible else 0.0
-    # Python's 4.0 ** R is libm's pow, whatever numpy's SIMD dispatch; numpy's
-    # AVX-512 power loop rounds about one R in twenty differently (module docstring)
-    gap = 4.0 ** _np_min(eff, RATE_CLAMP_BITS) - model.plant.a * model.plant.a
-    stable = time_feasible and eff >= 0.0 and gap > 0.0
-    cost = model.j_ideal + model.sensitivity * model.plant.w_cov / gap if stable else math.inf
+    stable = time_feasible and control._gap(eff, model.plant.a * model.plant.a) > 0.0
+    cost = control.lqr_cost(model, eff) if stable else math.inf
     return LoopOutcome(r_up, r_down, t_up, t_comp, t_down, t_prop, eff,
                        control.cner_bps(eff, period_s), stable, cost, time_feasible)
 

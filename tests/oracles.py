@@ -4,7 +4,9 @@ Most of these avoid the library's own code paths: closed-form roots, a
 fixed-point Riccati iteration, Monte-Carlo simulation, a KKT solution of the
 compute-only scheme, and random problem generators. The grid oracles scan
 the solvers' own objective by brute force, and the multi-start solver runs
-the solver's own descent from seeded random starts.
+the solver's own descent from seeded random starts. loop_outcomes is the
+array form of one loop's outcome (pipeline.reported_costs), the reference
+that pipeline.loop_outcome and JointEvaluator.outcomes are compared against.
 """
 import dataclasses
 import math
@@ -12,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from satloop import control
 from satloop.control import Plant
 from satloop.linkgeom import (SPEED_OF_LIGHT_M_S, Geometry, LinkParams, shannon_rate_bps,
                               slant_range_m)
@@ -21,7 +24,7 @@ from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme,
                               _newton_direction, _project_shares, _projected_gradient,
                               _scaled_objective, _single_objective_fn, _single_result,
                               _task_starts)
-from satloop.pipeline import LoopBudget
+from satloop.pipeline import LoopBudget, LoopOutcome, reported_costs
 
 # the baseline scenario's budget: a 20 ms cycle, 100 cycles/bit, 10 GC/s, 0.1% extraction
 BUDGET = LoopBudget(cycle_period_s=0.02, cycles_per_bit=100.0, compute_rate_cps=1e10,
@@ -540,3 +543,35 @@ def grid_oracle(problem, resolution: int):
     return _multi_result(evaluator, problem, power, compute, float(totals[i, j]),
                          SolverTrace(iterations=resolution * resolution, converged=True,
                                      method="grid_oracle"))
+
+
+def loop_outcomes(models, period_s: float, r_up, r_down, t_up, t_comp, t_down, t_prop,
+                  effective_bits, time_feasible) -> tuple:
+    """One LoopOutcome per loop i (plant model models[i]) from columns that
+    broadcast to one entry per loop, reported under reported_costs' rule."""
+    n = len(models)
+    table = np.empty((7, n))  # r_up, r_down, t_up, t_comp, t_down, t_prop, eff
+    ok = np.empty(n, dtype=bool)
+    for row, column in zip((*table, ok), (r_up, r_down, t_up, t_comp, t_down, t_prop,
+                                          effective_bits, time_feasible)):
+        row[...] = column
+    table[6], stable, cost = reported_costs(*control.rate_cost_terms(models), table[6], ok)
+    return tuple(LoopOutcome(*times, e, control.cner_bps(e, period_s), s, c, f)
+                 for (*times, e), s, c, f in zip(table.T.tolist(), stable.tolist(),
+                                                 cost.tolist(), ok.tolist()))
+
+
+def numpy_pow4(rate: float) -> float:
+    """4^rate by numpy's float64 power loop, as control.rate_gap takes it."""
+    return np.power(4.0, np.array([rate]))[0].item()
+
+
+def outcome_formula(model, eff, ok, pow4) -> tuple:
+    """(stable, lqr_cost) on Python floats from effective bits eff (clipped
+    at 0), the time_feasible flag ok and the power pow4 = 4^min(eff,
+    RATE_CLAMP_BITS): stable where ok and 4^R > a^2, and there
+    j_ideal + sens*w / (4^R - a^2)."""
+    gap = pow4 - model.plant.a * model.plant.a
+    stable = ok and eff >= 0.0 and gap > 0.0
+    return stable, (model.j_ideal + model.sensitivity * model.plant.w_cov / gap
+                    if stable else math.inf)

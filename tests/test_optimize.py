@@ -25,14 +25,14 @@ from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme,
                               RobotLoop, SingleLoopObjective, SingleLoopProblem,
                               project_capped_simplex, solve_multi_loop,
                               solve_single_loop, sweep_contour, water_fill_power)
-from satloop.pipeline import (LoopOutcome, balanced_times, evaluate_cycle, loop_outcomes,
-                              propagation_delay_s)
+from satloop.pipeline import LoopOutcome, balanced_times, evaluate_cycle, propagation_delay_s
 from satloop.report import main
 from satloop.scenario import default_scenario, load_scenario
 from oracles import (BUDGET, DimensionTooLargeError, all_starts_descend,
                      central_difference_gradient, central_difference_hessian,
-                     exact_capped_simplex, compute_only_kkt, grid_oracle, multi_start_solve,
-                     random_joint_problem, random_single_loop_problem, reference_capped_simplex,
+                     exact_capped_simplex, compute_only_kkt, grid_oracle, loop_outcomes,
+                     multi_start_solve, numpy_pow4, outcome_formula, random_joint_problem,
+                     random_single_loop_problem, reference_capped_simplex,
                      reference_projected_gradient, water_fill_power_fixed_steps)
 
 
@@ -688,7 +688,7 @@ class TestJointEvaluator:
         period = problem.budget.cycle_period_s
         compute = np.full(5, problem.total_compute_cps / 5)
         compute[2] = 0.0
-        above = np.array([math.nextafter(m.threshold_bits, math.inf) for m in ev.models])
+        above = np.array([math.nextafter(m.plant.threshold_bits, math.inf) for m in ev.models])
         sets = (ev.outcomes(np.full(5, 1.0), compute),
                 loop_outcomes(ev.models, period, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, above,
                               np.array([True, True, True, True, False])))
@@ -726,7 +726,7 @@ class TestOutcomesOnRequest:
     def test_joint_solves_build_no_outcomes(self, monkeypatch, tmp_path):
         def refused(*args, **kwargs):
             raise AssertionError("a joint solve built LoopOutcomes")
-        monkeypatch.setattr(pipeline, "loop_outcomes", refused)
+        monkeypatch.setattr(pipeline, "loop_outcome", refused)
         problem = _default_joint()
         for scheme in MultiLoopScheme:
             result = solve_multi_loop(dataclasses.replace(problem, scheme=scheme))
@@ -750,8 +750,9 @@ class TestOutcomesOnRequest:
         reported cost and the penalty: no array form runs."""
         def refused(*args, **kwargs):
             raise AssertionError("a single-loop document used an array form")
-        for name in ("loop_outcomes", "reported_costs", "store_and_forward"):
+        for name in ("reported_costs", "store_and_forward"):
             monkeypatch.setattr(pipeline, name, refused)
+        monkeypatch.setattr(control, "rate_gap", refused)
         monkeypatch.setattr(optimize, "_penalized", refused)
         assert main(["single-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
 
@@ -791,6 +792,46 @@ class TestOutcomesOnRequest:
         assert result.solver_trace.all_infeasible or starved != "all"
         assert result.lqr_total == ev.cost_vector(power, compute).sum()
         assert result.per_loop_outcomes == ()
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_robots=st.integers(1, 4), stable=st.booleans(),
+           starved=st.sampled_from(("none", "power", "compute", "all")))
+    def test_outcomes_equal_the_array_form(self, seed, n_robots, stable, starved):
+        """JointEvaluator.outcomes, one pipeline.loop_outcome per robot on
+        Python floats, against the array reference oracles.loop_outcomes on
+        the same cycle: every field but stable and lqr_cost is equal bit for
+        bit; those two are each form's outcome_formula on its own power of
+        4^eff, and where the powers agree every field is equal. Stable and
+        unstable plants, with one robot or every robot given no power or no
+        compute."""
+        rng = np.random.default_rng(seed)
+        problem = random_joint_problem(rng, n_robots=n_robots, stable=stable)
+        power = rng.dirichlet(np.ones(n_robots)) * problem.total_power_w
+        compute = rng.dirichlet(np.ones(n_robots)) * problem.total_compute_cps
+        robot = rng.integers(n_robots)
+        if starved in ("power", "all"):
+            power[robot if starved == "power" else slice(None)] = 0.0
+        if starved in ("compute", "all"):
+            compute[robot if starved == "compute" else slice(None)] = 0.0
+        ev = JointEvaluator(problem)
+        got = ev.outcomes(power, compute)
+        rate, t_comp, window, eff = ev._cycle(power, compute)
+        with np.errstate(divide="ignore"):
+            t_down = np.where(eff >= ev.cap_bits, ev.cap_bits / rate, np.maximum(window, 0.0))
+        want = loop_outcomes(ev.models, problem.budget.cycle_period_s, 0.0, rate, 0.0, t_comp,
+                             t_down, ev.t_prop, eff, window >= 0.0)
+        assert len(got) == len(want) == n_robots
+        for model, g, w in zip(ev.models, got, want):
+            bits = min(g.effective_bits_per_cycle, control.RATE_CLAMP_BITS)
+            libm, numpy_pow = 4.0 ** bits, numpy_pow4(bits)
+            assert (g.stable, g.lqr_cost) == outcome_formula(
+                model, g.effective_bits_per_cycle, g.time_feasible, libm)
+            assert (w.stable, w.lqr_cost) == outcome_formula(
+                model, g.effective_bits_per_cycle, g.time_feasible, numpy_pow)
+            assert _bits(g) == _bits(dataclasses.replace(w, stable=g.stable,
+                                                         lqr_cost=g.lqr_cost)), (g, w)
+            if libm == numpy_pow:
+                assert _bits(g) == _bits(w), (g, w)
 
 
 class TestAnalyticGradient:

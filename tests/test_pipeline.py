@@ -11,9 +11,9 @@ from satloop import control, pipeline
 from satloop.control import RATE_CLAMP_BITS, Plant, RateCostModel, is_stabilizable_at
 from satloop.linkgeom import Geometry, LinkParams, shannon_rate_bps
 from satloop.pipeline import (COMPUTE_FLOOR_CPS, LoopBudget, NoBudgetError, balanced_times,
-                              evaluate_cycle, loop_outcome, loop_outcomes,
+                              evaluate_cycle, loop_outcome,
                               propagation_delay_s, reported_costs, store_and_forward)
-from oracles import BUDGET
+from oracles import BUDGET, loop_outcomes, numpy_pow4, outcome_formula
 
 C = 299792458.0
 
@@ -238,29 +238,14 @@ class TestFloatCycle:
         assert t_comp == 100.0 * 1e5 * 1e-3 / COMPUTE_FLOOR_CPS
 
 
-def _numpy_pow4(rate: float) -> float:
-    """4^rate by numpy's float64 power loop, as control.rate_gap takes it."""
-    return np.power(4.0, np.array([rate]))[0].item()
-
-
-def _formula(model, eff, ok, pow4) -> tuple:
-    """(stable, lqr_cost) on Python floats from effective bits eff (clipped
-    at 0), the time_feasible flag ok and the power pow4 = 4^min(eff,
-    RATE_CLAMP_BITS): stable where ok and 4^R > a^2, and there
-    j_ideal + sens*w / (4^R - a^2)."""
-    gap = pow4 - model.plant.a * model.plant.a
-    stable = ok and eff >= 0.0 and gap > 0.0
-    return stable, (model.j_ideal + model.sensitivity * model.plant.w_cov / gap
-                    if stable else math.inf)
-
-
 class TestFloatOutcome:
     """loop_outcome, one loop's outcome on Python floats, takes 4^R by libm's
-    pow (4.0 ** R), and loop_outcomes((model,), ...)[0] by numpy's power loop.
-    Each form's stable and lqr_cost are _formula on its own power, bit for
-    bit; every other field is the same in both, and where the two powers
-    agree (everywhere unless numpy runs its AVX-512 loop) so are all fields.
-    control.lqr_cost and RateCostModel.cost are the array form."""
+    pow (4.0 ** R), and the array reference loop_outcomes((model,), ...)[0]
+    by numpy's power loop. Each form's stable and lqr_cost are
+    outcome_formula on its own power, bit for bit; every other field is the
+    same in both, and where the two powers agree (everywhere unless numpy
+    runs its AVX-512 loop) so are all fields. control.lqr_cost is the float
+    form and control.rate_cost the array form."""
 
     @settings(max_examples=400, deadline=None)
     @given(a=st.one_of(st.sampled_from([0.0, 0.5, 1.0, -1.0, 2.0, 30.0]), st.floats(-64.0, 64.0)),
@@ -282,27 +267,31 @@ class TestFloatOutcome:
             want = loop_outcomes((model,), period, *times, eff, ok)[0]
         fields = dataclasses.astuple(got)
         rate = min(got.effective_bits_per_cycle, RATE_CLAMP_BITS)
-        libm, numpy_pow = 4.0 ** rate, _numpy_pow4(rate)
-        assert _bits((got.stable, got.lqr_cost)) == _bits(_formula(
+        libm, numpy_pow = 4.0 ** rate, numpy_pow4(rate)
+        assert _bits((got.stable, got.lqr_cost)) == _bits(outcome_formula(
             model, got.effective_bits_per_cycle, ok, libm))
-        assert _bits((want.stable, want.lqr_cost)) == _bits(_formula(
+        assert _bits((want.stable, want.lqr_cost)) == _bits(outcome_formula(
             model, got.effective_bits_per_cycle, ok, numpy_pow))
         assert _bits(fields) == _bits(dataclasses.astuple(dataclasses.replace(
             want, stable=got.stable, lqr_cost=got.lqr_cost))), (got, want)
         if libm == numpy_pow:
             assert _bits(fields) == _bits(dataclasses.astuple(want)), (got, want)
 
-    def test_lqr_cost_is_the_formula_on_numpys_pow(self):
-        """At 400 rates, loop_outcome's cost is _formula on 4.0 ** R and
-        control.lqr_cost's on numpy's power, bit for bit: the two costs are
-        equal at each rate where the powers agree, and numpy's AVX-512 loop
-        makes about one rate in twenty differ."""
+    def test_float_and_array_costs_are_the_formula_on_their_pows(self):
+        """At 400 rates, loop_outcome's cost and control.lqr_cost are
+        outcome_formula on 4.0 ** R, and control.rate_cost on numpy's power,
+        bit for bit: the two forms are equal at each rate where the powers
+        agree, and numpy's AVX-512 loop makes about one rate in twenty differ."""
         model = _model(a=1.5)
-        for r in np.random.default_rng(3).uniform(0.6, 40.0, 400).tolist():
+        rates = np.random.default_rng(3).uniform(0.6, 40.0, 400)
+        array_costs = control.rate_cost(rates, 1.5 * 1.5, model.sensitivity * model.plant.w_cov,
+                                        model.j_ideal).tolist()
+        for r, array_cost in zip(rates.tolist(), array_costs):
             cost = loop_outcome(model, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, r, True).lqr_cost
-            assert cost.hex() == _formula(model, r, True, 4.0 ** r)[1].hex(), r
-            assert control.lqr_cost(model, r).hex() == _formula(
-                model, r, True, _numpy_pow4(r))[1].hex(), r
+            assert cost.hex() == outcome_formula(model, r, True, 4.0 ** r)[1].hex(), r
+            assert control.lqr_cost(model, r).hex() == cost.hex(), r
+            assert array_cost.hex() == outcome_formula(
+                model, r, True, numpy_pow4(r))[1].hex(), r
 
 
 class TestStableMeansFiniteCost:
@@ -347,6 +336,28 @@ class TestStableMeansFiniteCost:
         out = loop_outcomes((RateCostModel.from_plant(plant),), period, 1.0, 1.0, 0.0, 0.0,
                             0.0, 0.0, math.nextafter(1.0, math.inf), True)[0]
         assert out.stable and out.lqr_cost == math.inf
+
+    def test_float_forms_agree_at_each_threshold(self):
+        """loop_outcome, control.lqr_cost and control.is_stabilizable_at give
+        one answer bit for bit at each data-rate threshold and 1 ulp either
+        side, for w_cov up to 1e300 (where a stable loop's cost overflows)."""
+        period = 2.0 ** -6  # eff / period * period == eff: every form sees one rate
+        rng = np.random.default_rng(13)
+        magnitudes = np.concatenate([[0.5, 1.0, 1.5, 1.8099524881343727, 2.0, 30.0],
+                                     rng.uniform(1.0, 64.0, 100)])
+        for w_cov in (1.0, 1e100, 1e200, 1e300):
+            for a in [s * m for m in magnitudes.tolist() for s in (1.0, -1.0)]:
+                plant = Plant(a=a, b=1.0, w_cov=w_cov, q=1.0, r_u=1.0)
+                model = RateCostModel.from_plant(plant)
+                threshold = max(math.log2(abs(a)), 0.0)
+                for eff in (0.0, math.nextafter(threshold, 0.0), threshold,
+                            math.nextafter(threshold, math.inf)):
+                    out = loop_outcome(model, period, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, eff, True)
+                    assert out.lqr_cost.hex() == control.lqr_cost(model, eff).hex(), (a, eff)
+                    assert out.stable is is_stabilizable_at(plant, out.cner_bps, period), (
+                        a, w_cov, eff, out)
+                    assert out.stable == (4.0 ** eff > a * a)
+                    assert out.stable or out.lqr_cost == math.inf
 
     @pytest.mark.parametrize("a, stable", [(1.0, False), (-1.0, False), (0.5, True)])
     def test_no_bits(self, a, stable):
