@@ -30,7 +30,9 @@ backtracking instead. The Newton decrement decides the stop, before the
 line search (B&V 9.5.1 and 10.2): a row whose Newton step predicts a
 decrease of at most PGD_REL_TOL of its value stops in that iteration, at
 the Newton point if it kept it, else where its backtracking left it (a
-decrease that small can score an ulp above the value). The vector math of
+decrease that small can score an ulp above the value); a row whose Newton
+step predicts no decrease stops where it stands if it is stationary. The
+vector math of
 an iteration (derivatives, Newton step, projection, objective) is
 one batched numpy call for all running rows, and backtracking one per block
 of halvings that some row still needs (_HALVING_BLOCKS); each row's
@@ -65,9 +67,10 @@ np = lazy_import("numpy")
 INFEASIBILITY_PENALTY = 1e9
 GOLDEN_REL_WIDTH = 1e-8
 # Projected gradient: a row converges when its Newton step, kept or not, predicts
-# a decrease of at most PGD_REL_TOL of its value, or after PGD_PATIENCE consecutive
-# iterations that improve its value by less than PGD_REL_TOL relative, and
-# stops unconverged after PGD_MAX_ITER iterations.
+# a decrease of at most PGD_REL_TOL of its value (or none, at a stationary
+# point), or after PGD_PATIENCE consecutive iterations that improve its value
+# by less than PGD_REL_TOL relative, and stops unconverged after PGD_MAX_ITER
+# iterations.
 PGD_REL_TOL = 1e-10
 PGD_PATIENCE = 5
 PGD_MAX_ITER = 500
@@ -682,7 +685,11 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
     whose Newton trial predicts a decrease 0 < -g.(new - z) <= PGD_REL_TOL |f|
     (the Newton decrement): at the Newton point if it passes its test, else
     after that iteration's backtracking, which keeps its move only if it
-    passes the Armijo test. A row also converges after PGD_PATIENCE
+    passes the Armijo test. A row whose Newton trial predicts no decrease
+    (g.(new - z) >= 0) converges in that iteration, without backtracking,
+    when it is stationary: its projected-gradient residual z - P(z - g) is
+    exactly 0, as at the vertex a one-robot row starts on; only those rows
+    pay that projection. A row also converges after PGD_PATIENCE
     consecutive iterations with relative improvement below PGD_REL_TOL or a
     zero gradient; a row whose gradient is not finite, or that is still
     running after PGD_MAX_ITER iterations, stops unconverged (the latter
@@ -756,21 +763,32 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
                                           optimize_power)
                 ok = ok.tolist()
                 trial = [j for j, k in enumerate(m) if ok[j] and plain[k]]
-                newton = set()  # positions in m that keep their Newton point
+                # positions in m that do not backtrack: a kept Newton point
+                # or a stationary row
+                done = set()
                 if trial:
                     t = slice(None) if len(trial) == len(m) else trial
                     cand = project(zm[t] + d[t])
                     slope = (g[t] * (cand - zm[t])).sum(axis=1).tolist()
                     fc = objective(cand).tolist()
+                    flat = []  # positions in m whose Newton trial predicts no decrease
                     for i, j in enumerate(trial):
                         row, f = moving[j], fz[moving[j]]
                         if 0.0 < -slope[i] <= PGD_REL_TOL * abs(f):
                             settled.append(row)  # whether or not it keeps the point
                         if slope[i] < 0.0 and fc[i] <= f + 1e-2 * slope[i]:
-                            newton.add(j)
+                            done.add(j)
                             z[row] = cand[i]
                             accept(row, fc[i])  # a Newton row keeps its step
-                back = [j for j in range(len(m)) if j not in newton]
+                        elif slope[i] >= 0.0:
+                            flat.append(j)
+                    if flat:  # stationary: z = P(z - g) exactly, so no projected move exists
+                        residual = zm[flat] - project(zm[flat] - g[flat])
+                        for j, still in zip(flat, (residual == 0.0).all(axis=1).tolist()):
+                            if still:
+                                settled.append(moving[j])
+                                done.add(j)
+                back = [j for j in range(len(m)) if j not in done]
                 if back:
                     b = slice(None) if len(back) == len(m) else back
                     took, z_new, f_new, s_new = _backtrack(
@@ -898,12 +916,14 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
     caller already has, or start it nearer the optimum (report passes the
     two baselines' decisions and, along its power sweep with every plant
     unstable, the previous point's decision with its power scaled to the
-    new total).
+    new total and, from the third point on, the secant prediction of the
+    previous two points' budget shares; see predicted_start).
     Max-throughput: water-filled power, compute proportional to uplink load;
     it ignores extra_starts.
     Compute-only: equal power frozen, projected gradient over compute from
     the equal split and the compute shares of the callers' extra starts
-    (report passes the previous power point's compute-only decision).
+    (report passes the previous power point's compute-only decision and,
+    with every plant unstable, the secant prediction as above).
     The two projected-gradient schemes share one branch and pick their starts
     in _best_start: with every plant unstable only the lowest-valued start
     descends, otherwise every start descends as one batch and the lowest end
@@ -935,15 +955,19 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
     z, value, trace = _best_start(evaluator, problem,
                                   build(evaluator, p_tot, f_tot, extra_starts),
                                   optimize_power=optimize_power, method=method)
-    return _multi_result(evaluator, problem, z[:n] * p_tot, z[n:] * f_tot, value, trace)
+    # the objective is the penalized LQR total of the same products z * totals
+    return _multi_result(evaluator, problem, z[:n] * p_tot, z[n:] * f_tot, value, trace,
+                         lqr_total=value)
 
 
 def _multi_result(evaluator: JointEvaluator, problem: MultiLoopProblem, power: np.ndarray,
-                  compute: np.ndarray, objective_value: float,
-                  trace: SolverTrace) -> AllocationResult:
+                  compute: np.ndarray, objective_value: float, trace: SolverTrace, *,
+                  lqr_total: float | None = None) -> AllocationResult:
     """The decision checked against the problem's budgets and scored from one
     cycle evaluation, with no LoopOutcome built: all_infeasible marks every
-    loop reporting lqr_cost math.inf under pipeline.reported_costs."""
+    loop reporting lqr_cost math.inf under pipeline.reported_costs. lqr_total
+    is the decision's penalized LQR total when the caller already scored it,
+    else the cycle evaluation scores it."""
     if not (power.min() >= 0.0 and compute.min() >= 0.0):
         raise RuntimeError("allocation has a negative power or compute share")
     if not power.sum() <= problem.total_power_w * (1.0 + 1e-9):
@@ -957,12 +981,43 @@ def _multi_result(evaluator: JointEvaluator, problem: MultiLoopProblem, power: n
                                        eff, window >= 0.0)[2]
     if np.all(reported == math.inf):
         trace = dataclasses.replace(trace, all_infeasible=True)
+    if lqr_total is None:
+        lqr_total = evaluator._costs(eff).sum(axis=-1)
     return AllocationResult(
         decision={"power_w": power.copy(), "compute_cps": compute.copy()},
         objective_value=float(objective_value),
-        lqr_total=float(evaluator._costs(eff).sum(axis=-1)),
+        lqr_total=float(lqr_total),
         solver_trace=trace,
     )
+
+
+def predicted_start(terms, power_total: float, compute_total: float) -> dict | None:
+    """A start for a sweep solve predicted from solved points, or None.
+
+    terms holds (weight, decision, power total, compute total) per solved
+    point, and a point's budget shares are its power and compute over its
+    totals. The weighted sum of the shares, taken in order and clipped at 0,
+    times the new totals is the decision returned; _best_start projects it
+    like any start. The weights are the callers' predictors (Allgower &
+    Georg, Introduction to Numerical Continuation Methods, 2003, ch. 2):
+    the secant (1 + t) z_k - t z_{k-1} along a power sweep, linear
+    interpolation (1 - s) z_a + s z_b, one point's shares (weight 1), and
+    the corner z(i-1, j) + z(i, j-1) - z(i-1, j-1) of a grid. None where a
+    weight or a predicted value is not finite (after a subnormal total, say).
+    """
+    z = 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for weight, decision, p_tot, f_tot in terms:
+            if not math.isfinite(weight):
+                return None
+            z = z + weight * np.concatenate([decision["power_w"] / p_tot,
+                                             decision["compute_cps"] / f_tot])
+        z = np.maximum(z, 0.0)
+        n = len(z) // 2
+        power, compute = z[:n] * power_total, z[n:] * compute_total
+    if not (np.isfinite(power).all() and np.isfinite(compute).all()):
+        return None
+    return {"power_w": power, "compute_cps": compute}
 
 
 def sweep_contour(problem: MultiLoopProblem, power_grid, compute_grid, *,
@@ -974,8 +1029,12 @@ def sweep_contour(problem: MultiLoopProblem, power_grid, compute_grid, *,
     visited in ascending budget order and start from their lower-power and
     lower-compute neighbours' decisions, which also guarantees the matrix is
     non-increasing along both axes (a neighbour's decision stays feasible
-    under the larger budget). Per-cell solver traces are appended to
-    trace_out when given.
+    under the larger budget). When every plant is unstable, so that only the
+    lowest-valued start descends (descends_one_start), an interior cell
+    (i, j >= 1) also starts from the corner prediction of its three solved
+    neighbours' budget shares, z(i-1, j) + z(i, j-1) - z(i-1, j-1)
+    (predicted_start). Per-cell solver traces are appended to trace_out
+    when given.
     """
     power_grid = np.asarray(power_grid, dtype=float)
     compute_grid = np.asarray(compute_grid, dtype=float)
@@ -988,20 +1047,25 @@ def sweep_contour(problem: MultiLoopProblem, power_grid, compute_grid, *,
             raise ValueError(f"{name} must be strictly ascending")
 
     matrix = np.empty((power_grid.size, compute_grid.size))
-    decisions = {}
-    for i, p_tot in enumerate(power_grid):
-        for j, f_tot in enumerate(compute_grid):
-            cell = dataclasses.replace(problem, total_power_w=float(p_tot),
-                                       total_compute_cps=float(f_tot),
+    predict = descends_one_start(problem)
+    solved = {}  # (i, j) -> (decision, power total, compute total)
+    for i, p_tot in enumerate(power_grid.tolist()):
+        for j, f_tot in enumerate(compute_grid.tolist()):
+            cell = dataclasses.replace(problem, total_power_w=p_tot, total_compute_cps=f_tot,
                                        scheme=MultiLoopScheme.TASK_ORIENTED_JOINT)
             extra = []
             if i > 0:
-                extra.append(decisions[(i - 1, j)])
+                extra.append(solved[(i - 1, j)][0])
             if j > 0:
-                extra.append(decisions[(i, j - 1)])
+                extra.append(solved[(i, j - 1)][0])
+            if predict and i > 0 and j > 0:
+                corner = predicted_start([(1.0, *solved[(i - 1, j)]), (1.0, *solved[(i, j - 1)]),
+                                          (-1.0, *solved[(i - 1, j - 1)])], p_tot, f_tot)
+                if corner is not None:
+                    extra.append(corner)
             result = solve_multi_loop(cell, extra_starts=extra)
             matrix[i, j] = result.lqr_total
-            decisions[(i, j)] = result.decision
+            solved[(i, j)] = (result.decision, p_tot, f_tot)
             if trace_out is not None:
                 trace_out.append(result.solver_trace)
     return matrix

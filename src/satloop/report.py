@@ -9,6 +9,7 @@ block sufficient to re-run it exactly, and identical runs are byte-identical.
 Exit codes: 0 ok, 2 validation error, 3 solver non-convergence, 4 I/O.
 """
 import argparse
+import bisect
 import dataclasses
 import functools
 import hashlib
@@ -22,8 +23,8 @@ from pathlib import Path
 from . import __version__, svgplot
 from .control import NonConvergentError
 from .optimize import (MultiLoopProblem, MultiLoopScheme, SingleLoopObjective,
-                       descends_one_start, solve_multi_loop, solve_single_loop,
-                       sweep_contour)
+                       descends_one_start, predicted_start, solve_multi_loop,
+                       solve_single_loop, sweep_contour)
 from .pipeline import NoBudgetError
 from .scenario import (ParseError, Scenario, ScenarioError, default_scenario,
                        dump_scenario, load_scenario, provenance_map)
@@ -147,37 +148,76 @@ def _solve_schemes(problem: MultiLoopProblem, compute_only_starts=(),
 
 
 def cmd_multi_loop(scn: Scenario, out_dir: Path, fmt: str = "csv+svg") -> RunRecord:
-    """Power sweep per scheme plus per-robot allocation at the detail point."""
+    """Power sweep per scheme plus per-robot allocation at the detail point.
+
+    The sweep runs in ascending power and the detail point (the scenario's
+    allocation_power_w) last, each solve through this module's
+    solve_multi_loop. Each sweep point after the first starts its
+    compute-only solve also from the previous point's decision. When every
+    plant is unstable (descends_one_start) the starts add numerical
+    continuation: the task-oriented solve after the first point starts also
+    from the previous point's budget shares, and from the third point on
+    both projected-gradient schemes start also from the secant prediction of
+    the previous two points' shares (optimize.predicted_start). The detail
+    point starts its two schemes from the shares interpolated between the
+    sweep points around its total, or from the nearest end point's outside
+    the sweep, and its compute-only solve also from the last point's.
+    """
     started = time.perf_counter()
     digest = scenario_hash(scn)
     names = _MULTI_SCHEMES
     # one problem at the allocation (detail) point; every solve varies only
     # its power total and its scheme, and the detail point is solved last
     base = scn.multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT)
-    sweep = scn.power_sweep_w()
-    # each sweep point after the first starts its compute-only solve also
-    # from the previous point's decision, which the unchanged compute budget
-    # keeps feasible. Where only the lowest start descends (every plant
-    # unstable) its task-oriented solve starts also from the previous
-    # point's budget shares: its decision with the power scaled to the new
-    # total; where every start descends, one more start only adds work.
-    warm_shares = descends_one_start(base)
+    sweep = scn.power_sweep_w().tolist()
+    f_tot = base.total_compute_cps
+    # the unchanged compute budget keeps the previous compute-only decision
+    # feasible. Where only the lowest start descends (every plant unstable),
+    # a predicted start can only lower the start a solve descends from;
+    # where every start descends, one more start only adds work.
+    predict = descends_one_start(base)
+
+    def predicted(name, weights, total):
+        """predicted_start at the total from the scheme's solved sweep points
+        {index: weight}, as a list of no or one start."""
+        start = predicted_start([(w, solves[i][name].decision, sweep[i], f_tot)
+                                 for i, w in weights.items()], total, f_tot)
+        return [] if start is None else [start]
+
     solves = []
     for k, total in enumerate(sweep):
-        compute_warm = task_warm = ()
+        compute_warm, task_warm = [], []
         if k:
             previous = solves[-1]
-            compute_warm = [previous["compute_only"].decision]
+            compute_warm.append(previous["compute_only"].decision)
             # a ratio past the float range (after a subnormal total) starts cold
-            scale = float(total) / float(sweep[k - 1])
-            if warm_shares and scale < math.inf:
+            scale = total / sweep[k - 1]
+            if predict and scale < math.inf:
                 shares = previous["task_oriented"].decision
-                task_warm = [{"power_w": shares["power_w"] * scale,
-                              "compute_cps": shares["compute_cps"]}]
+                task_warm.append({"power_w": shares["power_w"] * scale,
+                                  "compute_cps": shares["compute_cps"]})
+        if predict and k >= 2:  # the secant (1 + t) z_{k-1} - t z_{k-2}
+            gap = sweep[k - 1] - sweep[k - 2]
+            t = (total - sweep[k - 1]) / gap if gap > 0.0 else math.inf
+            secant = {k - 1: 1.0 + t, k - 2: -t}
+            compute_warm += predicted("compute_only", secant, total)
+            task_warm += predicted("task_oriented", secant, total)
         solves.append(_solve_schemes(dataclasses.replace(base, total_power_w=total),
                                      compute_warm, task_warm))
-    # the detail point keeps the compute-only warm start only
-    detail = _solve_schemes(base, [solves[-1]["compute_only"].decision])
+    detail_compute, detail_task = [solves[-1]["compute_only"].decision], []
+    if predict:
+        # (1 - frac) z_a + frac z_{a+1} between the sweep points around the
+        # detail total, else the nearest end point's shares
+        power = base.total_power_w
+        a = max(bisect.bisect_right(sweep, power) - 1, 0)
+        if sweep[a] <= power and a + 1 < len(sweep):
+            frac = (power - sweep[a]) / (sweep[a + 1] - sweep[a])
+            weights = {a: 1.0 - frac, a + 1: frac}
+        else:
+            weights = {a: 1.0}
+        detail_compute += predicted("compute_only", weights, power)
+        detail_task += predicted("task_oriented", weights, power)
+    detail = _solve_schemes(base, detail_compute, detail_task)
     converged = all(r.solver_trace.converged for s in solves + [detail] for r in s.values())
 
     columns = {name: [s[name].lqr_total for s in solves] for name in names}

@@ -432,7 +432,9 @@ def reference_projected_gradient(objective, derivatives, project, z0: np.ndarray
     fallback and Armijo backtracking by halving; a trial whose predicted
     decrease -g.(new - z) is positive and at most rel_tol |f| ends the run
     in its iteration, at the Newton point if it was kept and else after the
-    backtracking; patience on the relative improvement, and an unconverged
+    backtracking; a trial that predicts no decrease (-g.(new - z) <= 0) from
+    a stationary point (z = P(z - g) exactly) ends the run where it stands;
+    patience on the relative improvement, and an unconverged
     stop on a non-finite gradient. Returns (z, value, converged, iterations).
     """
     z = project(np.array(z0, dtype=float)[None, :])[0]
@@ -470,6 +472,8 @@ def reference_projected_gradient(objective, derivatives, project, z0: np.ndarray
                 settled = 0.0 < -slope <= rel_tol * abs(f)
                 if newton and settled:
                     return cand, fc, True, iterations
+                if slope >= 0.0 and np.all(z - project((z - g)[None, :])[0] == 0.0):
+                    return z, f, True, iterations  # stationary: no projected move exists
             for _ in range(0 if newton else max_halvings):
                 cand = project((z - s * g)[None, :])[0]
                 move_sq = ((cand - z) * (cand - z)).sum()

@@ -1600,6 +1600,21 @@ class TestDeterministicStarts:
         else:
             assert warmed.solver_trace.best_restart == values.argmin()
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           scheme=st.sampled_from([MultiLoopScheme.TASK_ORIENTED_JOINT,
+                                   MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM]))
+    def test_one_robot_stops_after_one_iteration(self, seed, scheme):
+        """One robot's shares start at the simplex vertex, where the Newton
+        step predicts no decrease and the projected-gradient residual is
+        exactly 0: the solve stops converged on the decrement after one
+        iteration (five, on patience, before that stop), at the full budgets."""
+        problem = dataclasses.replace(random_joint_problem(np.random.default_rng(seed), 1),
+                                      scheme=scheme)
+        trace = solve_multi_loop(problem).solver_trace
+        assert (trace.iterations, trace.stopped_on, trace.converged) == (1, "decrement", True)
+        assert trace.projected_gradient_norm == 0.0
+
     @pytest.mark.parametrize("scheme", [MultiLoopScheme.TASK_ORIENTED_JOINT,
                                         MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM])
     def test_a_stable_plant_descends_every_start(self, scheme):
@@ -1640,6 +1655,86 @@ class TestDeterministicStarts:
             assert cut.projected_gradient_norm > 1e3 * solved.projected_gradient_norm
         single = solve_single_loop(_symmetric_problem(SingleLoopObjective.TASK_ORIENTED))
         assert math.isnan(single.solver_trace.projected_gradient_norm)
+
+
+class TestPredictedStarts:
+    """optimize.predicted_start, and a power sweep that adds it as report does."""
+
+    @staticmethod
+    def _point(power, compute, p_tot, f_tot):
+        return {"power_w": np.array(power), "compute_cps": np.array(compute)}, p_tot, f_tot
+
+    def test_weighted_shares_in_order_clipped_at_zero(self):
+        """The corner z(i-1, j) + z(i, j-1) - z(i-1, j-1), summed in that order
+        on budget shares, clipped at 0 and scaled to the new totals."""
+        a = self._point([1.0, 3.0], [4.0, 4.0], 4.0, 8.0)  # shares (0.25, 0.75), (0.5, 0.5)
+        b = self._point([2.0, 6.0], [2.0, 8.0], 8.0, 10.0)  # (0.25, 0.75), (0.2, 0.8)
+        c = self._point([3.0, 1.0], [1.0, 7.0], 4.0, 8.0)  # (0.75, 0.25), (0.125, 0.875)
+        start = optimize.predicted_start([(1.0, *a), (1.0, *b), (-1.0, *c)], 10.0, 20.0)
+        assert np.array_equal(start["power_w"], np.array([0.0, 1.25]) * 10.0)
+        assert np.array_equal(start["compute_cps"], np.array([0.575, 0.425]) * 20.0)
+        one = optimize.predicted_start([(1.0, *b)], 8.0, 10.0)  # one point: its own decision
+        assert np.array_equal(one["power_w"], b[0]["power_w"])
+        assert np.array_equal(one["compute_cps"], b[0]["compute_cps"])
+
+    def test_not_finite_predicts_nothing(self):
+        """A weight past the float range (a secant after a zero spacing), or
+        shares past it (a subnormal total), give no start and no warning."""
+        a = self._point([1.0, 3.0], [4.0, 4.0], 4.0, 8.0)
+        tiny = self._point([1.0, 3.0], [4.0, 4.0], 5e-324, 8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert optimize.predicted_start([(math.inf, *a), (-math.inf, *a)], 4.0, 8.0) is None
+            assert optimize.predicted_start([(2.0, *tiny), (-1.0, *a)], 4.0, 8.0) is None
+            assert optimize.predicted_start([(1e308, *a)], 4.0, 8.0) is None
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_robots=st.integers(1, 4),
+           points=st.integers(3, 4))
+    def test_a_secant_start_along_a_sweep(self, seed, n_robots, points):
+        """A power sweep on unstable plants, solved as report solves it: from
+        the second point each solve starts also from the previous point's
+        decision (task-oriented: its budget shares), and from the third also
+        from the secant prediction of the previous two points' shares. Each
+        lqr_total is at most the projected value of its zero-order warm start
+        and within 1e-12 relative of the solve without the secant start."""
+        rng = np.random.default_rng(seed)
+        base = random_joint_problem(rng, n_robots)
+        totals = np.cumsum(rng.uniform(0.5, 5.0, points)).tolist()
+        f_tot = base.total_compute_cps
+        chain = {MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM: [],
+                 MultiLoopScheme.TASK_ORIENTED_JOINT: []}
+        for k, total in enumerate(totals):
+            problem = dataclasses.replace(base, total_power_w=total)
+            baselines = [solve_multi_loop(dataclasses.replace(problem, scheme=scheme)).decision
+                         for scheme in (MultiLoopScheme.MAX_THROUGHPUT_JOINT,
+                                        MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM)]
+            for scheme, solved in chain.items():
+                task = scheme == MultiLoopScheme.TASK_ORIENTED_JOINT
+                problem = dataclasses.replace(problem, scheme=scheme)
+                extra = baselines[:] if task else []
+                if k:
+                    previous = solved[-1].decision
+                    extra.append({"power_w": previous["power_w"] * (total / totals[k - 1]),
+                                  "compute_cps": previous["compute_cps"]} if task else previous)
+                result = solve_multi_loop(problem, extra_starts=extra)
+                if k >= 2:
+                    t = (total - totals[k - 1]) / (totals[k - 1] - totals[k - 2])
+                    secant = optimize.predicted_start(
+                        [(1.0 + t, solved[k - 1].decision, totals[k - 1], f_tot),
+                         (-t, solved[k - 2].decision, totals[k - 2], f_tot)], total, f_tot)
+                    with pytest.MonkeyPatch.context() as patch:
+                        calls = _record_starts(patch)
+                        predicted = solve_multi_loop(problem, extra_starts=extra + [secant])
+                    [(starts, values)] = calls
+                    assert len(starts) == predicted.solver_trace.restarts \
+                        == len(extra) + 2 + task
+                    warm_value = values[-2]  # the zero-order warm start, before the secant
+                    assert predicted.lqr_total <= warm_value
+                    assert abs(predicted.lqr_total - result.lqr_total) \
+                        <= 1e-12 * abs(result.lqr_total)
+                    result = predicted
+                solved.append(result)
 
 
 class TestChecksUnderOptimize:

@@ -796,7 +796,8 @@ class TestBaselineSweepWork:
         """One descent per solve from its lowest start, and warm compute-only
         and task-oriented starts along the sweep, keep the baseline multi-loop
         run at 100 PGD row-iterations or fewer (595 when every start
-        descended, 121 with cold task-oriented starts)."""
+        descended, 121 with cold task-oriented starts, 76 with the previous
+        point's starts only, 58 with the predicted starts)."""
         iterations = []
         original = optimize._projected_gradient
 
@@ -808,12 +809,30 @@ class TestBaselineSweepWork:
         assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
         assert len(iterations) == 42 and sum(iterations) <= 100
 
+    def test_contour_descends_at_most_600_rows(self, tmp_path, monkeypatch):
+        """The baseline 20x20 contour: one descent per cell, and each interior
+        cell starts also from the corner prediction of its three solved
+        neighbours, which keeps it at 600 PGD row-iterations or fewer (855
+        from the two lower neighbours' decisions only)."""
+        iterations = []
+        original = optimize._projected_gradient
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            iterations.append(result.iterations)
+            return result
+        monkeypatch.setattr(optimize, "_projected_gradient", counted)
+        assert main(["contour", "--out", str(tmp_path), "--format", "csv"]) == 0
+        assert len(iterations) == 400 and sum(iterations) <= 600
+
     def test_multi_loop_work_per_run(self, tmp_path, monkeypatch):
         """The solver work of one baseline multi-loop run, pinned: a leaner
         iteration must not add descents, row-iterations (task-oriented ones
         counted apart), objective calls, projections or water-fills. The
         max-throughput solve and the task-oriented starts at one power total
-        share one water-fill."""
+        share one water-fill. With the predicted starts no row backtracks
+        (42 task-oriented and 34 compute-only row-iterations, 125 objective
+        calls, 167 projections and 4 backtracking searches without them)."""
         counts = {}
 
         def count(owner, name):
@@ -834,31 +853,38 @@ class TestBaselineSweepWork:
         count(optimize, "water_fill_power")
         count(optimize, "_backtrack")
         assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
-        assert counts == {"_projected_gradient": 42, "task_oriented_row_iterations": 42,
-                          "compute_only_row_iterations": 34, "total_cost": 125,
-                          "project_capped_simplex": 167, "water_fill_power": 21,
-                          "_backtrack": 4}
+        assert counts == {"_projected_gradient": 42, "task_oriented_row_iterations": 29,
+                          "compute_only_row_iterations": 29, "total_cost": 100,
+                          "project_capped_simplex": 142, "water_fill_power": 21}
 
     def test_newton_trials_below_the_tolerance_end_their_solves(self, tmp_path, monkeypatch):
-        """Three baseline solves reach their optimum in one Newton step, and
-        their next face-Newton trial predicts a decrease below PGD_REL_TOL of
-        the value but scores 1-2 ulp above it: each settles in that iteration,
-        after 2 iterations (6, 5 and 5 when such a row ran on to
-        PGD_PATIENCE), with its lqr_total unchanged bit for bit. Every
-        descent of the run stops on the Newton decrement."""
+        """Three baseline solves once ran on to PGD_PATIENCE (6, 5 and 5
+        iterations), and then settled after 2: their second face-Newton trial
+        predicted a decrease below PGD_REL_TOL of the value but scored 1-2 ulp
+        above it. Each now descends from its secant start (the last start),
+        whose first Newton trial already predicts a decrease that small: it
+        settles after 1 iteration, with an lqr_total 1 ulp from the
+        2-iteration one. Every descent of the run stops on the Newton
+        decrement."""
         solves = self._record_solves(monkeypatch)
         assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
         schemes = optimize.MultiLoopScheme
-        # solve index: the sweep point's power total, scheme and lqr_total
+        # solve index: the sweep point's power total, scheme, lqr_total, and
+        # the lqr_total after 2 iterations from the previous point's starts
         settled = {22: (15.36842105263158, schemes.COMPUTE_ONLY_EQUAL_COMM,
-                        "0x1.5354d48740e4fp+4"),
-                   23: (15.36842105263158, schemes.TASK_ORIENTED_JOINT, "0x1.535405f62a1dcp+4"),
-                   41: (27.68421052631579, schemes.TASK_ORIENTED_JOINT, "0x1.533624bc3d401p+4")}
-        for index, (total, scheme, lqr_total) in settled.items():
+                        "0x1.5354d48740e4ep+4", "0x1.5354d48740e4fp+4"),
+                   23: (15.36842105263158, schemes.TASK_ORIENTED_JOINT,
+                        "0x1.535405f62a1ddp+4", "0x1.535405f62a1dcp+4"),
+                   41: (27.68421052631579, schemes.TASK_ORIENTED_JOINT,
+                        "0x1.533624bc3d402p+4", "0x1.533624bc3d401p+4")}
+        for index, (total, scheme, lqr_total, two_iterations) in settled.items():
             problem, _, result = solves[index]
+            trace = result.solver_trace
             assert (problem.total_power_w, problem.scheme) == (total, scheme)
-            assert result.solver_trace.iterations == 2
+            assert trace.iterations == 1 and trace.best_restart == trace.restarts - 1
             assert result.lqr_total == float.fromhex(lqr_total)
+            assert abs(result.lqr_total - float.fromhex(two_iterations)) \
+                == math.ulp(result.lqr_total)
         descents = [result.solver_trace for problem, _, result in solves
                     if problem.scheme != schemes.MAX_THROUGHPUT_JOINT]
         assert len(descents) == 42
@@ -877,25 +903,74 @@ class TestBaselineSweepWork:
         monkeypatch.setattr(report, "solve_multi_loop", recorded)
         return solves
 
+    @staticmethod
+    def _predicted(solves, weights, problem):
+        """optimize.predicted_start at the problem's totals from the recorded
+        solves {index: weight}."""
+        return optimize.predicted_start(
+            [(w, solves[i][2].decision, solves[i][0].total_power_w,
+              solves[i][0].total_compute_cps) for i, w in weights.items()],
+            problem.total_power_w, problem.total_compute_cps)
+
+    @staticmethod
+    def _secant(sweep, k) -> dict:
+        """The weights {k - 1: 1 + t, k - 2: -t} of sweep point k's secant start."""
+        totals = [problem.total_power_w for problem, _, _ in sweep]
+        t = (totals[k] - totals[k - 1]) / (totals[k - 1] - totals[k - 2])
+        assert abs(t - 1.0) < 1e-12  # the baseline sweep is evenly spaced
+        return {k - 1: 1.0 + t, k - 2: -t}
+
+    @staticmethod
+    def _interpolation(sweep, detail) -> dict:
+        """The weights of the detail point's start: the baseline's 5 W lies
+        between the second and third sweep points."""
+        lo, hi = sweep[1][0].total_power_w, sweep[2][0].total_power_w
+        frac = (detail[0].total_power_w - lo) / (hi - lo)
+        assert lo < detail[0].total_power_w == 5.0 < hi
+        return {1: 1.0 - frac, 2: frac}
+
+    @staticmethod
+    def _assert_same_start(start, expected):
+        assert start.keys() == expected.keys() == {"power_w", "compute_cps"}
+        assert all(np.array_equal(start[key], expected[key]) for key in start)
+
     def test_each_compute_only_solve_starts_from_the_previous_one(self, tmp_path,
                                                                    monkeypatch):
+        """Every compute-only sweep solve after the first starts also from the
+        previous point's decision and, from the third point on, from the
+        secant prediction of the previous two points' compute shares. The
+        detail point, solved last, starts also from the last point's decision
+        and the shares interpolated between the two points around its total."""
         solves = self._record_solves(monkeypatch)
         assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
         compute_only = [s for s in solves
                         if s[0].scheme == optimize.MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM]
         assert len(solves) == 63 and len(compute_only) == 21
-        assert list(compute_only[0][1]) == []
-        for (_, _, previous), (_, extra, result) in zip(compute_only, compute_only[1:]):
-            assert [d is previous.decision for d in extra] == [True]
-            assert result.solver_trace.restarts == 2
+        *sweep, detail = compute_only
+        assert list(sweep[0][1]) == [] and sweep[0][2].solver_trace.restarts == 1
+        for k in range(1, len(sweep)):
+            (_, _, previous), (problem, extra, result) = sweep[k - 1], sweep[k]
+            assert extra[0] is previous.decision
+            if k >= 2:
+                [predicted] = extra[1:]
+                self._assert_same_start(predicted,
+                                        self._predicted(sweep, self._secant(sweep, k), problem))
+            assert result.solver_trace.restarts == 1 + len(extra) == min(k + 1, 3)
+        problem, extra, result = detail
+        [last, interpolated] = extra
+        assert last is sweep[-1][2].decision and result.solver_trace.restarts == 3
+        self._assert_same_start(
+            interpolated, self._predicted(sweep, self._interpolation(sweep, detail), problem))
 
     def test_each_task_oriented_solve_starts_from_the_previous_one(self, tmp_path,
                                                                     monkeypatch):
         """Every sweep point after the first starts its task-oriented solve
-        from the two baselines' decisions and then the previous point's
-        budget shares: its task-oriented power scaled by the ratio of the
-        totals, its compute unchanged. The detail point, solved last, starts
-        from the two baselines' decisions only."""
+        from the two baselines' decisions, then the previous point's budget
+        shares (its task-oriented power scaled by the ratio of the totals,
+        its compute unchanged) and, from the third point on, the secant
+        prediction of the previous two points' shares. The detail point,
+        solved last, starts from the two baselines' decisions and the shares
+        interpolated between the two sweep points around its total."""
         solves = self._record_solves(monkeypatch)
         assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
         assert len(solves) == 63
@@ -906,19 +981,30 @@ class TestBaselineSweepWork:
                                                     schemes.COMPUTE_ONLY_EQUAL_COMM,
                                                     schemes.TASK_ORIENTED_JOINT]
         *sweep, detail = points
+        task = [point[2] for point in sweep]
         for k, point in enumerate(points):
             (_, _, max_throughput), (_, _, compute_only), (problem, extra, result) = point
             assert [d is r.decision for d, r in zip(extra, (max_throughput, compute_only))] \
                 == [True, True]
-            if k == 0 or point is detail:
+            if point is detail:
+                [interpolated] = extra[2:]
+                self._assert_same_start(interpolated, self._predicted(
+                    task, self._interpolation(task, detail[2]), problem))
+                assert result.solver_trace.restarts == 5
+                continue
+            if k == 0:
                 assert len(extra) == 2 and result.solver_trace.restarts == 4
                 continue
-            previous_problem, _, previous = sweep[k - 1][2]
-            [warm] = extra[2:]
+            previous_problem, _, previous = task[k - 1]
+            warm, *predicted = extra[2:]
             ratio = problem.total_power_w / previous_problem.total_power_w
             assert np.array_equal(warm["power_w"], previous.decision["power_w"] * ratio)
             assert np.array_equal(warm["compute_cps"], previous.decision["compute_cps"])
-            assert result.solver_trace.restarts == 5
+            if k >= 2:
+                [secant] = predicted
+                self._assert_same_start(secant,
+                                        self._predicted(task, self._secant(task, k), problem))
+            assert result.solver_trace.restarts == 2 + len(extra) == min(k + 4, 6)
         assert detail[2][0].total_power_w == default_scenario().multi_loop_problem(
             schemes.TASK_ORIENTED_JOINT).total_power_w
 
@@ -935,6 +1021,53 @@ class TestBaselineSweepWork:
         assert len(task) == 21
         for extra, result in task:
             assert len(extra) == 2 and result.solver_trace.restarts == 4
+
+    @pytest.mark.parametrize("verb", ["multi-loop", "contour"])
+    def test_a_stable_plant_keeps_its_starts_and_bytes(self, tmp_path, monkeypatch, verb):
+        """With a stable plant every start descends, so no predicted start is
+        added: the compute-only sweep solves start from the previous point's
+        decision only, the task-oriented ones from the two baselines' decisions
+        (a contour cell from its two lower neighbours'), and every CSV byte is
+        that of a run in which no start can be predicted."""
+        doc = tmp_path / "stable.yaml"
+        doc.write_text("plant: {a: 0.5}\n"
+                       "contour: {power_points: 3, compute_points: 3}\n", encoding="utf-8")
+        csv = {"multi-loop": ("multi_loop_sweep.csv", "multi_loop_allocation.csv"),
+               "contour": ("contour.csv",)}[verb]
+
+        def run(out) -> dict:
+            assert main([verb, "--scenario", str(doc), "--out", str(out),
+                         "--format", "csv"]) == 0
+            return {name: (out / name).read_bytes() for name in csv}
+
+        starts = []
+        original = optimize.solve_multi_loop
+
+        def recorded(problem, *, extra_starts=()):
+            result = original(problem, extra_starts=extra_starts)
+            starts.append((problem.scheme, len(extra_starts), result.solver_trace.restarts))
+            return result
+        monkeypatch.setattr(report, "solve_multi_loop", recorded)
+        monkeypatch.setattr(optimize, "solve_multi_loop", recorded)
+        outputs = run(tmp_path / "run")
+        schemes = optimize.MultiLoopScheme
+        if verb == "contour":
+            assert [extra for _, extra, _ in starts] == [0, 1, 1, 1, 2, 2, 1, 2, 2]
+        else:
+            compute_only = [extra for scheme, extra, _ in starts
+                            if scheme == schemes.COMPUTE_ONLY_EQUAL_COMM]
+            assert compute_only == [0] + [1] * 20
+            assert {extra for scheme, extra, _ in starts
+                    if scheme == schemes.TASK_ORIENTED_JOINT} == {2}
+        assert all(restarts == extra + (2 if scheme == schemes.TASK_ORIENTED_JOINT else 1)
+                   for scheme, extra, restarts in starts
+                   if scheme != schemes.MAX_THROUGHPUT_JOINT)
+
+        def none(*args, **kwargs):
+            return None
+        monkeypatch.setattr(report, "predicted_start", none)
+        monkeypatch.setattr(optimize, "predicted_start", none)
+        assert run(tmp_path / "unpredicted") == outputs
 
     def test_one_joint_evaluator_per_run(self, tmp_path, monkeypatch):
         """The 63 solves of one multi-loop run share its robots, budget and
