@@ -33,12 +33,14 @@ the Newton point if it kept it, else where its backtracking left it (a
 decrease that small can score an ulp above the value); a row whose Newton
 step predicts no decrease stops where it stands if it is stationary. The
 vector math of
-an iteration (derivatives, Newton step, projection, objective) is
+an iteration (derivatives, Newton step, projection, Newton trial) is
 one batched numpy call for all running rows, and backtracking one per block
 of halvings that some row still needs (_HALVING_BLOCKS); each row's
 step choice, stopping test and bookkeeping run on Python floats. The trace
 certifies the returned point with its projected-gradient norm
-(SolverTrace.projected_gradient_norm).
+(SolverTrace.projected_gradient_norm). A Newton trial scores its value,
+gradient and cycle in one call (JointEvaluator.first_order), and a solve that
+ends at a kept Newton point takes its certificate and result from that trial.
 
 Any one loop is scored on Python floats, with 4^R by libm's pow: the
 single-loop split once, by pipeline.outcome_at_rates, and each robot of
@@ -163,7 +165,8 @@ class SolverTrace:
     stopped_on: str = ""
     # The certificate of a projected-gradient solve: ||z - P(z - grad f(z))||
     # in budget-scaled shares at the returned point, 0 exactly at a KKT point
-    # (NaN for the solves that run no projected gradient)
+    # (NaN for the solves that run no projected gradient). grad f(z) is the last
+    # kept Newton trial's (_best_start), bit for bit a derivatives call at z
     projected_gradient_norm: float = math.nan
     # Not a field: there is no grid fallback, but the benchmark tracer reads it.
     fallback_dense_grid = False
@@ -405,11 +408,33 @@ class JointEvaluator:
     def total_cost(self, power_w: np.ndarray, compute_cps: np.ndarray) -> np.ndarray:
         return self.cost_vector(power_w, compute_cps).sum(axis=-1)
 
+    def _chain_terms(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
+        """(dJ/dp, dJ/df) per robot (derivatives) and the chain-rule terms that
+        first_order and the Hessian reuse, from one _cycle: (rate, window, eff,
+        pow4, gap, finite, slope, d_rate, d_window)."""
+        rate, _, window, eff = self._cycle(power_w, compute_cps)
+        pow4, gap, finite = control.rate_gap(eff, self.a_sq)
+        slope = np.where(finite, self._slope_scale * (pow4 / gap) / gap, -1.0)
+        slope = np.where((eff >= self.cap_bits) | (eff > control.RATE_CLAMP_BITS), 0.0, slope)
+        d_rate = self._rate_scale / ((1.0 + power_w * self.snr_per_w) * math.log(2.0))
+        floor = pipeline.COMPUTE_FLOOR_CPS
+        d_window = np.where(compute_cps > floor,
+                            self.comp_cycles / np.maximum(compute_cps, floor) ** 2, 0.0)
+        return ((slope * window * d_rate, slope * rate * d_window),
+                (rate, window, eff, pow4, gap, finite, slope, d_rate, d_window))
+
+    def first_order(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
+        """(total_cost, derivatives' gradient, (window, eff)) of a decision,
+        bit for bit, from one _cycle."""
+        grad, (_, window, eff, _, gap, finite, *_) = self._chain_terms(power_w, compute_cps)
+        cost = control.gap_cost(gap, finite, self.sens_w, self.j_ideal)
+        return _penalized(cost, self.threshold_bits, eff).sum(axis=-1), grad, (window, eff)
+
     def derivatives(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
         """Closed-form gradient and 2x2 Hessian blocks of cost_vector, per robot.
 
         Returns ((dJ/dp, dJ/df), (d2J/dp2, d2J/dp df, d2J/df2)); the
-        chain-rule factors both need are computed once.
+        chain-rule factors both need are computed once, by _chain_terms.
 
         Gradient: dJ/deff is -w ln4 4^eff / (4^eff - a^2)^2 on a feasible loop
         and -1 on the penalty. It is 0 past the rate clamp and where the
@@ -430,22 +455,15 @@ class JointEvaluator:
         may divide by a zero gap; callers that reach it silence the warning
         (_projected_gradient does).
         """
-        rate, _, window, eff = self._cycle(power_w, compute_cps)
-        pow4, gap, finite = control.rate_gap(eff, self.a_sq)
-        slope = np.where(finite, self._slope_scale * (pow4 / gap) / gap, -1.0)
-        slope = np.where((eff >= self.cap_bits) | (eff > control.RATE_CLAMP_BITS), 0.0, slope)
-        d_rate = self._rate_scale / ((1.0 + power_w * self.snr_per_w) * math.log(2.0))
-        floor = pipeline.COMPUTE_FLOOR_CPS
-        d_window = np.where(compute_cps > floor,
-                            self.comp_cycles / np.maximum(compute_cps, floor) ** 2, 0.0)
+        grad, (rate, window, _, pow4, gap, finite, slope, d_rate, d_window) = \
+            self._chain_terms(power_w, compute_cps)
         curve = np.where(finite, -slope * math.log(4.0) * ((pow4 + self.a_sq) / gap), 0.0)
         dd_rate = -d_rate * self.snr_per_w / (1.0 + power_w * self.snr_per_w)
-        dd_window = -2.0 * d_window / np.maximum(compute_cps, floor)
+        dd_window = -2.0 * d_window / np.maximum(compute_cps, pipeline.COMPUTE_FLOOR_CPS)
         e_p, e_f = d_rate * window, rate * d_window  # d eff / dp, d eff / df
-        return ((slope * window * d_rate, slope * rate * d_window),
-                (curve * e_p * e_p + slope * dd_rate * window,
-                 curve * e_p * e_f + slope * d_rate * d_window,
-                 curve * e_f * e_f + slope * rate * dd_window))
+        return grad, (curve * e_p * e_p + slope * dd_rate * window,
+                      curve * e_p * e_f + slope * d_rate * d_window,
+                      curve * e_f * e_f + slope * rate * dd_window)
 
     def outcomes(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
         """Per-robot LoopOutcomes of a decision, on request, each scored on
@@ -568,6 +586,8 @@ class _PgdResult:
     iterations: int  # summed over rows
     stopped_on: tuple  # per row: SolverTrace.stopped_on
     max_iter_rows: int = 0  # rows stopped unconverged at PGD_MAX_ITER
+    # row -> (gradient, (window, eff)) of its last move's kept Newton trial
+    newton_ends: dict = dataclasses.field(default_factory=dict)
 
 
 def _backtrack(objective, project, z: np.ndarray, fz: np.ndarray, grad: np.ndarray,
@@ -657,7 +677,7 @@ def _project_shares(z: np.ndarray, n: int, optimize_power: bool) -> np.ndarray:
 
 
 def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, n: int, *,
-                        optimize_power: bool = True) -> _PgdResult:
+                        first_order, optimize_power: bool = True) -> _PgdResult:
     """Minimize objective(z) over the product of two capped simplexes, per row of z0.
 
     Each row of z0 (one start, shape (R, 2n) in all) holds feasible
@@ -666,8 +686,9 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
     work of an iteration is one numpy call each for all running rows: the
     `derivatives` call (the analytic gradient and Hessian blocks, see
     JointEvaluator.derivatives), the gradient norms and row sums,
-    _newton_direction, the projection and `objective` call of the Newton
-    trials, and one _backtrack call; the iterates stay in one (R, 2n) array.
+    _newton_direction, the projection and `first_order` call of the Newton
+    trials, and one _backtrack call, which scores with the value-only
+    `objective`; the iterates stay in one (R, 2n) array.
     Each row's rules (its Barzilai-Borwein step, Newton acceptance and
     decrement stop, quiet count, step memory, and leaving the running list)
     run on Python floats taken with one tolist() per array. They divide only
@@ -677,11 +698,12 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
     False the power block of the gradient is zeroed and the power shares
     stay as given.
     A row first tries its projected face-Newton point (_newton_direction)
-    and keeps it when f(new) <= f + 1e-2 g.(new - z) with g.(new - z) < 0.
-    Otherwise its trial step is seeded Barzilai-Borwein style (spectral step
-    from the row's last (dz, dg) pair, which copes with the steep penalty
-    wall) and backed off by halving (_backtrack) until a sufficient decrease
-    over the projected move is reached. A row converges in the iteration
+    and keeps it (and the trial's gradient and cycle, in newton_ends) when
+    f(new) <= f + 1e-2 g.(new - z) with g.(new - z) < 0. Otherwise its trial
+    step is seeded Barzilai-Borwein style (spectral step from the row's last
+    (dz, dg) pair, which copes with the steep penalty wall) and backed off by
+    halving (_backtrack) until a sufficient decrease over the projected move
+    is reached. A row converges in the iteration
     whose Newton trial predicts a decrease 0 < -g.(new - z) <= PGD_REL_TOL |f|
     (the Newton decrement): at the Newton point if it passes its test, else
     after that iteration's backtracking, which keeps its move only if it
@@ -708,6 +730,7 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
     # moved, which selects the fallback step).
     step, quiet = [math.nan] * rows, [0] * rows
     z_prev, grad_prev = z.copy(), np.zeros_like(z)
+    newton_ends = {}
     live = list(range(rows))
 
     def accept(row, value):
@@ -744,19 +767,6 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
                 moving = [live[k] for k in m]
                 sel = slice(None) if len(m) == len(live) else m
                 g, zm = grad[sel], zl[sel]
-                dz, dg = zm - z_prev[moving], g - grad_prev[moving]
-                curvature = (dz * dg).sum(axis=1).tolist()
-                dz_sq = (dz * dz).sum(axis=1).tolist()
-                z_prev[moving], grad_prev[moving] = zm, g
-                s = []
-                for k, row, c, sq in zip(m, moving, curvature, dz_sq):
-                    if c > 1e-300:
-                        trial_step = sq / c
-                    elif math.isnan(step[row]):
-                        trial_step = 0.25 / gnorm[k]
-                    else:
-                        trial_step = step[row]
-                    s.append(min(max(trial_step, 1e-16), 1e8))
                 # the face-Newton trial first (a rescaled row has no matching
                 # Hessian); the rows that reject it backtrack from the BB step
                 d, ok = _newton_direction(g, tuple(h[sel] for h in blocks), zm, n,
@@ -770,7 +780,8 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
                     t = slice(None) if len(trial) == len(m) else trial
                     cand = project(zm[t] + d[t])
                     slope = (g[t] * (cand - zm[t])).sum(axis=1).tolist()
-                    fc = objective(cand).tolist()
+                    fc, g_new, (window, eff) = first_order(cand)
+                    fc = fc.tolist()
                     flat = []  # positions in m whose Newton trial predicts no decrease
                     for i, j in enumerate(trial):
                         row, f = moving[j], fz[moving[j]]
@@ -779,6 +790,7 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
                         if slope[i] < 0.0 and fc[i] <= f + 1e-2 * slope[i]:
                             done.add(j)
                             z[row] = cand[i]
+                            newton_ends[row] = (g_new[i], (window[i], eff[i]))
                             accept(row, fc[i])  # a Newton row keeps its step
                         elif slope[i] >= 0.0:
                             flat.append(j)
@@ -791,16 +803,29 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
                 back = [j for j in range(len(m)) if j not in done]
                 if back:
                     b = slice(None) if len(back) == len(m) else back
+                    rows_b = [moving[j] for j in back]
+                    dz, dg = zm[b] - z_prev[rows_b], g[b] - grad_prev[rows_b]
+                    s = []
+                    for j, row, c, sq in zip(back, rows_b, (dz * dg).sum(axis=1).tolist(),
+                                             (dz * dz).sum(axis=1).tolist()):
+                        if c > 1e-300:
+                            trial_step = sq / c
+                        elif math.isnan(step[row]):
+                            trial_step = 0.25 / gnorm[m[j]]
+                        else:
+                            trial_step = step[row]
+                        s.append(min(max(trial_step, 1e-16), 1e8))
                     took, z_new, f_new, s_new = _backtrack(
-                        objective, project, zm[b], np.array([fz[moving[j]] for j in back]),
-                        g[b], np.array([s[j] for j in back]))
+                        objective, project, zm[b], np.array([fz[row] for row in rows_b]),
+                        g[b], np.array(s))
                     took, f_new, s_new = took.tolist(), f_new.tolist(), s_new.tolist()
-                    for i, j in enumerate(back):
+                    for i, row in enumerate(rows_b):
                         if took[i]:  # an unaccepted row keeps its iterate and step
-                            row = moving[j]
                             z[row] = z_new[i]
+                            newton_ends.pop(row, None)
                             accept(row, f_new[i])
                             step[row] = s_new[i]
+                z_prev[moving], grad_prev[moving] = zm, g
             # a row stops converged on the Newton decrement or after
             # PGD_PATIENCE quiet iterations, unconverged when its gradient is
             # not finite
@@ -817,26 +842,37 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
             live = running
     converged = [reason in ("decrement", "patience") for reason in stopped_on]
     return _PgdResult(z, np.array(fz), np.array(converged), iterations, tuple(stopped_on),
-                      len(live))
+                      len(live), newton_ends)
 
 
 def _scaled_objective(evaluator: JointEvaluator, p_tot: float, f_tot: float):
-    """(objective, derivatives) over budget-scaled shares z = (power, compute) / totals.
+    """(objective, derivatives, first_order) over budget-scaled shares
+    z = (power, compute) / totals.
 
     derivatives returns the gradient (R, 2n) and the per-robot Hessian blocks
-    (h_xx, h_xy, h_yy) in the scaled shares.
+    (h_xx, h_xy, h_yy) in the scaled shares, first_order the value, gradient
+    and cycle (JointEvaluator.first_order).
     """
     n = evaluator.n
 
     def objective(batch: np.ndarray) -> np.ndarray:
         return evaluator.total_cost(batch[..., :n] * p_tot, batch[..., n:] * f_tot)
 
+    def scaled(grad: tuple) -> np.ndarray:
+        d_power, d_compute = grad
+        return np.concatenate([d_power * p_tot, d_compute * f_tot], axis=-1)
+
     def derivatives(batch: np.ndarray) -> tuple:
-        (d_power, d_compute), (h_pp, h_pf, h_ff) = evaluator.derivatives(
-            batch[..., :n] * p_tot, batch[..., n:] * f_tot)
-        return (np.concatenate([d_power * p_tot, d_compute * f_tot], axis=-1),
-                (h_pp * (p_tot * p_tot), h_pf * (p_tot * f_tot), h_ff * (f_tot * f_tot)))
-    return objective, derivatives
+        grad, (h_pp, h_pf, h_ff) = evaluator.derivatives(batch[..., :n] * p_tot,
+                                                         batch[..., n:] * f_tot)
+        return scaled(grad), (h_pp * (p_tot * p_tot), h_pf * (p_tot * f_tot),
+                              h_ff * (f_tot * f_tot))
+
+    def first_order(batch: np.ndarray) -> tuple:
+        value, grad, cycle = evaluator.first_order(batch[..., :n] * p_tot,
+                                                   batch[..., n:] * f_tot)
+        return value, scaled(grad), cycle
+    return objective, derivatives, first_order
 
 
 def _task_starts(evaluator: JointEvaluator, p_tot: float, f_tot: float,
@@ -867,8 +903,11 @@ def _compute_only_starts(evaluator: JointEvaluator, p_tot: float, f_tot: float,
 def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: list, *,
                 optimize_power: bool, method: str):
     """PGD from the starts under the problem's totals: the winning row, its
-    value, and the trace with the winner's projected-gradient norm as its
-    certificate.
+    value, the trace with the winner's projected-gradient norm as its
+    certificate, and the winner's (window, eff), or None. The certificate
+    takes the gradient of the winner's last kept Newton trial
+    (_PgdResult.newton_ends); a winner that ended at its start or after
+    backtracking takes a derivatives call and returns no cycle.
 
     Every start is projected and scored once, in one call each. When every
     robot's plant is unstable (|a| >= 1) the cost is convex where it is
@@ -879,21 +918,22 @@ def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: li
     batch and the lowest end point wins.
     """
     n = evaluator.n
-    objective, derivatives = _scaled_objective(evaluator, problem.total_power_w,
-                                               problem.total_compute_cps)
+    objective, derivatives, first_order = _scaled_objective(
+        evaluator, problem.total_power_w, problem.total_compute_cps)
     z0 = _project_shares(np.array(starts, dtype=float), n, optimize_power)
     f0 = objective(z0)
     first = 0
     if evaluator.all_unstable:
         first = int(np.argmin(f0))
         z0, f0 = z0[first:first + 1], f0[first:first + 1]
-    res = _projected_gradient(objective, derivatives, z0, f0, n,
+    res = _projected_gradient(objective, derivatives, z0, f0, n, first_order=first_order,
                               optimize_power=optimize_power)
     row = int(np.argmin(res.value))
     best = first + row
     z = res.z[row:row + 1]
+    grad, cycle = res.newton_ends.get(row, (None, None))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        grad = derivatives(z)[0]
+        grad = derivatives(z)[0] if grad is None else grad[None, :].copy()
         if not optimize_power:
             grad[:, :n] = 0.0
         residual = z - _project_shares(z - grad, n, optimize_power)
@@ -902,7 +942,7 @@ def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: li
                         restarts=len(starts), best_restart=best, method=method,
                         max_iter_rows=res.max_iter_rows, projected_gradient_norm=certificate,
                         stopped_on=res.stopped_on[row])
-    return z[0], res.value[row], trace
+    return z[0], res.value[row], trace, cycle
 
 
 def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> AllocationResult:
@@ -930,7 +970,8 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
     point wins. Both use the analytic derivatives and Armijo backtracking
     (_projected_gradient) and return the shares _best_start scored times the
     totals; the trace reports the winning start, whether it converged, and
-    its projected-gradient norm (projected_gradient_norm) as the certificate.
+    its projected-gradient norm (projected_gradient_norm) as the certificate,
+    at the gradient of its last kept Newton trial where it has one.
     Every scheme is re-scored under the penalized LQR total (lqr_total), with
     no per-loop outcomes (JointEvaluator.outcomes builds them on request).
     The solves of one sweep share one JointEvaluator (_sweep_evaluator),
@@ -952,22 +993,22 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
         build, method = _task_starts, "projected_gradient"
     else:
         build, method = _compute_only_starts, "projected_gradient_compute_only"
-    z, value, trace = _best_start(evaluator, problem,
-                                  build(evaluator, p_tot, f_tot, extra_starts),
-                                  optimize_power=optimize_power, method=method)
+    z, value, trace, cycle = _best_start(evaluator, problem,
+                                         build(evaluator, p_tot, f_tot, extra_starts),
+                                         optimize_power=optimize_power, method=method)
     # the objective is the penalized LQR total of the same products z * totals
     return _multi_result(evaluator, problem, z[:n] * p_tot, z[n:] * f_tot, value, trace,
-                         lqr_total=value)
+                         lqr_total=value, cycle=cycle)
 
 
 def _multi_result(evaluator: JointEvaluator, problem: MultiLoopProblem, power: np.ndarray,
                   compute: np.ndarray, objective_value: float, trace: SolverTrace, *,
-                  lqr_total: float | None = None) -> AllocationResult:
+                  lqr_total: float | None = None, cycle: tuple | None = None) -> AllocationResult:
     """The decision checked against the problem's budgets and scored from one
     cycle evaluation, with no LoopOutcome built: all_infeasible marks every
     loop reporting lqr_cost math.inf under pipeline.reported_costs. lqr_total
-    is the decision's penalized LQR total when the caller already scored it,
-    else the cycle evaluation scores it."""
+    is the decision's penalized LQR total and cycle its (window, eff) when
+    the caller already scored them, else the cycle evaluation scores them."""
     if not (power.min() >= 0.0 and compute.min() >= 0.0):
         raise RuntimeError("allocation has a negative power or compute share")
     if not power.sum() <= problem.total_power_w * (1.0 + 1e-9):
@@ -976,7 +1017,7 @@ def _multi_result(evaluator: JointEvaluator, problem: MultiLoopProblem, power: n
     if not compute.sum() <= problem.total_compute_cps * (1.0 + 1e-9):
         raise RuntimeError(f"allocated compute {compute.sum()!r} cps exceeds the budget "
                            f"{problem.total_compute_cps!r} cps")
-    _, _, window, eff = evaluator._cycle(power, compute)
+    window, eff = cycle or evaluator._cycle(power, compute)[2:]
     reported = pipeline.reported_costs(evaluator.a_sq, evaluator.sens_w, evaluator.j_ideal,
                                        eff, window >= 0.0)[2]
     if np.all(reported == math.inf):

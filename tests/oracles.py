@@ -256,11 +256,11 @@ def all_starts_descend(evaluator: JointEvaluator, problem: MultiLoopProblem, sta
     What optimize._best_start does for a stable plant, here for any plant,
     so a reference that runs through it never descends a single start.
     """
-    objective, derivatives = _scaled_objective(
+    objective, derivatives, first_order = _scaled_objective(
         evaluator, problem.total_power_w, problem.total_compute_cps)
     z0 = _project_shares(np.array(starts, dtype=float), evaluator.n, optimize_power)
     res = _projected_gradient(objective, derivatives, z0, objective(z0), evaluator.n,
-                              optimize_power=optimize_power)
+                              first_order=first_order, optimize_power=optimize_power)
     best = int(np.argmin(res.value))
     trace = SolverTrace(iterations=res.iterations, converged=bool(res.converged[best]),
                         restarts=len(starts), best_restart=best, method=method,

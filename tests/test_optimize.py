@@ -998,7 +998,7 @@ class TestNewtonDirection:
         for k in (1, 2, 3, 5):
             problem = random_joint_problem(rng, n_robots=k)
             ev = JointEvaluator(problem)
-            objective, derivatives = optimize._scaled_objective(
+            objective, derivatives, _ = optimize._scaled_objective(
                 ev, problem.total_power_w, problem.total_compute_cps)
             shares = np.concatenate([rng.dirichlet(np.ones(k), 40),
                                      rng.dirichlet(np.ones(k), 40)], axis=1)
@@ -1028,7 +1028,7 @@ class TestNewtonDirection:
         """A capped robot (zero block) or one starved of compute (no compute curvature)."""
         problem = _default_joint(extraction_scale=0.03)
         ev = JointEvaluator(problem)
-        objective, derivatives = optimize._scaled_objective(
+        objective, derivatives, _ = optimize._scaled_objective(
             ev, problem.total_power_w, problem.total_compute_cps)
         n = ev.n
         z = np.tile(np.full(2 * n, 1.0 / n), (2, 1))
@@ -1067,8 +1067,8 @@ def _record_starts(patch) -> list:
     best_start = optimize._best_start
 
     def recording(evaluator, problem, starts, **kwargs):
-        objective, _ = optimize._scaled_objective(evaluator, problem.total_power_w,
-                                                  problem.total_compute_cps)
+        objective = optimize._scaled_objective(evaluator, problem.total_power_w,
+                                               problem.total_compute_cps)[0]
         starts = np.array(starts)
         projected = optimize._project_shares(starts, evaluator.n, kwargs["optimize_power"])
         calls.append((starts, objective(projected)))
@@ -1077,11 +1077,12 @@ def _record_starts(patch) -> list:
     return calls
 
 
-def _descend(objective, derivatives, starts, n: int, *, optimize_power: bool):
+def _descend(objective, derivatives, first_order, starts, n: int, *, optimize_power: bool):
     """optimize._projected_gradient from the starts, projected and scored first
     as optimize._best_start does."""
     z0 = optimize._project_shares(np.array(starts, dtype=float), n, optimize_power)
     return optimize._projected_gradient(objective, derivatives, z0, objective(z0), n,
+                                        first_order=first_order,
                                         optimize_power=optimize_power)
 
 
@@ -1091,12 +1092,12 @@ class TestBatchedPgd:
         problem = _default_joint()
         ev = JointEvaluator(problem)
         p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-        objective, derivatives = optimize._scaled_objective(ev, p_tot, f_tot)
+        objective, derivatives, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
         starts = _random_starts(ev, p_tot, f_tot, 6, 3)
-        batch = _descend(objective, derivatives, starts, ev.n,
+        batch = _descend(objective, derivatives, first_order, starts, ev.n,
                          optimize_power=optimize_power)
         for row, z0 in enumerate(starts):
-            alone = _descend(objective, derivatives, z0[None, :], ev.n,
+            alone = _descend(objective, derivatives, first_order, z0[None, :], ev.n,
                              optimize_power=optimize_power)
             assert batch.value[row] == pytest.approx(alone.value[0], rel=1e-12)
             assert batch.converged[row] == alone.converged[0]
@@ -1111,10 +1112,10 @@ class TestBatchedPgd:
         for problem in problems:
             ev = JointEvaluator(problem)
             p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-            objective, derivatives = optimize._scaled_objective(ev, p_tot, f_tot)
+            objective, derivatives, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
             starts = _random_starts(ev, p_tot, f_tot, 12, 5)
             starts[-1] = np.concatenate([np.eye(ev.n)[0], np.eye(ev.n)[-1]])  # a vertex
-            batch = _descend(objective, derivatives, starts, ev.n,
+            batch = _descend(objective, derivatives, first_order, starts, ev.n,
                              optimize_power=optimize_power)
 
             def project(z):
@@ -1150,13 +1151,13 @@ class TestBatchedPgd:
             problem = dataclasses.replace(problem, budget=budget)
         ev = JointEvaluator(problem)
         p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-        objective, derivatives = optimize._scaled_objective(ev, p_tot, f_tot)
+        objective, derivatives, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
         starts = _random_starts(ev, p_tot, f_tot, count, seed)[:count]
         if vertex:
             starts[-1] = np.concatenate([np.eye(ev.n)[0], np.eye(ev.n)[-1]])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(optimize, "PGD_MAX_ITER", max_iter)
-            batch = _descend(objective, derivatives, starts, ev.n,
+            batch = _descend(objective, derivatives, first_order, starts, ev.n,
                              optimize_power=optimize_power)
 
         def reference(z0, cap):
@@ -1183,9 +1184,9 @@ class TestBatchedPgd:
         runs = []
         original = optimize._projected_gradient
 
-        def recorded(objective, derivatives, z0, f0, n, *, optimize_power):
-            result = original(objective, derivatives, z0, f0, n, optimize_power=optimize_power)
-            runs.append((objective, derivatives, z0.copy(), n, optimize_power, result))
+        def recorded(objective, derivatives, z0, f0, n, **kwargs):
+            result = original(objective, derivatives, z0, f0, n, **kwargs)
+            runs.append((objective, derivatives, z0.copy(), n, kwargs["optimize_power"], result))
             return result
         monkeypatch.setattr(optimize, "_projected_gradient", recorded)
         assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
@@ -1213,9 +1214,9 @@ class TestBatchedPgd:
             problem = dataclasses.replace(problem, budget=budget)
         ev = JointEvaluator(problem)
         p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-        objective, derivatives = optimize._scaled_objective(ev, p_tot, f_tot)
+        objective, derivatives, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
         starts = _random_starts(ev, p_tot, f_tot, 6, seed)
-        result = _descend(objective, derivatives, starts, ev.n,
+        result = _descend(objective, derivatives, first_order, starts, ev.n,
                           optimize_power=optimize_power)
         if optimize_power:
             projected = project_capped_simplex(starts.reshape(-1, 2, ev.n), 1.0)
@@ -1233,7 +1234,7 @@ class TestBatchedPgd:
         default problem, with steps from no halving to dozens."""
         problem = _default_joint()
         ev = JointEvaluator(problem)
-        objective, derivatives = optimize._scaled_objective(
+        objective, derivatives, _ = optimize._scaled_objective(
             ev, problem.total_power_w, problem.total_compute_cps)
 
         def project(z):
@@ -1325,11 +1326,11 @@ class TestBatchedPgd:
         problem = _default_joint()
         ev = JointEvaluator(problem)
         p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-        objective, derivatives = optimize._scaled_objective(ev, p_tot, f_tot)
+        objective, derivatives, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
         starts = _random_starts(ev, p_tot, f_tot, 6, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = _descend(objective, derivatives, starts, ev.n,
+            result = _descend(objective, derivatives, first_order, starts, ev.n,
                               optimize_power=optimize_power)
         assert result.iterations > len(starts)
 
@@ -1496,6 +1497,108 @@ class TestBatchedPgd:
         assert len(descended) == 1 and np.array_equal(descended[0], starts[lowest:])
         assert trace.restarts == len(starts) and trace.best_restart == lowest
         assert not trace.converged and trace.iterations == 7
+
+
+def _record_ends(patch) -> list:
+    """Record, for each projected-gradient solve made under patch, (evaluator,
+    power, compute, derivatives, optimize_power, its _projected_gradient
+    result, its AllocationResult)."""
+    pending, ends = [], []
+    pgd, multi_result = optimize._projected_gradient, optimize._multi_result
+
+    def recorded_pgd(objective, derivatives, z0, f0, n, **kwargs):
+        result = pgd(objective, derivatives, z0, f0, n, **kwargs)
+        pending.append((derivatives, kwargs["optimize_power"], result))
+        return result
+
+    def recorded_result(evaluator, problem, power, compute, *args, **kwargs):
+        result = multi_result(evaluator, problem, power, compute, *args, **kwargs)
+        if pending:  # the max-throughput solve runs no projected gradient
+            ends.append((evaluator, power, compute, *pending.pop(), result))
+        return result
+    patch.setattr(optimize, "_projected_gradient", recorded_pgd)
+    patch.setattr(optimize, "_multi_result", recorded_result)
+    return ends
+
+
+def _same_bits(got, want) -> bool:
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestCarriedEndPoint:
+    """A solve's certificate and all_infeasible flag come from the gradient
+    and cycle of its last kept Newton trial where it has one: they must equal
+    a fresh derivatives call, projection and cycle evaluation bit for bit."""
+
+    @staticmethod
+    def _assert_exact(ends) -> int:
+        """Check every recorded end point; returns how many carried their
+        Newton trial's gradient and cycle."""
+        carried = 0
+        for evaluator, power, compute, derivatives, optimize_power, pgd, result in ends:
+            n = evaluator.n
+            row = int(np.argmin(pgd.value))
+            z = pgd.z[row:row + 1]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                grad = derivatives(z)[0]
+                _, _, window, eff = evaluator._cycle(power, compute)
+                if row in pgd.newton_ends:
+                    kept_grad, (kept_window, kept_eff) = pgd.newton_ends[row]
+                    assert _same_bits(kept_grad, grad[0])
+                    assert _same_bits(kept_eff, eff) and _same_bits(kept_window, window)
+                    carried += 1
+                if not optimize_power:
+                    grad[:, :n] = 0.0
+                residual = z - optimize._project_shares(z - grad, n, optimize_power)
+                certificate = float(np.sqrt((residual * residual).sum()))
+            reported = pipeline.reported_costs(evaluator.a_sq, evaluator.sens_w,
+                                               evaluator.j_ideal, eff, window >= 0.0)[2]
+            trace = result.solver_trace
+            assert _same_bits(trace.projected_gradient_norm, certificate)
+            assert trace.all_infeasible == bool(np.all(reported == math.inf))
+        return carried
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_robots=st.integers(1, 4), stable=st.booleans(),
+           cap_bits=st.one_of(st.none(), st.floats(2.0, 8.0)),
+           scheme=st.sampled_from([MultiLoopScheme.TASK_ORIENTED_JOINT,
+                                   MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM]))
+    def test_random_solves(self, seed, n_robots, stable, cap_bits, scheme):
+        problem = random_joint_problem(np.random.default_rng(seed), n_robots=n_robots,
+                                       stable=stable)
+        if cap_bits is not None:
+            budget = dataclasses.replace(
+                problem.budget, extraction_ratio=cap_bits / problem.uplink_fixed_bits)
+            problem = dataclasses.replace(problem, budget=budget)
+        with pytest.MonkeyPatch.context() as patch:
+            ends = _record_ends(patch)
+            solve_multi_loop(dataclasses.replace(problem, scheme=scheme))
+        assert len(ends) == 1
+        self._assert_exact(ends)
+
+    def test_baseline_sweep(self, tmp_path, monkeypatch):
+        """Every descent of the baseline multi-loop run ends at a kept Newton
+        point, so every certificate is the carried one."""
+        ends = _record_ends(monkeypatch)
+        assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
+        assert len(ends) == 42 and self._assert_exact(ends) == 42
+
+    def test_first_order_is_total_cost_and_gradient(self):
+        """JointEvaluator.first_order scores a batch as total_cost, derivatives
+        and _cycle do, bit for bit, penalised and capped robots included."""
+        rng = np.random.default_rng(31)
+        for problem in (_default_joint(), _default_joint(extraction_scale=0.03),
+                        random_joint_problem(rng, n_robots=3, stable=True)):
+            ev = JointEvaluator(problem)
+            power = rng.dirichlet(np.ones(ev.n), 50) * problem.total_power_w
+            compute = rng.dirichlet(np.ones(ev.n), 50) * problem.total_compute_cps
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                value, grad, (window, eff) = ev.first_order(power, compute)
+                _, _, want_window, want_eff = ev._cycle(power, compute)
+                assert _same_bits(value, ev.total_cost(power, compute))
+                assert all(_same_bits(g, w) for g, w in zip(grad, ev.derivatives(power,
+                                                                                 compute)[0]))
+            assert _same_bits(eff, want_eff) and _same_bits(window, want_window)
 
 
 class TestDeterministicStarts:

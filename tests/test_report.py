@@ -828,11 +828,17 @@ class TestBaselineSweepWork:
     def test_multi_loop_work_per_run(self, tmp_path, monkeypatch):
         """The solver work of one baseline multi-loop run, pinned: a leaner
         iteration must not add descents, row-iterations (task-oriented ones
-        counted apart), objective calls, projections or water-fills. The
-        max-throughput solve and the task-oriented starts at one power total
-        share one water-fill. With the predicted starts no row backtracks
-        (42 task-oriented and 34 compute-only row-iterations, 125 objective
-        calls, 167 projections and 4 backtracking searches without them)."""
+        counted apart), objective calls, Newton-trial scorings, derivative
+        calls, projections or water-fills. The max-throughput solve and the
+        task-oriented starts at one power total share one water-fill. With the
+        predicted starts no row backtracks (42 task-oriented and 34
+        compute-only row-iterations, 125 objective calls, 167 projections and
+        4 backtracking searches without them). Every descent ends at a kept
+        Newton point, so its certificate takes that trial's gradient: the 42
+        certificate calls of derivatives are gone (100 before, 58 in the
+        iterations and 42 certificates), and the 58 Newton trials are scored
+        by first_order, not total_cost (100 before: 42 starts and 58 trials).
+        """
         counts = {}
 
         def count(owner, name):
@@ -849,12 +855,15 @@ class TestBaselineSweepWork:
             monkeypatch.setattr(owner, name, counted)
         count(optimize, "_projected_gradient")
         count(optimize.JointEvaluator, "total_cost")
+        count(optimize.JointEvaluator, "first_order")
+        count(optimize.JointEvaluator, "derivatives")
         count(optimize, "project_capped_simplex")
         count(optimize, "water_fill_power")
         count(optimize, "_backtrack")
         assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
         assert counts == {"_projected_gradient": 42, "task_oriented_row_iterations": 29,
-                          "compute_only_row_iterations": 29, "total_cost": 100,
+                          "compute_only_row_iterations": 29, "total_cost": 42,
+                          "first_order": 58, "derivatives": 58,
                           "project_capped_simplex": 142, "water_fill_power": 21}
 
     def test_newton_trials_below_the_tolerance_end_their_solves(self, tmp_path, monkeypatch):
