@@ -174,15 +174,14 @@ def main(argv=None) -> int:
                         default=["default", "docs", "large"])
     parser.add_argument("--verbs", nargs="+", choices=("single-loop", "multi-loop", "contour"))
     parser.add_argument("--tolerance", type=float, default=0.0)
-    parser.add_argument("--work", type=Path, help="keep inputs and outputs here")
     args = parser.parse_args(argv)
     if (len(args.tree) == 2) == (args.disable is not None) or len(args.tree) > 2:
         parser.error("give two --tree, or one --tree and --disable")
     sides = ([(tree, None) for tree in args.tree] if len(args.tree) == 2
              else [(args.tree[0], None), (args.tree[0], args.disable)])
     with tempfile.TemporaryDirectory() as scratch:
-        work = args.work or Path(scratch)
-        (work / "inputs").mkdir(parents=True, exist_ok=True)
+        work = Path(scratch)
+        (work / "inputs").mkdir()
         runs = corpus(args.corpus, args.verbs, work / "inputs")
         outs = [work / f"side{k}" for k in (1, 2)]
         codes = [run_side(tree.resolve(), disable, runs, out)
