@@ -38,9 +38,10 @@ one batched numpy call for all running rows, and backtracking one per block
 of halvings that some row still needs (_HALVING_BLOCKS); each row's
 step choice, stopping test and bookkeeping run on Python floats. The trace
 certifies the returned point with its projected-gradient norm
-(SolverTrace.projected_gradient_norm). A Newton trial scores its value,
-gradient and cycle in one call (JointEvaluator.first_order), and a solve that
-ends at a kept Newton point takes its certificate and result from that trial.
+(SolverTrace.projected_gradient_norm). Each point a solve stands on, its
+start batch and each Newton trial, is scored once, by JointEvaluator.first_order
+(value, gradient, chain-rule terms, per-robot costs): the next Hessian blocks
+of a kept point, the certificate and the result all read that score.
 
 Any one loop is scored on Python floats, with 4^R by libm's pow: the
 single-loop split once, by pipeline.outcome_at_rates, and each robot of
@@ -165,8 +166,8 @@ class SolverTrace:
     stopped_on: str = ""
     # The certificate of a projected-gradient solve: ||z - P(z - grad f(z))||
     # in budget-scaled shares at the returned point, 0 exactly at a KKT point
-    # (NaN for the solves that run no projected gradient). grad f(z) is the last
-    # kept Newton trial's (_best_start), bit for bit a derivatives call at z
+    # (NaN for the solves that run no projected gradient). grad f(z) is the one
+    # z's score carries (_best_start), bit for bit a derivatives call at z
     projected_gradient_norm: float = math.nan
     # Not a field: there is no grid fallback, but the benchmark tracer reads it.
     fallback_dense_grid = False
@@ -398,43 +399,55 @@ class JointEvaluator:
         return (rate,) + pipeline.store_and_forward(
             self.uplink_fixed_bits, 0.0, rate, self.t_prop, compute_cps, self.budget)
 
-    def _costs(self, eff: np.ndarray) -> np.ndarray:
-        cost = control.rate_cost(eff, self.a_sq, self.sens_w, self.j_ideal)
-        return _penalized(cost, self.threshold_bits, eff)
+    def cost_vector(self, power_w: np.ndarray, compute_cps: np.ndarray, scored=None):
+        """Penalized cost per robot from first_order's (rate_cost, eff), else one _cycle."""
+        if scored is None:
+            eff = self._cycle(power_w, compute_cps)[3]
+            scored = control.rate_cost(eff, self.a_sq, self.sens_w, self.j_ideal), eff
+        return _penalized(scored[0], self.threshold_bits, scored[1])
 
-    def cost_vector(self, power_w: np.ndarray, compute_cps: np.ndarray) -> np.ndarray:
-        return self._costs(self._cycle(power_w, compute_cps)[3])
-
-    def total_cost(self, power_w: np.ndarray, compute_cps: np.ndarray) -> np.ndarray:
-        return self.cost_vector(power_w, compute_cps).sum(axis=-1)
+    def total_cost(self, power_w: np.ndarray, compute_cps: np.ndarray, scored=None):
+        return self.cost_vector(power_w, compute_cps, scored).sum(axis=-1)
 
     def _chain_terms(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
         """(dJ/dp, dJ/df) per robot (derivatives) and the chain-rule terms that
         first_order and the Hessian reuse, from one _cycle: (rate, window, eff,
-        pow4, gap, finite, slope, d_rate, d_window)."""
+        pow4, gap, finite, slope, 1 + p g, d_rate, max(f, floor), d_window)."""
         rate, _, window, eff = self._cycle(power_w, compute_cps)
         pow4, gap, finite = control.rate_gap(eff, self.a_sq)
         slope = np.where(finite, self._slope_scale * (pow4 / gap) / gap, -1.0)
         slope = np.where((eff >= self.cap_bits) | (eff > control.RATE_CLAMP_BITS), 0.0, slope)
-        d_rate = self._rate_scale / ((1.0 + power_w * self.snr_per_w) * math.log(2.0))
+        lin = 1.0 + power_w * self.snr_per_w
+        d_rate = self._rate_scale / (lin * math.log(2.0))
         floor = pipeline.COMPUTE_FLOOR_CPS
-        d_window = np.where(compute_cps > floor,
-                            self.comp_cycles / np.maximum(compute_cps, floor) ** 2, 0.0)
+        clamped = np.maximum(compute_cps, floor)
+        d_window = np.where(compute_cps > floor, self.comp_cycles / clamped ** 2, 0.0)
         return ((slope * window * d_rate, slope * rate * d_window),
-                (rate, window, eff, pow4, gap, finite, slope, d_rate, d_window))
+                (rate, window, eff, pow4, gap, finite, slope, lin, d_rate, clamped, d_window))
 
     def first_order(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
-        """(total_cost, derivatives' gradient, (window, eff)) of a decision,
-        bit for bit, from one _cycle."""
-        grad, (_, window, eff, _, gap, finite, *_) = self._chain_terms(power_w, compute_cps)
+        """(total_cost, derivatives' gradient, chain-rule terms, rate_cost per
+        robot) of a decision, bit for bit, from one _cycle."""
+        grad, terms = self._chain_terms(power_w, compute_cps)
+        _, _, eff, _, gap, finite, *_ = terms
         cost = control.gap_cost(gap, finite, self.sens_w, self.j_ideal)
-        return _penalized(cost, self.threshold_bits, eff).sum(axis=-1), grad, (window, eff)
+        return self.total_cost(power_w, compute_cps, (cost, eff)), grad, terms, cost
+
+    def hessian_blocks(self, terms: tuple) -> tuple:
+        """derivatives' Hessian blocks from _chain_terms' terms, bit for bit."""
+        rate, window, _, pow4, gap, finite, slope, lin, d_rate, clamped, d_window = terms
+        curve = np.where(finite, -slope * math.log(4.0) * ((pow4 + self.a_sq) / gap), 0.0)
+        dd_rate = -d_rate * self.snr_per_w / lin
+        dd_window = -2.0 * d_window / clamped
+        e_p, e_f = d_rate * window, rate * d_window  # d eff / dp, d eff / df
+        return (curve * e_p * e_p + slope * dd_rate * window,
+                curve * e_p * e_f + slope * d_rate * d_window,
+                curve * e_f * e_f + slope * rate * dd_window)
 
     def derivatives(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
         """Closed-form gradient and 2x2 Hessian blocks of cost_vector, per robot.
 
-        Returns ((dJ/dp, dJ/df), (d2J/dp2, d2J/dp df, d2J/df2)); the
-        chain-rule factors both need are computed once, by _chain_terms.
+        Returns ((dJ/dp, dJ/df), (d2J/dp2, d2J/dp df, d2J/df2)), via _chain_terms.
 
         Gradient: dJ/deff is -w ln4 4^eff / (4^eff - a^2)^2 on a feasible loop
         and -1 on the penalty. It is 0 past the rate clamp and where the
@@ -455,15 +468,8 @@ class JointEvaluator:
         may divide by a zero gap; callers that reach it silence the warning
         (_projected_gradient does).
         """
-        grad, (rate, window, _, pow4, gap, finite, slope, d_rate, d_window) = \
-            self._chain_terms(power_w, compute_cps)
-        curve = np.where(finite, -slope * math.log(4.0) * ((pow4 + self.a_sq) / gap), 0.0)
-        dd_rate = -d_rate * self.snr_per_w / (1.0 + power_w * self.snr_per_w)
-        dd_window = -2.0 * d_window / np.maximum(compute_cps, pipeline.COMPUTE_FLOOR_CPS)
-        e_p, e_f = d_rate * window, rate * d_window  # d eff / dp, d eff / df
-        return grad, (curve * e_p * e_p + slope * dd_rate * window,
-                      curve * e_p * e_f + slope * d_rate * d_window,
-                      curve * e_f * e_f + slope * rate * dd_window)
+        grad, terms = self._chain_terms(power_w, compute_cps)
+        return grad, self.hessian_blocks(terms)
 
     def outcomes(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
         """Per-robot LoopOutcomes of a decision, on request, each scored on
@@ -586,8 +592,24 @@ class _PgdResult:
     iterations: int  # summed over rows
     stopped_on: tuple  # per row: SolverTrace.stopped_on
     max_iter_rows: int = 0  # rows stopped unconverged at PGD_MAX_ITER
-    # row -> (gradient, (window, eff)) of its last move's kept Newton trial
-    newton_ends: dict = dataclasses.field(default_factory=dict)
+    # row -> (score, i): row i of the scaled first_order's (gradient, terms,
+    # costs) at the row's end point, a start or a kept Newton trial
+    scores: dict = dataclasses.field(default_factory=dict)
+
+
+def _rows_of(score: tuple, idx) -> tuple:
+    """The rows idx of a score (gradient, chain-rule terms, costs)."""
+    grad, terms, cost = score
+    return grad[idx], tuple([t[idx] for t in terms]), cost[idx]
+
+
+def _carried(scores: dict, rows: list):
+    """The rows' score when one first_order call scored them all, else None."""
+    held = [scores.get(row, (None, 0)) for row in rows]
+    score, idx = held[0][0], [i for _, i in held]
+    if score is None or any(h[0] is not score for h in held):
+        return None
+    return score if idx == list(range(len(score[2]))) else _rows_of(score, idx)
 
 
 def _backtrack(objective, project, z: np.ndarray, fz: np.ndarray, grad: np.ndarray,
@@ -677,18 +699,19 @@ def _project_shares(z: np.ndarray, n: int, optimize_power: bool) -> np.ndarray:
 
 
 def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, n: int, *,
-                        first_order, optimize_power: bool = True) -> _PgdResult:
+                        first_order, start: tuple, optimize_power: bool = True) -> _PgdResult:
     """Minimize objective(z) over the product of two capped simplexes, per row of z0.
 
     Each row of z0 (one start, shape (R, 2n) in all) holds feasible
     budget-scaled power and compute shares (_project_shares of a start), and
-    f0 holds their objective values. All rows descend together. The vector
-    work of an iteration is one numpy call each for all running rows: the
-    `derivatives` call (the analytic gradient and Hessian blocks, see
-    JointEvaluator.derivatives), the gradient norms and row sums,
-    _newton_direction, the projection and `first_order` call of the Newton
-    trials, and one _backtrack call, which scores with the value-only
-    `objective`; the iterates stay in one (R, 2n) array.
+    f0 and start hold their values and their first_order score. All rows
+    descend together. The vector work of an iteration is one numpy call each
+    for all running rows: the `derivatives` call (the analytic gradient and
+    Hessian blocks, built from the rows' carried scores when one call scored
+    them all, _carried), the gradient norms and row sums, _newton_direction,
+    the projection and `first_order` call of the Newton trials, and one
+    _backtrack call, which scores with the value-only `objective` (a row it
+    moves carries no score); the iterates stay in one (R, 2n) array.
     Each row's rules (its Barzilai-Borwein step, Newton acceptance and
     decrement stop, quiet count, step memory, and leaving the running list)
     run on Python floats taken with one tolist() per array. They divide only
@@ -698,8 +721,8 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
     False the power block of the gradient is zeroed and the power shares
     stay as given.
     A row first tries its projected face-Newton point (_newton_direction)
-    and keeps it (and the trial's gradient and cycle, in newton_ends) when
-    f(new) <= f + 1e-2 g.(new - z) with g.(new - z) < 0. Otherwise its trial
+    and keeps it (and its score) when f(new) <= f + 1e-2 g.(new - z) with
+    g.(new - z) < 0. Otherwise its trial
     step is seeded Barzilai-Borwein style (spectral step from the row's last
     (dz, dg) pair, which copes with the steep penalty wall) and backed off by
     halving (_backtrack) until a sufficient decrease over the projected move
@@ -730,7 +753,7 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
     # moved, which selects the fallback step).
     step, quiet = [math.nan] * rows, [0] * rows
     z_prev, grad_prev = z.copy(), np.zeros_like(z)
-    newton_ends = {}
+    scores = {row: (start, row) for row in range(rows)}
     live = list(range(rows))
 
     def accept(row, value):
@@ -748,14 +771,15 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
                 break
             iterations += len(live)
             zl = z[live]
-            grad, blocks = derivatives(zl)
-            if not optimize_power:
+            grad, blocks = derivatives(zl, _carried(scores, live))
+            if not optimize_power:  # on a copy: a carried score is never written
+                grad = grad.copy()
                 grad[:, :n] = 0.0
             gnorm = np.sqrt((grad * grad).sum(axis=1))
             finite = plain = np.isfinite(gnorm)
             if not finite.all():  # a finite gradient's square overflows: use grad / max|grad|
                 big = ~finite & np.isfinite(grad).all(axis=1)
-                grad[big] /= np.abs(grad[big]).max(axis=1, keepdims=True)
+                grad = np.where(big[:, None], grad / abs(grad).max(axis=1, keepdims=True), grad)
                 gnorm = np.sqrt((grad * grad).sum(axis=1))
             gnorm, plain = gnorm.tolist(), plain.tolist()
             for row in live:
@@ -780,7 +804,7 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
                     t = slice(None) if len(trial) == len(m) else trial
                     cand = project(zm[t] + d[t])
                     slope = (g[t] * (cand - zm[t])).sum(axis=1).tolist()
-                    fc, g_new, (window, eff) = first_order(cand)
+                    fc, score = first_order(cand)
                     fc = fc.tolist()
                     flat = []  # positions in m whose Newton trial predicts no decrease
                     for i, j in enumerate(trial):
@@ -790,7 +814,7 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
                         if slope[i] < 0.0 and fc[i] <= f + 1e-2 * slope[i]:
                             done.add(j)
                             z[row] = cand[i]
-                            newton_ends[row] = (g_new[i], (window[i], eff[i]))
+                            scores[row] = (score, i)
                             accept(row, fc[i])  # a Newton row keeps its step
                         elif slope[i] >= 0.0:
                             flat.append(j)
@@ -822,7 +846,7 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
                     for i, row in enumerate(rows_b):
                         if took[i]:  # an unaccepted row keeps its iterate and step
                             z[row] = z_new[i]
-                            newton_ends.pop(row, None)
+                            scores.pop(row, None)
                             accept(row, f_new[i])
                             step[row] = s_new[i]
                 z_prev[moving], grad_prev[moving] = zm, g
@@ -842,16 +866,16 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
             live = running
     converged = [reason in ("decrement", "patience") for reason in stopped_on]
     return _PgdResult(z, np.array(fz), np.array(converged), iterations, tuple(stopped_on),
-                      len(live), newton_ends)
+                      len(live), scores)
 
 
 def _scaled_objective(evaluator: JointEvaluator, p_tot: float, f_tot: float):
     """(objective, derivatives, first_order) over budget-scaled shares
     z = (power, compute) / totals.
 
-    derivatives returns the gradient (R, 2n) and the per-robot Hessian blocks
-    (h_xx, h_xy, h_yy) in the scaled shares, first_order the value, gradient
-    and cycle (JointEvaluator.first_order).
+    first_order returns the value and score (gradient (R, 2n), chain-rule
+    terms, costs); derivatives(batch, score) the gradient and per-robot
+    Hessian blocks (h_xx, h_xy, h_yy), from the score when given.
     """
     n = evaluator.n
 
@@ -862,16 +886,19 @@ def _scaled_objective(evaluator: JointEvaluator, p_tot: float, f_tot: float):
         d_power, d_compute = grad
         return np.concatenate([d_power * p_tot, d_compute * f_tot], axis=-1)
 
-    def derivatives(batch: np.ndarray) -> tuple:
-        grad, (h_pp, h_pf, h_ff) = evaluator.derivatives(batch[..., :n] * p_tot,
-                                                         batch[..., n:] * f_tot)
-        return scaled(grad), (h_pp * (p_tot * p_tot), h_pf * (p_tot * f_tot),
-                              h_ff * (f_tot * f_tot))
+    def derivatives(batch: np.ndarray, score: tuple | None = None) -> tuple:
+        if score is None:
+            grad, blocks = evaluator.derivatives(batch[..., :n] * p_tot, batch[..., n:] * f_tot)
+            grad = scaled(grad)
+        else:
+            grad, blocks = score[0], evaluator.hessian_blocks(score[1])
+        h_pp, h_pf, h_ff = blocks
+        return grad, (h_pp * (p_tot * p_tot), h_pf * (p_tot * f_tot), h_ff * (f_tot * f_tot))
 
     def first_order(batch: np.ndarray) -> tuple:
-        value, grad, cycle = evaluator.first_order(batch[..., :n] * p_tot,
-                                                   batch[..., n:] * f_tot)
-        return value, scaled(grad), cycle
+        value, grad, terms, cost = evaluator.first_order(batch[..., :n] * p_tot,
+                                                         batch[..., n:] * f_tot)
+        return value, (scaled(grad), terms, cost)
     return objective, derivatives, first_order
 
 
@@ -902,47 +929,47 @@ def _compute_only_starts(evaluator: JointEvaluator, p_tot: float, f_tot: float,
 
 def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: list, *,
                 optimize_power: bool, method: str):
-    """PGD from the starts under the problem's totals: the winning row, its
-    value, the trace with the winner's projected-gradient norm as its
-    certificate, and the winner's (window, eff), or None. The certificate
-    takes the gradient of the winner's last kept Newton trial
-    (_PgdResult.newton_ends); a winner that ended at its start or after
-    backtracking takes a derivatives call and returns no cycle.
+    """PGD from the starts under the problem's totals: the winning row, the
+    trace with its projected-gradient norm as the certificate, and its
+    (value, costs, window) for _multi_result.
 
-    Every start is projected and scored once, in one call each. When every
-    robot's plant is unstable (|a| >= 1) the cost is convex where it is
-    feasible (module docstring), so only the start of lowest projected value
-    descends: every accepted step lowers the value, so the result is never
-    above any start's, and a feasible start, if there is one, wins over
-    every penalised one. With any stable plant every start descends as one
-    batch and the lowest end point wins.
+    Every start is projected and scored once, in one first_order call whose
+    score the descent carries. When every robot's plant is unstable
+    (|a| >= 1) the cost is convex where it is feasible (module docstring), so
+    only the start of lowest projected value descends: every accepted step
+    lowers the value, so the result is never above any start's, and a
+    feasible start, if there is one, wins over every penalised one. With any
+    stable plant every start descends as one batch and the lowest end point
+    wins. The winner's certificate and costs take its carried score, or one
+    first_order call after backtracking.
     """
     n = evaluator.n
     objective, derivatives, first_order = _scaled_objective(
         evaluator, problem.total_power_w, problem.total_compute_cps)
     z0 = _project_shares(np.array(starts, dtype=float), n, optimize_power)
-    f0 = objective(z0)
-    first = 0
-    if evaluator.all_unstable:
-        first = int(np.argmin(f0))
-        z0, f0 = z0[first:first + 1], f0[first:first + 1]
-    res = _projected_gradient(objective, derivatives, z0, f0, n, first_order=first_order,
-                              optimize_power=optimize_power)
-    row = int(np.argmin(res.value))
-    best = first + row
-    z = res.z[row:row + 1]
-    grad, cycle = res.newton_ends.get(row, (None, None))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        grad = derivatives(z)[0] if grad is None else grad[None, :].copy()
+        f0, score = first_order(z0)
+        first = 0
+        if evaluator.all_unstable:
+            first = int(np.argmin(f0))
+            z0, f0 = z0[first:first + 1], f0[first:first + 1]
+            score = _rows_of(score, slice(first, first + 1))
+        res = _projected_gradient(objective, derivatives, z0, f0, n, first_order=first_order,
+                                  start=score, optimize_power=optimize_power)
+        row = int(np.argmin(res.value))
+        z = res.z[row:row + 1]
+        (grad, terms, cost), i = res.scores.get(row) or (first_order(z)[1], 0)
+        grad, cost, window = grad[i:i + 1], cost[i:i + 1], terms[1][i:i + 1]
         if not optimize_power:
+            grad = grad.copy()
             grad[:, :n] = 0.0
         residual = z - _project_shares(z - grad, n, optimize_power)
         certificate = float(np.sqrt((residual * residual).sum()))
     trace = SolverTrace(iterations=res.iterations, converged=bool(res.converged[row]),
-                        restarts=len(starts), best_restart=best, method=method,
+                        restarts=len(starts), best_restart=first + row, method=method,
                         max_iter_rows=res.max_iter_rows, projected_gradient_norm=certificate,
                         stopped_on=res.stopped_on[row])
-    return z[0], res.value[row], trace, cycle
+    return z[0], trace, (res.value[row], cost, window)
 
 
 def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> AllocationResult:
@@ -971,7 +998,7 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
     (_projected_gradient) and return the shares _best_start scored times the
     totals; the trace reports the winning start, whether it converged, and
     its projected-gradient norm (projected_gradient_norm) as the certificate,
-    at the gradient of its last kept Newton trial where it has one.
+    at the gradient its end point's score carries.
     Every scheme is re-scored under the penalized LQR total (lqr_total), with
     no per-loop outcomes (JointEvaluator.outcomes builds them on request).
     The solves of one sweep share one JointEvaluator (_sweep_evaluator),
@@ -993,22 +1020,22 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
         build, method = _task_starts, "projected_gradient"
     else:
         build, method = _compute_only_starts, "projected_gradient_compute_only"
-    z, value, trace, cycle = _best_start(evaluator, problem,
-                                         build(evaluator, p_tot, f_tot, extra_starts),
-                                         optimize_power=optimize_power, method=method)
+    z, trace, scored = _best_start(evaluator, problem,
+                                   build(evaluator, p_tot, f_tot, extra_starts),
+                                   optimize_power=optimize_power, method=method)
     # the objective is the penalized LQR total of the same products z * totals
-    return _multi_result(evaluator, problem, z[:n] * p_tot, z[n:] * f_tot, value, trace,
-                         lqr_total=value, cycle=cycle)
+    return _multi_result(evaluator, problem, z[:n] * p_tot, z[n:] * f_tot, scored[0], trace,
+                         scored=scored)
 
 
 def _multi_result(evaluator: JointEvaluator, problem: MultiLoopProblem, power: np.ndarray,
                   compute: np.ndarray, objective_value: float, trace: SolverTrace, *,
-                  lqr_total: float | None = None, cycle: tuple | None = None) -> AllocationResult:
-    """The decision checked against the problem's budgets and scored from one
-    cycle evaluation, with no LoopOutcome built: all_infeasible marks every
-    loop reporting lqr_cost math.inf under pipeline.reported_costs. lqr_total
-    is the decision's penalized LQR total and cycle its (window, eff) when
-    the caller already scored them, else the cycle evaluation scores them."""
+                  scored: tuple | None = None) -> AllocationResult:
+    """The decision checked against the problem's budgets, with no
+    LoopOutcome built. scored is its (penalized LQR total, rate_cost per
+    robot, window) when the caller already has them, else one _cycle scores
+    them; all_infeasible marks every loop reporting lqr_cost math.inf under
+    pipeline.reported_costs."""
     if not (power.min() >= 0.0 and compute.min() >= 0.0):
         raise RuntimeError("allocation has a negative power or compute share")
     if not power.sum() <= problem.total_power_w * (1.0 + 1e-9):
@@ -1017,13 +1044,14 @@ def _multi_result(evaluator: JointEvaluator, problem: MultiLoopProblem, power: n
     if not compute.sum() <= problem.total_compute_cps * (1.0 + 1e-9):
         raise RuntimeError(f"allocated compute {compute.sum()!r} cps exceeds the budget "
                            f"{problem.total_compute_cps!r} cps")
-    window, eff = cycle or evaluator._cycle(power, compute)[2:]
-    reported = pipeline.reported_costs(evaluator.a_sq, evaluator.sens_w, evaluator.j_ideal,
-                                       eff, window >= 0.0)[2]
-    if np.all(reported == math.inf):
+    if scored is None:
+        _, _, window, eff = evaluator._cycle(power, compute)
+        cost = control.rate_cost(eff, evaluator.a_sq, evaluator.sens_w, evaluator.j_ideal)
+        scored = evaluator.total_cost(power, compute, (cost, eff)), cost, window
+    lqr_total, cost, window = scored
+    # reported_costs' rule: where the window fits, eff = min(cap, rate window) is >= 0 or NaN
+    if np.all(~(window >= 0.0) | (cost == math.inf)):
         trace = dataclasses.replace(trace, all_infeasible=True)
-    if lqr_total is None:
-        lqr_total = evaluator._costs(eff).sum(axis=-1)
     return AllocationResult(
         decision={"power_w": power.copy(), "compute_cps": compute.copy()},
         objective_value=float(objective_value),

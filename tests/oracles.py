@@ -259,8 +259,11 @@ def all_starts_descend(evaluator: JointEvaluator, problem: MultiLoopProblem, sta
     objective, derivatives, first_order = _scaled_objective(
         evaluator, problem.total_power_w, problem.total_compute_cps)
     z0 = _project_shares(np.array(starts, dtype=float), evaluator.n, optimize_power)
-    res = _projected_gradient(objective, derivatives, z0, objective(z0), evaluator.n,
-                              first_order=first_order, optimize_power=optimize_power)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f0, score = first_order(z0)
+    res = _projected_gradient(objective, derivatives, z0, f0, evaluator.n,
+                              first_order=first_order, start=score,
+                              optimize_power=optimize_power)
     best = int(np.argmin(res.value))
     trace = SolverTrace(iterations=res.iterations, converged=bool(res.converged[best]),
                         restarts=len(starts), best_restart=best, method=method,

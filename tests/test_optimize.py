@@ -1077,12 +1077,26 @@ def _record_starts(patch) -> list:
     return calls
 
 
+def _patch_gradient(patch, fill: float):
+    """Make every gradient a joint solve reads equal to fill (0 or NaN), at
+    its one source, JointEvaluator._chain_terms; the chain-rule terms, and so
+    the values and Hessian blocks, stay."""
+    chain_terms = JointEvaluator._chain_terms
+
+    def patched(self, power_w, compute_cps):
+        terms = chain_terms(self, power_w, compute_cps)[1]
+        return (np.full(power_w.shape, fill), np.full(compute_cps.shape, fill)), terms
+    patch.setattr(JointEvaluator, "_chain_terms", patched)
+
+
 def _descend(objective, derivatives, first_order, starts, n: int, *, optimize_power: bool):
     """optimize._projected_gradient from the starts, projected and scored first
     as optimize._best_start does."""
     z0 = optimize._project_shares(np.array(starts, dtype=float), n, optimize_power)
-    return optimize._projected_gradient(objective, derivatives, z0, objective(z0), n,
-                                        first_order=first_order,
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f0, score = first_order(z0)
+    return optimize._projected_gradient(objective, derivatives, z0, f0, n,
+                                        first_order=first_order, start=score,
                                         optimize_power=optimize_power)
 
 
@@ -1339,12 +1353,7 @@ class TestBatchedPgd:
     # counterpart on the (unstable) baseline.
 
     def test_nonfinite_gradient_never_converges(self, monkeypatch):
-        derivatives = JointEvaluator.derivatives
-
-        def nan_gradient(self, power_w, compute_cps):
-            _, blocks = derivatives(self, power_w, compute_cps)
-            return (np.full(power_w.shape, np.nan), np.full(compute_cps.shape, np.nan)), blocks
-        monkeypatch.setattr(JointEvaluator, "derivatives", nan_gradient)
+        _patch_gradient(monkeypatch, np.nan)
         for scheme in (MultiLoopScheme.TASK_ORIENTED_JOINT,
                        MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM):
             problem = _stable(default_scenario().multi_loop_problem(scheme, total_power_w=5.0))
@@ -1355,12 +1364,7 @@ class TestBatchedPgd:
             assert math.isnan(result.solver_trace.projected_gradient_norm)
 
     def test_nonfinite_gradient_stops_the_one_descent(self, monkeypatch):
-        derivatives = JointEvaluator.derivatives
-
-        def nan_gradient(self, power_w, compute_cps):
-            _, blocks = derivatives(self, power_w, compute_cps)
-            return (np.full(power_w.shape, np.nan), np.full(compute_cps.shape, np.nan)), blocks
-        monkeypatch.setattr(JointEvaluator, "derivatives", nan_gradient)
+        _patch_gradient(monkeypatch, np.nan)
         for scheme, starts in ((MultiLoopScheme.TASK_ORIENTED_JOINT, 2),
                                (MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM, 1)):
             problem = default_scenario().multi_loop_problem(scheme, total_power_w=5.0)
@@ -1408,12 +1412,7 @@ class TestBatchedPgd:
         assert [t.restarts for t in traces] == [2, 3]
 
     def test_zero_gradient_is_stationary(self, monkeypatch):
-        derivatives = JointEvaluator.derivatives
-
-        def flat_gradient(self, power_w, compute_cps):
-            _, blocks = derivatives(self, power_w, compute_cps)
-            return (np.zeros(power_w.shape), np.zeros(compute_cps.shape)), blocks
-        monkeypatch.setattr(JointEvaluator, "derivatives", flat_gradient)
+        _patch_gradient(monkeypatch, 0.0)
         problem = default_scenario().multi_loop_problem(MultiLoopScheme.TASK_ORIENTED_JOINT,
                                                         total_power_w=5.0)
         result = solve_multi_loop(_stable(problem))
@@ -1439,14 +1438,11 @@ class TestBatchedPgd:
         assert solve_multi_loop(water).solver_trace.stopped_on == ""
         single = default_scenario().single_loop_problem(SingleLoopObjective.TASK_ORIENTED)
         assert solve_single_loop(single).solver_trace.stopped_on == ""
-        derivatives = JointEvaluator.derivatives
         with monkeypatch.context() as patch:
-            patch.setattr(JointEvaluator, "derivatives", lambda self, p, f: (
-                (np.zeros(p.shape), np.zeros(f.shape)), derivatives(self, p, f)[1]))
+            _patch_gradient(patch, 0.0)
             assert stopped_on() == ["patience", "patience"]
         with monkeypatch.context() as patch:
-            patch.setattr(JointEvaluator, "derivatives", lambda self, p, f: (
-                (np.full(p.shape, np.nan), np.full(f.shape, np.nan)), derivatives(self, p, f)[1]))
+            _patch_gradient(patch, np.nan)
             assert stopped_on() == ["nonfinite_gradient", "nonfinite_gradient"]
         monkeypatch.setattr(optimize, "PGD_MAX_ITER", optimize.PGD_PATIENCE - 1)
         monkeypatch.setattr(optimize, "PGD_REL_TOL", 0.0)
@@ -1526,14 +1522,15 @@ def _same_bits(got, want) -> bool:
 
 
 class TestCarriedEndPoint:
-    """A solve's certificate and all_infeasible flag come from the gradient
-    and cycle of its last kept Newton trial where it has one: they must equal
-    a fresh derivatives call, projection and cycle evaluation bit for bit."""
+    """A solve's certificate and all_infeasible flag come from the score
+    (gradient, chain-rule terms, costs) its end point carries, a start's or
+    a kept Newton trial's, where it has one: they must equal a fresh
+    derivatives call, projection and cycle evaluation bit for bit."""
 
     @staticmethod
     def _assert_exact(ends) -> int:
         """Check every recorded end point; returns how many carried their
-        Newton trial's gradient and cycle."""
+        score."""
         carried = 0
         for evaluator, power, compute, derivatives, optimize_power, pgd, result in ends:
             n = evaluator.n
@@ -1542,10 +1539,14 @@ class TestCarriedEndPoint:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 grad = derivatives(z)[0]
                 _, _, window, eff = evaluator._cycle(power, compute)
-                if row in pgd.newton_ends:
-                    kept_grad, (kept_window, kept_eff) = pgd.newton_ends[row]
+                if row in pgd.scores:
+                    score, i = pgd.scores[row]
+                    kept_grad, (_, kept_window, kept_eff, *_), kept_cost = optimize._rows_of(
+                        score, i)
                     assert _same_bits(kept_grad, grad[0])
                     assert _same_bits(kept_eff, eff) and _same_bits(kept_window, window)
+                    assert _same_bits(kept_cost, control.rate_cost(
+                        eff, evaluator.a_sq, evaluator.sens_w, evaluator.j_ideal))
                     carried += 1
                 if not optimize_power:
                     grad[:, :n] = 0.0
@@ -1593,12 +1594,106 @@ class TestCarriedEndPoint:
             power = rng.dirichlet(np.ones(ev.n), 50) * problem.total_power_w
             compute = rng.dirichlet(np.ones(ev.n), 50) * problem.total_compute_cps
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                value, grad, (window, eff) = ev.first_order(power, compute)
+                value, grad, (_, window, eff, *_), cost = ev.first_order(power, compute)
                 _, _, want_window, want_eff = ev._cycle(power, compute)
                 assert _same_bits(value, ev.total_cost(power, compute))
+                assert _same_bits(cost, control.rate_cost(want_eff, ev.a_sq, ev.sens_w,
+                                                          ev.j_ideal))
                 assert all(_same_bits(g, w) for g, w in zip(grad, ev.derivatives(power,
                                                                                  compute)[0]))
             assert _same_bits(eff, want_eff) and _same_bits(window, want_window)
+
+
+# Per-robot power and compute, in budget-scaled shares: none, a tiny or a
+# typical share, and one past any budget (a rate-clamped loop, given a cap
+# above control.RATE_CLAMP_BITS); compute below pipeline.COMPUTE_FLOOR_CPS too
+_POWER_SHARES = st.sampled_from([0.0, 1e-300, 0.05, 0.3, 0.9, 1e250])
+_COMPUTE_SHARES = st.one_of(st.sampled_from([0.0, 1e-25, 1e250]), st.floats(0.01, 1.0))
+
+
+class TestScoredOnce:
+    """Each point of a joint solve is scored once (JointEvaluator.first_order),
+    and what reads that score must equal what a fresh call would give, bit
+    for bit: the Hessian blocks built from carried chain-rule terms, and the
+    result's all_infeasible flag taken from carried costs and windows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_robots=st.integers(1, 4), stable=st.booleans(),
+           cap_bits=st.sampled_from([None, 3.0, 1000.0]),
+           w_cov=st.sampled_from([1.0, 1e300, 1e308]), data=st.data())
+    def test_blocks_from_carried_terms_equal_derivatives(self, seed, n_robots, stable,
+                                                         cap_bits, w_cov, data):
+        """Random batches with penalised robots (starved of power or compute),
+        capped ones (a cap of 3 bits), rate-clamped ones (a cap of 1000 bits
+        and power past any budget), robots below the compute floor and, with
+        a plant noise of 1e300 or 1e308 on robot 0, slopes and costs that
+        overflow, on stable and unstable plants: the blocks from the carried
+        terms equal a derivatives call at the same point, for the whole batch
+        and for each row carried alone out of it (the start a one-descent
+        solve keeps), in watts and in scaled shares."""
+        problem = random_joint_problem(np.random.default_rng(seed), n_robots=n_robots,
+                                       stable=stable)
+        robots = list(problem.robots)
+        robots[0] = dataclasses.replace(
+            robots[0], plant=dataclasses.replace(robots[0].plant, w_cov=w_cov))
+        problem = dataclasses.replace(problem, robots=tuple(robots))
+        if cap_bits is not None:
+            budget = dataclasses.replace(
+                problem.budget, extraction_ratio=cap_bits / problem.uplink_fixed_bits)
+            problem = dataclasses.replace(problem, budget=budget)
+        rows = data.draw(st.integers(1, 6))
+        z = np.array([data.draw(st.lists(_POWER_SHARES, min_size=n_robots, max_size=n_robots))
+                      + data.draw(st.lists(_COMPUTE_SHARES, min_size=n_robots,
+                                           max_size=n_robots)) for _ in range(rows)])
+        ev = JointEvaluator(problem)
+        p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
+        power, compute = z[:, :n_robots] * p_tot, z[:, n_robots:] * f_tot
+        _, derivatives, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
+        with np.errstate(all="ignore"):
+            want_grad, want_blocks = ev.derivatives(power, compute)
+            _, grad, terms, _ = ev.first_order(power, compute)
+            assert all(_same_bits(g, w) for g, w in zip(grad, want_grad))
+            assert all(_same_bits(h, w) for h, w in zip(ev.hessian_blocks(terms), want_blocks))
+            score = first_order(z)[1]
+            pairs = [(derivatives(z, score), derivatives(z))]
+            for i in range(rows):
+                alone = optimize._carried({0: (score, i)}, [0])
+                pairs.append((derivatives(z[i:i + 1], alone), derivatives(z[i:i + 1])))
+        for (got_grad, got_blocks), (fresh_grad, fresh_blocks) in pairs:
+            assert _same_bits(got_grad, fresh_grad)
+            assert all(_same_bits(h, w) for h, w in zip(got_blocks, fresh_blocks))
+
+    @settings(max_examples=300, deadline=None)
+    @given(columns=st.lists(st.tuples(
+               st.sampled_from([-math.inf, -1.0, -0.0, 0.0, 1e-3, 0.01, math.inf, math.nan]),
+               st.sampled_from([0.0, 1.0, 1e4, 1e5, 1e300, math.inf, math.nan]),
+               st.sampled_from([0.25, 0.81, 1.0, 4.0, 2.25]),
+               st.sampled_from([1.0, 1e300, math.inf])),
+           min_size=1, max_size=5),
+           cap_bits=st.sampled_from([3.0, 200.0, 1000.0]))
+    @example(columns=[(0.01, 1e4, 4.0, 1e300)], cap_bits=1.000000000001)  # the cost overflows
+    @example(columns=[(-0.0, 1e4, 0.25, 1.0), (0.01, 0.0, 4.0, 1.0)], cap_bits=3.0)
+    def test_all_infeasible_is_the_reported_rule(self, columns, cap_bits):
+        """_multi_result's all_infeasible from carried (rate_cost, window)
+        equals pipeline.reported_costs' rule on the same cycle. The columns
+        are what JointEvaluator._cycle gives, eff = min(cap, rate * window)
+        at a rate >= 0, with windows of -0.0, 0, NaN and +-inf, rates of 0,
+        inf and NaN (eff NaN), stable and unstable plants and, with a
+        sensitivity of 1e300 and eff capped just past the threshold, a
+        stable loop whose cost overflows to inf."""
+        window, rate, a_sq, sens_w = (np.array(c) for c in zip(*columns))
+        with np.errstate(all="ignore"):
+            eff = np.minimum(cap_bits, rate * window)
+            cost = control.rate_cost(eff, a_sq, sens_w, 1.0)
+            reported = pipeline.reported_costs(a_sq, sens_w, 1.0, eff, window >= 0.0)[2]
+        problem = random_joint_problem(np.random.default_rng(0), n_robots=len(columns))
+        ev = JointEvaluator(problem)
+        power = np.full(ev.n, problem.total_power_w / ev.n)
+        compute = np.full(ev.n, problem.total_compute_cps / ev.n)
+        result = optimize._multi_result(ev, problem, power, compute, 0.0,
+                                        optimize.SolverTrace(iterations=0, converged=True),
+                                        scored=(0.0, cost, window))
+        assert result.solver_trace.all_infeasible == bool(np.all(reported == math.inf))
 
 
 class TestDeterministicStarts:

@@ -828,16 +828,22 @@ class TestBaselineSweepWork:
     def test_multi_loop_work_per_run(self, tmp_path, monkeypatch):
         """The solver work of one baseline multi-loop run, pinned: a leaner
         iteration must not add descents, row-iterations (task-oriented ones
-        counted apart), objective calls, Newton-trial scorings, derivative
-        calls, projections or water-fills. The max-throughput solve and the
-        task-oriented starts at one power total share one water-fill. With the
-        predicted starts no row backtracks (42 task-oriented and 34
+        counted apart), cycle evaluations, objective calls, scorings,
+        derivative calls, projections or water-fills. The max-throughput solve
+        and the task-oriented starts at one power total share one water-fill.
+        With the predicted starts no row backtracks (42 task-oriented and 34
         compute-only row-iterations, 125 objective calls, 167 projections and
-        4 backtracking searches without them). Every descent ends at a kept
-        Newton point, so its certificate takes that trial's gradient: the 42
-        certificate calls of derivatives are gone (100 before, 58 in the
-        iterations and 42 certificates), and the 58 Newton trials are scored
-        by first_order, not total_cost (100 before: 42 starts and 58 trials).
+        4 backtracking searches without them). Each point a solve stands on
+        is scored once: the 42 start batches (by total_cost alone before)
+        and the 58 Newton trials by first_order, the 21 water-filled
+        decisions by one _cycle (no gradient is read there), each summing
+        its value through total_cost. The first iteration builds its
+        Hessian blocks from the chosen start's terms and every later one
+        from its kept Newton point's, so no full derivatives call is left
+        (58 before); each certificate takes the carried gradient, and each
+        result's all_infeasible the carried costs and window, so
+        reported_costs has no caller (63 before). That is 121 _cycle calls,
+        one per point scored (179 before).
         """
         counts = {}
 
@@ -854,17 +860,20 @@ class TestBaselineSweepWork:
                 return result
             monkeypatch.setattr(owner, name, counted)
         count(optimize, "_projected_gradient")
+        count(optimize.JointEvaluator, "_cycle")
         count(optimize.JointEvaluator, "total_cost")
         count(optimize.JointEvaluator, "first_order")
         count(optimize.JointEvaluator, "derivatives")
+        count(optimize.pipeline, "reported_costs")
         count(optimize, "project_capped_simplex")
         count(optimize, "water_fill_power")
         count(optimize, "_backtrack")
         assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
         assert counts == {"_projected_gradient": 42, "task_oriented_row_iterations": 29,
-                          "compute_only_row_iterations": 29, "total_cost": 42,
-                          "first_order": 58, "derivatives": 58,
-                          "project_capped_simplex": 142, "water_fill_power": 21}
+                          "compute_only_row_iterations": 29, "_cycle": 121,
+                          "first_order": 100, "total_cost": 121,
+                          "project_capped_simplex": 142,
+                          "water_fill_power": 21}
 
     def test_newton_trials_below_the_tolerance_end_their_solves(self, tmp_path, monkeypatch):
         """Three baseline solves once ran on to PGD_PATIENCE (6, 5 and 5
