@@ -38,10 +38,11 @@ one batched numpy call for all running rows, and backtracking one per block
 of halvings that some row still needs (_HALVING_BLOCKS); each row's
 step choice, stopping test and bookkeeping run on Python floats. The trace
 certifies the returned point with its projected-gradient norm
-(SolverTrace.projected_gradient_norm). Each point a solve stands on, its
+(SolverTrace.projected_gradient_norm), computed on first read: one projection,
+a sort per block, that no solve pays for. Each point a solve stands on, its
 start batch and each Newton trial, is scored once, by JointEvaluator.first_order
 (value, gradient, chain-rule terms, per-robot costs): the next Hessian blocks
-of a kept point, the certificate and the result all read that score.
+of a kept point, the certificate's gradient and the result all read that score.
 
 Any one loop is scored on Python floats, with 4^R by libm's pow: the
 single-loop split once, by pipeline.outcome_at_rates, and each robot of
@@ -164,13 +165,26 @@ class SolverTrace:
     # why the winning start of a projected-gradient solve stopped: "decrement",
     # "patience", "nonfinite_gradient" or "max_iter" ("" for the other solves)
     stopped_on: str = ""
-    # The certificate of a projected-gradient solve: ||z - P(z - grad f(z))||
-    # in budget-scaled shares at the returned point, 0 exactly at a KKT point
-    # (NaN for the solves that run no projected gradient). grad f(z) is the one
-    # z's score carries (_best_start), bit for bit a derivatives call at z
-    projected_gradient_norm: float = math.nan
+    # A projected-gradient solve's (z, grad f(z), n, optimize_power) for its
+    # certificate: its returned point and the gradient that point's score
+    # carries (_best_start), as one-row read-only copies; None for the others
+    end_point: tuple | None = dataclasses.field(default=None, compare=False, repr=False)
     # Not a field: there is no grid fallback, but the benchmark tracer reads it.
     fallback_dense_grid = False
+
+    @functools.cached_property
+    def projected_gradient_norm(self) -> float:
+        """The certificate ||z - P(z - grad f(z))|| in budget-scaled shares at
+        end_point, 0 exactly at a KKT point, NaN without one. Computed on first
+        read, by one _project_shares call (a sort per block), and then cached."""
+        if self.end_point is None:
+            return math.nan
+        z, grad, n, optimize_power = self.end_point
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if not optimize_power:  # the frozen power block, zeroed on a copy
+                grad = np.concatenate([np.zeros((1, n)), grad[:, n:]], axis=1)
+            residual = z - _project_shares(z - grad, n, optimize_power)
+            return float(np.sqrt((residual * residual).sum()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -930,8 +944,8 @@ def _compute_only_starts(evaluator: JointEvaluator, p_tot: float, f_tot: float,
 def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: list, *,
                 optimize_power: bool, method: str):
     """PGD from the starts under the problem's totals: the winning row, the
-    trace with its projected-gradient norm as the certificate, and its
-    (value, costs, window) for _multi_result.
+    trace with its end point for the certificate (computed on first read),
+    and its (value, costs, window) for _multi_result.
 
     Every start is projected and scored once, in one first_order call whose
     score the descent carries. When every robot's plant is unstable
@@ -940,8 +954,8 @@ def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: li
     lowers the value, so the result is never above any start's, and a
     feasible start, if there is one, wins over every penalised one. With any
     stable plant every start descends as one batch and the lowest end point
-    wins. The winner's certificate and costs take its carried score, or one
-    first_order call after backtracking.
+    wins. The winner's gradient and costs come from its carried score, or
+    one first_order call after backtracking.
     """
     n = evaluator.n
     objective, derivatives, first_order = _scaled_objective(
@@ -957,18 +971,14 @@ def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: li
         res = _projected_gradient(objective, derivatives, z0, f0, n, first_order=first_order,
                                   start=score, optimize_power=optimize_power)
         row = int(np.argmin(res.value))
-        z = res.z[row:row + 1]
+        z = res.z[row:row + 1].copy()  # copies: a view would keep the batch alive
         (grad, terms, cost), i = res.scores.get(row) or (first_order(z)[1], 0)
-        grad, cost, window = grad[i:i + 1], cost[i:i + 1], terms[1][i:i + 1]
-        if not optimize_power:
-            grad = grad.copy()
-            grad[:, :n] = 0.0
-        residual = z - _project_shares(z - grad, n, optimize_power)
-        certificate = float(np.sqrt((residual * residual).sum()))
+        grad, cost, window = grad[i:i + 1].copy(), cost[i:i + 1], terms[1][i:i + 1]
+    z.flags.writeable = grad.flags.writeable = False
     trace = SolverTrace(iterations=res.iterations, converged=bool(res.converged[row]),
                         restarts=len(starts), best_restart=first + row, method=method,
-                        max_iter_rows=res.max_iter_rows, projected_gradient_norm=certificate,
-                        stopped_on=res.stopped_on[row])
+                        max_iter_rows=res.max_iter_rows, stopped_on=res.stopped_on[row],
+                        end_point=(z, grad, n, optimize_power))
     return z[0], trace, (res.value[row], cost, window)
 
 
@@ -998,7 +1008,7 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
     (_projected_gradient) and return the shares _best_start scored times the
     totals; the trace reports the winning start, whether it converged, and
     its projected-gradient norm (projected_gradient_norm) as the certificate,
-    at the gradient its end point's score carries.
+    computed on first read from the gradient its end point's score carries.
     Every scheme is re-scored under the penalized LQR total (lqr_total), with
     no per-loop outcomes (JointEvaluator.outcomes builds them on request).
     The solves of one sweep share one JointEvaluator (_sweep_evaluator),

@@ -596,7 +596,8 @@ class TestJointEvaluator:
     def test_shared_robots_never_read_stale_totals(self):
         """Solves that share robots but differ in totals and scheme (A, B, A:
         one evaluator), then in budget and uplink volume (C: a new one), each
-        equal a solve of a copy with fresh robots bit for bit."""
+        equal a solve of a copy with fresh robots bit for bit. == on traces
+        skips the certificate (computed on read), so it is compared apart."""
         a = _default_joint()
         b = dataclasses.replace(a, total_power_w=2.0, total_compute_cps=0.5 * a.total_compute_cps,
                                 scheme=MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM)
@@ -613,6 +614,8 @@ class TestJointEvaluator:
             assert got.lqr_total == want.lqr_total
             assert got.objective_value == want.objective_value
             assert got.solver_trace == want.solver_trace
+            assert _same_bits(got.solver_trace.projected_gradient_norm,
+                              want.solver_trace.projected_gradient_norm)
 
     def test_one_rate_cost_model_per_distinct_plant(self):
         shared = JointEvaluator(_default_joint())
@@ -2016,3 +2019,19 @@ class TestGridOracle:
         assert len(problem.robots) == 5
         with pytest.raises(DimensionTooLargeError):
             grid_oracle(problem, 50)
+
+
+class TestReadmeLibrary:
+    def test_library_block_runs(self, capsys):
+        """The README's `## Library` example executes as written: a joint
+        solve whose certificate, read on request, is a converged one, and the
+        five per-robot outcomes built for its decision."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Library\n", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        trace = namespace["joint"].solver_trace
+        assert trace.converged and 0.0 <= trace.projected_gradient_norm < 1e-6
+        assert len(namespace["outcomes"]) == 5
+        assert repr(trace.projected_gradient_norm) in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """CLI and emission tests: schemas, metadata, determinism, exit codes."""
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -843,7 +844,10 @@ class TestBaselineSweepWork:
         (58 before); each certificate takes the carried gradient, and each
         result's all_infeasible the carried costs and window, so
         reported_costs has no caller (63 before). That is 121 _cycle calls,
-        one per point scored (179 before).
+        one per point scored (179 before). The certificate is computed on
+        first read and the CLI reads none, so no solve projects for it: 100
+        projections, 142 when each of the 42 descents projected its end
+        point once more for the certificate.
         """
         counts = {}
 
@@ -872,8 +876,44 @@ class TestBaselineSweepWork:
         assert counts == {"_projected_gradient": 42, "task_oriented_row_iterations": 29,
                           "compute_only_row_iterations": 29, "_cycle": 121,
                           "first_order": 100, "total_cost": 121,
-                          "project_capped_simplex": 142,
+                          "project_capped_simplex": 100,
                           "water_fill_power": 21}
+
+    def test_certificates_cost_one_projection_on_read(self, tmp_path, monkeypatch):
+        """A baseline multi-loop run projects nothing for its certificates:
+        reading them afterwards takes one projection per projected-gradient
+        solve (42) and none for a max-throughput one (NaN), and a second
+        read none. Each trace keeps one-row copies of its end point and
+        gradient, read-only and owning their data (a view would keep the
+        start batch alive), and a dataclasses.replace copy, as
+        _multi_result makes for all_infeasible, certifies bit for bit alike."""
+        solves = self._record_solves(monkeypatch)
+        assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
+        calls = []
+        original = optimize.project_capped_simplex
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+        monkeypatch.setattr(optimize, "project_capped_simplex", counted)
+        traces = [result.solver_trace for _, _, result in solves]
+        first = [trace.projected_gradient_norm for trace in traces]
+        assert len(calls) == 42 == sum(trace.end_point is not None for trace in traces)
+        assert [t.projected_gradient_norm.hex() for t in traces] == [c.hex() for c in first]
+        assert len(calls) == 42
+        for (problem, _, _), trace, certificate in zip(solves, traces, first):
+            if problem.scheme == optimize.MultiLoopScheme.MAX_THROUGHPUT_JOINT:
+                assert trace.end_point is None and math.isnan(certificate)
+                continue
+            z, grad, n, optimize_power = trace.end_point
+            assert n == 5 and optimize_power == (
+                problem.scheme == optimize.MultiLoopScheme.TASK_ORIENTED_JOINT)
+            for array in (z, grad):
+                assert array.shape == (1, 2 * n)
+                assert array.base is None and not array.flags.writeable
+            flagged = dataclasses.replace(trace, all_infeasible=True)
+            assert flagged.end_point is trace.end_point
+            assert flagged.projected_gradient_norm.hex() == certificate.hex()
 
     def test_newton_trials_below_the_tolerance_end_their_solves(self, tmp_path, monkeypatch):
         """Three baseline solves once ran on to PGD_PATIENCE (6, 5 and 5
