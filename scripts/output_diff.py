@@ -8,13 +8,16 @@ default SIMD dispatch and under NPY_DISABLE_CPU_FEATURES:
     python3 scripts/output_diff.py --tree PARENT --tree .
     python3 scripts/output_diff.py --tree . --disable "X86_V4 AVX512_ICL AVX512_SPR"
 
-The corpus (--corpus, all three groups by default):
+The corpus (--corpus, all four groups by default):
 
     default  single-loop, multi-loop and contour on the built-in scenario
     docs     single-loop on the 1,000 generated documents of seeds 1-10
              (bench/workloads.generate_documents, 100 per seed)
     large    multi-loop at 50, 500 and 2,000 robots, each with the
              baseline's per-robot budgets
+    joint    multi-loop and a 6x6 contour on two stable plants (a = 0.5
+             and a = 0.05, where every start of a solve descends) and on
+             20 robots (penalised loops, rows that move by backtracking)
 
 --verbs keeps only the runs of the named verbs. Each configuration runs the
 whole corpus in one child process (PYTHONPATH=TREE/src), which calls
@@ -42,6 +45,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1, 11)
 LARGE_N = (50, 500, 2000)
+JOINT = {"stable-0.5": "plant: {a: 0.5}\n", "stable-0.05": "plant: {a: 0.05}\n",
+         "robots-20": "multi_loop: {n_robots: 20}\n"}
+JOINT_CONTOUR = "contour: {power_points: 6, compute_points: 6}\n"
 
 # one child per configuration: run every job, record its exit code
 RUNNER = """
@@ -88,6 +94,11 @@ def corpus(groups, verbs, inputs: Path) -> list:
             path = inputs / f"large-{n}.yaml"
             path.write_text(large_document(n), encoding="utf-8")
             runs.append((path.stem, "multi-loop", path))
+    if "joint" in groups:
+        for name, text in JOINT.items():
+            path = inputs / f"joint-{name}.yaml"
+            path.write_text(text + JOINT_CONTOUR, encoding="utf-8")
+            runs += [(f"{path.stem}-{verb}", verb, path) for verb in ("multi-loop", "contour")]
     return [run for run in runs if verbs is None or run[1] in verbs]
 
 
@@ -170,8 +181,8 @@ def main(argv=None) -> int:
                         help="a source tree (twice: compare two trees)")
     parser.add_argument("--disable", help="NPY_DISABLE_CPU_FEATURES of the second run "
                                           "of a single tree")
-    parser.add_argument("--corpus", nargs="+", choices=("default", "docs", "large"),
-                        default=["default", "docs", "large"])
+    parser.add_argument("--corpus", nargs="+", choices=("default", "docs", "large", "joint"),
+                        default=["default", "docs", "large", "joint"])
     parser.add_argument("--verbs", nargs="+", choices=("single-loop", "multi-loop", "contour"))
     parser.add_argument("--tolerance", type=float, default=0.0)
     args = parser.parse_args(argv)

@@ -32,17 +32,20 @@ decrease of at most PGD_REL_TOL of its value stops in that iteration, at
 the Newton point if it kept it, else where its backtracking left it (a
 decrease that small can score an ulp above the value); a row whose Newton
 step predicts no decrease stops where it stands if it is stationary. The
-vector math of
-an iteration (derivatives, Newton step, projection, Newton trial) is
-one batched numpy call for all running rows, and backtracking one per block
+vector math of an iteration (gradient and Hessian blocks, Newton step,
+projection, Newton trial) is one batched numpy call for all running rows,
+and backtracking one per block
 of halvings that some row still needs (_HALVING_BLOCKS); each row's
 step choice, stopping test and bookkeeping run on Python floats. The trace
 certifies the returned point with its projected-gradient norm
 (SolverTrace.projected_gradient_norm), computed on first read: one projection,
-a sort per block, that no solve pays for. Each point a solve stands on, its
-start batch and each Newton trial, is scored once, by JointEvaluator.first_order
-(value, gradient, chain-rule terms, per-robot costs): the next Hessian blocks
-of a kept point, the certificate's gradient and the result all read that score.
+a sort per block, that no solve pays for. Each point a solve stands on (its
+start batch, each Newton trial, and a row that moved by backtracking, at its
+next iteration) is scored by JointEvaluator.first_order (value, gradient,
+chain-rule terms, per-robot costs): the point's Hessian blocks, the
+certificate's gradient and the result all read that score. An iteration
+whose running rows hold no common score scores them all in one call; the
+backtracking trials are scored for their value alone.
 
 Any one loop is scored on Python floats, with 4^R by libm's pow: the
 single-loop split once, by pipeline.outcome_at_rates, and each robot of
@@ -423,10 +426,22 @@ class JointEvaluator:
     def total_cost(self, power_w: np.ndarray, compute_cps: np.ndarray, scored=None):
         return self.cost_vector(power_w, compute_cps, scored).sum(axis=-1)
 
-    def _chain_terms(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
-        """(dJ/dp, dJ/df) per robot (derivatives) and the chain-rule terms that
-        first_order and the Hessian reuse, from one _cycle: (rate, window, eff,
-        pow4, gap, finite, slope, 1 + p g, d_rate, max(f, floor), d_window)."""
+    def first_order(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
+        """The score of a decision, from one _cycle: (total_cost, (dJ/dp, dJ/df)
+        per robot, chain-rule terms, rate_cost per robot). The terms are
+        (rate, window, eff, pow4, gap, finite, slope, 1 + p g, d_rate,
+        max(f, floor), d_window), what hessian_blocks reads.
+
+        Gradient: dJ/deff is -w ln4 4^eff / (4^eff - a^2)^2 on a feasible loop
+        and -1 on the penalty. It is 0 past the rate clamp and where the
+        extraction cap binds, which is the one-sided slope at the cap kink:
+        more of either resource buys nothing there. Below the compute floor
+        the window does not depend on compute, so dJ/dcompute is 0.
+
+        At or below the data-rate threshold the unused feasible-branch terms
+        may divide by a zero gap; callers that reach it silence the warning
+        (_projected_gradient does).
+        """
         rate, _, window, eff = self._cycle(power_w, compute_cps)
         pow4, gap, finite = control.rate_gap(eff, self.a_sq)
         slope = np.where(finite, self._slope_scale * (pow4 / gap) / gap, -1.0)
@@ -436,19 +451,25 @@ class JointEvaluator:
         floor = pipeline.COMPUTE_FLOOR_CPS
         clamped = np.maximum(compute_cps, floor)
         d_window = np.where(compute_cps > floor, self.comp_cycles / clamped ** 2, 0.0)
-        return ((slope * window * d_rate, slope * rate * d_window),
-                (rate, window, eff, pow4, gap, finite, slope, lin, d_rate, clamped, d_window))
-
-    def first_order(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
-        """(total_cost, derivatives' gradient, chain-rule terms, rate_cost per
-        robot) of a decision, bit for bit, from one _cycle."""
-        grad, terms = self._chain_terms(power_w, compute_cps)
-        _, _, eff, _, gap, finite, *_ = terms
         cost = control.gap_cost(gap, finite, self.sens_w, self.j_ideal)
-        return self.total_cost(power_w, compute_cps, (cost, eff)), grad, terms, cost
+        return (self.total_cost(power_w, compute_cps, (cost, eff)),
+                (slope * window * d_rate, slope * rate * d_window),
+                (rate, window, eff, pow4, gap, finite, slope, lin, d_rate, clamped, d_window),
+                cost)
 
     def hessian_blocks(self, terms: tuple) -> tuple:
-        """derivatives' Hessian blocks from _chain_terms' terms, bit for bit."""
+        """The closed-form 2x2 Hessian blocks of cost_vector per robot,
+        (d2J/dp2, d2J/dp df, d2J/df2), from first_order's chain-rule terms.
+
+        The cost is separable by robot, so the full Hessian is
+        block-diagonal. With eff = r(p) w(f) below the cap, the chain rule
+        gives d2J/dp2 = J'' (r' w)^2 + J' r'' w, d2J/df2 = J'' (r w')^2 +
+        J' r w'' and d2J/dp df = J'' (r' w)(r w') + J' r' w', where J' is
+        dJ/deff, J'' = w ln4^2 4^eff (4^eff + a^2) / (4^eff - a^2)^3 on a
+        feasible loop (0 on the penalty), that is -J' ln4 (4^eff + a^2) /
+        (4^eff - a^2), r'' = -r' g / (1 + p g) and w'' = -2 w' / f. The block
+        is 0 wherever the slope is (cap, rate clamp).
+        """
         rate, window, _, pow4, gap, finite, slope, lin, d_rate, clamped, d_window = terms
         curve = np.where(finite, -slope * math.log(4.0) * ((pow4 + self.a_sq) / gap), 0.0)
         dd_rate = -d_rate * self.snr_per_w / lin
@@ -457,33 +478,6 @@ class JointEvaluator:
         return (curve * e_p * e_p + slope * dd_rate * window,
                 curve * e_p * e_f + slope * d_rate * d_window,
                 curve * e_f * e_f + slope * rate * dd_window)
-
-    def derivatives(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
-        """Closed-form gradient and 2x2 Hessian blocks of cost_vector, per robot.
-
-        Returns ((dJ/dp, dJ/df), (d2J/dp2, d2J/dp df, d2J/df2)), via _chain_terms.
-
-        Gradient: dJ/deff is -w ln4 4^eff / (4^eff - a^2)^2 on a feasible loop
-        and -1 on the penalty. It is 0 past the rate clamp and where the
-        extraction cap binds, which is the one-sided slope at the cap kink:
-        more of either resource buys nothing there. Below the compute floor
-        the window does not depend on compute, so dJ/dcompute is 0.
-
-        Hessian: the cost is separable by robot, so the full Hessian is
-        block-diagonal. With eff = r(p) w(f) below the cap, the chain rule
-        gives d2J/dp2 = J'' (r' w)^2 + J' r'' w, d2J/df2 = J'' (r w')^2 +
-        J' r w'' and d2J/dp df = J'' (r' w)(r w') + J' r' w', where J' is
-        dJ/deff, J'' = w ln4^2 4^eff (4^eff + a^2) / (4^eff - a^2)^3 on a
-        feasible loop (0 on the penalty), that is -J' ln4 (4^eff + a^2) /
-        (4^eff - a^2), r'' = -r' g / (1 + p g) and w'' = -2 w' / f. The block
-        is 0 wherever the slope is (cap, rate clamp).
-
-        At or below the data-rate threshold the unused feasible-branch terms
-        may divide by a zero gap; callers that reach it silence the warning
-        (_projected_gradient does).
-        """
-        grad, terms = self._chain_terms(power_w, compute_cps)
-        return grad, self.hessian_blocks(terms)
 
     def outcomes(self, power_w: np.ndarray, compute_cps: np.ndarray) -> tuple:
         """Per-robot LoopOutcomes of a decision, on request, each scored on
@@ -607,7 +601,8 @@ class _PgdResult:
     stopped_on: tuple  # per row: SolverTrace.stopped_on
     max_iter_rows: int = 0  # rows stopped unconverged at PGD_MAX_ITER
     # row -> (score, i): row i of the scaled first_order's (gradient, terms,
-    # costs) at the row's end point, a start or a kept Newton trial
+    # costs) at the row's end point: a start, a kept Newton trial, or where a
+    # backtracked row was scored again at its next iteration
     scores: dict = dataclasses.field(default_factory=dict)
 
 
@@ -712,7 +707,7 @@ def _project_shares(z: np.ndarray, n: int, optimize_power: bool) -> np.ndarray:
     return np.concatenate([z[:, :n], project_capped_simplex(z[:, n:], 1.0)], axis=1)
 
 
-def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, n: int, *,
+def _projected_gradient(objective, hessian, z0: np.ndarray, f0: np.ndarray, n: int, *,
                         first_order, start: tuple, optimize_power: bool = True) -> _PgdResult:
     """Minimize objective(z) over the product of two capped simplexes, per row of z0.
 
@@ -720,10 +715,11 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
     budget-scaled power and compute shares (_project_shares of a start), and
     f0 and start hold their values and their first_order score. All rows
     descend together. The vector work of an iteration is one numpy call each
-    for all running rows: the `derivatives` call (the analytic gradient and
-    Hessian blocks, built from the rows' carried scores when one call scored
-    them all, _carried), the gradient norms and row sums, _newton_direction,
-    the projection and `first_order` call of the Newton trials, and one
+    for all running rows: the gradient and `hessian` blocks, read from the
+    rows' carried score when one first_order call scored them all (_carried)
+    and else from one first_order call on the rows, whose score they then
+    carry; the gradient norms and row sums, _newton_direction, the
+    projection and `first_order` call of the Newton trials, and one
     _backtrack call, which scores with the value-only `objective` (a row it
     moves carries no score); the iterates stay in one (R, 2n) array.
     Each row's rules (its Barzilai-Borwein step, Newton acceptance and
@@ -785,7 +781,11 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
                 break
             iterations += len(live)
             zl = z[live]
-            grad, blocks = derivatives(zl, _carried(scores, live))
+            score = _carried(scores, live)
+            if score is None:  # a row moved by backtracking, or rows scored by two calls
+                score = first_order(zl)[1]
+                scores.update((row, (score, k)) for k, row in enumerate(live))
+            grad, blocks = score[0], hessian(score[1])
             if not optimize_power:  # on a copy: a carried score is never written
                 grad = grad.copy()
                 grad[:, :n] = 0.0
@@ -884,36 +884,28 @@ def _projected_gradient(objective, derivatives, z0: np.ndarray, f0: np.ndarray, 
 
 
 def _scaled_objective(evaluator: JointEvaluator, p_tot: float, f_tot: float):
-    """(objective, derivatives, first_order) over budget-scaled shares
+    """(objective, hessian, first_order) over budget-scaled shares
     z = (power, compute) / totals.
 
-    first_order returns the value and score (gradient (R, 2n), chain-rule
-    terms, costs); derivatives(batch, score) the gradient and per-robot
-    Hessian blocks (h_xx, h_xy, h_yy), from the score when given.
+    objective returns the value alone; first_order the value and the score
+    (gradient (R, 2n), chain-rule terms, costs); hessian(terms) the
+    per-robot Hessian blocks (h_xx, h_xy, h_yy) from a score's terms.
     """
     n = evaluator.n
 
     def objective(batch: np.ndarray) -> np.ndarray:
         return evaluator.total_cost(batch[..., :n] * p_tot, batch[..., n:] * f_tot)
 
-    def scaled(grad: tuple) -> np.ndarray:
-        d_power, d_compute = grad
-        return np.concatenate([d_power * p_tot, d_compute * f_tot], axis=-1)
-
-    def derivatives(batch: np.ndarray, score: tuple | None = None) -> tuple:
-        if score is None:
-            grad, blocks = evaluator.derivatives(batch[..., :n] * p_tot, batch[..., n:] * f_tot)
-            grad = scaled(grad)
-        else:
-            grad, blocks = score[0], evaluator.hessian_blocks(score[1])
-        h_pp, h_pf, h_ff = blocks
-        return grad, (h_pp * (p_tot * p_tot), h_pf * (p_tot * f_tot), h_ff * (f_tot * f_tot))
+    def hessian(terms: tuple) -> tuple:
+        h_pp, h_pf, h_ff = evaluator.hessian_blocks(terms)
+        return h_pp * (p_tot * p_tot), h_pf * (p_tot * f_tot), h_ff * (f_tot * f_tot)
 
     def first_order(batch: np.ndarray) -> tuple:
-        value, grad, terms, cost = evaluator.first_order(batch[..., :n] * p_tot,
-                                                         batch[..., n:] * f_tot)
-        return value, (scaled(grad), terms, cost)
-    return objective, derivatives, first_order
+        value, (d_power, d_compute), terms, cost = evaluator.first_order(
+            batch[..., :n] * p_tot, batch[..., n:] * f_tot)
+        grad = np.concatenate([d_power * p_tot, d_compute * f_tot], axis=-1)
+        return value, (grad, terms, cost)
+    return objective, hessian, first_order
 
 
 def _task_starts(evaluator: JointEvaluator, p_tot: float, f_tot: float,
@@ -958,7 +950,7 @@ def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: li
     one first_order call after backtracking.
     """
     n = evaluator.n
-    objective, derivatives, first_order = _scaled_objective(
+    objective, hessian, first_order = _scaled_objective(
         evaluator, problem.total_power_w, problem.total_compute_cps)
     z0 = _project_shares(np.array(starts, dtype=float), n, optimize_power)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -968,7 +960,7 @@ def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: li
             first = int(np.argmin(f0))
             z0, f0 = z0[first:first + 1], f0[first:first + 1]
             score = _rows_of(score, slice(first, first + 1))
-        res = _projected_gradient(objective, derivatives, z0, f0, n, first_order=first_order,
+        res = _projected_gradient(objective, hessian, z0, f0, n, first_order=first_order,
                                   start=score, optimize_power=optimize_power)
         row = int(np.argmin(res.value))
         z = res.z[row:row + 1].copy()  # copies: a view would keep the batch alive
@@ -1044,8 +1036,9 @@ def _multi_result(evaluator: JointEvaluator, problem: MultiLoopProblem, power: n
     """The decision checked against the problem's budgets, with no
     LoopOutcome built. scored is its (penalized LQR total, rate_cost per
     robot, window) when the caller already has them, else one _cycle scores
-    them; all_infeasible marks every loop reporting lqr_cost math.inf under
-    pipeline.reported_costs."""
+    them; all_infeasible marks every loop reporting lqr_cost math.inf, as
+    pipeline.loop_outcome reports it: a loop whose window does not fit, or
+    whose effective bits leave no finite cost."""
     if not (power.min() >= 0.0 and compute.min() >= 0.0):
         raise RuntimeError("allocation has a negative power or compute share")
     if not power.sum() <= problem.total_power_w * (1.0 + 1e-9):
@@ -1059,7 +1052,7 @@ def _multi_result(evaluator: JointEvaluator, problem: MultiLoopProblem, power: n
         cost = control.rate_cost(eff, evaluator.a_sq, evaluator.sens_w, evaluator.j_ideal)
         scored = evaluator.total_cost(power, compute, (cost, eff)), cost, window
     lqr_total, cost, window = scored
-    # reported_costs' rule: where the window fits, eff = min(cap, rate window) is >= 0 or NaN
+    # loop_outcome's rule: where the window fits, eff = min(cap, rate window) is >= 0 or NaN
     if np.all(~(window >= 0.0) | (cost == math.inf)):
         trace = dataclasses.replace(trace, all_infeasible=True)
     return AllocationResult(

@@ -7,8 +7,8 @@ budget. Uplink transfer, computing, and downlink transfer happen strictly in
 sequence; a cycle whose stages do not fit in the period delivers nothing.
 
 The cycle has two forms, one per use. The joint solves score many loops at
-once on numpy arrays (store_and_forward and reported_costs). One loop is
-scored on Python floats: _cycle_at_rates is the cycle at given link rates,
+once on numpy arrays (store_and_forward). One loop is scored on Python
+floats: _cycle_at_rates is the cycle at given link rates,
 at the balanced split or at a given time allocation, and loop_outcome its
 LoopOutcome, with 4^R by libm's pow (control.lqr_cost). outcome_at_rates
 joins the two; the single-loop solver calls it on the rates its search
@@ -99,21 +99,6 @@ def store_and_forward(volume_bits, t_up_s, r_down_bps, t_prop_s, compute_cps,
     return t_comp, window, np.minimum(budget.extraction_ratio * volume_bits, r_down_bps * window)
 
 
-def reported_costs(a_sq, sens_w, j_ideal, effective_bits, time_feasible) -> tuple:
-    """(effective bits, stable, lqr_cost) that each loop reports, from the
-    control.rate_cost_terms arrays and columns broadcasting to one per loop.
-
-    A loop is stable when its effective bits clear the data-rate threshold
-    (control.rate_gap's finite flag), even where its cost overflows the float
-    range to math.inf. A time-infeasible cycle delivers nothing, is not
-    stable and costs math.inf. loop_outcome is this rule for one loop.
-    """
-    eff = np.where(time_feasible, np.maximum(effective_bits, 0.0), 0.0)
-    _, gap, finite = control.rate_gap(eff, a_sq)
-    stable = time_feasible & finite
-    return eff, stable, control.gap_cost(gap, stable, sens_w, j_ideal)
-
-
 def _np_max(a: float, b: float) -> float:
     """np.maximum(a, b) on Python floats: b on a tie, NaN if either is NaN."""
     return a if a > b or a != a else b
@@ -127,9 +112,10 @@ def _np_min(a: float, b: float) -> float:
 def loop_outcome(model: RateCostModel, period_s: float, r_up: float, r_down: float,
                  t_up: float, t_comp: float, t_down: float, t_prop: float,
                  effective_bits: float, time_feasible: bool) -> LoopOutcome:
-    """One loop's LoopOutcome on Python floats, reported under
-    reported_costs' rule: stable where its cycle fits and control.lqr_cost
-    is finite at its effective bits (also where the cost overflows)."""
+    """One loop's LoopOutcome on Python floats. A time-infeasible cycle
+    delivers nothing, is not stable and costs math.inf; otherwise the loop
+    reports its effective bits clipped at 0, and is stable where
+    control.lqr_cost is finite at them (also where the cost overflows)."""
     eff = _np_max(effective_bits, 0.0) if time_feasible else 0.0
     stable = time_feasible and control._gap(eff, model.plant.a * model.plant.a) > 0.0
     cost = control.lqr_cost(model, eff) if stable else math.inf

@@ -4,9 +4,10 @@ Most of these avoid the library's own code paths: closed-form roots, a
 fixed-point Riccati iteration, Monte-Carlo simulation, a KKT solution of the
 compute-only scheme, and random problem generators. The grid oracles scan
 the solvers' own objective by brute force, and the multi-start solver runs
-the solver's own descent from seeded random starts. loop_outcomes is the
-array form of one loop's outcome (pipeline.reported_costs), the reference
-that pipeline.loop_outcome and JointEvaluator.outcomes are compared against.
+the solver's own descent from seeded random starts. reported_costs and
+loop_outcomes are the array form of one loop's outcome, the reference that
+pipeline.loop_outcome, JointEvaluator.outcomes and the joint solves'
+all_infeasible flag are compared against.
 """
 import dataclasses
 import math
@@ -24,7 +25,7 @@ from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme,
                               _newton_direction, _project_shares, _projected_gradient,
                               _scaled_objective, _single_objective_fn, _single_result,
                               _task_starts)
-from satloop.pipeline import LoopBudget, LoopOutcome, reported_costs
+from satloop.pipeline import LoopBudget, LoopOutcome
 
 # the baseline scenario's budget: a 20 ms cycle, 100 cycles/bit, 10 GC/s, 0.1% extraction
 BUDGET = LoopBudget(cycle_period_s=0.02, cycles_per_bit=100.0, compute_rate_cps=1e10,
@@ -256,12 +257,12 @@ def all_starts_descend(evaluator: JointEvaluator, problem: MultiLoopProblem, sta
     What optimize._best_start does for a stable plant, here for any plant,
     so a reference that runs through it never descends a single start.
     """
-    objective, derivatives, first_order = _scaled_objective(
+    objective, hessian, first_order = _scaled_objective(
         evaluator, problem.total_power_w, problem.total_compute_cps)
     z0 = _project_shares(np.array(starts, dtype=float), evaluator.n, optimize_power)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f0, score = first_order(z0)
-    res = _projected_gradient(objective, derivatives, z0, f0, evaluator.n,
+    res = _projected_gradient(objective, hessian, z0, f0, evaluator.n,
                               first_order=first_order, start=score,
                               optimize_power=optimize_power)
     best = int(np.argmin(res.value))
@@ -310,7 +311,7 @@ def central_difference_gradient(evaluator, power_w: np.ndarray, compute_cps: np.
                                 total_power_w: float, rel_step: float = 1e-6) -> tuple:
     """Central-difference (dJ/dpower, dJ/dcompute) of a JointEvaluator's cost.
 
-    A check on the analytic gradient of JointEvaluator.derivatives. The joint
+    A check on the analytic gradient of JointEvaluator.first_order. The joint
     cost is a sum of per-robot terms, each depending only on that robot's own
     power and compute, so every partial derivative differences that robot's
     term alone (cost_vector); the other robots' infeasibility penalties
@@ -340,7 +341,7 @@ def central_difference_hessian(evaluator, power_w: np.ndarray, compute_cps: np.n
                                total_power_w: float, rel_step: float = 1e-6) -> tuple:
     """Central-difference (d2J/dp2, d2J/dp df, d2J/df2) per robot, from the gradient.
 
-    A check on the Hessian blocks of JointEvaluator.derivatives. Robot i's
+    A check on JointEvaluator.hessian_blocks. Robot i's
     gradient entries depend only on its own power and compute, so each column
     of its 2x2 block differences robot i's (dJ/dp_i, dJ/df_i) over a step in
     one of its two variables (steps as in central_difference_gradient). The
@@ -358,7 +359,7 @@ def central_difference_hessian(evaluator, power_w: np.ndarray, compute_cps: np.n
             minus = [point[0].copy(), point[1].copy()]
             plus[block][i] += h[i]
             minus[block][i] -= h[i]
-            g_plus, g_minus = evaluator.derivatives(*plus)[0], evaluator.derivatives(*minus)[0]
+            g_plus, g_minus = evaluator.first_order(*plus)[1], evaluator.first_order(*minus)[1]
             for out, gp, gm in zip(column, g_plus, g_minus):
                 out[i] = (gp[i] - gm[i]) / (2.0 * h[i])
         columns.append(column)
@@ -423,7 +424,7 @@ def water_fill_power_fixed_steps(evaluator, total_power_w: float, steps: int = 2
     return alloc
 
 
-def reference_projected_gradient(objective, derivatives, project, z0: np.ndarray,
+def reference_projected_gradient(objective, hessian, first_order, project, z0: np.ndarray,
                                  n: int, *, optimize_power: bool, max_halvings: int,
                                  max_iter: int = 500, rel_tol: float = 1e-10,
                                  patience: int = 5) -> tuple:
@@ -438,7 +439,9 @@ def reference_projected_gradient(objective, derivatives, project, z0: np.ndarray
     backtracking; a trial that predicts no decrease (-g.(new - z) <= 0) from
     a stationary point (z = P(z - g) exactly) ends the run where it stands;
     patience on the relative improvement, and an unconverged
-    stop on a non-finite gradient. Returns (z, value, converged, iterations).
+    stop on a non-finite gradient. Each iterate's gradient and Hessian
+    blocks come from a fresh first_order call on it, never a carried score.
+    Returns (z, value, converged, iterations).
     """
     z = project(np.array(z0, dtype=float)[None, :])[0]
     f = objective(z[None, :])[0]
@@ -447,8 +450,8 @@ def reference_projected_gradient(objective, derivatives, project, z0: np.ndarray
     quiet = 0
     for iterations in range(1, max_iter + 1):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g, blocks = derivatives(z[None, :])
-            g = g[0]
+            g, terms, _ = first_order(z[None, :])[1]
+            g, blocks = g[0], hessian(terms)
         if not optimize_power:
             g[:n] = 0.0
         gnorm = math.sqrt((g * g).sum())
@@ -550,6 +553,23 @@ def grid_oracle(problem, resolution: int):
     return _multi_result(evaluator, problem, power, compute, float(totals[i, j]),
                          SolverTrace(iterations=resolution * resolution, converged=True,
                                      method="grid_oracle"))
+
+
+def reported_costs(a_sq, sens_w, j_ideal, effective_bits, time_feasible) -> tuple:
+    """(effective bits, stable, lqr_cost) that each loop reports, from the
+    control.rate_cost_terms arrays and columns broadcasting to one per loop.
+
+    A loop is stable when its effective bits clear the data-rate threshold
+    (control.rate_gap's finite flag), even where its cost overflows the float
+    range to math.inf. A time-infeasible cycle delivers nothing, is not
+    stable and costs math.inf. pipeline.loop_outcome is this rule for one
+    loop, and optimize._multi_result's all_infeasible applies it to the
+    joint solves' carried costs and windows.
+    """
+    eff = np.where(time_feasible, np.maximum(effective_bits, 0.0), 0.0)
+    _, gap, finite = control.rate_gap(eff, a_sq)
+    stable = time_feasible & finite
+    return eff, stable, control.gap_cost(gap, stable, sens_w, j_ideal)
 
 
 def loop_outcomes(models, period_s: float, r_up, r_down, t_up, t_comp, t_down, t_prop,

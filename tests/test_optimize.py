@@ -33,7 +33,8 @@ from oracles import (BUDGET, DimensionTooLargeError, all_starts_descend,
                      exact_capped_simplex, compute_only_kkt, grid_oracle, loop_outcomes,
                      multi_start_solve, numpy_pow4, outcome_formula, random_joint_problem,
                      random_single_loop_problem, reference_capped_simplex,
-                     reference_projected_gradient, water_fill_power_fixed_steps)
+                     reference_projected_gradient, reported_costs,
+                     water_fill_power_fixed_steps)
 
 
 def _symmetric_problem(objective):
@@ -753,8 +754,7 @@ class TestOutcomesOnRequest:
         reported cost and the penalty: no array form runs."""
         def refused(*args, **kwargs):
             raise AssertionError("a single-loop document used an array form")
-        for name in ("reported_costs", "store_and_forward"):
-            monkeypatch.setattr(pipeline, name, refused)
+        monkeypatch.setattr(pipeline, "store_and_forward", refused)
         monkeypatch.setattr(control, "rate_gap", refused)
         monkeypatch.setattr(optimize, "_penalized", refused)
         assert main(["single-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
@@ -838,7 +838,7 @@ class TestOutcomesOnRequest:
 
 
 class TestAnalyticGradient:
-    """The gradient of JointEvaluator.derivatives against the central-difference oracle."""
+    """The gradient of JointEvaluator.first_order against the central-difference oracle."""
 
     @staticmethod
     def _compared(problem, mask_fn, rel_step, rtol, draws=200):
@@ -853,7 +853,7 @@ class TestAnalyticGradient:
             mask = mask_fn(ev, power, raw, window)
             if not mask.any():
                 continue
-            analytic = ev.derivatives(power, compute)[0]
+            analytic = ev.first_order(power, compute)[1]
             with np.errstate(invalid="ignore"):  # probes below zero power are unused
                 oracle = central_difference_gradient(ev, power, compute,
                                                      total_power_w=problem.total_power_w,
@@ -892,7 +892,7 @@ class TestAnalyticGradient:
         power = np.full(ev.n, problem.total_power_w / ev.n)
         compute = np.full(ev.n, problem.total_compute_cps / (ev.n - 1))
         compute[0] = 0.0
-        d_power, d_compute = ev.derivatives(power, compute)[0]
+        d_power, d_compute = ev.first_order(power, compute)[1]
         o_power, o_compute = central_difference_gradient(
             ev, power, compute, total_power_w=problem.total_power_w)
         assert d_power[0] > 1e15  # deep in the penalty: more power only loses bits
@@ -902,8 +902,8 @@ class TestAnalyticGradient:
 
 
 class TestAnalyticHessian:
-    """The Hessian blocks of JointEvaluator.derivatives against central differences of
-    the analytic gradient."""
+    """JointEvaluator.hessian_blocks, from first_order's chain-rule terms, against
+    central differences of the analytic gradient."""
 
     @staticmethod
     def _compared(problem, mask_fn, rtol, draws=200):
@@ -919,7 +919,7 @@ class TestAnalyticHessian:
             if not mask.any():
                 continue
             with np.errstate(divide="ignore", invalid="ignore"):
-                analytic = ev.derivatives(power, compute)[1]
+                analytic = ev.hessian_blocks(ev.first_order(power, compute)[2])
                 oracle = central_difference_hessian(ev, power, compute,
                                                     total_power_w=problem.total_power_w)
             for got, want in zip(analytic, oracle):
@@ -957,7 +957,7 @@ class TestAnalyticHessian:
         power = np.full(ev.n, problem.total_power_w / ev.n)
         compute = np.full(ev.n, problem.total_compute_cps / (ev.n - 1))
         compute[0] = 0.0
-        analytic = ev.derivatives(power, compute)[1]
+        analytic = ev.hessian_blocks(ev.first_order(power, compute)[2])
         oracle = central_difference_hessian(ev, power, compute,
                                             total_power_w=problem.total_power_w)
         assert analytic[0][0] < 0.0  # the penalty, concave in power: not positive definite
@@ -992,6 +992,13 @@ def _dense_face_newton(grad, blocks, z, n, optimize_power):
     return np.linalg.solve(kkt, rhs)[:2 * n]
 
 
+def _gradient_and_blocks(hessian, first_order, z):
+    """The scaled gradient and Hessian blocks at the rows z, from one
+    first_order call on them."""
+    grad, terms, _ = first_order(z)[1]
+    return grad, hessian(terms)
+
+
 class TestNewtonDirection:
     @pytest.mark.parametrize("optimize_power", [True, False])
     def test_matches_dense_kkt_solve(self, optimize_power):
@@ -1001,14 +1008,14 @@ class TestNewtonDirection:
         for k in (1, 2, 3, 5):
             problem = random_joint_problem(rng, n_robots=k)
             ev = JointEvaluator(problem)
-            objective, derivatives, _ = optimize._scaled_objective(
+            _, hessian, first_order = optimize._scaled_objective(
                 ev, problem.total_power_w, problem.total_compute_cps)
             shares = np.concatenate([rng.dirichlet(np.ones(k), 40),
                                      rng.dirichlet(np.ones(k), 40)], axis=1)
             z = shares * rng.uniform(0.9, 1.0, (40, 1))  # on the face and inside it
             z[:10] = shares[:10]
             with np.errstate(divide="ignore", invalid="ignore"):  # robots below threshold
-                grad, blocks = derivatives(z)
+                grad, blocks = _gradient_and_blocks(hessian, first_order, z)
             if not optimize_power:
                 grad[:, :k] = 0.0
             d, ok = optimize._newton_direction(grad, blocks, z, k, optimize_power)
@@ -1031,7 +1038,7 @@ class TestNewtonDirection:
         """A capped robot (zero block) or one starved of compute (no compute curvature)."""
         problem = _default_joint(extraction_scale=0.03)
         ev = JointEvaluator(problem)
-        objective, derivatives, _ = optimize._scaled_objective(
+        _, hessian, first_order = optimize._scaled_objective(
             ev, problem.total_power_w, problem.total_compute_cps)
         n = ev.n
         z = np.tile(np.full(2 * n, 1.0 / n), (2, 1))
@@ -1040,7 +1047,8 @@ class TestNewtonDirection:
         with np.errstate(divide="ignore", invalid="ignore"):
             eff = ev.rates_bps(power) * (ev.t_budget - ev.comp_cycles / compute)
             assert (eff[0] > ev.cap_bits).any() and eff[1, 0] < 0.0
-            d, ok = optimize._newton_direction(*derivatives(z), z, n, True)
+            d, ok = optimize._newton_direction(*_gradient_and_blocks(hessian, first_order, z),
+                                               z, n, True)
         assert not ok.any()
 
 
@@ -1082,23 +1090,24 @@ def _record_starts(patch) -> list:
 
 def _patch_gradient(patch, fill: float):
     """Make every gradient a joint solve reads equal to fill (0 or NaN), at
-    its one source, JointEvaluator._chain_terms; the chain-rule terms, and so
-    the values and Hessian blocks, stay."""
-    chain_terms = JointEvaluator._chain_terms
+    its one source, JointEvaluator.first_order; the value, the chain-rule
+    terms (and so the Hessian blocks) and the costs stay."""
+    first_order = JointEvaluator.first_order
 
     def patched(self, power_w, compute_cps):
-        terms = chain_terms(self, power_w, compute_cps)[1]
-        return (np.full(power_w.shape, fill), np.full(compute_cps.shape, fill)), terms
-    patch.setattr(JointEvaluator, "_chain_terms", patched)
+        value, _, terms, cost = first_order(self, power_w, compute_cps)
+        return (value, (np.full(power_w.shape, fill), np.full(compute_cps.shape, fill)), terms,
+                cost)
+    patch.setattr(JointEvaluator, "first_order", patched)
 
 
-def _descend(objective, derivatives, first_order, starts, n: int, *, optimize_power: bool):
+def _descend(objective, hessian, first_order, starts, n: int, *, optimize_power: bool):
     """optimize._projected_gradient from the starts, projected and scored first
     as optimize._best_start does."""
     z0 = optimize._project_shares(np.array(starts, dtype=float), n, optimize_power)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f0, score = first_order(z0)
-    return optimize._projected_gradient(objective, derivatives, z0, f0, n,
+    return optimize._projected_gradient(objective, hessian, z0, f0, n,
                                         first_order=first_order, start=score,
                                         optimize_power=optimize_power)
 
@@ -1109,12 +1118,12 @@ class TestBatchedPgd:
         problem = _default_joint()
         ev = JointEvaluator(problem)
         p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-        objective, derivatives, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
+        objective, hessian, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
         starts = _random_starts(ev, p_tot, f_tot, 6, 3)
-        batch = _descend(objective, derivatives, first_order, starts, ev.n,
+        batch = _descend(objective, hessian, first_order, starts, ev.n,
                          optimize_power=optimize_power)
         for row, z0 in enumerate(starts):
-            alone = _descend(objective, derivatives, first_order, z0[None, :], ev.n,
+            alone = _descend(objective, hessian, first_order, z0[None, :], ev.n,
                              optimize_power=optimize_power)
             assert batch.value[row] == pytest.approx(alone.value[0], rel=1e-12)
             assert batch.converged[row] == alone.converged[0]
@@ -1129,10 +1138,10 @@ class TestBatchedPgd:
         for problem in problems:
             ev = JointEvaluator(problem)
             p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-            objective, derivatives, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
+            objective, hessian, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
             starts = _random_starts(ev, p_tot, f_tot, 12, 5)
             starts[-1] = np.concatenate([np.eye(ev.n)[0], np.eye(ev.n)[-1]])  # a vertex
-            batch = _descend(objective, derivatives, first_order, starts, ev.n,
+            batch = _descend(objective, hessian, first_order, starts, ev.n,
                              optimize_power=optimize_power)
 
             def project(z):
@@ -1143,7 +1152,7 @@ class TestBatchedPgd:
             iterations = 0
             for row, z0 in enumerate(starts):
                 z, value, converged, iters = reference_projected_gradient(
-                    objective, derivatives, project, z0, ev.n,
+                    objective, hessian, first_order, project, z0, ev.n,
                     optimize_power=optimize_power,
                     max_halvings=optimize.MAX_HALVINGS, max_iter=150)
                 assert np.array_equal(batch.z[row], z)
@@ -1168,18 +1177,18 @@ class TestBatchedPgd:
             problem = dataclasses.replace(problem, budget=budget)
         ev = JointEvaluator(problem)
         p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-        objective, derivatives, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
+        objective, hessian, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
         starts = _random_starts(ev, p_tot, f_tot, count, seed)[:count]
         if vertex:
             starts[-1] = np.concatenate([np.eye(ev.n)[0], np.eye(ev.n)[-1]])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(optimize, "PGD_MAX_ITER", max_iter)
-            batch = _descend(objective, derivatives, first_order, starts, ev.n,
+            batch = _descend(objective, hessian, first_order, starts, ev.n,
                              optimize_power=optimize_power)
 
         def reference(z0, cap):
             return reference_projected_gradient(
-                objective, derivatives,
+                objective, hessian, first_order,
                 lambda z: optimize._project_shares(z, ev.n, optimize_power), z0, ev.n,
                 optimize_power=optimize_power, max_halvings=optimize.MAX_HALVINGS,
                 max_iter=cap)
@@ -1195,23 +1204,50 @@ class TestBatchedPgd:
                 capped += reference(z0, max_iter + 1)[3] > max_iter
         assert batch.iterations == iterations and batch.max_iter_rows == capped
 
-    def test_multi_loop_run_equals_plain_loop_bit_for_bit(self, tmp_path, monkeypatch):
-        """Every descent of one baseline multi-loop run (42 one-row runs, each
-        from its solve's lowest start) equals a plain loop bit for bit."""
-        runs = []
-        original = optimize._projected_gradient
+    @pytest.mark.parametrize("document, backtracks",
+                             [(None, False), ("multi_loop: {n_robots: 20}\n", True)],
+                             ids=["baseline", "robots-20"])
+    def test_multi_loop_run_equals_plain_loop_bit_for_bit(self, tmp_path, monkeypatch,
+                                                          document, backtracks):
+        """Every descent of one multi-loop run (42 one-row runs, each from its
+        solve's lowest start) equals a plain loop bit for bit: on the
+        baseline, where no row backtracks, and on the penalised 20-robot
+        document, where rows move by backtracking and so hold no carried
+        score at their next iteration, which scores them again."""
+        runs, moved, rescored = [], [], []
+        original, backtrack, carried = (optimize._projected_gradient, optimize._backtrack,
+                                        optimize._carried)
 
-        def recorded(objective, derivatives, z0, f0, n, **kwargs):
-            result = original(objective, derivatives, z0, f0, n, **kwargs)
-            runs.append((objective, derivatives, z0.copy(), n, kwargs["optimize_power"], result))
+        def recorded(objective, hessian, z0, f0, n, **kwargs):
+            result = original(objective, hessian, z0, f0, n, **kwargs)
+            runs.append((objective, hessian, kwargs["first_order"], z0.copy(), n,
+                         kwargs["optimize_power"], result))
+            return result
+
+        def counted_backtrack(*args):
+            result = backtrack(*args)
+            moved.append(int(result[0].sum()))
+            return result
+
+        def counted_carried(*args):
+            result = carried(*args)
+            rescored.append(result is None)
             return result
         monkeypatch.setattr(optimize, "_projected_gradient", recorded)
-        assert main(["multi-loop", "--out", str(tmp_path), "--format", "csv"]) == 0
+        monkeypatch.setattr(optimize, "_backtrack", counted_backtrack)
+        monkeypatch.setattr(optimize, "_carried", counted_carried)
+        argv = ["multi-loop", "--out", str(tmp_path / "out"), "--format", "csv"]
+        if document is not None:
+            (tmp_path / "doc.yaml").write_text(document, encoding="utf-8")
+            argv += ["--scenario", str(tmp_path / "doc.yaml")]
+        assert main(argv) == 0
         assert len(runs) == 42
-        for objective, derivatives, z0, n, optimize_power, result in runs:
+        assert (sum(moved) > 0) == any(rescored) == backtracks
+        for objective, hessian, first_order, z0, n, optimize_power, result in runs:
             assert len(z0) == 1
             z, value, converged, iters = reference_projected_gradient(
-                objective, derivatives, lambda z: optimize._project_shares(z, n, optimize_power),
+                objective, hessian, first_order,
+                lambda z: optimize._project_shares(z, n, optimize_power),
                 z0[0], n, optimize_power=optimize_power, max_halvings=optimize.MAX_HALVINGS)
             assert np.array_equal(result.z[0], z) and result.value[0] == value
             assert result.converged[0] == converged and result.iterations == iters
@@ -1231,9 +1267,9 @@ class TestBatchedPgd:
             problem = dataclasses.replace(problem, budget=budget)
         ev = JointEvaluator(problem)
         p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-        objective, derivatives, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
+        objective, hessian, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
         starts = _random_starts(ev, p_tot, f_tot, 6, seed)
-        result = _descend(objective, derivatives, first_order, starts, ev.n,
+        result = _descend(objective, hessian, first_order, starts, ev.n,
                           optimize_power=optimize_power)
         if optimize_power:
             projected = project_capped_simplex(starts.reshape(-1, 2, ev.n), 1.0)
@@ -1251,7 +1287,7 @@ class TestBatchedPgd:
         default problem, with steps from no halving to dozens."""
         problem = _default_joint()
         ev = JointEvaluator(problem)
-        objective, derivatives, _ = optimize._scaled_objective(
+        objective, _, first_order = optimize._scaled_objective(
             ev, problem.total_power_w, problem.total_compute_cps)
 
         def project(z):
@@ -1261,7 +1297,7 @@ class TestBatchedPgd:
         z = project(np.concatenate([rng.dirichlet(np.ones(ev.n), 40),
                                     rng.dirichlet(np.ones(ev.n), 40)], axis=1))
         step = 10.0 ** rng.uniform(-12.0, 8.0, len(z))
-        grad = derivatives(z)[0]
+        grad = first_order(z)[1][0]
         # row 0 sits on a vertex and is pushed straight out of it: the
         # projected move is exactly zero, so the row stops unaccepted
         z[0] = np.concatenate([np.eye(ev.n)[0], np.eye(ev.n)[1]])
@@ -1343,11 +1379,11 @@ class TestBatchedPgd:
         problem = _default_joint()
         ev = JointEvaluator(problem)
         p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-        objective, derivatives, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
+        objective, hessian, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
         starts = _random_starts(ev, p_tot, f_tot, 6, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = _descend(objective, derivatives, first_order, starts, ev.n,
+            result = _descend(objective, hessian, first_order, starts, ev.n,
                               optimize_power=optimize_power)
         assert result.iterations > len(starts)
 
@@ -1456,7 +1492,7 @@ class TestBatchedPgd:
     def test_converged_reports_the_winning_start(self, monkeypatch, scheme):
         """The winning start is unconverged: the solve is not converged, even
         when a losing start converged."""
-        def fake_pgd(objective, derivatives, z0, f0, n, **kwargs):
+        def fake_pgd(objective, hessian, z0, f0, n, **kwargs):
             value = np.full(len(z0), 3.0)
             value[-1] = 1.0  # the winner, unconverged
             converged = np.ones(len(z0), dtype=bool)
@@ -1483,7 +1519,7 @@ class TestBatchedPgd:
         vertex = {"power_w": np.eye(5)[0] * 5.0, "compute_cps": np.eye(5)[0] * 1e10}
         descended = []
 
-        def fake_pgd(objective, derivatives, z0, f0, n, **kwargs):
+        def fake_pgd(objective, hessian, z0, f0, n, **kwargs):
             descended.append(z0.copy())
             return optimize._PgdResult(z0.copy(), objective(z0), np.zeros(len(z0), bool), 7,
                                        stopped_on=("nonfinite_gradient",) * len(z0))
@@ -1500,14 +1536,14 @@ class TestBatchedPgd:
 
 def _record_ends(patch) -> list:
     """Record, for each projected-gradient solve made under patch, (evaluator,
-    power, compute, derivatives, optimize_power, its _projected_gradient
+    power, compute, first_order, optimize_power, its _projected_gradient
     result, its AllocationResult)."""
     pending, ends = [], []
     pgd, multi_result = optimize._projected_gradient, optimize._multi_result
 
-    def recorded_pgd(objective, derivatives, z0, f0, n, **kwargs):
-        result = pgd(objective, derivatives, z0, f0, n, **kwargs)
-        pending.append((derivatives, kwargs["optimize_power"], result))
+    def recorded_pgd(objective, hessian, z0, f0, n, **kwargs):
+        result = pgd(objective, hessian, z0, f0, n, **kwargs)
+        pending.append((kwargs["first_order"], kwargs["optimize_power"], result))
         return result
 
     def recorded_result(evaluator, problem, power, compute, *args, **kwargs):
@@ -1528,19 +1564,19 @@ class TestCarriedEndPoint:
     """A solve's certificate and all_infeasible flag come from the score
     (gradient, chain-rule terms, costs) its end point carries, a start's or
     a kept Newton trial's, where it has one: they must equal a fresh
-    derivatives call, projection and cycle evaluation bit for bit."""
+    first_order call, projection and cycle evaluation bit for bit."""
 
     @staticmethod
     def _assert_exact(ends) -> int:
         """Check every recorded end point; returns how many carried their
         score."""
         carried = 0
-        for evaluator, power, compute, derivatives, optimize_power, pgd, result in ends:
+        for evaluator, power, compute, first_order, optimize_power, pgd, result in ends:
             n = evaluator.n
             row = int(np.argmin(pgd.value))
             z = pgd.z[row:row + 1]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                grad = derivatives(z)[0]
+                grad = first_order(z)[1][0]
                 _, _, window, eff = evaluator._cycle(power, compute)
                 if row in pgd.scores:
                     score, i = pgd.scores[row]
@@ -1555,8 +1591,8 @@ class TestCarriedEndPoint:
                     grad[:, :n] = 0.0
                 residual = z - optimize._project_shares(z - grad, n, optimize_power)
                 certificate = float(np.sqrt((residual * residual).sum()))
-            reported = pipeline.reported_costs(evaluator.a_sq, evaluator.sens_w,
-                                               evaluator.j_ideal, eff, window >= 0.0)[2]
+            reported = reported_costs(evaluator.a_sq, evaluator.sens_w, evaluator.j_ideal,
+                                      eff, window >= 0.0)[2]
             trace = result.solver_trace
             assert _same_bits(trace.projected_gradient_norm, certificate)
             assert trace.all_infeasible == bool(np.all(reported == math.inf))
@@ -1588,8 +1624,9 @@ class TestCarriedEndPoint:
         assert len(ends) == 42 and self._assert_exact(ends) == 42
 
     def test_first_order_is_total_cost_and_gradient(self):
-        """JointEvaluator.first_order scores a batch as total_cost, derivatives
-        and _cycle do, bit for bit, penalised and capped robots included."""
+        """JointEvaluator.first_order scores a batch as total_cost and _cycle
+        do, bit for bit, penalised and capped robots included (the
+        central-difference tests check its gradient)."""
         rng = np.random.default_rng(31)
         for problem in (_default_joint(), _default_joint(extraction_scale=0.03),
                         random_joint_problem(rng, n_robots=3, stable=True)):
@@ -1597,13 +1634,11 @@ class TestCarriedEndPoint:
             power = rng.dirichlet(np.ones(ev.n), 50) * problem.total_power_w
             compute = rng.dirichlet(np.ones(ev.n), 50) * problem.total_compute_cps
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                value, grad, (_, window, eff, *_), cost = ev.first_order(power, compute)
+                value, _, (_, window, eff, *_), cost = ev.first_order(power, compute)
                 _, _, want_window, want_eff = ev._cycle(power, compute)
                 assert _same_bits(value, ev.total_cost(power, compute))
                 assert _same_bits(cost, control.rate_cost(want_eff, ev.a_sq, ev.sens_w,
                                                           ev.j_ideal))
-                assert all(_same_bits(g, w) for g, w in zip(grad, ev.derivatives(power,
-                                                                                 compute)[0]))
             assert _same_bits(eff, want_eff) and _same_bits(window, want_window)
 
 
@@ -1624,16 +1659,17 @@ class TestScoredOnce:
     @given(seed=st.integers(0, 2 ** 32 - 1), n_robots=st.integers(1, 4), stable=st.booleans(),
            cap_bits=st.sampled_from([None, 3.0, 1000.0]),
            w_cov=st.sampled_from([1.0, 1e300, 1e308]), data=st.data())
-    def test_blocks_from_carried_terms_equal_derivatives(self, seed, n_robots, stable,
-                                                         cap_bits, w_cov, data):
+    def test_blocks_from_carried_terms_equal_a_fresh_score(self, seed, n_robots, stable,
+                                                           cap_bits, w_cov, data):
         """Random batches with penalised robots (starved of power or compute),
         capped ones (a cap of 3 bits), rate-clamped ones (a cap of 1000 bits
         and power past any budget), robots below the compute floor and, with
         a plant noise of 1e300 or 1e308 on robot 0, slopes and costs that
-        overflow, on stable and unstable plants: the blocks from the carried
-        terms equal a derivatives call at the same point, for the whole batch
-        and for each row carried alone out of it (the start a one-descent
-        solve keeps), in watts and in scaled shares."""
+        overflow, on stable and unstable plants: the gradient and the blocks
+        from the carried terms equal those of a fresh first_order call at the
+        same point, for the whole batch and for each row carried alone out
+        of it (the start a one-descent solve keeps, or a row that a batch
+        rescoring scored), in watts and in scaled shares."""
         problem = random_joint_problem(np.random.default_rng(seed), n_robots=n_robots,
                                        stable=stable)
         robots = list(problem.robots)
@@ -1651,20 +1687,23 @@ class TestScoredOnce:
         ev = JointEvaluator(problem)
         p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
         power, compute = z[:, :n_robots] * p_tot, z[:, n_robots:] * f_tot
-        _, derivatives, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
+        _, hessian, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
+        pairs = []  # (carried, fresh): each a gradient and its Hessian blocks
         with np.errstate(all="ignore"):
-            want_grad, want_blocks = ev.derivatives(power, compute)
             _, grad, terms, _ = ev.first_order(power, compute)
-            assert all(_same_bits(g, w) for g, w in zip(grad, want_grad))
-            assert all(_same_bits(h, w) for h, w in zip(ev.hessian_blocks(terms), want_blocks))
             score = first_order(z)[1]
-            pairs = [(derivatives(z, score), derivatives(z))]
-            for i in range(rows):
-                alone = optimize._carried({0: (score, i)}, [0])
-                pairs.append((derivatives(z[i:i + 1], alone), derivatives(z[i:i + 1])))
-        for (got_grad, got_blocks), (fresh_grad, fresh_blocks) in pairs:
-            assert _same_bits(got_grad, fresh_grad)
-            assert all(_same_bits(h, w) for h, w in zip(got_blocks, fresh_blocks))
+            for i in (None, *range(rows)):  # the whole batch, then each row alone
+                at = slice(None) if i is None else slice(i, i + 1)
+                _, fresh_grad, fresh_terms, _ = ev.first_order(power[at], compute[at])
+                pairs.append(([g[at] for g in grad] + list(ev.hessian_blocks(
+                                  tuple(t[at] for t in terms))),
+                              list(fresh_grad) + list(ev.hessian_blocks(fresh_terms))))
+                held = score if i is None else optimize._carried({0: (score, i)}, [0])
+                fresh = first_order(z[at])[1]
+                pairs.append(([held[0], *hessian(held[1])], [fresh[0], *hessian(fresh[1])]))
+        for got, want in pairs:
+            assert len(got) == len(want)
+            assert all(_same_bits(g, w) for g, w in zip(got, want))
 
     @settings(max_examples=300, deadline=None)
     @given(columns=st.lists(st.tuples(
@@ -1678,7 +1717,7 @@ class TestScoredOnce:
     @example(columns=[(-0.0, 1e4, 0.25, 1.0), (0.01, 0.0, 4.0, 1.0)], cap_bits=3.0)
     def test_all_infeasible_is_the_reported_rule(self, columns, cap_bits):
         """_multi_result's all_infeasible from carried (rate_cost, window)
-        equals pipeline.reported_costs' rule on the same cycle. The columns
+        equals oracles.reported_costs' rule on the same cycle. The columns
         are what JointEvaluator._cycle gives, eff = min(cap, rate * window)
         at a rate >= 0, with windows of -0.0, 0, NaN and +-inf, rates of 0,
         inf and NaN (eff NaN), stable and unstable plants and, with a
@@ -1688,7 +1727,7 @@ class TestScoredOnce:
         with np.errstate(all="ignore"):
             eff = np.minimum(cap_bits, rate * window)
             cost = control.rate_cost(eff, a_sq, sens_w, 1.0)
-            reported = pipeline.reported_costs(a_sq, sens_w, 1.0, eff, window >= 0.0)[2]
+            reported = reported_costs(a_sq, sens_w, 1.0, eff, window >= 0.0)[2]
         problem = random_joint_problem(np.random.default_rng(0), n_robots=len(columns))
         ev = JointEvaluator(problem)
         power = np.full(ev.n, problem.total_power_w / ev.n)

@@ -53,3 +53,16 @@ def test_a_tree_against_itself_moves_nothing(capsys):
     assert capsys.readouterr().out.endswith(
         "1 runs (exit codes {0: 1}): 0 of 33 values moved, largest relative move 0, "
         "0 changed exit codes, files or shapes\n")
+
+
+def test_the_joint_group_runs_valid_documents(tmp_path):
+    """The joint group: multi-loop and a 6x6 contour on each of its three
+    documents, every one a valid scenario that differs from the default."""
+    from satloop.scenario import default_scenario, load_scenario
+    runs = output_diff.corpus(["joint"], None, tmp_path)
+    assert [verb for _, verb, _ in runs] == ["multi-loop", "contour"] * 3
+    for _, _, path in runs:
+        scenario = load_scenario(path.read_text(encoding="utf-8"))
+        assert scenario != default_scenario()
+        contour = scenario.tree["contour"]
+        assert (contour["power_points"], contour["compute_points"]) == (6, 6)

@@ -12,8 +12,8 @@ from satloop.control import RATE_CLAMP_BITS, Plant, RateCostModel, is_stabilizab
 from satloop.linkgeom import Geometry, LinkParams, shannon_rate_bps
 from satloop.pipeline import (COMPUTE_FLOOR_CPS, LoopBudget, NoBudgetError, balanced_times,
                               evaluate_cycle, loop_outcome,
-                              propagation_delay_s, reported_costs, store_and_forward)
-from oracles import BUDGET, loop_outcomes, numpy_pow4, outcome_formula
+                              propagation_delay_s, store_and_forward)
+from oracles import BUDGET, loop_outcomes, numpy_pow4, outcome_formula, reported_costs
 
 C = 299792458.0
 

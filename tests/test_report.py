@@ -830,7 +830,7 @@ class TestBaselineSweepWork:
         """The solver work of one baseline multi-loop run, pinned: a leaner
         iteration must not add descents, row-iterations (task-oriented ones
         counted apart), cycle evaluations, objective calls, scorings,
-        derivative calls, projections or water-fills. The max-throughput solve
+        projections or water-fills. The max-throughput solve
         and the task-oriented starts at one power total share one water-fill.
         With the predicted starts no row backtracks (42 task-oriented and 34
         compute-only row-iterations, 125 objective calls, 167 projections and
@@ -840,10 +840,12 @@ class TestBaselineSweepWork:
         decisions by one _cycle (no gradient is read there), each summing
         its value through total_cost. The first iteration builds its
         Hessian blocks from the chosen start's terms and every later one
-        from its kept Newton point's, so no full derivatives call is left
-        (58 before); each certificate takes the carried gradient, and each
-        result's all_infeasible the carried costs and window, so
-        reported_costs has no caller (63 before). That is 121 _cycle calls,
+        from its kept Newton point's (a row that moved by backtracking
+        would be scored again by first_order; none does here, and 58 full
+        gradient-and-Hessian calls were made before each point carried its
+        score); each certificate takes the carried gradient, and each
+        result's all_infeasible the carried costs and window (63 calls of
+        the array outcome rule before). That is 121 _cycle calls,
         one per point scored (179 before). The certificate is computed on
         first read and the CLI reads none, so no solve projects for it: 100
         projections, 142 when each of the 42 descents projected its end
@@ -867,8 +869,6 @@ class TestBaselineSweepWork:
         count(optimize.JointEvaluator, "_cycle")
         count(optimize.JointEvaluator, "total_cost")
         count(optimize.JointEvaluator, "first_order")
-        count(optimize.JointEvaluator, "derivatives")
-        count(optimize.pipeline, "reported_costs")
         count(optimize, "project_capped_simplex")
         count(optimize, "water_fill_power")
         count(optimize, "_backtrack")
@@ -878,6 +878,32 @@ class TestBaselineSweepWork:
                           "first_order": 100, "total_cost": 121,
                           "project_capped_simplex": 100,
                           "water_fill_power": 21}
+
+    def test_penalised_multi_loop_scores_a_backtracked_row_once(self, tmp_path, monkeypatch):
+        """On multi_loop: {n_robots: 20}, where rows move by backtracking
+        (115 searches), such a row holds no carried score; one first_order
+        call scores it at its next iteration, and the row carries that
+        score on, to the certificate and the result when it stops there.
+        That is 78 first_order and 218 _cycle calls per run (69 first_order
+        calls, 14 full gradient-and-Hessian calls and 223 _cycle calls when
+        that score was not kept)."""
+        counts = {}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        for name in ("_cycle", "first_order"):
+            count(optimize.JointEvaluator, name)
+        count(optimize, "_backtrack")
+        doc = tmp_path / "robots20.yaml"
+        doc.write_text("multi_loop: {n_robots: 20}\n", encoding="utf-8")
+        assert main(["multi-loop", "--scenario", str(doc), "--out", str(tmp_path / "out"),
+                     "--format", "csv"]) == 0
+        assert counts == {"_cycle": 218, "first_order": 78, "_backtrack": 115}
 
     def test_certificates_cost_one_projection_on_read(self, tmp_path, monkeypatch):
         """A baseline multi-loop run projects nothing for its certificates:
