@@ -21,18 +21,27 @@ The corpus (--corpus, all four groups by default):
 
 --verbs keeps only the runs of the named verbs. Each configuration runs the
 whole corpus in one child process (PYTHONPATH=TREE/src), which calls
-satloop.report.main once per run with --format csv.
+satloop.report.main once per run with --format csv. The child also wraps
+solve_multi_loop under both names that call it (satloop.optimize, for
+sweep_contour, and satloop.report) and records every joint solve of each
+run: its SolverTrace fields but the end point, its certificate
+(projected_gradient_norm), lqr_total and decision arrays, each float as
+float.hex.
 
 For each CSV column, summed over the corpus, the report prints how many
 values moved (their text differs) and the largest relative move
 |a - b| / max(|a|, |b|), which is inf where a value is not a finite number
 on one side only. It prints every run whose exit code changed, and every
-output file or CSV shape (header, row count) found on one side only. The
-exit status is 1 when an exit code, a file or a shape changed or a value
-moved by more than --tolerance relative (default 0), else 0.
+output file or CSV shape (header, row count) found on one side only. It
+also prints how many joint solves differ in any recorded field, naming the
+first few. The exit status is 1 when an exit code, a file or a shape
+changed, a value moved by more than --tolerance relative (default 0), or,
+comparing two trees, a joint solve differs; else 0. Under --disable a
+differing solve is only reported: the joint solves may move by rounding.
 """
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -49,18 +58,35 @@ JOINT = {"stable-0.5": "plant: {a: 0.5}\n", "stable-0.05": "plant: {a: 0.05}\n",
          "robots-20": "multi_loop: {n_robots: 20}\n"}
 JOINT_CONTOUR = "contour: {power_points: 6, compute_points: 6}\n"
 
-# one child per configuration: run every job, record its exit code
+# one child per configuration: run every job, record its exit code and its
+# joint solves
 RUNNER = """
-import contextlib, io, json, sys
-from satloop import report
-jobs, codes = json.load(open(sys.argv[1])), {}
+import contextlib, dataclasses, io, json, sys
+from satloop import optimize, report
+jobs, codes, solves = json.load(open(sys.argv[1])), {}, {}
+solve = optimize.solve_multi_loop
+
+def recorded(problem, **kwargs):
+    result = solve(problem, **kwargs)
+    trace = result.solver_trace
+    entry = {f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)
+             if f.name != "end_point"}
+    entry["projected_gradient_norm"] = trace.projected_gradient_norm.hex()
+    entry["lqr_total"] = result.lqr_total.hex()
+    for key, values in result.decision.items():
+        entry[key] = [v.hex() for v in values.tolist()]
+    run.append(entry)
+    return result
+optimize.solve_multi_loop = report.solve_multi_loop = recorded
 for name, argv in jobs:
+    solves[name] = run = []
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             codes[name] = report.main(argv)
         except SystemExit as exc:
             codes[name] = exc.code
 json.dump(codes, open(sys.argv[2], "w"))
+json.dump(solves, open(sys.argv[3], "w"))
 """
 
 
@@ -114,8 +140,8 @@ def run_side(tree: Path, disable, runs, out: Path) -> dict:
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     if disable:
         env["NPY_DISABLE_CPU_FEATURES"] = disable
-    subprocess.run([sys.executable, "-c", RUNNER, str(out / "jobs.json"), str(out / "codes.json")],
-                   env=env, check=True)
+    subprocess.run([sys.executable, "-c", RUNNER, str(out / "jobs.json"), str(out / "codes.json"),
+                    str(out / "solves.json")], env=env, check=True)
     return json.loads((out / "codes.json").read_text())
 
 
@@ -175,6 +201,27 @@ def compare(runs, codes, outs, tolerance: float) -> bool:
     return not problems and largest <= tolerance
 
 
+def compare_solves(runs, outs, shown: int = 10) -> int:
+    """Print how many joint solves differ between the sides, naming the
+    first `shown` and their differing fields; returns that count. A solve
+    on one side only differs."""
+    sides = [json.loads((out / "solves.json").read_text()) for out in outs]
+    total = differ = 0
+    for name, _, _ in runs:
+        pairs = itertools.zip_longest(sides[0].get(name, []), sides[1].get(name, []),
+                                      fillvalue={})
+        for k, (a, b) in enumerate(pairs):
+            total += 1
+            if a != b:
+                differ += 1
+                if differ <= shown:
+                    fields = sorted(f for f in a.keys() | b.keys() if a.get(f) != b.get(f))
+                    print(f"{name}: solve {k} differs in {', '.join(fields)}")
+    print(f"{total} joint solves: {differ} differ in their solver trace, certificate, "
+          f"lqr_total or decision")
+    return differ
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", type=Path, required=True,
@@ -197,7 +244,9 @@ def main(argv=None) -> int:
         outs = [work / f"side{k}" for k in (1, 2)]
         codes = [run_side(tree.resolve(), disable, runs, out)
                  for (tree, disable), out in zip(sides, outs)]
-        return 0 if compare(runs, codes, outs, args.tolerance) else 1
+        # printed first: the CSV summary stays the report's last line
+        solves_agree = compare_solves(runs, outs) == 0 or args.disable is not None
+        return 0 if compare(runs, codes, outs, args.tolerance) and solves_agree else 1
 
 
 if __name__ == "__main__":

@@ -10,12 +10,13 @@ task-oriented split maximises the balanced cycle's effective bits.
 Multi loop: jointly allocate downlink power and on-board compute frequency
 across robots by projected gradient on budget-scaled variables (closed-form
 gradient and Hessian blocks), against a max-throughput (water-filling) scheme
-and a compute-only scheme at equal power. The starts are deterministic and
-few: for an unstable plant, log r(p) and log w(f) are concave and J(e^u) is
-decreasing and convex, so each loop's J(min(r(p) w(f), cap)) is jointly
-convex where it is feasible and every local minimum is global (Boyd &
-Vandenberghe, Convex Optimization, 3.2.4); with every plant unstable, only
-the lowest-valued start descends. For a stable plant J(e^u) is not convex at
+and a compute-only scheme at equal power, the same descent with the power
+block frozen (_scaled_scheme). The starts are deterministic and few: for an
+unstable plant, log r(p) and log w(f) are concave and J(e^u) is decreasing
+and convex, so each loop's J(min(r(p) w(f), cap)) is jointly convex where
+it is feasible and every local minimum is global (Boyd & Vandenberghe,
+Convex Optimization, 3.2.4); with every plant unstable, only the
+lowest-valued start descends. For a stable plant J(e^u) is not convex at
 small eff, and nothing certifies the starts there: every start descends as
 one batch and the lowest end point wins, which can still stop above the
 global minimum. Each
@@ -168,9 +169,10 @@ class SolverTrace:
     # why the winning start of a projected-gradient solve stopped: "decrement",
     # "patience", "nonfinite_gradient" or "max_iter" ("" for the other solves)
     stopped_on: str = ""
-    # A projected-gradient solve's (z, grad f(z), n, optimize_power) for its
-    # certificate: its returned point and the gradient that point's score
-    # carries (_best_start), as one-row read-only copies; None for the others
+    # A projected-gradient solve's (z, grad f(z), project) for its certificate:
+    # its returned point and the gradient that point's score carries, as
+    # one-row read-only copies, and its scheme's projection (_best_start);
+    # None for the others
     end_point: tuple | None = dataclasses.field(default=None, compare=False, repr=False)
     # Not a field: there is no grid fallback, but the benchmark tracer reads it.
     fallback_dense_grid = False
@@ -179,14 +181,12 @@ class SolverTrace:
     def projected_gradient_norm(self) -> float:
         """The certificate ||z - P(z - grad f(z))|| in budget-scaled shares at
         end_point, 0 exactly at a KKT point, NaN without one. Computed on first
-        read, by one _project_shares call (a sort per block), and then cached."""
+        read, by one projection (a sort per block), and then cached."""
         if self.end_point is None:
             return math.nan
-        z, grad, n, optimize_power = self.end_point
+        z, grad, project = self.end_point
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if not optimize_power:  # the frozen power block, zeroed on a copy
-                grad = np.concatenate([np.zeros((1, n)), grad[:, n:]], axis=1)
-            residual = z - _project_shares(z - grad, n, optimize_power)
+            residual = z - project(z - grad)
             return float(np.sqrt((residual * residual).sum()))
 
 
@@ -661,8 +661,7 @@ def _backtrack(objective, project, z: np.ndarray, fz: np.ndarray, grad: np.ndarr
     return accepted, z_out, f_out, s_out
 
 
-def _newton_direction(grad: np.ndarray, blocks: tuple, z: np.ndarray, n: int,
-                      optimize_power: bool):
+def _newton_direction(grad: np.ndarray, blocks: tuple, z: np.ndarray):
     """Newton step on the face where both budgets are spent, per row: (d, ok).
 
     grad (R, 2n) and blocks (the scaled Hessian blocks (h_xx, h_xy, h_yy),
@@ -671,18 +670,15 @@ def _newton_direction(grad: np.ndarray, blocks: tuple, z: np.ndarray, n: int,
     its own 2x2 block; the multipliers nu of the two sum constraints
     sum(z_x + d_x) = 1 and sum(z_y + d_y) = 1 solve the 2x2 Schur complement
     S = sum_i H_i^-1 (Boyd & Vandenberghe, Convex Optimization, 10.2 and
-    10.3). With optimize_power False the power block is frozen (identity
-    block, zero coupling, no power move), which leaves one scalar constraint.
-    ok marks the rows whose blocks are all positive definite and whose step
-    is finite; the other rows' d is meaningless.
+    10.3). It steps whatever the scheme's gradient and blocks describe (a
+    frozen block: _scaled_scheme). ok marks the rows whose blocks are all
+    positive definite and whose step is finite; the other rows' d is
+    meaningless.
     """
+    n = grad.shape[1] // 2
     h_xx, h_xy, h_yy = blocks
     g_x, g_y = grad[:, :n], grad[:, n:]
-    b_x = 1.0 - z[:, :n].sum(axis=1)
-    if not optimize_power:
-        h_xx, h_xy = np.ones_like(h_yy), np.zeros_like(h_yy)
-        g_x, b_x = np.zeros_like(g_x), np.zeros_like(b_x)
-    b_y = 1.0 - z[:, n:].sum(axis=1)
+    b_x, b_y = 1.0 - z[:, :n].sum(axis=1), 1.0 - z[:, n:].sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         det = h_xx * h_yy - h_xy * h_xy
         i_xx, i_xy, i_yy = h_yy / det, -h_xy / det, h_xx / det  # H_i^-1
@@ -698,22 +694,14 @@ def _newton_direction(grad: np.ndarray, blocks: tuple, z: np.ndarray, n: int,
     return d, ok
 
 
-def _project_shares(z: np.ndarray, n: int, optimize_power: bool) -> np.ndarray:
-    """Each row of budget-scaled shares (R, 2n) onto its feasible set: both
-    blocks onto the capped simplex, or with optimize_power False the compute
-    block only (the power shares stay as given)."""
-    if optimize_power:
-        return project_capped_simplex(z.reshape(-1, 2, n), 1.0).reshape(z.shape)
-    return np.concatenate([z[:, :n], project_capped_simplex(z[:, n:], 1.0)], axis=1)
-
-
-def _projected_gradient(objective, hessian, z0: np.ndarray, f0: np.ndarray, n: int, *,
-                        first_order, start: tuple, optimize_power: bool = True) -> _PgdResult:
-    """Minimize objective(z) over the product of two capped simplexes, per row of z0.
+def _projected_gradient(objective, hessian, z0: np.ndarray, f0: np.ndarray, *,
+                        first_order, project, start: tuple) -> _PgdResult:
+    """Minimize objective(z) over the feasible set of `project`, per row of z0,
+    on one scheme's pieces (_scaled_scheme).
 
     Each row of z0 (one start, shape (R, 2n) in all) holds feasible
-    budget-scaled power and compute shares (_project_shares of a start), and
-    f0 and start hold their values and their first_order score. All rows
+    budget-scaled power and compute shares (a projected start), and f0 and
+    start hold their values and their first_order score. All rows
     descend together. The vector work of an iteration is one numpy call each
     for all running rows: the gradient and `hessian` blocks, read from the
     rows' carried score when one first_order call scored them all (_carried)
@@ -727,9 +715,7 @@ def _projected_gradient(objective, hessian, z0: np.ndarray, f0: np.ndarray, n: i
     run on Python floats taken with one tolist() per array. They divide only
     where a numpy quotient was used and call min/max in np.minimum/np.maximum
     argument order, so every float is the one numpy gives.
-    The returned iteration count is summed over rows. With optimize_power
-    False the power block of the gradient is zeroed and the power shares
-    stay as given.
+    The returned iteration count is summed over rows.
     A row first tries its projected face-Newton point (_newton_direction)
     and keeps it (and its score) when f(new) <= f + 1e-2 g.(new - z) with
     g.(new - z) < 0. Otherwise its trial
@@ -751,9 +737,6 @@ def _projected_gradient(objective, hessian, z0: np.ndarray, f0: np.ndarray, n: i
     counted in max_iter_rows). stopped_on names each row's reason
     (SolverTrace.stopped_on).
     """
-    def project(z):
-        return _project_shares(z, n, optimize_power)
-
     z = np.array(z0, dtype=float)
     fz = np.asarray(f0, dtype=float).tolist()
     rows = len(fz)
@@ -786,9 +769,6 @@ def _projected_gradient(objective, hessian, z0: np.ndarray, f0: np.ndarray, n: i
                 score = first_order(zl)[1]
                 scores.update((row, (score, k)) for k, row in enumerate(live))
             grad, blocks = score[0], hessian(score[1])
-            if not optimize_power:  # on a copy: a carried score is never written
-                grad = grad.copy()
-                grad[:, :n] = 0.0
             gnorm = np.sqrt((grad * grad).sum(axis=1))
             finite = plain = np.isfinite(gnorm)
             if not finite.all():  # a finite gradient's square overflows: use grad / max|grad|
@@ -807,8 +787,7 @@ def _projected_gradient(objective, hessian, z0: np.ndarray, f0: np.ndarray, n: i
                 g, zm = grad[sel], zl[sel]
                 # the face-Newton trial first (a rescaled row has no matching
                 # Hessian); the rows that reject it backtrack from the BB step
-                d, ok = _newton_direction(g, tuple(h[sel] for h in blocks), zm, n,
-                                          optimize_power)
+                d, ok = _newton_direction(g, tuple(h[sel] for h in blocks), zm)
                 ok = ok.tolist()
                 trial = [j for j, k in enumerate(m) if ok[j] and plain[k]]
                 # positions in m that do not backtrack: a kept Newton point
@@ -883,61 +862,76 @@ def _projected_gradient(objective, hessian, z0: np.ndarray, f0: np.ndarray, n: i
                       len(live), scores)
 
 
-def _scaled_objective(evaluator: JointEvaluator, p_tot: float, f_tot: float):
-    """(objective, hessian, first_order) over budget-scaled shares
-    z = (power, compute) / totals.
+def _scaled_scheme(evaluator: JointEvaluator, problem: MultiLoopProblem, extra_starts) -> tuple:
+    """The problem's projected-gradient scheme over budget-scaled shares
+    z = (power, compute) / totals, 2n per row: (starts, objective, hessian,
+    first_order, project, method).
 
-    objective returns the value alone; first_order the value and the score
-    (gradient (R, 2n), chain-rule terms, costs); hessian(terms) the
-    per-robot Hessian blocks (h_xx, h_xy, h_yy) from a score's terms.
+    starts, before projection: the equal split, then for the task-oriented
+    scheme water-filled power with equal compute and the callers' extra
+    decisions, for compute-only the extra decisions' compute. objective
+    returns the value alone; first_order the value and the score (gradient
+    (R, 2n), chain-rule terms, costs); hessian(terms) the per-robot Hessian
+    blocks (h_xx, h_xy, h_yy) from a score's terms; project puts each block
+    of a row onto its capped simplex.
+
+    Compute-only freezes every power at the equal split, and only this
+    function says so: its gradient's power block is 0, its Hessian's power
+    blocks are the identity with no coupling, and project writes the
+    equal-split power shares back into every row. So the Newton step's
+    compute block is the frozen-power face-Newton step, its power move
+    (nonzero where the frozen shares do not sum to exactly 1) is thrown away
+    by project, and the certificate's power residual is exactly 0. Both
+    schemes keep 2n shares, so the Schur complement rounds alike (n c / (n s)
+    is not c / s).
     """
     n = evaluator.n
+    p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
+    frozen = problem.scheme == MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM
+    equal = np.full(n, 1.0 / n)
+    if frozen:
+        power = np.full(n, p_tot / n) / p_tot
+        computes = [equal] + [np.asarray(dec["compute_cps"]) / f_tot for dec in extra_starts]
+        starts = [np.concatenate([power, compute]) for compute in computes]
+    else:
+        starts = [np.full(2 * n, 1.0 / n),
+                  np.concatenate([evaluator.water_fill(p_tot) / p_tot, equal])]
+        starts += [np.concatenate([np.asarray(dec["power_w"]) / p_tot,
+                                   np.asarray(dec["compute_cps"]) / f_tot])
+                   for dec in extra_starts]
 
     def objective(batch: np.ndarray) -> np.ndarray:
         return evaluator.total_cost(batch[..., :n] * p_tot, batch[..., n:] * f_tot)
 
     def hessian(terms: tuple) -> tuple:
         h_pp, h_pf, h_ff = evaluator.hessian_blocks(terms)
-        return h_pp * (p_tot * p_tot), h_pf * (p_tot * f_tot), h_ff * (f_tot * f_tot)
+        h_ff = h_ff * (f_tot * f_tot)
+        if frozen:
+            return np.ones_like(h_ff), np.zeros_like(h_ff), h_ff
+        return h_pp * (p_tot * p_tot), h_pf * (p_tot * f_tot), h_ff
 
     def first_order(batch: np.ndarray) -> tuple:
         value, (d_power, d_compute), terms, cost = evaluator.first_order(
             batch[..., :n] * p_tot, batch[..., n:] * f_tot)
-        grad = np.concatenate([d_power * p_tot, d_compute * f_tot], axis=-1)
-        return value, (grad, terms, cost)
-    return objective, hessian, first_order
+        d_power = np.zeros_like(d_compute) if frozen else d_power * p_tot
+        return value, (np.concatenate([d_power, d_compute * f_tot], axis=-1), terms, cost)
+
+    if frozen:
+        def project(z: np.ndarray) -> np.ndarray:
+            out = np.concatenate([z[:, :n], project_capped_simplex(z[:, n:], 1.0)], axis=1)
+            out[:, :n] = power
+            return out
+        return starts, objective, hessian, first_order, project, "projected_gradient_compute_only"
+
+    def project(z: np.ndarray) -> np.ndarray:
+        return project_capped_simplex(z.reshape(-1, 2, n), 1.0).reshape(z.shape)
+    return starts, objective, hessian, first_order, project, "projected_gradient"
 
 
-def _task_starts(evaluator: JointEvaluator, p_tot: float, f_tot: float,
-                 extra_starts) -> list:
-    """The task-oriented starts: the equal split, water-filled power with
-    equal compute, and the callers' extra decisions, as budget-scaled shares."""
-    n = evaluator.n
-    equal = np.full(2 * n, 1.0 / n)
-    wf = np.concatenate([evaluator.water_fill(p_tot) / p_tot, np.full(n, 1.0 / n)])
-    starts = [equal, wf]
-    for dec in extra_starts:
-        starts.append(np.concatenate([np.asarray(dec["power_w"]) / p_tot,
-                                      np.asarray(dec["compute_cps"]) / f_tot]))
-    return starts
-
-
-def _compute_only_starts(evaluator: JointEvaluator, p_tot: float, f_tot: float,
-                         extra_starts) -> list:
-    """The compute-only starts, as budget-scaled shares: equal power, with the
-    equal compute split and then the callers' extra decisions' compute."""
-    n = evaluator.n
-    power = np.full(n, p_tot / n) / p_tot
-    computes = [np.full(n, 1.0 / n)]
-    computes += [np.asarray(dec["compute_cps"]) / f_tot for dec in extra_starts]
-    return [np.concatenate([power, compute]) for compute in computes]
-
-
-def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: list, *,
-                optimize_power: bool, method: str):
-    """PGD from the starts under the problem's totals: the winning row, the
-    trace with its end point for the certificate (computed on first read),
-    and its (value, costs, window) for _multi_result.
+def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, extra_starts):
+    """PGD under the problem's scheme (_scaled_scheme) from its starts: the
+    winning row, the trace with its end point for the certificate (computed
+    on first read), and its (value, costs, window) for _multi_result.
 
     Every start is projected and scored once, in one first_order call whose
     score the descent carries. When every robot's plant is unstable
@@ -949,10 +943,9 @@ def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: li
     wins. The winner's gradient and costs come from its carried score, or
     one first_order call after backtracking.
     """
-    n = evaluator.n
-    objective, hessian, first_order = _scaled_objective(
-        evaluator, problem.total_power_w, problem.total_compute_cps)
-    z0 = _project_shares(np.array(starts, dtype=float), n, optimize_power)
+    starts, objective, hessian, first_order, project, method = _scaled_scheme(
+        evaluator, problem, extra_starts)
+    z0 = project(np.array(starts, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f0, score = first_order(z0)
         first = 0
@@ -960,8 +953,8 @@ def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: li
             first = int(np.argmin(f0))
             z0, f0 = z0[first:first + 1], f0[first:first + 1]
             score = _rows_of(score, slice(first, first + 1))
-        res = _projected_gradient(objective, hessian, z0, f0, n, first_order=first_order,
-                                  start=score, optimize_power=optimize_power)
+        res = _projected_gradient(objective, hessian, z0, f0, first_order=first_order,
+                                  project=project, start=score)
         row = int(np.argmin(res.value))
         z = res.z[row:row + 1].copy()  # copies: a view would keep the batch alive
         (grad, terms, cost), i = res.scores.get(row) or (first_order(z)[1], 0)
@@ -970,7 +963,7 @@ def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: li
     trace = SolverTrace(iterations=res.iterations, converged=bool(res.converged[row]),
                         restarts=len(starts), best_restart=first + row, method=method,
                         max_iter_rows=res.max_iter_rows, stopped_on=res.stopped_on[row],
-                        end_point=(z, grad, n, optimize_power))
+                        end_point=(z, grad, project))
     return z[0], trace, (res.value[row], cost, window)
 
 
@@ -989,18 +982,21 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
     previous two points' budget shares; see predicted_start).
     Max-throughput: water-filled power, compute proportional to uplink load;
     it ignores extra_starts.
-    Compute-only: equal power frozen, projected gradient over compute from
-    the equal split and the compute shares of the callers' extra starts
-    (report passes the previous power point's compute-only decision and,
-    with every plant unstable, the secant prediction as above).
-    The two projected-gradient schemes share one branch and pick their starts
-    in _best_start: with every plant unstable only the lowest-valued start
-    descends, otherwise every start descends as one batch and the lowest end
-    point wins. Both use the analytic derivatives and Armijo backtracking
-    (_projected_gradient) and return the shares _best_start scored times the
-    totals; the trace reports the winning start, whether it converged, and
-    its projected-gradient norm (projected_gradient_norm) as the certificate,
-    computed on first read from the gradient its end point's score carries.
+    Compute-only: the task-oriented descent with every power frozen at the
+    equal split, from the equal split and the compute shares of the callers'
+    extra starts (report passes the previous power point's compute-only
+    decision and, with every plant unstable, the secant prediction as
+    above).
+    The two projected-gradient schemes share one branch: _scaled_scheme
+    builds each one's starts and pieces (and alone knows the frozen power),
+    and _best_start picks the starts that descend: with every plant unstable
+    only the lowest-valued start descends, otherwise every start descends as
+    one batch and the lowest end point wins. Both use the analytic
+    derivatives and Armijo backtracking (_projected_gradient) and return the
+    shares _best_start scored times the totals; the trace reports the
+    winning start, whether it converged, and its projected-gradient norm
+    (projected_gradient_norm) as the certificate, computed on first read
+    from the gradient its end point's score carries.
     Every scheme is re-scored under the penalized LQR total (lqr_total), with
     no per-loop outcomes (JointEvaluator.outcomes builds them on request).
     The solves of one sweep share one JointEvaluator (_sweep_evaluator),
@@ -1017,14 +1013,7 @@ def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> Allocatio
         trace = SolverTrace(iterations=1, converged=True, method="water_filling")
         return _multi_result(evaluator, problem, power, compute, throughput, trace)
 
-    optimize_power = problem.scheme == MultiLoopScheme.TASK_ORIENTED_JOINT
-    if optimize_power:
-        build, method = _task_starts, "projected_gradient"
-    else:
-        build, method = _compute_only_starts, "projected_gradient_compute_only"
-    z, trace, scored = _best_start(evaluator, problem,
-                                   build(evaluator, p_tot, f_tot, extra_starts),
-                                   optimize_power=optimize_power, method=method)
+    z, trace, scored = _best_start(evaluator, problem, extra_starts)
     # the objective is the penalized LQR total of the same products z * totals
     return _multi_result(evaluator, problem, z[:n] * p_tot, z[n:] * f_tot, scored[0], trace,
                          scored=scored)

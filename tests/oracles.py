@@ -21,10 +21,9 @@ from satloop.linkgeom import (SPEED_OF_LIGHT_M_S, Geometry, LinkParams, shannon_
                               slant_range_m)
 from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme, RobotLoop,
                               SingleLoopObjective, SingleLoopProblem, SolverTrace,
-                              _compute_only_starts, _link_rate_fns, _multi_result,
-                              _newton_direction, _project_shares, _projected_gradient,
-                              _scaled_objective, _single_objective_fn, _single_result,
-                              _task_starts)
+                              _link_rate_fns, _multi_result, _newton_direction,
+                              _projected_gradient, _scaled_scheme, _single_objective_fn,
+                              _single_result)
 from satloop.pipeline import LoopBudget, LoopOutcome
 
 # the baseline scenario's budget: a 20 ms cycle, 100 cycles/bit, 10 GC/s, 0.1% extraction
@@ -250,21 +249,20 @@ def random_joint_problem(rng: np.random.Generator, n_robots: int = 2, *,
 
 
 def all_starts_descend(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: list, *,
-                       optimize_power: bool, method: str):
-    """optimize._projected_gradient from every start as one batch, the lowest
-    end point kept: (z, value, trace), the trace without a certificate.
+                       method: str):
+    """optimize._projected_gradient under the problem's scheme
+    (optimize._scaled_scheme) from every start as one batch, the lowest end
+    point kept: (z, value, trace), the trace without a certificate.
 
     What optimize._best_start does for a stable plant, here for any plant,
     so a reference that runs through it never descends a single start.
     """
-    objective, hessian, first_order = _scaled_objective(
-        evaluator, problem.total_power_w, problem.total_compute_cps)
-    z0 = _project_shares(np.array(starts, dtype=float), evaluator.n, optimize_power)
+    _, objective, hessian, first_order, project, _ = _scaled_scheme(evaluator, problem, ())
+    z0 = project(np.array(starts, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f0, score = first_order(z0)
-    res = _projected_gradient(objective, hessian, z0, f0, evaluator.n,
-                              first_order=first_order, start=score,
-                              optimize_power=optimize_power)
+    res = _projected_gradient(objective, hessian, z0, f0, first_order=first_order,
+                              project=project, start=score)
     best = int(np.argmin(res.value))
     trace = SolverTrace(iterations=res.iterations, converged=bool(res.converged[best]),
                         restarts=len(starts), best_restart=best, method=method,
@@ -291,20 +289,16 @@ def multi_start_solve(problem: MultiLoopProblem, *, seed: int = 0, restarts: int
     n = evaluator.n
     p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
     rng = np.random.default_rng(seed)
-    if problem.scheme == MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM:
-        power = np.full(n, p_tot / n)
-        starts = _compute_only_starts(evaluator, p_tot, f_tot, extra_starts)
-        while len(starts) < restarts:
-            starts.append(np.concatenate([power / p_tot, rng.dirichlet(np.ones(n))]))
-        z, value, trace = all_starts_descend(evaluator, problem, starts, optimize_power=False,
-                                             method="multi_start_compute_only")
-        return _multi_result(evaluator, problem, power, z[n:] * f_tot, value, trace)
-    starts = _task_starts(evaluator, p_tot, f_tot, extra_starts)
-    while len(starts) < restarts:
-        starts.append(np.concatenate([rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))]))
-    z, value, trace = all_starts_descend(evaluator, problem, starts, optimize_power=True,
-                                         method="multi_start")
-    return _multi_result(evaluator, problem, z[:n] * p_tot, z[n:] * f_tot, value, trace)
+    starts = _scaled_scheme(evaluator, problem, extra_starts)[0]
+    compute_only = problem.scheme == MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM
+    while len(starts) < restarts:  # the frozen power of compute-only draws nothing
+        power = starts[0][:n] if compute_only else rng.dirichlet(np.ones(n))
+        starts.append(np.concatenate([power, rng.dirichlet(np.ones(n))]))
+    z, value, trace = all_starts_descend(
+        evaluator, problem, starts,
+        method="multi_start_compute_only" if compute_only else "multi_start")
+    power = np.full(n, p_tot / n) if compute_only else z[:n] * p_tot
+    return _multi_result(evaluator, problem, power, z[n:] * f_tot, value, trace)
 
 
 def central_difference_gradient(evaluator, power_w: np.ndarray, compute_cps: np.ndarray, *,
@@ -424,11 +418,11 @@ def water_fill_power_fixed_steps(evaluator, total_power_w: float, steps: int = 2
     return alloc
 
 
-def reference_projected_gradient(objective, hessian, first_order, project, z0: np.ndarray,
-                                 n: int, *, optimize_power: bool, max_halvings: int,
-                                 max_iter: int = 500, rel_tol: float = 1e-10,
+def reference_projected_gradient(objective, hessian, first_order, project, z0: np.ndarray, *,
+                                 max_halvings: int, max_iter: int = 500, rel_tol: float = 1e-10,
                                  patience: int = 5) -> tuple:
-    """One start of optimize._projected_gradient, one row and one halving at a time.
+    """One start of optimize._projected_gradient, one row and one halving at a time,
+    on one scheme's pieces (optimize._scaled_scheme).
 
     The same rules, written as a plain loop: the face-Newton trial first
     (optimize._newton_direction on the one row, kept when it passes its
@@ -452,8 +446,6 @@ def reference_projected_gradient(objective, hessian, first_order, project, z0: n
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             g, terms, _ = first_order(z[None, :])[1]
             g, blocks = g[0], hessian(terms)
-        if not optimize_power:
-            g[:n] = 0.0
         gnorm = math.sqrt((g * g).sum())
         if not math.isfinite(gnorm):
             return z, f, False, iterations
@@ -469,7 +461,7 @@ def reference_projected_gradient(objective, hessian, first_order, project, z0: n
             s = min(max(s, 1e-16), 1e8)
             z_prev, g_prev = z, g
             accepted = newton = settled = False
-            d, ok = _newton_direction(g[None, :], blocks, z[None, :], n, optimize_power)
+            d, ok = _newton_direction(g[None, :], blocks, z[None, :])
             if ok[0]:
                 cand = project((z + d[0])[None, :])[0]
                 slope = (g * (cand - z)).sum()

@@ -999,6 +999,14 @@ def _gradient_and_blocks(hessian, first_order, z):
     return grad, hessian(terms)
 
 
+def _scheme(ev, problem, optimize_power: bool) -> tuple:
+    """(objective, hessian, first_order, project) of optimize._scaled_scheme
+    for the problem under the task-oriented scheme, or under compute-only."""
+    scheme = (MultiLoopScheme.TASK_ORIENTED_JOINT if optimize_power
+              else MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM)
+    return optimize._scaled_scheme(ev, dataclasses.replace(problem, scheme=scheme), ())[1:5]
+
+
 class TestNewtonDirection:
     @pytest.mark.parametrize("optimize_power", [True, False])
     def test_matches_dense_kkt_solve(self, optimize_power):
@@ -1008,29 +1016,31 @@ class TestNewtonDirection:
         for k in (1, 2, 3, 5):
             problem = random_joint_problem(rng, n_robots=k)
             ev = JointEvaluator(problem)
-            _, hessian, first_order = optimize._scaled_objective(
-                ev, problem.total_power_w, problem.total_compute_cps)
+            _, hessian, first_order, project = _scheme(ev, problem, optimize_power)
             shares = np.concatenate([rng.dirichlet(np.ones(k), 40),
                                      rng.dirichlet(np.ones(k), 40)], axis=1)
             z = shares * rng.uniform(0.9, 1.0, (40, 1))  # on the face and inside it
             z[:10] = shares[:10]
             with np.errstate(divide="ignore", invalid="ignore"):  # robots below threshold
                 grad, blocks = _gradient_and_blocks(hessian, first_order, z)
-            if not optimize_power:
-                grad[:, :k] = 0.0
-            d, ok = optimize._newton_direction(grad, blocks, z, k, optimize_power)
+            d, ok = optimize._newton_direction(grad, blocks, z)
             for row in np.flatnonzero(ok):
                 want = _dense_face_newton(grad[row], tuple(h[row] for h in blocks), z[row], k,
                                           optimize_power)
-                # atol: a lone robot's step is the budget left, 0 up to rounding
-                np.testing.assert_allclose(d[row], want, rtol=1e-8,
+                # the whole step, or with the power frozen its compute block (the
+                # power move is the projection's to discard); atol: a lone
+                # robot's step is the budget left, 0 up to rounding
+                got, want = (d[row], want) if optimize_power else (d[row, k:], want[k:])
+                np.testing.assert_allclose(got, want, rtol=1e-8,
                                            atol=1e-8 * np.abs(want).max() + 1e-15)
                 new = z[row] + d[row]
                 assert abs(new[k:].sum() - 1.0) <= 1e-12
                 if optimize_power:
                     assert abs(new[:k].sum() - 1.0) <= 1e-12
-                else:  # the power shares stay as given
-                    assert np.array_equal(new[:k], z[row, :k])
+                else:  # the scheme's projection puts the equal-split power shares back
+                    p_tot = problem.total_power_w
+                    assert np.array_equal(project(new[None, :])[0, :k],
+                                          np.full(k, p_tot / k) / p_tot)
                 compared += 1
         assert compared > 50
 
@@ -1038,8 +1048,7 @@ class TestNewtonDirection:
         """A capped robot (zero block) or one starved of compute (no compute curvature)."""
         problem = _default_joint(extraction_scale=0.03)
         ev = JointEvaluator(problem)
-        _, hessian, first_order = optimize._scaled_objective(
-            ev, problem.total_power_w, problem.total_compute_cps)
+        _, hessian, first_order, _ = _scheme(ev, problem, True)
         n = ev.n
         z = np.tile(np.full(2 * n, 1.0 / n), (2, 1))
         z[1, n], z[1, n + 1] = 0.0, 2.0 / n  # row 1: robot 0 gets no compute
@@ -1047,15 +1056,15 @@ class TestNewtonDirection:
         with np.errstate(divide="ignore", invalid="ignore"):
             eff = ev.rates_bps(power) * (ev.t_budget - ev.comp_cycles / compute)
             assert (eff[0] > ev.cap_bits).any() and eff[1, 0] < 0.0
-            d, ok = optimize._newton_direction(*_gradient_and_blocks(hessian, first_order, z),
-                                               z, n, True)
+            d, ok = optimize._newton_direction(*_gradient_and_blocks(hessian, first_order, z), z)
         assert not ok.any()
 
 
-def _random_starts(ev, p_tot, f_tot, count: int, seed: int) -> np.ndarray:
-    """The solver's task-oriented starts topped up to `count` rows by seeded
-    random feasible points, so that a batch holds many different rows."""
-    starts = optimize._task_starts(ev, p_tot, f_tot, ())
+def _random_starts(ev, problem, count: int, seed: int) -> np.ndarray:
+    """The solver's starts of the (task-oriented) problem topped up to `count`
+    rows by seeded random feasible points, so that a batch holds many
+    different rows."""
+    starts = optimize._scaled_scheme(ev, problem, ())[0]
     rng = np.random.default_rng(seed)
     while len(starts) < count:
         starts.append(np.concatenate([rng.dirichlet(np.ones(ev.n)),
@@ -1077,13 +1086,12 @@ def _record_starts(patch) -> list:
     calls = []
     best_start = optimize._best_start
 
-    def recording(evaluator, problem, starts, **kwargs):
-        objective = optimize._scaled_objective(evaluator, problem.total_power_w,
-                                               problem.total_compute_cps)[0]
+    def recording(evaluator, problem, extra_starts):
+        starts, objective, _, _, project, _ = optimize._scaled_scheme(evaluator, problem,
+                                                                      extra_starts)
         starts = np.array(starts)
-        projected = optimize._project_shares(starts, evaluator.n, kwargs["optimize_power"])
-        calls.append((starts, objective(projected)))
-        return best_start(evaluator, problem, starts, **kwargs)
+        calls.append((starts, objective(project(starts))))
+        return best_start(evaluator, problem, extra_starts)
     patch.setattr(optimize, "_best_start", recording)
     return calls
 
@@ -1101,15 +1109,14 @@ def _patch_gradient(patch, fill: float):
     patch.setattr(JointEvaluator, "first_order", patched)
 
 
-def _descend(objective, hessian, first_order, starts, n: int, *, optimize_power: bool):
-    """optimize._projected_gradient from the starts, projected and scored first
-    as optimize._best_start does."""
-    z0 = optimize._project_shares(np.array(starts, dtype=float), n, optimize_power)
+def _descend(objective, hessian, first_order, project, starts):
+    """optimize._projected_gradient on one scheme's pieces from the starts,
+    projected and scored first as optimize._best_start does."""
+    z0 = project(np.array(starts, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f0, score = first_order(z0)
-    return optimize._projected_gradient(objective, hessian, z0, f0, n,
-                                        first_order=first_order, start=score,
-                                        optimize_power=optimize_power)
+    return optimize._projected_gradient(objective, hessian, z0, f0, first_order=first_order,
+                                        project=project, start=score)
 
 
 class TestBatchedPgd:
@@ -1117,14 +1124,11 @@ class TestBatchedPgd:
     def test_rows_match_single_row_runs(self, optimize_power):
         problem = _default_joint()
         ev = JointEvaluator(problem)
-        p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-        objective, hessian, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
-        starts = _random_starts(ev, p_tot, f_tot, 6, 3)
-        batch = _descend(objective, hessian, first_order, starts, ev.n,
-                         optimize_power=optimize_power)
+        pieces = _scheme(ev, problem, optimize_power)
+        starts = _random_starts(ev, problem, 6, 3)
+        batch = _descend(*pieces, starts)
         for row, z0 in enumerate(starts):
-            alone = _descend(objective, hessian, first_order, z0[None, :], ev.n,
-                             optimize_power=optimize_power)
+            alone = _descend(*pieces, z0[None, :])
             assert batch.value[row] == pytest.approx(alone.value[0], rel=1e-12)
             assert batch.converged[row] == alone.converged[0]
 
@@ -1137,24 +1141,14 @@ class TestBatchedPgd:
         problems += [random_joint_problem(rng, n_robots=k) for k in (2, 3, 4)]
         for problem in problems:
             ev = JointEvaluator(problem)
-            p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-            objective, hessian, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
-            starts = _random_starts(ev, p_tot, f_tot, 12, 5)
+            pieces = _scheme(ev, problem, optimize_power)
+            starts = _random_starts(ev, problem, 12, 5)
             starts[-1] = np.concatenate([np.eye(ev.n)[0], np.eye(ev.n)[-1]])  # a vertex
-            batch = _descend(objective, hessian, first_order, starts, ev.n,
-                             optimize_power=optimize_power)
-
-            def project(z):
-                if optimize_power:
-                    return project_capped_simplex(z.reshape(-1, 2, ev.n), 1.0).reshape(z.shape)
-                return np.concatenate([z[:, :ev.n], project_capped_simplex(z[:, ev.n:], 1.0)],
-                                      axis=1)
+            batch = _descend(*pieces, starts)
             iterations = 0
             for row, z0 in enumerate(starts):
                 z, value, converged, iters = reference_projected_gradient(
-                    objective, hessian, first_order, project, z0, ev.n,
-                    optimize_power=optimize_power,
-                    max_halvings=optimize.MAX_HALVINGS, max_iter=150)
+                    *pieces, z0, max_halvings=optimize.MAX_HALVINGS, max_iter=150)
                 assert np.array_equal(batch.z[row], z)
                 assert batch.value[row] == value and batch.converged[row] == converged
                 iterations += iters
@@ -1176,22 +1170,17 @@ class TestBatchedPgd:
                 problem.budget, extraction_ratio=cap_bits / problem.uplink_fixed_bits)
             problem = dataclasses.replace(problem, budget=budget)
         ev = JointEvaluator(problem)
-        p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-        objective, hessian, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
-        starts = _random_starts(ev, p_tot, f_tot, count, seed)[:count]
+        pieces = _scheme(ev, problem, optimize_power)
+        starts = _random_starts(ev, problem, count, seed)[:count]
         if vertex:
             starts[-1] = np.concatenate([np.eye(ev.n)[0], np.eye(ev.n)[-1]])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(optimize, "PGD_MAX_ITER", max_iter)
-            batch = _descend(objective, hessian, first_order, starts, ev.n,
-                             optimize_power=optimize_power)
+            batch = _descend(*pieces, starts)
 
         def reference(z0, cap):
-            return reference_projected_gradient(
-                objective, hessian, first_order,
-                lambda z: optimize._project_shares(z, ev.n, optimize_power), z0, ev.n,
-                optimize_power=optimize_power, max_halvings=optimize.MAX_HALVINGS,
-                max_iter=cap)
+            return reference_projected_gradient(*pieces, z0, max_halvings=optimize.MAX_HALVINGS,
+                                                max_iter=cap)
         iterations = capped = 0
         for row, z0 in enumerate(starts):
             z, value, converged, iters = reference(z0, max_iter)
@@ -1218,10 +1207,10 @@ class TestBatchedPgd:
         original, backtrack, carried = (optimize._projected_gradient, optimize._backtrack,
                                         optimize._carried)
 
-        def recorded(objective, hessian, z0, f0, n, **kwargs):
-            result = original(objective, hessian, z0, f0, n, **kwargs)
-            runs.append((objective, hessian, kwargs["first_order"], z0.copy(), n,
-                         kwargs["optimize_power"], result))
+        def recorded(objective, hessian, z0, f0, **kwargs):
+            result = original(objective, hessian, z0, f0, **kwargs)
+            runs.append((objective, hessian, kwargs["first_order"], kwargs["project"],
+                         z0.copy(), result))
             return result
 
         def counted_backtrack(*args):
@@ -1243,12 +1232,11 @@ class TestBatchedPgd:
         assert main(argv) == 0
         assert len(runs) == 42
         assert (sum(moved) > 0) == any(rescored) == backtracks
-        for objective, hessian, first_order, z0, n, optimize_power, result in runs:
+        for objective, hessian, first_order, project, z0, result in runs:
             assert len(z0) == 1
             z, value, converged, iters = reference_projected_gradient(
-                objective, hessian, first_order,
-                lambda z: optimize._project_shares(z, n, optimize_power),
-                z0[0], n, optimize_power=optimize_power, max_halvings=optimize.MAX_HALVINGS)
+                objective, hessian, first_order, project, z0[0],
+                max_halvings=optimize.MAX_HALVINGS)
             assert np.array_equal(result.z[0], z) and result.value[0] == value
             assert result.converged[0] == converged and result.iterations == iters
             assert result.max_iter_rows == 0
@@ -1266,19 +1254,11 @@ class TestBatchedPgd:
                 problem.budget, extraction_ratio=cap_bits / problem.uplink_fixed_bits)
             problem = dataclasses.replace(problem, budget=budget)
         ev = JointEvaluator(problem)
-        p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-        objective, hessian, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
-        starts = _random_starts(ev, p_tot, f_tot, 6, seed)
-        result = _descend(objective, hessian, first_order, starts, ev.n,
-                          optimize_power=optimize_power)
-        if optimize_power:
-            projected = project_capped_simplex(starts.reshape(-1, 2, ev.n), 1.0)
-        else:
-            projected = np.concatenate(
-                [starts[:, None, :ev.n], project_capped_simplex(starts[:, None, ev.n:], 1.0)],
-                axis=1)
+        objective, hessian, first_order, project = _scheme(ev, problem, optimize_power)
+        starts = _random_starts(ev, problem, 6, seed)
+        result = _descend(objective, hessian, first_order, project, starts)
         assert np.isfinite(result.z).all() and np.isfinite(result.value).all()
-        assert (result.value <= objective(projected.reshape(starts.shape))).all()
+        assert (result.value <= objective(project(starts))).all()
         assert np.array_equal(result.value, objective(result.z))
 
     @staticmethod
@@ -1287,12 +1267,7 @@ class TestBatchedPgd:
         default problem, with steps from no halving to dozens."""
         problem = _default_joint()
         ev = JointEvaluator(problem)
-        objective, _, first_order = optimize._scaled_objective(
-            ev, problem.total_power_w, problem.total_compute_cps)
-
-        def project(z):
-            return project_capped_simplex(z.reshape(-1, 2, ev.n), 1.0).reshape(z.shape)
-
+        objective, _, first_order, project = _scheme(ev, problem, True)
         rng = np.random.default_rng(4)
         z = project(np.concatenate([rng.dirichlet(np.ones(ev.n), 40),
                                     rng.dirichlet(np.ones(ev.n), 40)], axis=1))
@@ -1378,13 +1353,10 @@ class TestBatchedPgd:
         """The first Barzilai-Borwein quotient is 0/0; the run stays silent."""
         problem = _default_joint()
         ev = JointEvaluator(problem)
-        p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
-        objective, hessian, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
-        starts = _random_starts(ev, p_tot, f_tot, 6, 3)
+        starts = _random_starts(ev, problem, 6, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = _descend(objective, hessian, first_order, starts, ev.n,
-                              optimize_power=optimize_power)
+            result = _descend(*_scheme(ev, problem, optimize_power), starts)
         assert result.iterations > len(starts)
 
     # The tests below that count rows run on a stable-plant copy of the
@@ -1492,7 +1464,7 @@ class TestBatchedPgd:
     def test_converged_reports_the_winning_start(self, monkeypatch, scheme):
         """The winning start is unconverged: the solve is not converged, even
         when a losing start converged."""
-        def fake_pgd(objective, hessian, z0, f0, n, **kwargs):
+        def fake_pgd(objective, hessian, z0, f0, **kwargs):
             value = np.full(len(z0), 3.0)
             value[-1] = 1.0  # the winner, unconverged
             converged = np.ones(len(z0), dtype=bool)
@@ -1519,7 +1491,7 @@ class TestBatchedPgd:
         vertex = {"power_w": np.eye(5)[0] * 5.0, "compute_cps": np.eye(5)[0] * 1e10}
         descended = []
 
-        def fake_pgd(objective, hessian, z0, f0, n, **kwargs):
+        def fake_pgd(objective, hessian, z0, f0, **kwargs):
             descended.append(z0.copy())
             return optimize._PgdResult(z0.copy(), objective(z0), np.zeros(len(z0), bool), 7,
                                        stopped_on=("nonfinite_gradient",) * len(z0))
@@ -1536,14 +1508,14 @@ class TestBatchedPgd:
 
 def _record_ends(patch) -> list:
     """Record, for each projected-gradient solve made under patch, (evaluator,
-    power, compute, first_order, optimize_power, its _projected_gradient
-    result, its AllocationResult)."""
+    power, compute, first_order, project, its _projected_gradient result,
+    its AllocationResult)."""
     pending, ends = [], []
     pgd, multi_result = optimize._projected_gradient, optimize._multi_result
 
-    def recorded_pgd(objective, hessian, z0, f0, n, **kwargs):
-        result = pgd(objective, hessian, z0, f0, n, **kwargs)
-        pending.append((kwargs["first_order"], kwargs["optimize_power"], result))
+    def recorded_pgd(objective, hessian, z0, f0, **kwargs):
+        result = pgd(objective, hessian, z0, f0, **kwargs)
+        pending.append((kwargs["first_order"], kwargs["project"], result))
         return result
 
     def recorded_result(evaluator, problem, power, compute, *args, **kwargs):
@@ -1571,8 +1543,7 @@ class TestCarriedEndPoint:
         """Check every recorded end point; returns how many carried their
         score."""
         carried = 0
-        for evaluator, power, compute, first_order, optimize_power, pgd, result in ends:
-            n = evaluator.n
+        for evaluator, power, compute, first_order, project, pgd, result in ends:
             row = int(np.argmin(pgd.value))
             z = pgd.z[row:row + 1]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -1587,9 +1558,7 @@ class TestCarriedEndPoint:
                     assert _same_bits(kept_cost, control.rate_cost(
                         eff, evaluator.a_sq, evaluator.sens_w, evaluator.j_ideal))
                     carried += 1
-                if not optimize_power:
-                    grad[:, :n] = 0.0
-                residual = z - optimize._project_shares(z - grad, n, optimize_power)
+                residual = z - project(z - grad)
                 certificate = float(np.sqrt((residual * residual).sum()))
             reported = reported_costs(evaluator.a_sq, evaluator.sens_w, evaluator.j_ideal,
                                       eff, window >= 0.0)[2]
@@ -1642,6 +1611,62 @@ class TestCarriedEndPoint:
             assert _same_bits(eff, want_eff) and _same_bits(window, want_window)
 
 
+def _assert_power_frozen(problem: MultiLoopProblem, result) -> None:
+    """A compute-only solve keeps the equal split's power shares: its power is
+    (p / n / p) * p bit for bit, and its certificate's power residual is
+    exactly 0."""
+    n, p_tot = len(problem.robots), problem.total_power_w
+    assert _same_bits(result.decision["power_w"], (np.full(n, p_tot / n) / p_tot) * p_tot)
+    z, grad, project = result.solver_trace.end_point
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        residual = z - project(z - grad)
+    assert (residual[0, :n] == 0.0).all()
+
+
+class TestFrozenPower:
+    """Compute-only is the projected-gradient descent with every power frozen
+    at the equal split (optimize._scaled_scheme): no solve moves it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_robots=st.integers(1, 4), stable=st.booleans(),
+           n_extra=st.integers(0, 2))
+    def test_random_solves(self, seed, n_robots, stable, n_extra):
+        """Stable and unstable draws, with random feasible extra starts whose
+        power the scheme ignores."""
+        rng = np.random.default_rng(seed)
+        problem = dataclasses.replace(random_joint_problem(rng, n_robots, stable=stable),
+                                      scheme=MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM)
+        extra = [{"power_w": rng.dirichlet(np.ones(n_robots)) * problem.total_power_w,
+                  "compute_cps": rng.dirichlet(np.ones(n_robots)) * problem.total_compute_cps}
+                 for _ in range(n_extra)]
+        _assert_power_frozen(problem, solve_multi_loop(problem, extra_starts=extra))
+
+    @pytest.mark.parametrize("document", [None, "plant: {a: 0.5}\n",
+                                          "multi_loop: {n_robots: 20}\n"],
+                             ids=["baseline", "stable-0.5", "robots-20"])
+    def test_multi_loop_runs(self, tmp_path, monkeypatch, document):
+        """Each of a multi-loop run's 21 compute-only solves, warm-started
+        along the power sweep."""
+        solves = []
+        original = satloop.report.solve_multi_loop
+
+        def recorded(problem, **kwargs):
+            result = original(problem, **kwargs)
+            solves.append((problem, result))
+            return result
+        monkeypatch.setattr(satloop.report, "solve_multi_loop", recorded)
+        argv = ["multi-loop", "--out", str(tmp_path / "out"), "--format", "csv"]
+        if document is not None:
+            (tmp_path / "doc.yaml").write_text(document, encoding="utf-8")
+            argv += ["--scenario", str(tmp_path / "doc.yaml")]
+        assert main(argv) == 0
+        frozen = [(problem, result) for problem, result in solves
+                  if problem.scheme == MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM]
+        assert len(frozen) == 21
+        for problem, result in frozen:
+            _assert_power_frozen(problem, result)
+
+
 # Per-robot power and compute, in budget-scaled shares: none, a tiny or a
 # typical share, and one past any budget (a rate-clamped loop, given a cap
 # above control.RATE_CLAMP_BITS); compute below pipeline.COMPUTE_FLOOR_CPS too
@@ -1687,7 +1712,7 @@ class TestScoredOnce:
         ev = JointEvaluator(problem)
         p_tot, f_tot = problem.total_power_w, problem.total_compute_cps
         power, compute = z[:, :n_robots] * p_tot, z[:, n_robots:] * f_tot
-        _, hessian, first_order = optimize._scaled_objective(ev, p_tot, f_tot)
+        _, hessian, first_order, _ = _scheme(ev, problem, True)
         pairs = []  # (carried, fresh): each a gradient and its Hessian blocks
         with np.errstate(all="ignore"):
             _, grad, terms, _ = ev.first_order(power, compute)
@@ -1874,8 +1899,7 @@ class TestDeterministicStarts:
         [(starts, _)] = calls
         ev = JointEvaluator(problem)
         power = scheme == MultiLoopScheme.TASK_ORIENTED_JOINT
-        z, value, every = all_starts_descend(ev, problem, list(starts), optimize_power=power,
-                                             method="every start")
+        z, value, every = all_starts_descend(ev, problem, list(starts), method="every start")
         assert len(starts) == (3 if power else 2)
         assert solved.solver_trace.iterations == every.iterations > len(starts)
         assert solved.solver_trace.best_restart == every.best_restart

@@ -1,5 +1,6 @@
 """scripts/output_diff.py: the per-column report and its exit status."""
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,3 +67,29 @@ def test_the_joint_group_runs_valid_documents(tmp_path):
         assert scenario != default_scenario()
         contour = scenario.tree["contour"]
         assert (contour["power_points"], contour["compute_points"]) == (6, 6)
+
+
+def test_a_tree_against_itself_has_no_differing_solve(capsys):
+    """Each of the default multi-loop run's 63 joint solves is recorded on
+    both sides (trace, certificate, lqr_total, decision) and compares equal."""
+    assert output_diff.main(["--tree", str(ROOT), "--tree", str(ROOT), "--corpus", "default",
+                             "--verbs", "multi-loop"]) == 0
+    report = capsys.readouterr().out
+    assert ("63 joint solves: 0 differ in their solver trace, certificate, lqr_total or "
+            "decision\n") in report
+
+
+def test_a_differing_solve_is_named(tmp_path, capsys):
+    """A solve that differs in one field, or is on one side only, counts."""
+    solve = {"iterations": 3, "lqr_total": "0x1.8p+1", "power_w": ["0x1.0p+0"]}
+    sides = [{"run": [solve, solve]}, {"run": [dict(solve, lqr_total="0x1.9p+1")]}]
+    outs = []
+    for k, solves in enumerate(sides):
+        (tmp_path / f"side{k}").mkdir()
+        (tmp_path / f"side{k}" / "solves.json").write_text(json.dumps(solves))
+        outs.append(tmp_path / f"side{k}")
+    assert output_diff.compare_solves([("run", "multi-loop", None)], outs) == 2
+    report = capsys.readouterr().out
+    assert "run: solve 0 differs in lqr_total\n" in report
+    assert "run: solve 1 differs in iterations, lqr_total, power_w\n" in report
+    assert "2 joint solves: 2 differ" in report

@@ -851,7 +851,13 @@ class TestBaselineSweepWork:
         projections, 142 when each of the 42 descents projected its end
         point once more for the certificate.
         """
-        counts = {}
+        counts, schemes = {}, []
+        best_start = optimize._best_start
+
+        def tagged(evaluator, problem, extra_starts):  # the scheme of the next descent
+            schemes.append(problem.scheme)
+            return best_start(evaluator, problem, extra_starts)
+        monkeypatch.setattr(optimize, "_best_start", tagged)
 
         def count(owner, name):
             original = getattr(owner, name)
@@ -860,7 +866,8 @@ class TestBaselineSweepWork:
                 result = original(*args, **kwargs)
                 counts[name] = counts.get(name, 0) + 1
                 if name == "_projected_gradient":
-                    key = ("task_oriented_row_iterations" if kwargs["optimize_power"]
+                    key = ("task_oriented_row_iterations"
+                           if schemes[-1] == optimize.MultiLoopScheme.TASK_ORIENTED_JOINT
                            else "compute_only_row_iterations")
                     counts[key] = counts.get(key, 0) + result.iterations
                 return result
@@ -931,11 +938,12 @@ class TestBaselineSweepWork:
             if problem.scheme == optimize.MultiLoopScheme.MAX_THROUGHPUT_JOINT:
                 assert trace.end_point is None and math.isnan(certificate)
                 continue
-            z, grad, n, optimize_power = trace.end_point
-            assert n == 5 and optimize_power == (
-                problem.scheme == optimize.MultiLoopScheme.TASK_ORIENTED_JOINT)
+            z, grad, _ = trace.end_point
+            # compute-only's gradient carries its frozen power block as 0
+            assert (grad[0, :5] == 0.0).all() == (
+                problem.scheme == optimize.MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM)
             for array in (z, grad):
-                assert array.shape == (1, 2 * n)
+                assert array.shape == (1, 10)
                 assert array.base is None and not array.flags.writeable
             flagged = dataclasses.replace(trace, all_infeasible=True)
             assert flagged.end_point is trace.end_point
