@@ -8,45 +8,21 @@ link budget per link, and the chosen split is scored at those same rates. The
 task-oriented split maximises the balanced cycle's effective bits.
 
 Multi loop: jointly allocate downlink power and on-board compute frequency
-across robots by projected gradient on budget-scaled variables (closed-form
-gradient and Hessian blocks), against a max-throughput (water-filling) scheme
-and a compute-only scheme at equal power, the same descent with the power
-block frozen (_scaled_scheme). The starts are deterministic and few: for an
-unstable plant, log r(p) and log w(f) are concave and J(e^u) is decreasing
-and convex, so each loop's J(min(r(p) w(f), cap)) is jointly convex where
-it is feasible and every local minimum is global (Boyd & Vandenberghe,
-Convex Optimization, 3.2.4); with every plant unstable, only the
-lowest-valued start descends. For a stable plant J(e^u) is not convex at
-small eff, and nothing certifies the starts there: every start descends as
-one batch and the lowest end point wins, which can still stop above the
-global minimum. Each
-iteration first tries a face-Newton step: the objective is separable by robot,
-so its Hessian is block-diagonal with one closed-form 2x2 (power, compute)
-block per robot, and the Newton step on the face where both budgets are spent
-needs only those blocks and a 2x2 Schur complement. A row keeps the projected
-Newton point when it passes a sufficient-decrease test; a row whose blocks
-are not positive definite (a capped, penalised or starved loop), or whose
-Newton point fails the test, takes the Barzilai-Borwein step with Armijo
-backtracking instead. The Newton decrement decides the stop, before the
-line search (B&V 9.5.1 and 10.2): a row whose Newton step predicts a
-decrease of at most PGD_REL_TOL of its value stops in that iteration, at
-the Newton point if it kept it, else where its backtracking left it (a
-decrease that small can score an ulp above the value); a row whose Newton
-step predicts no decrease stops where it stands if it is stationary. The
-vector math of an iteration (gradient and Hessian blocks, Newton step,
-projection, Newton trial) is one batched numpy call for all running rows,
-and backtracking one per block
-of halvings that some row still needs (_HALVING_BLOCKS); each row's
-step choice, stopping test and bookkeeping run on Python floats. The trace
-certifies the returned point with its projected-gradient norm
-(SolverTrace.projected_gradient_norm), computed on first read: one projection,
-a sort per block, that no solve pays for. Each point a solve stands on (its
-start batch, each Newton trial, and a row that moved by backtracking, at its
-next iteration) is scored by JointEvaluator.first_order (value, gradient,
-chain-rule terms, per-robot costs): the point's Hessian blocks, the
-certificate's gradient and the result all read that score. An iteration
-whose running rows hold no common score scores them all in one call; the
-backtracking trials are scored for their value alone.
+across robots by projected gradient on budget-scaled shares, with
+closed-form gradient and 2x2 Hessian blocks, against a max-throughput
+(water-filling) scheme and a compute-only scheme. The design rests on
+convexity: for an unstable plant, log r(p) and log w(f) are concave and
+J(e^u) is decreasing and convex, so each loop's J(min(r(p) w(f), cap)) is
+jointly convex where it is feasible and every local minimum is global (Boyd
+& Vandenberghe, Convex Optimization, 3.2.4). So a few deterministic starts
+do, with no random restart. For a stable plant J(e^u) is not convex at small
+eff, and nothing certifies the starts. Each rule is stated once, where it is
+applied: _scaled_scheme builds either projected-gradient scheme (and freezes
+the compute-only power), _best_start picks the starts that descend,
+_projected_gradient holds the step, stop and score-once rules,
+_newton_direction the face-Newton step, _backtrack its blocks of halvings,
+SolverTrace.projected_gradient_norm the certificate, and sweep_contour and
+report.cmd_multi_loop the extra starts of their sweeps.
 
 Any one loop is scored on Python floats, with 4^R by libm's pow: the
 single-loop split once, by pipeline.outcome_at_rates, and each robot of
@@ -74,17 +50,11 @@ np = lazy_import("numpy")
 
 INFEASIBILITY_PENALTY = 1e9
 GOLDEN_REL_WIDTH = 1e-8
-# Projected gradient: a row converges when its Newton step, kept or not, predicts
-# a decrease of at most PGD_REL_TOL of its value (or none, at a stationary
-# point), or after PGD_PATIENCE consecutive iterations that improve its value
-# by less than PGD_REL_TOL relative, and stops unconverged after PGD_MAX_ITER
-# iterations.
+# the projected gradient's stop rules (_projected_gradient)
 PGD_REL_TOL = 1e-10
 PGD_PATIENCE = 5
 PGD_MAX_ITER = 500
-# Projected-gradient backtracking: MAX_HALVINGS trial steps, scored in blocks
-# of growing length (the first halving alone, the next 7, then the rest), each
-# block in one objective call for the rows that have not stopped before it.
+# backtracking's trial steps and the blocks they are scored in (_backtrack)
 MAX_HALVINGS = 80
 _HALVINGS = tuple(0.5 ** k for k in range(MAX_HALVINGS))  # the trial-step scales 1, 1/2, ...
 _HALVING_BLOCKS = (_HALVINGS[:1], _HALVINGS[1:8], _HALVINGS[8:])
@@ -302,14 +272,6 @@ def solve_single_loop(problem: SingleLoopProblem) -> AllocationResult:
         iterations=evals, converged=True, method="golden_section"))
 
 
-@functools.lru_cache(maxsize=1)
-def _plant_model(plant: Plant) -> RateCostModel:
-    """The plant's RateCostModel from a one-entry memo keyed on the plant
-    (Plant is eq=False, so by identity): the three objectives of one
-    single-loop document share one plant, and so one model."""
-    return RateCostModel.from_plant(plant)
-
-
 def _single_result(problem: SingleLoopProblem, rates: tuple, b_up: float,
                    objective_value: float, trace: SolverTrace) -> AllocationResult:
     """The split b_up re-scored once through the full cycle model, at the
@@ -319,7 +281,7 @@ def _single_result(problem: SingleLoopProblem, rates: tuple, b_up: float,
     task-oriented objective value) is the outcome's cost, penalized where
     it is infinite.
     """
-    model = _plant_model(problem.plant)
+    model = RateCostModel.from_plant(problem.plant)
     rate_up, rate_down = rates
     b_down = problem.total_bandwidth_hz - b_up
     t_prop = pipeline.propagation_delay_s(
@@ -385,8 +347,7 @@ class JointEvaluator:
                 models[robot.plant] = RateCostModel.from_plant(robot.plant)
         self.models = tuple(models[r.plant] for r in robots)
         self.a_sq, self.sens_w, self.j_ideal = control.rate_cost_terms(self.models)
-        # every plant unstable (|a| >= 1): the cost is convex where it is
-        # feasible, and a projected-gradient solve descends one start (_best_start)
+        # every plant unstable (|a| >= 1): _best_start's one-start rule
         self.all_unstable = bool(np.all(self.a_sq >= 1.0))
         self.threshold_bits = np.array([m.plant.threshold_bits for m in self.models])
         # per-robot factors of the gradient: -w ln4 and B*g. A weight w within
@@ -511,10 +472,8 @@ def _sweep_evaluator(problem: MultiLoopProblem) -> JointEvaluator:
 
 
 def descends_one_start(problem: MultiLoopProblem) -> bool:
-    """Whether the projected-gradient solves on the problem's robots descend
-    only their start of lowest projected value: when every plant is unstable
-    (_best_start). Otherwise every start descends, and each added start adds
-    its own iterations."""
+    """Whether _best_start descends only the lowest-valued start of the
+    projected-gradient solves on the problem's robots."""
     return _sweep_evaluator(problem).all_unstable
 
 
@@ -700,42 +659,53 @@ def _projected_gradient(objective, hessian, z0: np.ndarray, f0: np.ndarray, *,
     on one scheme's pieces (_scaled_scheme).
 
     Each row of z0 (one start, shape (R, 2n) in all) holds feasible
-    budget-scaled power and compute shares (a projected start), and f0 and
-    start hold their values and their first_order score. All rows
-    descend together. The vector work of an iteration is one numpy call each
-    for all running rows: the gradient and `hessian` blocks, read from the
-    rows' carried score when one first_order call scored them all (_carried)
-    and else from one first_order call on the rows, whose score they then
-    carry; the gradient norms and row sums, _newton_direction, the
-    projection and `first_order` call of the Newton trials, and one
-    _backtrack call, which scores with the value-only `objective` (a row it
-    moves carries no score); the iterates stay in one (R, 2n) array.
-    Each row's rules (its Barzilai-Borwein step, Newton acceptance and
-    decrement stop, quiet count, step memory, and leaving the running list)
-    run on Python floats taken with one tolist() per array. They divide only
-    where a numpy quotient was used and call min/max in np.minimum/np.maximum
-    argument order, so every float is the one numpy gives.
-    The returned iteration count is summed over rows.
-    A row first tries its projected face-Newton point (_newton_direction)
-    and keeps it (and its score) when f(new) <= f + 1e-2 g.(new - z) with
-    g.(new - z) < 0. Otherwise its trial
-    step is seeded Barzilai-Borwein style (spectral step from the row's last
-    (dz, dg) pair, which copes with the steep penalty wall) and backed off by
-    halving (_backtrack) until a sufficient decrease over the projected move
-    is reached. A row converges in the iteration
-    whose Newton trial predicts a decrease 0 < -g.(new - z) <= PGD_REL_TOL |f|
-    (the Newton decrement): at the Newton point if it passes its test, else
-    after that iteration's backtracking, which keeps its move only if it
-    passes the Armijo test. A row whose Newton trial predicts no decrease
-    (g.(new - z) >= 0) converges in that iteration, without backtracking,
-    when it is stationary: its projected-gradient residual z - P(z - g) is
-    exactly 0, as at the vertex a one-robot row starts on; only those rows
-    pay that projection. A row also converges after PGD_PATIENCE
-    consecutive iterations with relative improvement below PGD_REL_TOL or a
-    zero gradient; a row whose gradient is not finite, or that is still
-    running after PGD_MAX_ITER iterations, stops unconverged (the latter
-    counted in max_iter_rows). stopped_on names each row's reason
+    budget-scaled power and compute shares (a projected start); f0 and start
+    hold their values and their first_order score. All rows descend
+    together, and the returned iteration count is summed over rows.
+
+    Step: a row first tries its projected face-Newton point
+    (_newton_direction) and keeps it when f(new) <= f + 1e-2 g.(new - z)
+    with g.(new - z) < 0. A row whose Hessian blocks are not positive
+    definite (a capped, penalised or starved loop), whose gradient had to be
+    rescaled, or whose Newton point fails the test takes the Barzilai-Borwein
+    step from its last (dz, dg) pair (which copes with the steep penalty
+    wall), halved by Armijo backtracking along the projection arc
+    (_backtrack) until the projected move passes its sufficient-decrease test.
+
+    Stop: the Newton decrement decides, before the line search (Boyd &
+    Vandenberghe 9.5.1 and 10.2). A row converges in the iteration whose
+    Newton trial predicts a decrease 0 < -g.(new - z) <= PGD_REL_TOL |f|: at
+    the Newton point if it passes its test, else where that iteration's
+    backtracking leaves it (a decrease that small can score an ulp above the
+    value). A row whose Newton trial predicts no decrease (g.(new - z) >= 0)
+    converges in that iteration, without backtracking, when it is
+    stationary: its projected-gradient residual z - P(z - g) is exactly 0,
+    as at the vertex a one-robot row starts on; only those rows pay that
+    projection. Any other row converges after PGD_PATIENCE consecutive
+    iterations with relative improvement below PGD_REL_TOL or a zero
+    gradient. A row whose gradient is not finite, or that is still running
+    after PGD_MAX_ITER iterations, stops unconverged (the latter counted in
+    max_iter_rows). stopped_on names each row's reason
     (SolverTrace.stopped_on).
+
+    Score once: each point a row stands on is scored once, by first_order
+    (value, gradient, chain-rule terms, per-robot costs): its start, each
+    Newton trial, whose score a kept point carries, and, at its next
+    iteration, a row that moved by backtracking (_backtrack scores its trials
+    with the value-only `objective`). An iteration reads the gradient and
+    the `hessian` blocks from the running rows' carried score when one
+    first_order call scored them all (_carried), else from one first_order
+    call on those rows, whose score they then carry. The returned scores
+    hold each row's end-point score.
+
+    Vector work: an iteration makes one numpy call each for all running rows
+    (the gradient norms, _newton_direction, the Newton trials' projection
+    and score, one _backtrack call), and the iterates stay in one (R, 2n)
+    array. Each row's rules (step choice, Newton acceptance, stop tests and
+    bookkeeping) run on Python floats taken with one tolist() per array.
+    They divide only where a numpy quotient was used and call min/max in
+    np.minimum/np.maximum argument order, so every float is the one numpy
+    gives.
     """
     z = np.array(z0, dtype=float)
     fz = np.asarray(f0, dtype=float).tolist()
@@ -934,14 +904,15 @@ def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, extra_star
     on first read), and its (value, costs, window) for _multi_result.
 
     Every start is projected and scored once, in one first_order call whose
-    score the descent carries. When every robot's plant is unstable
-    (|a| >= 1) the cost is convex where it is feasible (module docstring), so
-    only the start of lowest projected value descends: every accepted step
-    lowers the value, so the result is never above any start's, and a
-    feasible start, if there is one, wins over every penalised one. With any
-    stable plant every start descends as one batch and the lowest end point
-    wins. The winner's gradient and costs come from its carried score, or
-    one first_order call after backtracking.
+    score the descent carries. The one-start rule: when every robot's plant
+    is unstable (|a| >= 1, JointEvaluator.all_unstable) the cost is convex
+    where it is feasible (module docstring), so only the start of lowest
+    projected value descends. Every accepted step lowers the value, so the
+    result is never above any start's, and a feasible start, if there is
+    one, wins over every penalised one. With any stable plant every start
+    descends as one batch and the lowest end point wins, which can still
+    stop above the global minimum. The winner's gradient and costs come from
+    its carried score, or from one first_order call after backtracking.
     """
     starts, objective, hessian, first_order, project, method = _scaled_scheme(
         evaluator, problem, extra_starts)
@@ -968,39 +939,23 @@ def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, extra_star
 
 
 def solve_multi_loop(problem: MultiLoopProblem, *, extra_starts=()) -> AllocationResult:
-    """Allocate downlink power and compute frequency under the chosen scheme.
+    """Allocate downlink power and compute frequency under the problem's scheme.
 
-    Task-oriented: projected gradient over both budgets from the equal split,
-    water-filled power and the callers' extra starts. One deterministic start
-    would do for unstable plants: each loop's cost is jointly convex in its
-    power and compute wherever it is feasible (see the module docstring), so
-    the extra starts only make sure the result is never above a decision the
-    caller already has, or start it nearer the optimum (report passes the
-    two baselines' decisions and, along its power sweep with every plant
-    unstable, the previous point's decision with its power scaled to the
-    new total and, from the third point on, the secant prediction of the
-    previous two points' budget shares; see predicted_start).
-    Max-throughput: water-filled power, compute proportional to uplink load;
-    it ignores extra_starts.
-    Compute-only: the task-oriented descent with every power frozen at the
-    equal split, from the equal split and the compute shares of the callers'
-    extra starts (report passes the previous power point's compute-only
-    decision and, with every plant unstable, the secant prediction as
-    above).
-    The two projected-gradient schemes share one branch: _scaled_scheme
-    builds each one's starts and pieces (and alone knows the frozen power),
-    and _best_start picks the starts that descend: with every plant unstable
-    only the lowest-valued start descends, otherwise every start descends as
-    one batch and the lowest end point wins. Both use the analytic
-    derivatives and Armijo backtracking (_projected_gradient) and return the
-    shares _best_start scored times the totals; the trace reports the
-    winning start, whether it converged, and its projected-gradient norm
-    (projected_gradient_norm) as the certificate, computed on first read
-    from the gradient its end point's score carries.
-    Every scheme is re-scored under the penalized LQR total (lqr_total), with
-    no per-loop outcomes (JointEvaluator.outcomes builds them on request).
-    The solves of one sweep share one JointEvaluator (_sweep_evaluator),
-    and those at one power total share its water-fill (JointEvaluator.water_fill).
+    Task-oriented: a projected-gradient minimum of the penalized LQR total
+    over both budgets, from its deterministic starts (_scaled_scheme) and the
+    caller's extra_starts (decisions with power_w and compute_cps arrays);
+    the result is never above any projected start. Compute-only: the same
+    descent with every power frozen at the equal split. Max-throughput:
+    water-filled power and equal compute (the robots' uplink loads are
+    equal); it ignores extra_starts.
+
+    lqr_total re-scores every scheme's decision under the penalized LQR
+    total, and the result carries no per-loop outcomes
+    (JointEvaluator.outcomes builds them on request). A projected-gradient
+    trace reports the winning start, whether and why it stopped, and
+    projected_gradient_norm, its certificate, computed on first read.
+    Consecutive solves on the same robots, budget and uplink volume share one
+    JointEvaluator (_sweep_evaluator).
     """
     evaluator = _sweep_evaluator(problem)
     n = evaluator.n

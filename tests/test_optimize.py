@@ -1,8 +1,10 @@
 """Solver tests: constraint satisfaction, oracle dominance, determinism."""
+import argparse
 import copy
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import satloop
-from satloop import control, linkgeom, optimize, pipeline
+from satloop import control, linkgeom, optimize, pipeline, report
 
 from satloop.control import Plant, RateCostModel
 from satloop.linkgeom import Geometry, LinkParams, shannon_rate_bps, slant_range_m
@@ -282,29 +284,6 @@ class TestSingleLoopAtLinkRates:
         result = solve_single_loop(problem)
         assert result.solver_trace.all_infeasible
         assert result.per_loop_outcomes[0].effective_bits_per_cycle == 0.0
-
-
-class TestOneModelPerPlant:
-    def test_objectives_of_one_plant_build_one_model(self, monkeypatch):
-        """The three objectives of one problem share its plant (Plant is
-        eq=False, and dataclasses.replace keeps it), so they build its
-        RateCostModel once; another plant gets its own."""
-        built = []
-        from_plant = RateCostModel.from_plant.__func__
-
-        def counted(cls, plant):
-            built.append(plant)
-            return from_plant(cls, plant)
-        monkeypatch.setattr(RateCostModel, "from_plant", classmethod(counted))
-        base = _symmetric_problem(SingleLoopObjective.TASK_ORIENTED)
-        for objective in SingleLoopObjective:
-            solve_single_loop(dataclasses.replace(base, objective=objective))
-        assert built == [base.plant]
-        other = dataclasses.replace(base, plant=dataclasses.replace(base.plant, a=3.0))
-        outcome, = solve_single_loop(other).per_loop_outcomes
-        assert built == [base.plant, other.plant]
-        assert outcome.lqr_cost == solve_single_loop(dataclasses.replace(
-            other, plant=dataclasses.replace(other.plant))).per_loop_outcomes[0].lqr_cost
 
 
 class TestProjection:
@@ -2098,3 +2077,46 @@ class TestReadmeLibrary:
         assert trace.converged and 0.0 <= trace.projected_gradient_norm < 1e-6
         assert len(namespace["outcomes"]) == 5
         assert repr(trace.projected_gradient_norm) in capsys.readouterr().out
+
+
+class TestReadmeNames:
+    README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def test_command_line_verbs_and_flags_exist(self):
+        """Each `satloop` command under `## Command line` names a verb of
+        report._parser() and flags of that verb; each flag named on its own
+        is a flag of some verb, with the choices it lists."""
+        section = self.README.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        sub, = [a for a in report._parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        actions = {verb: {name: action for action in parser._actions
+                          for name in action.option_strings}
+                   for verb, parser in sub.choices.items()}
+        blocks = "".join(re.findall(r"```sh\n(.*?)```", section, re.S))
+        commands = re.findall(r"^satloop ([^#\n]*)", blocks, re.M)
+        commands += re.findall(r"`satloop ([^`]*)`", section)
+        assert {command.split()[0] for command in commands} == set(actions)
+        for command in commands:
+            verb, *words = command.split()
+            assert {w for w in words if w.startswith("--")} <= set(actions[verb]), command
+        spans = [span.split() for span in re.findall(r"`(--[^`]*)`", section)]
+        assert spans
+        for flag, *value in spans:
+            owners = [names[flag] for names in actions.values() if flag in names]
+            assert owners, flag
+            if owners[0].choices and value:
+                assert set(value[0].split("|")) <= set(owners[0].choices), flag
+
+    def test_repository_paths_exist(self):
+        """Each repository path the README names exists (a glob matches),
+        and its Layout lists every module of src/satloop."""
+        root = Path(__file__).resolve().parents[1]
+        paths = set(re.findall(r"(?<![\w./])((?:src|tests|scripts|demos|bench)/[\w./*-]*\w)",
+                               self.README))
+        assert {"scripts/output_diff.py", "demos/0*.py", "tests/oracles.py",
+                "tests/test_acceptance.py", "bench/run.py"} <= paths
+        for path in paths:
+            assert list(root.glob(path)), path
+        layout = self.README.split("\n## Layout\n", 1)[1]
+        modules = {path.name for path in (root / "src" / "satloop").glob("*.py")}
+        assert set(re.findall(r"^  (\w+\.py) ", layout, re.M)) == modules - {"__init__.py"}

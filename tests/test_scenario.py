@@ -1,5 +1,6 @@
 """Scenario parsing, defaults, validation totality, and round-trips."""
 import copy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,31 @@ from satloop.scenario import (ParseError, Scenario, ScenarioError, UnknownKeyErr
 # frozen first draw for seed 1 over [30, 90] (numpy default_rng, pinned once)
 ELEVATIONS_SEED1 = [87.02782177955612, 86.91896682823463, 60.7092974820154,
                     48.709887120629126, 38.649576763178025]
+
+
+def _readme_table_rows() -> list:
+    """(dotted path, default text, provenance) for each key the README's
+    scenario-defaults table names: a `/` or `,` list names sibling keys, with
+    one default each, and `*` stands for both links."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not cells[0].startswith("`"):
+            continue  # prose, the header and its rule
+        key, default, provenance = cells
+        names = [name.strip("`") for name in key.split(" / ")]
+        values = [value.strip("`") for value in default.split(" / ")]
+        parent, _, names[0] = names[0].rpartition(".")
+        if "," in names[0]:
+            names, values = names[0].split(","), values[0].split(",")
+        parents = ([parent.replace("*", link) for link in ("uplink", "downlink")]
+                   if "*" in parent else [parent])
+        for section_path in parents:
+            for name, value in zip(names, values, strict=True):
+                rows.append((f"{section_path}.{name}".lstrip("."), value, provenance))
+    return rows
 
 
 class TestDefaults:
@@ -49,6 +75,16 @@ class TestDefaults:
         assert prov["budget.extraction_ratio"] == "reference"
         assert prov["links.uplink.noise_temperature_k"] == "assumed"
         assert prov["single_loop.total_bandwidth_hz"] == "assumed"
+
+    def test_readme_table_matches_the_schema(self):
+        """Every schema leaf is in exactly one row of the README's defaults
+        table, with the schema's default and provenance label."""
+        rows = _readme_table_rows()
+        leaves = dict(scenario._leaves(scenario._SCHEMA))
+        assert sorted(path for path, _, _ in rows) == sorted(leaves)
+        for path, text, provenance in rows:
+            default, label = leaves[path][:2]
+            assert (type(default)(text), provenance) == (default, label), path
 
 
 class TestLoad:
