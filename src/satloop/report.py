@@ -74,7 +74,8 @@ def _write(path: Path, text: str) -> None:
     old file: no truncate to zero, after which ext4 (auto_da_alloc) flushes at close."""
     data = text.encode("utf-8")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        if not os.path.isdir(path.parent):
+            path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
         try:
             view = memoryview(data)
@@ -275,7 +276,8 @@ def _load_from_args(args) -> Scenario:
         scn = default_scenario()
     else:
         try:
-            text = Path(args.scenario).read_text(encoding="utf-8")
+            with open(args.scenario, "rb") as f:
+                text = f.read().decode("utf-8")
         except OSError as exc:
             raise _IoFailure(f"cannot read {args.scenario}: {exc}") from exc
         except UnicodeDecodeError as exc:

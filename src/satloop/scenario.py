@@ -194,19 +194,38 @@ def _default_tree(schema=_SCHEMA) -> dict:
     return out
 
 
-def _leaves(node, prefix=""):
-    """(dotted path, leaf) for every leaf of a tree or of _SCHEMA, in sorted order."""
-    for key in sorted(node):
-        value = node[key]
-        if isinstance(value, dict):
-            yield from _leaves(value, f"{prefix}{key}.")
+def _compile(schema, keys=(), opening=""):
+    """(key path, dotted name, provenance, dump prefix) for each leaf of the
+    schema, each level's keys sorted. A leaf's dump prefix is its `key: `
+    after the `key:` lines of the sections that open at it."""
+    table = []
+    for key in sorted(schema):
+        node, path, line = schema[key], keys + (key,), f"{opening}{'  ' * len(keys)}{key}:"
+        if _is_leaf(node):
+            table.append((path, ".".join(path), node[1], line + " "))
         else:
-            yield f"{prefix}{key}", value
+            table += _compile(node, path, line + "\n")
+        opening = ""
+    return table
+
+
+_LEAF_TABLE = tuple(_compile(_SCHEMA))  # read by dump_scenario, flat_items, provenance_map
+
+
+def _leaf_values(tree) -> list:
+    """The tree's leaf values in _LEAF_TABLE order."""
+    values = []
+    for keys, _, _, _ in _LEAF_TABLE:
+        node = tree
+        for key in keys:
+            node = node[key]
+        values.append(node)
+    return values
 
 
 def provenance_map() -> dict:
     """Dotted path -> provenance label for every scenario key."""
-    return {path: leaf[1] for path, leaf in _leaves(_SCHEMA)}
+    return {dotted: provenance for _, dotted, provenance, _ in _LEAF_TABLE}
 
 
 def _leaf_value(node, path, value):
@@ -407,7 +426,7 @@ class Scenario:
 
     def flat_items(self) -> list:
         """Sorted (dotted path, value) pairs over the resolved tree."""
-        return list(_leaves(self.tree))
+        return [(row[1], value) for row, value in zip(_LEAF_TABLE, _leaf_values(self.tree))]
 
 
 def load_scenario(text: str) -> Scenario:
@@ -446,16 +465,6 @@ def _scalar(value) -> str:
     return str(value)
 
 
-def _lines(tree, indent=""):
-    for key in sorted(tree):
-        value = tree[key]
-        if isinstance(value, dict):
-            yield f"{indent}{key}:\n"
-            yield from _lines(value, indent + "  ")
-        else:
-            yield f"{indent}{key}: {_scalar(value)}\n"
-
-
 def dump_scenario(scenario: Scenario) -> str:
     """Canonical normalized dump; load(dump(s)) == s and byte-stable.
 
@@ -463,8 +472,11 @@ def dump_scenario(scenario: Scenario) -> str:
     level's keys sorted, a section as a `key:` line with its children two
     spaces further in, and a leaf as `key: value` (see _scalar). A section
     that appears twice in the tree is written out twice, with no anchor.
+    It reads the schema's compiled leaf table (_LEAF_TABLE), so the tree
+    must have the schema's shape, with any leaf values.
     """
-    return "".join(_lines(scenario.tree))
+    return "".join([f"{row[3]}{_scalar(value)}\n"
+                    for row, value in zip(_LEAF_TABLE, _leaf_values(scenario.tree))])
 
 
 def default_scenario() -> Scenario:

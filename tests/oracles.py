@@ -7,7 +7,9 @@ the solvers' own objective by brute force, and the multi-start solver runs
 the solver's own descent from seeded random starts. reported_costs and
 loop_outcomes are the array form of one loop's outcome, the reference that
 pipeline.loop_outcome, JointEvaluator.outcomes and the joint solves'
-all_infeasible flag are compared against.
+all_infeasible flag are compared against. dump_lines and sorted_leaves walk
+a scenario tree itself, the reference for the schema's compiled leaf table
+that scenario.dump_scenario and report's metadata block read.
 """
 import dataclasses
 import math
@@ -25,6 +27,7 @@ from satloop.optimize import (JointEvaluator, MultiLoopProblem, MultiLoopScheme,
                               _projected_gradient, _scaled_scheme, _single_objective_fn,
                               _single_result)
 from satloop.pipeline import LoopBudget, LoopOutcome
+from satloop.scenario import _scalar
 
 # the baseline scenario's budget: a 20 ms cycle, 100 cycles/bit, 10 GC/s, 0.1% extraction
 BUDGET = LoopBudget(cycle_period_s=0.02, cycles_per_bit=100.0, compute_rate_cps=1e10,
@@ -594,3 +597,27 @@ def outcome_formula(model, eff, ok, pow4) -> tuple:
     stable = ok and eff >= 0.0 and gap > 0.0
     return stable, (model.j_ideal + model.sensitivity * model.plant.w_cov / gap
                     if stable else math.inf)
+
+
+def dump_lines(tree, indent=""):
+    """scenario.dump_scenario's lines by a recursive walk of the tree: each
+    level's keys sorted, a section as a `key:` line with its children two
+    spaces further in, and a leaf as `key: value` (scenario._scalar)."""
+    for key in sorted(tree):
+        value = tree[key]
+        if isinstance(value, dict):
+            yield f"{indent}{key}:\n"
+            yield from dump_lines(value, indent + "  ")
+        else:
+            yield f"{indent}{key}: {_scalar(value)}\n"
+
+
+def sorted_leaves(node, prefix=""):
+    """(dotted path, leaf) for every leaf of a tree or of scenario._SCHEMA,
+    in sorted order."""
+    for key in sorted(node):
+        value = node[key]
+        if isinstance(value, dict):
+            yield from sorted_leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value

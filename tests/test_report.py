@@ -1206,6 +1206,19 @@ class TestRerunInPlace:
                 (out / name).write_bytes(old(data))
             assert _run_small(tmp_path, verb, out) == fresh
 
+    def test_output_directory_is_made_only_when_missing(self, tmp_path, monkeypatch):
+        made = []
+        original = Path.mkdir
+
+        def recorded(self, *args, **kwargs):
+            made.append(self)
+            return original(self, *args, **kwargs)
+        monkeypatch.setattr(Path, "mkdir", recorded)
+        out = tmp_path / "out"
+        for _ in range(2):  # made by the first write of the first run only
+            _run_small(tmp_path, "single-loop", out)
+        assert made == [out]
+
     def test_new_file_has_the_mode_of_open_w(self, tmp_path):
         previous = os.umask(0o027)
         try:
@@ -1309,3 +1322,87 @@ class TestSingleLoopBytesPinned:
         got = [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                for f in ("single_loop.csv", "single_loop_lqr.svg")]
         assert got == [csv_sha, svg_sha]
+
+
+class TestScenarioLineEnds:
+    """A scenario file is read as bytes and decoded as UTF-8, with no newline
+    translation: YAML reads CR and CRLF as line breaks and skips a leading
+    byte-order mark, so the CRLF, lone-CR and BOM copies of a document
+    behave exactly like its LF copy."""
+
+    VALID = (
+        TestSingleLoopBytesPinned._DOCS["log2_rounding"][0],
+        "# a comment line\nname: 'two\n  words'\nplant: {a: 1.5}  # inline\n",
+        "name: >-\n  folded\n  name\nseed: 3\nbudget:\n  extraction_ratio: 2e-3\n",
+        'name: "escaped\\\n  break"\nlinks:\n  uplink:\n    tx_power_w: 0.35\n',
+    )
+    MALFORMED = (
+        "plant:\n  a: [1\n",                      # an unclosed flow sequence
+        "plant:\n  a: 1\n b: 2\n",                 # a key at no indent of the map
+        "name: 'unterminated\nseed: 2\n",
+        "plant:\n\ta: 1\n",                        # a tab indent
+        "links:\n  uplink:\n    frobnicate: 1\n",  # an unknown key
+        "seed: 1\nplant:\n  r_u: 0\n",            # a value out of range
+    )
+
+    @staticmethod
+    def _copies(text) -> dict:
+        return {"lf": text.encode(), "crlf": text.replace("\n", "\r\n").encode(),
+                "cr": text.replace("\n", "\r").encode(), "bom": b"\xef\xbb\xbf" + text.encode()}
+
+    @pytest.mark.parametrize("text", VALID)
+    def test_valid_document(self, tmp_path, capsys, text):
+        doc = tmp_path / "doc.yaml"
+        seen = {}
+        for kind, data in self._copies(text).items():
+            doc.write_bytes(data)
+            out = tmp_path / kind
+            assert main(["validate", "--scenario", str(doc)]) == 0
+            assert main(["single-loop", "--scenario", str(doc), "--out", str(out)]) == 0
+            seen[kind] = (capsys.readouterr().out.replace(str(out), "OUT"),
+                          [(out / name).read_bytes() for name in _OUTPUTS["single-loop"]])
+        assert all(value == seen["lf"] for value in seen.values())
+
+    @pytest.mark.parametrize("text", MALFORMED)
+    @pytest.mark.parametrize("verb", ["validate", "single-loop"])
+    def test_malformed_document(self, tmp_path, capsys, verb, text):
+        doc = tmp_path / "doc.yaml"
+        out = [] if verb == "validate" else ["--out", str(tmp_path / "out")]
+        seen = {}
+        for kind, data in self._copies(text).items():
+            doc.write_bytes(data)
+            seen[kind] = (main([verb, "--scenario", str(doc)] + out), capsys.readouterr())
+        assert seen["lf"][0] == 2 and seen["lf"][1].err.startswith("scenario error: ")
+        assert all(value == seen["lf"] for value in seen.values())
+
+    @pytest.mark.parametrize("verb", ["validate", "single-loop"])
+    def test_scenario_that_is_a_directory(self, tmp_path, capsys, verb):
+        out = [] if verb == "validate" else ["--out", str(tmp_path / "out")]
+        assert main([verb, "--scenario", str(tmp_path)] + out) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"cannot read {tmp_path}: ")
+
+
+class TestBenchmarkBatchPinned:
+    """single-loop on the benchmark's seed-1 batch of 100 documents
+    (bench.workloads.generate_documents(1)). Each digest is the sha256 of the
+    documents' sha256 hex digests in order: the CSVs' as bench/workloads.py
+    combines them, and the SVGs' the same way."""
+
+    CSV_SHA = "a200df8477576466bc0e6900bd787a34453bbbc9b85d727fce97f20e153e4cb2"
+    SVG_SHA = "ad7067a421ebc935afc7a01cf1e0bc75308d3854733e9319c3c1b1b9ce936b03"
+
+    def test_combined_csv_and_svg_digests(self, tmp_path):
+        from bench.workloads import generate_documents
+        doc = tmp_path / "doc.yaml"
+        digests = {name: [] for name in _OUTPUTS["single-loop"]}
+        for k, text in enumerate(generate_documents(1)):
+            doc.write_text(text, encoding="utf-8")
+            out = tmp_path / f"doc{k:03d}"
+            code, err = _quiet_main(["single-loop", "--scenario", str(doc), "--out", str(out)])
+            assert code == 0, err
+            for name, hexes in digests.items():
+                hexes.append(hashlib.sha256((out / name).read_bytes()).hexdigest())
+        got = [hashlib.sha256("".join(digests[name]).encode("ascii")).hexdigest()
+               for name in _OUTPUTS["single-loop"]]
+        assert got == [self.CSV_SHA, self.SVG_SHA]

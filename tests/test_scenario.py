@@ -5,13 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satloop import report, scenario
 from satloop.scenario import (ParseError, Scenario, ScenarioError, UnknownKeyError,
                               ValidationError, default_scenario, dump_scenario,
                               load_scenario, provenance_map, sample_elevations)
+from oracles import dump_lines, sorted_leaves
 
 # frozen first draw for seed 1 over [30, 90] (numpy default_rng, pinned once)
 ELEVATIONS_SEED1 = [87.02782177955612, 86.91896682823463, 60.7092974820154,
@@ -80,7 +81,7 @@ class TestDefaults:
         """Every schema leaf is in exactly one row of the README's defaults
         table, with the schema's default and provenance label."""
         rows = _readme_table_rows()
-        leaves = dict(scenario._leaves(scenario._SCHEMA))
+        leaves = dict(sorted_leaves(scenario._SCHEMA))
         assert sorted(path for path, _, _ in rows) == sorted(leaves)
         for path, text, provenance in rows:
             default, label = leaves[path][:2]
@@ -294,6 +295,13 @@ def _tree(schema, leaf, name):
         for key, node in schema.items()})
 
 
+def _shared_links_tree():
+    """The default tree with one dict object as both link sections."""
+    tree = copy.deepcopy(default_scenario().tree)
+    tree["links"]["downlink"] = tree["links"]["uplink"]
+    return tree
+
+
 def _exact(tree):
     """tree with each leaf as (type, repr), so -0.0 differs from 0.0 and 1 from 1.0."""
     return {key: _exact(value) if isinstance(value, dict) else (type(value), repr(value))
@@ -393,9 +401,25 @@ class TestDump:
         monkeypatch.undo()
         assert [load_scenario(text) for text in texts] == scenarios
 
+    @settings(max_examples=100, deadline=None)
+    @given(_tree(scenario._SCHEMA, st.one_of(_FINITE, st.integers()), _NAME))
+    @example(_shared_links_tree())
+    def test_dump_and_param_block_are_the_tree_walk(self, tree):
+        """dump_scenario, flat_items and the `# param` lines of report._csv,
+        all read from the schema's compiled leaf table, equal a recursive
+        sorted walk of the tree itself (tests/oracles.py) byte for byte."""
+        scn = Scenario(tree=tree)
+        assert dump_scenario(scn) == "".join(dump_lines(tree))
+        leaves = list(sorted_leaves(tree))
+        assert scn.flat_items() == leaves
+        labels = {path: leaf[1] for path, leaf in sorted_leaves(scenario._SCHEMA)}
+        assert provenance_map() == labels
+        lines = report._csv(scn, "0" * 64, ["x"], []).split("\n")
+        assert [line for line in lines if line.startswith("# param ")] == \
+            [f"# param {path} = {report._num(value)} [{labels[path]}]" for path, value in leaves]
+
     def test_shared_section_is_written_in_full(self):
-        tree = copy.deepcopy(default_scenario().tree)
-        tree["links"]["downlink"] = tree["links"]["uplink"]
+        tree = _shared_links_tree()
         text = dump_scenario(Scenario(tree=tree))
         assert "&" not in text and "*" not in text
         assert text == dump_scenario(Scenario(tree=copy.deepcopy(tree)))
