@@ -20,7 +20,7 @@ eff, and nothing certifies the starts. Each rule is stated once, where it is
 applied: _scaled_scheme builds either projected-gradient scheme (and freezes
 the compute-only power), _best_start picks the starts that descend,
 _projected_gradient holds the step, stop and score-once rules,
-_newton_direction the face-Newton step, _backtrack its blocks of halvings,
+_newton_direction the face-Newton step, _backtrack the halvings,
 SolverTrace.projected_gradient_norm the certificate, and sweep_contour and
 report.cmd_multi_loop the extra starts of their sweeps.
 
@@ -54,10 +54,7 @@ GOLDEN_REL_WIDTH = 1e-8
 PGD_REL_TOL = 1e-10
 PGD_PATIENCE = 5
 PGD_MAX_ITER = 500
-# backtracking's trial steps and the blocks they are scored in (_backtrack)
-MAX_HALVINGS = 80
-_HALVINGS = tuple(0.5 ** k for k in range(MAX_HALVINGS))  # the trial-step scales 1, 1/2, ...
-_HALVING_BLOCKS = (_HALVINGS[:1], _HALVINGS[1:8], _HALVINGS[8:])
+MAX_HALVINGS = 80  # backtracking's trial steps (_backtrack)
 
 
 class SingleLoopObjective(enum.Enum):
@@ -558,11 +555,10 @@ class _PgdResult:
     converged: np.ndarray
     iterations: int  # summed over rows
     stopped_on: tuple  # per row: SolverTrace.stopped_on
-    max_iter_rows: int = 0  # rows stopped unconverged at PGD_MAX_ITER
     # row -> (score, i): row i of the scaled first_order's (gradient, terms,
-    # costs) at the row's end point: a start, a kept Newton trial, or where a
-    # backtracked row was scored again at its next iteration
-    scores: dict = dataclasses.field(default_factory=dict)
+    # costs) at the row's end point, a start or a kept trial
+    scores: dict
+    max_iter_rows: int = 0  # rows stopped unconverged at PGD_MAX_ITER
 
 
 def _rows_of(score: tuple, idx) -> tuple:
@@ -573,51 +569,50 @@ def _rows_of(score: tuple, idx) -> tuple:
 
 def _carried(scores: dict, rows: list):
     """The rows' score when one first_order call scored them all, else None."""
-    held = [scores.get(row, (None, 0)) for row in rows]
+    held = [scores[row] for row in rows]
     score, idx = held[0][0], [i for _, i in held]
-    if score is None or any(h[0] is not score for h in held):
+    if any(h[0] is not score for h in held):
         return None
     return score if idx == list(range(len(score[2]))) else _rows_of(score, idx)
 
 
-def _backtrack(objective, project, z: np.ndarray, fz: np.ndarray, grad: np.ndarray,
+def _backtrack(first_order, project, z: np.ndarray, fz: np.ndarray, grad: np.ndarray,
                step: np.ndarray):
     """Armijo backtracking along the projection arc for a batch of rows
     (Bertsekas, IEEE TAC 1976).
 
-    Row i tries step[i] 0.5^k for k = 0 ... MAX_HALVINGS - 1 and takes the
-    first trial whose projected move passes the sufficient-decrease test; it
-    stops unaccepted at the first trial whose projected move is zero. The
-    trials are taken in the blocks of _HALVING_BLOCKS: the rows that have not
-    stopped project and score a block's trials in one call each, so a batch
-    whose rows all take their first halving makes one objective call and a
-    row that takes its fourth scores 8 trials, not MAX_HALVINGS. Each row
-    takes the trial that halving one step at a time would. Returns
-    (accepted, z, f, step) per row.
+    Row i tries step[i] 0.5^k for k = 0 ... MAX_HALVINGS - 1, one halving
+    per pass for the rows still searching, and takes the first trial whose
+    projected move passes the sufficient-decrease test; it stops unaccepted
+    at the first trial whose projected move is zero, before scoring it. One
+    first_order call per pass scores the trials that moved. Returns
+    (accepted, z, f, step, scores) per row, where scores maps each accepted
+    row to its trial's (score, i), as _PgdResult.scores holds it.
     """
-    dim = z.shape[1]
     accepted = np.zeros(len(z), dtype=bool)
     z_out, f_out, s_out = z.copy(), fz.copy(), step.copy()
+    scores = {}
     searching = np.arange(len(z))  # the rows that have not stopped
-    for scales in _HALVING_BLOCKS:
-        trial = step[searching, None] * scales
-        base = z[searching, None, :]
-        cand = project((base - trial[..., None] * grad[searching, None, :]).reshape(-1, dim))
-        cand = cand.reshape(len(searching), len(scales), dim)
+    for k in range(MAX_HALVINGS):
+        trial = step[searching] * 0.5 ** k
+        base = z[searching]
+        cand = project(base - trial[:, None] * grad[searching])
         move = cand - base
-        move_sq = (move * move).sum(axis=-1)
-        fc = objective(cand.reshape(-1, dim)).reshape(move_sq.shape)
-        stop = (fc <= fz[searching, None] - 1e-2 * move_sq / trial) | (move_sq == 0.0)
-        ar, j = np.arange(len(searching)), stop.argmax(axis=1)
-        took = stop[ar, j] & (move_sq[ar, j] != 0.0)
-        rows = searching[took]
+        move_sq = (move * move).sum(axis=1)
+        moved = np.flatnonzero(move_sq != 0.0)
+        if not len(moved):
+            break
+        fc, score = first_order(cand[moved])
+        took = fc <= fz[searching[moved]] - 1e-2 * move_sq[moved] / trial[moved]
+        passed = moved[took]
+        rows = searching[passed]
         accepted[rows] = True
-        z_out[rows], f_out[rows], s_out[rows] = (cand[ar, j][took], fc[ar, j][took],
-                                                 trial[ar, j][took])
-        searching = searching[~stop[ar, j]]
+        z_out[rows], f_out[rows], s_out[rows] = cand[passed], fc[took], trial[passed]
+        scores.update(zip(rows.tolist(), ((score, i) for i in np.flatnonzero(took).tolist())))
+        searching = searching[moved[~took]]
         if not len(searching):
             break
-    return accepted, z_out, f_out, s_out
+    return accepted, z_out, f_out, s_out, scores
 
 
 def _newton_direction(grad: np.ndarray, blocks: tuple, z: np.ndarray):
@@ -653,10 +648,10 @@ def _newton_direction(grad: np.ndarray, blocks: tuple, z: np.ndarray):
     return d, ok
 
 
-def _projected_gradient(objective, hessian, z0: np.ndarray, f0: np.ndarray, *,
-                        first_order, project, start: tuple) -> _PgdResult:
-    """Minimize objective(z) over the feasible set of `project`, per row of z0,
-    on one scheme's pieces (_scaled_scheme).
+def _projected_gradient(hessian, z0: np.ndarray, f0: np.ndarray, *, first_order, project,
+                        start: tuple) -> _PgdResult:
+    """Minimize the value first_order(z) scores over the feasible set of
+    `project`, per row of z0, on one scheme's pieces (_scaled_scheme).
 
     Each row of z0 (one start, shape (R, 2n) in all) holds feasible
     budget-scaled power and compute shares (a projected start); f0 and start
@@ -669,8 +664,9 @@ def _projected_gradient(objective, hessian, z0: np.ndarray, f0: np.ndarray, *,
     definite (a capped, penalised or starved loop), whose gradient had to be
     rescaled, or whose Newton point fails the test takes the Barzilai-Borwein
     step from its last (dz, dg) pair (which copes with the steep penalty
-    wall), halved by Armijo backtracking along the projection arc
-    (_backtrack) until the projected move passes its sufficient-decrease test.
+    wall), which Armijo backtracking along the projection arc (_backtrack)
+    halves, one halving at a time, until the projected move passes its
+    sufficient-decrease test.
 
     Stop: the Newton decrement decides, before the line search (Boyd &
     Vandenberghe 9.5.1 and 10.2). A row converges in the iteration whose
@@ -690,22 +686,21 @@ def _projected_gradient(objective, hessian, z0: np.ndarray, f0: np.ndarray, *,
 
     Score once: each point a row stands on is scored once, by first_order
     (value, gradient, chain-rule terms, per-robot costs): its start, each
-    Newton trial, whose score a kept point carries, and, at its next
-    iteration, a row that moved by backtracking (_backtrack scores its trials
-    with the value-only `objective`). An iteration reads the gradient and
-    the `hessian` blocks from the running rows' carried score when one
-    first_order call scored them all (_carried), else from one first_order
-    call on those rows, whose score they then carry. The returned scores
-    hold each row's end-point score.
+    Newton trial and each backtracking trial that moves, whose score a kept
+    point carries. An iteration reads the gradient and the `hessian` blocks
+    from the running rows' carried score when one first_order call scored
+    them all (_carried), else from one first_order call on those rows,
+    whose score they then carry. The returned scores hold each row's
+    end-point score.
 
     Vector work: an iteration makes one numpy call each for all running rows
     (the gradient norms, _newton_direction, the Newton trials' projection
-    and score, one _backtrack call), and the iterates stay in one (R, 2n)
-    array. Each row's rules (step choice, Newton acceptance, stop tests and
-    bookkeeping) run on Python floats taken with one tolist() per array.
-    They divide only where a numpy quotient was used and call min/max in
-    np.minimum/np.maximum argument order, so every float is the one numpy
-    gives.
+    and score, and per halving of _backtrack one projection and one score),
+    and the iterates stay in one (R, 2n) array. Each row's rules (step
+    choice, Newton acceptance, stop tests and bookkeeping) run on Python
+    floats taken with one tolist() per array. They divide only where a numpy
+    quotient was used and call min/max in np.minimum/np.maximum argument
+    order, so every float is the one numpy gives.
     """
     z = np.array(z0, dtype=float)
     fz = np.asarray(f0, dtype=float).tolist()
@@ -735,7 +730,7 @@ def _projected_gradient(objective, hessian, z0: np.ndarray, f0: np.ndarray, *,
             iterations += len(live)
             zl = z[live]
             score = _carried(scores, live)
-            if score is None:  # a row moved by backtracking, or rows scored by two calls
+            if score is None:  # rows scored by different calls
                 score = first_order(zl)[1]
                 scores.update((row, (score, k)) for k, row in enumerate(live))
             grad, blocks = score[0], hessian(score[1])
@@ -802,14 +797,14 @@ def _projected_gradient(objective, hessian, z0: np.ndarray, f0: np.ndarray, *,
                         else:
                             trial_step = step[row]
                         s.append(min(max(trial_step, 1e-16), 1e8))
-                    took, z_new, f_new, s_new = _backtrack(
-                        objective, project, zm[b], np.array([fz[row] for row in rows_b]),
+                    took, z_new, f_new, s_new, kept = _backtrack(
+                        first_order, project, zm[b], np.array([fz[row] for row in rows_b]),
                         g[b], np.array(s))
                     took, f_new, s_new = took.tolist(), f_new.tolist(), s_new.tolist()
                     for i, row in enumerate(rows_b):
-                        if took[i]:  # an unaccepted row keeps its iterate and step
+                        if took[i]:  # an unaccepted row keeps its iterate, step and score
                             z[row] = z_new[i]
-                            scores.pop(row, None)
+                            scores[row] = kept[i]
                             accept(row, f_new[i])
                             step[row] = s_new[i]
                 z_prev[moving], grad_prev[moving] = zm, g
@@ -829,21 +824,21 @@ def _projected_gradient(objective, hessian, z0: np.ndarray, f0: np.ndarray, *,
             live = running
     converged = [reason in ("decrement", "patience") for reason in stopped_on]
     return _PgdResult(z, np.array(fz), np.array(converged), iterations, tuple(stopped_on),
-                      len(live), scores)
+                      scores, len(live))
 
 
 def _scaled_scheme(evaluator: JointEvaluator, problem: MultiLoopProblem, extra_starts) -> tuple:
     """The problem's projected-gradient scheme over budget-scaled shares
-    z = (power, compute) / totals, 2n per row: (starts, objective, hessian,
-    first_order, project, method).
+    z = (power, compute) / totals, 2n per row: (starts, hessian, first_order,
+    project, method).
 
     starts, before projection: the equal split, then for the task-oriented
     scheme water-filled power with equal compute and the callers' extra
-    decisions, for compute-only the extra decisions' compute. objective
-    returns the value alone; first_order the value and the score (gradient
-    (R, 2n), chain-rule terms, costs); hessian(terms) the per-robot Hessian
-    blocks (h_xx, h_xy, h_yy) from a score's terms; project puts each block
-    of a row onto its capped simplex.
+    decisions, for compute-only the extra decisions' compute. first_order
+    returns the value and the score (gradient (R, 2n), chain-rule terms,
+    costs); hessian(terms) the per-robot Hessian blocks (h_xx, h_xy, h_yy)
+    from a score's terms; project puts each block of a row onto its capped
+    simplex.
 
     Compute-only freezes every power at the equal split, and only this
     function says so: its gradient's power block is 0, its Hessian's power
@@ -870,9 +865,6 @@ def _scaled_scheme(evaluator: JointEvaluator, problem: MultiLoopProblem, extra_s
                                    np.asarray(dec["compute_cps"]) / f_tot])
                    for dec in extra_starts]
 
-    def objective(batch: np.ndarray) -> np.ndarray:
-        return evaluator.total_cost(batch[..., :n] * p_tot, batch[..., n:] * f_tot)
-
     def hessian(terms: tuple) -> tuple:
         h_pp, h_pf, h_ff = evaluator.hessian_blocks(terms)
         h_ff = h_ff * (f_tot * f_tot)
@@ -891,11 +883,11 @@ def _scaled_scheme(evaluator: JointEvaluator, problem: MultiLoopProblem, extra_s
             out = np.concatenate([z[:, :n], project_capped_simplex(z[:, n:], 1.0)], axis=1)
             out[:, :n] = power
             return out
-        return starts, objective, hessian, first_order, project, "projected_gradient_compute_only"
+        return starts, hessian, first_order, project, "projected_gradient_compute_only"
 
     def project(z: np.ndarray) -> np.ndarray:
         return project_capped_simplex(z.reshape(-1, 2, n), 1.0).reshape(z.shape)
-    return starts, objective, hessian, first_order, project, "projected_gradient"
+    return starts, hessian, first_order, project, "projected_gradient"
 
 
 def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, extra_starts):
@@ -911,11 +903,10 @@ def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, extra_star
     result is never above any start's, and a feasible start, if there is
     one, wins over every penalised one. With any stable plant every start
     descends as one batch and the lowest end point wins, which can still
-    stop above the global minimum. The winner's gradient and costs come from
-    its carried score, or from one first_order call after backtracking.
+    stop above the global minimum.
     """
-    starts, objective, hessian, first_order, project, method = _scaled_scheme(
-        evaluator, problem, extra_starts)
+    starts, hessian, first_order, project, method = _scaled_scheme(evaluator, problem,
+                                                                   extra_starts)
     z0 = project(np.array(starts, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f0, score = first_order(z0)
@@ -924,11 +915,11 @@ def _best_start(evaluator: JointEvaluator, problem: MultiLoopProblem, extra_star
             first = int(np.argmin(f0))
             z0, f0 = z0[first:first + 1], f0[first:first + 1]
             score = _rows_of(score, slice(first, first + 1))
-        res = _projected_gradient(objective, hessian, z0, f0, first_order=first_order,
-                                  project=project, start=score)
+        res = _projected_gradient(hessian, z0, f0, first_order=first_order, project=project,
+                                  start=score)
         row = int(np.argmin(res.value))
         z = res.z[row:row + 1].copy()  # copies: a view would keep the batch alive
-        (grad, terms, cost), i = res.scores.get(row) or (first_order(z)[1], 0)
+        (grad, terms, cost), i = res.scores[row]
         grad, cost, window = grad[i:i + 1].copy(), cost[i:i + 1], terms[1][i:i + 1]
     z.flags.writeable = grad.flags.writeable = False
     trace = SolverTrace(iterations=res.iterations, converged=bool(res.converged[row]),

@@ -311,6 +311,17 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+def _fail(message: str, code: int) -> int:
+    """Print a failure to stderr as one line and return the exit code: each
+    character str.splitlines breaks at (PyYAML's marks, a quoted key's line
+    break) is written as its escape, such as \\n."""
+    print(message.translate(_LINE_BREAKS), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -323,14 +334,11 @@ def main(argv=None) -> int:
                   "contour": cmd_contour}[args.command]
         record = runner(scn, Path(args.out), fmt=args.format)
     except (ScenarioError, NoBudgetError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"scenario error: {exc}", 2)
     except NonConvergentError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(f"solver error: {exc}", 3)
     except _IoFailure as exc:
-        print(str(exc), file=sys.stderr)
-        return 4
+        return _fail(str(exc), 4)
     print(f"{args.command}: scenario {record.scenario_hash[:12]} "
           f"done in {record.wall_clock_s:.2f}s -> {args.out}")
     if not record.converged:

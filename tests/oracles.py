@@ -251,6 +251,17 @@ def random_joint_problem(rng: np.random.Generator, n_robots: int = 2, *,
         uplink_fixed_bits=uplink_bits)
 
 
+def scaled_objective(evaluator: JointEvaluator, problem: MultiLoopProblem):
+    """The value alone of optimize._scaled_scheme's first_order, per row of
+    budget-scaled shares z = (power, compute) / totals, from
+    JointEvaluator.total_cost: a scorer independent of the solve's own."""
+    n, p_tot, f_tot = evaluator.n, problem.total_power_w, problem.total_compute_cps
+
+    def objective(batch: np.ndarray) -> np.ndarray:
+        return evaluator.total_cost(batch[..., :n] * p_tot, batch[..., n:] * f_tot)
+    return objective
+
+
 def all_starts_descend(evaluator: JointEvaluator, problem: MultiLoopProblem, starts: list, *,
                        method: str):
     """optimize._projected_gradient under the problem's scheme
@@ -260,12 +271,12 @@ def all_starts_descend(evaluator: JointEvaluator, problem: MultiLoopProblem, sta
     What optimize._best_start does for a stable plant, here for any plant,
     so a reference that runs through it never descends a single start.
     """
-    _, objective, hessian, first_order, project, _ = _scaled_scheme(evaluator, problem, ())
+    _, hessian, first_order, project, _ = _scaled_scheme(evaluator, problem, ())
     z0 = project(np.array(starts, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f0, score = first_order(z0)
-    res = _projected_gradient(objective, hessian, z0, f0, first_order=first_order,
-                              project=project, start=score)
+    res = _projected_gradient(hessian, z0, f0, first_order=first_order, project=project,
+                              start=score)
     best = int(np.argmin(res.value))
     trace = SolverTrace(iterations=res.iterations, converged=bool(res.converged[best]),
                         restarts=len(starts), best_restart=best, method=method,
@@ -425,7 +436,8 @@ def reference_projected_gradient(objective, hessian, first_order, project, z0: n
                                  max_halvings: int, max_iter: int = 500, rel_tol: float = 1e-10,
                                  patience: int = 5) -> tuple:
     """One start of optimize._projected_gradient, one row and one halving at a time,
-    on one scheme's pieces (optimize._scaled_scheme).
+    on one scheme's pieces (optimize._scaled_scheme) and the value-only
+    objective (scaled_objective).
 
     The same rules, written as a plain loop: the face-Newton trial first
     (optimize._newton_direction on the one row, kept when it passes its

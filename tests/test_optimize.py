@@ -35,7 +35,7 @@ from oracles import (BUDGET, DimensionTooLargeError, all_starts_descend,
                      exact_capped_simplex, compute_only_kkt, grid_oracle, loop_outcomes,
                      multi_start_solve, numpy_pow4, outcome_formula, random_joint_problem,
                      random_single_loop_problem, reference_capped_simplex,
-                     reference_projected_gradient, reported_costs,
+                     reference_projected_gradient, reported_costs, scaled_objective,
                      water_fill_power_fixed_steps)
 
 
@@ -979,11 +979,13 @@ def _gradient_and_blocks(hessian, first_order, z):
 
 
 def _scheme(ev, problem, optimize_power: bool) -> tuple:
-    """(objective, hessian, first_order, project) of optimize._scaled_scheme
-    for the problem under the task-oriented scheme, or under compute-only."""
+    """(objective, hessian, first_order, project) for the problem under the
+    task-oriented scheme, or under compute-only: the value-only objective
+    (scaled_objective), then optimize._scaled_scheme's pieces."""
     scheme = (MultiLoopScheme.TASK_ORIENTED_JOINT if optimize_power
               else MultiLoopScheme.COMPUTE_ONLY_EQUAL_COMM)
-    return optimize._scaled_scheme(ev, dataclasses.replace(problem, scheme=scheme), ())[1:5]
+    problem = dataclasses.replace(problem, scheme=scheme)
+    return (scaled_objective(ev, problem), *optimize._scaled_scheme(ev, problem, ())[1:4])
 
 
 class TestNewtonDirection:
@@ -1066,10 +1068,9 @@ def _record_starts(patch) -> list:
     best_start = optimize._best_start
 
     def recording(evaluator, problem, extra_starts):
-        starts, objective, _, _, project, _ = optimize._scaled_scheme(evaluator, problem,
-                                                                      extra_starts)
+        starts, _, _, project, _ = optimize._scaled_scheme(evaluator, problem, extra_starts)
         starts = np.array(starts)
-        calls.append((starts, objective(project(starts))))
+        calls.append((starts, scaled_objective(evaluator, problem)(project(starts))))
         return best_start(evaluator, problem, extra_starts)
     patch.setattr(optimize, "_best_start", recording)
     return calls
@@ -1088,13 +1089,14 @@ def _patch_gradient(patch, fill: float):
     patch.setattr(JointEvaluator, "first_order", patched)
 
 
-def _descend(objective, hessian, first_order, project, starts):
-    """optimize._projected_gradient on one scheme's pieces from the starts,
-    projected and scored first as optimize._best_start does."""
+def _descend(pieces, starts):
+    """optimize._projected_gradient on one scheme's pieces (_scheme) from the
+    starts, projected and scored first as optimize._best_start does."""
+    _, hessian, first_order, project = pieces
     z0 = project(np.array(starts, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f0, score = first_order(z0)
-    return optimize._projected_gradient(objective, hessian, z0, f0, first_order=first_order,
+    return optimize._projected_gradient(hessian, z0, f0, first_order=first_order,
                                         project=project, start=score)
 
 
@@ -1105,9 +1107,9 @@ class TestBatchedPgd:
         ev = JointEvaluator(problem)
         pieces = _scheme(ev, problem, optimize_power)
         starts = _random_starts(ev, problem, 6, 3)
-        batch = _descend(*pieces, starts)
+        batch = _descend(pieces, starts)
         for row, z0 in enumerate(starts):
-            alone = _descend(*pieces, z0[None, :])
+            alone = _descend(pieces, z0[None, :])
             assert batch.value[row] == pytest.approx(alone.value[0], rel=1e-12)
             assert batch.converged[row] == alone.converged[0]
 
@@ -1123,7 +1125,7 @@ class TestBatchedPgd:
             pieces = _scheme(ev, problem, optimize_power)
             starts = _random_starts(ev, problem, 12, 5)
             starts[-1] = np.concatenate([np.eye(ev.n)[0], np.eye(ev.n)[-1]])  # a vertex
-            batch = _descend(*pieces, starts)
+            batch = _descend(pieces, starts)
             iterations = 0
             for row, z0 in enumerate(starts):
                 z, value, converged, iters = reference_projected_gradient(
@@ -1155,7 +1157,7 @@ class TestBatchedPgd:
             starts[-1] = np.concatenate([np.eye(ev.n)[0], np.eye(ev.n)[-1]])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(optimize, "PGD_MAX_ITER", max_iter)
-            batch = _descend(*pieces, starts)
+            batch = _descend(pieces, starts)
 
         def reference(z0, cap):
             return reference_projected_gradient(*pieces, z0, max_halvings=optimize.MAX_HALVINGS,
@@ -1180,15 +1182,21 @@ class TestBatchedPgd:
         """Every descent of one multi-loop run (42 one-row runs, each from its
         solve's lowest start) equals a plain loop bit for bit: on the
         baseline, where no row backtracks, and on the penalised 20-robot
-        document, where rows move by backtracking and so hold no carried
-        score at their next iteration, which scores them again."""
-        runs, moved, rescored = [], [], []
-        original, backtrack, carried = (optimize._projected_gradient, optimize._backtrack,
-                                        optimize._carried)
+        document, where rows move by backtracking. A row carries the score
+        of the trial it moved to, so no one-row run scores a point again:
+        _carried never returns None."""
+        runs, objectives, moved, rescored = [], [], [], []
+        original, scheme, backtrack, carried = (optimize._projected_gradient,
+                                                optimize._scaled_scheme, optimize._backtrack,
+                                                optimize._carried)
 
-        def recorded(objective, hessian, z0, f0, **kwargs):
-            result = original(objective, hessian, z0, f0, **kwargs)
-            runs.append((objective, hessian, kwargs["first_order"], kwargs["project"],
+        def recorded_scheme(evaluator, problem, extra_starts):  # the next descent's objective
+            objectives.append(scaled_objective(evaluator, problem))
+            return scheme(evaluator, problem, extra_starts)
+
+        def recorded(hessian, z0, f0, **kwargs):
+            result = original(hessian, z0, f0, **kwargs)
+            runs.append((objectives[-1], hessian, kwargs["first_order"], kwargs["project"],
                          z0.copy(), result))
             return result
 
@@ -1201,6 +1209,7 @@ class TestBatchedPgd:
             result = carried(*args)
             rescored.append(result is None)
             return result
+        monkeypatch.setattr(optimize, "_scaled_scheme", recorded_scheme)
         monkeypatch.setattr(optimize, "_projected_gradient", recorded)
         monkeypatch.setattr(optimize, "_backtrack", counted_backtrack)
         monkeypatch.setattr(optimize, "_carried", counted_carried)
@@ -1210,7 +1219,8 @@ class TestBatchedPgd:
             argv += ["--scenario", str(tmp_path / "doc.yaml")]
         assert main(argv) == 0
         assert len(runs) == 42
-        assert (sum(moved) > 0) == any(rescored) == backtracks
+        assert (sum(moved) > 0) == backtracks
+        assert rescored and not any(rescored)
         for objective, hessian, first_order, project, z0, result in runs:
             assert len(z0) == 1
             z, value, converged, iters = reference_projected_gradient(
@@ -1233,17 +1243,18 @@ class TestBatchedPgd:
                 problem.budget, extraction_ratio=cap_bits / problem.uplink_fixed_bits)
             problem = dataclasses.replace(problem, budget=budget)
         ev = JointEvaluator(problem)
-        objective, hessian, first_order, project = _scheme(ev, problem, optimize_power)
+        pieces = _scheme(ev, problem, optimize_power)
+        objective, _, _, project = pieces
         starts = _random_starts(ev, problem, 6, seed)
-        result = _descend(objective, hessian, first_order, project, starts)
+        result = _descend(pieces, starts)
         assert np.isfinite(result.z).all() and np.isfinite(result.value).all()
         assert (result.value <= objective(project(starts))).all()
         assert np.array_equal(result.value, objective(result.z))
 
     @staticmethod
     def _backtracking_batch():
-        """(objective, project, z, grad, step) of 40 random rows on the
-        default problem, with steps from no halving to dozens."""
+        """(objective, first_order, project, z, grad, step) of 40 random rows
+        on the default problem, with steps from no halving to dozens."""
         problem = _default_joint()
         ev = JointEvaluator(problem)
         objective, _, first_order, project = _scheme(ev, problem, True)
@@ -1256,7 +1267,7 @@ class TestBatchedPgd:
         # projected move is exactly zero, so the row stops unaccepted
         z[0] = np.concatenate([np.eye(ev.n)[0], np.eye(ev.n)[1]])
         grad[0], step[0] = -z[0], 4.0
-        return objective, project, z, grad, step
+        return objective, first_order, project, z, grad, step
 
     @staticmethod
     def _one_halving_at_a_time(objective, project, z, fz, grad, step):
@@ -1275,40 +1286,49 @@ class TestBatchedPgd:
         return (False, z, fz, step), optimize.MAX_HALVINGS
 
     def test_backtracking_matches_one_halving_at_a_time(self):
-        """Each row takes the first passing halving. The halvings are scored
-        in blocks of 1, 7 and the rest, one objective call per block, each
-        for the rows that have not stopped before it."""
-        objective, project, z, grad, step = self._backtracking_batch()
+        """Each row takes the first passing halving. Halving k makes one
+        first_order call, on exactly the trials of halving k that moved:
+        never the zero-move row 0, and no call once no row searches. Each
+        accepted row carries its trial's score, which equals a fresh
+        first_order call at its point bit for bit."""
+        objective, first_order, project, z, grad, step = self._backtracking_batch()
         calls = []
 
         def counted(batch):
-            calls.append(len(batch))
-            return objective(batch)
+            calls.append(batch.copy())
+            return first_order(batch)
         fz = objective(z)
         got = optimize._backtrack(counted, project, z, fz, grad, step)
         wants, stops = zip(*[
             self._one_halving_at_a_time(objective, project, z[i], fz[i], grad[i], step[i])
             for i in range(len(z))])
-        assert [len(block) for block in optimize._HALVING_BLOCKS] == [1, 7, 72]
-        # per block: the rows that have not stopped before it, times its length
+        # the rows whose trial moves at halving k: those that search past
+        # it, and those that accept it
         want_calls = []
-        for first, length in [(0, 1), (1, 7), (8, 72)]:
-            searching = sum(k >= first for k in stops)
-            if searching:
-                want_calls.append(searching * length)
-        assert calls == want_calls
-        # some rows stop in each block, and row 0 at once
+        for k in range(optimize.MAX_HALVINGS):
+            rows = [i for i, (want, stop) in enumerate(zip(wants, stops))
+                    if k < stop or (k == stop and want[0])]
+            if rows:
+                want_calls.append(project(z[rows] - (step[rows] * 0.5 ** k)[:, None] * grad[rows]))
+        assert len(calls) == len(want_calls) > 8
+        assert all(np.array_equal(c, w) for c, w in zip(calls, want_calls))
         assert stops[0] == 0 and not wants[0][0]
-        assert all(any(first <= k < first + length for k in stops)
-                   for first, length in [(0, 1), (1, 7), (8, 72)])
+        assert max(stops) >= 8
         for i, want in enumerate(wants):
             assert got[0][i] == want[0]
             assert np.array_equal(got[1][i], want[1])
             assert got[2][i] == want[2] and got[3][i] == want[3]
         assert got[0].sum() > 20
+        scores = got[4]
+        assert sorted(scores) == np.flatnonzero(got[0]).tolist()
+        for i, (score, j) in scores.items():
+            fresh = first_order(got[1][i:i + 1])[1]
+            kept = optimize._rows_of(score, slice(j, j + 1))
+            assert _same_bits(kept[0], fresh[0]) and _same_bits(kept[2], fresh[2])
+            assert all(_same_bits(a, b) for a, b in zip(kept[1], fresh[1]))
 
     def test_backtracking_in_one_call_when_every_row_takes_its_first_halving(self):
-        objective, project, z, grad, step = self._backtracking_batch()
+        objective, first_order, project, z, grad, step = self._backtracking_batch()
         fz = objective(z)
         wants, stops = zip(*[
             self._one_halving_at_a_time(objective, project, z[i], fz[i], grad[i], step[i])
@@ -1320,7 +1340,7 @@ class TestBatchedPgd:
 
         def counted(batch):
             calls.append(len(batch))
-            return objective(batch)
+            return first_order(batch)
         got = optimize._backtrack(counted, project, z[keep], fz[keep], grad[keep], step[keep])
         assert calls == [len(keep)]
         assert got[0].all() and np.array_equal(got[3], step[keep])
@@ -1335,7 +1355,7 @@ class TestBatchedPgd:
         starts = _random_starts(ev, problem, 6, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = _descend(*_scheme(ev, problem, optimize_power), starts)
+            result = _descend(_scheme(ev, problem, optimize_power), starts)
         assert result.iterations > len(starts)
 
     # The tests below that count rows run on a stable-plant copy of the
@@ -1443,13 +1463,14 @@ class TestBatchedPgd:
     def test_converged_reports_the_winning_start(self, monkeypatch, scheme):
         """The winning start is unconverged: the solve is not converged, even
         when a losing start converged."""
-        def fake_pgd(objective, hessian, z0, f0, **kwargs):
+        def fake_pgd(hessian, z0, f0, **kwargs):
             value = np.full(len(z0), 3.0)
             value[-1] = 1.0  # the winner, unconverged
             converged = np.ones(len(z0), dtype=bool)
             converged[-1] = False
             stopped_on = ("decrement",) * (len(z0) - 1) + ("nonfinite_gradient",)
-            return optimize._PgdResult(z0.copy(), value, converged, 7, stopped_on=stopped_on)
+            return optimize._PgdResult(z0.copy(), value, converged, 7, stopped_on,
+                                       {row: (kwargs["start"], row) for row in range(len(z0))})
         monkeypatch.setattr(optimize, "_projected_gradient", fake_pgd)
         problem = _stable(default_scenario().multi_loop_problem(scheme, total_power_w=5.0))
         trace = solve_multi_loop(problem).solver_trace
@@ -1470,10 +1491,11 @@ class TestBatchedPgd:
         vertex = {"power_w": np.eye(5)[0] * 5.0, "compute_cps": np.eye(5)[0] * 1e10}
         descended = []
 
-        def fake_pgd(objective, hessian, z0, f0, **kwargs):
+        def fake_pgd(hessian, z0, f0, **kwargs):
             descended.append(z0.copy())
-            return optimize._PgdResult(z0.copy(), objective(z0), np.zeros(len(z0), bool), 7,
-                                       stopped_on=("nonfinite_gradient",) * len(z0))
+            return optimize._PgdResult(z0.copy(), f0.copy(), np.zeros(len(z0), bool), 7,
+                                       ("nonfinite_gradient",) * len(z0),
+                                       {row: (kwargs["start"], row) for row in range(len(z0))})
         calls = _record_starts(monkeypatch)
         monkeypatch.setattr(optimize, "_projected_gradient", fake_pgd)
         trace = solve_multi_loop(problem, extra_starts=[vertex, compute_only]).solver_trace
@@ -1492,8 +1514,8 @@ def _record_ends(patch) -> list:
     pending, ends = [], []
     pgd, multi_result = optimize._projected_gradient, optimize._multi_result
 
-    def recorded_pgd(objective, hessian, z0, f0, **kwargs):
-        result = pgd(objective, hessian, z0, f0, **kwargs)
+    def recorded_pgd(hessian, z0, f0, **kwargs):
+        result = pgd(hessian, z0, f0, **kwargs)
         pending.append((kwargs["first_order"], kwargs["project"], result))
         return result
 

@@ -235,6 +235,25 @@ class TestFailureExitCodes:
         assert err.startswith("solver error: " if code == 3 else "scenario error: ")
 
     @pytest.mark.parametrize("verb", ["validate", "single-loop"])
+    @pytest.mark.parametrize("body, message", [
+        # PyYAML's message puts each of its two marks on a line of its own
+        ("plant:\n  a: [1\n", "not valid YAML: while parsing a flow sequence\\n  in "),
+        ('"a\\nb": 1\n', "unknown key: a\\nb\n"),  # a quoted key that holds a line break
+        ('plant: {"a\\rb": 1}\n', "unknown key: plant.a\\rb\n"),
+    ])
+    def test_a_message_with_line_breaks_prints_one_line(self, tmp_path, capsys, verb, body,
+                                                       message):
+        """Exit 2 and one stderr line, each line break of the message
+        written as its escape."""
+        doc = tmp_path / "doc.yaml"
+        doc.write_text(body, encoding="utf-8")
+        out = [] if verb == "validate" else ["--out", str(tmp_path / "out")]
+        assert main([verb, "--scenario", str(doc)] + out) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+        assert err.startswith("scenario error: " + message)
+
+    @pytest.mark.parametrize("verb", ["validate", "single-loop"])
     @pytest.mark.parametrize("name", ["x\nrobot,1,2", "x\rrobot,1,2", "tab\there", "a\u2028b",
                                       "\x85"])
     def test_name_that_is_not_printable(self, tmp_path, capsys, verb, name):
@@ -888,12 +907,15 @@ class TestBaselineSweepWork:
 
     def test_penalised_multi_loop_scores_a_backtracked_row_once(self, tmp_path, monkeypatch):
         """On multi_loop: {n_robots: 20}, where rows move by backtracking
-        (115 searches), such a row holds no carried score; one first_order
-        call scores it at its next iteration, and the row carries that
-        score on, to the certificate and the result when it stops there.
-        That is 78 first_order and 218 _cycle calls per run (69 first_order
-        calls, 14 full gradient-and-Hessian calls and 223 _cycle calls when
-        that score was not kept)."""
+        (115 searches, 100 of them stopped at their first trial by a zero
+        move, which is not scored), each halving scores the trials that
+        moved in one first_order call, and a row carries the score of the
+        trial it moves to, on to its next iteration, the certificate and
+        the result. That is 83 first_order calls and 104 _cycle calls per
+        run, one per first_order call and one per water-filled decision
+        (78 and 218 when backtracking scored its trials by total_cost alone,
+        in blocks of 1, 7 and 72 halvings, and first_order scored a moved
+        row again at its next iteration)."""
         counts = {}
 
         def count(owner, name):
@@ -910,7 +932,7 @@ class TestBaselineSweepWork:
         doc.write_text("multi_loop: {n_robots: 20}\n", encoding="utf-8")
         assert main(["multi-loop", "--scenario", str(doc), "--out", str(tmp_path / "out"),
                      "--format", "csv"]) == 0
-        assert counts == {"_cycle": 218, "first_order": 78, "_backtrack": 115}
+        assert counts == {"_cycle": 104, "first_order": 83, "_backtrack": 115}
 
     def test_certificates_cost_one_projection_on_read(self, tmp_path, monkeypatch):
         """A baseline multi-loop run projects nothing for its certificates:
